@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from ..analysis import contracts
 from ..config import SystemConfig
-from ..core.matching import MatchResult
+from ..core.matching import MatchResult, best_insertion_for_taxi
 from ..demand.request import RideRequest
-from ..fleet.schedule import evaluate_insertions, remove_request_stops
+from ..fleet.schedule import remove_request_stops
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import ShortestPathEngine
@@ -228,23 +226,12 @@ class DispatchScheme(abc.ABC):
         grid-based baselines as their scheduling core.  Routes use plain
         cached shortest paths.
         """
-        if taxi.committed + request.num_passengers > taxi.capacity:
+        best = best_insertion_for_taxi(self._engine, taxi, request, now, self._obs)
+        if best is None:
             return None
+        last, stops = best
         node, ready = taxi.position_at(now)
-        pending = taxi.pending_stops()
-        current_cost = taxi.remaining_route_cost(ready)
-
-        batch = evaluate_insertions(
-            self._engine, node, ready, pending, request, taxi.occupancy, taxi.capacity
-        )
-        self._obs.count("match.insertions_evaluated", batch.size)
-        self._obs.count("kernel.batched_insertions", 1)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
-            return None
-        k = int(feasible[np.argmin(batch.last_arrival[feasible])])
-        detour = (float(batch.last_arrival[k]) - ready) - current_cost
-        stops = batch.stops_for(k)
+        detour = (last - ready) - taxi.remaining_route_cost(ready)
         try:
             route = self._fallback_router.route_for_schedule(node, ready, stops)
         except RouteInfeasible:

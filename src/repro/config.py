@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any, TypeVar
+
+_SpecT = TypeVar("_SpecT")
 
 #: Metres per second for 15 km/h, the constant taxi speed of Section V-A4.
 DEFAULT_SPEED_MPS = 15_000.0 / 3600.0
@@ -165,3 +168,43 @@ class SystemConfig:
         if self.baseline_grid_cell_m > 0:
             return self.baseline_grid_cell_m
         return self.search_range_m / 2.0
+
+
+# ----------------------------------------------------------------------
+# the ``key=value[,key=value...]`` grammar of ``--faults`` / ``--rebalance``
+# ----------------------------------------------------------------------
+def parse_spec(cls: type[_SpecT], text: str) -> _SpecT:
+    """Build the spec dataclass ``cls`` from ``key=value[,key=value...]``.
+
+    Keys are exactly ``cls``'s fields and each value is parsed with the
+    type of its field's default (``int`` or ``float``); fields not
+    named keep their defaults, so an empty string yields ``cls()``.
+    Entries without ``=``, unknown keys, repeated keys and unparsable
+    values raise ``ValueError`` (as does ``cls``'s own validation).
+    """
+    parsers = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    values: dict[str, Any] = {}
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        key, sep, raw = (piece.strip() for piece in part.partition("="))
+        if not sep:
+            raise ValueError(f"expected key=value, got {part!r}")
+        if key not in parsers:
+            raise ValueError(f"unknown key {key!r}; expected one of {', '.join(sorted(parsers))}")
+        if key in values:
+            raise ValueError(f"key {key!r} given more than once")
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError:
+            raise ValueError(f"bad value for {key!r}: {raw!r}") from None
+    return cls(**values)
+
+
+def format_spec(spec: Any) -> str:
+    """``spec``'s non-default fields as ``key=value,...`` — the inverse
+    of :func:`parse_spec` (floats print their shortest round-trip form)."""
+    default = type(spec)()
+    return ",".join(
+        f"{f.name}={getattr(spec, f.name)!r}"
+        for f in dataclasses.fields(spec)
+        if getattr(spec, f.name) != getattr(default, f.name)
+    )

@@ -27,24 +27,19 @@ planned candidates once a winner exists).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
 from ..fleet.schedule import (
+    InsertionStart,
     Stop,
-    arrival_times,
-    capacity_ok,
-    deadlines_met,
-    enumerate_insertions,
-    evaluate_insertions,
-    evaluate_insertions_grouped,
     materialize_insertion,
-    score_insertions_tight,
+    num_insertions,
+    score_insertions,
 )
 from ..fleet.taxi import Taxi, TaxiRoute
 from ..index.partition_index import PartitionTaxiIndex
@@ -59,13 +54,6 @@ from .mobility_cluster import (
     direction_unit,
 )
 from .routing import BasicRouter, RouteInfeasible
-
-#: Total insertion instances below which a dispatch is scored with the
-#: tight scalar distance-row walk instead of the grouped array kernels.
-#: numpy's fixed per-call dispatch cost dominates under roughly a
-#: hundred instances (see docs/PERFORMANCE.md); both paths produce the
-#: scalar reference's decisions bit for bit.
-TIGHT_INSERTION_MAX = 96
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,175 +271,26 @@ class Matcher:
         candidates: list[Taxi],
         request: RideRequest,
         now: float,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
+    ) -> list[tuple[float, Taxi, Sequence[Stop], int, int]]:
         """Best feasible insertion per candidate, for the whole dispatch.
 
-        Returns ``(detour, taxi, build_stops)`` triples sorted by
-        detour (taxi id breaking ties); ``build_stops()`` materialises
-        the winning stop list, so only the few candidates that reach
-        route planning pay for it.  Small dispatches are scored with
-        the tight distance-row walk, large ones with the grouped array
-        kernels — detours, feasibility and the per-taxi winning
-        instance are bit-identical either way to calling
-        :meth:`_best_insertion` (and therefore the scalar reference)
-        taxi by taxi.
+        Returns ``(detour, taxi, pending, i, j)`` tuples sorted by
+        detour (taxi id breaking ties); ``materialize_insertion(pending,
+        request, i, j)`` is the winning stop list, so only the few
+        candidates that reach route planning pay for building it.
         """
-        items: list[tuple[Taxi, int, float, list[Stop]]] = []
-        total = 0
-        for taxi in candidates:
-            node, ready = taxi.position_at(now)
-            pending = taxi.pending_stops()
-            m = len(pending)
-            total += (m + 1) * (m + 2) // 2
-            items.append((taxi, node, ready, pending))
-        if total <= TIGHT_INSERTION_MAX:
-            scored = self._score_tight(items, request)
-        else:
-            scored = self._score_grouped(items, request)
-        self._obs.count("match.insertions_evaluated", total)
+        starts = [insertion_start(taxi, now) for taxi in candidates]
+        self._obs.count(
+            "match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts)
+        )
+        scored: list[tuple[float, Taxi, Sequence[Stop], int, int]] = []
+        for idx, last, i, j in score_insertions(self._engine, starts, request, self._obs):
+            taxi = candidates[idx]
+            _node, ready, pending, _onboard, _capacity = starts[idx]
+            detour = (last - ready) - taxi.remaining_route_cost(ready)
+            scored.append((detour, taxi, pending, i, j))
         scored.sort(key=lambda item: (item[0], item[1].taxi_id))
         return scored
-
-    def _score_tight(
-        self,
-        items: list[tuple[Taxi, int, float, list[Stop]]],
-        request: RideRequest,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Small-dispatch scorer: one tight distance-row walk over the
-        whole candidate set (rows and the request's stop pair are shared
-        across candidates inside :func:`score_insertions_tight`)."""
-        starts = [
-            (node, ready, pending, taxi.occupancy, taxi.capacity)
-            for taxi, node, ready, pending in items
-        ]
-        scored: list[tuple[float, Taxi, Callable[[], list[Stop]]]] = []
-        for idx, last, i, j in score_insertions_tight(self._engine, starts, request):
-            taxi, _node, ready, pending = items[idx]
-            detour = (last - ready) - taxi.remaining_route_cost(ready)
-            scored.append((detour, taxi, partial(materialize_insertion, pending, request, i, j)))
-        self._obs.count("kernel.tight_dispatches", 1)
-        return scored
-
-    def _score_grouped(
-        self,
-        items: list[tuple[Taxi, int, float, list[Stop]]],
-        request: RideRequest,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Large-dispatch scorer: candidates grouped by pending-stop
-        count, one :func:`evaluate_insertions_grouped` kernel each."""
-        groups: dict[int, list[tuple[Taxi, int, float, list[Stop]]]] = {}
-        for item in items:
-            groups.setdefault(len(item[3]), []).append(item)
-        scored: list[tuple[float, Taxi, Callable[[], list[Stop]]]] = []
-        for group in groups.values():
-            batch = evaluate_insertions_grouped(
-                self._engine,
-                [g[1] for g in group],
-                [g[2] for g in group],
-                [g[3] for g in group],
-                request,
-                [g[0].occupancy for g in group],
-                [g[0].capacity for g in group],
-            )
-            # First minimum among the feasible instances, per taxi —
-            # the scalar loop's strict-improvement tie handling.
-            masked = np.where(batch.feasible, batch.last_arrival, np.inf)
-            winners = np.argmin(masked, axis=1)
-            for t, (taxi, _node, ready, _pending) in enumerate(group):
-                k = int(winners[t])
-                if not batch.feasible[t, k]:
-                    continue
-                detour = (float(batch.last_arrival[t, k]) - ready) - taxi.remaining_route_cost(
-                    ready
-                )
-                scored.append((detour, taxi, partial(batch.stops_for, t, k)))
-        self._obs.count("kernel.batched_insertions", len(groups))
-        return scored
-
-    def score_insertions_for(
-        self,
-        items: list[tuple[Taxi, int, float, list[Stop]]],
-        request: RideRequest,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Grouped-kernel detour scoring over pre-gathered candidate states.
-
-        ``items`` holds ``(taxi, position_node, ready_time, pending_stops)``
-        tuples — the caller gathers them once and may share them across
-        several scoring calls (the window cost-matrix builder gathers
-        each taxi's state once per dispatch window).  Small sets take
-        the tight distance-row walk, large ones the grouped array
-        kernels — the same split as :meth:`_score_candidates`, and by
-        the same kernel invariants detours, feasibility and per-taxi
-        winning instances are bit-identical to the scalar reference
-        either way.
-        """
-        total = sum((len(p) + 1) * (len(p) + 2) // 2 for _, _, _, p in items)
-        if total <= TIGHT_INSERTION_MAX:
-            return self._score_tight(items, request)
-        return self._score_grouped(items, request)
-
-    def _best_insertion(
-        self,
-        taxi: Taxi,
-        request: RideRequest,
-        now: float,
-    ) -> tuple[float, list[Stop]] | None:
-        """Minimum-detour feasible insertion for one taxi, by O(1) costs.
-
-        Evaluates every insertion position at once with the batched
-        array kernel (:func:`~repro.fleet.schedule.evaluate_insertions`);
-        bit-identical to :meth:`_best_insertion_scalar`, the retained
-        reference implementation.  Returns ``(detour_cost, stops)`` or
-        ``None`` when no instance is feasible.
-        """
-        node, ready = taxi.position_at(now)
-        pending = taxi.pending_stops()
-        current_cost = taxi.remaining_route_cost(ready)
-
-        batch = evaluate_insertions(
-            self._engine, node, ready, pending, request, taxi.occupancy, taxi.capacity
-        )
-        # One bulk counter update per candidate, not per instance.
-        self._obs.count("match.insertions_evaluated", batch.size)
-        self._obs.count("kernel.batched_insertions", 1)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
-            return None
-        detours = (batch.last_arrival[feasible] - ready) - current_cost
-        # argmin keeps the first minimum, matching the scalar loop's
-        # strict-improvement tie handling over the same instance order.
-        k = int(feasible[np.argmin(detours)])
-        detour = (batch.last_arrival[k] - ready) - current_cost
-        return float(detour), batch.stops_for(k)
-
-    def _best_insertion_scalar(
-        self,
-        taxi: Taxi,
-        request: RideRequest,
-        now: float,
-    ) -> tuple[float, list[Stop]] | None:
-        """Scalar reference for :meth:`_best_insertion` (kernel tests
-        diff the two; the batched path is the production one)."""
-        node, ready = taxi.position_at(now)
-        pending = taxi.pending_stops()
-        current_cost = taxi.remaining_route_cost(ready)
-        onboard = taxi.occupancy
-        cost_fn = self._engine.cost
-
-        best: tuple[float, list[Stop]] | None = None
-        evaluated = 0
-        for _i, _j, stops in enumerate_insertions(pending, request):
-            evaluated += 1
-            if not capacity_ok(stops, onboard, taxi.capacity):
-                continue
-            times = arrival_times(node, ready, stops, cost_fn)
-            if not deadlines_met(stops, times):
-                continue
-            detour = (times[-1] - ready) - current_cost
-            if best is None or detour < best[0]:
-                best = (detour, stops)
-        self._obs.count("match.insertions_evaluated", evaluated)
-        return best
 
     def _should_go_probabilistic(self, taxi: Taxi, request: RideRequest) -> bool:
         """Whether this match should plan a probability-seeking route.
@@ -497,12 +336,12 @@ class Matcher:
         best_result: MatchResult | None = None
         planned = 0
         with obs.stage("match.planning"):
-            for est_detour, taxi, build_stops in scored:
+            for est_detour, taxi, pending, i, j in scored:
                 if best_result is not None and (
                     est_detour >= best_result.detour_cost - 1e-9 or planned >= cutoff
                 ):
                     break
-                stops = build_stops()
+                stops = materialize_insertion(pending, request, i, j)
                 node, ready = taxi.position_at(now)
                 use_prob = self._should_go_probabilistic(taxi, request)
                 route = None
@@ -545,12 +384,10 @@ class Matcher:
         Used when a taxi *encounters* an offline request on the street:
         only this taxi's schedule is examined (Section IV-C2).
         """
-        if taxi.committed + request.num_passengers > taxi.capacity:
-            return None
-        best = self._best_insertion(taxi, request, now)
+        best = best_insertion_for_taxi(self._engine, taxi, request, now, self._obs)
         if best is None:
             return None
-        _detour, stops = best
+        _last, stops = best
         node, ready = taxi.position_at(now)
         try:
             route = self._basic.route_for_schedule(node, ready, stops)
@@ -563,6 +400,38 @@ class Matcher:
             detour_cost=route.total_cost() - taxi.remaining_route_cost(ready),
             num_candidates=1,
         )
+
+
+def insertion_start(taxi: Taxi, now: float) -> InsertionStart:
+    """``taxi``'s state at ``now`` as a :func:`score_insertions` candidate."""
+    node, ready = taxi.position_at(now)
+    return node, ready, taxi.pending_stops(), taxi.occupancy, taxi.capacity
+
+
+def best_insertion_for_taxi(
+    engine: ShortestPathEngine,
+    taxi: Taxi,
+    request: RideRequest,
+    now: float,
+    obs: Instrumentation,
+) -> tuple[float, list[Stop]] | None:
+    """Minimum-detour feasible insertion into one specific taxi.
+
+    The one-candidate case of :func:`score_insertions`, shared by every
+    scheme's offline-encounter path.  Returns ``(last_arrival, stops)``
+    or ``None`` when the taxi has no spare seat or no instance is
+    feasible.
+    """
+    if taxi.committed + request.num_passengers > taxi.capacity:
+        return None
+    start = insertion_start(taxi, now)
+    pending = start[2]
+    obs.count("match.insertions_evaluated", num_insertions(len(pending)))
+    scored = score_insertions(engine, [start], request, obs)
+    if not scored:
+        return None
+    _idx, last, i, j = scored[0]
+    return last, materialize_insertion(pending, request, i, j)
 
 
 def taxi_vector_with(

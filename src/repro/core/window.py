@@ -16,11 +16,11 @@ Assignment Problems"):
    pair's minimum-detour feasible insertion.  Idle candidates — the
    bulk of every window — are filled for *all* pairs at once from two
    batched :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_matrix`
-   gathers (CH bucket many-to-many above the APSP cutover); busy
-   candidates go through the grouped insertion kernels
-   (:func:`~repro.fleet.schedule.evaluate_insertions_grouped`).  Both
-   tiers reproduce the scalar per-pair insertion evaluation bit for
-   bit; infeasible pairs stay ``+inf``.
+   gathers (CH bucket many-to-many above the APSP cutover); each
+   request's busy candidates go through one
+   :func:`~repro.fleet.schedule.score_insertions` call.  Both fills
+   reproduce the scalar per-pair insertion evaluation bit for bit;
+   infeasible pairs stay ``+inf``.
 3. **Solve** the LAP with ``scipy.optimize.linear_sum_assignment``
    after masking ``+inf`` to a large finite penalty, which makes the
    optimum maximise the number of feasible matches first and minimise
@@ -41,7 +41,7 @@ to the next ``window.tick`` until their pick-up deadline expires.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,13 +50,13 @@ from scipy.optimize import linear_sum_assignment
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
-from ..fleet.schedule import Stop, materialize_insertion
+from ..fleet.schedule import InsertionStart, Stop, materialize_insertion, score_insertions
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
 from ..partitioning.bipartite import MapPartitioning
-from .matching import MatchResult
+from .matching import MatchResult, insertion_start
 from .mtshare import MTShare
 from .routing import RouteInfeasible
 
@@ -87,19 +87,17 @@ class WindowCostMatrix:
     taxi_ids: list[int]
     costs: np.ndarray
     num_candidates: list[int]
-    #: Winning insertion indices per feasible busy pair; idle pairs are
-    #: implicitly ``(0, 1)`` (the only instance of an empty schedule).
-    _builders: dict[tuple[int, int], Callable[[], list[Stop]]] = field(default_factory=dict)
-    #: Pending-stop tuples per column, gathered once at fill time.
-    _pendings: dict[int, tuple[Stop, ...]] = field(default_factory=dict)
+    #: Winning insertion indices ``(i, j)`` per feasible busy cell;
+    #: idle cells are implicitly ``(0, 1)``, the only instance of an
+    #: empty schedule.
+    insertions: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    #: Pending stops per column, gathered once at fill time.
+    pendings: list[Sequence[Stop]] = field(default_factory=list)
 
     def build_stops(self, i: int, j: int) -> list[Stop]:
         """Materialise the winning stop list of pair ``(row i, col j)``."""
-        builder = self._builders.get((i, j))
-        if builder is not None:
-            return builder()
-        # Idle-tier pair: the single pickup-then-dropoff instance.
-        return materialize_insertion(self._pendings.get(j, ()), self.requests[i], 0, 1)
+        pi, pj = self.insertions.get((i, j), (0, 1))
+        return materialize_insertion(self.pendings[j], self.requests[i], pi, pj)
 
 
 def solve_window_lap(costs: np.ndarray) -> list[tuple[int, int]]:
@@ -232,8 +230,8 @@ class WindowLAP(MTShare):
         """Prune candidates and fill the window's min-detour cost matrix.
 
         Entries are bit-identical to evaluating each surviving
-        ``(request, taxi)`` pair with the scalar per-pair reference
-        (:meth:`build_cost_matrix_scalar` diffs them in the tests).
+        ``(request, taxi)`` pair with the scalar insertion oracle
+        (``tests/oracles.py`` diffs them).
         """
         obs = self._obs
         fleet = self._fleet
@@ -257,12 +255,8 @@ class WindowLAP(MTShare):
             return matrix
         with obs.stage("window.matrix"):
             # One state read per taxi per window, shared by every row.
-            state: dict[int, tuple[Taxi, int, float, list[Stop]]] = {}
-            for tid in taxi_ids:
-                taxi = fleet[tid]
-                node, ready = taxi.position_at(now)
-                state[tid] = (taxi, node, ready, taxi.pending_stops())
-                matrix._pendings[col_of[tid]] = tuple(state[tid][3])
+            state = {tid: insertion_start(fleet[tid], now) for tid in taxi_ids}
+            matrix.pendings = [state[tid][2] for tid in taxi_ids]
             member = np.zeros((n_rows, n_cols), dtype=bool)
             for i, cands in enumerate(cand_lists):
                 for taxi in cands:
@@ -277,7 +271,7 @@ class WindowLAP(MTShare):
         self,
         batch: list[RideRequest],
         member: np.ndarray,
-        state: dict[int, tuple[Taxi, int, float, list[Stop]]],
+        state: dict[int, InsertionStart],
         col_of: dict[int, int],
         matrix: WindowCostMatrix,
     ) -> None:
@@ -293,12 +287,13 @@ class WindowLAP(MTShare):
         feasibility verdicts are bit-identical to the per-pair
         reference.
         """
-        idle_tids = [tid for tid in matrix.taxi_ids if not state[tid][3]]
+        idle_tids = [tid for tid in matrix.taxi_ids if not state[tid][2]]
         if not idle_tids:
             return
         engine = self._engine
         obs = self._obs
-        nodes = [state[tid][1] for tid in idle_tids]
+        fleet = self._fleet
+        nodes = [state[tid][0] for tid in idle_tids]
         origins = [r.origin for r in batch]
         # (T_idle, R) pick-up legs in one many-to-many gather; the
         # direct legs are per *request*, not per pair.
@@ -309,9 +304,9 @@ class WindowLAP(MTShare):
         obs.count("window.bulk_m2m_cells", int(leg_pu.size))
         obs.count("kernel.batched_insertions", 1)
 
-        ready = np.array([state[tid][2] for tid in idle_tids], dtype=np.float64)[:, None]
+        ready = np.array([state[tid][1] for tid in idle_tids], dtype=np.float64)[:, None]
         remaining = np.array(
-            [state[tid][0].remaining_route_cost(float(r)) for tid, r in zip(idle_tids, ready[:, 0])],
+            [fleet[tid].remaining_route_cost(state[tid][1]) for tid in idle_tids],
             dtype=np.float64,
         )[:, None]
         t_pu = ready + leg_pu
@@ -321,8 +316,8 @@ class WindowLAP(MTShare):
         slack = 1e-9
         pu_deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)[None, :]
         do_deadline = np.array([r.deadline for r in batch], dtype=np.float64)[None, :]
-        onboard = np.array([state[tid][0].occupancy for tid in idle_tids], dtype=np.int64)[:, None]
-        cap = np.array([state[tid][0].capacity for tid in idle_tids], dtype=np.int64)[:, None]
+        onboard = np.array([state[tid][3] for tid in idle_tids], dtype=np.int64)[:, None]
+        cap = np.array([state[tid][4] for tid in idle_tids], dtype=np.int64)[:, None]
         n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)[None, :]
         feasible = (
             (t_pu <= pu_deadline + slack)
@@ -340,70 +335,31 @@ class WindowLAP(MTShare):
         self,
         batch: list[RideRequest],
         cand_lists: list[list[Taxi]],
-        state: dict[int, tuple[Taxi, int, float, list[Stop]]],
+        state: dict[int, InsertionStart],
         col_of: dict[int, int],
         matrix: WindowCostMatrix,
     ) -> None:
-        """Fill the busy-candidate pairs through the grouped kernels.
+        """Fill the busy-candidate pairs, one scorer call per request.
 
         Busy schedules need the general insertion machinery; each
-        request's busy candidates go through one grouped-kernel call
-        per distinct pending-stop count
-        (:meth:`~repro.core.matching.Matcher.score_insertions_for`),
-        sharing the per-taxi state gathered once for the window.
+        request's busy candidates go through one
+        :func:`~repro.fleet.schedule.score_insertions` call, sharing
+        the per-taxi state gathered once for the window.
         """
-        matcher = self._matcher
+        engine = self._engine
         obs = self._obs
         busy_pairs = 0
         for i, (request, cands) in enumerate(zip(batch, cand_lists)):
-            items = [state[t.taxi_id] for t in cands if state[t.taxi_id][3]]
-            if not items:
+            busy = [t for t in cands if state[t.taxi_id][2]]
+            if not busy:
                 continue
-            busy_pairs += len(items)
-            for detour, taxi, build_stops in matcher.score_insertions_for(
-                [(t, n, r, list(p)) for t, n, r, p in items], request
-            ):
+            busy_pairs += len(busy)
+            starts = [state[t.taxi_id] for t in busy]
+            for idx, last, pi, pj in score_insertions(engine, starts, request, obs):
+                taxi = busy[idx]
+                ready = starts[idx][1]
                 j = col_of[taxi.taxi_id]
-                matrix.costs[i, j] = detour
-                matrix._builders[(i, j)] = build_stops
+                matrix.costs[i, j] = (last - ready) - taxi.remaining_route_cost(ready)
+                matrix.insertions[(i, j)] = (pi, pj)
         if busy_pairs:
             obs.count("window.matrix_busy_pairs", busy_pairs)
-
-    def build_cost_matrix_scalar(
-        self, batch: list[RideRequest], now: float
-    ) -> WindowCostMatrix:
-        """Per-pair scalar reference for :meth:`build_cost_matrix`.
-
-        Evaluates every pruned ``(request, taxi)`` pair with the scalar
-        reference insertion evaluator, one pair at a time.  Retained
-        for the kernel-equivalence tests (the production fill must
-        reproduce it bit for bit); every pair it scores bumps the
-        ``window.scalar_pair_fallbacks`` counter the benchmark gate
-        asserts stays zero on the production path.
-        """
-        obs = self._obs
-        fleet = self._fleet
-        matcher = self._matcher
-        cand_lists = [matcher.candidate_taxis(r, fleet, now) for r in batch]
-        taxi_ids = sorted({t.taxi_id for cands in cand_lists for t in cands})
-        col_of = {tid: j for j, tid in enumerate(taxi_ids)}
-        costs = np.full((len(batch), len(taxi_ids)), np.inf)
-        matrix = WindowCostMatrix(
-            requests=list(batch),
-            taxi_ids=taxi_ids,
-            costs=costs,
-            num_candidates=[len(cands) for cands in cand_lists],
-        )
-        for j, tid in enumerate(taxi_ids):
-            matrix._pendings[j] = tuple(fleet[tid].pending_stops())
-        for i, (request, cands) in enumerate(zip(batch, cand_lists)):
-            for taxi in cands:
-                obs.count("window.scalar_pair_fallbacks")
-                best = matcher._best_insertion_scalar(taxi, request, now)
-                if best is None:
-                    continue
-                detour, stops = best
-                j = col_of[taxi.taxi_id]
-                costs[i, j] = detour
-                matrix._builders[(i, j)] = lambda stops=stops: list(stops)
-        return matrix

@@ -27,12 +27,12 @@ by :func:`parse_fault_spec`.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import format_spec, parse_spec
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
@@ -46,19 +46,6 @@ __all__ = [
     "build_fault_plan",
     "parse_fault_spec",
 ]
-
-#: Field -> parser for the ``--faults`` key=value grammar.
-_SPEC_FIELDS: dict[str, type] = {
-    "seed": int,
-    "breakdown_rate": float,
-    "cancel_rate": float,
-    "shock_windows": int,
-    "shock_delay_s": float,
-    "shock_duration_s": float,
-    "shock_radius_frac": float,
-    "continuation_rho": float,
-    "continuation_wait_s": float,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,32 +120,12 @@ def parse_fault_spec(text: str) -> FaultSpec:
     ``"seed=3,breakdown_rate=0.05,cancel_rate=0.1,shock_windows=1"``.
     An empty string yields the all-off default spec.
     """
-    values: dict[str, int | float] = {}
-    for part in filter(None, (p.strip() for p in text.split(","))):
-        key, sep, raw = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"fault spec entry {part!r} is not key=value")
-        parser = _SPEC_FIELDS.get(key)
-        if parser is None:
-            known = ", ".join(sorted(_SPEC_FIELDS))
-            raise ValueError(f"unknown fault spec key {key!r}; expected one of {known}")
-        try:
-            values[key] = parser(raw.strip())
-        except ValueError as exc:
-            raise ValueError(f"fault spec key {key!r}: {exc}") from None
-    return FaultSpec(**values)  # type: ignore[arg-type]
+    return parse_spec(FaultSpec, text)
 
 
 def format_fault_spec(spec: FaultSpec) -> str:
     """The canonical ``key=value,...`` form of a spec (non-defaults only)."""
-    default = FaultSpec()
-    parts = []
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if value != getattr(default, f.name):
-            parts.append(f"{f.name}={value}")
-    return ",".join(parts)
+    return format_spec(spec)
 
 
 # ----------------------------------------------------------------------

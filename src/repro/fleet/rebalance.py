@@ -35,6 +35,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+from ..config import format_spec, parse_spec
 from ..demand.prediction import DemandPredictor
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
@@ -48,15 +49,6 @@ __all__ = [
     "format_rebalance_spec",
     "parse_rebalance_spec",
 ]
-
-#: Field -> parser for the ``--rebalance`` key=value grammar.
-_SPEC_FIELDS: dict[str, type] = {
-    "cadence_s": float,
-    "lead_s": float,
-    "max_moves": int,
-    "min_surplus": int,
-    "max_cruise_s": float,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,32 +115,12 @@ def parse_rebalance_spec(text: str) -> RebalanceSpec:
         return RebalanceSpec()
     if stripped == "off":
         return RebalanceSpec(cadence_s=0.0)
-    values: dict[str, int | float] = {}
-    for part in filter(None, (p.strip() for p in text.split(","))):
-        key, sep, raw = part.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"expected key=value, got {part!r}")
-        parser = _SPEC_FIELDS.get(key)
-        if parser is None:
-            known = ", ".join(sorted(_SPEC_FIELDS))
-            raise ValueError(f"unknown rebalance key {key!r}; known keys: {known}")
-        try:
-            values[key] = parser(raw.strip())
-        except ValueError as exc:
-            raise ValueError(f"bad value for {key!r}: {raw.strip()!r}") from exc
-    return RebalanceSpec(**values)  # type: ignore[arg-type]
+    return parse_spec(RebalanceSpec, text)
 
 
 def format_rebalance_spec(spec: RebalanceSpec) -> str:
     """The spec as a ``--rebalance`` string (non-default fields only)."""
-    default = RebalanceSpec()
-    parts = []
-    for name in _SPEC_FIELDS:
-        value = getattr(spec, name)
-        if value != getattr(default, name):
-            parts.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-    return ",".join(parts) if parts else "on"
+    return format_spec(spec) or "on"
 
 
 @dataclass(frozen=True, slots=True)

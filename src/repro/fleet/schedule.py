@@ -11,14 +11,16 @@ feasibility checks; routing (how inter-stop costs are obtained) is
 supplied by the caller as a cost function, so the same machinery serves
 basic routing, probabilistic routing and the grid-based baselines.
 
-:func:`evaluate_insertions` is the *batched* form of the primitive: it
-evaluates every ``(i, j)`` insertion instance of one candidate at once
-with numpy array kernels — arrival vectors via one cached cost-matrix
-gather plus a cumulative sum, capacity profiles and deadline masks as
-elementwise comparisons — producing bit-identical costs and feasibility
-verdicts to the scalar enumeration it replaces on the matching hot
-path (which is retained as the reference the kernel tests diff
-against).
+:func:`score_insertions` is the production form of the primitive and
+the only entry point the dispatch schemes call: per candidate, the
+minimum-arrival feasible ``(i, j)`` instance.  It picks between two
+tiers from the instance count — a plain-Python walk over cached
+distance rows for small batches, grouped numpy array kernels
+(:func:`evaluate_insertions_grouped`) for large ones — and both are
+bit-identical to the scalar oracle that stays here
+(:func:`enumerate_insertions` + :func:`arrival_times` +
+:func:`capacity_ok` + :func:`deadlines_met`), which the kernel tests
+diff them against and T-Share's first-feasible rule uses directly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..demand.request import RideRequest
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..network.shortest_path import ShortestPathEngine
+    from ..obs import Instrumentation
 
 
 class StopKind(enum.Enum):
@@ -102,6 +105,10 @@ def remove_request_stops(stops: Sequence[Stop], request_id: int) -> list[Stop]:
 
 
 CostFn = Callable[[int, int], float]
+
+#: One candidate of :func:`score_insertions`: ``(start_node,
+#: start_time, pending_stops, initial_onboard, capacity)``.
+InsertionStart = tuple[int, float, Sequence[Stop], int, int]
 
 
 def enumerate_insertions(
@@ -246,7 +253,7 @@ def validate_stop_order(stops: Sequence[Stop]) -> None:
 
 
 # ----------------------------------------------------------------------
-# batched insertion evaluation (the matching hot-path kernel)
+# insertion scoring, grouped tier: numpy array kernels
 # ----------------------------------------------------------------------
 #: Per-m instance grids (pickup index, dropoff index, position map).
 #: They depend only on the pending-stop count, so one build serves the
@@ -283,13 +290,13 @@ def _insertion_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, slots=True)
-class InsertionBatch:
-    """Every insertion instance of one candidate, evaluated as arrays.
+class GroupedInsertionBatch:
+    """Every insertion instance of *several* candidates with equal ``m``.
 
-    Rows are ordered exactly like :func:`enumerate_insertions` (pick-up
-    index ascending, then drop-off index), so ``argmin`` over the
-    feasible detours reproduces the scalar loop's first-minimum tie
-    handling.
+    ``last_arrival`` and ``feasible`` are ``(T, R)`` arrays — one row
+    per candidate, one column per insertion instance, columns in
+    :func:`enumerate_insertions` order, so ``argmin`` over the feasible
+    arrivals reproduces the scalar loop's first-minimum tie handling.
     """
 
     #: Pick-up insertion index of each instance (``i`` of the scalar
@@ -302,51 +309,6 @@ class InsertionBatch:
     last_arrival: np.ndarray
     #: Deadline *and* capacity feasibility of each instance.
     feasible: np.ndarray
-    _seq: np.ndarray
-    _ext_stops: tuple[Stop, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of instances evaluated: ``(m + 1)(m + 2) / 2``."""
-        return int(self.pickup_idx.size)
-
-    def stops_for(self, k: int) -> list[Stop]:
-        """Materialise the stop sequence of instance ``k``."""
-        return [self._ext_stops[int(e)] for e in self._seq[k]]
-
-
-@dataclass(frozen=True, slots=True)
-class GroupedInsertionBatch:
-    """Insertion instances of *several* candidates with equal ``m``.
-
-    ``last_arrival`` and ``feasible`` are ``(T, R)`` arrays — one row
-    per candidate, one column per insertion instance, columns in
-    :func:`enumerate_insertions` order.  Matching evaluates a whole
-    dispatch's candidate set with a handful of these (one per distinct
-    pending-schedule length) instead of one kernel call per taxi.
-    """
-
-    pickup_idx: np.ndarray
-    dropoff_idx: np.ndarray
-    last_arrival: np.ndarray
-    feasible: np.ndarray
-    _seq: np.ndarray
-    _pendings: tuple[tuple[Stop, ...], ...]
-    _pair: tuple[Stop, Stop]
-
-    @property
-    def size(self) -> int:
-        """Total instances evaluated: ``T * (m + 1)(m + 2) / 2``."""
-        return int(self.feasible.size)
-
-    def ext_stops(self, t: int) -> tuple[Stop, ...]:
-        """Candidate ``t``'s extended stop tuple (pending + pair)."""
-        return self._pendings[t] + self._pair
-
-    def stops_for(self, t: int, k: int) -> list[Stop]:
-        """Materialise instance ``k`` of candidate ``t``."""
-        ext = self.ext_stops(t)
-        return [ext[int(e)] for e in self._seq[k]]
 
 
 def evaluate_insertions_grouped(
@@ -376,7 +338,6 @@ def evaluate_insertions_grouped(
     (anything with ``cost_matrix``).
     """
     pu, do = request_stop_pair(request)
-    pendings = tuple(tuple(p) for p in pendings)
     t_count = len(pendings)
     m = len(pendings[0])
     ii, jj, seq = _insertion_grid(m)
@@ -411,9 +372,6 @@ def evaluate_insertions_grouped(
             dropoff_idx=jj + 1,
             last_arrival=t_do[:, None],
             feasible=(cap_ok & dead_ok)[:, None],
-            _seq=seq,
-            _pendings=pendings,
-            _pair=(pu, do),
         )
 
     # Global vertex list: candidate starts, then each candidate's
@@ -478,61 +436,12 @@ def evaluate_insertions_grouped(
         dropoff_idx=jj + 1,
         last_arrival=times[:, :, -1],
         feasible=cap_ok & dead_ok,
-        _seq=seq,
-        _pendings=pendings,
-        _pair=(pu, do),
-    )
-
-
-def evaluate_insertions(
-    engine: ShortestPathEngine,
-    start_node: int,
-    start_time: float,
-    pending: Sequence[Stop],
-    request: RideRequest,
-    initial_onboard: int,
-    capacity: int,
-    slack_s: float = 1e-9,
-) -> InsertionBatch:
-    """Batched Algorithm-1 instance evaluation for one candidate taxi.
-
-    The single-candidate view of :func:`evaluate_insertions_grouped`;
-    bit-identical to the scalar :func:`enumerate_insertions` /
-    :func:`arrival_times` / :func:`capacity_ok` / :func:`deadlines_met`
-    reference path.
-    """
-    pending = tuple(pending)
-    grouped = evaluate_insertions_grouped(
-        engine,
-        [start_node],
-        [start_time],
-        [pending],
-        request,
-        [initial_onboard],
-        [capacity],
-        slack_s,
-    )
-    return InsertionBatch(
-        pickup_idx=grouped.pickup_idx,
-        dropoff_idx=grouped.dropoff_idx,
-        last_arrival=grouped.last_arrival[0],
-        feasible=grouped.feasible[0],
-        _seq=grouped._seq,
-        _ext_stops=grouped.ext_stops(0),
     )
 
 
 # ----------------------------------------------------------------------
-# tight small-batch path
+# insertion scoring, tight tier: plain-Python distance-row walk
 # ----------------------------------------------------------------------
-# The array kernels above pay a fixed per-call numpy dispatch cost
-# (~30 ops regardless of batch size), which dominates when a dispatch
-# only evaluates a few dozen insertion instances.  Below that break-even
-# the matcher uses this tight scalar walk over cached distance-row
-# views instead; above it the grouped kernels win and keep winning as
-# the batch grows.  Both produce the scalar reference's results bit for
-# bit (the tests diff all three).
-
 #: Per-m instance sequences as plain Python tuples, enumeration order.
 _SEQ_TUPLE_CACHE: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
@@ -555,50 +464,17 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return cached
 
 
-def materialize_insertion(
-    pending: Sequence[Stop], request: RideRequest, i: int, j: int
-) -> list[Stop]:
-    """The stop list of insertion instance ``(i, j)``.
-
-    ``(i, j)`` follows the :func:`enumerate_insertions` convention:
-    pick-up at index ``i``, drop-off at index ``j`` of the new list.
-    Lets callers that only track winning indices (the batched and tight
-    evaluation paths) build the one stop list they actually install.
-    """
-    pu, do = request_stop_pair(request)
-    jo = j - 1
-    out = list(pending[:i])
-    out.append(pu)
-    out.extend(pending[i:jo])
-    out.append(do)
-    out.extend(pending[jo:])
-    return out
-
-
-def score_insertions_tight(
+def _tight_walk(
     engine: ShortestPathEngine,
-    starts: Sequence[tuple[int, float, Sequence[Stop], int, int]],
+    starts: Sequence[InsertionStart],
     request: RideRequest,
     slack_s: float = 1e-9,
 ) -> list[tuple[int, float, int, int]]:
-    """Best feasible insertion per candidate via scalar distance-row reads.
-
-    ``starts`` holds one ``(start_node, start_time, pending_stops,
-    initial_onboard, capacity)`` tuple per candidate; the return value
-    lists ``(index, last_arrival, i, j)`` for every candidate with a
-    feasible instance, where ``(i, j)`` is the first minimum-arrival
-    instance in :func:`enumerate_insertions` order — the instance
-    :func:`evaluate_insertions` + ``argmin`` selects.  Arrival times
-    accumulate left to right with the exact operations of
-    :func:`arrival_times` over ``engine.cost``, capacity follows
-    :func:`capacity_ok` (including its ``ValueError`` on impossible
-    drop-offs), and deadlines follow :func:`deadlines_met`, so the
-    verdicts are bit-identical to the scalar reference and to the
-    array kernels.
+    """:func:`score_insertions` by scalar distance-row reads.
 
     Distance rows are fetched once per distinct vertex and shared
-    across the whole candidate set, so a small dispatch costs a few
-    dozen ``row.item`` reads — no numpy call overhead at all.
+    across the whole candidate set, so a small batch costs a few dozen
+    ``row.item`` reads — no numpy call overhead at all.
     """
     pu, do = request_stop_pair(request)
     pu_node = pu.node
@@ -721,28 +597,93 @@ def score_insertions_tight(
     return out
 
 
-def best_insertion_tight(
-    engine: ShortestPathEngine,
-    start_node: int,
-    start_time: float,
-    pending: Sequence[Stop],
-    request: RideRequest,
-    initial_onboard: int,
-    capacity: int,
-    slack_s: float = 1e-9,
-) -> tuple[float, int, int] | None:
-    """Single-candidate view of :func:`score_insertions_tight`.
+# ----------------------------------------------------------------------
+# insertion scoring: the one entry point over the two tiers
+# ----------------------------------------------------------------------
+#: Total insertion instances up to which :func:`score_insertions` takes
+#: the tight distance-row walk; above it, the grouped array kernels.
+#: numpy's fixed per-call cost (~30 ops per kernel call regardless of
+#: batch size) dominates under roughly a hundred instances — see
+#: docs/PERFORMANCE.md for the measurement that keeps both tiers.
+TIGHT_INSERTION_MAX = 96
 
-    Returns ``(last_arrival, i, j)`` of the best feasible instance or
-    ``None`` when no instance is feasible.
+
+def num_insertions(m: int) -> int:
+    """Insertion instances of an ``m``-stop schedule: ``(m+1)(m+2)/2``."""
+    return (m + 1) * (m + 2) // 2
+
+
+def materialize_insertion(
+    pending: Sequence[Stop], request: RideRequest, i: int, j: int
+) -> list[Stop]:
+    """The stop list of insertion instance ``(i, j)``.
+
+    ``(i, j)`` follows the :func:`enumerate_insertions` convention:
+    pick-up at index ``i``, drop-off at index ``j`` of the new list.
+    Scoring only tracks winning indices; callers build the one stop
+    list they actually install with this.
     """
-    res = score_insertions_tight(
-        engine,
-        [(start_node, start_time, tuple(pending), initial_onboard, capacity)],
-        request,
-        slack_s,
-    )
-    if not res:
-        return None
-    _idx, last, i, j = res[0]
-    return last, i, j
+    pu, do = request_stop_pair(request)
+    jo = j - 1
+    out = list(pending[:i])
+    out.append(pu)
+    out.extend(pending[i:jo])
+    out.append(do)
+    out.extend(pending[jo:])
+    return out
+
+
+def score_insertions(
+    engine: ShortestPathEngine,
+    starts: Sequence[InsertionStart],
+    request: RideRequest,
+    obs: Instrumentation,
+) -> list[tuple[int, float, int, int]]:
+    """Minimum-arrival feasible insertion of ``request`` per candidate.
+
+    Returns ``(index, last_arrival, i, j)`` for every entry of
+    ``starts`` that admits a feasible instance, ascending by index;
+    ``(i, j)`` is the first minimum-last-arrival instance in
+    :func:`enumerate_insertions` order
+    (:func:`materialize_insertion` builds its stop list).  The detour
+    ``(last_arrival - start_time) - current_cost`` is monotone in the
+    last arrival, so this is Algorithm 1's minimum-detour choice.
+
+    Small batches take a plain-Python walk over cached distance rows,
+    large ones the grouped array kernels, selected from the instance
+    count alone.  Both accumulate arrivals left to right with the exact
+    operations of :func:`arrival_times` over ``engine.cost`` and follow
+    :func:`capacity_ok` (including its ``ValueError`` on impossible
+    drop-offs) and :func:`deadlines_met`, so the result is bit-identical
+    to the scalar enumeration whichever tier runs.
+    """
+    if sum(num_insertions(len(start[2])) for start in starts) <= TIGHT_INSERTION_MAX:
+        obs.count("kernel.tight_dispatches", 1)
+        return _tight_walk(engine, starts, request)
+    groups: dict[int, list[int]] = {}
+    for idx, start in enumerate(starts):
+        groups.setdefault(len(start[2]), []).append(idx)
+    obs.count("kernel.batched_insertions", len(groups))
+    out: list[tuple[int, float, int, int]] = []
+    for members in groups.values():
+        nodes, times, pendings, onboards, capacities = zip(*(starts[k] for k in members))
+        batch = evaluate_insertions_grouped(
+            engine, nodes, times, pendings, request, onboards, capacities
+        )
+        # First minimum among the feasible instances, per candidate —
+        # the scalar loop's strict-improvement tie handling.
+        masked = np.where(batch.feasible, batch.last_arrival, np.inf)
+        winners = np.argmin(masked, axis=1)
+        for t, idx in enumerate(members):
+            k = int(winners[t])
+            if batch.feasible[t, k]:
+                out.append(
+                    (
+                        idx,
+                        float(batch.last_arrival[t, k]),
+                        int(batch.pickup_idx[k]),
+                        int(batch.dropoff_idx[k]),
+                    )
+                )
+    out.sort()
+    return out

@@ -22,7 +22,6 @@ from .shortest_path import (
     dijkstra_restricted,
     subgraph_cache_stats,
 )
-from .traffic import TrafficModel, chengdu_weekend, chengdu_workday, free_flow
 
 __all__ = [
     "CHENGDU_LAT",
@@ -47,8 +46,4 @@ __all__ = [
     "ring_radial_city",
     "small_test_network",
     "xy_to_latlng",
-    "TrafficModel",
-    "chengdu_weekend",
-    "chengdu_workday",
-    "free_flow",
 ]

@@ -11,7 +11,7 @@ Stage                           Measured span
 ==============================  =======================================
 ``sim.dispatch``                one full dispatch call (per request)
 ``match.candidates``            candidate taxi searching (Eq. 3)
-``match.insertion``             ``_best_insertion`` enumeration (Alg. 1)
+``match.insertion``             ``score_insertions`` over the candidates (Alg. 1)
 ``match.planning``              route planning for the top candidates
 ``route.basic``                 one basic route build (Alg. 3)
 ``route.probabilistic``         one probabilistic route build (Alg. 4)

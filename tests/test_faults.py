@@ -61,7 +61,7 @@ class TestFaultSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["breakdown", "rate=0.1", "breakdown_rate=lots", "breakdown_rate=1.5"],
+        ["breakdown", "rate=0.1", "breakdown_rate=lots", "breakdown_rate=1.5", "seed=1,seed=2"],
     )
     def test_parse_rejects_bad_entries(self, text):
         with pytest.raises(ValueError):
@@ -82,8 +82,11 @@ class TestFaultSpec:
             FaultSpec(**kwargs)
 
     def test_format_roundtrip(self):
-        spec = FaultSpec(seed=7, breakdown_rate=0.2, shock_windows=1)
-        assert parse_fault_spec(format_fault_spec(spec)) == spec
+        for spec in (
+            FaultSpec(seed=7, breakdown_rate=0.2, shock_windows=1),
+            FaultSpec(cancel_rate=0.123456789, shock_delay_s=61.2345678),
+        ):
+            assert parse_fault_spec(format_fault_spec(spec)) == spec
         assert format_fault_spec(FaultSpec()) == ""
 
 

@@ -1,11 +1,14 @@
 """Kernel-equivalence property tests.
 
-The PR-2 array kernels (batched cost queries, batched insertion
-evaluation, CSR-subgraph restricted Dijkstra) must be *bit-identical*
-to the retained scalar reference paths: same costs, same feasibility
-masks, same chosen schedules.  Every test here drives both paths over
-randomized small networks and diffs the results exactly — no
-``approx`` — in both ``full`` and ``lazy`` engine modes.
+The fast paths (batched cost queries, tiered insertion scoring,
+CSR-subgraph restricted Dijkstra) must be *bit-identical* to the
+scalar references: same costs, same feasibility masks, same chosen
+schedules.  Every test here drives both over randomized small networks
+and diffs the results exactly — no ``approx`` — in both ``full`` and
+``lazy`` engine modes.  Insertion scoring has one entry point,
+``score_insertions``; :func:`_score_both_tiers` forces it to each side
+of its tier threshold and diffs both against the scalar oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.matching as matching_mod
-from repro.core.matching import Matcher
+import repro.fleet.schedule as schedule_mod
+from repro.core.matching import Matcher, best_insertion_for_taxi
 from repro.core.mobility_cluster import (
     ZERO_UNIT,
     MobilityClusterIndex,
@@ -25,16 +28,13 @@ from repro.core.mobility_cluster import (
 from repro.core.routing import BasicRouter, compose_route
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import (
-    arrival_times,
-    best_insertion_tight,
-    capacity_ok,
-    deadlines_met,
     dropoff,
     enumerate_insertions,
-    evaluate_insertions,
+    evaluate_insertions_grouped,
     materialize_insertion,
+    num_insertions,
     pickup,
-    score_insertions_tight,
+    score_insertions,
 )
 from repro.network.generators import grid_city
 from repro.network.geo import cosine_similarity
@@ -46,7 +46,9 @@ from repro.network.shortest_path import (
     dijkstra_restricted,
     subgraph_cache_stats,
 )
-from repro.obs import NULL
+from repro.obs import NULL, Instrumentation
+
+from tests.oracles import oracle_instances, oracle_score_insertions
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +100,37 @@ def _random_pending(rng, net, engine, base_rid):
     return stops, onboard
 
 
+def _random_start(rng, net, engine, base_rid):
+    """One ``score_insertions`` candidate: random position and schedule."""
+    pending, onboard = _random_pending(rng, net, engine, base_rid)
+    return (
+        int(rng.integers(net.num_vertices)),
+        float(rng.uniform(0.0, 100.0)),
+        pending,
+        onboard,
+        int(rng.integers(max(1, onboard + 1), 7)),
+    )
+
+
+#: ``TIGHT_INSERTION_MAX`` values forcing each tier, with the counter
+#: that proves which one ran.
+TIERS = {
+    "tight": (10**9, "kernel.tight_dispatches"),
+    "grouped": (0, "kernel.batched_insertions"),
+}
+
+
+def _score_both_tiers(engine, monkeypatch, starts, request):
+    """``score_insertions`` through each tier == the scalar oracle."""
+    expected = oracle_score_insertions(engine, starts, request)
+    for threshold, counter in TIERS.values():
+        monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+        obs = Instrumentation()
+        assert score_insertions(engine, starts, request, obs) == expected
+        assert set(obs.counter_snapshot()) == {counter}
+    return expected
+
+
 # ----------------------------------------------------------------------
 # batched cost queries
 # ----------------------------------------------------------------------
@@ -130,54 +163,52 @@ class TestBatchedCosts:
 
 
 # ----------------------------------------------------------------------
-# batched insertion evaluation
+# grouped insertion kernel: every instance against the oracle
 # ----------------------------------------------------------------------
 class TestBatchedInsertions:
     def test_matches_scalar_reference(self, net, engine):
         rng = np.random.default_rng(3)
+        request = _random_request(rng, net, engine, rid=999)
+        by_m: dict[int, list] = {}
         for trial in range(60):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
-            request = _random_request(rng, net, engine, rid=trial * 10 + 9)
-            start = int(rng.integers(net.num_vertices))
-            t0 = float(rng.uniform(0.0, 100.0))
-            capacity = int(rng.integers(max(1, onboard + 1), 7))
-
-            batch = evaluate_insertions(
-                engine, start, t0, pending, request, onboard, capacity
+            start = _random_start(rng, net, engine, base_rid=trial * 10)
+            by_m.setdefault(len(start[2]), []).append(start)
+        assert len(by_m) > 3 and any(len(g) > 1 for g in by_m.values())
+        for m, group in by_m.items():
+            nodes, times, pendings, onboards, capacities = zip(*group)
+            batch = evaluate_insertions_grouped(
+                engine, nodes, times, pendings, request, onboards, capacities
             )
-            rows = list(enumerate_insertions(pending, request))
-            assert batch.size == len(rows)
-            for k, (i, j, stops) in enumerate(rows):
-                assert int(batch.pickup_idx[k]) == i
-                assert int(batch.dropoff_idx[k]) == j
-                assert batch.stops_for(k) == stops
-                times = arrival_times(start, t0, stops, engine.cost)
-                assert batch.last_arrival[k] == times[-1]
-                ok = capacity_ok(stops, onboard, capacity) and deadlines_met(stops, times)
-                assert bool(batch.feasible[k]) == ok
+            assert batch.feasible.shape == (len(group), num_insertions(m))
+            for t, start in enumerate(group):
+                for k, (i, j, _stops, last, ok) in enumerate(
+                    oracle_instances(engine, start, request)
+                ):
+                    assert int(batch.pickup_idx[k]) == i
+                    assert int(batch.dropoff_idx[k]) == j
+                    assert batch.last_arrival[t, k] == last
+                    assert bool(batch.feasible[t, k]) == ok
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine):
         rng = np.random.default_rng(4)
         r1 = _random_request(rng, net, engine, rid=1)
         request = _random_request(rng, net, engine, rid=2)
         # Drop-off with nobody aboard: scalar capacity_ok raises.
-        pending = [dropoff(r1)]
         with pytest.raises(ValueError):
-            evaluate_insertions(engine, 0, 0.0, pending, request, 0, 4)
+            evaluate_insertions_grouped(engine, [0], [0.0], [[dropoff(r1)]], request, [0], [4])
 
 
 # ----------------------------------------------------------------------
-# matcher-level choice equivalence
+# single-candidate path: the one-item case of the same scorer
 # ----------------------------------------------------------------------
 class _FakeTaxi:
-    """Just enough taxi surface for ``Matcher._best_insertion``."""
+    """Just enough taxi surface for the matcher's scoring paths."""
 
-    def __init__(self, node, ready, pending, onboard, capacity):
-        self._node = node
-        self._ready = ready
-        self._pending = pending
-        self.occupancy = onboard
-        self.capacity = capacity
+    committed = 0
+
+    def __init__(self, taxi_id, start):
+        self.taxi_id = taxi_id
+        self._node, self._ready, self._pending, self.occupancy, self.capacity = start
 
     def position_at(self, now):
         return self._node, self._ready
@@ -190,31 +221,24 @@ class _FakeTaxi:
 
 
 class TestMatcherEquivalence:
-    def test_best_insertion_matches_scalar(self, net, engine):
-        matcher = Matcher.__new__(Matcher)
-        matcher._engine = engine
-        matcher._obs = NULL
+    def test_best_insertion_matches_scalar(self, net, engine, monkeypatch):
         rng = np.random.default_rng(5)
         chosen = 0
         for trial in range(60):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
+            start = _random_start(rng, net, engine, base_rid=trial * 10)
             request = _random_request(rng, net, engine, rid=trial * 10 + 9)
-            taxi = _FakeTaxi(
-                node=int(rng.integers(net.num_vertices)),
-                ready=float(rng.uniform(0.0, 100.0)),
-                pending=pending,
-                onboard=onboard,
-                capacity=int(rng.integers(max(1, onboard + 1), 7)),
-            )
-            batched = matcher._best_insertion(taxi, request, now=0.0)
-            scalar = matcher._best_insertion_scalar(taxi, request, now=0.0)
-            if scalar is None:
-                assert batched is None
+            taxi = _FakeTaxi(trial, start)
+            expected = _score_both_tiers(engine, monkeypatch, [start], request)
+            best = best_insertion_for_taxi(engine, taxi, request, 0.0, NULL)
+            if not expected:
+                assert best is None
                 continue
             chosen += 1
-            assert batched is not None
-            assert batched[0] == scalar[0]  # detour, bit-identical
-            assert batched[1] == scalar[1]  # chosen stop sequence
+            _idx, last, i, j = expected[0]
+            stops = next(
+                s for pi, pj, s in enumerate_insertions(start[2], request) if (pi, pj) == (i, j)
+            )
+            assert best == (last, stops)  # arrival bit-identical, same stop list
         assert chosen > 0  # the fuzz actually exercised feasible cases
 
 
@@ -298,77 +322,58 @@ class TestRestrictedDijkstra:
 
 
 # ----------------------------------------------------------------------
-# tight small-dispatch insertion walk
+# score_insertions on each side of the tier threshold == scalar oracle
 # ----------------------------------------------------------------------
 class TestTightInsertion:
-    def _reference_best(self, engine, start, t0, pending, request, onboard, capacity):
-        """First-minimum feasible instance via the batched kernel."""
-        batch = evaluate_insertions(engine, start, t0, pending, request, onboard, capacity)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
-            return None
-        k = int(feasible[np.argmin(batch.last_arrival[feasible])])
-        return (
-            float(batch.last_arrival[k]),
-            int(batch.pickup_idx[k]),
-            int(batch.dropoff_idx[k]),
-        )
-
-    def test_matches_batched_kernel(self, net, engine):
+    def test_matches_batched_kernel(self, net, engine, monkeypatch):
+        """One candidate at a time, every schedule length ``m = 0..6``."""
         rng = np.random.default_rng(7)
         found = 0
-        for trial in range(60):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
+        seen_m = set()
+        for trial in range(80):
+            start = _random_start(rng, net, engine, base_rid=trial * 10)
             request = _random_request(rng, net, engine, rid=trial * 10 + 9)
-            start = int(rng.integers(net.num_vertices))
-            t0 = float(rng.uniform(0.0, 100.0))
-            capacity = int(rng.integers(max(1, onboard + 1), 7))
-            tight = best_insertion_tight(
-                engine, start, t0, pending, request, onboard, capacity
-            )
-            ref = self._reference_best(
-                engine, start, t0, pending, request, onboard, capacity
-            )
-            assert tight == ref  # last arrival bit-identical, same (i, j)
-            if ref is not None:
-                found += 1
+            seen_m.add(len(start[2]))
+            found += len(_score_both_tiers(engine, monkeypatch, [start], request))
+        assert seen_m == set(range(7))
         assert found > 0
 
-    def test_whole_dispatch_scorer(self, net, engine):
+    def test_whole_dispatch_scorer(self, net, engine, monkeypatch):
+        """A whole candidate set, including candidates with no feasible
+        instance (they are simply absent from the result)."""
         rng = np.random.default_rng(8)
         request = _random_request(rng, net, engine, rid=999)
-        starts = []
-        refs = []
-        for trial in range(12):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
-            start = int(rng.integers(net.num_vertices))
-            t0 = float(rng.uniform(0.0, 100.0))
-            capacity = int(rng.integers(max(1, onboard + 1), 7))
-            starts.append((start, t0, pending, onboard, capacity))
-            refs.append(
-                self._reference_best(
-                    engine, start, t0, pending, request, onboard, capacity
-                )
-            )
-        out = score_insertions_tight(engine, starts, request)
-        expected = [
-            (idx, last, i, j)
-            for idx, ref in enumerate(refs)
-            if ref is not None
-            for last, i, j in [ref]
-        ]
-        assert out == expected
+        starts = [_random_start(rng, net, engine, base_rid=trial * 10) for trial in range(12)]
+        # Too late for any deadline; too small for the new passenger.
+        node, _t0, pending, onboard, capacity = starts[0]
+        starts.append((node, 1e9, pending, onboard, capacity))
+        starts.append((node, 0.0, [], 0, 0))
+        out = _score_both_tiers(engine, monkeypatch, starts, request)
+        scored = {idx for idx, _last, _i, _j in out}
+        assert scored and scored <= set(range(12))
+        assert _score_both_tiers(engine, monkeypatch, starts[12:], request) == []
 
-    def test_negative_occupancy_raises_like_scalar(self, net, engine):
+    def test_negative_occupancy_raises_like_scalar(self, net, engine, monkeypatch):
         rng = np.random.default_rng(9)
         r1 = _random_request(rng, net, engine, rid=1)
-        request = _random_request(rng, net, engine, rid=2)
-        with pytest.raises(ValueError):
-            best_insertion_tight(engine, 0, 0.0, [dropoff(r1)], request, 0, 4)
-        # Idle-taxi special case: a negative initial occupancy raises
-        # exactly like the scalar capacity walk.
-        with pytest.raises(ValueError):
-            score_insertions_tight(engine, [(0, 0.0, [], -1, 4)], request)
+        r2 = _random_request(rng, net, engine, rid=2)
+        request = _random_request(rng, net, engine, rid=3)
+        impossible = [
+            [(0, 0.0, [dropoff(r1)], 0, 4)],  # drop-off with nobody aboard
+            [(0, 0.0, [], -1, 4)],  # idle taxi, negative initial occupancy
+        ]
+        for threshold, _counter in TIERS.values():
+            monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+            for starts in impossible:
+                with pytest.raises(ValueError):
+                    oracle_score_insertions(engine, starts, request)
+                with pytest.raises(ValueError):
+                    score_insertions(engine, starts, request, NULL)
+        # capacity_ok fails an instance at its first over-capacity stop,
+        # before it can reach the negative occupancy that would raise:
+        # with no seat at all, every instance is over capacity first.
+        over_first = [(0, 0.0, [pickup(r1), dropoff(r1), dropoff(r2)], 0, 0)]
+        assert _score_both_tiers(engine, monkeypatch, over_first, request) == []
 
     def test_materialize_matches_enumeration(self, net, engine):
         rng = np.random.default_rng(10)
@@ -433,37 +438,38 @@ class TestDirectionUnits:
 
 
 # ----------------------------------------------------------------------
-# adaptive scorer tiers (tight walk vs grouped kernels)
+# matcher-level dispatch scoring: same ranking whichever tier runs
 # ----------------------------------------------------------------------
 class TestScorerTierEquivalence:
     def test_tiers_agree_on_whole_dispatch(self, net, engine, monkeypatch):
         matcher = Matcher.__new__(Matcher)
         matcher._engine = engine
-        matcher._obs = NULL
         rng = np.random.default_rng(13)
         request = _random_request(rng, net, engine, rid=888)
-        candidates = []
-        for trial in range(10):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
-            taxi = _FakeTaxi(
-                node=int(rng.integers(net.num_vertices)),
-                ready=float(rng.uniform(0.0, 100.0)),
-                pending=pending,
-                onboard=onboard,
-                capacity=int(rng.integers(max(1, onboard + 1), 7)),
-            )
-            taxi.taxi_id = trial
-            candidates.append(taxi)
+        candidates = [
+            _FakeTaxi(trial, _random_start(rng, net, engine, base_rid=trial * 10))
+            for trial in range(10)
+        ]
+        instances = sum(num_insertions(len(t.pending_stops())) for t in candidates)
 
-        def run(threshold):
-            monkeypatch.setattr(matching_mod, "TIGHT_INSERTION_MAX", threshold)
+        def run(tier):
+            threshold, counter = TIERS[tier]
+            monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+            matcher._obs = Instrumentation()
             scored = matcher._score_candidates(candidates, request, now=0.0)
-            return [(d, t.taxi_id, build()) for d, t, build in scored]
+            counters = matcher._obs.counter_snapshot()
+            # The fingerprinted counter does not depend on the tier.
+            assert counters.pop("match.insertions_evaluated") == instances
+            assert set(counters) == {counter}
+            return [
+                (d, t.taxi_id, materialize_insertion(p, request, i, j))
+                for d, t, p, i, j in scored
+            ]
 
-        tight = run(10**9)  # everything through the tight walk
-        grouped = run(0)  # everything through the grouped kernels
-        assert tight == grouped
+        tight = run("tight")
+        assert tight == run("grouped")
         assert len(tight) > 0
+        assert tight == sorted(tight, key=lambda item: item[:2])
 
 
 # ----------------------------------------------------------------------

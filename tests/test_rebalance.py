@@ -62,7 +62,7 @@ class TestRebalanceSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["cadence", "tempo=9", "cadence_s=fast", "max_moves=2.5"],
+        ["cadence", "tempo=9", "cadence_s=fast", "max_moves=2.5", "cadence_s=60,cadence_s=90"],
     )
     def test_parse_rejects_bad_entries(self, text):
         with pytest.raises(ValueError):
@@ -83,8 +83,11 @@ class TestRebalanceSpec:
             RebalanceSpec(**kwargs)
 
     def test_format_roundtrip(self):
-        spec = RebalanceSpec(cadence_s=45.0, max_moves=3)
-        assert parse_rebalance_spec(format_rebalance_spec(spec)) == spec
+        for spec in (
+            RebalanceSpec(cadence_s=45.0, max_moves=3),
+            RebalanceSpec(cadence_s=61.2345678),  # more digits than ``:g`` keeps
+        ):
+            assert parse_rebalance_spec(format_rebalance_spec(spec)) == spec
         assert format_rebalance_spec(RebalanceSpec()) == "on"
 
 

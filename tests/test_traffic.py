@@ -1,58 +1,8 @@
-"""Tests for the traffic-condition extension."""
+"""Tests for the congestion extension (``ScenarioSpec.congestion``)."""
 
 import pytest
 
-from repro.network.traffic import (
-    TrafficModel,
-    chengdu_weekend,
-    chengdu_workday,
-    free_flow,
-)
 from repro.sim.scenario import ScenarioSpec, get_scenario
-
-
-class TestTrafficModel:
-    def test_needs_24_factors(self):
-        with pytest.raises(ValueError):
-            TrafficModel(factors=(1.0,) * 23)
-
-    def test_positive_factors(self):
-        bad = [1.0] * 24
-        bad[3] = 0.0
-        with pytest.raises(ValueError):
-            TrafficModel(factors=tuple(bad))
-
-    def test_factor_lookup(self):
-        model = chengdu_workday()
-        assert model.factor_at_hour(8) == 0.65
-        assert model.factor_at_hour(3) == 1.0
-        assert model.factor_at_hour(32) == model.factor_at_hour(8)  # wraps
-
-    def test_factor_at_time(self):
-        model = chengdu_workday()
-        assert model.factor_at_time(8 * 3600.0 + 10.0) == 0.65
-        assert model.factor_at_time((24 + 8) * 3600.0) == 0.65
-
-    def test_speed_scaling(self):
-        model = chengdu_workday()
-        assert model.speed_at_hour(10.0, 8) == pytest.approx(6.5)
-
-    def test_free_flow_identity(self):
-        model = free_flow()
-        assert all(model.factor_at_hour(h) == 1.0 for h in range(24))
-
-    def test_weekend_has_no_morning_peak(self):
-        weekend = chengdu_weekend()
-        workday = chengdu_workday()
-        assert weekend.factor_at_hour(8) > workday.factor_at_hour(8)
-
-    def test_apply_rescales_costs(self, tiny_net):
-        model = chengdu_workday()
-        congested = model.apply(tiny_net, hour=8)
-        assert congested.num_vertices == tiny_net.num_vertices
-        assert congested.num_edges == tiny_net.num_edges
-        assert congested.edge_length(0, 1) == pytest.approx(tiny_net.edge_length(0, 1))
-        assert congested.edge_cost(0, 1) == pytest.approx(tiny_net.edge_cost(0, 1) / 0.65)
 
 
 class TestCongestedScenario:

@@ -22,6 +22,7 @@ from repro.core.window import WindowLAP, solve_window_lap
 from repro.sim.engine import Simulator
 from repro.sim.scenario import SCHEME_NAMES, SCHEME_REGISTRY
 
+from tests.oracles import scalar_cost_matrix
 from tests.test_runner_parallel import decision_fingerprint
 
 
@@ -116,7 +117,7 @@ class TestCostMatrixEquivalence:
         scheme, fleet, batch, now = self._busy_state(test_scenario)
         assert any(fleet[t].pending_stops() for t in fleet), "no busy taxis to exercise"
         fast = scheme.build_cost_matrix(batch, now)
-        slow = scheme.build_cost_matrix_scalar(batch, now)
+        slow = scalar_cost_matrix(scheme, batch, now)
         assert fast.taxi_ids == slow.taxi_ids
         assert fast.num_candidates == slow.num_candidates
         assert fast.costs.shape == slow.costs.shape
@@ -129,22 +130,11 @@ class TestCostMatrixEquivalence:
     def test_matrix_stop_builders_agree(self, test_scenario):
         scheme, _fleet, batch, now = self._busy_state(test_scenario)
         fast = scheme.build_cost_matrix(batch, now)
-        slow = scheme.build_cost_matrix_scalar(batch, now)
+        slow = scalar_cost_matrix(scheme, batch, now)
         for i in range(len(batch)):
             for j in range(len(fast.taxi_ids)):
                 if np.isfinite(fast.costs[i, j]):
                     assert fast.build_stops(i, j) == slow.build_stops(i, j)
-
-    def test_production_fill_never_falls_back_to_scalar(self, test_scenario):
-        from repro.obs import Instrumentation
-
-        scheme, _fleet, batch, now = self._busy_state(test_scenario)
-        obs = Instrumentation()
-        scheme.instrument(obs)
-        scheme.build_cost_matrix(batch, now)
-        counters = obs.counter_snapshot()
-        assert counters.get("window.scalar_pair_fallbacks", 0) == 0
-        assert counters.get("window.matrix_cells", 0) > 0
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +179,9 @@ class TestRollover:
 
     def test_window_counters_present(self, test_scenario):
         m = _run(test_scenario, _window_scheme(test_scenario, 30.0))
-        for counter in ("window.collected", "window.flushes", "window.matched"):
+        for counter in (
+            "window.collected", "window.flushes", "window.matched", "window.matrix_cells"
+        ):
             assert m.counters.get(counter, 0) > 0, counter
         assert "window.solve" in m.stages
         assert m.stages["window.solve"]["count"] == m.counters["window.flushes"]
