@@ -34,7 +34,7 @@ Assignment Problems"):
 
 Single-request windows (``W -> 0``) are delegated to the greedy
 matcher, so a zero-width window reproduces mT-Share's per-request
-decisions exactly — the equivalence gate of ``benchmarks/pr8_window.py``.
+decisions exactly — the equivalence gate of ``tests/test_window.py``.
 Unmatched requests are the simulator's concern: it rolls them forward
 to the next ``window.tick`` until their pick-up deadline expires.
 """

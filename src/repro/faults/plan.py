@@ -5,7 +5,7 @@ of a run is drawn up front from one seeded RNG into an immutable
 :class:`FaultPlan`, and the simulator merely replays that plan at event
 boundaries.  This is what makes chaos runs reproducible — the same
 scenario plus the same fault seed yields the same disruptions, the same
-recovery decisions and the same metrics, which the chaos-smoke CI job
+recovery decisions and the same metrics, which ``tests/test_faults.py``
 asserts (see docs/ROBUSTNESS.md).
 
 Three fault families are modelled:

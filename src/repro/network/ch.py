@@ -39,7 +39,6 @@ Hierarchy.to_arrays`) persisted as a content-addressed artifact kind
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from collections import OrderedDict
 from collections.abc import Mapping, Sequence
@@ -61,13 +60,6 @@ SEARCH_CACHE_SIZE = 1024
 
 #: Per-source rectified-prefix memos kept (LRU).
 RECT_CACHE_SIZE = 1024
-
-#: Whole many-to-many result matrices kept, keyed by the exact query
-#: (LRU).  Dispatch working sets repeat batched queries — insertion
-#: kernels re-evaluate the same taxi/stop sets across drain ticks and
-#: the landmark builder sweeps a fixed landmark set — so a warm repeat
-#: must cost a dict probe, not a bucket sweep.
-MAT_CACHE_SIZE = 256
 
 #: Shortcut expansions memoised before the cache is dropped wholesale.
 EXPANSION_CACHE_SIZE = 262_144
@@ -150,9 +142,6 @@ class ContractionHierarchy:
         self._fwd_cache: OrderedDict[int, SearchResult] = OrderedDict()
         self._bwd_cache: OrderedDict[int, SearchResult] = OrderedDict()
         self._rect: OrderedDict[int, dict[int, float]] = OrderedDict()
-        self._mat: OrderedDict[
-            tuple[tuple[int, ...], tuple[int, ...]], np.ndarray
-        ] = OrderedDict()
         self._expansions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         # Plain-int tallies harvested in bulk by ``stats_snapshot``.
         self._stats: dict[str, int] = {
@@ -162,7 +151,6 @@ class ContractionHierarchy:
             "settled": 0,
             "bucket_entries": 0,
             "memo_hits": 0,
-            "mat_hits": 0,
             "rect_steps": 0,
         }
 
@@ -599,21 +587,12 @@ class ContractionHierarchy:
         One backward search per unique target feeds meeting-vertex
         buckets; each unique source then scans its single forward search
         against the buckets (the bucket-based many-to-many query).
-        Warm repeats are tiered: an identical query returns the cached
-        result matrix outright (treat it as read-only, like
-        ``dist_row``); a near-identical one (same sources, reshuffled
-        or subset targets) fills rows straight from the per-source
+        Warm repeats fill rows straight from the per-source
         rectification memos; only genuinely cold pairs pay searches.
         """
         us_i = [int(u) for u in us]
         vs_i = [int(v) for v in vs]
-        mat_key = (tuple(us_i), tuple(vs_i))
         self._stats["queries"] += len(us_i) * len(vs_i)
-        cached = self._mat.get(mat_key)
-        if cached is not None:
-            self._mat.move_to_end(mat_key)
-            self._stats["mat_hits"] += 1
-            return cached
         uniq_s = list(dict.fromkeys(us_i))
         uniq_t = list(dict.fromkeys(vs_i))
         # Per-source full-row fast path: every target already rectified
@@ -684,9 +663,6 @@ class ContractionHierarchy:
             else:
                 for j, t in enumerate(vs_i):
                     out[i, j] = values[(u, t)]
-        self._mat[mat_key] = out
-        if len(self._mat) > MAT_CACHE_SIZE:
-            self._mat.popitem(last=False)
         return out
 
     def path(self, u: int, v: int) -> list[int] | None:
@@ -735,7 +711,6 @@ class ContractionHierarchy:
             "sp.ch.settled": s["settled"],
             "sp.ch.bucket_entries": s["bucket_entries"],
             "sp.ch.memo_hits": s["memo_hits"],
-            "sp.ch.mat_hits": s["mat_hits"],
             "sp.ch.rect_steps": s["rect_steps"],
             "sp.ch.shortcuts": self.num_shortcuts,
         }
@@ -747,20 +722,3 @@ class ContractionHierarchy:
     def is_mmapped(self) -> bool:
         """Whether the attached arrays are memory-mapped files."""
         return any(isinstance(a, np.memmap) for a in self._arrays.values())
-
-    def mean_search_space(self, samples: Sequence[int]) -> float:
-        """Mean settled vertices of a fresh upward search (diagnostics)."""
-        if not samples:
-            return 0.0
-        total = 0
-        for s in samples:
-            dist, _ = self._search(
-                int(s), self._up_indptr, self._up_head, self._up_w
-            )
-            total += len(dist)
-        return total / len(samples)
-
-
-def unreachable(value: float) -> bool:
-    """Whether a rectified distance denotes "no path" (``inf``)."""
-    return math.isinf(value)

@@ -358,19 +358,6 @@ class ShortestPathEngine:
         finite = dist[np.isfinite(dist)]
         return float(finite.max()) if finite.size else 0.0
 
-    @property
-    def lazy_cache_len(self) -> int:
-        """Source trees currently retained by the lazy cache."""
-        return len(self._lazy)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/size snapshot of the per-source row cache."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "entries": len(self._lazy),
-        }
-
     def stats(self) -> dict[str, int]:
         """Every engine counter under its fully-qualified metric name.
 

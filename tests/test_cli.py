@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.service.codec import request_to_dict
+from repro.service.sources import synthetic_requests
+from repro.sim.scenario import ScenarioSpec, get_scenario
 
 
 class TestList:
@@ -82,6 +87,21 @@ class TestFaultsFlag:
         assert "fault events" in out
         assert "breakdowns" in out  # fault buckets reach the summary
 
+    def test_simulate_with_rebalance(self, capsys):
+        code = main(
+            [
+                "simulate",
+                "--scheme", "mt-share",
+                "--taxis", "20",
+                "--requests", "120",
+                "--grid", "10",
+                "--partitions", "9",
+                "--rebalance", "cadence_s=120,max_moves=6",
+            ]
+        )
+        assert code == 0
+        assert "rebalancing on" in capsys.readouterr().out
+
     def test_simulate_rejects_bad_faults_spec(self, capsys):
         code = main(
             [
@@ -111,3 +131,32 @@ class TestFaultsFlag:
         )
         assert code == 2
         assert "meteor_rate" in capsys.readouterr().err
+
+
+class TestReplay:
+    def test_replay_writes_one_decision_per_request(self, tmp_path, capsys):
+        scenario = get_scenario(
+            ScenarioSpec(kind="peak", grid_rows=8, grid_cols=8, hourly_requests=60,
+                         history_days=1, num_partitions=4, seed=3)
+        )
+        trace = tmp_path / "trace.jsonl"
+        with open(trace, "w", encoding="utf-8") as fh:
+            for request in synthetic_requests(scenario.engine, 200, seed=1):
+                fh.write(json.dumps(request_to_dict(request)) + "\n")
+        decisions = tmp_path / "decisions.jsonl"
+        code = main(
+            [
+                "replay", str(trace),
+                "--grid", "8",
+                "--partitions", "4",
+                "--requests", "60",
+                "--taxis", "10",
+                "--seed", "3",
+                "--decisions", str(decisions),
+            ]
+        )
+        assert code == 0
+        assert "Replayed 200 requests (200 admitted, 0 rejected)" in capsys.readouterr().out
+        with open(decisions, encoding="utf-8") as fh:
+            stream = [json.loads(line) for line in fh]
+        assert sorted(d["request_id"] for d in stream) == list(range(200))

@@ -307,6 +307,15 @@ class TestEngineIntegration:
         streamed = sim.stream_finish()
         assert decision_fingerprint(streamed) == decision_fingerprint(batch)
 
+    def test_surge_gate_serves_no_fewer_than_reactive(self, test_scenario):
+        # ``test_spec`` is the commute-surge cell: a one-way morning
+        # peak against a deliberately tight 20-taxi fleet, so the
+        # supply/demand imbalance bites and repositioning has to pay.
+        off = _run(test_scenario, None, num_taxis=20)
+        on = _run(test_scenario, REB_SPEC, num_taxis=20)
+        assert on.counters.get("rebalance.moves", 0) > 0
+        assert on.served >= off.served
+
     @pytest.mark.parametrize("scheme_name", ["no-sharing", "t-share", "pgreedydp", "window-lap"])
     def test_all_schemes_tolerate_cruises(self, test_scenario, scheme_name):
         scheme = test_scenario.make_scheme(scheme_name)

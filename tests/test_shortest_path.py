@@ -1,9 +1,12 @@
 """Tests for the shortest-path engines and the restricted Dijkstra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.payment import PaymentModel
 from repro.network.ch import ContractionHierarchy
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import (
@@ -13,6 +16,10 @@ from repro.network.shortest_path import (
     dijkstra_restricted,
     resolve_sp_mode,
 )
+from repro.sim.engine import Simulator
+from repro.sim.scenario import Scenario
+
+from tests.test_runner_parallel import decision_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -181,13 +188,39 @@ class TestCHMode:
         us = [int(x) for x in rng.integers(0, small_net.num_vertices, size=5)]
         vs = [int(x) for x in rng.integers(0, small_net.num_vertices, size=9)]
         cold = eng.cost_matrix(us, vs)
-        identical = eng.cost_matrix(us, vs)  # result-matrix LRU
-        shuffled = eng.cost_matrix(us, list(reversed(vs)))  # memo row fill
+        identical = eng.cost_matrix(us, vs)  # memo row fill
+        shuffled = eng.cost_matrix(us, list(reversed(vs)))  # same memo rows
         assert np.array_equal(identical, cold)
         assert np.array_equal(shuffled, cold[:, ::-1])
-        stats = eng.stats()
-        assert stats["sp.ch.mat_hits"] >= 1
-        assert stats["sp.ch.memo_hits"] >= len(us) * len(vs)
+        assert eng.stats()["sp.ch.memo_hits"] >= len(us) * len(vs)
+
+    def test_lazy_and_ch_decision_streams_identical(self, test_spec):
+        """Swapping ``lazy`` for ``ch`` may not move one dispatch decision:
+        same trips, accounting buckets, waiting/detour samples and fares.
+
+        ``full`` is deliberately not in this equality:
+        ``BasicRouter.leg_path`` routes through the partition filter
+        only when ``engine.mode != "full"``, so the dense backend plans
+        different legs by design.
+        """
+        streams = {}
+        for sp_mode in ("lazy", "ch"):
+            scenario = Scenario(replace(test_spec, sp_mode=sp_mode))
+            assert scenario.engine.mode == sp_mode
+            sim = Simulator(
+                scenario.make_scheme("mt-share"),
+                scenario.make_fleet(25, seed=1),
+                scenario.requests(),
+                payment=PaymentModel(),
+            )
+            metrics = sim.run()
+            trips = [
+                (rid, t.taxi_id, t.assign_time, t.pickup_time, t.dropoff_time)
+                for rid, t in sorted(sim.log.trips.items())
+            ]
+            streams[sp_mode] = (trips, decision_fingerprint(metrics))
+        assert streams["lazy"][0], "scenario served nothing"
+        assert streams["lazy"] == streams["ch"]
 
     def test_cost_many_matches_full(self, small_net, small_engine, ch_engine):
         vs = np.arange(small_net.num_vertices)
