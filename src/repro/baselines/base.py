@@ -9,6 +9,7 @@ simulator owns the fleet and the clock.
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterator
 
 from ..analysis import contracts
 from ..config import SystemConfig
@@ -16,6 +17,7 @@ from ..core.matching import MatchResult, best_insertion_for_taxi
 from ..demand.request import RideRequest
 from ..fleet.schedule import remove_request_stops
 from ..fleet.taxi import Taxi
+from ..memo import BoundedMemo
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import ShortestPathEngine
 from ..obs import NULL, Instrumentation
@@ -98,6 +100,18 @@ class DispatchScheme(abc.ABC):
     def collect_observability(self, obs: Instrumentation) -> None:
         """Report end-of-run gauges (index sizes, fallback tallies)."""
         obs.gauge("route.fallbacks_total", self._fallback_router.fallbacks)
+
+    def memos(self) -> Iterator[tuple[str, BoundedMemo]]:
+        """Every memo outside the engine, under its ``kernel.*`` metric name.
+
+        The simulator snapshots these next to ``engine.stats()`` at run
+        start and reports the deltas at run end; memos sharing a name
+        (one leg memo per router) add up.
+        """
+        yield "kernel.subgraph", self._network.corridors
+        yield "kernel.legcache", self._fallback_router.legs
+        if self._prob_router is not None:
+            yield "kernel.legcache", self._prob_router.legs
 
     # ------------------------------------------------------------------
     # lifecycle hooks

@@ -11,6 +11,7 @@ encounter offline street-hailing requests.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from ..baselines.base import DispatchScheme
@@ -18,6 +19,7 @@ from ..config import SystemConfig
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
 from ..index.partition_index import PartitionTaxiIndex
+from ..memo import BoundedMemo
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
@@ -156,6 +158,12 @@ class MTShare(DispatchScheme):
         obs.gauge("index.partition_entries", self._pindex.total_entries())
         obs.gauge("index.clusters", self._cindex.num_clusters)
         obs.gauge("index.memory_bytes", self.index_memory_bytes())
+
+    def memos(self) -> Iterator[tuple[str, BoundedMemo]]:
+        """The base scheme's memos plus the filtered router's and the disc memo."""
+        yield from super().memos()
+        yield "kernel.legcache", self._basic_router.legs
+        yield "kernel.disc", self._landmarks.discs
 
     # ------------------------------------------------------------------
     def _index_taxi(self, taxi: Taxi, now: float) -> None:

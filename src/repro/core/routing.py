@@ -29,6 +29,7 @@ import numpy as np
 
 from ..fleet.schedule import Stop, arrival_times, deadlines_met
 from ..fleet.taxi import TaxiRoute
+from ..memo import BoundedMemo
 from ..network.geo import cosine_similarity
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import PathNotFound, ShortestPathEngine, dijkstra_restricted
@@ -47,9 +48,9 @@ MAX_ENUMERATED_PATHS = 400
 #: corridors; longer corridors only waste deadline slack.
 CORRIDOR_EXTRA_HOPS = 3
 
-#: Entries kept in a :class:`BasicRouter`'s per-leg path cache before it
-#: resets (a path plus its per-edge costs is tens of machine words, so
-#: the cap bounds the cache around a few tens of MB worst case).
+#: Entries kept in a :class:`BasicRouter`'s per-leg path memo (a path
+#: plus its per-edge costs is tens of machine words, so the cap bounds
+#: the memo around a few tens of MB worst case).
 LEG_CACHE_SIZE = 65536
 
 
@@ -110,7 +111,9 @@ class BasicRouter:
         # engine's paths and the memoised partition filter never
         # change), so replaying a cached leg is exact; the flag replays
         # the fallback bookkeeping too.
-        self._leg_cache: dict[tuple[int, int], tuple[list[int], list[float], bool]] = {}
+        self.legs: BoundedMemo[
+            tuple[int, int], tuple[list[int], list[float], bool]
+        ] = BoundedMemo(LEG_CACHE_SIZE)
 
     def instrument(self, obs: Instrumentation) -> None:
         """Attach an observability registry (``repro.obs``)."""
@@ -188,10 +191,9 @@ class BasicRouter:
         caching.  Callers must not mutate the returned lists.
         """
         key = (u, v)
-        entry = self._leg_cache.get(key)
+        entry = self.legs.lookup(key)
         if entry is not None:
             path, costs, fellback = entry
-            self._obs.count("kernel.legcache_hits")
             if fellback:
                 self.fallbacks += 1
                 self._obs.count("route.fallback_legs")
@@ -200,10 +202,7 @@ class BasicRouter:
         path = self.leg_path(u, v)
         edge_cost = self._network.edge_cost
         costs = [edge_cost(a, b) for a, b in zip(path, path[1:])]
-        if len(self._leg_cache) >= LEG_CACHE_SIZE:
-            self._leg_cache.clear()
-        self._leg_cache[key] = (path, costs, self.fallbacks != before)
-        self._obs.count("kernel.legcache_misses")
+        self.legs.store(key, (path, costs, self.fallbacks != before))
         return path, costs
 
     def _plan_basic(
@@ -402,9 +401,9 @@ class ProbabilisticRouter(BasicRouter):
     ) -> list[int] | None:
         """Vertex-weighted shortest path inside the corridor partitions."""
         lg = self._filter.landmark_graph
-        # The memoised frozenset keys the induced-subgraph LRU in
-        # ``dijkstra_restricted``: repeated legs through the same
-        # corridor reuse the cached CSR submatrix.
+        # The memoised frozenset keys the network's induced-subgraph
+        # memo: repeated legs through the same corridor reuse the CSR
+        # submatrix.
         allowed = self._filter.corridor_vertices(corridor)
         psi: dict[int, float] = {}
         for pi in corridor:

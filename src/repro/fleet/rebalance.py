@@ -220,7 +220,8 @@ class Rebalancer:
                 deficits.append((gap, p))
                 continue
             keep = int(math.ceil(max(targets[p] - in_flight.get(p, 0), 0.0)))
-            spare = len(here) - keep - spec.min_surplus + 1
+            # ``min_surplus=0`` would count one taxi more than is parked.
+            spare = min(len(here) - keep - spec.min_surplus + 1, len(here))
             if spare >= 1:
                 # Donate from the tail of the id-sorted parked list so
                 # the donated set is deterministic.

@@ -18,9 +18,7 @@ from .landmarks import LandmarkGraph
 from .shortest_path import (
     PathNotFound,
     ShortestPathEngine,
-    clear_subgraph_cache,
     dijkstra_restricted,
-    subgraph_cache_stats,
 )
 
 __all__ = [
@@ -36,9 +34,7 @@ __all__ = [
     "bearing_deg",
     "centroid",
     "cosine_similarity",
-    "clear_subgraph_cache",
     "dijkstra_restricted",
-    "subgraph_cache_stats",
     "euclidean",
     "grid_city",
     "haversine_m",

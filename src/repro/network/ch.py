@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from ..memo import BoundedMemo, memo_stats
 from .graph import RoadNetwork
 
 #: Bump when the serialised array layout changes (part of the artifact key).
@@ -55,13 +55,13 @@ CH_FORMAT_VERSION = 1
 #: wrong ones, so correctness does not depend on it.
 WITNESS_SETTLE_CAP = 60
 
-#: Upward/downward search results kept per direction (LRU).
+#: Upward/downward search results kept per direction.
 SEARCH_CACHE_SIZE = 1024
 
-#: Per-source rectified-prefix memos kept (LRU).
+#: Per-source rectified-prefix memos kept.
 RECT_CACHE_SIZE = 1024
 
-#: Shortcut expansions memoised before the cache is dropped wholesale.
+#: Shortcut expansions kept.
 EXPANSION_CACHE_SIZE = 262_144
 
 _INF = float("inf")
@@ -96,6 +96,13 @@ class ContractionHierarchy:
     Use :meth:`build` (cold) or :meth:`from_arrays` (artifact-store
     warm path); the constructor itself only attaches prebuilt arrays.
     """
+
+    #: ``stats_snapshot()`` keys that are point-in-time gauges: the
+    #: shortcut count and each memo's occupancy.
+    STAT_GAUGES = frozenset(
+        ["sp.ch.shortcuts"]
+        + [f"sp.ch.{memo}_entries" for memo in ("fwd", "bwd", "rect", "expansion")]
+    )
 
     def __init__(self, network: RoadNetwork, arrays: Mapping[str, np.ndarray]) -> None:
         n = network.num_vertices
@@ -138,16 +145,16 @@ class ContractionHierarchy:
         self.num_edges = len(self._up_head) + len(self._down_tail)
         #: Wall-clock seconds spent contracting (0.0 on the warm path).
         self.build_seconds = 0.0
-        # Query-side caches.
-        self._fwd_cache: OrderedDict[int, SearchResult] = OrderedDict()
-        self._bwd_cache: OrderedDict[int, SearchResult] = OrderedDict()
-        self._rect: OrderedDict[int, dict[int, float]] = OrderedDict()
-        self._expansions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+        # Query-side memos.
+        self._fwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
+        self._bwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
+        self._rect: BoundedMemo[int, dict[int, float]] = BoundedMemo(RECT_CACHE_SIZE)
+        self._expansions: BoundedMemo[
+            tuple[int, int], tuple[tuple[int, float], ...]
+        ] = BoundedMemo(EXPANSION_CACHE_SIZE)
         # Plain-int tallies harvested in bulk by ``stats_snapshot``.
         self._stats: dict[str, int] = {
             "queries": 0,
-            "fwd_searches": 0,
-            "bwd_searches": 0,
             "settled": 0,
             "bucket_entries": 0,
             "memo_hits": 0,
@@ -392,27 +399,19 @@ class ContractionHierarchy:
         return dist, pred
 
     def _fwd(self, s: int) -> SearchResult:
-        cached = self._fwd_cache.get(s)
-        if cached is not None:
-            self._fwd_cache.move_to_end(s)
-            return cached
-        self._stats["fwd_searches"] += 1
-        res = self._search(s, self._up_indptr, self._up_head, self._up_w)
-        self._fwd_cache[s] = res
-        if len(self._fwd_cache) > SEARCH_CACHE_SIZE:
-            self._fwd_cache.popitem(last=False)
+        res = self._fwd_memo.lookup(s)
+        if res is None:
+            res = self._fwd_memo.store(
+                s, self._search(s, self._up_indptr, self._up_head, self._up_w)
+            )
         return res
 
     def _bwd(self, t: int) -> SearchResult:
-        cached = self._bwd_cache.get(t)
-        if cached is not None:
-            self._bwd_cache.move_to_end(t)
-            return cached
-        self._stats["bwd_searches"] += 1
-        res = self._search(t, self._down_indptr, self._down_tail, self._down_w)
-        self._bwd_cache[t] = res
-        if len(self._bwd_cache) > SEARCH_CACHE_SIZE:
-            self._bwd_cache.popitem(last=False)
+        res = self._bwd_memo.lookup(t)
+        if res is None:
+            res = self._bwd_memo.store(
+                t, self._search(t, self._down_indptr, self._down_tail, self._down_w)
+            )
         return res
 
     # ------------------------------------------------------------------
@@ -441,7 +440,7 @@ class ContractionHierarchy:
         """
         memo = self._expansions
         key = (kind, edge)
-        got = memo.get(key)
+        got = memo.lookup(key)
         if got is not None:
             return got
         stack = [key]
@@ -462,7 +461,7 @@ class ContractionHierarchy:
                 head = self._down_owner[ke]
                 w = self._down_w[ke]
             if mid < 0:
-                memo[kk] = ((head, w),)
+                memo.store(kk, ((head, w),))
                 stack.pop()
                 continue
             # Shortcut tail->head via mid: components tail->mid and
@@ -473,31 +472,24 @@ class ContractionHierarchy:
             e1 = memo.get(first)
             e2 = memo.get(second)
             if e1 is not None and e2 is not None:
-                memo[kk] = e1 + e2
+                memo.store(kk, e1 + e2)
                 stack.pop()
             else:
                 if e2 is None:
                     stack.append(second)
                 if e1 is None:
                     stack.append(first)
-        result = memo[key]
-        if len(memo) > EXPANSION_CACHE_SIZE:
-            memo.clear()
-            memo[key] = result
-        return result
+        # ``key`` was stored last, so it is the one entry eviction cannot
+        # have taken.
+        return memo[key]
 
     # ------------------------------------------------------------------
     # rectification
     # ------------------------------------------------------------------
     def _memo_for(self, s: int) -> dict[int, float]:
-        memo = self._rect.get(s)
-        if memo is not None:
-            self._rect.move_to_end(s)
-            return memo
-        memo = {s: 0.0}
-        self._rect[s] = memo
-        if len(self._rect) > RECT_CACHE_SIZE:
-            self._rect.popitem(last=False)
+        memo = self._rect.lookup(s)
+        if memo is None:
+            memo = self._rect.store(s, {s: 0.0})
         return memo
 
     def _pair_steps(
@@ -560,7 +552,7 @@ class ContractionHierarchy:
         if memo is not None:
             got = memo.get(v)
             if got is not None:
-                self._rect.move_to_end(u)
+                self._rect.lookup(u)  # answered from the memo: touch, tally
                 self._stats["memo_hits"] += 1
                 return got
         fwd = self._fwd(u)
@@ -608,7 +600,7 @@ class ContractionHierarchy:
                 row = [get(t) for t in vs_i]
                 if None not in row:
                     rows[u] = row  # type: ignore[assignment]
-                    self._rect.move_to_end(u)
+                    self._rect.lookup(u)  # answered from the memo: touch, tally
                     self._stats["memo_hits"] += len(row)
                     continue
             for t in uniq_t:
@@ -702,18 +694,19 @@ class ContractionHierarchy:
     # introspection
     # ------------------------------------------------------------------
     def stats_snapshot(self) -> dict[str, int]:
-        """Current ``sp.ch.*`` tallies (monotone except ``shortcuts``)."""
-        s = self._stats
-        return {
-            "sp.ch.queries": s["queries"],
-            "sp.ch.fwd_searches": s["fwd_searches"],
-            "sp.ch.bwd_searches": s["bwd_searches"],
-            "sp.ch.settled": s["settled"],
-            "sp.ch.bucket_entries": s["bucket_entries"],
-            "sp.ch.memo_hits": s["memo_hits"],
-            "sp.ch.rect_steps": s["rect_steps"],
-            "sp.ch.shortcuts": self.num_shortcuts,
+        """Current ``sp.ch.*`` tallies (monotone except :data:`STAT_GAUGES`)."""
+        out = {f"sp.ch.{name}": value for name, value in self._stats.items()}
+        out["sp.ch.fwd_searches"] = self._fwd_memo.misses
+        out["sp.ch.bwd_searches"] = self._bwd_memo.misses
+        out["sp.ch.shortcuts"] = self.num_shortcuts
+        memos: dict[str, BoundedMemo] = {
+            "sp.ch.fwd": self._fwd_memo,
+            "sp.ch.bwd": self._bwd_memo,
+            "sp.ch.rect": self._rect,
+            "sp.ch.expansion": self._expansions,
         }
+        out.update(memo_stats(memos.items()))
+        return out
 
     def memory_bytes(self) -> int:
         """Bytes held by the hierarchy arrays (not the query caches)."""

@@ -16,11 +16,53 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from ..memo import BoundedMemo
 from .geo import Point
 
 #: Constant taxi travel speed assumed throughout the paper's evaluation
 #: (Section V-A4): 15 km/h, expressed in metres per second.
 DEFAULT_SPEED_MPS = 15_000.0 / 3600.0
+
+#: Induced corridor subgraphs memoised per network.
+SUBGRAPH_CACHE_SIZE = 256
+
+
+class InducedSubgraph:
+    """One memoised corridor: the induced CSR submatrix of an allowed set."""
+
+    __slots__ = ("nodes", "indptr", "indices", "data_s")
+
+    def __init__(self, network: RoadNetwork, allowed: frozenset[int]) -> None:
+        nodes = np.fromiter(allowed, dtype=np.int64, count=len(allowed))  # repro-lint: disable=REP001 reason=order canonicalised by the sort on the next line
+        nodes.sort()
+        sub = network.to_csr()[nodes][:, nodes].tocsr()
+        self.nodes = nodes
+        self.indptr = sub.indptr
+        self.indices = sub.indices
+        # Edge lengths become travel times once, at build.
+        self.data_s = sub.data / network.speed_mps
+
+    def local_of(self, v: int) -> int:
+        """Local index of global vertex ``v``, or -1 when absent."""
+        i = int(np.searchsorted(self.nodes, v))
+        if i < self.nodes.size and self.nodes[i] == v:
+            return i
+        return -1
+
+    def matrix(self, vertex_weight_local: np.ndarray | None) -> sparse.csr_matrix:
+        """CSR travel-time matrix, vertex weights folded into in-edges."""
+        data = self.data_s
+        if vertex_weight_local is not None:
+            data = data + vertex_weight_local[self.indices]
+        n = self.nodes.size
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def memory_bytes(self) -> int:
+        """Bytes held by the four arrays."""
+        return (
+            self.nodes.nbytes + self.indptr.nbytes
+            + self.indices.nbytes + self.data_s.nbytes
+        )
 
 
 class RoadNetworkError(ValueError):
@@ -94,6 +136,11 @@ class RoadNetwork:
         self._num_edges = len(length_of)
         self._length_of = length_of
         self._csr: sparse.csr_matrix | None = None
+        #: Induced subgraph per allowed vertex set (a pure function of
+        #: the set on this immutable network); dies with the network.
+        self.corridors: BoundedMemo[frozenset[int], InducedSubgraph] = BoundedMemo(
+            SUBGRAPH_CACHE_SIZE
+        )
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -213,6 +260,13 @@ class RoadNetwork:
                     data[i] = length if length > 0 else 1e-9
                 self._csr = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
         return self._csr
+
+    def induced_subgraph(self, allowed: frozenset[int]) -> InducedSubgraph:
+        """The memoised induced CSR subgraph of ``allowed``."""
+        sub = self.corridors.lookup(allowed)
+        if sub is None:
+            sub = self.corridors.store(allowed, InducedSubgraph(self, allowed))
+        return sub
 
     def nearest_vertex(self, x: float, y: float) -> int:
         """Vertex closest to the planar point ``(x, y)``."""

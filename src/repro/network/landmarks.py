@@ -14,8 +14,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ..memo import BoundedMemo
 from .graph import RoadNetwork
 from .shortest_path import ShortestPathEngine
+
+#: Query centres whose centroid-distance lists are kept per landmark graph.
+DISC_CACHE_SIZE = 131_072
 
 
 class LandmarkGraph:
@@ -77,7 +81,9 @@ class LandmarkGraph:
         # is then a tiny scalar sweep instead of a fixed-cost numpy
         # kernel (kappa is small and query centres are vertex
         # coordinates, so the hit rate is high).
-        self._disc_cache: dict[tuple[float, float], list[float]] = {}
+        self.discs: BoundedMemo[tuple[float, float], list[float]] = BoundedMemo(
+            DISC_CACHE_SIZE
+        )
 
     # ------------------------------------------------------------------
     # artifact-store serialisation
@@ -134,7 +140,7 @@ class LandmarkGraph:
         ]
         self._landmark_cost = np.asarray(tables["landmark_cost"], dtype=np.float64).copy()
         self._radii_list = self._radii.tolist()
-        self._disc_cache = {}
+        self.discs = BoundedMemo(DISC_CACHE_SIZE)
         return self
 
     # ------------------------------------------------------------------
@@ -259,12 +265,10 @@ class LandmarkGraph:
         itself is the same IEEE add/compare the array kernel performs.
         """
         key = (x, y)
-        d = self._disc_cache.get(key)
+        d = self.discs.lookup(key)
         if d is None:
             d = np.hypot(self._centroids[:, 0] - x, self._centroids[:, 1] - y).tolist()
-            if len(self._disc_cache) >= 131072:
-                self._disc_cache.clear()
-            self._disc_cache[key] = d
+            self.discs.store(key, d)
         radii = self._radii_list
         return [z for z in range(len(d)) if d[z] <= radii[z] + radius_m]
 

@@ -4,7 +4,7 @@ The paper precomputes and caches shortest paths between all vertex pairs
 so that a shortest-path query costs O(1) during matching (Section V-A4).
 :class:`ShortestPathEngine` reproduces that: on graphs small enough it
 builds the full all-pairs matrix with scipy's C Dijkstra; on larger
-graphs it falls back to per-source computation with an LRU-style cache,
+graphs it falls back to per-source computation with a bounded LRU memo,
 which keeps memory bounded while staying fast for the skewed query
 distributions a dispatcher generates.  Above :data:`FULL_APSP_LIMIT`
 the default is now the contraction-hierarchy backend (``mode="ch"``,
@@ -21,8 +21,9 @@ partitions that survived partition filtering), optionally with additive
 per-vertex weights.  Its default fast path builds the induced CSR
 submatrix of the allowed set — with vertex weights folded into the
 incoming-edge costs — and runs scipy's C Dijkstra; induced subgraphs
-are LRU-cached per (network, corridor) so repeated legs through the
-same corridor skip the rebuild.  The pure-Python heap implementation is
+are memoised per corridor on the network itself
+(:meth:`RoadNetwork.induced_subgraph`) so repeated legs through the same
+corridor skip the rebuild.  The pure-Python heap implementation is
 retained as the reference path (``method="scalar"``) that the kernel
 tests diff against.
 """
@@ -31,13 +32,12 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections import OrderedDict
 from collections.abc import Callable, Collection, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 
+from ..memo import BoundedMemo, memo_stats
 from .ch import ContractionHierarchy
 from .graph import RoadNetwork
 
@@ -70,11 +70,8 @@ def resolve_sp_mode(mode: str, num_vertices: int) -> str:
         raise ValueError(f"unknown mode {mode!r}")
     return mode
 
-#: Default number of per-source Dijkstra results kept by the lazy cache.
+#: Per-source Dijkstra results kept by the lazy row memo.
 LAZY_CACHE_SIZE = 4_096
-
-#: Induced corridor subgraphs kept by the restricted-Dijkstra LRU cache.
-SUBGRAPH_CACHE_SIZE = 256
 
 _UNREACHABLE = np.inf
 
@@ -97,10 +94,6 @@ class ShortestPathEngine:
         ``"auto"`` (default) picks ``"full"`` at or below
         :data:`FULL_APSP_LIMIT` vertices and ``"ch"`` above — unless
         the :data:`SP_MODE_ENV` environment variable overrides it.
-    cache_size:
-        Number of source trees retained by the per-source row cache
-        (the primary store in ``"lazy"`` mode; the row-query fallback
-        in ``"ch"`` mode).
     full_arrays:
         Optional precomputed ``(dist, pred)`` matrices for ``"full"``
         mode — typically memory-mapped ``.npy`` views served by the
@@ -115,13 +108,12 @@ class ShortestPathEngine:
 
     #: ``stats()`` keys that are point-in-time gauges; every other key
     #: is a monotone tally that harvesters should turn into a delta.
-    STAT_GAUGES = frozenset({"spe.cache_entries", "sp.ch.shortcuts"})
+    STAT_GAUGES = frozenset({"spe.cache_entries"}) | ContractionHierarchy.STAT_GAUGES
 
     def __init__(
         self,
         network: RoadNetwork,
         mode: str = "auto",
-        cache_size: int = LAZY_CACHE_SIZE,
         full_arrays: tuple[np.ndarray, np.ndarray] | None = None,
         ch_arrays: Mapping[str, np.ndarray] | None = None,
     ) -> None:
@@ -130,18 +122,15 @@ class ShortestPathEngine:
         mode = resolve_sp_mode(mode, network.num_vertices)
         self._network = network
         self._mode = mode
-        self._cache_size = cache_size
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
-        self._lazy: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        #: Source-tree queries answered from cache (in ``full`` mode every
-        #: query is a hit: the whole matrix is the cache).  Plain integers
-        #: on purpose — this is the engine's hottest path, so the
-        #: observability layer harvests them in bulk at end of run instead
-        #: of being called per query.
-        self.cache_hits = 0
-        #: Lazy-mode queries that had to run a fresh single-source Dijkstra.
-        self.cache_misses = 0
+        #: Per-source ``(dist, pred)`` trees: the primary store in
+        #: ``"lazy"`` mode, the row-query fallback in ``"ch"`` mode.  Its
+        #: ``hits`` also tally ``"full"``-mode queries — there every query
+        #: is a hit, the whole matrix being the cache.
+        self._rows: BoundedMemo[int, tuple[np.ndarray, np.ndarray]] = BoundedMemo(
+            LAZY_CACHE_SIZE
+        )
         #: Whether this engine ran the all-pairs Dijkstra itself (False
         #: when the matrices were injected, e.g. from the artifact store).
         self.full_built = False
@@ -202,23 +191,16 @@ class ShortestPathEngine:
     def _source_tree(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         if self._mode == "full":
             assert self._dist is not None and self._pred is not None
-            self.cache_hits += 1
+            self._rows.hits += 1
             return self._dist[source], self._pred[source]
-        tree = self._lazy.get(source)
+        tree = self._rows.lookup(source)
         if tree is not None:
-            self._lazy.move_to_end(source)
-            self.cache_hits += 1
             return tree
-        self.cache_misses += 1
         mat = self._network.to_csr()
         dist, pred = csgraph.dijkstra(
             mat, directed=True, indices=source, return_predecessors=True
         )
-        tree = (dist, pred)
-        self._lazy[source] = tree
-        if len(self._lazy) > self._cache_size:
-            self._lazy.popitem(last=False)
-        return tree
+        return self._rows.store(source, (dist, pred))
 
     # ------------------------------------------------------------------
     # queries
@@ -277,7 +259,7 @@ class ShortestPathEngine:
             return self._ch.cost_matrix_m(us.tolist(), vs.tolist()) / speed
         if self._mode == "full":
             assert self._dist is not None
-            self.cache_hits += us.size
+            self._rows.hits += us.size
             return self._dist[us[:, None], vs[None, :]] / speed
         uniq, inverse = np.unique(us, return_inverse=True)
         rows = np.empty((uniq.size, vs.size), dtype=np.float64)
@@ -336,7 +318,7 @@ class ShortestPathEngine:
         if self._mode != "full":
             return None
         assert self._dist is not None
-        self.cache_hits += 1
+        self._rows.hits += 1
         return self._dist[:, target]
 
     def distances_from(self, source: int) -> np.ndarray:
@@ -367,11 +349,7 @@ class ShortestPathEngine:
         and are reported as-is).  Contains ``spe.cache_*`` always and
         ``sp.ch.*`` in ``"ch"`` mode.
         """
-        out = {
-            "spe.cache_hits": self.cache_hits,
-            "spe.cache_misses": self.cache_misses,
-            "spe.cache_entries": len(self._lazy),
-        }
+        out = memo_stats([("spe.cache", self._rows)])
         if self._ch is not None:
             out.update(self._ch.stats_snapshot())
         return out
@@ -410,7 +388,7 @@ class ShortestPathEngine:
             total += self._pred.nbytes
         if self._ch is not None:
             total += self._ch.memory_bytes()
-        for dist, pred in self._lazy.values():
+        for dist, pred in self._rows.values():
             total += dist.nbytes + pred.nbytes
         return total
 
@@ -424,83 +402,6 @@ class ShortestPathEngine:
             assert self._ch is not None
             total += self._ch.memory_bytes()
         return total
-
-
-class _InducedSubgraph:
-    """One cached corridor: the induced CSR submatrix of an allowed set."""
-
-    __slots__ = ("nodes", "indptr", "indices", "data_s")
-
-    def __init__(self, network: RoadNetwork, allowed: frozenset) -> None:
-        nodes = np.fromiter(allowed, dtype=np.int64, count=len(allowed))  # repro-lint: disable=REP001 reason=order canonicalised by the sort on the next line
-        nodes.sort()
-        sub = network.to_csr()[nodes][:, nodes].tocsr()
-        self.nodes = nodes
-        self.indptr = sub.indptr
-        self.indices = sub.indices
-        # Edge lengths become travel times once, at build.
-        self.data_s = sub.data / network.speed_mps
-
-    def local_of(self, v: int) -> int:
-        """Local index of global vertex ``v``, or -1 when absent."""
-        i = int(np.searchsorted(self.nodes, v))
-        if i < self.nodes.size and self.nodes[i] == v:
-            return i
-        return -1
-
-    def matrix(self, vertex_weight_local: np.ndarray | None) -> sparse.csr_matrix:
-        """CSR travel-time matrix, vertex weights folded into in-edges."""
-        data = self.data_s
-        if vertex_weight_local is not None:
-            data = data + vertex_weight_local[self.indices]
-        n = self.nodes.size
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def memory_bytes(self) -> int:
-        return (
-            self.nodes.nbytes + self.indptr.nbytes
-            + self.indices.nbytes + self.data_s.nbytes
-        )
-
-
-#: LRU of induced corridor subgraphs keyed by (network, frozen allowed set).
-_SUBGRAPH_CACHE: OrderedDict[tuple, _InducedSubgraph] = OrderedDict()
-_SUBGRAPH_STATS = {"hits": 0, "builds": 0}
-
-
-def _induced_subgraph(network: RoadNetwork, allowed: frozenset) -> _InducedSubgraph:
-    # The LRU below is a pure memo: the cached subgraph is a function of
-    # the key alone, so hits, misses and evictions cannot change any
-    # dispatch decision — only how fast it is reached.
-    key = (network, allowed)
-    cached = _SUBGRAPH_CACHE.get(key)
-    if cached is not None:
-        _SUBGRAPH_CACHE.move_to_end(key)  # repro-lint: disable=REP101 reason=LRU bookkeeping of a pure memo; value depends only on key
-        _SUBGRAPH_STATS["hits"] += 1  # repro-lint: disable=REP101 reason=observability counter; never read by dispatch decisions
-        return cached
-    _SUBGRAPH_STATS["builds"] += 1  # repro-lint: disable=REP101 reason=observability counter; never read by dispatch decisions
-    sub = _InducedSubgraph(network, allowed)
-    _SUBGRAPH_CACHE[key] = sub  # repro-lint: disable=REP101 reason=pure memo insert; value depends only on key
-    while len(_SUBGRAPH_CACHE) > SUBGRAPH_CACHE_SIZE:
-        _SUBGRAPH_CACHE.popitem(last=False)  # repro-lint: disable=REP101 reason=bounded LRU eviction of a pure memo
-    return sub
-
-
-def subgraph_cache_stats() -> dict[str, int]:
-    """Hit/build/size snapshot of the corridor-subgraph LRU cache."""
-    return {
-        "hits": _SUBGRAPH_STATS["hits"],
-        "builds": _SUBGRAPH_STATS["builds"],
-        "entries": len(_SUBGRAPH_CACHE),
-        "memory_bytes": sum(s.memory_bytes() for s in _SUBGRAPH_CACHE.values()),
-    }
-
-
-def clear_subgraph_cache() -> None:
-    """Drop every cached corridor subgraph (tests / repartitioning)."""
-    _SUBGRAPH_CACHE.clear()
-    _SUBGRAPH_STATS["hits"] = 0
-    _SUBGRAPH_STATS["builds"] = 0
 
 
 def _resolve_weight_fn(
@@ -540,7 +441,7 @@ def dijkstra_restricted(
         vertices cost 0) or a callable.
     method:
         ``"auto"`` (default) runs scipy's C Dijkstra on the induced CSR
-        submatrix of ``allowed`` (LRU-cached per corridor), falling
+        submatrix of ``allowed`` (memoised per corridor), falling
         back to the scalar path when the endpoints lie outside
         ``allowed``; ``"csr"`` forces the fast path; ``"scalar"``
         forces the pure-Python reference implementation.
@@ -577,8 +478,8 @@ def _dijkstra_restricted_csr(
     allowed: frozenset,
     vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
 ) -> tuple[float, list[int]]:
-    """CSR fast path: scipy Dijkstra on the cached induced subgraph."""
-    sub = _induced_subgraph(network, allowed)
+    """CSR fast path: scipy Dijkstra on the memoised induced subgraph."""
+    sub = network.induced_subgraph(allowed)
     ls = sub.local_of(source)
     lt = sub.local_of(target)
     if source == target:

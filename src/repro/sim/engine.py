@@ -46,7 +46,7 @@ from ..faults.recovery import CONTINUATION_ID_BASE, continuation_request
 from ..fleet.rebalance import Rebalancer
 from ..fleet.taxi import FleetLog, Taxi
 from ..index.spatial import StaticVertexGrid
-from ..network.shortest_path import subgraph_cache_stats
+from ..memo import memo_stats
 from ..obs import Instrumentation, JsonlTraceWriter
 from .events import priority_of
 from .kernel import DRAIN_TICK, REBALANCE_TICK, REQUEST_RELEASE, WINDOW_TICK, Event, Kernel
@@ -216,7 +216,7 @@ class Simulator:
         self._last_release = 0.0
         self._streaming = False
         self._wall_start = 0.0
-        self._stats_base: tuple[dict[str, int], dict[str, int]] | None = None
+        self._tally_base: dict[str, int] = {}
         self._compact = bool(compact)
         if self._compact:
             self._metrics.sample_cap = COMPACT_SAMPLE_CAP
@@ -709,13 +709,19 @@ class Simulator:
         self._drain()
         return self._finish_run()
 
+    def _tallies(self) -> dict[str, int]:
+        """The engine's counters plus every scheme-side memo's, by metric name."""
+        out = self._scheme.engine.stats()
+        out.update(memo_stats(self._scheme.memos()))
+        return out
+
     def _start_run(self, count_population: bool) -> None:
         """Prepare metrics baselines and the fleet for event dispatch."""
         self._wall_start = time.perf_counter()  # repro-lint: disable=REP003 reason=wall_time_s metric only, never a decision input
-        # The engine may be shared across runs (scenarios memoise it), so
-        # engine statistics are reported as this run's delta.
-        engine = self._scheme.engine
-        self._stats_base = (engine.stats(), subgraph_cache_stats())
+        # The engine, network and landmark graph may be shared across runs
+        # (scenarios memoise them), so their tallies are reported as this
+        # run's delta.
+        self._tally_base = self._tallies()
         if count_population:
             self._metrics.num_requests = len(self._requests)
             self._metrics.num_online = sum(1 for r in self._requests if not r.offline)
@@ -1017,22 +1023,25 @@ class Simulator:
             self._obs.count("sim.unsettled_episodes")
             self._obs.event("unsettled_episode", taxi=tid, t=self._now)
 
-        engine = self._scheme.engine
-        stats_base, subgraph0 = self._stats_base or ({}, subgraph_cache_stats())
         obs = self._obs
-        # One harvesting surface for every engine counter (spe.cache_* in
-        # all modes, sp.ch.* for the hierarchy backend): monotone tallies
-        # become this run's delta, gauge-like keys are reported as-is.
-        for key, value in engine.stats().items():
-            if key in engine.STAT_GAUGES:
-                obs.gauge(key, value)
-            else:
-                obs.gauge(key, value - stats_base.get(key, 0))
-        subgraph = subgraph_cache_stats()
-        obs.gauge("kernel.subgraph_hits", subgraph["hits"] - subgraph0["hits"])
-        obs.gauge("kernel.subgraph_builds", subgraph["builds"] - subgraph0["builds"])
-        obs.gauge("kernel.subgraph_entries", subgraph["entries"])
-        obs.gauge("kernel.subgraph_memory_bytes", subgraph["memory_bytes"])
+        # One harvest for every engine counter (spe.cache_* in all modes,
+        # sp.ch.* for the hierarchy backend) and every memo: monotone
+        # tallies become this run's delta, gauges are reported as-is.
+        gauges = self._scheme.engine.STAT_GAUGES | {
+            f"{name}_entries" for name, _memo in self._scheme.memos()
+        }
+        base = self._tally_base
+        for key, value in self._tallies().items():
+            obs.gauge(key, value if key in gauges else value - base.get(key, 0))
+        corridors = self._scheme.network.corridors
+        obs.gauge(
+            "kernel.subgraph_builds",
+            corridors.misses - base.get("kernel.subgraph_misses", 0),
+        )
+        obs.gauge(
+            "kernel.subgraph_memory_bytes",
+            sum(sub.memory_bytes() for sub in corridors.values()),
+        )
         obs.gauge("kernel.events_processed", self._kernel.events_processed)
         obs.gauge("kernel.events_scheduled", self._kernel.events_scheduled)
         self._scheme.collect_observability(obs)

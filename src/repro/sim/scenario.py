@@ -14,7 +14,7 @@ configurable scale on the synthetic network/trace substrate, and
 provides the scheme factory used by every benchmark.  Scenario
 construction is expensive (trace synthesis, all-pairs shortest paths,
 partitioning), so built scenarios are memoised per spec in a bounded
-LRU cache, and every expensive preprocessing product is persisted in
+memo, and every expensive preprocessing product is persisted in
 the content-addressed artifact store (:mod:`repro.artifacts`) so warm
 processes load it back — memory-mapped where possible — instead of
 recomputing.
@@ -23,10 +23,9 @@ recomputing.
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from ..demand.dataset import TripDataset
 from ..demand.generator import ChengduLikeDemand
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
+from ..memo import BoundedMemo
 from ..network.generators import grid_city
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
@@ -46,11 +46,11 @@ from ..network.shortest_path import ShortestPathEngine, resolve_sp_mode
 from ..partitioning.bipartite import MapPartitioning, bipartite_partition, geo_partition
 from ..partitioning.grid import grid_partition
 
-#: Environment variable bounding the in-process scenario cache.
-SCENARIO_CACHE_ENV = "REPRO_SCENARIO_CACHE"
+#: Built scenarios kept resident by :func:`get_scenario`.
+SCENARIO_CACHE_SIZE = 8
 
-#: Default number of built scenarios kept resident.
-DEFAULT_SCENARIO_CACHE_SIZE = 8
+T = TypeVar("T")
+
 
 @dataclass(frozen=True, slots=True)
 class SchemeInfo:
@@ -244,8 +244,7 @@ class Scenario:
             "spacing_m": spec.spacing_m,
             "seed": spec.seed,
         }
-        store = artifacts.get_store()
-        self.engine = self._build_engine(store)
+        self.engine = self._build_engine()
         self.demand = ChengduLikeDemand(
             self.network,
             hourly_requests=spec.hourly_requests,
@@ -266,14 +265,42 @@ class Scenario:
             "weekend_days": [5, 6],
             "rate_scale": 1.0,
         }
-        full = self._build_trace(store, num_days)
+        full = self._build_trace(num_days)
         self.window_trips: TripDataset = full.window(window_start, window_end)
         self.history: TripDataset = full.exclude_window(window_start, window_end)
         self._window_start = window_start
         self._window_end = window_end
         self._partitionings: dict[tuple, object] = {}
 
-    def _build_engine(self, store: artifacts.ArtifactStore | None) -> ShortestPathEngine:
+    def _stored(
+        self,
+        kind: str,
+        spec: Mapping,
+        build: Callable[[], T],
+        pack: Callable[[T], tuple[Mapping[str, np.ndarray], Mapping]],
+        unpack: Callable[[Any], T],
+    ) -> T:
+        """Load one preprocessing product from the artifact store, or
+        build it and save it there.
+
+        ``spec`` keys the artifact; ``pack`` turns a freshly built
+        product into ``(arrays, meta)`` and ``unpack`` turns a loaded
+        :class:`~repro.artifacts.store.Artifact` back into the product.
+        With the store disabled this is just ``build()``.
+        """
+        store = artifacts.get_store()
+        if store is None:
+            return build()
+        key = store.key_of(kind, spec)
+        art = store.load(kind, key)
+        if art is not None:
+            return unpack(art)
+        product = build()
+        arrays, meta = pack(product)
+        store.save(kind, key, arrays, meta=meta)
+        return product
+
+    def _build_engine(self) -> ShortestPathEngine:
         """Shortest-path engine, loading preprocessing from the store.
 
         The spec's ``sp_mode`` is resolved first (``"auto"`` consults
@@ -284,45 +311,46 @@ class Scenario:
         (zero-copy: pages are shared between concurrent workers by the
         OS cache) instead of being recomputed.
         """
-        mode = resolve_sp_mode(self.spec.sp_mode, self.network.num_vertices)
-        if mode == "lazy" or store is None:
-            return ShortestPathEngine(self.network, mode=mode)
+        network = self.network
+        mode = resolve_sp_mode(self.spec.sp_mode, network.num_vertices)
         if mode == "ch":
-            key = store.key_of("ch", self._ch_spec())
-            art = store.load("ch", key)
-            if art is not None:
-                return ShortestPathEngine(
-                    self.network, mode="ch", ch_arrays=dict(art.arrays)
-                )
-            engine = ShortestPathEngine(self.network, mode="ch")
-            arrays = engine.hierarchy_arrays()
-            assert arrays is not None
-            hierarchy = engine.hierarchy
-            assert hierarchy is not None
-            store.save(
-                "ch",
-                key,
-                arrays,
-                meta={
+
+            def pack_ch(engine: ShortestPathEngine):
+                hierarchy = engine.hierarchy
+                assert hierarchy is not None
+                return engine.hierarchy_arrays(), {
                     "label": self.network_label(),
-                    "vertices": self.network.num_vertices,
+                    "vertices": network.num_vertices,
                     "edges": hierarchy.num_edges,
                     "shortcuts": hierarchy.num_shortcuts,
                     "build_seconds": round(hierarchy.build_seconds, 3),
-                },
+                }
+
+            return self._stored(
+                "ch",
+                self._ch_spec(),
+                build=lambda: ShortestPathEngine(network, mode="ch"),
+                pack=pack_ch,
+                unpack=lambda art: ShortestPathEngine(
+                    network, mode="ch", ch_arrays=dict(art.arrays)
+                ),
             )
-            return engine
-        key = store.key_of("apsp", self._network_spec)
-        art = store.load("apsp", key)
-        if art is not None:
-            return ShortestPathEngine(
-                self.network, mode="full", full_arrays=(art["dist"], art["pred"])
+        if mode == "full":
+
+            def pack_apsp(engine: ShortestPathEngine):
+                dist, pred = engine.full_matrices()
+                return {"dist": dist, "pred": pred}, self._network_spec
+
+            return self._stored(
+                "apsp",
+                self._network_spec,
+                build=lambda: ShortestPathEngine(network, mode="full"),
+                pack=pack_apsp,
+                unpack=lambda art: ShortestPathEngine(
+                    network, mode="full", full_arrays=(art["dist"], art["pred"])
+                ),
             )
-        engine = ShortestPathEngine(self.network, mode="full")
-        mats = engine.full_matrices()
-        if mats is not None:
-            store.save("apsp", key, {"dist": mats[0], "pred": mats[1]}, meta=self._network_spec)
-        return engine
+        return ShortestPathEngine(network, mode=mode)
 
     def _ch_spec(self) -> dict:
         """Artifact-store key spec for the contraction hierarchy."""
@@ -333,7 +361,7 @@ class Scenario:
         s = self.spec
         return f"grid_city {s.grid_rows}x{s.grid_cols} spacing={s.spacing_m:g} seed={s.seed}"
 
-    def _build_trace(self, store: artifacts.ArtifactStore | None, num_days: int) -> TripDataset:
+    def _build_trace(self, num_days: int) -> TripDataset:
         """The full synthetic trace, persisted across processes.
 
         Trace synthesis dominates scenario construction, so warm
@@ -342,12 +370,7 @@ class Scenario:
         :meth:`~repro.demand.generator.ChengduLikeDemand.replay_days_rng`)
         so any later sampling stays bit-identical to a cold build.
         """
-        weekend_days = {5, 6}
-        if store is None:
-            return self.demand.generate_days(num_days, weekend_days=weekend_days)
-        key = store.key_of("trace", self._trace_spec)
-        art = store.load("trace", key)
-        if art is not None:
+        def unpack(art) -> TripDataset:
             full = TripDataset(
                 release_times=np.asarray(art["release_times"], dtype=np.float64).copy(),
                 origins=np.asarray(art["origins"], dtype=np.int64).copy(),
@@ -356,19 +379,22 @@ class Scenario:
             )
             self.demand.replay_days_rng(num_days, len(full))
             return full
-        full = self.demand.generate_days(num_days, weekend_days=weekend_days)
-        store.save(
+
+        return self._stored(
             "trace",
-            key,
-            {
-                "release_times": full.release_times,
-                "origins": full.origins,
-                "destinations": full.destinations,
-                "taxi_ids": full.taxi_ids,
-            },
-            meta={"num_days": num_days, "rows": len(full)},
+            self._trace_spec,
+            build=lambda: self.demand.generate_days(num_days, weekend_days={5, 6}),
+            pack=lambda full: (
+                {
+                    "release_times": full.release_times,
+                    "origins": full.origins,
+                    "destinations": full.destinations,
+                    "taxi_ids": full.taxi_ids,
+                },
+                {"num_days": num_days, "rows": len(full)},
+            ),
+            unpack=unpack,
         )
-        return full
 
     # ------------------------------------------------------------------
     @property
@@ -545,36 +571,33 @@ class Scenario:
         cached = self._partitionings.get(key)
         if cached is not None:
             return cached
-        store = artifacts.get_store()
         k_t = min(num_transition_clusters, max(2, kappa - 1))
-        akey = None
-        if store is not None:
-            akey = store.key_of("partition", self._partition_spec(method, kappa, k_t))
-            art = store.load("partition", akey)
-            if art is not None:
-                part = MapPartitioning.from_arrays(art.arrays, art.meta)
-                self._partitionings[key] = part
-                return part
-        trips = self.history.od_pairs()
-        if method == "bipartite":
-            part = bipartite_partition(
-                self.network,
-                trips,
-                num_partitions=kappa,
-                num_transition_clusters=k_t,
-                seed=self.spec.seed,
-            )
-        elif method == "grid":
-            part = grid_partition(self.network, kappa, historical_trips=trips)
-        elif method == "geo":
-            part = geo_partition(
-                self.network, kappa, historical_trips=trips, seed=self.spec.seed
-            )
-        else:
+
+        def build() -> MapPartitioning:
+            trips = self.history.od_pairs()
+            if method == "bipartite":
+                return bipartite_partition(
+                    self.network,
+                    trips,
+                    num_partitions=kappa,
+                    num_transition_clusters=k_t,
+                    seed=self.spec.seed,
+                )
+            if method == "grid":
+                return grid_partition(self.network, kappa, historical_trips=trips)
+            if method == "geo":
+                return geo_partition(
+                    self.network, kappa, historical_trips=trips, seed=self.spec.seed
+                )
             raise ValueError(f"unknown partitioning method {method!r}")
-        if store is not None:
-            arrays, meta = part.to_arrays()
-            store.save("partition", akey, arrays, meta=meta)
+
+        part = self._stored(
+            "partition",
+            self._partition_spec(method, kappa, k_t),
+            build=build,
+            pack=MapPartitioning.to_arrays,
+            unpack=lambda art: MapPartitioning.from_arrays(art.arrays, art.meta),
+        )
         self._partitionings[key] = part
         return part
 
@@ -595,29 +618,20 @@ class Scenario:
         if cached is not None:
             return cached
         part = self.partitioning(method, kappa)
-        store = artifacts.get_store()
-        akey = None
-        if store is not None:
-            lspec = {
+        meta = {"speed_mps": self.network.speed_mps, "engine_mode": self.engine.mode}
+        graph = self._stored(
+            "landmarks",
+            {
                 "network": self._network_spec,
                 "labels_sha": hashlib.sha256(part.labels.tobytes()).hexdigest(),
-                "speed_mps": self.network.speed_mps,
-                "engine_mode": self.engine.mode,
-            }
-            akey = store.key_of("landmarks", lspec)
-            art = store.load("landmarks", akey)
-            if art is not None:
-                graph = LandmarkGraph.from_tables(self.network, part.partitions, art.arrays)
-                self._partitionings[mkey] = graph
-                return graph
-        graph = LandmarkGraph(self.network, part.partitions, self.engine)
-        if store is not None:
-            store.save(
-                "landmarks",
-                akey,
-                graph.to_tables(),
-                meta={"speed_mps": self.network.speed_mps, "engine_mode": self.engine.mode},
-            )
+                **meta,
+            },
+            build=lambda: LandmarkGraph(self.network, part.partitions, self.engine),
+            pack=lambda graph: (graph.to_tables(), meta),
+            unpack=lambda art: LandmarkGraph.from_tables(
+                self.network, part.partitions, art.arrays
+            ),
+        )
         self._partitionings[mkey] = graph
         return graph
 
@@ -650,26 +664,22 @@ class Scenario:
         cached = self._partitionings.get(key)
         if cached is not None:
             return cached
-        store = artifacts.get_store()
-        akey = None
-        if store is not None:
-            pspec = {
+        predictor = self._stored(
+            "predictor",
+            {
                 "trace": self._trace_spec,
                 "window": [self._window_start, self._window_end],
                 "labels_sha": hashlib.sha256(partitioning.labels.tobytes()).hexdigest(),
                 "num_partitions": partitioning.num_partitions,
-            }
-            akey = store.key_of("predictor", pspec)
-            art = store.load("predictor", akey)
-            if art is not None:
-                predictor = DemandPredictor(np.asarray(art["rates"], dtype=np.float64).copy())
-                self._partitionings[key] = predictor
-                return predictor
-        predictor = DemandPredictor.fit(
-            self.history, partitioning.labels, partitioning.num_partitions
+            },
+            build=lambda: DemandPredictor.fit(
+                self.history, partitioning.labels, partitioning.num_partitions
+            ),
+            pack=lambda predictor: ({"rates": predictor.rates}, {}),
+            unpack=lambda art: DemandPredictor(
+                np.asarray(art["rates"], dtype=np.float64).copy()
+            ),
         )
-        if store is not None:
-            store.save("predictor", akey, {"rates": predictor.rates}, meta={})
         self._partitionings[key] = predictor
         return predictor
 
@@ -698,83 +708,34 @@ class Scenario:
 
 
 # ----------------------------------------------------------------------
-# Bounded scenario cache
+# Bounded scenario memo
 # ----------------------------------------------------------------------
-_SCENARIO_CACHE: OrderedDict[ScenarioSpec, Scenario] = OrderedDict()
-_SCENARIO_CACHE_SIZE: int | None = None
-_SCENARIO_HITS = 0
-_SCENARIO_MISSES = 0
-_SCENARIO_EVICTIONS = 0
-
-
-def _scenario_cache_limit() -> int:
-    """Configured cache bound: setter wins, then env, then default."""
-    if _SCENARIO_CACHE_SIZE is not None:
-        return _SCENARIO_CACHE_SIZE
-    raw = os.environ.get(SCENARIO_CACHE_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_SCENARIO_CACHE_SIZE
-
-
-def set_scenario_cache_size(size: int | None) -> None:
-    """Bound the scenario cache (``None`` restores env/default).
-
-    Shrinking evicts least-recently-used scenarios immediately, which
-    releases their matrices / mmaps once callers drop their references.
-    """
-    global _SCENARIO_CACHE_SIZE, _SCENARIO_EVICTIONS
-    if size is not None and size < 1:
-        raise ValueError("cache size must be >= 1")
-    _SCENARIO_CACHE_SIZE = size
-    limit = _scenario_cache_limit()
-    while len(_SCENARIO_CACHE) > limit:
-        _SCENARIO_CACHE.popitem(last=False)
-        _SCENARIO_EVICTIONS += 1
+_SCENARIOS: BoundedMemo[ScenarioSpec, Scenario] = BoundedMemo(SCENARIO_CACHE_SIZE)
 
 
 def get_scenario(spec: ScenarioSpec) -> Scenario:
     """Memoised scenario builder (trace + APSP + partitioning are expensive).
 
-    LRU-bounded (:data:`SCENARIO_CACHE_ENV`, default
-    :data:`DEFAULT_SCENARIO_CACHE_SIZE` entries) so long sweeps cannot
-    accumulate unbounded resident matrices.
+    LRU-bounded at :data:`SCENARIO_CACHE_SIZE` entries so long sweeps
+    cannot accumulate unbounded resident matrices.
     """
-    global _SCENARIO_HITS, _SCENARIO_MISSES, _SCENARIO_EVICTIONS
-    cached = _SCENARIO_CACHE.get(spec)
-    if cached is not None:
-        _SCENARIO_CACHE.move_to_end(spec)
-        _SCENARIO_HITS += 1
-        return cached
-    _SCENARIO_MISSES += 1
-    scenario = Scenario(spec)
-    _SCENARIO_CACHE[spec] = scenario
-    limit = _scenario_cache_limit()
-    while len(_SCENARIO_CACHE) > limit:
-        _SCENARIO_CACHE.popitem(last=False)
-        _SCENARIO_EVICTIONS += 1
+    scenario = _SCENARIOS.lookup(spec)
+    if scenario is None:
+        scenario = _SCENARIOS.store(spec, Scenario(spec))
     return scenario
 
 
 def clear_scenarios() -> None:
-    """Drop every cached scenario (their artifacts become collectable)."""
-    _SCENARIO_CACHE.clear()
+    """Drop every memoised scenario (their artifacts become collectable)."""
+    _SCENARIOS.clear()
 
 
-def scenario_cache_stats() -> dict:
-    """Cache occupancy and resident/mmap byte gauges for observability."""
-    return {
-        "entries": len(_SCENARIO_CACHE),
-        "max_entries": _scenario_cache_limit(),
-        "hits": _SCENARIO_HITS,
-        "misses": _SCENARIO_MISSES,
-        "evictions": _SCENARIO_EVICTIONS,
-        "memory_bytes": sum(s.memory_bytes() for s in _SCENARIO_CACHE.values()),
-        "mmap_bytes": sum(s.mmap_bytes() for s in _SCENARIO_CACHE.values()),
-    }
+def scenario_cache_stats() -> dict[str, int]:
+    """The scenario memo's tallies plus resident/mmap byte gauges."""
+    out = _SCENARIOS.stats()
+    out["memory_bytes"] = sum(s.memory_bytes() for s in _SCENARIOS.values())
+    out["mmap_bytes"] = sum(s.mmap_bytes() for s in _SCENARIOS.values())
+    return out
 
 
 def peak_spec(**overrides) -> ScenarioSpec:

@@ -277,47 +277,33 @@ def test_scenario_cache_bounded_and_eviction_frees_memory(monkeypatch):
     import weakref
     from dataclasses import replace
 
+    from repro.memo import BoundedMemo
     from repro.sim import scenario as sc
 
-    sc.clear_scenarios()
-    sc.set_scenario_cache_size(1)
-    try:
-        s1 = sc.get_scenario(replace(MICRO_SPEC, seed=101))
-        ref = weakref.ref(s1)
-        engine_ref = weakref.ref(s1.engine)
-        assert sc.scenario_cache_stats()["entries"] == 1
-        assert sc.scenario_cache_stats()["memory_bytes"] >= s1.memory_bytes()
+    monkeypatch.setattr(sc, "_SCENARIOS", BoundedMemo(1))
+    s1 = sc.get_scenario(replace(MICRO_SPEC, seed=101))
+    ref = weakref.ref(s1)
+    engine_ref = weakref.ref(s1.engine)
+    assert sc.scenario_cache_stats()["entries"] == 1
+    assert sc.scenario_cache_stats()["memory_bytes"] >= s1.memory_bytes()
 
-        sc.get_scenario(replace(MICRO_SPEC, seed=102))  # evicts s1
-        stats = sc.scenario_cache_stats()
-        assert stats["entries"] == 1
-        assert stats["max_entries"] == 1
-        assert stats["evictions"] >= 1
+    sc.get_scenario(replace(MICRO_SPEC, seed=102))  # evicts s1
+    stats = sc.scenario_cache_stats()
+    assert stats["entries"] == 1
+    assert stats["evictions"] >= 1
 
-        del s1
-        gc.collect()
-        assert ref() is None, "evicted scenario must be collectable"
-        assert engine_ref() is None, "eviction must free the engine's matrices/mmaps"
-    finally:
-        sc.set_scenario_cache_size(None)
-        sc.clear_scenarios()
-
-
-def test_scenario_cache_size_env(monkeypatch):
-    from repro.sim import scenario as sc
-
-    monkeypatch.setenv(sc.SCENARIO_CACHE_ENV, "3")
-    sc.set_scenario_cache_size(None)
-    assert sc.scenario_cache_stats()["max_entries"] == 3
-    monkeypatch.delenv(sc.SCENARIO_CACHE_ENV)
-    assert sc.scenario_cache_stats()["max_entries"] == sc.DEFAULT_SCENARIO_CACHE_SIZE
+    del s1
+    gc.collect()
+    assert ref() is None, "evicted scenario must be collectable"
+    assert engine_ref() is None, "eviction must free the engine's matrices/mmaps"
 
 
 def test_scenario_cache_rejects_bad_size():
     from repro.sim import scenario as sc
 
+    assert sc._SCENARIOS.capacity == sc.SCENARIO_CACHE_SIZE
     with pytest.raises(ValueError):
-        sc.set_scenario_cache_size(0)
+        type(sc._SCENARIOS)(0)
 
 
 def test_info_is_independent_of_creation_order(tmp_path):

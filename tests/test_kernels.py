@@ -42,9 +42,7 @@ from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import (
     PathNotFound,
     ShortestPathEngine,
-    clear_subgraph_cache,
     dijkstra_restricted,
-    subgraph_cache_stats,
 )
 from repro.obs import NULL, Instrumentation
 
@@ -308,17 +306,17 @@ class TestRestrictedDijkstra:
             dijkstra_restricted(net, 0, net.num_vertices - 1, allowed, method="csr")
 
     def test_subgraph_cache_hits(self, net):
-        clear_subgraph_cache()
+        net.corridors.clear()
         allowed = frozenset(range(net.num_vertices))
         dijkstra_restricted(net, 0, 5, allowed)
-        before = subgraph_cache_stats()
+        before = net.corridors.stats()
         dijkstra_restricted(net, 1, 6, allowed)
-        after = subgraph_cache_stats()
-        assert after["builds"] == before["builds"]
+        after = net.corridors.stats()
+        assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
         assert after["entries"] >= 1
-        assert after["memory_bytes"] > 0
-        clear_subgraph_cache()
+        assert sum(sub.memory_bytes() for sub in net.corridors.values()) > 0
+        net.corridors.clear()
 
 
 # ----------------------------------------------------------------------

@@ -149,6 +149,17 @@ class TestPlanner:
         rb = self.make(geometry, hot={4: 10.0}, spec=RebalanceSpec(max_cruise_s=1e-6))
         assert rb.plan_moves({0: [1, 2, 3, 4]}, {}, now=0.0) == []
 
+    def test_min_surplus_zero_donates_only_parked_taxis(self, geometry):
+        # Shrunk from ``--rebalance min_surplus=0``: every empty
+        # partition with target 0 used to compute one spare taxi, become
+        # a donor with no taxis and raise IndexError once it was the
+        # nearest donor left.
+        rb = self.make(geometry, hot={4: 10.0}, spec=RebalanceSpec(min_surplus=0))
+        moves = rb.plan_moves({0: [1, 2, 3]}, {}, now=0.0)
+        assert [(m.taxi_id, m.source, m.target) for m in moves] == [
+            (1, 0, 4), (2, 0, 4), (3, 0, 4)
+        ]
+
     def test_deterministic(self, geometry):
         rb = self.make(geometry, hot={4: 10.0, 7: 3.0}, cold_rate=0.5)
         supply = {0: [3, 1, 2], 2: [9, 8], 5: [11]}

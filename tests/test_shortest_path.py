@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.payment import PaymentModel
 from repro.network.ch import ContractionHierarchy
+from repro.network import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import (
     SP_MODE_ENV,
@@ -22,9 +23,16 @@ from repro.sim.scenario import Scenario
 from tests.test_runner_parallel import decision_fingerprint
 
 
+def _lazy_engine(net, rows):
+    """A lazy engine whose source-row memo holds ``rows`` trees."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shortest_path, "LAZY_CACHE_SIZE", rows)
+        return ShortestPathEngine(net, mode="lazy")
+
+
 @pytest.fixture(scope="module")
 def lazy_engine(small_net):
-    return ShortestPathEngine(small_net, mode="lazy", cache_size=8)
+    return _lazy_engine(small_net, 8)
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +108,12 @@ class TestLazyMode:
             )
 
     def test_cache_eviction(self, small_net):
-        eng = ShortestPathEngine(small_net, mode="lazy", cache_size=2)
+        eng = _lazy_engine(small_net, 2)
         for source in range(5):
             eng.distances_from(source)
-        assert len(eng._lazy) <= 2
+        stats = eng.stats()
+        assert stats["spe.cache_entries"] == 2
+        assert stats["spe.cache_evictions"] == 3
 
     def test_paths_valid(self, small_net, lazy_engine):
         path = lazy_engine.path(0, small_net.num_vertices - 1)

@@ -25,7 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_mypy_strict_on_sim_core():
     # Packages and mypy_path come from [tool.mypy] in pyproject.toml:
-    # repro.core, repro.fleet, repro.network, repro.index under strict.
+    # repro.core, repro.fleet, repro.network, repro.index and the
+    # repro.memo module under strict.
     proc = subprocess.run(
         [sys.executable, "-m", "mypy", "--strict"],
         cwd=ROOT,
