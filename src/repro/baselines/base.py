@@ -13,7 +13,7 @@ from collections.abc import Iterator
 
 from ..analysis import contracts
 from ..config import SystemConfig
-from ..core.matching import MatchResult, best_insertion_for_taxi
+from ..core.matching import MatchResult, best_insertion_for_taxi, taxi_vector_with
 from ..demand.request import RideRequest
 from ..fleet.schedule import remove_request_stops
 from ..fleet.taxi import Taxi
@@ -60,6 +60,8 @@ class DispatchScheme(abc.ABC):
         self._fleet: dict[int, Taxi] = {}
         self._fallback_router = BasicRouter(network, engine, None)
         self._prob_router: ProbabilisticRouter | None = None
+        # taxi id -> earliest time of its next demand-seeking cruise attempt.
+        self._cruise_cooldown: dict[int, float] = {}
         self._obs: Instrumentation = NULL
 
     # ------------------------------------------------------------------
@@ -158,10 +160,6 @@ class DispatchScheme(abc.ABC):
         """
         if stops_fired:
             self._index_taxi(taxi, now)
-
-    def on_taxi_idle(self, taxi: Taxi, now: float) -> None:
-        """Called when a taxi finishes its schedule and parks."""
-        self._index_taxi(taxi, now)
 
     def on_request_finished(self, request: RideRequest) -> None:
         """Called when a request's passengers are dropped off."""
@@ -290,10 +288,7 @@ class DispatchScheme(abc.ABC):
             return False
         if taxi.cruising:
             return False  # still driving an earlier (seek or rebalance) cruise
-        cooldowns = getattr(self, "_cruise_cooldown", None)
-        if cooldowns is None:
-            cooldowns = {}
-            self._cruise_cooldown = cooldowns
+        cooldowns = self._cruise_cooldown
         if now < cooldowns.get(taxi.taxi_id, 0.0):
             return False
         route = self._prob_router.cruise_route(taxi.loc, now)
@@ -313,9 +308,6 @@ class DispatchScheme(abc.ABC):
         idle_after = taxi.capacity - taxi.committed - request.num_passengers
         if idle_after < taxi.capacity * self._config.probabilistic_idle_seats:
             return result
-        from ..core.matching import taxi_vector_with
-        from ..core.routing import RouteInfeasible
-
         node, ready = taxi.position_at(now)
         vec = taxi_vector_with(self._network, taxi, request, now)
         try:

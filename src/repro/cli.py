@@ -42,6 +42,25 @@ from .sim.scenario import SCHEME_NAMES, SCHEME_REGISTRY, ScenarioSpec, get_scena
 NON_RUN_ABLATIONS = frozenset({"redispatch"})
 
 
+def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_help: str) -> None:
+    """The scenario flags ``simulate``, ``replay`` and ``serve`` share."""
+    p.add_argument("--scheme", choices=SCHEME_NAMES, default="mt-share")
+    p.add_argument("--kind", choices=("peak", "nonpeak"), default="peak")
+    p.add_argument("--taxis", type=int, default=100)
+    p.add_argument("--capacity", type=int, default=3)
+    p.add_argument("--rho", type=float, default=1.3)
+    p.add_argument("--requests", type=int, default=requests_default, help=requests_help)
+    p.add_argument("--grid", type=int, default=16,
+                   help="network grid side (vertices per side)")
+    p.add_argument("--partitions", type=int, default=25)
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
+                   default="auto",
+                   help="shortest-path backend (auto resolves against "
+                        "REPRO_SP_MODE, then full below/ch above the "
+                        "dense-matrix vertex limit)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -50,28 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one scheme on one scenario")
-    sim.add_argument("--scheme", choices=SCHEME_NAMES, default="mt-share")
-    sim.add_argument("--kind", choices=("peak", "nonpeak"), default="peak")
-    sim.add_argument("--taxis", type=int, default=100)
-    sim.add_argument("--capacity", type=int, default=3)
-    sim.add_argument("--rho", type=float, default=1.3)
+    _scenario_args(sim, 600, "expected busiest-hour request volume")
     sim.add_argument("--window", type=float, default=None, metavar="SECONDS",
                      help="dispatch-window length W for the window-lap "
                           "scheme (0 reproduces greedy decisions exactly; "
                           "default: the config's dispatch_window_s)")
-    sim.add_argument("--requests", type=int, default=600,
-                     help="expected busiest-hour request volume")
-    sim.add_argument("--grid", type=int, default=16,
-                     help="network grid side (vertices per side)")
-    sim.add_argument("--partitions", type=int, default=25)
     sim.add_argument("--congestion", type=float, default=1.0,
                      help="speed factor; < 1 slows traffic")
-    sim.add_argument("--seed", type=int, default=7)
-    sim.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
-                     default="auto",
-                     help="shortest-path backend (auto resolves against "
-                          "REPRO_SP_MODE, then full below/ch above the "
-                          "dense-matrix vertex limit)")
     sim.add_argument("--trace", metavar="PATH", default=None,
                      help="append a structured JSONL event trace (stage "
                           "timings, dispatches, offline encounters) to PATH")
@@ -117,21 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    add_help=False)
 
     def _service_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheme", choices=SCHEME_NAMES, default="mt-share")
-        p.add_argument("--kind", choices=("peak", "nonpeak"), default="peak")
-        p.add_argument("--taxis", type=int, default=100)
-        p.add_argument("--capacity", type=int, default=3)
-        p.add_argument("--rho", type=float, default=1.3)
-        p.add_argument("--grid", type=int, default=16)
-        p.add_argument("--requests", type=int, default=200,
-                       help="scenario shaping only (demand history for the "
-                            "predictive indexes); the workload itself "
-                            "arrives through the service")
-        p.add_argument("--partitions", type=int, default=25)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
-                       default="auto",
-                       help="shortest-path backend (see `repro simulate -h`)")
+        _scenario_args(p, 200, "scenario shaping only (demand history for the "
+                               "predictive indexes); the workload itself "
+                               "arrives through the service")
         p.add_argument("--max-in-flight", type=int, default=4096,
                        help="admission backpressure bound on queued requests")
         p.add_argument("--late-policy", choices=("reject", "clamp"), default="reject",
@@ -157,7 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _build_scenario(args: argparse.Namespace, congestion: float = 1.0,
+                    window: float | None = None):
+    """Scenario, config, scheme and fleet from the shared scenario flags."""
     spec = ScenarioSpec(
         kind=args.kind,
         grid_rows=args.grid,
@@ -165,18 +159,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         hourly_requests=args.requests,
         history_days=3,
         num_partitions=args.partitions,
-        congestion=args.congestion,
+        congestion=congestion,
         seed=args.seed,
         sp_mode=args.sp_mode,
     )
     scenario = get_scenario(spec)
     overrides = {"rho": args.rho, "capacity": args.capacity}
-    if args.window is not None:
-        overrides["dispatch_window_s"] = args.window
+    if window is not None:
+        overrides["dispatch_window_s"] = window
     config = scenario.default_config(**overrides)
     scheme = scenario.make_scheme(args.scheme, config=config)
-    requests = scenario.requests(rho=args.rho)
     fleet = scenario.make_fleet(args.taxis, capacity=args.capacity)
+    return scenario, config, scheme, fleet
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    scenario, config, scheme, fleet = _build_scenario(args, args.congestion, args.window)
+    requests = scenario.requests(rho=args.rho)
     try:
         faults = scenario.fault_plan(args.faults, fleet, requests)
     except ValueError as exc:
@@ -297,20 +296,7 @@ def _make_service(args: argparse.Namespace) -> "DispatchService":
     """Build a DispatchService from the shared service CLI flags."""
     from .service import AdmissionPolicy, DispatchService, ServiceConfig
 
-    spec = ScenarioSpec(
-        kind=args.kind,
-        grid_rows=args.grid,
-        grid_cols=args.grid,
-        hourly_requests=args.requests,
-        history_days=3,
-        num_partitions=args.partitions,
-        seed=args.seed,
-        sp_mode=args.sp_mode,
-    )
-    scenario = get_scenario(spec)
-    config = scenario.default_config(rho=args.rho, capacity=args.capacity)
-    scheme = scenario.make_scheme(args.scheme, config=config)
-    fleet = scenario.make_fleet(args.taxis, capacity=args.capacity)
+    _scenario, _config, scheme, fleet = _build_scenario(args)
     sim = Simulator(
         scheme, fleet, [], payment=PaymentModel(), compact=args.compact
     )
@@ -325,20 +311,27 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     from .service import decision_to_dict, jsonl_requests
 
-    service = _make_service(args)
-    sink_file = open(args.decisions, "a", encoding="utf-8") if args.decisions else None
-    if sink_file is not None:
-        service.set_sink(
-            lambda d: sink_file.write(_json.dumps(decision_to_dict(d)) + "\n")
-        )
-    else:
-        service.set_sink(lambda d: None)  # replay prints totals, not a stream
-    pump_every = args.pump_every if args.pump_every > 0 else None
     try:
-        metrics = service.replay(jsonl_requests(args.trace), pump_every=pump_every)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Opened before the scenario is built: an unwritable path fails
+        # in milliseconds, not after the whole set-up.
+        sink_file = open(args.decisions, "a", encoding="utf-8") if args.decisions else None
+    except OSError as exc:
+        print(f"error: cannot open decisions file: {exc}", file=sys.stderr)
         return 2
+    try:
+        service = _make_service(args)
+        if sink_file is not None:
+            service.set_sink(
+                lambda d: sink_file.write(_json.dumps(decision_to_dict(d)) + "\n")
+            )
+        else:
+            service.set_sink(lambda d: None)  # replay prints totals, not a stream
+        pump_every = args.pump_every if args.pump_every > 0 else None
+        try:
+            metrics = service.replay(jsonl_requests(args.trace), pump_every=pump_every)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     finally:
         if sink_file is not None:
             sink_file.close()

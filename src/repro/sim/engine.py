@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from ..analysis import contracts
 from ..baselines.base import DispatchScheme
+from ..core.matching import MatchResult
 from ..core.payment import PaymentModel
 from ..demand.request import RideRequest
 from ..faults.plan import FaultPlan, ShockWindow
@@ -168,7 +169,6 @@ class Simulator:
         # Vertex grid for catchment lookups; built lazily on the first
         # offline request so online-only workloads pay nothing.
         self._vertex_grid: StaticVertexGrid | None = None
-        self._was_busy: dict[int, bool] = {}
         self._now = 0.0
         # Fault-injection state.  An empty plan is normalised to None so
         # a "faults off" run takes exactly the pre-fault code path.
@@ -268,23 +268,27 @@ class Simulator:
         episode.pickup_times[request.request_id] = t
 
     def _on_dropoff(self, taxi: Taxi, request: RideRequest, t: float) -> None:
-        self._log.record_dropoff(request, t)
+        self._complete_trip(request, t)
         self._scheme.on_request_finished(request)
-        trip = self._log.trips[request.request_id]
-        self._metrics.add_waiting(trip.waiting_time)
-        self._metrics.add_detour(trip.detour_time)
-        self._metrics.completed += 1
-
         episode = self._episodes[taxi.taxi_id]
         episode.dropoff_times[request.request_id] = t
         self._quote_fare(taxi, episode, request, t)
         if taxi.occupancy == 0 and episode.active:
             self._settle_episode(taxi, episode, t)
             episode.active = False
+
+    def _complete_trip(self, request: RideRequest, t: float) -> None:
+        """Log one delivery and fold the trip's samples into the metrics."""
+        rid = request.request_id
+        self._log.record_dropoff(request, t)
+        trip = self._log.trips[rid]
+        self._metrics.add_waiting(trip.waiting_time)
+        self._metrics.add_detour(trip.detour_time)
+        self._metrics.completed += 1
         if self._compact:
             # Soak mode: the trip's samples are folded in; drop the
             # record so the fleet log stays bounded over long streams.
-            self._log.trips.pop(request.request_id, None)
+            self._log.trips.pop(rid, None)
 
     def _quote_fare(self, taxi: Taxi, episode: _EpisodeState,
                     request: RideRequest, t: float) -> None:
@@ -360,18 +364,11 @@ class Simulator:
                 if stops_fired:
                     obs.count("sim.stop_notifications")
                 self._scheme.on_taxi_advanced(taxi, now, stops_fired)
-                was_busy = self._was_busy.get(taxi.taxi_id, False)
-                if taxi.idle and was_busy:
-                    self._scheme.on_taxi_idle(taxi, now)
-                self._was_busy[taxi.taxi_id] = not taxi.idle
                 self._scan_encounters(taxi, traversed)
             if taxi.idle:
                 # Idle taxis may start a demand-seeking cruise (non-peak
                 # probabilistic mode); a no-op for every other scheme.
                 self._scheme.maybe_cruise(taxi, now)
-        # Encounter redispatch reclassifies served_online -> served_offline
-        # within the loop above, so the accounting contract is only checked
-        # here, at the event boundary, where the buckets are consistent.
         contracts.check_request_accounting(self._metrics)
 
     def _register_offline(self, request: RideRequest) -> None:
@@ -423,17 +420,16 @@ class Simulator:
                     continue
                 result = self._scheme.try_offline(taxi, request, t)
                 if result is not None:
-                    self._install(result, request, t, offline=True)
+                    # A failed street hail emits no decision record: the
+                    # passenger keeps waiting for the next taxi.
+                    served = self._record_decision(request, t, result, 0.0, "offline")
+                else:
+                    served = self._redispatch and self._dispatch_online(request, t, "redispatch")
+                if served:
+                    self._metrics.served_offline += 1
                     self._resolve_offline(rid)
-                    continue
-                if self._redispatch:
-                    handled = self._dispatch_online(request, t, count_response=False)
-                    if handled:
-                        self._metrics.served_online -= 1
-                        self._metrics.served_offline += 1
-                        self._resolve_offline(rid)
-                        continue
-                still_waiting.append(request)
+                else:
+                    still_waiting.append(request)
             if still_waiting:
                 self._offline_pool[node] = still_waiting
             else:
@@ -488,7 +484,6 @@ class Simulator:
         tid = taxi.taxi_id
         episode = self._episodes.get(tid)
         onboard, assigned = taxi.break_down()
-        self._was_busy[tid] = False
         # A repositioning cruise dies with the taxi: the plan is already
         # cleared by break_down(), the scheme's eviction hook removes
         # the taxi from every supply index below, and the stale
@@ -517,16 +512,10 @@ class Simulator:
         rid = request.request_id
         root = self._continuation_root.get(rid, request)
         if node == request.destination:
-            # The taxi died exactly at the drop-off vertex: complete the
-            # trip inline (mirrors the ``_on_dropoff`` bookkeeping; the
-            # scheme was already notified and the episode settled).
-            trip = self._log.trips[rid]
-            self._log.record_dropoff(request, now)
-            self._metrics.add_waiting(trip.waiting_time)
-            self._metrics.add_detour(trip.detour_time)
-            self._metrics.completed += 1
-            if self._compact:
-                self._log.trips.pop(rid, None)
+            # The taxi died exactly at the drop-off vertex: the trip is
+            # complete (the scheme was already notified and the episode
+            # settled by ``_handle_breakdown``).
+            self._complete_trip(request, now)
             return
         spec = self._faults.spec
         cont_id = CONTINUATION_ID_BASE + self._cont_serial
@@ -542,11 +531,8 @@ class Simulator:
         self._metrics.continuations += 1
         self._obs.count("fault.continuations")
         self._obs.event("continuation", request=rid, continuation=cont_id, t=now)
-        if self._dispatch_online(cont, now, count_response=False):
-            # ``_install`` counted the continuation as a fresh
-            # ``served_online``; the root request already occupies its
-            # served bucket, so cancel the double count.
-            self._metrics.served_online -= 1
+        if self._dispatch_online(cont, now, "redispatch"):
+            # The root request already occupies its served bucket.
             self._metrics.reassigned += 1
         else:
             self._strand(root)
@@ -555,8 +541,7 @@ class Simulator:
         """Re-dispatch an assigned-but-not-picked-up request."""
         root = self._continuation_root.get(request.request_id, request)
         self._obs.count("fault.redispatches")
-        if self._dispatch_online(request, now, count_response=False):
-            self._metrics.served_online -= 1
+        if self._dispatch_online(request, now, "redispatch"):
             self._metrics.reassigned += 1
         else:
             self._strand(root)
@@ -590,7 +575,6 @@ class Simulator:
                 return  # stranded after a breakdown; already accounted
             if not self._scheme.cancel_assigned(taxi, request, now):
                 return
-            self._was_busy[taxi.taxi_id] = not taxi.idle
             if request.offline:
                 self._metrics.served_offline -= 1
                 self._metrics.cancelled_offline += 1
@@ -645,49 +629,58 @@ class Simulator:
     # ------------------------------------------------------------------
     # dispatching
     # ------------------------------------------------------------------
-    def _install(self, result, request: RideRequest, now: float, offline: bool) -> None:
+    def _install(self, result: MatchResult, request: RideRequest, now: float) -> None:
+        """Apply a match to its taxi and log the assignment."""
         taxi = self._scheme.install(result, request, now)
-        self._was_busy[taxi.taxi_id] = True
         # A real match pre-empts any repositioning cruise: install()
         # replaced the plan wholesale, so just retire the bookkeeping.
         if self._rebalance_dest.pop(taxi.taxi_id, None) is not None:
             self._obs.count("rebalance.abandoned")
         self._log.record_assignment(request, result.taxi_id, now)
-        if offline:
-            self._metrics.served_offline += 1
-            if self.on_decision is not None:
-                self.on_decision(request, now, True, result.taxi_id, 0.0, "offline")
-        else:
-            self._metrics.served_online += 1
 
-    def _dispatch_online(self, request: RideRequest, now: float, count_response: bool = True) -> bool:
-        t0 = time.perf_counter()  # repro-lint: disable=REP003 reason=response-time metric only, never a decision input
-        result = self._scheme.dispatch(request, now)
-        elapsed = time.perf_counter() - t0  # repro-lint: disable=REP003 reason=response-time metric only, never a decision input
+    def _record_decision(self, request: RideRequest, now: float, result: MatchResult | None,
+                         elapsed: float, kind: str) -> bool:
+        """The one place a dispatcher outcome is installed and reported.
+
+        Only a first look (``kind == "online"``) owns an accounting
+        bucket and the response/candidate samples; a street hail or a
+        recovery dispatch moves a request that is already counted, so
+        its caller bumps the bucket it knows about.  Returns whether the
+        request was matched.
+        """
+        if kind == "online":
+            self._metrics.add_response(elapsed)
+            if result is None:
+                self._metrics.unserved_online += 1
+            else:
+                self._metrics.add_candidates(result.num_candidates)
+                self._metrics.served_online += 1
+        if result is not None:
+            self._install(result, request, now)
+        if self.on_decision is not None:
+            taxi_id = None if result is None else result.taxi_id
+            self.on_decision(request, now, result is not None, taxi_id, elapsed, kind)
+        return result is not None
+
+    def _trace_dispatch(self, request: RideRequest, now: float, elapsed: float,
+                        matched: bool, redispatch: bool) -> None:
+        """Stage sample and trace event of one dispatcher look at a request."""
         self._obs.record("sim.dispatch", elapsed)
         self._obs.event(
             "dispatch",
             request=request.request_id,
             t=now,
             elapsed_ms=round(1000.0 * elapsed, 4),
-            matched=result is not None,
-            redispatch=not count_response,
+            matched=matched,
+            redispatch=redispatch,
         )
-        if count_response:
-            self._metrics.add_response(elapsed)
-        kind = "online" if count_response else "redispatch"
-        if result is None:
-            if count_response:
-                self._metrics.unserved_online += 1
-            if self.on_decision is not None:
-                self.on_decision(request, now, False, None, elapsed, kind)
-            return False
-        if count_response:
-            self._metrics.add_candidates(result.num_candidates)
-        self._install(result, request, now, offline=False)
-        if self.on_decision is not None:
-            self.on_decision(request, now, True, result.taxi_id, elapsed, kind)
-        return True
+
+    def _dispatch_online(self, request: RideRequest, now: float, kind: str = "online") -> bool:
+        t0 = time.perf_counter()  # repro-lint: disable=REP003 reason=response-time metric only, never a decision input
+        result = self._scheme.dispatch(request, now)
+        elapsed = time.perf_counter() - t0  # repro-lint: disable=REP003 reason=response-time metric only, never a decision input
+        self._trace_dispatch(request, now, elapsed, result is not None, kind != "online")
+        return self._record_decision(request, now, result, elapsed, kind)
 
     # ------------------------------------------------------------------
     # run orchestration (batch and streaming share every piece below)
@@ -695,18 +688,17 @@ class Simulator:
     def run(self) -> SimulationMetrics:
         """Execute the full workload and return the collected metrics.
 
-        Batch mode is one kernel client: every request becomes a
-        ``request.release`` event (heap order restores any ingestion
-        disorder), the post-release drain is a chain of ``drain.tick``
-        events, and the boundary work per event is exactly the classic
-        loop's — so decision traces are bit-identical to the pre-kernel
-        engine.
+        Batch mode is the stream fed all at once: every constructor
+        request goes through the same admit step as
+        :meth:`stream_submit` and becomes a ``request.release`` event
+        (heap order restores any ingestion disorder), the post-release
+        drain is a chain of ``drain.tick`` events, and the boundary work
+        per event is exactly the classic loop's — so decision traces are
+        bit-identical to the pre-kernel engine.
         """
-        self._start_run(count_population=True)
+        self._start_run()
         for request in self._requests:
-            self._kernel.schedule(request.release_time, REQUEST_RELEASE, request)
-        self._kernel.run()
-        self._drain()
+            self._admit(request)
         return self._finish_run()
 
     def _tallies(self) -> dict[str, int]:
@@ -715,33 +707,29 @@ class Simulator:
         out.update(memo_stats(self._scheme.memos()))
         return out
 
-    def _start_run(self, count_population: bool) -> None:
+    def _start_run(self) -> None:
         """Prepare metrics baselines and the fleet for event dispatch."""
         self._wall_start = time.perf_counter()  # repro-lint: disable=REP003 reason=wall_time_s metric only, never a decision input
         # The engine, network and landmark graph may be shared across runs
         # (scenarios memoise them), so their tallies are reported as this
         # run's delta.
         self._tally_base = self._tallies()
-        if count_population:
-            self._metrics.num_requests = len(self._requests)
-            self._metrics.num_online = sum(1 for r in self._requests if not r.offline)
-            self._metrics.num_offline = self._metrics.num_requests - self._metrics.num_online
-            if self._faults is not None:
-                self._request_by_id = {r.request_id: r for r in self._requests}
-
         self._scheme.register_fleet(self._fleet, now=0.0)
-        for taxi in self._fleet.values():
-            busy = not taxi.idle
-            self._was_busy[taxi.taxi_id] = busy
-            # A taxi idle from t=0 never crosses a busy->idle transition,
-            # so the _advance_all hook would never fire for it and an
-            # untouched fleet stayed invisible to idle-driven policies
-            # (rebalancing, cruising cooldowns).  The base hook is an
-            # idempotent re-index (grids are insert-or-move, the
-            # partition index replaces), so firing it after
-            # register_fleet cannot change any dispatch decision.
-            if not busy and not taxi.out_of_service:
-                self._scheme.on_taxi_idle(taxi, 0.0)
+
+    def _count_request(self, request: RideRequest) -> None:
+        """Add one request to the workload population counters."""
+        self._metrics.num_requests += 1
+        if request.offline:
+            self._metrics.num_offline += 1
+        else:
+            self._metrics.num_online += 1
+
+    def _admit(self, request: RideRequest) -> None:
+        """Count one request and queue its release (batch and streaming)."""
+        self._count_request(request)
+        if self._faults is not None:
+            self._request_by_id[request.request_id] = request
+        self._kernel.schedule(request.release_time, REQUEST_RELEASE, request)
 
     def _boundary(self, now: float) -> None:
         """The per-event boundary: advance the fleet, commit the clock,
@@ -830,13 +818,10 @@ class Simulator:
         live: list[RideRequest] = []
         for request in batch:
             if now > request.pickup_deadline:
-                self._metrics.add_response(0.0)
-                self._metrics.unserved_online += 1
                 self._obs.count("window.expired")
-                if self.on_decision is not None:
-                    self.on_decision(request, now, False, None, 0.0, "online")
-                continue
-            live.append(request)
+                self._record_decision(request, now, None, 0.0, "online")
+            else:
+                live.append(request)
         if not live:
             return
         t0 = time.perf_counter()  # repro-lint: disable=REP003 reason=response-time metric only, never a decision input
@@ -848,31 +833,13 @@ class Simulator:
         self._obs.count("window.batched_requests", len(live))
         rollover = self._window_s is not None and self._window_s > 0.0
         for request, result in outcomes:
-            self._obs.record("sim.dispatch", share)
-            self._obs.event(
-                "dispatch",
-                request=request.request_id,
-                t=now,
-                elapsed_ms=round(1000.0 * share, 4),
-                matched=result is not None,
-                redispatch=False,
-            )
-            if result is not None:
-                self._metrics.add_response(share)
-                self._metrics.add_candidates(result.num_candidates)
-                self._install(result, request, now, offline=False)
-                self._obs.count("window.matched")
-                if self.on_decision is not None:
-                    self.on_decision(request, now, True, result.taxi_id, share, "online")
-            elif rollover and now < request.pickup_deadline:
+            self._trace_dispatch(request, now, share, result is not None, False)
+            if result is None and rollover and now < request.pickup_deadline:
                 self._window_buffer.append(request)
                 self._obs.count("window.rolled")
             else:
-                self._metrics.add_response(share)
-                self._metrics.unserved_online += 1
-                self._obs.count("window.unmatched")
-                if self.on_decision is not None:
-                    self.on_decision(request, now, False, None, share, "online")
+                self._obs.count("window.unmatched" if result is None else "window.matched")
+                self._record_decision(request, now, result, share, "online")
 
     # ------------------------------------------------------------------
     # proactive repositioning (repro.fleet.rebalance)
@@ -986,7 +953,9 @@ class Simulator:
             self._kernel.schedule(min(now + DRAIN_STEP_S, deadline), DRAIN_TICK, deadline)
 
     def _finish_run(self) -> SimulationMetrics:
-        """Close the books: offline sweep, episode settlement, gauges."""
+        """Flush the queue, drain, close the books (offline sweep, settlement, gauges)."""
+        self._kernel.run()
+        self._drain()
         now = self._now
 
         # Requests still buffered in an open dispatch window (a stream
@@ -1060,11 +1029,10 @@ class Simulator:
     def stream_begin(self) -> None:
         """Start an incremental run fed by :meth:`stream_submit`.
 
-        The workload population counters grow per submission instead of
-        being counted up front; everything else — the kernel, the event
-        boundary, the drain, the final accounting — is shared with
-        :meth:`run`, which is what makes batch and streamed replays of
-        the same workload bit-identical.
+        Everything from here on — the per-request admit step, the
+        kernel, the event boundary, the drain, the final accounting —
+        is shared with :meth:`run`, which is what makes batch and
+        streamed replays of the same workload bit-identical.
         """
         if self._streaming:
             raise RuntimeError("stream_begin() called twice")
@@ -1074,7 +1042,7 @@ class Simulator:
                 "construct the simulator with requests=[]"
             )
         self._streaming = True
-        self._start_run(count_population=False)
+        self._start_run()
 
     def stream_submit(self, request: RideRequest) -> None:
         """Accept one request into the event queue.
@@ -1088,14 +1056,7 @@ class Simulator:
         """
         if not self._streaming:
             raise RuntimeError("stream_submit() before stream_begin()")
-        self._metrics.num_requests += 1
-        if request.offline:
-            self._metrics.num_offline += 1
-        else:
-            self._metrics.num_online += 1
-        if self._faults is not None:
-            self._request_by_id[request.request_id] = request
-        self._kernel.schedule(request.release_time, REQUEST_RELEASE, request)
+        self._admit(request)
 
     def stream_pump(self, until: float | None = None) -> int:
         """Dispatch queued events (optionally only up to ``until``)."""
@@ -1107,8 +1068,6 @@ class Simulator:
         """End the stream: flush the queue, drain, close the books."""
         if not self._streaming:
             raise RuntimeError("stream_finish() before stream_begin()")
-        self._kernel.run()
-        self._drain()
         self._streaming = False
         return self._finish_run()
 
@@ -1120,12 +1079,10 @@ class Simulator:
         identity (:meth:`SimulationMetrics.check_balance`) closes
         without the dispatcher ever seeing the request.
         """
-        self._metrics.num_requests += 1
+        self._count_request(request)
         if request.offline:
-            self._metrics.num_offline += 1
             self._metrics.rejected_offline += 1
         else:
-            self._metrics.num_online += 1
             self._metrics.rejected_online += 1
         self._obs.count(f"service.rejected.{reason}")
         self._obs.event(

@@ -30,7 +30,6 @@ __all__ = [
     "EventSpec",
     "REBALANCE_TICK",
     "REQUEST_RELEASE",
-    "TIMER",
     "WINDOW_TICK",
     "priority_of",
 ]
@@ -46,9 +45,6 @@ WINDOW_TICK = "window.tick"
 
 #: Proactive-repositioning boundary steering surplus idle taxis.
 REBALANCE_TICK = "rebalance.tick"
-
-#: Generic timer event for services and tests.
-TIMER = "timer"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,11 +86,6 @@ EVENT_TABLE: dict[str, EventSpec] = {
         # streaming runs alike.
         priority=2,
         description="proactive-repositioning boundary moving surplus idle taxis",
-    ),
-    TIMER: EventSpec(  # repro-lint: disable=REP105 reason=generic reusable kind; its subscribers are downstream service clients and the kernel tests, not src/repro
-        TIMER,
-        priority=0,
-        description="generic reusable timer for services and tests",
     ),
 }
 

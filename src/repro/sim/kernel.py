@@ -1,6 +1,6 @@
 """Policy-agnostic discrete-event kernel.
 
-The kernel owns the three things every event-driven simulation needs
+The kernel owns the two things every event-driven simulation needs
 and nothing else (the ab-sim design: *"Engine is framework-like —
 events + queue + time; knows nothing about TNCs"*):
 
@@ -8,11 +8,7 @@ events + queue + time; knows nothing about TNCs"*):
   seq)`` tie-break so equal-time events fire in scheduling order;
 * the **committed clock** — monotone by construction, because events
   can only be scheduled at or after ``now`` and are popped in heap
-  order;
-* a **named-RNG registry** — every consumer of randomness asks for a
-  stream by name and gets a generator whose seed is derived from
-  ``(root_seed, name)``, so adding a new consumer never perturbs the
-  draws of an existing one.
+  order.
 
 Domain logic lives in *handlers* registered per event kind: the
 :class:`~repro.sim.engine.Simulator` subscribes its request-release and
@@ -38,8 +34,6 @@ Event taxonomy (see docs/ARCHITECTURE.md):
     per-partition idle supply against predicted near-future demand and
     steers surplus idle taxis onto cruise routes toward deficit-zone
     landmarks (:mod:`repro.fleet.rebalance`); no payload.
-``timer``
-    Generic reusable kind for service/test timers.
 
 The kind strings and their same-instant priorities live in one central
 table (:mod:`repro.sim.events`); the constants below are re-exports so
@@ -51,36 +45,24 @@ checker (REP105) enforces both statically.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from .events import (
-    DRAIN_TICK,
-    EVENT_TABLE,
-    REBALANCE_TICK,
-    REQUEST_RELEASE,
-    TIMER,
-    WINDOW_TICK,
-)
+from .events import DRAIN_TICK, EVENT_TABLE, REBALANCE_TICK, REQUEST_RELEASE, WINDOW_TICK
 
 __all__ = [
     "DRAIN_TICK",
     "EVENT_TABLE",
     "REBALANCE_TICK",
     "REQUEST_RELEASE",
-    "TIMER",
     "WINDOW_TICK",
     "Event",
     "EventQueue",
     "Kernel",
     "KernelError",
-    "RngRegistry",
     "ScheduledInPast",
 ]
 
@@ -155,56 +137,14 @@ class EventQueue:
         return self._heap[0][1].time if self._heap else None
 
 
-class RngRegistry:
-    """Named, independently seeded random streams.
-
-    ``stream(name)`` memoises one :class:`numpy.random.Generator` per
-    name, seeded by ``sha256(f"{root_seed}:{name}")`` — stable across
-    processes and platforms, independent of registration order, and
-    collision-free for practical purposes.  A new named consumer never
-    changes the draws an existing consumer sees, which is the property
-    ad-hoc ``seed + k`` schemes lose.
-    """
-
-    __slots__ = ("_root_seed", "_streams")
-
-    def __init__(self, root_seed: int = 0) -> None:
-        self._root_seed = int(root_seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    @property
-    def root_seed(self) -> int:
-        """The seed every named stream is derived from."""
-        return self._root_seed
-
-    def seed_for(self, name: str) -> int:
-        """The derived 128-bit seed material of one named stream."""
-        digest = hashlib.sha256(f"{self._root_seed}:{name}".encode()).digest()
-        return int.from_bytes(digest[:16], "big")
-
-    def stream(self, name: str) -> np.random.Generator:
-        """The (memoised) generator of one named stream."""
-        rng = self._streams.get(name)
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed_for(name)))
-            self._streams[name] = rng
-        return rng
-
-    def names(self) -> list[str]:
-        """Streams handed out so far, sorted."""
-        return sorted(self._streams)
-
-
 @dataclass
 class Kernel:
-    """Event queue + committed clock + RNG registry.
+    """Event queue + committed clock.
 
     Parameters
     ----------
     start_time:
         Initial committed clock value.
-    seed:
-        Root seed of the named-RNG registry.
 
     Handlers subscribe per event kind and run in subscription order.
     ``run()`` pops events until the queue is empty (or a bound is hit),
@@ -214,14 +154,12 @@ class Kernel:
     """
 
     start_time: float = 0.0
-    seed: int = 0
     _queue: EventQueue = field(default_factory=EventQueue)
     _handlers: dict[str, list[Callable[[Event], None]]] = field(default_factory=dict)
     _seq: "itertools.count[int]" = field(default_factory=itertools.count)
     _now: float = 0.0
     _processed: int = 0
     _scheduled: int = 0
-    _rng: RngRegistry | None = None
 
     def __post_init__(self) -> None:
         self._now = float(self.start_time)
@@ -246,13 +184,6 @@ class Kernel:
     def events_scheduled(self) -> int:
         """Events accepted into the queue so far."""
         return self._scheduled
-
-    @property
-    def rng(self) -> RngRegistry:
-        """The named-RNG registry (created lazily from ``seed``)."""
-        if self._rng is None:
-            self._rng = RngRegistry(self.seed)
-        return self._rng
 
     def peek_time(self) -> float | None:
         """Time of the next pending event, or ``None``."""

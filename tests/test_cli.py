@@ -160,3 +160,16 @@ class TestReplay:
         with open(decisions, encoding="utf-8") as fh:
             stream = [json.loads(line) for line in fh]
         assert sorted(d["request_id"] for d in stream) == list(range(200))
+
+    def test_replay_unwritable_decisions_path_is_a_clean_error(self, tmp_path, capsys):
+        # Like `simulate --trace`: a sink that cannot be opened is a
+        # usage error (exit 2), reported before the scenario is built.
+        code = main(
+            [
+                "replay", str(tmp_path / "trace.jsonl"),
+                "--decisions", str(tmp_path / "no_such_dir" / "decisions.jsonl"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_such_dir" in err

@@ -5,12 +5,10 @@ import pytest
 from repro.sim.kernel import (
     DRAIN_TICK,
     REQUEST_RELEASE,
-    TIMER,
     Event,
     EventQueue,
     Kernel,
     KernelError,
-    RngRegistry,
     ScheduledInPast,
 )
 
@@ -19,24 +17,24 @@ class TestEventQueue:
     def test_heap_orders_by_time(self):
         q = EventQueue()
         for i, t in enumerate([5.0, 1.0, 3.0, 2.0, 4.0]):
-            q.push(Event(time=t, kind=TIMER, seq=i))
+            q.push(Event(time=t, kind=DRAIN_TICK, seq=i))
         assert [q.pop().time for _ in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_equal_time_stable_by_seq(self):
         q = EventQueue()
         for i in range(10):
-            q.push(Event(time=7.0, kind=TIMER, seq=i, payload=i))
+            q.push(Event(time=7.0, kind=DRAIN_TICK, seq=i, payload=i))
         assert [q.pop().payload for _ in range(10)] == list(range(10))
 
     def test_priority_breaks_ties_before_seq(self):
         q = EventQueue()
-        q.push(Event(time=1.0, kind=TIMER, seq=0, payload="late", priority=1))
-        q.push(Event(time=1.0, kind=TIMER, seq=1, payload="early", priority=0))
+        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=0, payload="late", priority=1))
+        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=1, payload="early", priority=0))
         assert q.pop().payload == "early"
 
     def test_peek_does_not_remove(self):
         q = EventQueue()
-        q.push(Event(time=1.0, kind=TIMER, seq=0))
+        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=0))
         assert q.peek().time == 1.0
         assert len(q) == 1
         assert q.peek_time() == 1.0
@@ -55,22 +53,22 @@ class TestKernelClock:
     def test_clock_commits_monotonically(self):
         kernel = Kernel()
         seen = []
-        kernel.subscribe(TIMER, lambda e: seen.append(kernel.now))
+        kernel.subscribe(DRAIN_TICK, lambda e: seen.append(kernel.now))
         for t in (30.0, 10.0, 20.0):
-            kernel.schedule(t, TIMER)
+            kernel.schedule(t, DRAIN_TICK)
         kernel.run()
         assert seen == [10.0, 20.0, 30.0]
         assert kernel.now == 30.0
 
     def test_schedule_in_past_refused(self):
         kernel = Kernel()
-        kernel.subscribe(TIMER, lambda e: None)
-        kernel.schedule(10.0, TIMER)
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
+        kernel.schedule(10.0, DRAIN_TICK)
         kernel.run()
         with pytest.raises(ScheduledInPast):
-            kernel.schedule(9.0, TIMER)
+            kernel.schedule(9.0, DRAIN_TICK)
         # At the committed clock is fine (same-instant follow-up work).
-        kernel.schedule(10.0, TIMER)
+        kernel.schedule(10.0, DRAIN_TICK)
 
     def test_handler_may_schedule_followups(self):
         kernel = Kernel()
@@ -79,19 +77,19 @@ class TestKernelClock:
         def tick(event):
             fired.append(event.time)
             if event.time < 3.0:
-                kernel.schedule(event.time + 1.0, TIMER)
+                kernel.schedule(event.time + 1.0, DRAIN_TICK)
 
-        kernel.subscribe(TIMER, tick)
-        kernel.schedule(1.0, TIMER)
+        kernel.subscribe(DRAIN_TICK, tick)
+        kernel.schedule(1.0, DRAIN_TICK)
         kernel.run()
         assert fired == [1.0, 2.0, 3.0]
 
     def test_run_until_bound_is_exclusive_beyond(self):
         kernel = Kernel()
         fired = []
-        kernel.subscribe(TIMER, lambda e: fired.append(e.time))
+        kernel.subscribe(DRAIN_TICK, lambda e: fired.append(e.time))
         for t in (1.0, 2.0, 3.0):
-            kernel.schedule(t, TIMER)
+            kernel.schedule(t, DRAIN_TICK)
         assert kernel.run(until=2.0) == 2
         assert fired == [1.0, 2.0]
         assert kernel.pending == 1
@@ -99,9 +97,9 @@ class TestKernelClock:
 
     def test_max_events_bound(self):
         kernel = Kernel()
-        kernel.subscribe(TIMER, lambda e: None)
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
         for t in range(5):
-            kernel.schedule(float(t), TIMER)
+            kernel.schedule(float(t), DRAIN_TICK)
         assert kernel.run(max_events=2) == 2
         assert kernel.pending == 3
 
@@ -110,9 +108,9 @@ class TestKernelClock:
 
     def test_counters(self):
         kernel = Kernel()
-        kernel.subscribe(TIMER, lambda e: None)
-        kernel.schedule(1.0, TIMER)
-        kernel.schedule(2.0, TIMER)
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
+        kernel.schedule(1.0, DRAIN_TICK)
+        kernel.schedule(2.0, DRAIN_TICK)
         kernel.run()
         assert kernel.events_scheduled == 2
         assert kernel.events_processed == 2
@@ -120,9 +118,9 @@ class TestKernelClock:
     def test_handlers_fire_in_subscription_order(self):
         kernel = Kernel()
         order = []
-        kernel.subscribe(TIMER, lambda e: order.append("a"))
-        kernel.subscribe(TIMER, lambda e: order.append("b"))
-        kernel.schedule(1.0, TIMER)
+        kernel.subscribe(DRAIN_TICK, lambda e: order.append("a"))
+        kernel.subscribe(DRAIN_TICK, lambda e: order.append("b"))
+        kernel.schedule(1.0, DRAIN_TICK)
         kernel.run()
         assert order == ["a", "b"]
 
@@ -142,38 +140,3 @@ class TestKernelClock:
         kernel.schedule(3.0, REQUEST_RELEASE)
         kernel.run()
         assert hits == {REQUEST_RELEASE: 2, DRAIN_TICK: 1}
-
-
-class TestRngRegistry:
-    def test_streams_are_deterministic(self):
-        a = RngRegistry(42).stream("cruise").random(4).tolist()
-        b = RngRegistry(42).stream("cruise").random(4).tolist()
-        assert a == b
-
-    def test_streams_differ_by_name_and_seed(self):
-        reg = RngRegistry(42)
-        assert reg.stream("a").random(4).tolist() != reg.stream("b").random(4).tolist()
-        assert (
-            RngRegistry(42).stream("a").random(4).tolist()
-            != RngRegistry(43).stream("a").random(4).tolist()
-        )
-
-    def test_new_consumer_does_not_perturb_existing(self):
-        # The property ad-hoc ``seed + k`` schemes lose: draws of one
-        # named stream are independent of which other streams exist.
-        solo = RngRegistry(7)
-        solo_draws = solo.stream("dispatch").random(8).tolist()
-        crowded = RngRegistry(7)
-        crowded.stream("faults")
-        crowded.stream("cruise")
-        assert crowded.stream("dispatch").random(8).tolist() == solo_draws
-
-    def test_stream_memoised(self):
-        reg = RngRegistry(0)
-        assert reg.stream("x") is reg.stream("x")
-        assert reg.names() == ["x"]
-
-    def test_kernel_lazy_registry(self):
-        kernel = Kernel(seed=5)
-        assert kernel.rng.root_seed == 5
-        assert kernel.rng is kernel.rng

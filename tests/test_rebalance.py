@@ -6,9 +6,8 @@ Four properties anchor the subsystem:
 * the planner is a pure, deterministic function of the supply census
   and the fitted demand rates — surplus zones donate, deficit zones
   receive, caps and in-flight credits are honoured;
-* the idle-at-start lifecycle bug is fixed: every taxi idle from t=0
-  receives the ``on_taxi_idle`` hook (this regression FAILS on the
-  pre-PR engine, which only fired it on a busy->idle transition);
+* a fleet parked since t=0 is matchable and counted by the first
+  census without any idle announcement (``register_fleet`` indexed it);
 * rebalanced runs are deterministic (double run and the streaming
   façade agree bit-for-bit), a disabled policy leaves the run on the
   pre-rebalancing code path, and the request accounting closes with
@@ -31,6 +30,7 @@ from repro.fleet.rebalance import (
 from repro.fleet.taxi import Taxi, TaxiRoute
 from repro.sim.engine import Simulator
 
+from tests.conftest import make_request
 from tests.test_runner_parallel import decision_fingerprint
 
 
@@ -225,26 +225,34 @@ class TestCruisingProperty:
 
 
 # ----------------------------------------------------------------------
-# the idle-at-start lifecycle fix (satellite 1 — FAILS on HEAD)
+# a fleet parked since t=0 needs no announcement: register_fleet indexed it
 # ----------------------------------------------------------------------
-class TestIdleAtStartHook:
-    def test_initial_fleet_receives_on_taxi_idle(self, test_scenario):
-        scheme = test_scenario.make_scheme("mt-share")
-        seen: list[tuple[int, float]] = []
-        original = scheme.on_taxi_idle
+class TestParkedSinceStart:
+    def test_untouched_fleet_is_matchable_and_censused(self, test_scenario):
+        policy = test_scenario.rebalance_policy(REB_SPEC)
+        censuses: list[list[int]] = []
+        plan_moves = policy.plan_moves
 
-        def spy(taxi, now):
-            seen.append((taxi.taxi_id, now))
-            original(taxi, now)
+        def spy(supply, in_flight, now):
+            censuses.append(sorted(tid for tids in supply.values() for tid in tids))
+            return plan_moves(supply, in_flight, now)
 
-        scheme.on_taxi_idle = spy
+        policy.plan_moves = spy
         fleet = test_scenario.make_fleet(8, seed=1)
-        Simulator(scheme, fleet, []).run()
-        # Every taxi starts parked and must be announced idle at t=0;
-        # the old engine only fired the hook on a busy->idle transition,
-        # leaving an untouched fleet invisible to idle-driven policies.
-        assert {tid for tid, _ in seen} == {t.taxi_id for t in fleet}
-        assert all(now == 0.0 for _, now in seen)
+        origin = fleet[3].loc
+        destination = (origin + 40) % test_scenario.network.num_vertices
+        hail = make_request(
+            request_id=1, release_time=30.0, origin=origin, destination=destination,
+            direct_cost=test_scenario.engine.cost(origin, destination),
+        )
+        sim = Simulator(test_scenario.make_scheme("mt-share"), fleet, [hail], rebalance=policy)
+        m = sim.run()
+        # No taxi has moved or been re-indexed since register_fleet, yet
+        # the first request is matched and the first census counts every
+        # taxi still parked.
+        assert m.served_online == 1
+        winner = sim.log.trips[1].taxi_id
+        assert censuses[0] == sorted(t.taxi_id for t in fleet if t.taxi_id != winner)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ event sequence.  On top of that, admission control (duplicate, late,
 backpressure) must keep the request-accounting identity closed.
 """
 
+import dataclasses
 import json
 import random
 import threading
@@ -47,6 +48,8 @@ SERVICE_SPEC = ScenarioSpec(
     offline_count=10,
     seed=3,
 )
+
+NONPEAK_SERVICE_SPEC = dataclasses.replace(SERVICE_SPEC, kind="nonpeak", offline_count=30)
 
 MEASURED_KEYS = frozenset(
     {"response_ms", "stage_candidates_ms", "stage_insertion_ms", "stage_planning_ms"}
@@ -123,9 +126,85 @@ class TestEquivalence:
         unmatched = sum(1 for d in online if d.status == "unmatched")
         assert matched + unmatched == m.num_online
         assert unmatched == m.unserved_online
-        # Offline installs surface with their own kind.
-        offline = [d for d in service.decisions if d.kind == "offline"]
-        assert all(d.status == "matched" for d in offline)
+
+    @staticmethod
+    def _streams_agree(make_sim, workload):
+        """Batch ``on_decision`` tuples == streamed records, one by one."""
+        seen = []
+        batch_sim = make_sim(workload)
+        batch_sim.on_decision = lambda request, now, matched, taxi_id, elapsed_s, kind: (
+            seen.append((request.request_id, matched, taxi_id, kind))
+        )
+        bm = batch_sim.run()
+        service = DispatchService(make_sim([]))
+        # Delivered in release order and pumped up to each release: an
+        # unbounded pump would fire window/rebalance ticks ahead of the
+        # stream and turn the next submission into a late arrival.
+        for request in sorted(workload, key=lambda r: (r.release_time, r.request_id)):
+            assert service.submit(request).accepted
+            service.pump(until=request.release_time)
+        sm = service.finish()
+        streamed = [
+            (d.request_id, d.status == "matched", d.taxi_id, d.kind) for d in service.decisions
+        ]
+        assert streamed == seen
+        assert decision_fingerprint(sm) == decision_fingerprint(bm)
+        # Exactly one first-look record per online request, however many
+        # recovery dispatches or window roll-overs it went through.
+        first_looks = sorted(rid for rid, _matched, _taxi, kind in seen if kind == "online")
+        assert first_looks == sorted(r.request_id for r in workload if not r.offline)
+        return bm, seen
+
+    def test_all_decision_kinds_match_batch_under_churn(self):
+        # Non-peak: street hails, encounter hand-offs, breakdown
+        # recovery and rebalancing all reach the decision stream.
+        scenario = get_scenario(NONPEAK_SERVICE_SPEC)
+        workload = scenario.requests()
+
+        def make_sim(requests):
+            fleet = scenario.make_fleet(15, seed=1)
+            return Simulator(
+                scenario.make_scheme("mt-share"), fleet, requests, payment=PaymentModel(),
+                faults=scenario.fault_plan("seed=7,breakdown_rate=0.4,cancel_rate=0.2",
+                                           fleet, workload),
+                rebalance=scenario.rebalance_policy("on"),
+            )
+
+        bm, seen = self._streams_agree(make_sim, workload)
+        outcomes = {(kind, matched) for _rid, matched, _taxi, kind in seen}
+        assert {("online", True), ("online", False), ("redispatch", True),
+                ("redispatch", False), ("offline", True)} <= outcomes
+        # A failed street hail emits no record.
+        assert ("offline", False) not in outcomes
+        assert bm.breakdowns > 0 and bm.reassigned > 0
+        assert bm.counters.get("rebalance.moves", 0) > 0
+
+    def test_window_decisions_match_batch(self, svc_scenario):
+        # A 5-taxi fleet against W = 30 s: most requests roll over and
+        # expire.  A terminal "unmatched" needs a flush exactly at the
+        # pick-up deadline, so a few requests are pinned to the W-grid.
+        config = svc_scenario.default_config(dispatch_window_s=30.0)
+        pinned = []
+        far = svc_scenario.network.num_vertices - 1
+        for k, (origin, destination) in enumerate([(0, far), (far, 0), (7, far - 7), (far - 7, 7)]):
+            tick = 300.0 * (k + 1)
+            cost = svc_scenario.engine.cost(origin, destination)
+            pinned.append(RideRequest(
+                request_id=9000 + k, release_time=tick - 12.0, origin=origin,
+                destination=destination, deadline=tick + cost, direct_cost=cost,
+            ))
+            assert pinned[-1].pickup_deadline == tick
+        workload = svc_scenario.requests() + pinned
+
+        def make_sim(requests):
+            return Simulator(
+                svc_scenario.make_scheme("window-lap", config=config),
+                svc_scenario.make_fleet(5, seed=1), requests, payment=PaymentModel(),
+            )
+
+        bm, _ = self._streams_agree(make_sim, workload)
+        for outcome in ("matched", "expired", "rolled", "unmatched"):
+            assert bm.counters.get(f"window.{outcome}", 0) > 0, outcome
 
 
 class TestAdmission:
