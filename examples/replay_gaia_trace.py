@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Replay a GAIA-format trace file and render the city as SVG.
+"""Replay a GAIA-format trace file through the dispatcher.
 
 Demonstrates the data pipeline a user with the real Didi GAIA Chengdu
 files would run: read the CSV, map-match the trips onto a road network,
-mine the history, dispatch the busiest hour, analyse the run and render
-the partitioning, demand heat map, and a few shared routes to SVG files
-under ``examples/output/``.
+mine the history, dispatch the busiest hour and analyse the run.
 
 For self-containment this script first *exports* a synthetic trace to
 the GAIA format and then treats that file as the input — swap the path
@@ -20,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from repro import MTShare, PaymentModel, ShortestPathEngine, Simulator, bipartite_partition, grid_city
-from repro import viz
 from repro.config import SystemConfig
 from repro.demand.generator import ChengduLikeDemand
 from repro.experiments.analysis import run_report
@@ -70,22 +67,6 @@ def main() -> None:
     sim.run()
     print()
     print(run_report(sim))
-
-    # --- stage 5: render what happened ---------------------------------
-    viz.save(viz.render_partitions(network, partitioning),
-             out_dir / "partitions.svg")
-    pickups = np.zeros(network.num_vertices)
-    np.add.at(pickups, history.origins, 1.0)
-    viz.save(viz.render_demand(network, pickups, title="historical pick-ups"),
-             out_dir / "demand.svg")
-    # The three longest completed shared routes.
-    trips = sorted(sim.log.completed(), key=lambda t: -t.shared_travel_cost)[:3]
-    routes = [engine.path(t.request.origin, t.request.destination) for t in trips]
-    markers = [t.request.origin for t in trips] + [t.request.destination for t in trips]
-    viz.save(viz.render_routes(network, routes, markers=markers,
-                               title="longest shared trips (direct paths)"),
-             out_dir / "routes.svg")
-    print(f"\nSVG renderings written to {out_dir}/")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ The per-file checkers (REP001..REP008) see one module at a time; every
 determinism bug this repo has shipped and later fixed crossed module
 boundaries (the PR 3 landmark-adjacency order leak, the PR 6 clock
 corruption).  This module builds the structure the cross-module
-checkers (:mod:`.effects`, :mod:`.concurrency`, :mod:`.protocol`) walk:
-a **module-qualified call graph** over every linted file.
+checker (:mod:`.effects`) walks: a **module-qualified call graph** over
+every linted file.
 
 Resolution is deliberately layered, most precise first:
 
@@ -32,11 +32,11 @@ explicitly because the dispatch path runs through them:
 * the **scheme registry** — ``SCHEME_REGISTRY = {...SchemeInfo(...,
   factory)}``: callers of ``.factory(...)`` or ``make_scheme(...)``
   gain edges to every registered factory;
-* **event subscriptions** — ``kernel.subscribe(KIND, handler)``
-  registers ``handler`` for ``KIND``; every ``kernel.schedule(...,
-  KIND, ...)`` site (and the kernel's own dispatch loop) gains edges to
-  the subscribed handlers, so scheduling an event *reaches* its
-  consequences in the graph.
+* **event subscriptions** — ``kernel.subscribe(KIND, handler)`` hands
+  ``handler`` to the kernel's dispatch loop, which no syntactic edge
+  reaches; every such handler is recorded as an **entry point**
+  (:attr:`CallGraph.subscribed_handlers`) and the effect contracts
+  take them as roots.
 
 The result over-approximates reachability (that is the point: the
 effect contracts are "nothing effectful is reachable", so missing
@@ -147,8 +147,8 @@ class CallGraph:
         self.attr_types: dict[tuple[str, str], str] = {}
         #: caller qualname -> callee qualnames.
         self.edges: dict[str, set[str]] = {}
-        #: event kind string -> subscribed handler qualnames.
-        self.subscribers: dict[str, list[str]] = {}
+        #: qualnames of every function passed to a ``.subscribe(`` call.
+        self.subscribed_handlers: list[str] = []
         #: registry factory function qualnames (scheme indirection).
         self.registry_factories: list[str] = []
 
@@ -217,7 +217,8 @@ def build_call_graph(parsed: list[tuple[str, ast.Module]]) -> CallGraph:
         _collect_registry(graph, info)
     for info in graph.modules.values():
         _collect_edges(graph, info)
-    _wire_event_indirection(graph)
+    _collect_subscriptions(graph)
+    _wire_registry_indirection(graph)
     return graph
 
 
@@ -510,95 +511,45 @@ def _resolve_call(
 
 
 # ----------------------------------------------------------------------
-# event-subscription indirection
+# event-subscription and registry indirection
 # ----------------------------------------------------------------------
-def _kind_string(graph: CallGraph, info: ModuleInfo, node: ast.AST) -> str | None:
-    """The event-kind string an expression denotes, when decidable."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Name):
-        # Constants re-exported through repro.sim.events/kernel all
-        # follow NAME = "kind" at module level somewhere in the tree.
-        for mod in graph.modules.values():
-            for stmt in mod.tree.body:
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == node.id
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    return stmt.value.value
-    return None
+def _collect_subscriptions(graph: CallGraph) -> None:
+    """Record every ``x.subscribe(kind, handler)`` handler as an entry point."""
+    for fn in graph.functions.values():
+        info = graph.modules[fn.path]
+        for call in _calls_in(fn.node):
+            func = call.func
+            if not (isinstance(func, ast.Attribute) and func.attr == "subscribe"):
+                continue
+            if len(call.args) < 2:
+                continue
+            handler = call.args[1]
+            if (
+                isinstance(handler, ast.Attribute)
+                and isinstance(handler.value, ast.Name)
+                and handler.value.id == "self"
+                and fn.cls is not None
+            ):
+                graph.subscribed_handlers.extend(
+                    _method_targets(graph, fn.cls, handler.attr)
+                )
+            elif isinstance(handler, ast.Name):
+                local = f"{info.module}.{handler.id}"
+                if local in graph.functions:
+                    graph.subscribed_handlers.append(local)
 
 
-def _wire_event_indirection(graph: CallGraph) -> None:
-    """schedule(KIND) reaches every handler subscribe(KIND) registered."""
-    # Pass 1: collect subscriptions.
-    for info in graph.modules.values():
-        for qual, fn in graph.functions.items():
-            if fn.path != info.path:
-                continue
-            for call in _calls_in(fn.node):
-                func = call.func
-                if not (isinstance(func, ast.Attribute) and func.attr == "subscribe"):
-                    continue
-                if len(call.args) < 2:
-                    continue
-                kind = _kind_string(graph, info, call.args[0])
-                if kind is None:
-                    continue
-                handler = call.args[1]
-                targets: list[str] = []
-                if (
-                    isinstance(handler, ast.Attribute)
-                    and isinstance(handler.value, ast.Name)
-                    and handler.value.id == "self"
-                    and fn.cls is not None
-                ):
-                    targets = _method_targets(graph, fn.cls, handler.attr)
-                elif isinstance(handler, ast.Name):
-                    local = f"{info.module}.{handler.id}"
-                    if local in graph.functions:
-                        targets = [local]
-                for target in targets:
-                    graph.subscribers.setdefault(kind, []).append(target)
-    # Pass 2: edges from schedule sites (and the kernel dispatch loop).
-    for info in graph.modules.values():
-        for qual, fn in graph.functions.items():
-            if fn.path != info.path:
-                continue
-            edges = graph.edges.setdefault(qual, set())
-            for call in _calls_in(fn.node):
-                func = call.func
-                if not (isinstance(func, ast.Attribute) and func.attr == "schedule"):
-                    continue
-                if len(call.args) < 2:
-                    continue
-                kind = _kind_string(graph, info, call.args[1])
-                if kind is None:
-                    continue
-                for handler in graph.subscribers.get(kind, []):
-                    edges.add(handler)
-            # The kernel's step() fires handlers for every kind.
-            if fn.name == "step" and fn.cls is not None and fn.cls.endswith("Kernel"):
-                for handlers in graph.subscribers.values():
-                    edges.update(handlers)
-    # Registry indirection: callers of .factory(...) / make_scheme(...).
-    if graph.registry_factories:
-        for info in graph.modules.values():
-            for qual, fn in graph.functions.items():
-                if fn.path != info.path:
-                    continue
-                for call in _calls_in(fn.node):
-                    func = call.func
-                    name = (
-                        func.attr
-                        if isinstance(func, ast.Attribute)
-                        else func.id if isinstance(func, ast.Name) else None
-                    )
-                    if name in ("factory", "make_scheme"):
-                        graph.edges.setdefault(qual, set()).update(
-                            graph.registry_factories
-                        )
+def _wire_registry_indirection(graph: CallGraph) -> None:
+    """Callers of ``.factory(...)`` / ``make_scheme(...)`` reach every factory."""
+    if not graph.registry_factories:
+        return
+    for qual, fn in graph.functions.items():
+        for call in _calls_in(fn.node):
+            func = call.func
+            name = (
+                func.attr
+                if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else None
+            )
+            if name in ("factory", "make_scheme"):
+                graph.edges.setdefault(qual, set()).update(graph.registry_factories)

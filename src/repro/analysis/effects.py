@@ -25,9 +25,10 @@ violation message reads as a path, not an assertion.
 Two contracts are enforced on the result:
 
 ``REP101`` — *the dispatch path is effect-free.*  Everything reachable
-from the ``Simulator`` event-boundary handlers, from any
-``DispatchScheme`` ``match*`` method, and from
-``WindowLAP.build_cost_matrix`` must have an empty effect set.  The
+from a handler passed to ``subscribe(`` (the ``Simulator`` event
+boundaries — found structurally, so a new event kind is covered the
+moment it is wired), from any ``DispatchScheme`` ``match*`` method, and
+from ``WindowLAP.build_cost_matrix`` must have an empty effect set.  The
 documented timer suppressions (``# repro-lint: disable=REP003
 reason=...`` at the ``perf_counter`` sites that only feed observability
 metrics) drop their seeds before propagation, so the shipped tree's
@@ -417,22 +418,14 @@ def infer_effects(
 
 def _contract_roots(graph: CallGraph) -> set[str]:
     """The REP101 effect-free roots present in the linted tree."""
-    roots: set[str] = set()
-    boundary_names = {
-        "_on_request_release",
-        "_on_drain_tick",
-        "_on_window_tick",
-        "_on_rebalance_tick",
-    }
+    roots: set[str] = set(graph.subscribed_handlers)
     scheme_classes = graph.subclasses_of("DispatchScheme")
     scheme_classes.update(graph.classes_by_name.get("DispatchScheme", []))
     for qual, fn in graph.functions.items():
         if fn.cls is None:
             continue
         cls_short = fn.cls.rsplit(".", 1)[-1]
-        if cls_short == "Simulator" and fn.name in boundary_names:
-            roots.add(qual)
-        elif fn.cls in scheme_classes and fn.name.startswith("match"):
+        if fn.cls in scheme_classes and fn.name.startswith("match"):
             roots.add(qual)
         elif cls_short == "WindowLAP" and fn.name == "build_cost_matrix":
             roots.add(qual)

@@ -237,9 +237,9 @@ def lint_paths(
     """Run every checker over every file under ``paths``.
 
     With ``deep=True`` the whole-program tier also runs: a call graph
-    is built over every parsed file and the REP10x checkers (effects,
-    concurrency, event protocol) contribute findings through the same
-    suppression and baseline machinery as the per-file checkers.
+    is built over every parsed file and the REP10x effect contracts
+    contribute findings through the same suppression and baseline
+    machinery as the per-file checkers.
     """
     from .checkers import ALL_CHECKERS
 
@@ -310,20 +310,11 @@ def lint_paths(
 #: Catalog rows for the REP10x whole-program checkers (``--list-checkers``).
 DEEP_CATALOG: tuple[tuple[str, str, str], ...] = (
     ("REP101", "effect-contract [deep]",
-     "Everything reachable from the Simulator event boundaries, DispatchScheme "
+     "Everything reachable from a handler passed to subscribe(), DispatchScheme "
      "match*, or WindowLAP.build_cost_matrix must be effect-free."),
     ("REP102", "impure-fingerprint [deep]",
      "fingerprint() functions must be pure: no RNG, clock, filesystem, env, "
      "network, or global mutation anywhere in their call tree."),
-    ("REP103", "unlocked-shared-state [deep]",
-     "Thread-entry code must hold the guarding lock on every path that "
-     "mutates shared service state."),
-    ("REP104", "unpicklable-process-boundary [deep]",
-     "Callables submitted to a ProcessPoolExecutor must be module-level "
-     "functions (spawn workers re-import by qualified name)."),
-    ("REP105", "event-protocol [deep]",
-     "Every scheduled event kind must come from the central EVENT_TABLE, "
-     "carry the table's priority, and have at least one subscriber."),
 )
 
 
@@ -333,16 +324,10 @@ def run_deep_checkers(
 ) -> list[Finding]:
     """Build the call graph once and run every whole-program checker."""
     from .callgraph import build_call_graph
-    from .concurrency import check_concurrency
     from .effects import check_effects
-    from .protocol import check_protocol
 
     graph = build_call_graph([(rel, tree) for rel, tree, _source in parsed])
-    findings: list[Finding] = []
-    findings.extend(check_effects(graph, suppression_map))
-    findings.extend(check_concurrency(graph, suppression_map))
-    findings.extend(check_protocol(graph, suppression_map))
-    return findings
+    return check_effects(graph, suppression_map)
 
 
 def _effects_report(paths: list[str]) -> int:
@@ -386,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rewrite the baseline from the current findings and exit 0")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program checkers (REP101-REP105: "
-                             "effect contracts, lock discipline, event protocol)")
+                        help="also run the whole-program checkers (REP101/REP102: "
+                             "effect contracts over the call graph)")
     parser.add_argument("--list-checkers", action="store_true",
                         help="print the checker catalog and exit")
     return parser

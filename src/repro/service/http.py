@@ -7,9 +7,10 @@ One process, one simulator run, many clients::
     GET  /healthz                    -> liveness + queue depth
     POST /finish                     -> drain, close the run, final summary
 
-The simulator is single-threaded by design (determinism), so the
-handler serialises everything behind one lock; concurrency here means
-"many clients", not "many dispatches at once".  Decision records fired
+The simulator is single-threaded by design (determinism), so
+:class:`ServiceState` serialises everything behind one lock that only
+its own methods take; concurrency here means "many clients", not "many
+dispatches at once".  Decision records fired
 by a submission's pump are returned in that submission's response —
 they may belong to earlier queued requests, which is the nature of a
 stream.
@@ -22,29 +23,85 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from ..demand.request import RequestError
+from ..demand.request import RideRequest
 from .codec import decision_to_dict, request_from_dict
 from .service import DecisionRecord, DispatchService
 
 
+#: Largest ``POST /requests`` body the endpoint will read.  One wire
+#: request is ~200 bytes; anything near this is not a ride request.
+MAX_BODY_BYTES = 64 * 1024
+
+#: ``(HTTP status, JSON payload)`` — what every operation hands the handler.
+Reply = tuple[int, dict[str, Any]]
+
+
 class ServiceState:
-    """The shared state behind the handler: service + lock + buffer."""
+    """The dispatch service, its decision buffer and the one lock.
+
+    The four operations below are the only way in: each takes the lock
+    itself and returns a finished :data:`Reply`, so handler threads
+    cannot touch the service unlocked and never hold the lock while
+    writing to a socket.
+    """
 
     def __init__(self, service: DispatchService) -> None:
-        self.service = service
-        self.lock = threading.Lock()
-        self.buffer: list[DecisionRecord] = []
-        self.finished_summary: dict[str, Any] | None = None
-        service.set_sink(self.buffer.append)  # the server owns the stream
+        self._service = service
+        self._lock = threading.Lock()
+        self._buffer: list[DecisionRecord] = []
+        self._finished_summary: dict[str, Any] | None = None
+        service.set_sink(self._buffer.append)  # the server owns the stream
 
-    def drain(self) -> list[dict[str, Any]]:
-        fired = [decision_to_dict(d) for d in self.buffer]
-        self.buffer.clear()
+    def _drain(self) -> list[dict[str, Any]]:
+        fired = [decision_to_dict(d) for d in self._buffer]
+        self._buffer.clear()
         return fired
+
+    def health(self) -> Reply:
+        """``GET /healthz``: liveness + queue depth."""
+        with self._lock:
+            return 200, {
+                "ok": True,
+                "finished": self._finished_summary is not None,
+                "pending": self._service.pending,
+                "submitted": self._service.submitted,
+            }
+
+    def metrics(self) -> Reply:
+        """``GET /metrics``: the current (or final) metrics summary."""
+        with self._lock:
+            return 200, self._finished_summary or self._service.sim.metrics.summary()
+
+    def submit(self, request: RideRequest) -> Reply:
+        """``POST /requests``: screen one request, pump, return what fired."""
+        with self._lock:
+            if self._finished_summary is not None:
+                return 409, {"error": "run already finished"}
+            outcome = self._service.submit(request)
+            if outcome.accepted:
+                self._service.pump()
+            return (
+                200 if outcome.accepted else 429 if outcome.reason == "backpressure" else 409,
+                {
+                    "accepted": outcome.accepted,
+                    "reason": outcome.reason,
+                    "clamped": outcome.clamped,
+                    "decisions": self._drain(),
+                },
+            )
+
+    def finish(self) -> Reply:
+        """``POST /finish``: drain and close the run (idempotent)."""
+        with self._lock:
+            if self._finished_summary is None:
+                self._finished_summary = self._service.finish().summary()
+            return 200, {"summary": self._finished_summary, "decisions": self._drain()}
 
 
 def _make_handler(state: ServiceState) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
+        """Parse, call one :class:`ServiceState` operation, reply."""
+
         protocol_version = "HTTP/1.1"
 
         def log_message(self, *args: Any) -> None:  # silence stderr
@@ -55,67 +112,49 @@ def _make_handler(state: ServiceState) -> type[BaseHTTPRequestHandler]:
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def do_GET(self) -> None:
             if self.path == "/healthz":
-                with state.lock:
-                    self._reply(
-                        200,
-                        {
-                            "ok": True,
-                            "finished": state.finished_summary is not None,
-                            "pending": state.service.pending,
-                            "submitted": state.service.submitted,
-                        },
-                    )
+                self._reply(*state.health())
             elif self.path == "/metrics":
-                with state.lock:
-                    summary = state.finished_summary or state.service.sim.metrics.summary()
-                    self._reply(200, summary)
+                self._reply(*state.metrics())
             else:
                 self._reply(404, {"error": f"no such path: {self.path}"})
 
         def do_POST(self) -> None:
             if self.path == "/requests":
-                self._post_request()
+                self._reply(*self._post_request())
             elif self.path == "/finish":
-                with state.lock:
-                    if state.finished_summary is None:
-                        metrics = state.service.finish()
-                        state.finished_summary = metrics.summary()
-                    self._reply(
-                        200,
-                        {"summary": state.finished_summary, "decisions": state.drain()},
-                    )
+                self._reply(*state.finish())
             else:
                 self._reply(404, {"error": f"no such path: {self.path}"})
 
-        def _post_request(self) -> None:
+        def _post_request(self) -> Reply:
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                # The body stays unread, so the connection cannot be
+                # reused: its bytes would parse as the next request.
+                self.close_connection = True
+                if length < 0:
+                    return 400, {"error": "invalid Content-Length"}
+                return 413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+            try:
                 payload = json.loads(self.rfile.read(length))
+                if not isinstance(payload, dict):
+                    raise TypeError("request body must be a JSON object")
                 request = request_from_dict(payload)
-            except (json.JSONDecodeError, KeyError, ValueError, RequestError) as exc:
-                self._reply(400, {"error": str(exc)})
-                return
-            with state.lock:
-                if state.finished_summary is not None:
-                    self._reply(409, {"error": "run already finished"})
-                    return
-                outcome = state.service.submit(request)
-                if outcome.accepted:
-                    state.service.pump()
-                self._reply(
-                    200 if outcome.accepted else 429 if outcome.reason == "backpressure" else 409,
-                    {
-                        "accepted": outcome.accepted,
-                        "reason": outcome.reason,
-                        "clamped": outcome.clamped,
-                        "decisions": state.drain(),
-                    },
-                )
+            except (KeyError, TypeError, ValueError) as exc:
+                # ValueError covers JSONDecodeError, bad UTF-8 and
+                # RequestError; a null field is int()/float()'s TypeError.
+                return 400, {"error": str(exc)}
+            return state.submit(request)
 
     return Handler
 

@@ -49,7 +49,6 @@ from ..fleet.taxi import FleetLog, Taxi
 from ..index.spatial import StaticVertexGrid
 from ..memo import memo_stats
 from ..obs import Instrumentation, JsonlTraceWriter
-from .events import priority_of
 from .kernel import DRAIN_TICK, REBALANCE_TICK, REQUEST_RELEASE, WINDOW_TICK, Event, Kernel
 from .metrics import SimulationMetrics
 
@@ -188,6 +187,9 @@ class Simulator:
         self._kernel = Kernel(start_time=0.0)
         self._kernel.subscribe(REQUEST_RELEASE, self._on_request_release)
         self._kernel.subscribe(DRAIN_TICK, self._on_drain_tick)
+        # Periodic tick kind -> instant of its one outstanding event
+        # (window and rebalance boundaries; see ``_arm_tick``).
+        self._tick_at: dict[str, float] = {}
         # Offline requests awaiting resolution, keyed by id — the
         # end-of-run sweep walks this instead of the full request list,
         # so streaming runs never need to retain the workload.
@@ -198,7 +200,6 @@ class Simulator:
         # boundaries instead of being dispatched one by one.
         self._window_s = scheme.dispatch_window_s
         self._window_buffer: list[RideRequest] = []
-        self._window_tick_at: float | None = None
         if self._window_s is not None:
             self._kernel.subscribe(WINDOW_TICK, self._on_window_tick)
         # Proactive repositioning (repro.fleet.rebalance): a disabled
@@ -206,7 +207,6 @@ class Simulator:
         # exactly the pre-rebalancing code path — bit-identical
         # fingerprints, zero rebalance.* counters.
         self._rebalance = rebalance if rebalance is not None and rebalance.spec.enabled else None
-        self._rebalance_tick_at: float | None = None
         # taxi id -> target partition of its in-flight repositioning
         # cruise; entries are dropped when the cruise arrives, is
         # abandoned for a real match, or the taxi breaks down.
@@ -747,7 +747,7 @@ class Simulator:
         self._last_release = max(self._last_release, now)
         self._boundary(now)
         if self._rebalance is not None:
-            self._schedule_rebalance_tick(now)
+            self._arm_tick(REBALANCE_TICK, self._rebalance.spec.cadence_s, now)
         if request.offline:
             self._register_offline(request)
         elif self._window_s is not None:
@@ -769,37 +769,39 @@ class Simulator:
             # (the W -> 0 equivalence gate).
             self._flush_window(now)
         else:
-            self._schedule_window_tick(now)
+            self._arm_tick(WINDOW_TICK, self._window_s, now)
         contracts.check_request_accounting(self._metrics)
 
-    def _schedule_window_tick(self, now: float) -> None:
-        """Schedule the next window boundary (at most one outstanding).
+    def _arm_tick(self, kind: str, period_s: float, now: float) -> None:
+        """Schedule the next ``kind`` boundary (at most one outstanding).
 
-        Boundaries sit on the absolute ``W``-grid, not ``now + W``, so
-        the tick sequence is a function of the workload's release times
-        alone, never of internal scheduling order.  The tick carries
-        the protocol table's positive priority: a release landing
-        *exactly* on a boundary always enters the closing window, in
-        batch and streaming runs alike, independent of event sequence
-        numbers (:mod:`repro.sim.events`).
+        Boundaries sit on the absolute ``period_s``-grid, not ``now +
+        period_s``, so the tick sequence is a function of the workload's
+        release times alone, never of internal scheduling order —
+        identical in batch and streaming runs.  The protocol table's
+        priorities (:mod:`repro.sim.events`) do the rest: a window tick
+        fires after any release sharing its instant, so a release
+        landing *exactly* on a boundary always enters the closing
+        window; a rebalance tick fires after both, so its supply census
+        always sees the post-dispatch idle set.  Rebalance ticks are
+        armed by releases only, never by their own handler.
         """
-        if self._window_tick_at is not None:
+        if kind in self._tick_at:
             return
-        w = self._window_s
-        tick_at = (math.floor(now / w) + 1.0) * w
-        self._window_tick_at = tick_at
-        self._kernel.schedule(tick_at, WINDOW_TICK, priority=priority_of(WINDOW_TICK))
+        tick_at = (math.floor(now / period_s) + 1.0) * period_s
+        self._tick_at[kind] = tick_at
+        self._kernel.schedule(tick_at, kind)
 
     def _on_window_tick(self, event: Event) -> None:
         """Kernel handler: one dispatch-window boundary."""
         now = event.time
-        self._window_tick_at = None
+        del self._tick_at[WINDOW_TICK]
         self._boundary(now)
         if self._window_buffer:
             self._flush_window(now)
         if self._window_buffer:
             # Unmatched survivors rolled forward: keep ticking.
-            self._schedule_window_tick(now)
+            self._arm_tick(WINDOW_TICK, self._window_s, now)
         contracts.check_request_accounting(self._metrics)
 
     def _flush_window(self, now: float) -> None:
@@ -844,24 +846,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # proactive repositioning (repro.fleet.rebalance)
     # ------------------------------------------------------------------
-    def _schedule_rebalance_tick(self, now: float) -> None:
-        """Schedule the next repositioning boundary (at most one out).
-
-        Like window ticks, rebalance boundaries sit on the absolute
-        cadence grid and are armed by request releases — never by the
-        tick handler itself — so the tick sequence is a pure function
-        of the workload's release times, identical in batch and
-        streaming runs.  The protocol table's priority (2) puts the
-        tick after any release or window flush sharing its instant:
-        the supply census always sees the post-dispatch idle set.
-        """
-        if self._rebalance_tick_at is not None:
-            return
-        cadence = self._rebalance.spec.cadence_s
-        tick_at = (math.floor(now / cadence) + 1.0) * cadence
-        self._rebalance_tick_at = tick_at
-        self._kernel.schedule(tick_at, REBALANCE_TICK, priority=priority_of(REBALANCE_TICK))
-
     def _on_rebalance_tick(self, event: Event) -> None:
         """Kernel handler: one proactive-repositioning boundary.
 
@@ -872,7 +856,7 @@ class Simulator:
         is walked in id order and the planner is pure arithmetic.
         """
         now = event.time
-        self._rebalance_tick_at = None
+        del self._tick_at[REBALANCE_TICK]
         self._boundary(now)
         policy = self._rebalance
         self._obs.count("rebalance.ticks")

@@ -1,23 +1,21 @@
 """The central event kind/priority table — one row per scheduled kind.
 
 Every event kind the kernel ever schedules is declared here, together
-with its same-instant **priority** and at least one subscriber
-somewhere in ``src/repro``.  The table is the single source of truth
-for the event protocol: the kernel's re-exported kind constants
-(:mod:`repro.sim.kernel`) come from this module, schedule sites take
-their priority from :func:`priority_of`, and the deep lint's protocol
-checker (``repro lint --deep``, REP105) statically enforces that no
-caller schedules a kind missing from this table or with a priority
-disagreeing with it.
+with its same-instant **priority**.  The table is the single source of
+truth for the event protocol: the kernel's re-exported kind constants
+(:mod:`repro.sim.kernel`) come from this module, and
+:meth:`Kernel.schedule <repro.sim.kernel.Kernel.schedule>` looks the
+priority up here itself — callers pass only the kind, so a schedule
+site cannot name a kind missing from this table (it raises) or carry a
+priority disagreeing with it (there is nothing to pass).
 
 Priorities resolve same-instant ordering *before* the scheduling
 sequence number does, so they are protocol, not implementation detail.
 The one non-zero row — ``window.tick`` at priority 1 — encodes the
 PR 8 invariant: a request released exactly on a window boundary must
 enter the *closing* window, in batch and streaming runs alike,
-independent of event sequence numbers.  Before this table, that
-invariant lived in a call-site literal and tribal knowledge; now a
-schedule site that drops or contradicts it fails the lint.
+independent of event sequence numbers.  ``tests/test_kernel.py`` pins
+the resulting same-instant order on this table.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "REBALANCE_TICK",
     "REQUEST_RELEASE",
     "WINDOW_TICK",
-    "priority_of",
 ]
 
 #: A ride request becomes visible to the dispatcher.
@@ -57,9 +54,7 @@ class EventSpec:
 
 
 #: The protocol table.  Keys are the kind strings; values carry the
-#: same-instant priority every schedule site must use (directly via
-#: :func:`priority_of`, or as a literal the deep lint checks against
-#: this table).
+#: same-instant priority the kernel stamps on every event of that kind.
 EVENT_TABLE: dict[str, EventSpec] = {
     REQUEST_RELEASE: EventSpec(
         REQUEST_RELEASE,
@@ -88,13 +83,3 @@ EVENT_TABLE: dict[str, EventSpec] = {
         description="proactive-repositioning boundary moving surplus idle taxis",
     ),
 }
-
-
-def priority_of(kind: str) -> int:
-    """The table priority of ``kind`` (KeyError for unknown kinds).
-
-    Schedule sites that use ``priority=priority_of(KIND)`` are
-    consistent with the table by construction; the protocol checker
-    accepts them without further proof.
-    """
-    return EVENT_TABLE[kind].priority

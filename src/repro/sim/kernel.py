@@ -38,9 +38,9 @@ Event taxonomy (see docs/ARCHITECTURE.md):
 The kind strings and their same-instant priorities live in one central
 table (:mod:`repro.sim.events`); the constants below are re-exports so
 existing ``from repro.sim.kernel import WINDOW_TICK`` imports keep
-working.  Schedule sites take priorities from
-:func:`repro.sim.events.priority_of`, and the deep lint's protocol
-checker (REP105) enforces both statically.
+working.  :meth:`Kernel.schedule` reads each event's priority from that
+table and refuses a kind that is undeclared or has no subscriber, so
+no schedule site can get the protocol wrong.
 """
 
 from __future__ import annotations
@@ -194,24 +194,26 @@ class Kernel:
         """Register a handler for one event kind (append order is call order)."""
         self._handlers.setdefault(kind, []).append(handler)
 
-    def schedule(
-        self,
-        time: float,
-        kind: str,
-        payload: Any = None,
-        priority: int = 0,
-    ) -> Event:
+    def schedule(self, time: float, kind: str, payload: Any = None) -> Event:
         """Enqueue an event at ``time`` (must be >= the committed clock).
 
-        Raises :class:`ScheduledInPast` for earlier times — admission
-        policy for genuinely late input belongs to the caller.
+        The same-instant priority comes from ``EVENT_TABLE[kind]``.
+        Raises :class:`KernelError` for a kind the table does not
+        declare or nobody has subscribed to (the event could only be
+        dropped), and :class:`ScheduledInPast` for earlier times —
+        admission policy for genuinely late input belongs to the caller.
         """
+        spec = EVENT_TABLE.get(kind)
+        if spec is None:
+            raise KernelError(f"cannot schedule {kind!r}: not declared in EVENT_TABLE")
+        if kind not in self._handlers:
+            raise KernelError(f"cannot schedule {kind!r}: no handler subscribed")
         t = float(time)
         if t < self._now:
             raise ScheduledInPast(
                 f"cannot schedule {kind!r} at {t}: clock already committed to {self._now}"
             )
-        event = Event(time=t, kind=kind, seq=next(self._seq), payload=payload, priority=priority)
+        event = Event(time=t, kind=kind, seq=next(self._seq), payload=payload, priority=spec.priority)
         self._queue.push(event)
         self._scheduled += 1
         return event
@@ -224,7 +226,7 @@ class Kernel:
         event = self._queue.pop()
         self._now = event.time
         self._processed += 1
-        for handler in self._handlers.get(event.kind, ()):
+        for handler in self._handlers[event.kind]:
             handler(event)
         return event
 

@@ -14,6 +14,8 @@ from repro.network.generators import grid_city, small_test_network
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.bipartite import bipartite_partition
+from repro.sim.engine import Simulator
+from repro.sim.kernel import Kernel
 from repro.sim.scenario import ScenarioSpec, get_scenario
 
 
@@ -132,6 +134,28 @@ def test_scenario(test_spec):
 @pytest.fixture(scope="session")
 def test_nonpeak_scenario(test_nonpeak_spec):
     return get_scenario(test_nonpeak_spec)
+
+
+@pytest.fixture
+def full_simulator_subscriptions(test_scenario, monkeypatch):
+    """``(kind, handler)`` pairs subscribed by a ``Simulator`` with every
+    optional subsystem on (``window-lap`` + ``--rebalance on``), recorded
+    at ``Kernel.subscribe`` the way the out-of-tree tracer hooks it."""
+    seen = []
+    subscribe = Kernel.subscribe
+
+    def recording(self, kind, handler):
+        seen.append((kind, handler))
+        subscribe(self, kind, handler)
+
+    monkeypatch.setattr(Kernel, "subscribe", recording)
+    Simulator(
+        test_scenario.make_scheme("window-lap"),
+        test_scenario.make_fleet(5, seed=1),
+        [],
+        rebalance=test_scenario.rebalance_policy("on"),
+    )
+    return seen
 
 
 def make_request(

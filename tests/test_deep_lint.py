@@ -1,6 +1,6 @@
-"""The ``repro lint --deep`` tier: call graph, effects, concurrency, protocol.
+"""The ``repro lint --deep`` tier: call graph and effect contracts.
 
-Each REP10x checker class gets a true-positive fixture, a suppressed
+Each REP10x checker gets a true-positive fixture, a suppressed
 fixture and a clean fixture, mirroring ``test_repro_lint.py``'s
 structure for the per-file codes.  Fixture trees are written under a
 ``repro/<pkg>/`` layout inside ``tmp_path`` so module-qualified names
@@ -13,6 +13,7 @@ dispatch-path contract root pure.
 from __future__ import annotations
 
 import ast
+import re
 import textwrap
 import time
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 from repro.analysis import lint_paths, main
 from repro.analysis.callgraph import build_call_graph, module_name_for
 from repro.analysis.effects import infer_effects
+from repro.analysis.engine import PARSE_ERROR_CODE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,9 +115,15 @@ def test_callgraph_virtual_dispatch_reaches_subclass_overrides(tmp_path):
 
 
 def test_callgraph_event_subscription_indirection(tmp_path):
-    graph = graph_of(
+    # Nothing calls a handler syntactically — the kernel's dispatch loop
+    # does — so being passed to ``subscribe`` is what makes it a REP101
+    # root, whatever its name or class.
+    result = deep_lint(
+        tmp_path,
         {
             "repro/app.py": """
+            import time
+
             TICK = "tick"
 
             class Sim:
@@ -124,15 +132,16 @@ def test_callgraph_event_subscription_indirection(tmp_path):
                     self._kernel.subscribe(TICK, self._on_tick)
 
                 def _on_tick(self, event):
-                    return event
+                    return time.time()
 
                 def start(self):
                     self._kernel.schedule(0.0, TICK)
             """,
         },
-        tmp_path,
     )
-    assert "repro.app.Sim._on_tick" in graph.reachable(["repro.app.Sim.start"])
+    [finding] = [f for f in result.new if f.code == "REP101"]
+    assert "WALL_CLOCK" in finding.message
+    assert "repro.app.Sim._on_tick" in finding.message
 
 
 def test_callgraph_cha_blocklist_keeps_builtin_methods_opaque(tmp_path):
@@ -162,6 +171,9 @@ _SIM_WITH_CLOCK = {
     from .helper import stamp
 
     class Simulator:
+        def __init__(self, kernel):
+            kernel.subscribe("request.release", self._on_request_release)
+
         def _on_request_release(self, event):
             return stamp()
     """,
@@ -200,6 +212,9 @@ def test_rep101_clean_boundary(tmp_path):
         {
             "repro/sim/engine.py": """
             class Simulator:
+                def __init__(self, kernel):
+                    kernel.subscribe("request.release", self._on_request_release)
+
                 def _on_request_release(self, event):
                     return self._apply(event)
 
@@ -248,6 +263,9 @@ def test_rep101_obs_is_exempt_from_seeding(tmp_path):
             from ..obs.timing import measure
 
             class Simulator:
+                def __init__(self, kernel):
+                    kernel.subscribe("drain.tick", self._on_drain_tick)
+
                 def _on_drain_tick(self, event):
                     return measure()
             """,
@@ -328,312 +346,6 @@ def test_global_mutation_seed_ignores_locals_shadowing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REP103/REP104: concurrency discipline
-# ----------------------------------------------------------------------
-_HANDLER_PREFIX = """
-    from http.server import BaseHTTPRequestHandler
-
-    def make_handler(state):
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-"""
-
-
-def test_rep103_true_positive_unlocked_mutation(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/service/http.py": _HANDLER_PREFIX
-            + """
-                state.buffer.append(1)
-                with state.lock:
-                    state.count = state.count + 1
-        return Handler
-    """,
-        },
-    )
-    assert new_codes(result) == ["REP103"]
-    assert "without holding state.lock" in result.new[0].message
-
-
-def test_rep103_suppressed_with_reason(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/service/http.py": _HANDLER_PREFIX
-            + """
-                state.buffer.append(1)  # repro-lint: disable=REP103 reason=append on deque is atomic under the GIL and order is re-sorted at drain
-                with state.lock:
-                    state.count = state.count + 1
-        return Handler
-    """,
-        },
-    )
-    assert new_codes(result) == []
-    assert [f.code for f in result.suppressed] == ["REP103"]
-
-
-def test_rep103_clean_when_lock_held(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/service/http.py": _HANDLER_PREFIX
-            + """
-                with state.lock:
-                    state.buffer.append(1)
-                    state.count = state.count + 1
-        return Handler
-    """,
-        },
-    )
-    assert new_codes(result) == []
-
-
-def test_rep103_only_fires_in_thread_entry_code(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/service/http.py": """
-            import threading
-
-            class State:
-                def __init__(self):
-                    self.lock = threading.Lock()
-
-            def drain(state):
-                with state.lock:
-                    pass
-
-            def main_thread_setup(state):
-                state.buffer = []
-            """,
-        },
-    )
-    assert new_codes(result) == []
-
-
-def test_rep104_true_positive_lambda_and_nested(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/experiments/runner.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run_many(items):
-                def worker(item):
-                    return item * 2
-                with ProcessPoolExecutor() as pool:
-                    a = list(pool.map(lambda x: x, items))
-                    b = list(pool.map(worker, items))
-                return a + b
-            """,
-        },
-    )
-    assert new_codes(result) == ["REP104", "REP104"]
-
-
-def test_rep104_suppressed_with_reason(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/experiments/runner.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run_many(items):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(lambda x: x, items))  # repro-lint: disable=REP104 reason=fork context on this dev-only path pickles closures fine
-            """,
-        },
-    )
-    assert new_codes(result) == []
-    assert [f.code for f in result.suppressed] == ["REP104"]
-
-
-def test_rep104_clean_module_level_worker(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/experiments/runner.py": """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def _worker(item):
-                return item * 2
-
-            def run_many(items):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(_worker, items))
-            """,
-        },
-    )
-    assert new_codes(result) == []
-
-
-# ----------------------------------------------------------------------
-# REP105: the event protocol
-# ----------------------------------------------------------------------
-_EVENTS_MODULE = """
-    TICK = "tick"
-    FLUSH = "flush"
-
-    class EventSpec:
-        def __init__(self, kind, priority, description):
-            pass
-
-    EVENT_TABLE = {
-        TICK: EventSpec(TICK, priority=0, description="tick"),
-        FLUSH: EventSpec(FLUSH, priority=1, description="flush"),
-    }
-
-    def priority_of(kind):
-        return EVENT_TABLE[kind].priority
-"""
-
-_SUBSCRIBERS = """
-    from .events import TICK, FLUSH
-
-    class Sim:
-        def __init__(self, kernel):
-            self._kernel = kernel
-            self._kernel.subscribe(TICK, self._on_tick)
-            self._kernel.subscribe(FLUSH, self._on_flush)
-
-        def _on_tick(self, event):
-            pass
-
-        def _on_flush(self, event):
-            pass
-"""
-
-
-def _protocol_tree(schedule_body: str) -> dict[str, str]:
-    return {
-        "repro/sim/events.py": _EVENTS_MODULE,
-        "repro/sim/engine.py": _SUBSCRIBERS + schedule_body,
-    }
-
-
-def test_rep105_true_positive_string_literal_kind(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        _protocol_tree(
-            """
-        def start(self):
-            self._kernel.schedule(0.0, "tick")
-    """
-        ),
-    )
-    assert new_codes(result) == ["REP105"]
-    assert "string literal" in result.new[0].message
-
-
-def test_rep105_true_positive_priority_disagrees_with_table(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        _protocol_tree(
-            """
-        def start(self):
-            self._kernel.schedule(0.0, FLUSH)
-    """
-        ),
-    )
-    assert new_codes(result) == ["REP105"]
-    assert "priority omitted (= 0)" in result.new[0].message
-    assert "declares 1" in result.new[0].message
-
-
-def test_rep105_true_positive_unknown_kind(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/sim/events.py": _EVENTS_MODULE,
-            "repro/sim/engine.py": """
-            from .events import TICK, FLUSH
-
-            ROGUE = "rogue"
-
-            class Sim:
-                def __init__(self, kernel):
-                    self._kernel = kernel
-                    self._kernel.subscribe(TICK, self._on_tick)
-                    self._kernel.subscribe(FLUSH, self._on_flush)
-
-                def _on_tick(self, event):
-                    pass
-
-                def _on_flush(self, event):
-                    pass
-
-                def start(self):
-                    self._kernel.schedule(0.0, ROGUE)
-            """,
-        },
-    )
-    codes = new_codes(result)
-    assert "REP105" in codes
-    assert any("not declared in EVENT_TABLE" in f.message for f in result.new)
-
-
-def test_rep105_clean_priority_of_and_literal_match(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        _protocol_tree(
-            """
-        from .events import priority_of
-
-        def start(self):
-            self._kernel.schedule(0.0, TICK)
-            self._kernel.schedule(0.0, FLUSH, priority=priority_of(FLUSH))
-            self._kernel.schedule(0.0, FLUSH, None, 1)
-    """
-        ),
-    )
-    assert new_codes(result) == []
-
-
-def test_rep105_unsubscribed_kind_flagged_on_the_table_row(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        {
-            "repro/sim/events.py": _EVENTS_MODULE,
-            "repro/sim/engine.py": """
-            from .events import TICK
-
-            class Sim:
-                def __init__(self, kernel):
-                    self._kernel = kernel
-                    self._kernel.subscribe(TICK, self._on_tick)
-
-                def _on_tick(self, event):
-                    pass
-            """,
-        },
-    )
-    [finding] = result.new
-    assert finding.code == "REP105"
-    assert "'flush'" in finding.message and "no subscriber" in finding.message
-    assert finding.path.endswith("repro/sim/events.py")
-
-
-def test_rep105_redefinition_drift_outside_the_table(tmp_path):
-    result = deep_lint(
-        tmp_path,
-        _protocol_tree(
-            """
-        def start(self):
-            self._kernel.schedule(0.0, TICK)
-    """
-        )
-        | {
-            "repro/service/other.py": """
-            TICK = "tick"
-            """
-        },
-    )
-    assert new_codes(result) == ["REP105"]
-    assert "redefined outside the central table" in result.new[0].message
-
-
-# ----------------------------------------------------------------------
 # the shipped tree: clean, fast, and provably pure where it must be
 # ----------------------------------------------------------------------
 def test_shipped_tree_deep_lints_clean_with_empty_baseline(monkeypatch):
@@ -649,7 +361,7 @@ def test_shipped_tree_deep_lint_completes_quickly(monkeypatch):
     assert time.perf_counter() - started < 10.0
 
 
-def test_shipped_dispatch_roots_are_pure(monkeypatch):
+def test_shipped_dispatch_roots_are_pure(monkeypatch, full_simulator_subscriptions):
     # The "no true positives remain" proof the ISSUE asks for: every
     # REP101 contract root and every fingerprint() in the shipped tree
     # has an empty inferred effect set after documented suppressions.
@@ -665,11 +377,15 @@ def test_shipped_dispatch_roots_are_pure(monkeypatch):
     graph = build_call_graph(parsed)
     report = infer_effects(graph, sup)
     roots = report.contract_roots + report.fingerprint_roots
-    # The contract roots the ISSUE names must actually be in the graph.
+    # Every handler the shipped Simulator really subscribes (all four
+    # kinds on: window-lap + rebalancing) must be a contract root.
+    subscribed = [
+        f"{handler.__module__}.{handler.__qualname__}"
+        for _kind, handler in full_simulator_subscriptions
+    ]
+    assert len(subscribed) == 4
+    assert set(subscribed) <= set(report.contract_roots)
     names = "\n".join(roots)
-    assert "repro.sim.engine.Simulator._on_request_release" in names
-    assert "repro.sim.engine.Simulator._on_drain_tick" in names
-    assert "repro.sim.engine.Simulator._on_window_tick" in names
     assert "repro.core.window.WindowLAP.build_cost_matrix" in names
     assert "fingerprint" in names
     for root in roots:
@@ -685,8 +401,16 @@ def test_effects_report_subcommand(monkeypatch, capsys):
     assert "repro.sim.engine.Simulator._on_request_release" in out
 
 
-def test_list_checkers_includes_deep_catalog(capsys):
+def test_list_checkers_matches_static_analysis_doc(capsys):
+    # Doc-drift guard: the rules ``--list-checkers`` prints and the rules
+    # in the catalog tables (header ``| Code |``) of STATIC_ANALYSIS.md
+    # must be the same set, so adding or removing one updates the doc.
     assert main(["--list-checkers"]) == 0
-    out = capsys.readouterr().out
-    for code in ("REP101", "REP102", "REP103", "REP104", "REP105"):
-        assert code in out
+    printed = set(re.findall(r"^(REP\d{3}) ", capsys.readouterr().out, re.MULTILINE))
+    documented, in_catalog = set(), False
+    for line in (ROOT / "docs" / "STATIC_ANALYSIS.md").read_text().splitlines():
+        in_catalog = line.startswith("| Code") or (in_catalog and line.startswith("|"))
+        if in_catalog and (row := re.match(r"\| (REP\d{3}) \|", line)):
+            documented.add(row.group(1))
+    # REP000 is the engine's "file does not parse" code, not a checker.
+    assert printed == documented - {PARSE_ERROR_CODE}

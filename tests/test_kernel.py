@@ -4,7 +4,10 @@ import pytest
 
 from repro.sim.kernel import (
     DRAIN_TICK,
+    EVENT_TABLE,
+    REBALANCE_TICK,
     REQUEST_RELEASE,
+    WINDOW_TICK,
     Event,
     EventQueue,
     Kernel,
@@ -140,3 +143,39 @@ class TestKernelClock:
         kernel.schedule(3.0, REQUEST_RELEASE)
         kernel.run()
         assert hits == {REQUEST_RELEASE: 2, DRAIN_TICK: 1}
+
+
+class TestEventProtocol:
+    """``EVENT_TABLE`` is the protocol: the kernel enforces it at ``schedule``."""
+
+    def test_undeclared_kind_refused_before_queueing(self):
+        kernel = Kernel()
+        kernel.subscribe("rogue.kind", lambda e: None)
+        with pytest.raises(KernelError, match="rogue.kind"):
+            kernel.schedule(1.0, "rogue.kind")
+        assert kernel.pending == 0
+        assert kernel.events_scheduled == 0
+
+    def test_unsubscribed_kind_refused(self):
+        kernel = Kernel()
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
+        with pytest.raises(KernelError, match=WINDOW_TICK):
+            kernel.schedule(1.0, WINDOW_TICK)
+        assert kernel.pending == 0
+
+    def test_same_instant_order_comes_from_the_table(self):
+        # Release -> window flush -> rebalance census, whatever the
+        # scheduling order (the PR 8 / PR 10 same-instant invariants).
+        kernel = Kernel()
+        fired = []
+        for kind in (REQUEST_RELEASE, WINDOW_TICK, REBALANCE_TICK):
+            kernel.subscribe(kind, lambda e: fired.append(e.kind))
+        for kind in (REBALANCE_TICK, WINDOW_TICK, REQUEST_RELEASE):
+            kernel.schedule(60.0, kind)
+        kernel.run()
+        assert fired == [REQUEST_RELEASE, WINDOW_TICK, REBALANCE_TICK]
+
+    def test_every_table_kind_has_a_simulator_subscriber(self, full_simulator_subscriptions):
+        # No dead rows: with every optional subsystem on, the Simulator
+        # subscribes exactly the kinds the table declares.
+        assert {kind for kind, _handler in full_simulator_subscriptions} == set(EVENT_TABLE)

@@ -9,6 +9,7 @@ backpressure) must keep the request-accounting identity closed.
 """
 
 import dataclasses
+import http.client
 import json
 import random
 import threading
@@ -33,7 +34,7 @@ from repro.service import (
     request_to_dict,
     synthetic_requests,
 )
-from repro.service.http import make_server
+from repro.service.http import MAX_BODY_BYTES, make_server
 from tests.conftest import make_request
 from tests.test_runner_parallel import decision_fingerprint
 
@@ -408,8 +409,11 @@ class TestCompactMode:
 
 class TestHTTPEndpoint:
     @pytest.fixture()
-    def server(self, svc_scenario):
-        service = DispatchService(_make_sim(svc_scenario, [], scheme="no-sharing"))
+    def service(self, svc_scenario):
+        return DispatchService(_make_sim(svc_scenario, [], scheme="no-sharing"))
+
+    @pytest.fixture()
+    def server(self, service):
         server, state = make_server(service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -470,6 +474,52 @@ class TestHTTPEndpoint:
         code, body = self._post(base, "/requests", {"request_id": 1})
         assert code == 400 and "error" in body
 
+    @staticmethod
+    def _raw_post(base, body, content_length):
+        """POST ``body`` with an explicit Content-Length; 5 s client timeout."""
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            conn.request(
+                "POST", "/requests", body=body, headers={"Content-Length": str(content_length)}
+            )
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def _assert_still_serving(self, base):
+        code, body = self._get(base, "/healthz")
+        assert code == 200 and body["ok"] and body["submitted"] == 0
+
+    def test_negative_content_length_is_client_error(self, server):
+        # rfile.read(-1) would block the handler until the client hangs up.
+        base, _state = server
+        code, body = self._raw_post(base, b"", -1)
+        assert code == 400 and "error" in body
+        self._assert_still_serving(base)
+
+    def test_oversized_body_is_refused_unread(self, server):
+        base, _state = server
+        code, body = self._raw_post(base, b"", MAX_BODY_BYTES + 1)
+        assert code == 413 and "error" in body
+        self._assert_still_serving(base)
+
+    def test_non_object_body_is_client_error(self, server):
+        # request_from_dict indexes the payload by key: a list is a TypeError.
+        base, _state = server
+        code, body = self._raw_post(base, b"[]", 2)
+        assert code == 400 and "error" in body
+        self._assert_still_serving(base)
+
+    def test_null_field_is_client_error(self, svc_scenario, server):
+        base, _state = server
+        payload = request_to_dict(svc_scenario.requests()[0]) | {"request_id": None}
+        raw = json.dumps(payload).encode()
+        code, body = self._raw_post(base, raw, len(raw))
+        assert code == 400 and "error" in body
+        self._assert_still_serving(base)
+
     def test_unknown_path_404(self, server):
         base, _state = server
         code, _ = self._get(base, "/healthz")
@@ -478,11 +528,11 @@ class TestHTTPEndpoint:
             urllib.request.urlopen(base + "/nope")
 
     def test_concurrent_submissions_no_lost_or_double_counted(
-        self, svc_scenario, server, monkeypatch
+        self, svc_scenario, service, server, monkeypatch
     ):
         """N threads x M submits with duplicates and out-of-order releases.
 
-        Whatever the interleaving, the single ``state.lock`` must keep
+        Whatever the interleaving, ``ServiceState``'s single lock must keep
         the books exact: every POST gets a response, ``submitted``
         equals the number of POSTs, each unique request is admitted at
         most once (duplicates are refused, never double-counted), and
@@ -535,15 +585,16 @@ class TestHTTPEndpoint:
         assert reasons <= {REJECT_DUPLICATE, REJECT_LATE, REJECT_BACKPRESSURE}
         assert REJECT_DUPLICATE in reasons
 
-        with state.lock:
-            service = state.service
-            assert service.submitted == len(posts)
-            assert service.admitted == len(accepted_ids)
-            assert sum(service.rejections.values()) == len(rejected)
+        # Every POST has been answered, so no handler thread is inside
+        # the service: the counters are final and safe to read directly.
+        assert state.health()[1]["submitted"] == len(posts)
+        assert service.submitted == len(posts)
+        assert service.admitted == len(accepted_ids)
+        assert sum(service.rejections.values()) == len(rejected)
 
         code, body = self._post(base, "/finish", {})
         assert code == 200
-        metrics = state.service.sim.metrics
+        metrics = service.sim.metrics
         # Every submission landed in exactly one terminal bucket.
         assert metrics.num_requests == len(posts)
         metrics.check_balance()
