@@ -35,12 +35,14 @@ Usage::
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..fleet.schedule import Stop
+    from ..fleet.taxi import Taxi
     from ..sim.metrics import SimulationMetrics
 
 ENV_VAR = "REPRO_CONTRACTS"
@@ -175,9 +177,41 @@ def check_request_accounting(metrics: "SimulationMetrics") -> None:
         )
 
 
+@invariant("every taxi that can act at a boundary is in the due index at or before its time")
+def check_due_index(
+    taxis: "Sequence[Taxi]",
+    due_time: "Callable[[Taxi], float]",
+    index: "Sequence[tuple[float, int]]",
+) -> None:
+    """Coverage of the simulator's due index (``Simulator._advance_all``).
+
+    ``index`` holds ``(due, fleet order)`` entries and ``due_time(taxi)``
+    is when the taxi can next act (``inf``: never).  Checked after every
+    sweep, which pops every entry at or before the boundary, coverage
+    means no in-service taxi is left with a route vertex due except one
+    whose plan was installed during that sweep (cursor still 0, entry
+    pushed for the next boundary) — so a plan-change site that forgets
+    to re-key its taxi fails here, on the next boundary of any
+    simulation, instead of silently parking the taxi.  O(fleet), which
+    is why it is a contract and not part of the sweep.
+    """
+    earliest: dict[int, float] = {}
+    for due, order in index:
+        if due < earliest.get(order, math.inf):
+            earliest[order] = due
+    for order, taxi in enumerate(taxis):
+        due = due_time(taxi)
+        if earliest.get(order, math.inf) > due:
+            raise ContractViolation(
+                f"taxi {taxi.taxi_id} can act at t={due} but its earliest due-index "
+                f"entry is {earliest.get(order)}: a plan change was not re-keyed"
+            )
+
+
 __all__ = [
     "ENV_VAR",
     "ContractViolation",
+    "check_due_index",
     "check_monotone_clock",
     "check_request_accounting",
     "check_schedule",

@@ -9,6 +9,7 @@ simulator owns the fleet and the clock.
 from __future__ import annotations
 
 import abc
+import math
 from collections.abc import Iterator
 
 from ..analysis import contracts
@@ -274,29 +275,35 @@ class DispatchScheme(abc.ABC):
         """
         self._prob_router = router
 
+    def cruise_due(self, taxi: Taxi) -> float:
+        """Earliest time :meth:`maybe_cruise` may act on ``taxi`` once it
+        is parked and idle; ``inf`` for a scheme that never cruises (no
+        probabilistic router attached, or cruising switched off)."""
+        if self._prob_router is None or not self._config.enable_cruising:
+            return math.inf
+        return self._cruise_cooldown.get(taxi.taxi_id, 0.0)
+
     def maybe_cruise(self, taxi: Taxi, now: float) -> bool:
         """Send an idle taxi on a demand-seeking cruise (non-peak mode).
 
         Only active when a probabilistic router is attached; the paper's
         non-peak premise is that taxis without online assignments go
         looking for street-hailing passengers.  Attempts are rate
-        limited per taxi so parked taxis do not replan continuously.
+        limited per taxi so parked taxis do not replan continuously;
+        the simulator calls this when a parked taxi's :meth:`cruise_due`
+        time has come and whenever it advanced an idle taxi.
         """
-        if self._prob_router is None or not taxi.idle:
+        router = self._prob_router
+        if router is None or not taxi.idle or taxi.cruising:
+            return False  # busy, or still driving an earlier (seek or rebalance) cruise
+        if now < self.cruise_due(taxi):
             return False
-        if not self._config.enable_cruising:
-            return False
-        if taxi.cruising:
-            return False  # still driving an earlier (seek or rebalance) cruise
-        cooldowns = self._cruise_cooldown
-        if now < cooldowns.get(taxi.taxi_id, 0.0):
-            return False
-        route = self._prob_router.cruise_route(taxi.loc, now)
+        route = router.cruise_route(taxi.loc, now)
         if route is None or route.empty:
-            cooldowns[taxi.taxi_id] = now + 300.0
+            self._cruise_cooldown[taxi.taxi_id] = now + 300.0
             return False
         taxi.set_plan([], route)
-        cooldowns[taxi.taxi_id] = route.end_time
+        self._cruise_cooldown[taxi.taxi_id] = route.end_time
         self._index_taxi(taxi, now)
         return True
 

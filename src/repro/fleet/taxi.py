@@ -9,6 +9,7 @@ vertex position on the route is reached, moving passengers on and off.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -197,6 +198,20 @@ class Taxi:
         """
         return self._stops_fired_total
 
+    @property
+    def next_due(self) -> float:
+        """Arrival time at the next unconsumed route vertex; ``inf`` with no route left.
+
+        :meth:`advance` is a strict no-op — returns ``[]``, changes no
+        field — exactly when this is ``> now``: a parked taxi, a taxi
+        mid-edge and a cruise between vertices all fall through both of
+        its loops and its teardown gate.  The simulator's due index
+        (docs/PERFORMANCE.md, "Fleet advancement") is keyed by it.
+        """
+        i = self._route_cursor
+        times = self.route.times
+        return times[i] if i < len(times) else math.inf
+
     def has_spare_commitment(self) -> bool:
         """Whether accepting one more single passenger could ever fit.
 
@@ -212,7 +227,13 @@ class Taxi:
         A taxi mid-edge cannot be re-routed until the next vertex, so
         replanning always starts from ``(next_vertex, arrival_time)``;
         an idle or at-vertex taxi plans from ``(loc, now)``.  Callers
-        should :meth:`advance` the taxi to ``now`` first.
+        need not :meth:`advance` the taxi first: the simulator advances
+        every taxi with ``next_due <= now`` before anything reads a
+        position at ``now``, and for the rest ``advance(now)`` would be
+        a no-op — their cursor already points at the first vertex
+        ahead of ``now``.  (A plan installed at this very boundary
+        starts at its own planning position, possibly at or before
+        ``now``; the ``max`` clamps that.)
         """
         route = self.route
         if self._route_cursor < len(route.nodes):

@@ -24,8 +24,11 @@ Headline counters: ``spe.cache_hits`` / ``spe.cache_misses`` (shortest
 path engine source-tree cache), ``match.insertions_evaluated``,
 ``match.candidates_found``, ``match.routes_planned``,
 ``sim.encounters_scanned``, ``sim.taxi_advances`` /
-``sim.stop_notifications`` (index-refresh pressure), and the end-of-run
-index gauges (``index.partition_entries``, ``index.clusters``).
+``sim.stop_notifications`` (index-refresh pressure),
+``sim.advance_calls`` (``Taxi.advance`` calls the due index issued;
+``sim.taxi_advances`` of them moved a taxi) with the end-of-run gauge
+``sim.due_index_entries``, and the end-of-run index gauges
+(``index.partition_entries``, ``index.clusters``).
 
 Fault-injection runs (``repro.faults``, docs/ROBUSTNESS.md) add the
 ``fault.*`` family — ``fault.breakdowns``, ``fault.cancellations``,

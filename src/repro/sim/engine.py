@@ -5,7 +5,8 @@ The simulator is one client of the discrete-event kernel
 committed clock, the simulator owns the fleet and the workload, and the
 dispatch scheme owns its indexes and matching logic.  Request releases
 and post-release drain ticks are kernel events; each event boundary
-advances every taxi along its planned route at the constant network
+advances every taxi with a route vertex due (found through a due index,
+not a fleet sweep) along its planned route at the constant network
 speed, firing pick-ups and drop-offs, scanning traversed vertices for
 *offline* requests waiting at the roadside, and replaying any due
 injected faults.  After the last release the drain ticks keep the clock
@@ -36,6 +37,7 @@ import time
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from ..analysis import contracts
 from ..baselines.base import DispatchScheme
@@ -150,7 +152,26 @@ class Simulator:
             obs = Instrumentation(trace=trace)
         self._obs = obs
         scheme.instrument(obs)
-        self._fleet = {t.taxi_id: t for t in taxis}
+        self._fleet: dict[int, Taxi] = {}
+        for taxi in taxis:
+            if taxi.taxi_id in self._fleet:
+                raise ValueError(f"duplicate taxi id {taxi.taxi_id} in the fleet")
+            self._fleet[taxi.taxi_id] = taxi
+        # Due index (docs/PERFORMANCE.md, "Fleet advancement"): a
+        # min-heap of ``(due time, fleet order)`` holding, for every
+        # in-service taxi that can do anything at a boundary, an entry
+        # at or before the time it can — its next route vertex, or for
+        # a parked idle taxi its scheme's cruise cooldown.  Entries are
+        # never invalidated: a stale one costs one no-op ``advance``.
+        self._taxis = list(taxis)
+        self._order = {t.taxi_id: i for i, t in enumerate(taxis)}
+        self._due: list[tuple[float, int]] = []
+        # While a sweep runs: the fleet orders still awaiting their turn
+        # (a heap), the order being processed and the sweep's instant
+        # (see ``_rekey``).
+        self._sweep_queue: list[int] | None = None
+        self._sweep_order = -1
+        self._sweep_now = 0.0
         self._requests = sorted(requests, key=lambda r: (r.release_time, r.request_id))
         self._payment = payment
         self._redispatch = redispatch_encounters
@@ -346,30 +367,88 @@ class Simulator:
     # time advancement
     # ------------------------------------------------------------------
     def _advance_all(self, now: float) -> None:
+        """Advance every taxi that has something due at ``now``.
+
+        ``Taxi.advance`` is a strict no-op while ``taxi.next_due > now``
+        and ``maybe_cruise`` while the cruise cooldown runs, so a taxi
+        without a due entry is already in the state a full fleet sweep
+        would leave it in.  Due taxis are processed once each, in fleet
+        order — the order every sample list and callback stream was
+        recorded in when the whole fleet was swept.
+        """
         contracts.check_monotone_clock(self._now, now)
-        obs = self._obs
-        for taxi in self._fleet.values():
-            if taxi.out_of_service:
-                continue
-            # The monotone lifetime counter survives schedule completion
-            # (which resets the per-schedule ``_stops_fired`` index), so
-            # this comparison reports *true* firings only: an idle taxi
-            # cruising through vertices no longer claims "stops fired"
-            # every tick and no longer triggers needless index refreshes.
-            fired_before = taxi.stops_fired_total
-            traversed = taxi.advance(now, on_pickup=self._on_pickup, on_dropoff=self._on_dropoff)
-            if traversed:
-                stops_fired = taxi.stops_fired_total != fired_before
-                obs.count("sim.taxi_advances")
-                if stops_fired:
-                    obs.count("sim.stop_notifications")
-                self._scheme.on_taxi_advanced(taxi, now, stops_fired)
-                self._scan_encounters(taxi, traversed)
-            if taxi.idle:
-                # Idle taxis may start a demand-seeking cruise (non-peak
-                # probabilistic mode); a no-op for every other scheme.
-                self._scheme.maybe_cruise(taxi, now)
+        due = self._due
+        if due and due[0][0] <= now:
+            queue = self._sweep_queue = []
+            while due and due[0][0] <= now:
+                heappush(queue, heappop(due)[1])
+            self._sweep_order = -1
+            self._sweep_now = now
+            taxis = self._taxis
+            calls = 0
+            while queue:
+                order = heappop(queue)
+                taxi = taxis[order]
+                if order == self._sweep_order or taxi.out_of_service:
+                    continue  # one turn per taxi, however many entries named it
+                self._sweep_order = order
+                calls += 1
+                self._advance_taxi(taxi, now)
+                self._rekey(taxi)
+            self._sweep_queue = None
+            self._obs.count("sim.advance_calls", calls)
+        contracts.check_due_index(self._taxis, self._due_time, self._due)
         contracts.check_request_accounting(self._metrics)
+
+    def _advance_taxi(self, taxi: Taxi, now: float) -> None:
+        """One taxi's boundary step: move, notify, scan encounters, maybe cruise."""
+        # The monotone lifetime counter survives schedule completion
+        # (which resets the per-schedule ``_stops_fired`` index), so
+        # this comparison reports *true* firings only: an idle taxi
+        # cruising through vertices no longer claims "stops fired"
+        # every tick and no longer triggers needless index refreshes.
+        fired_before = taxi.stops_fired_total
+        traversed = taxi.advance(now, on_pickup=self._on_pickup, on_dropoff=self._on_dropoff)
+        if traversed:
+            stops_fired = taxi.stops_fired_total != fired_before
+            self._obs.count("sim.taxi_advances")
+            if stops_fired:
+                self._obs.count("sim.stop_notifications")
+            self._scheme.on_taxi_advanced(taxi, now, stops_fired)
+            self._scan_encounters(taxi, traversed)
+        if taxi.idle:
+            # Idle taxis may start a demand-seeking cruise (non-peak
+            # probabilistic mode); a no-op for every other scheme.
+            self._scheme.maybe_cruise(taxi, now)
+
+    def _due_time(self, taxi: Taxi) -> float:
+        """When ``taxi`` can next do anything at a boundary (``inf``: never)."""
+        if taxi.out_of_service:
+            return math.inf
+        due = taxi.next_due
+        if due == math.inf and taxi.idle:
+            due = self._scheme.cruise_due(taxi)
+        return due
+
+    def _rekey(self, taxi: Taxi) -> None:
+        """Index ``taxi`` under its current due time; call after every plan change.
+
+        A full fleet sweep mutated plans *while* sweeping: an encounter
+        scan on taxi A can redispatch a request to taxi B with a first
+        vertex already due, and the sweep then advanced B at this same
+        boundary iff B came later in fleet order — otherwise (and for a
+        plan A gave itself) at the next one.  So a plan that falls due
+        mid-sweep joins the in-flight queue iff its taxi's turn is
+        still ahead; everything else waits in the heap.
+        """
+        due = self._due_time(taxi)
+        if due == math.inf:
+            return
+        order = self._order[taxi.taxi_id]
+        if self._sweep_queue is not None and due <= self._sweep_now and order > self._sweep_order:
+            heappush(self._sweep_queue, order)
+        else:
+            heappush(self._due, (due, order))
 
     def _register_offline(self, request: RideRequest) -> None:
         """Expose an offline request to every vertex it can hail from.
@@ -575,6 +654,7 @@ class Simulator:
                 return  # stranded after a breakdown; already accounted
             if not self._scheme.cancel_assigned(taxi, request, now):
                 return
+            self._rekey(taxi)
             if request.offline:
                 self._metrics.served_offline -= 1
                 self._metrics.cancelled_offline += 1
@@ -620,6 +700,7 @@ class Simulator:
             if dx * dx + dy * dy > r2:
                 continue
             if taxi.apply_delay(window.delay_s):
+                self._rekey(taxi)
                 shocked.add((k, tid))
                 self._metrics.shock_delays += 1
                 self._scheme.on_taxi_replanned(taxi, now)
@@ -632,6 +713,7 @@ class Simulator:
     def _install(self, result: MatchResult, request: RideRequest, now: float) -> None:
         """Apply a match to its taxi and log the assignment."""
         taxi = self._scheme.install(result, request, now)
+        self._rekey(taxi)
         # A real match pre-empts any repositioning cruise: install()
         # replaced the plan wholesale, so just retire the bookkeeping.
         if self._rebalance_dest.pop(taxi.taxi_id, None) is not None:
@@ -715,6 +797,8 @@ class Simulator:
         # run's delta.
         self._tally_base = self._tallies()
         self._scheme.register_fleet(self._fleet, now=0.0)
+        for taxi in self._taxis:
+            self._rekey(taxi)
 
     def _count_request(self, request: RideRequest) -> None:
         """Add one request to the workload population counters."""
@@ -890,6 +974,7 @@ class Simulator:
             if route is None:
                 continue
             taxi.set_plan([], route)
+            self._rekey(taxi)
             self._rebalance_dest[move.taxi_id] = move.target
             # Re-index: position-grid schemes key idle taxis by vertex,
             # and the cruise will move this one.
@@ -997,6 +1082,7 @@ class Simulator:
         )
         obs.gauge("kernel.events_processed", self._kernel.events_processed)
         obs.gauge("kernel.events_scheduled", self._kernel.events_scheduled)
+        obs.gauge("sim.due_index_entries", len(self._due))
         self._scheme.collect_observability(obs)
         self._metrics.stages = obs.stage_snapshot()
         self._metrics.counters = obs.counter_snapshot()

@@ -1,6 +1,12 @@
-"""Scalar insertion oracle for the kernel-equivalence tests.
+"""Reference implementations the equivalence tests diff production against.
 
-Production scores insertions through
+**Fleet advancement.**  Production advances only the taxis its due
+index names (``Simulator._advance_all``);
+:class:`FullSweepSimulator` is the sweep it replaced — every in-service
+taxi, every boundary, fleet order — kept here so it cannot drift into
+production.
+
+**Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
 (:func:`enumerate_insertions` + :func:`arrival_times` +
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis import contracts
 from repro.core.matching import insertion_start
 from repro.core.window import WindowCostMatrix
 from repro.fleet.schedule import (
@@ -21,6 +28,34 @@ from repro.fleet.schedule import (
     deadlines_met,
     enumerate_insertions,
 )
+from repro.sim.engine import Simulator
+
+
+class FullSweepSimulator(Simulator):
+    """A :class:`Simulator` that treats every in-service taxi as due at
+    every boundary: the O(fleet) sweep, verbatim, as the due index's oracle."""
+
+    def _advance_all(self, now):
+        contracts.check_monotone_clock(self._now, now)
+        obs = self._obs
+        for taxi in self._fleet.values():
+            if taxi.out_of_service:
+                continue
+            fired_before = taxi.stops_fired_total
+            traversed = taxi.advance(now, on_pickup=self._on_pickup, on_dropoff=self._on_dropoff)
+            if traversed:
+                stops_fired = taxi.stops_fired_total != fired_before
+                obs.count("sim.taxi_advances")
+                if stops_fired:
+                    obs.count("sim.stop_notifications")
+                self._scheme.on_taxi_advanced(taxi, now, stops_fired)
+                self._scan_encounters(taxi, traversed)
+            if taxi.idle:
+                self._scheme.maybe_cruise(taxi, now)
+        contracts.check_request_accounting(self._metrics)
+
+    def _rekey(self, taxi):
+        """No index to maintain."""
 
 
 def oracle_instances(engine, start, request):

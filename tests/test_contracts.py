@@ -9,12 +9,14 @@ contract functions themselves plus the disabled path.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 
 import pytest
 
 from repro.analysis import contracts
 from repro.analysis.contracts import ContractViolation
 from repro.fleet.schedule import dropoff, pickup
+from repro.fleet.taxi import Taxi, TaxiRoute
 from repro.sim.engine import Simulator
 from repro.sim.metrics import SimulationMetrics
 
@@ -92,6 +94,52 @@ def test_request_accounting_upper_bound():
     m.unserved_online = 1
     with pytest.raises(ContractViolation, match="overshoots"):
         contracts.check_request_accounting(m)
+
+
+# ----------------------------------------------------------------------
+# check_due_index
+# ----------------------------------------------------------------------
+def test_due_index_coverage():
+    parked = Taxi(taxi_id=0, capacity=3, loc=0)
+    moving = Taxi(taxi_id=1, capacity=3, loc=0)
+    moving.set_plan([], TaxiRoute(nodes=[0, 1], times=[5.0, 9.0]))
+    taxis = [parked, moving]
+    due_time = attrgetter("next_due")
+
+    contracts.check_due_index(taxis, due_time, [(5.0, 1)])
+    contracts.check_due_index(taxis, due_time, [(7.0, 1), (2.0, 1), (3.0, 0)])  # stale is fine
+    with pytest.raises(ContractViolation, match="taxi 1 .* not re-keyed"):
+        contracts.check_due_index(taxis, due_time, [])
+    with pytest.raises(ContractViolation, match="taxi 1 .* not re-keyed"):
+        contracts.check_due_index(taxis, due_time, [(5.5, 1), (1.0, 0)])
+
+
+def test_disabled_due_index_check_is_a_noop(toggling):
+    contracts.enable(False)
+    moving = Taxi(taxi_id=0, capacity=3, loc=0)
+    moving.set_plan([], TaxiRoute(nodes=[0], times=[5.0]))
+    contracts.check_due_index([moving], attrgetter("next_due"), [])
+
+
+def test_forgotten_rekey_fails_at_the_next_boundary(test_scenario):
+    """What the armed contract is for: a plan-change site that does not
+    re-key its taxi breaks every simulation test, not just a benchmark."""
+
+    class Forgetful(Simulator):
+        def _install(self, result, request, now):
+            self._rekey = lambda taxi: None  # this site "forgot"
+            try:
+                super()._install(result, request, now)
+            finally:
+                del self._rekey
+
+    sim = Forgetful(
+        test_scenario.make_scheme("no-sharing"),
+        test_scenario.make_fleet(15, seed=1),
+        test_scenario.requests(),
+    )
+    with pytest.raises(ContractViolation, match="not re-keyed"):
+        sim.run()
 
 
 # ----------------------------------------------------------------------

@@ -514,3 +514,15 @@ class TestDrainOvershoot:
         assert sim._now == pytest.approx(150.0)
         assert m.unsettled_episodes == 1
         m.check_balance()
+
+
+class TestDuplicateTaxiIds:
+    """Regression: ``{t.taxi_id: t for t in taxis}`` silently collapsed
+    two taxis sharing an id to the last one — the first never moved, was
+    never indexed, and ``len(sim.fleet)`` under-reported the fleet."""
+
+    def test_duplicate_id_is_rejected_by_name(self, test_scenario):
+        fleet = [Taxi(taxi_id=4, capacity=3, loc=0), Taxi(taxi_id=7, capacity=3, loc=1),
+                 Taxi(taxi_id=4, capacity=3, loc=2)]
+        with pytest.raises(ValueError, match="duplicate taxi id 4"):
+            Simulator(test_scenario.make_scheme("no-sharing"), fleet, [])
