@@ -7,7 +7,10 @@ This implements Section IV-C of the paper.  For a request ``r_i``:
   searching disc around ``o_{r_i}``, and the taxis of the mobility
   clusters aligned with ``r_i``'s travel direction.  Empty taxis inside
   the disc are added, then taxis with no spare capacity and taxis that
-  cannot reach the pick-up before its deadline are filtered out.
+  cannot reach the pick-up before its deadline are filtered out.  A
+  dispatch window asks this for all its requests at once
+  (:meth:`Matcher.screen_window`): the same predicates over one read of
+  the fleet, as ``requests x taxis`` array expressions.
 * **Taxi scheduling** (Algorithm 1) enumerates every insertion of the
   pick-up/drop-off pair into each candidate's existing stop sequence,
   keeps the feasible instances, and picks the one with the minimum
@@ -66,6 +69,39 @@ class MatchResult:
     detour_cost: float
     num_candidates: int
     probabilistic: bool = False
+
+
+#: Batch size from which :meth:`Matcher.screen_window` screens the whole
+#: window as ``(requests x taxis)`` array expressions instead of one
+#: :meth:`Matcher.candidate_taxis` search per request.  The bulk tier
+#: pays one read of every indexed taxi per flush, then a few
+#: microseconds per request; the scalar tier pays a walk over its pool
+#: per request — docs/PERFORMANCE.md ("Candidate screening") has the
+#: measured break-even.  Both tiers return the same sets, so the choice
+#: moves no decision.
+BULK_SCREEN_MIN_REQUESTS = 16
+
+
+@dataclass(frozen=True, slots=True)
+class WindowScreen:
+    """Every request of one dispatch window screened against the fleet.
+
+    ``member[i, j]`` says whether ``taxis[j]`` is in the refined
+    candidate set of the window's ``i``-th request (Eq. 3 plus the
+    three rules).  Columns are the taxis that are a candidate of at
+    least one request, ascending by taxi id; ``starts[j]`` is
+    ``insertion_start(taxis[j], now)``, read once per window and shared
+    with the cost-matrix fill.
+    """
+
+    taxis: list[Taxi]
+    starts: list[InsertionStart]
+    member: np.ndarray
+
+    def candidate_lists(self) -> list[list[Taxi]]:
+        """Per request, its candidates in ascending taxi-id order."""
+        taxis = self.taxis
+        return [[taxis[j] for j in np.flatnonzero(row)] for row in self.member]
 
 
 def request_vector(network: RoadNetwork, request: RideRequest) -> MobilityVector:
@@ -148,20 +184,29 @@ class Matcher:
     # ------------------------------------------------------------------
     # candidate searching
     # ------------------------------------------------------------------
+    def _search_radius(self, request: RideRequest) -> float:
+        """The searching range ``gamma`` of one request, in metres."""
+        if self._config.mtshare_adaptive_gamma:
+            # Eq. 2: the searching range is exactly the reachability
+            # radius of the request's waiting budget, so inbound taxis
+            # beyond any static range (Fig. 1's taxi t3) are visible.
+            return max(0.0, request.max_wait) * self._config.speed_mps
+        return self._config.gamma_for_wait(request.max_wait)
+
     def candidate_taxis(
         self,
         request: RideRequest,
         fleet: dict[int, Taxi],
         now: float,
     ) -> list[Taxi]:
-        """The refined candidate set ``T_{r_i}`` (Eq. 3 plus the 3 rules)."""
-        if self._config.mtshare_adaptive_gamma:
-            # Eq. 2: the searching range is exactly the reachability
-            # radius of the request's waiting budget, so inbound taxis
-            # beyond any static range (Fig. 1's taxi t3) are visible.
-            gamma = max(0.0, request.max_wait) * self._config.speed_mps
-        else:
-            gamma = self._config.gamma_for_wait(request.max_wait)
+        """The refined candidate set ``T_{r_i}`` (Eq. 3 plus the 3 rules).
+
+        The scalar tier: every single-request path (greedy
+        :meth:`match`, ``W -> 0`` windows, redispatch) searches through
+        here, and :meth:`screen_window`'s bulk tier must return exactly
+        these taxis in this order.
+        """
+        gamma = self._search_radius(request)
         ox, oy = self._network.xy[request.origin]
         disc_partitions = self._lg.partitions_intersecting_disc(float(ox), float(oy), gamma)
         pool = self._pindex.union_taxis(disc_partitions)
@@ -262,6 +307,117 @@ class Matcher:
             if arrival > pickup_deadline:
                 late.add(row)
         return [taxi for row, taxi in enumerate(screened) if row not in late]
+
+    def screen_window(
+        self,
+        batch: Sequence[RideRequest],
+        fleet: dict[int, Taxi],
+        now: float,
+    ) -> WindowScreen:
+        """:meth:`candidate_taxis` for every request of a window at once.
+
+        ``screen.candidate_lists()`` equals ``[candidate_taxis(r, fleet,
+        now) for r in batch]`` taxi for taxi.  Small batches run exactly
+        that comprehension; from :data:`BULK_SCREEN_MIN_REQUESTS`
+        requests on, :meth:`_screen_bulk` reads the fleet once and
+        evaluates the rules as array expressions.  The tier is chosen
+        from the batch size alone and nothing outlives the call.
+        """
+        obs = self._obs
+        if len(batch) >= BULK_SCREEN_MIN_REQUESTS:
+            with obs.stage("window.screen"):
+                return self._screen_bulk(batch, fleet, now)
+        with obs.stage("window.candidates"):
+            cand_lists = [self.candidate_taxis(r, fleet, now) for r in batch]
+        by_id = {t.taxi_id: t for cands in cand_lists for t in cands}
+        taxis = [by_id[tid] for tid in sorted(by_id)]
+        col_of = {t.taxi_id: j for j, t in enumerate(taxis)}
+        member = np.zeros((len(batch), len(taxis)), dtype=bool)
+        for i, cands in enumerate(cand_lists):
+            member[i, [col_of[t.taxi_id] for t in cands]] = True
+        return WindowScreen(taxis, [insertion_start(t, now) for t in taxis], member)
+
+    def _screen_bulk(
+        self,
+        batch: Sequence[RideRequest],
+        fleet: dict[int, Taxi],
+        now: float,
+    ) -> WindowScreen:
+        """The bulk tier of :meth:`screen_window`.
+
+        Index and fleet state are fixed for the duration of a flush, so
+        each indexed taxi is read once (planning position, seats,
+        cluster, direction unit, its ``P_z.L_t`` arrivals) and the pool
+        and the three rules become ``(R, T)`` boolean / float64
+        expressions.  Every float operation is the scalar tier's, on the
+        same operands in the same association — request units still come
+        from the scalar :func:`direction_unit` and disc verdicts from
+        the memoised ``np.hypot`` distances — so the surviving sets are
+        identical, not merely close.
+        """
+        lg = self._lg
+        xy = self._network.xy
+        ids, arrivals = self._pindex.arrival_table()
+        known = [j for j, tid in enumerate(ids) if tid in fleet]
+        if len(known) < len(ids):
+            ids = [ids[j] for j in known]
+            arrivals = arrivals[:, known]
+        taxis = [fleet[tid] for tid in ids]
+        starts = [insertion_start(taxi, now) for taxi in taxis]
+        nodes = np.array([start[0] for start in starts], dtype=np.int64)
+        ready = np.array([start[1] for start in starts], dtype=np.float64)
+        spare = np.array([taxi.capacity - taxi.committed for taxi in taxis], dtype=np.int64)
+        busy = [j for j, taxi in enumerate(taxis) if taxi.schedule]
+
+        origins = np.array([r.origin for r in batch], dtype=np.int64)
+        deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)
+        n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)
+        shape = (len(batch), len(taxis))
+        self._obs.count("window.screened_pairs", shape[0] * shape[1])
+
+        # Eq. 3, left side: a taxi is in a request's pool when some
+        # partition of the request's searching disc lists it — an OR
+        # over partitions, eight to a byte.
+        origin_xy = xy[origins]
+        in_disc = lg.disc_partition_mask(
+            origin_xy.tolist(), [self._search_radius(r) for r in batch]
+        )
+        disc_bits = np.packbits(in_disc, axis=1)
+        listed_bits = np.packbits(~np.isnan(arrivals), axis=0)
+        keep = np.zeros(shape, dtype=bool)
+        for byte in range(listed_bits.shape[0]):
+            keep |= (disc_bits[:, byte, None] & listed_bits[byte]) != 0
+
+        # Rule 2: enough seats not yet promised.
+        keep &= n_pass[:, None] <= spare
+
+        # Rule 1: busy taxis must travel the request's way.  Request
+        # units come from the scalar ``direction_unit`` (``math.hypot``;
+        # ``np.hypot`` differs in the last ULP on some inputs).
+        directions = (xy[[r.destination for r in batch]] - origin_xy).tolist()
+        request_units = np.array([direction_unit(dx, dy) for dx, dy in directions])
+        keep[:, busy] &= self._cindex.alignment_mask(request_units, [ids[j] for j in busy])
+
+        # Rule 3: the indexed arrival at the origin's partition admits;
+        # the pairs it cannot admit (not listed compares as NaN) get the
+        # exact bound, from one cost-matrix query over just the taxis
+        # and requests that still have such a pair.
+        pending = keep & ~(arrivals[lg.partition_of_many(origins)] <= deadline[:, None])
+        checks = int(np.count_nonzero(pending))
+        if checks:
+            self._obs.count("kernel.batched_reach_checks", checks)
+            rows = np.flatnonzero(pending.any(axis=1))
+            cols = np.flatnonzero(pending.any(axis=0))
+            legs = self._engine.cost_matrix(nodes[cols], origins[rows])
+            late = np.zeros(shape, dtype=bool)
+            late[np.ix_(rows, cols)] = (ready[cols][:, None] + legs > deadline[rows]).T
+            keep &= ~(pending & late)
+
+        used = np.flatnonzero(keep.any(axis=0))
+        columns = used.tolist()
+        return WindowScreen(
+            [taxis[j] for j in columns], [starts[j] for j in columns], keep[:, used]
+        )
 
     # ------------------------------------------------------------------
     # taxi scheduling (Algorithm 1)

@@ -16,7 +16,10 @@ the right-hand side of the candidate-search intersection (Eq. 3).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..network.geo import cosine_similarity
 
@@ -54,6 +57,23 @@ def unit_similarity(
         return 1.0
     value = (a[0] * b[0] + a[1] * b[1]) / (a[2] * b[2])
     return max(-1.0, min(1.0, value))
+
+
+def _misaligned(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """``unit_similarity(a[i], b[j]) < lam`` as one ``(len(a), len(b))`` mask.
+
+    Rows are :func:`direction_unit` triples.  The arithmetic is
+    :func:`unit_similarity`'s, operation for operation, so each verdict
+    is the scalar one.  A :data:`ZERO_UNIT` on either side divides 0 by
+    0; the NaN fails ``< lam`` exactly as the scalar 1.0 does (``lam``
+    is a cosine, so never above 1).  An all-NaN row is never misaligned
+    either — callers that use one for "no unit" mask it themselves.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = (a[:, None, 0] * b[None, :, 0] + a[:, None, 1] * b[None, :, 1]) / (
+            a[:, None, 2] * b[None, :, 2]
+        )
+        return np.maximum(-1.0, np.minimum(1.0, value)) < lam
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,6 +341,39 @@ class MobilityClusterIndex:
         re-deriving the components every dispatch.
         """
         return self._taxi_units.get(taxi_id)
+
+    def alignment_mask(self, request_units: np.ndarray, taxi_ids: Sequence[int]) -> np.ndarray:
+        """Rule 1's direction test for every (request, taxi) pair at once.
+
+        ``request_units`` holds one :func:`direction_unit` per row;
+        ``out[i, j]`` is True when taxi ``j`` travels request ``i``'s
+        way — its cluster is one of the request's
+        :meth:`matching_clusters`, or its own :meth:`taxi_unit` is
+        within ``lambda`` — and False for a taxi with neither a cluster
+        nor a vector.  Whole-window candidate screening asks this once
+        per flush instead of once per pair; the verdicts are the scalar
+        ones bit for bit (see :func:`_misaligned`).
+        """
+        lam = self._lam
+        cluster_ids, cluster_units = self._direction_table()
+        matching = ~_misaligned(
+            request_units, np.array(cluster_units, dtype=np.float64).reshape(-1, 3), lam
+        )
+        # One extra all-False column for the taxis no cluster lists.
+        unlisted = len(cluster_ids)
+        matching = np.concatenate(
+            [matching, np.zeros((len(request_units), 1), dtype=bool)], axis=1
+        )
+        slot_of = {cid: k for k, cid in enumerate(cluster_ids)}
+        cluster_get = self._cluster_of_taxi.get
+        slots = [slot_of.get(cluster_get(tid), unlisted) for tid in taxi_ids]
+        no_unit = (math.nan, math.nan, math.nan)
+        unit_get = self._taxi_units.get
+        units = np.array(
+            [unit_get(tid, no_unit) for tid in taxi_ids], dtype=np.float64
+        ).reshape(-1, 3)
+        own = ~_misaligned(request_units, units, lam) & ~np.isnan(units[:, 2])
+        return matching[:, slots] | own
 
     def memory_bytes(self) -> int:
         """Rough footprint of the clustering structures."""

@@ -11,7 +11,11 @@ Assignment Problems"):
 
 1. **Prune** each request's candidate taxis through the existing
    partition/mobility-cluster indexes (Eq. 3 plus the three rules,
-   unchanged from mT-Share).
+   unchanged from mT-Share) — the whole window in one
+   :meth:`~repro.core.matching.Matcher.screen_window` call, which
+   reads every indexed taxi once per flush and evaluates the rules as
+   ``requests x taxis`` array expressions (small windows fall back to
+   one scalar search per request; the sets are identical).
 2. **Fill** the rectangular ``requests x taxis`` cost matrix with each
    pair's minimum-detour feasible insertion.  Idle candidates — the
    bulk of every window — are filled for *all* pairs at once from two
@@ -50,13 +54,12 @@ from scipy.optimize import linear_sum_assignment
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
-from ..fleet.schedule import InsertionStart, Stop, materialize_insertion, score_insertions
-from ..fleet.taxi import Taxi
+from ..fleet.schedule import Stop, materialize_insertion, score_insertions
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
 from ..partitioning.bipartite import MapPartitioning
-from .matching import MatchResult, insertion_start
+from .matching import MatchResult, WindowScreen
 from .mtshare import MTShare
 from .routing import RouteInfeasible
 
@@ -234,46 +237,30 @@ class WindowLAP(MTShare):
         (``tests/oracles.py`` diffs them).
         """
         obs = self._obs
-        fleet = self._fleet
-        matcher = self._matcher
-        with obs.stage("window.candidates"):
-            cand_lists = [matcher.candidate_taxis(r, fleet, now) for r in batch]
-        obs.count(
-            "match.candidates_found", sum(len(cands) for cands in cand_lists)
-        )
-        taxi_ids = sorted({t.taxi_id for cands in cand_lists for t in cands})
-        col_of = {tid: j for j, tid in enumerate(taxi_ids)}
-        n_rows, n_cols = len(batch), len(taxi_ids)
-        costs = np.full((n_rows, n_cols), np.inf)
+        # One state read per taxi per window: the screen's columns, their
+        # ``insertion_start`` and the membership mask feed both fills.
+        screen = self._matcher.screen_window(batch, self._fleet, now)
+        num_candidates: list[int] = screen.member.sum(axis=1).tolist()
+        obs.count("match.candidates_found", sum(num_candidates))
+        costs = np.full(screen.member.shape, np.inf)
         matrix = WindowCostMatrix(
             requests=list(batch),
-            taxi_ids=taxi_ids,
+            taxi_ids=[taxi.taxi_id for taxi in screen.taxis],
             costs=costs,
-            num_candidates=[len(cands) for cands in cand_lists],
+            num_candidates=num_candidates,
+            pendings=[start[2] for start in screen.starts],
         )
-        if n_cols == 0:
+        if not screen.taxis:
             return matrix
         with obs.stage("window.matrix"):
-            # One state read per taxi per window, shared by every row.
-            state = {tid: insertion_start(fleet[tid], now) for tid in taxi_ids}
-            matrix.pendings = [state[tid][2] for tid in taxi_ids]
-            member = np.zeros((n_rows, n_cols), dtype=bool)
-            for i, cands in enumerate(cand_lists):
-                for taxi in cands:
-                    member[i, col_of[taxi.taxi_id]] = True
-            self._fill_idle(batch, member, state, col_of, matrix)
-            self._fill_busy(batch, cand_lists, state, col_of, matrix)
+            self._fill_idle(batch, screen, matrix)
+            self._fill_busy(batch, screen, matrix)
         obs.count("window.matrix_cells", costs.size)
         obs.count("window.matrix_feasible", int(np.isfinite(costs).sum()))
         return matrix
 
     def _fill_idle(
-        self,
-        batch: list[RideRequest],
-        member: np.ndarray,
-        state: dict[int, InsertionStart],
-        col_of: dict[int, int],
-        matrix: WindowCostMatrix,
+        self, batch: list[RideRequest], screen: WindowScreen, matrix: WindowCostMatrix
     ) -> None:
         """Bulk-fill every (request, idle-candidate) pair of the window.
 
@@ -287,13 +274,13 @@ class WindowLAP(MTShare):
         feasibility verdicts are bit-identical to the per-pair
         reference.
         """
-        idle_tids = [tid for tid in matrix.taxi_ids if not state[tid][2]]
-        if not idle_tids:
+        idle = [j for j, start in enumerate(screen.starts) if not start[2]]
+        if not idle:
             return
         engine = self._engine
         obs = self._obs
-        fleet = self._fleet
-        nodes = [state[tid][0] for tid in idle_tids]
+        starts = [screen.starts[j] for j in idle]
+        nodes = [start[0] for start in starts]
         origins = [r.origin for r in batch]
         # (T_idle, R) pick-up legs in one many-to-many gather; the
         # direct legs are per *request*, not per pair.
@@ -304,9 +291,9 @@ class WindowLAP(MTShare):
         obs.count("window.bulk_m2m_cells", int(leg_pu.size))
         obs.count("kernel.batched_insertions", 1)
 
-        ready = np.array([state[tid][1] for tid in idle_tids], dtype=np.float64)[:, None]
+        ready = np.array([start[1] for start in starts], dtype=np.float64)[:, None]
         remaining = np.array(
-            [fleet[tid].remaining_route_cost(state[tid][1]) for tid in idle_tids],
+            [screen.taxis[j].remaining_route_cost(start[1]) for j, start in zip(idle, starts)],
             dtype=np.float64,
         )[:, None]
         t_pu = ready + leg_pu
@@ -316,8 +303,8 @@ class WindowLAP(MTShare):
         slack = 1e-9
         pu_deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)[None, :]
         do_deadline = np.array([r.deadline for r in batch], dtype=np.float64)[None, :]
-        onboard = np.array([state[tid][3] for tid in idle_tids], dtype=np.int64)[:, None]
-        cap = np.array([state[tid][4] for tid in idle_tids], dtype=np.int64)[:, None]
+        onboard = np.array([start[3] for start in starts], dtype=np.int64)[:, None]
+        cap = np.array([start[4] for start in starts], dtype=np.int64)[:, None]
         n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)[None, :]
         feasible = (
             (t_pu <= pu_deadline + slack)
@@ -325,19 +312,14 @@ class WindowLAP(MTShare):
             & (onboard + n_pass <= cap)
         )
 
-        cols = np.array([col_of[tid] for tid in idle_tids], dtype=np.intp)
-        ok = member[:, cols].T & feasible  # (T_idle, R)
-        t_idx, r_idx = np.nonzero(ok)
+        cols = np.array(idle, dtype=np.intp)
+        member = screen.member[:, cols]
+        t_idx, r_idx = np.nonzero(member.T & feasible)  # (T_idle, R)
         matrix.costs[r_idx, cols[t_idx]] = detour[t_idx, r_idx]
-        obs.count("window.matrix_idle_pairs", int(member[:, cols].sum()))
+        obs.count("window.matrix_idle_pairs", int(member.sum()))
 
     def _fill_busy(
-        self,
-        batch: list[RideRequest],
-        cand_lists: list[list[Taxi]],
-        state: dict[int, InsertionStart],
-        col_of: dict[int, int],
-        matrix: WindowCostMatrix,
+        self, batch: list[RideRequest], screen: WindowScreen, matrix: WindowCostMatrix
     ) -> None:
         """Fill the busy-candidate pairs, one scorer call per request.
 
@@ -346,20 +328,22 @@ class WindowLAP(MTShare):
         :func:`~repro.fleet.schedule.score_insertions` call, sharing
         the per-taxi state gathered once for the window.
         """
+        busy = [j for j, start in enumerate(screen.starts) if start[2]]
+        if not busy:
+            return
         engine = self._engine
         obs = self._obs
-        busy_pairs = 0
-        for i, (request, cands) in enumerate(zip(batch, cand_lists)):
-            busy = [t for t in cands if state[t.taxi_id][2]]
-            if not busy:
+        member = screen.member[:, busy]
+        for i, request in enumerate(batch):
+            cols = [busy[k] for k in np.flatnonzero(member[i]).tolist()]
+            if not cols:
                 continue
-            busy_pairs += len(busy)
-            starts = [state[t.taxi_id] for t in busy]
+            starts = [screen.starts[j] for j in cols]
             for idx, last, pi, pj in score_insertions(engine, starts, request, obs):
-                taxi = busy[idx]
+                j = cols[idx]
                 ready = starts[idx][1]
-                j = col_of[taxi.taxi_id]
-                matrix.costs[i, j] = (last - ready) - taxi.remaining_route_cost(ready)
+                matrix.costs[i, j] = (last - ready) - screen.taxis[j].remaining_route_cost(ready)
                 matrix.insertions[(i, j)] = (pi, pj)
+        busy_pairs = int(member.sum())
         if busy_pairs:
             obs.count("window.matrix_busy_pairs", busy_pairs)

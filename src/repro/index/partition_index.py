@@ -12,6 +12,9 @@ partition before its pick-up deadline* (refinement rule 3).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
+
+import numpy as np
 
 DEFAULT_HORIZON_S = 3600.0
 
@@ -119,6 +122,32 @@ class PartitionTaxiIndex:
         read-only.
         """
         return self._by_partition[partition]
+
+    def arrival_table(self) -> tuple[list[int], np.ndarray]:
+        """Every ``P_z.L_t`` at once, for whole-window candidate screening.
+
+        Returns the indexed taxi ids in ascending order and the
+        ``(num_partitions, len(ids))`` float64 table of their indexed
+        arrivals — the very floats :meth:`arrival_map` serves — with
+        ``NaN`` where the taxi is not on that partition's list (``NaN``
+        fails every comparison, so "not listed" never reads as "on
+        time").  A fresh array per call: the caller owns it.
+        """
+        ids = sorted(self._partitions_of_taxi)
+        col_of = {tid: j for j, tid in enumerate(ids)}.__getitem__
+        lists = self._by_partition
+        sizes = [len(entries) for entries in lists]
+        total = sum(sizes)
+        rows = np.repeat(np.arange(len(lists)), sizes)
+        cols = np.fromiter(
+            chain.from_iterable(map(col_of, entries) for entries in lists), np.intp, total
+        )
+        times = np.fromiter(
+            chain.from_iterable(entries.values() for entries in lists), np.float64, total
+        )
+        table = np.full((len(lists), len(ids)), np.nan)
+        table[rows, cols] = times
+        return ids, table
 
     def partitions_of(self, taxi_id: int) -> set[int]:
         """Partitions currently indexing ``taxi_id``."""

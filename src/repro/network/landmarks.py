@@ -252,25 +252,48 @@ class LandmarkGraph:
         """Copy of the full landmark cost matrix in seconds."""
         return self._landmark_cost.copy()
 
+    def _centroid_distances(self, x: float, y: float) -> list[float]:
+        """Distances from ``(x, y)`` to every partition centroid, memoised.
+
+        Computed once per query centre with ``np.hypot`` and replayed
+        from :attr:`discs`, so cached and uncached answers are
+        bit-identical.
+        """
+        key = (x, y)
+        d = self.discs.lookup(key)
+        if d is None:
+            d = self.discs.store(
+                key, np.hypot(self._centroids[:, 0] - x, self._centroids[:, 1] - y).tolist()
+            )
+        return d
+
     def partitions_intersecting_disc(self, x: float, y: float, radius_m: float) -> list[int]:
         """Partitions whose bounding disc intersects the query disc.
 
         Used for candidate taxi searching: the searching area centred at
         a request origin with radius ``gamma`` is matched against each
-        partition's (centroid, radius) bounding disc.
-
-        Centroid distances are computed once per query centre (with
-        ``np.hypot``, so cached and uncached answers are bit-identical)
-        and replayed from a per-coordinate cache; the threshold test
-        itself is the same IEEE add/compare the array kernel performs.
+        partition's (centroid, radius) bounding disc.  The threshold
+        test is the same IEEE add/compare the array form
+        (:meth:`disc_partition_mask`) performs.
         """
-        key = (x, y)
-        d = self.discs.lookup(key)
-        if d is None:
-            d = np.hypot(self._centroids[:, 0] - x, self._centroids[:, 1] - y).tolist()
-            self.discs.store(key, d)
+        d = self._centroid_distances(x, y)
         radii = self._radii_list
         return [z for z in range(len(d)) if d[z] <= radii[z] + radius_m]
+
+    def disc_partition_mask(
+        self, centres: Sequence[Sequence[float]], radii_m: Sequence[float]
+    ) -> np.ndarray:
+        """:meth:`partitions_intersecting_disc` for many discs at once.
+
+        ``out[i, z]`` is True exactly when ``z`` is in
+        ``partitions_intersecting_disc(*centres[i], radii_m[i])``: the
+        same memoised distances (one counted lookup per centre), the
+        same add, the same compare.
+        """
+        d = np.array(
+            [self._centroid_distances(x, y) for x, y in centres], dtype=np.float64
+        ).reshape(len(centres), self.num_partitions)
+        return d <= self._radii + np.asarray(radii_m, dtype=np.float64)[:, None]
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the landmark structures."""

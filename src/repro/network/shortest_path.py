@@ -99,11 +99,15 @@ class ShortestPathEngine:
         mode — typically memory-mapped ``.npy`` views served by the
         artifact store (:mod:`repro.artifacts`), so concurrent sweep
         workers share pages zero-copy instead of each running (and
-        holding) its own all-pairs Dijkstra.  Ignored in other modes.
+        holding) its own all-pairs Dijkstra.  The engine reads them
+        through base-class ``ndarray`` views of the same pages (see
+        ``__init__``).  Ignored in other modes.
     ch_arrays:
         Optional persisted hierarchy arrays for ``"ch"`` mode (the
-        artifact-store warm path; usually mmapped).  Ignored in other
-        modes.
+        artifact-store warm path; usually mmapped).  Nothing to view
+        here: :class:`~repro.network.ch.ContractionHierarchy` copies
+        what its hot loops read into lists at construction.  Ignored in
+        other modes.
     """
 
     #: ``stats()`` keys that are point-in-time gauges; every other key
@@ -159,9 +163,15 @@ class ShortestPathEngine:
                         f"full_arrays must both be ({n}, {n}); "
                         f"got {dist.shape} and {pred.shape}"
                     )
-                self._dist = dist
-                self._pred = pred
                 self.full_mmapped = isinstance(dist, np.memmap)
+                # Held as base-class views of the same file-backed,
+                # read-only pages (zero-copy; the view keeps the mapping
+                # alive): every slice of an ``np.memmap`` *instance* runs
+                # the subclass's Python-level ``__getitem__`` and
+                # ``__array_finalize__``, ~10x a plain ndarray slice,
+                # and row/column slices are the hot-path read.
+                self._dist = np.asarray(dist)
+                self._pred = np.asarray(pred)
             else:
                 self._build_full()
                 self.full_built = True
@@ -214,8 +224,7 @@ class ShortestPathEngine:
             return 0.0
         if self._ch is not None:
             return self._ch.distance_m(u, v)
-        dist, _ = self._source_tree(u)
-        return float(dist[v])
+        return float(self.dist_row(u)[v])
 
     def cost(self, u: int, v: int) -> float:
         """Shortest-path travel cost from ``u`` to ``v`` in seconds.
@@ -240,8 +249,7 @@ class ShortestPathEngine:
         vs = np.asarray(vs, dtype=np.int64)
         if self._ch is not None:
             return self._ch.cost_matrix_m([u], vs.tolist())[0] / self._network.speed_mps
-        dist, _ = self._source_tree(u)
-        return dist[vs] / self._network.speed_mps
+        return self.dist_row(u)[vs] / self._network.speed_mps
 
     def cost_matrix(
         self, us: Sequence[int] | np.ndarray, vs: Sequence[int] | np.ndarray
@@ -264,8 +272,7 @@ class ShortestPathEngine:
         uniq, inverse = np.unique(us, return_inverse=True)
         rows = np.empty((uniq.size, vs.size), dtype=np.float64)
         for k, u in enumerate(uniq):
-            dist, _ = self._source_tree(int(u))
-            rows[k] = dist[vs]
+            rows[k] = self.dist_row(int(u))[vs]
         return rows[inverse] / speed
 
     def path(self, u: int, v: int) -> list[int]:
@@ -303,9 +310,17 @@ class ShortestPathEngine:
         accelerate, so ``ch`` serves them from the same per-source LRU
         as lazy mode — values identical either way).  Treat the row as
         read-only.
+
+        Every distance-only query reads through here, tallied as one
+        cache hit per row like :meth:`_source_tree`; only :meth:`path`
+        reads predecessors, so ``"full"`` mode never slices the
+        predecessor matrix for a distance.
         """
-        dist, _ = self._source_tree(source)
-        return dist
+        if self._mode == "full":
+            assert self._dist is not None
+            self._rows.hits += 1
+            return self._dist[source]
+        return self._source_tree(source)[0]
 
     def dist_col(self, target: int) -> np.ndarray | None:
         """Distance column (metres) *into* ``target``, or ``None``.
@@ -329,14 +344,13 @@ class ShortestPathEngine:
         O(1) instead of O(V) (the copy used to dominate landmark-cost
         construction on large networks).
         """
-        dist, _ = self._source_tree(source)
-        view = dist.view()
+        view = self.dist_row(source).view()
         view.flags.writeable = False
         return view
 
     def eccentricity_m(self, source: int) -> float:
         """Largest finite shortest-path distance from ``source``."""
-        dist, _ = self._source_tree(source)
+        dist = self.dist_row(source)
         finite = dist[np.isfinite(dist)]
         return float(finite.max()) if finite.size else 0.0
 

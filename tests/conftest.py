@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -134,6 +135,16 @@ def test_scenario(test_spec):
 @pytest.fixture(scope="session")
 def test_nonpeak_scenario(test_nonpeak_spec):
     return get_scenario(test_nonpeak_spec)
+
+
+@pytest.fixture(scope="session")
+def sp_mode_scenarios(test_spec, test_scenario):
+    """The test scenario on each routing backend, keyed by ``sp_mode``."""
+    return {
+        "full": test_scenario,
+        "lazy": get_scenario(dataclasses.replace(test_spec, sp_mode="lazy")),
+        "ch": get_scenario(dataclasses.replace(test_spec, sp_mode="ch")),
+    }
 
 
 @pytest.fixture

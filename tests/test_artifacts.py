@@ -269,6 +269,48 @@ def test_landmark_key_uses_label_content(tmp_path, monkeypatch):
     assert store.contains("landmarks", key)
 
 
+def test_warm_engine_reads_the_mapped_table_as_plain_ndarray(tmp_path, monkeypatch):
+    """The store hands out ``np.memmap``; the engine keeps base-class views
+    of the same pages — no per-read subclass machinery, no private copy."""
+    from repro.memo import BoundedMemo
+    from repro.sim import scenario as sc
+
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+    monkeypatch.setattr(sc, "_SCENARIOS", BoundedMemo(1))
+    Scenario(MICRO_SPEC).engine  # cold: builds and saves the table
+    handed_out = {}
+    load = ArtifactStore.load
+
+    def recording_load(self, kind, key, mmap=True):
+        art = load(self, kind, key, mmap=mmap)
+        handed_out[kind] = art
+        return art
+
+    monkeypatch.setattr(ArtifactStore, "load", recording_load)
+    warm = sc.get_scenario(MICRO_SPEC)
+    engine = warm.engine
+    stored_dist, stored_pred = handed_out["apsp"]["dist"], handed_out["apsp"]["pred"]
+    assert isinstance(stored_dist, np.memmap) and isinstance(stored_pred, np.memmap)
+
+    assert engine.full_mmapped is True and not engine.full_built
+    assert engine.mmap_bytes() == stored_dist.nbytes + stored_pred.nbytes
+    assert warm.mmap_bytes() == engine.mmap_bytes()
+    assert sc.scenario_cache_stats()["mmap_bytes"] == engine.mmap_bytes()
+    for matrix, stored in zip(engine.full_matrices(), (stored_dist, stored_pred)):
+        assert type(matrix) is np.ndarray
+        assert np.shares_memory(matrix, stored)
+        assert not matrix.flags.writeable
+    for v in (0, warm.network.num_vertices - 1):
+        row, col = engine.dist_row(v), engine.dist_col(v)
+        assert type(row) is np.ndarray and type(col) is np.ndarray
+        assert np.shares_memory(row, stored_dist) and np.shares_memory(col, stored_dist)
+        assert not row.flags.writeable and not col.flags.writeable
+        assert np.array_equal(row, stored_dist[v]) and np.array_equal(col, stored_dist[:, v])
+        assert type(engine.distances_from(v)) is np.ndarray
+    with pytest.raises(ValueError):
+        engine.dist_row(0)[1] = 0.0
+
+
 # ----------------------------------------------------------------------
 # bounded scenario cache (satellite: memory bounding + eviction)
 # ----------------------------------------------------------------------

@@ -535,3 +535,19 @@ class TestDiscCache:
             assert lg.partitions_intersecting_disc(x, y, radius) == expected
             # warm (cached distances) answer is identical
             assert lg.partitions_intersecting_disc(x, y, radius) == expected
+
+    def test_mask_of_many_discs_matches_one_at_a_time(self, net):
+        engine = ShortestPathEngine(net, mode="full")
+        n = net.num_vertices
+        lg = LandmarkGraph(net, [list(range(i, n, 4)) for i in range(4)], engine)
+        rng = np.random.default_rng(16)
+        centres = net.xy[rng.integers(n, size=40)].tolist()
+        radii = rng.uniform(0.0, 900.0, size=40).tolist()
+        radii[:3] = [0.0, 0.0, 1e9]
+        lookups = lg.discs.hits + lg.discs.misses
+        mask = lg.disc_partition_mask(centres, radii)
+        assert lg.discs.hits + lg.discs.misses == lookups + 40  # one counted lookup each
+        assert mask.shape == (40, 4) and mask.dtype == bool
+        for row, (x, y), radius in zip(mask, centres, radii):
+            assert np.flatnonzero(row).tolist() == lg.partitions_intersecting_disc(x, y, radius)
+        assert lg.disc_partition_mask([], []).shape == (0, 4)

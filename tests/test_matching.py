@@ -1,16 +1,24 @@
 """Tests for passenger-taxi matching (candidate search + Algorithm 1)."""
 
+import random
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
+from repro.core import matching
 from repro.core.matching import Matcher, request_vector, taxi_vector, taxi_vector_with
-from repro.core.mobility_cluster import MobilityClusterIndex
+from repro.core.mobility_cluster import ZERO_UNIT, MobilityClusterIndex, MobilityVector
 from repro.core.partition_filter import PartitionFilter
 from repro.core.routing import BasicRouter
+from repro.demand.request import RideRequest
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, build_route
 from repro.index.partition_index import PartitionTaxiIndex
 from repro.network.landmarks import LandmarkGraph
+from repro.obs import Instrumentation
+from repro.sim.engine import Simulator
 from tests.conftest import make_request
 
 
@@ -295,8 +303,6 @@ class TestWinnerByActualDetour:
 
 class TestMatchObservability:
     def test_match_reports_stages_and_counters(self, tiny_net, tiny_engine):
-        from repro.obs import Instrumentation
-
         router = BasicRouter(tiny_net, tiny_engine, None)
         matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, router)
         obs = Instrumentation()
@@ -311,3 +317,320 @@ class TestMatchObservability:
         assert obs.counters["match.candidates_found"] == 2
         assert obs.counters["match.insertions_evaluated"] >= 2
         assert obs.counters["match.routes_planned"] == 1
+
+
+# ----------------------------------------------------------------------
+# whole-window screening: the bulk tier against the scalar search
+# ----------------------------------------------------------------------
+class ScreeningWorld:
+    """A mid-run ``mt-share`` world to screen requests against.
+
+    A real simulator is streamed ``warmup`` requests and pumped, so the
+    partition lists, the mobility clusters and the taxi plans are what a
+    run leaves behind at ``now`` — parked, busy, clustered and
+    unclustered taxis in whatever mix the seed produces.
+    """
+
+    def __init__(self, scenario, seed, taxis=12, warmup=40, **config):
+        self.rng = random.Random(seed)
+        self.network, self.engine = scenario.network, scenario.engine
+        self.scheme = scenario.make_scheme("mt-share", config=scenario.default_config(**config))
+        sim = Simulator(self.scheme, scenario.make_fleet(taxis, seed=seed), [])
+        sim.stream_begin()
+        for request in scenario.requests(seed=seed)[:warmup]:
+            sim.stream_submit(request)
+        sim.stream_pump()
+        self.fleet, self.now = sim.fleet, sim.kernel.now
+        self.matcher = self.scheme.matcher
+        self.pindex, self.cindex = self.scheme.partition_index, self.scheme.cluster_index
+        self.lg = self.scheme.landmark_graph
+
+    def busy(self):
+        return [t for t in self.fleet.values() if t.schedule and not t.out_of_service]
+
+    def request(self, rid, origin, destination, rho=1.5, num_passengers=1, age_s=0.0):
+        return make_request(
+            request_id=10_000 + rid,
+            release_time=max(0.0, self.now - age_s),
+            origin=origin,
+            destination=destination,
+            direct_cost=self.engine.cost(origin, destination),
+            rho=rho,
+            num_passengers=num_passengers,
+        )
+
+    def random_request(self, rid):
+        rng, n = self.rng, self.network.num_vertices
+        return self.request(
+            rid,
+            rng.randrange(n),
+            rng.randrange(n),
+            rho=rng.uniform(1.0, 3.0),
+            num_passengers=rng.choice([1, 1, 1, 2, 3]),
+            age_s=rng.choice([0.0, rng.uniform(0.0, 45.0)]),
+        )
+
+    def everywhere(self, **kwargs):
+        """One request out of every vertex (towards a far corner)."""
+        n = self.network.num_vertices
+        return [self.request(v, v, (v + n // 2 + 5) % n, **kwargs) for v in range(n)]
+
+    # -- corners: each returns the fleet view to screen against --------
+    def evict_broken(self, fleet):
+        victim = self.rng.choice(sorted(self.fleet))
+        self.fleet[victim].break_down()
+        self.scheme.on_taxi_breakdown(self.fleet[victim], self.now)
+        return fleet
+
+    def drop_from_fleet(self, fleet):
+        victim = self.rng.choice(sorted(self.fleet))
+        return {tid: taxi for tid, taxi in fleet.items() if tid != victim}
+
+    def dissolve_clusters(self, fleet):
+        for cid in self.cindex.cluster_ids():
+            for rid in self.cindex.members_of(cid):
+                self.cindex.remove_request(rid)
+        return fleet
+
+    def unit_none(self, fleet):
+        for taxi in self.busy():
+            self.cindex.update_taxi(taxi.taxi_id, None)
+        return fleet
+
+    def unit_zero(self, fleet):
+        for taxi in self.busy():
+            x, y = (float(c) for c in self.network.xy[taxi.loc])
+            self.cindex.update_taxi(taxi.taxi_id, MobilityVector(x, y, x, y))
+        return fleet
+
+    CORNERS = ("dissolve_clusters", "drop_from_fleet", "evict_broken", "unit_none", "unit_zero")
+
+    def screen(self, batch, fleet=None):
+        """``(bulk, scalar)``: per request the candidate ids in order, plus
+        the ``kernel.batched_reach_checks`` tally, from each tier."""
+        fleet = self.fleet if fleet is None else fleet
+        out = []
+        for bulk in (True, False):
+            obs = Instrumentation()
+            self.matcher.instrument(obs)
+            if bulk:
+                with mock.patch.object(matching, "BULK_SCREEN_MIN_REQUESTS", 1):
+                    lists = self.matcher.screen_window(batch, fleet, self.now).candidate_lists()
+                assert obs.counters.get("window.screened_pairs", 0) == len(batch) * len(
+                    [tid for tid in self.pindex.arrival_table()[0] if tid in fleet]
+                )
+            else:
+                lists = [self.matcher.candidate_taxis(r, fleet, self.now) for r in batch]
+            assert all(taxi is fleet[taxi.taxi_id] for cands in lists for taxi in cands)
+            out.append((
+                [[taxi.taxi_id for taxi in cands] for cands in lists],
+                obs.counters.get("kernel.batched_reach_checks", 0),
+            ))
+        return out
+
+
+class TestBulkScreening:
+    """``Matcher.screen_window``'s bulk tier returns, request by request,
+    the taxis ``candidate_taxis`` returns, in its order, and counts the
+    same exact reachability checks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        sp_mode=st.sampled_from(("full", "lazy", "ch")),
+        adaptive=st.booleans(),
+        taxis=st.integers(1, 14),
+        warmup=st.integers(0, 60),
+        batch_size=st.integers(1, 24),
+        corners=st.sets(st.sampled_from(ScreeningWorld.CORNERS)),
+    )
+    def test_bulk_equals_scalar_on_random_worlds(
+        self, sp_mode_scenarios, seed, sp_mode, adaptive, taxis, warmup, batch_size, corners
+    ):
+        world = ScreeningWorld(
+            sp_mode_scenarios[sp_mode], seed, taxis, warmup, mtshare_adaptive_gamma=adaptive
+        )
+        fleet = world.fleet
+        for corner in sorted(corners):
+            fleet = getattr(world, corner)(fleet)
+        batch = [world.random_request(i) for i in range(batch_size)]
+        bulk, scalar = world.screen(batch, fleet)
+        assert bulk == scalar
+
+    @pytest.mark.parametrize("sp_mode", ("full", "lazy", "ch"))
+    @pytest.mark.parametrize("adaptive", (True, False))
+    def test_every_backend_and_search_range(self, sp_mode_scenarios, sp_mode, adaptive):
+        world = ScreeningWorld(sp_mode_scenarios[sp_mode], 3, mtshare_adaptive_gamma=adaptive)
+        assert world.engine.mode == sp_mode
+        bulk, scalar = world.screen(world.everywhere(rho=1.4))
+        assert bulk == scalar
+        assert any(bulk[0]), "nobody is a candidate of anything"
+        assert bulk[1] > 0, "no pair needed the exact reachability bound"
+
+    def test_broken_down_taxi_evicted_from_the_index(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 4)
+        before, _ = world.screen(world.everywhere())
+        victim = next(tid for cands in before[0] for tid in cands)
+        world.fleet[victim].break_down()
+        world.scheme.on_taxi_breakdown(world.fleet[victim], world.now)
+        assert victim in world.fleet and victim not in world.pindex.arrival_table()[0]
+        bulk, scalar = world.screen(world.everywhere())
+        assert bulk == scalar
+        assert all(victim not in cands for cands in bulk[0])
+
+    def test_indexed_id_missing_from_fleet(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 4)
+        before, _ = world.screen(world.everywhere())
+        victim = next(tid for cands in before[0] for tid in cands)
+        fleet = {tid: taxi for tid, taxi in world.fleet.items() if tid != victim}
+        assert victim in world.pindex.arrival_table()[0]
+        bulk, scalar = world.screen(world.everywhere(), fleet)
+        assert bulk == scalar
+        assert all(victim not in cands for cands in bulk[0])
+
+    @pytest.mark.parametrize(
+        "corners, cluster, unit",
+        [
+            (("dissolve_clusters",), None, "own"),
+            (("unit_none",), None, None),
+            (("unit_zero",), "any", ZERO_UNIT),
+            (("dissolve_clusters", "unit_zero"), None, ZERO_UNIT),
+        ],
+    )
+    def test_busy_taxi_alignment_corners(self, test_scenario, corners, cluster, unit):
+        world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
+        assert world.busy(), "no busy taxi to exercise Rule 1"
+        for corner in corners:
+            getattr(world, corner)(world.fleet)
+        for taxi in world.busy():
+            if cluster is None:
+                assert world.cindex.cluster_of_taxi(taxi.taxi_id) is None
+            if unit == "own":
+                assert world.cindex.taxi_unit(taxi.taxi_id) not in (None, ZERO_UNIT)
+            else:
+                assert world.cindex.taxi_unit(taxi.taxi_id) is unit
+        # Every direction out of every vertex, plus the degenerate one.
+        n = world.network.num_vertices
+        batch = world.everywhere(rho=2.0) + [
+            world.request(n + v, v, (v * 7 + 3) % n, rho=2.0) for v in range(n)
+        ]
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+        busy_ids = {taxi.taxi_id for taxi in world.busy()}
+        seen = {tid for cands in bulk[0] for tid in cands} & busy_ids
+        if unit is None:
+            assert not seen, "a busy taxi without cluster or vector passed Rule 1"
+        else:
+            assert seen, "no busy taxi ever passed Rule 1"
+
+    def test_zero_direction_request(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
+        n = world.network.num_vertices
+        batch = [
+            RideRequest(
+                request_id=20_000 + v, release_time=world.now, origin=v, destination=v,
+                deadline=world.now + 240.0, direct_cost=0.0,
+            )
+            for v in range(n)
+        ]
+        assert all(request_vector(world.network, r).direction == (0.0, 0.0) for r in batch)
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+        busy_ids = {taxi.taxi_id for taxi in world.busy()}
+        assert {tid for cands in bulk[0] for tid in cands} & busy_ids
+        # ... also against busy taxis that have no vector at all.
+        world.unit_none(world.fleet)
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+        assert not {tid for cands in bulk[0] for tid in cands} & busy_ids
+
+    def test_empty_pool(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 6, taxis=2, warmup=0)
+        batch = world.everywhere(rho=1.0)  # no waiting budget: gamma = 0
+        empty = [
+            r for r in batch
+            if not world.pindex.union_taxis(
+                world.lg.partitions_intersecting_disc(*world.network.xy[r.origin].tolist(), 0.0)
+            )
+        ]
+        assert empty and len(empty) < len(batch)
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+        bulk, scalar = world.screen(empty)
+        assert bulk == scalar == ([[] for _ in empty], 0)
+
+    def test_index_arrival_exactly_at_the_pickup_deadline(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
+        cost = 64.0
+        batch = []
+        for z in range(world.pindex.num_partitions):
+            for tid, arrival in world.pindex.taxis_in(z):
+                origin = world.lg.members(z)[0]
+                destination = (origin + 17) % world.network.num_vertices
+                for nudge in (0.0, 1e-9, -1e-9):  # at, just inside, just past
+                    if arrival + nudge < 0.0:
+                        continue
+                    request = RideRequest(
+                        request_id=30_000 + len(batch),
+                        release_time=0.0,
+                        origin=origin,
+                        destination=destination,
+                        deadline=arrival + nudge + cost,
+                        direct_cost=cost,
+                    )
+                    if nudge == 0.0 and request.pickup_deadline != arrival:
+                        break  # the float round trip missed; another pair will hit
+                    batch.append(request)
+        assert any(
+            r.pickup_deadline == world.pindex.arrival_time(world.lg.partition_of(r.origin), tid)
+            for r in batch
+            for tid in world.pindex.taxi_ids_in(world.lg.partition_of(r.origin))
+        )
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+
+    def test_exact_arrival_exactly_at_the_pickup_deadline(self, test_scenario):
+        """The other side of Rule 3: a parked taxi the origin's partition
+        does not list, whose shortest path gets it there on the dot."""
+        world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
+        now, cost = world.now, 64.0
+        parked = [t for t in world.fleet.values() if t.idle and not t.cruising]
+        assert parked
+        batch, on_the_dot = [], []
+        for taxi in parked:
+            assert taxi.position_at(now) == (taxi.loc, now)
+            for origin in range(0, world.network.num_vertices, 5):
+                z = world.lg.partition_of(origin)
+                if origin == taxi.loc or world.pindex.arrival_time(z, taxi.taxi_id) is not None:
+                    continue
+                arrival = now + world.engine.cost(taxi.loc, origin)
+                for nudge in (0.0, 1e-9, -1e-9):
+                    request = RideRequest(
+                        request_id=40_000 + len(batch),
+                        release_time=now,
+                        origin=origin,
+                        destination=(origin + 17) % world.network.num_vertices,
+                        deadline=arrival + nudge + cost,
+                        direct_cost=cost,
+                    )
+                    if nudge == 0.0:
+                        if request.pickup_deadline != arrival:
+                            break
+                        on_the_dot.append((len(batch), taxi.taxi_id))
+                    batch.append(request)
+        assert on_the_dot
+        bulk, scalar = world.screen(batch)
+        assert bulk == scalar
+        assert all(tid in bulk[0][row] for row, tid in on_the_dot)
+
+    def test_group_against_nearly_full_taxi(self, test_scenario):
+        world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
+        nearly_full = [t for t in world.busy() if 0 < t.capacity - t.committed < t.capacity]
+        assert nearly_full
+        for seats in (1, 2, 3):
+            bulk, scalar = world.screen(world.everywhere(rho=2.5, num_passengers=seats))
+            assert bulk == scalar
+            candidates = {tid for cands in bulk[0] for tid in cands}
+            for taxi in nearly_full:
+                if taxi.capacity - taxi.committed < seats:
+                    assert taxi.taxi_id not in candidates

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mobility_cluster import (
     DEFAULT_LAMBDA,
+    ZERO_UNIT,
     MobilityClusterIndex,
     MobilityVector,
+    direction_unit,
+    unit_similarity,
 )
 
 
@@ -177,3 +181,54 @@ class TestClusterProperties:
             assert not (members & seen)
             seen |= members
         assert seen == set(range(len(directions)))
+
+
+def scalar_alignment(idx, request_vec, taxi_id):
+    """Rule 1's direction test the way ``candidate_taxis`` spells it."""
+    if idx.cluster_of_taxi(taxi_id) in idx.matching_clusters(request_vec):
+        return True
+    unit = idx.taxi_unit(taxi_id)
+    if unit is None:
+        return False
+    return unit_similarity(unit, direction_unit(*request_vec.direction)) >= idx.lam
+
+
+class TestAlignmentMask:
+    coords = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 100.0]), st.floats(min_value=-500, max_value=500)
+    )
+    directions = st.tuples(coords, coords)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clustered=st.lists(directions, max_size=8),
+        taxis=st.lists(st.one_of(st.none(), directions), max_size=8),
+        requests=st.lists(directions, min_size=1, max_size=8),
+        lam=st.sampled_from([DEFAULT_LAMBDA, -1.0, 0.0, 1.0]),
+    )
+    def test_mask_is_the_scalar_test_pair_by_pair(self, clustered, taxis, requests, lam):
+        idx = MobilityClusterIndex(lam=lam)
+        for rid, (dx, dy) in enumerate(clustered):
+            idx.add_request(rid, vec(3.0, 4.0, 3.0 + dx, 4.0 + dy))
+        for tid, direction in enumerate(taxis):
+            idx.update_taxi(tid, None if direction is None else vec(1.0, 2.0, 1.0 + direction[0], 2.0 + direction[1]))
+        taxi_ids = list(range(len(taxis))) + [99]  # 99: never seen
+        request_vecs = [vec(5.0, 6.0, 5.0 + dx, 6.0 + dy) for dx, dy in requests]
+        units = np.array([direction_unit(*v.direction) for v in request_vecs])
+        mask = idx.alignment_mask(units, taxi_ids)
+        assert mask.shape == (len(requests), len(taxi_ids)) and mask.dtype == bool
+        for i, request_vec in enumerate(request_vecs):
+            for j, tid in enumerate(taxi_ids):
+                assert mask[i, j] == scalar_alignment(idx, request_vec, tid), (i, tid)
+
+    def test_degenerate_and_missing_units(self):
+        idx = MobilityClusterIndex()
+        idx.update_taxi(1, vec(0, 0, 0, 0))  # ZERO_UNIT, no cluster to join
+        idx.update_taxi(2, WEST)
+        assert idx.taxi_unit(1) is ZERO_UNIT and idx.taxi_unit(3) is None
+        units = np.array([direction_unit(100.0, 0.0), ZERO_UNIT])
+        assert idx.alignment_mask(units, [1, 2, 3]).tolist() == [
+            [True, False, False],  # east: the degenerate taxi aligns with everything
+            [True, True, False],  # a degenerate request aligns with every taxi that has a vector
+        ]
+        assert idx.alignment_mask(units, []).shape == (2, 0)

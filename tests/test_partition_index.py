@@ -1,5 +1,6 @@
 """Tests for the partition-based taxi index (P_z.L_t lists)."""
 
+import numpy as np
 import pytest
 
 from repro.index.partition_index import PartitionTaxiIndex
@@ -103,3 +104,30 @@ class TestFromRoute:
         idx.update_taxi(2, {2: 3.0})
         assert idx.total_entries() == 3
         assert idx.memory_bytes() > 0
+
+
+class TestArrivalTable:
+    def test_table_is_every_arrival_map_at_once(self):
+        idx = PartitionTaxiIndex(3)
+        idx.update_taxi(42, {0: 5.0, 2: 9.5})
+        idx.update_taxi(7, {2: 1.25})
+        idx.update_taxi(19, {1: 0.0})
+        idx.update_taxi(19, {0: 3.0})  # replaced, not merged
+        idx.update_taxi(8, {1: 2.0})
+        idx.remove_taxi(8)
+        ids, table = idx.arrival_table()
+        assert ids == [7, 19, 42]
+        assert table.shape == (3, 3) and table.dtype == np.float64
+        for z in range(3):
+            for j, tid in enumerate(ids):
+                arrival = idx.arrival_time(z, tid)
+                if arrival is None:
+                    assert np.isnan(table[z, j])
+                else:
+                    assert table[z, j] == arrival
+        table[:] = 0.0  # the caller owns it
+        assert idx.arrival_time(2, 7) == 1.25
+
+    def test_empty_index(self):
+        ids, table = PartitionTaxiIndex(4).arrival_table()
+        assert ids == [] and table.shape == (4, 0)

@@ -94,6 +94,39 @@ class TestEngineBasics:
     def test_eccentricity(self, tiny_engine):
         assert tiny_engine.eccentricity_m(0) == pytest.approx(400.0)
 
+    def test_full_mode_distance_queries_leave_the_predecessors_alone(self, tiny_net):
+        """Only ``path`` reads a predecessor row; every query still tallies
+        exactly the cache hits it always did (one per source row read)."""
+
+        class Untouchable:
+            def __getitem__(self, _index):
+                raise AssertionError("a distance-only query sliced the predecessor table")
+
+        eng = ShortestPathEngine(tiny_net, mode="full")
+        dist, pred = eng.full_matrices()
+        eng._pred = Untouchable()
+        speed = tiny_net.speed_mps
+
+        def hits(query):
+            before = eng.stats()["spe.cache_hits"]
+            out = query()
+            return out, eng.stats()["spe.cache_hits"] - before
+
+        assert hits(lambda: eng.distance_m(0, 8)) == (dist[0, 8], 1)
+        assert hits(lambda: eng.cost(0, 8)) == (dist[0, 8] / speed, 1)
+        assert hits(lambda: eng.cost_many(0, [1, 8]).tolist()) == ((dist[0, [1, 8]] / speed).tolist(), 1)
+        assert hits(lambda: eng.dist_row(3).tolist()) == (dist[3].tolist(), 1)
+        assert hits(lambda: eng.dist_col(3).tolist()) == (dist[:, 3].tolist(), 1)
+        assert hits(lambda: eng.distances_from(3).tolist()) == (dist[3].tolist(), 1)
+        assert hits(lambda: eng.eccentricity_m(0)) == (dist[0].max(), 1)
+        assert hits(lambda: eng.cost_matrix([0, 1, 2], [8]).shape) == ((3, 1), 3)
+        assert hits(lambda: eng.distance_m(4, 4)) == (0.0, 0)
+        with pytest.raises(AssertionError, match="predecessor"):
+            eng.path(0, 8)
+        eng._pred = pred
+        assert hits(lambda: eng.path(0, 8)[-1]) == (8, 1)
+        assert eng.stats()["spe.cache_misses"] == 0
+
     def test_memory_reported(self, tiny_engine):
         assert tiny_engine.memory_bytes() > 0
 

@@ -17,7 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import matching
+from repro.core.matching import BULK_SCREEN_MIN_REQUESTS
 from repro.core.mtshare import MTShare
+from repro.core.payment import PaymentModel
+from repro.obs import Instrumentation
 from repro.core.window import WindowLAP, solve_window_lap
 from repro.sim.engine import Simulator
 from repro.sim.scenario import SCHEME_NAMES, SCHEME_REGISTRY
@@ -113,10 +117,30 @@ class TestCostMatrixEquivalence:
         batch = [r for r in batch if now <= r.pickup_deadline]
         return scheme, fleet, batch, now
 
-    def test_matrix_matches_scalar_reference(self, test_scenario):
-        scheme, fleet, batch, now = self._busy_state(test_scenario)
+    def test_matrix_matches_scalar_reference(self, test_scenario, monkeypatch):
+        self._assert_matches_reference(test_scenario, "scalar", monkeypatch)
+
+    @pytest.mark.parametrize("sp_mode", ["full", "lazy", "ch"])
+    @pytest.mark.parametrize("tier", ["scalar", "bulk"])
+    def test_matrix_matches_scalar_reference_on(
+        self, sp_mode_scenarios, sp_mode, tier, monkeypatch
+    ):
+        """Both screening tiers, every routing backend."""
+        assert sp_mode_scenarios[sp_mode].engine.mode == sp_mode
+        self._assert_matches_reference(sp_mode_scenarios[sp_mode], tier, monkeypatch)
+
+    def _assert_matches_reference(self, scenario, tier, monkeypatch):
+        """The LAP input is the scalar reference's, byte for byte."""
+        scheme, fleet, batch, now = self._busy_state(scenario)
+        assert 2 <= len(batch) < BULK_SCREEN_MIN_REQUESTS
+        if tier == "bulk":
+            monkeypatch.setattr(matching, "BULK_SCREEN_MIN_REQUESTS", 2)
         assert any(fleet[t].pending_stops() for t in fleet), "no busy taxis to exercise"
+        obs = Instrumentation()
+        scheme.instrument(obs)
         fast = scheme.build_cost_matrix(batch, now)
+        assert ("window.screened_pairs" in obs.counters) == (tier == "bulk")
+        assert ("window.candidates" in obs.stages) == (tier == "scalar")
         slow = scalar_cost_matrix(scheme, batch, now)
         assert fast.taxi_ids == slow.taxi_ids
         assert fast.num_candidates == slow.num_candidates
@@ -125,6 +149,7 @@ class TestCostMatrixEquivalence:
         assert np.array_equal(np.isfinite(fast.costs), np.isfinite(slow.costs))
         finite = np.isfinite(fast.costs)
         assert np.array_equal(fast.costs[finite], slow.costs[finite])
+        assert fast.costs.tobytes() == slow.costs.tobytes()
         assert finite.any(), "degenerate matrix: nothing feasible"
 
     def test_matrix_stop_builders_agree(self, test_scenario):
@@ -185,6 +210,17 @@ class TestRollover:
             assert m.counters.get(counter, 0) > 0, counter
         assert "window.solve" in m.stages
         assert m.stages["window.solve"]["count"] == m.counters["window.flushes"]
+        # 30 s windows at this demand hold a handful of requests: the
+        # scalar screening tier is still what small windows reach ...
+        assert m.stages["window.candidates"]["count"] > 0
+        assert "window.screened_pairs" not in m.counters
+
+    def test_large_windows_screen_in_bulk(self, test_scenario):
+        # ... and five-minute windows hold a few dozen: the bulk tier.
+        m = _run(test_scenario, _window_scheme(test_scenario, 300.0))
+        assert m.counters["window.screened_pairs"] > 0
+        assert 0 < m.stages["window.screen"]["count"] <= m.counters["window.flushes"]
+        assert m.counters["window.matched"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -208,3 +244,75 @@ class TestWindowedDeterminism:
             sim.stream_submit(request)
         streamed = sim.stream_finish()
         assert decision_fingerprint(streamed) == decision_fingerprint(batch)
+
+
+# ----------------------------------------------------------------------
+# the screening tier never moves a decision: whole runs, every subsystem on
+# ----------------------------------------------------------------------
+CHAOS = "seed=5,breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
+
+
+def _observe(scenario, streamed, min_bulk, monkeypatch):
+    """One ``window-lap`` run with faults and rebalancing on, screening in
+    bulk from ``min_bulk`` requests up; everything a decision would move."""
+    monkeypatch.setattr(matching, "BULK_SCREEN_MIN_REQUESTS", min_bulk)
+    requests = scenario.requests(rho=1.6, seed=1)
+    fleet = scenario.make_fleet(12, seed=1)
+    sim = Simulator(
+        _window_scheme(scenario, 60.0),
+        fleet,
+        [] if streamed else requests,
+        payment=PaymentModel(),
+        faults=scenario.fault_plan(CHAOS, fleet, requests),
+        rebalance=scenario.rebalance_policy("on"),
+    )
+    decisions = []
+    sim.on_decision = lambda request, now, matched, taxi_id, _elapsed, kind: decisions.append(
+        (request.request_id, now, matched, taxi_id, kind)
+    )
+    if streamed:
+        sim.stream_begin()
+        for request in sorted(requests, key=lambda r: (r.release_time, r.request_id)):
+            sim.stream_submit(request)
+        m = sim.stream_finish()
+    else:
+        m = sim.run()
+    return decisions, {
+        "trips": {
+            rid: (t.taxi_id, t.assign_time, t.pickup_time, t.dropoff_time)
+            for rid, t in sim.log.trips.items()
+        },
+        "candidates": m.candidate_counts,
+        "waiting": m.waiting_times_s,
+        "detour": m.detour_times_s,
+        "fares": (m.regular_fares, m.shared_fares, m.driver_incomes),
+        "reach_checks": m.counters.get("kernel.batched_reach_checks", 0),
+        "counters": {
+            k: v for k, v in m.counters.items()
+            if k.startswith(("match.", "fault.", "rebalance.", "sim."))
+            or (k.startswith("window.") and k != "window.screened_pairs")
+        },
+    }, m
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["batch", "streamed"])
+def test_screening_tier_never_moves_a_decision(test_scenario, streamed, monkeypatch):
+    """Every multi-request window screened in bulk against every window
+    screened by the per-request scalar search: the ``on_decision``
+    streams agree record by record, with breakdowns, cancellations,
+    shocks and rebalancing on."""
+    bulk, bulk_rest, m = _observe(test_scenario, streamed, 2, monkeypatch)
+    scalar, scalar_rest, m_scalar = _observe(test_scenario, streamed, 10**9, monkeypatch)
+    assert len(bulk) == len(scalar)
+    for got, expected in zip(bulk, scalar):
+        assert got == expected
+    for key, value in scalar_rest.items():
+        assert bulk_rest[key] == value, key
+    # Not vacuous: each side ran its tier, and the subsystems ran.
+    assert m.counters["window.screened_pairs"] > 0
+    assert m.stages["window.screen"]["count"] > 0
+    assert "window.screened_pairs" not in m_scalar.counters
+    assert m_scalar.stages["window.candidates"]["count"] > 0
+    assert m.breakdowns > 0 and m.cancelled > 0
+    assert m.counters["rebalance.ticks"] > 0
+    assert m.counters["window.rolled"] > 0 and m.counters["window.matched"] > 0
