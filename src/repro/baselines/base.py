@@ -103,6 +103,8 @@ class DispatchScheme(abc.ABC):
     def collect_observability(self, obs: Instrumentation) -> None:
         """Report end-of-run gauges (index sizes, fallback tallies)."""
         obs.gauge("route.fallbacks_total", self._fallback_router.fallbacks)
+        if self._prob_router is not None:
+            obs.gauge("route.sector_entries", self._prob_router.sector_entries)
 
     def memos(self) -> Iterator[tuple[str, BoundedMemo]]:
         """Every memo outside the engine, under its ``kernel.*`` metric name.
@@ -115,6 +117,8 @@ class DispatchScheme(abc.ABC):
         yield "kernel.legcache", self._fallback_router.legs
         if self._prob_router is not None:
             yield "kernel.legcache", self._prob_router.legs
+            yield "kernel.corridor_list", self._prob_router.corridor_lists
+            yield "kernel.corridor_graph", self._prob_router.corridor_graphs
 
     # ------------------------------------------------------------------
     # lifecycle hooks

@@ -24,15 +24,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from ..fleet.schedule import Stop, arrival_times, deadlines_met
 from ..fleet.taxi import TaxiRoute
 from ..memo import BoundedMemo
 from ..network.geo import cosine_similarity
-from ..network.graph import RoadNetwork
-from ..network.shortest_path import PathNotFound, ShortestPathEngine, dijkstra_restricted
+from ..network.graph import InducedSubgraph, RoadNetwork
+from ..network.shortest_path import (
+    PathNotFound,
+    ShortestPathEngine,
+    dijkstra_restricted,
+    subgraph_shortest_path,
+)
 from ..obs import NULL, Instrumentation
 from ..partitioning.transition import TransitionModel
 from .mobility_cluster import MobilityVector
@@ -47,6 +54,19 @@ MAX_ENUMERATED_PATHS = 400
 #: Extra partition hops allowed beyond the minimum when enumerating
 #: corridors; longer corridors only waste deadline slack.
 CORRIDOR_EXTRA_HOPS = 3
+
+#: Heading sectors (22.5 degrees each) probabilistic routing quantises
+#: a taxi's travel direction into.
+NUM_SECTORS = 16
+
+#: (source partition, destination partition, sector) corridor lists a
+#: :class:`ProbabilisticRouter` keeps (at most five short tuples each).
+CORRIDOR_LIST_CACHE_SIZE = 4096
+
+#: (corridor, sector) weighted search graphs a
+#: :class:`ProbabilisticRouter` keeps: one edge-weight array each, the
+#: index arrays are the network's induced subgraph's.
+CORRIDOR_GRAPH_CACHE_SIZE = 1024
 
 #: Entries kept in a :class:`BasicRouter`'s per-leg path memo (a path
 #: plus its per-edge costs is tens of machine words, so the cap bounds
@@ -248,8 +268,55 @@ class BasicRouter:
         return route
 
 
+class SectorEntry(NamedTuple):
+    """Step 1 of Algorithm 4 for one (partition, heading sector)."""
+
+    #: Destination partitions that make a request hailed here suitable.
+    dests: list[int]
+    #: ``pi_i``: probability of meeting a suitable request in the partition.
+    pi: float
+    #: ``psi_c`` of every member vertex (``lg.members`` order), floored at MIN_PSI.
+    psi: np.ndarray
+
+
+class CorridorGraph(NamedTuple):
+    """Step 3's search graph for one (corridor, heading sector)."""
+
+    sub: InducedSubgraph
+    #: Travel times with every vertex's ``psi`` weight folded into its in-edges.
+    matrix: sparse.csr_matrix
+
+
+def heading_sector(direction: tuple[float, float]) -> int:
+    """The 22.5-degree sector of a travel direction (zero vector: sector 0)."""
+    dx, dy = direction
+    if dx == 0.0 and dy == 0.0:
+        return 0
+    return int(0.5 * NUM_SECTORS * (1.0 + math.atan2(dy, dx) / math.pi)) % NUM_SECTORS
+
+
 class ProbabilisticRouter(BasicRouter):
     """Probabilistic routing (Algorithm 4).
+
+    Steps 1 and 3 are defined from the offline transition model and the
+    taxi's travel direction alone, and the direction is quantised to
+    :data:`NUM_SECTORS` sectors, so each step remembers its answer at
+    the granularity at which it is a function: :class:`SectorEntry` per
+    (partition, sector), the corridor lists per (source partition,
+    destination partition, sector), a :class:`CorridorGraph` per
+    (corridor, sector).  A leg is then one scipy Dijkstra on a stored
+    matrix.
+
+    A sector entry is filled from the *exact* direction of the first
+    caller that needs it and never changes afterwards (two headings in
+    one sector can disagree on the suitable destinations, so which one
+    fills the entry is part of the run's decisions; docs/PERFORMANCE.md,
+    "Segment routing").  That is why the sector table is a plain dict —
+    at most ``kappa * NUM_SECTORS`` entries, never evicted — while the
+    two memos are built from filled, hence immutable, entries and may
+    evict freely: a rebuilt value is the same value, and a hit implies
+    an earlier miss on the same key, which already filled every sector
+    entry a fresh evaluation would fill now.
 
     Parameters
     ----------
@@ -279,63 +346,98 @@ class ProbabilisticRouter(BasicRouter):
         self._model = transition_model
         self._lam = float(lam)
         self._max_attempts = int(max_attempts)
-        self._steering_m = max(0.0, float(steering_m))
+        self._steering_s = network.meters_to_seconds(max(0.0, float(steering_m)))
         #: Optional hour-aware demand predictor; when set, cruising
         #: targets the partitions that are hot at the current hour
         #: instead of hot on average.
         self.demand_predictor = None
-        self._pd_cache: dict[tuple[int, int, int], list[int]] = {}
+        lg = partition_filter.landmark_graph
+        parts = range(lg.num_partitions)
+        # Share of historical pick-up demand generated inside each
+        # partition, and each partition's hottest vertex (first wins a tie).
+        self._demand_share = np.array(
+            [sum(transition_model.pickup_frequency(v) for v in lg.members(z)) for z in parts]
+        )
+        self._hot_vertex = [max(lg.members(z), key=transition_model.pickup_count) for z in parts]
+        self._sectors: dict[tuple[int, int], SectorEntry] = {}
+        #: (pz, pz1, sector) -> corridors to try, best first.
+        self.corridor_lists: BoundedMemo[
+            tuple[int, int, int], list[tuple[int, ...]]
+        ] = BoundedMemo(CORRIDOR_LIST_CACHE_SIZE)
+        #: (corridor, sector) -> its vertex-weighted search graph.
+        self.corridor_graphs: BoundedMemo[
+            tuple[tuple[int, ...], int], CorridorGraph
+        ] = BoundedMemo(CORRIDOR_GRAPH_CACHE_SIZE)
+
+    @property
+    def sector_entries(self) -> int:
+        """Filled (partition, sector) entries; at most ``kappa * NUM_SECTORS``."""
+        return len(self._sectors)
 
     # ------------------------------------------------------------------
     # step 1: suitability probabilities
     # ------------------------------------------------------------------
-    def _suitable_destinations(
-        self, pi: int, direction: tuple[float, float]
-    ) -> list[int]:
-        """Destination partitions making a request from ``pi`` suitable.
+    def _sector_entry(
+        self, pi: int, sector: int, direction: tuple[float, float]
+    ) -> SectorEntry:
+        """Step 1 for ``(pi, sector)``, evaluated at ``direction`` when new.
 
         A request hailed in ``P_i`` is suitable when its implied travel
         direction (landmark of ``P_i`` to the destination partition's
         landmark) is aligned with the taxi's direction.
         """
+        entry = self._sectors.get((pi, sector))
+        if entry is not None:
+            return entry
         lg = self._filter.landmark_graph
-        # Quantise the direction into 16 sectors so the cache is effective.
         dx, dy = direction
-        if dx == 0.0 and dy == 0.0:
-            sector = 0
-        else:
-            sector = int(8.0 * (1.0 + math.atan2(dy, dx) / math.pi)) % 16
-        key = (pi, sector)
-        cached = self._pd_cache.get(key)
-        if cached is not None:
-            return cached
         ix, iy = lg.landmark_xy(pi)
-        out: list[int] = []
+        dests: list[int] = []
         for pa in range(lg.num_partitions):
             if pa == pi:
                 continue
             ax, ay = lg.landmark_xy(pa)
             if cosine_similarity(ax - ix, ay - iy, dx, dy) >= self._lam:
-                out.append(pa)
-        self._pd_cache[key] = out
-        return out
+                dests.append(pa)
+        members = lg.members(pi)
+        # psi_c: chance of a *suitable* request materialising at c — the
+        # accumulated transition probability towards the suitable
+        # destinations, weighted by how much pick-up demand c actually
+        # generates.
+        psi = np.maximum(self._model.suitable_demand(members, dests), MIN_PSI)
+        entry = SectorEntry(dests, self._model.partition_probability(members, dests), psi)
+        self._sectors[(pi, sector)] = entry
+        return entry
 
     def partition_probability(self, pi: int, direction: tuple[float, float]) -> float:
         """``pi_i``: probability of meeting a suitable request in ``P_i``."""
-        dests = self._suitable_destinations(pi, direction)
-        lg = self._filter.landmark_graph
-        return self._model.partition_probability(lg.members(pi), dests)
+        return self._sector_entry(pi, heading_sector(direction), direction).pi
 
     # ------------------------------------------------------------------
     # step 2: max-weight landmark paths
     # ------------------------------------------------------------------
+    def _corridor_list(
+        self, pz: int, pz1: int, direction: tuple[float, float]
+    ) -> list[tuple[int, ...]]:
+        """The corridors a leg from ``pz`` to ``pz1`` tries, best first."""
+        sector = heading_sector(direction)
+        key = (pz, pz1, sector)
+        corridors = self.corridor_lists.lookup(key)
+        if corridors is None:
+            retained = self._filter.filter_partitions(pz, pz1)
+            weight = {pi: self._sector_entry(pi, sector, direction).pi for pi in retained}
+            corridors = self.corridor_lists.store(
+                key, self._corridors(retained, pz, pz1, weight)
+            )
+        return corridors
+
     def _corridors(
         self,
         retained: list[int],
         pz: int,
         pz1: int,
         weight: dict[int, float],
-    ) -> list[list[int]]:
+    ) -> list[tuple[int, ...]]:
         """Simple landmark paths from ``pz`` to ``pz1`` inside ``retained``,
         sorted by accumulated probability (descending), capped.
 
@@ -345,7 +447,7 @@ class ProbabilisticRouter(BasicRouter):
         """
         lg = self._filter.landmark_graph
         if pz == pz1:
-            return [[pz]]
+            return [(pz,)]
         retained_set = set(retained)
 
         # BFS hop distances to pz1 bound the DFS depth: corridors much
@@ -364,7 +466,7 @@ class ProbabilisticRouter(BasicRouter):
             return []
         max_len = hops[pz] + CORRIDOR_EXTRA_HOPS
 
-        paths: list[tuple[float, list[int]]] = []
+        paths: list[tuple[float, tuple[int, ...]]] = []
         budget = MAX_ENUMERATED_PATHS
 
         def dfs(node: int, visited: set[int], acc: float, path: list[int]) -> None:
@@ -373,7 +475,7 @@ class ProbabilisticRouter(BasicRouter):
                 return
             if node == pz1:
                 budget -= 1
-                paths.append((acc, list(path)))
+                paths.append((acc, tuple(path)))
                 return
             if len(path) + hops.get(node, max_len) > max_len + 1:
                 return
@@ -392,30 +494,25 @@ class ProbabilisticRouter(BasicRouter):
     # ------------------------------------------------------------------
     # step 3: fine-grained vertex-weighted routing
     # ------------------------------------------------------------------
-    def _weighted_leg(
-        self,
-        u: int,
-        v: int,
-        corridor: list[int],
-        direction: tuple[float, float],
-    ) -> list[int] | None:
-        """Vertex-weighted shortest path inside the corridor partitions."""
+    def _corridor_graph(
+        self, corridor: tuple[int, ...], direction: tuple[float, float]
+    ) -> CorridorGraph:
+        """The corridor's induced subgraph with ``psi`` folded into its edges."""
+        sector = heading_sector(direction)
+        key = (corridor, sector)
+        graph = self.corridor_graphs.lookup(key)
+        if graph is not None:
+            return graph
         lg = self._filter.landmark_graph
         # The memoised frozenset keys the network's induced-subgraph
-        # memo: repeated legs through the same corridor reuse the CSR
-        # submatrix.
-        allowed = self._filter.corridor_vertices(corridor)
-        psi: dict[int, float] = {}
-        for pi in corridor:
-            dests = self._suitable_destinations(pi, direction)
-            for c in lg.members(pi):
-                # psi_c: chance of a *suitable* request materialising at
-                # c — the accumulated transition probability towards the
-                # suitable destinations, weighted by how much pick-up
-                # demand c actually generates.
-                mass = self._model.mass_to(c, dests)
-                demand = self._model.relative_pickup_frequency(c)
-                psi[c] = max(mass * demand, MIN_PSI)
+        # memo: the sectors of one corridor share the CSR submatrix.
+        sub = self._network.induced_subgraph(self._filter.corridor_vertices(corridor))
+        # Partitions are disjoint, so the corridor's members sorted are
+        # exactly ``sub.nodes``: the same permutation lines psi up.
+        members = np.concatenate([lg.members(pi) for pi in corridor])
+        psi = np.concatenate(
+            [self._sector_entry(pi, sector, direction).psi for pi in corridor]
+        )[np.argsort(members)]
         # The paper weights vertex c by 1/psi_c.  Raw reciprocals can be
         # astronomically large for never-observed vertices and would make
         # Dijkstra chase any observed vertex regardless of distance, so
@@ -425,30 +522,28 @@ class ProbabilisticRouter(BasicRouter):
         # objective.  Normalising by the corridor's peak psi keeps the
         # preference meaningful even when absolute probabilities are
         # tiny (they always are: psi is a per-trip probability).
-        psi_max = max(psi.values(), default=MIN_PSI)
-        scale = self._network.meters_to_seconds(self._steering_m)
+        weights = self._steering_s * (1.0 - psi / psi.max())
+        return self.corridor_graphs.store(key, CorridorGraph(sub, sub.matrix(weights)))
 
-        def weight(c: int) -> float:
-            return scale * (1.0 - psi.get(c, 0.0) / psi_max)
-
+    def _weighted_leg(
+        self,
+        u: int,
+        v: int,
+        corridor: tuple[int, ...],
+        direction: tuple[float, float],
+    ) -> list[int] | None:
+        """Vertex-weighted shortest path inside the corridor partitions
+        (which hold both ``u`` and ``v``)."""
+        graph = self._corridor_graph(corridor, direction)
         try:
-            _cost, path = dijkstra_restricted(self._network, u, v, allowed, vertex_weight=weight)
+            _cost, path = subgraph_shortest_path(graph.sub, graph.matrix, u, v)
             return path
         except PathNotFound:
             return None
 
     def partition_demand_share(self, pi: int) -> float:
         """Share of historical pick-up demand generated inside ``P_i``."""
-        lg = self._filter.landmark_graph
-        cached = getattr(self, "_demand_share", None)
-        if cached is None:
-            cached = []
-            for z in range(lg.num_partitions):
-                cached.append(
-                    sum(self._model.pickup_frequency(v) for v in lg.members(z))
-                )
-            self._demand_share = cached
-        return cached[pi]
+        return float(self._demand_share[pi])
 
     def cruise_route(
         self,
@@ -465,37 +560,27 @@ class ProbabilisticRouter(BasicRouter):
         """
         lg = self._filter.landmark_graph
         here = lg.partition_of(start_node)
-        hour = int(start_time // 3600) % 24
-        candidates: list[int] = []
-        scores: list[float] = []
-        for pi in range(lg.num_partitions):
-            share = self.partition_demand_share(pi)
-            if self.demand_predictor is not None:
-                # Blend the hour-of-day rate with the overall share: the
-                # hourly estimate is sharper but noisier (few observed
-                # days per hour), the overall share is stable.
-                share = 0.5 * share + 0.5 * self.demand_predictor.share(pi, hour)
-            if share <= 0.0:
-                continue
-            travel = lg.landmark_cost(here, pi)
-            if travel > max_duration_s:
-                continue
-            candidates.append(pi)
-            scores.append(share / (1.0 + travel / 300.0))
-        if not candidates:
+        share = self._demand_share
+        if self.demand_predictor is not None:
+            # Blend the hour-of-day rate with the overall share: the
+            # hourly estimate is sharper but noisier (few observed
+            # days per hour), the overall share is stable.
+            hour = int(start_time // 3600) % 24
+            share = 0.5 * share + 0.5 * self.demand_predictor.shares(hour)
+        travel = lg.landmark_cost_row(here)
+        candidates = np.flatnonzero(~(share <= 0.0) & ~(travel > max_duration_s))
+        if not candidates.size:
             return None
+        scores = share[candidates] / (1.0 + travel[candidates] / 300.0)
         # Sample the target proportionally to its score instead of
         # taking the argmax: greedy targeting would herd every vacant
         # taxi onto one hotspot and strip coverage everywhere else.
         # The seed is derived from (position, time) so runs stay
         # deterministic.
         rng = np.random.default_rng((start_node * 1_000_003 + int(start_time)) & 0x7FFFFFFF)
-        weights = np.asarray(scores)
-        weights = weights / weights.sum()
+        weights = scores / scores.sum()
         best_target = int(candidates[rng.choice(len(candidates), p=weights)])
-        target_vertex = max(
-            lg.members(best_target), key=self._model.pickup_count
-        )
+        target_vertex = self._hot_vertex[best_target]
         if target_vertex == start_node:
             # Already parked on the hot spot; hop to the runner-up so the
             # taxi keeps sweeping demand instead of standing still.
@@ -504,11 +589,12 @@ class ProbabilisticRouter(BasicRouter):
             if not neighbors:
                 return None
             nxt = max(neighbors, key=self.partition_demand_share)
-            target_vertex = max(lg.members(nxt), key=self._model.pickup_count)
+            target_vertex = self._hot_vertex[nxt]
             if target_vertex == start_node:
                 return None
             best_target = nxt
-        corridor = self._filter.filter_partitions(here, best_target)
+        corridor = tuple(self._filter.filter_partitions(here, best_target))
+        # A cruise has no heading: the zero vector, which lands in sector 0.
         path = self._weighted_leg(start_node, target_vertex, corridor, (0.0, 0.0))
         if path is None or len(path) < 2:
             try:
@@ -575,9 +661,7 @@ class ProbabilisticRouter(BasicRouter):
             chosen: list[int] | None = None
 
             pz, pz1 = lg.partition_of(node), lg.partition_of(stop.node)
-            retained = self._filter.filter_partitions(pz, pz1)
-            weight = {pi: self.partition_probability(pi, direction) for pi in retained}
-            for corridor in self._corridors(retained, pz, pz1, weight):
+            for corridor in self._corridor_list(pz, pz1, direction):
                 path = self._weighted_leg(node, stop.node, corridor, direction)
                 if path is None:
                     continue

@@ -35,6 +35,9 @@ class DemandPredictor:
         if (rates < 0).any():
             raise ValueError("rates must be non-negative")
         self._rates = rates
+        # One strided sum per column, as `share` used to take per call
+        # (``rates.sum(axis=0)`` adds in another order).
+        self._totals = [float(rates[:, hour].sum()) for hour in range(24)]
 
     @classmethod
     def fit(
@@ -109,10 +112,17 @@ class DemandPredictor:
 
     def share(self, partition: int, hour: int) -> float:
         """Partition's share of the city's pick-ups at hour-of-day."""
-        total = float(self._rates[:, hour % 24].sum())
+        total = self._totals[hour % 24]
         if total <= 0:
             return 0.0
         return self.rate(partition, hour) / total
+
+    def shares(self, hour: int) -> np.ndarray:
+        """:meth:`share` of every partition at hour-of-day, as one array."""
+        total = self._totals[hour % 24]
+        if total <= 0:
+            return np.zeros(self.num_partitions)
+        return self._rates[:, hour % 24] / total
 
     def memory_bytes(self) -> int:
         """Footprint of the rate table."""

@@ -248,6 +248,12 @@ class LandmarkGraph:
         """Travel cost (seconds) between the landmarks of ``a`` and ``b``."""
         return float(self._landmark_cost[a, b])
 
+    def landmark_cost_row(self, a: int) -> np.ndarray:
+        """Read-only view of :meth:`landmark_cost` from ``a`` to every partition."""
+        row = self._landmark_cost[a]
+        row.flags.writeable = False
+        return row
+
     def landmark_cost_matrix(self) -> np.ndarray:
         """Copy of the full landmark cost matrix in seconds."""
         return self._landmark_cost.copy()

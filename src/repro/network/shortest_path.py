@@ -14,18 +14,20 @@ persisted hierarchy so warm runs skip preprocessing.  The
 ``REPRO_SP_MODE`` environment variable overrides the ``"auto"``
 resolution (see :data:`SP_MODE_ENV`).
 
-:func:`dijkstra_restricted` is the segment-level router used by both
-basic routing (Algorithm 3) and probabilistic routing (Algorithm 4): a
-Dijkstra over an arbitrary *allowed vertex set* (the union of the
-partitions that survived partition filtering), optionally with additive
-per-vertex weights.  Its default fast path builds the induced CSR
-submatrix of the allowed set — with vertex weights folded into the
-incoming-edge costs — and runs scipy's C Dijkstra; induced subgraphs
-are memoised per corridor on the network itself
-(:meth:`RoadNetwork.induced_subgraph`) so repeated legs through the same
-corridor skip the rebuild.  The pure-Python heap implementation is
-retained as the reference path (``method="scalar"``) that the kernel
-tests diff against.
+:func:`dijkstra_restricted` is the segment-level router of basic
+routing (Algorithm 3): a Dijkstra over an arbitrary *allowed vertex
+set* (the union of the partitions that survived partition filtering),
+optionally with additive per-vertex weights.  Its default fast path
+builds the induced CSR submatrix of the allowed set — with vertex
+weights folded into the incoming-edge costs — and runs scipy's C
+Dijkstra; induced subgraphs are memoised per corridor on the network
+itself (:meth:`RoadNetwork.induced_subgraph`) so repeated legs through
+the same corridor skip the rebuild.  Probabilistic routing
+(Algorithm 4) keeps its vertex-weighted corridor matrices itself and
+enters at :func:`subgraph_shortest_path`, the "scipy + unwind" step
+both share.  The pure-Python heap implementation is retained as the
+reference path (``method="scalar"``) that the kernel tests diff
+against.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import os
 from collections.abc import Callable, Collection, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from ..memo import BoundedMemo, memo_stats
 from .ch import ContractionHierarchy
-from .graph import RoadNetwork
+from .graph import InducedSubgraph, RoadNetwork
 
 #: Above this vertex count the full all-pairs matrix is not materialised.
 FULL_APSP_LIMIT = 6_000
@@ -449,10 +452,15 @@ def dijkstra_restricted(
         Vertices the path may use.  ``source`` and ``target`` are always
         admitted.  ``None`` means the whole graph.
     vertex_weight:
-        Optional additive weight charged on *entering* a vertex, used by
-        probabilistic routing where vertex ``v_c`` carries weight
-        ``1 / psi_c`` (Algorithm 4, step 3).  May be a mapping (missing
-        vertices cost 0) or a callable.
+        Optional additive weight charged on *entering* a vertex — the
+        form of Algorithm 4's step 3, where vertex ``v_c`` carries
+        weight ``1 / psi_c``.  May be a mapping (missing vertices cost
+        0) or a callable.  No production caller passes one any more
+        (:class:`~repro.core.routing.ProbabilisticRouter` folds its
+        weights into stored matrices as one array expression); with
+        ``method="scalar"`` it stays as the reference
+        ``tests/test_kernels.py::test_csr_matches_scalar_with_vertex_weights``
+        and the routing oracle in ``tests/oracles.py`` diff against.
     method:
         ``"auto"`` (default) runs scipy's C Dijkstra on the induced CSR
         submatrix of ``allowed`` (memoised per corridor), falling
@@ -494,30 +502,46 @@ def _dijkstra_restricted_csr(
 ) -> tuple[float, list[int]]:
     """CSR fast path: scipy Dijkstra on the memoised induced subgraph."""
     sub = network.induced_subgraph(allowed)
-    ls = sub.local_of(source)
-    lt = sub.local_of(target)
-    if source == target:
-        return 0.0, [source]
     weight_of = _resolve_weight_fn(vertex_weight)
     w_local = None
     if weight_of is not None:
         w_local = np.fromiter(
             (weight_of(int(v)) for v in sub.nodes), dtype=np.float64, count=sub.nodes.size
         )
+    return subgraph_shortest_path(sub, sub.matrix(w_local), source, target)
+
+
+def subgraph_shortest_path(
+    sub: InducedSubgraph, matrix: sparse.csr_matrix, source: int, target: int
+) -> tuple[float, list[int]]:
+    """scipy Dijkstra on ``matrix`` plus the predecessor unwind.
+
+    ``matrix`` is a travel-time matrix in ``sub``'s local numbering
+    (:meth:`InducedSubgraph.matrix`, or one a caller built once and
+    kept); ``source`` and ``target`` are global ids inside ``sub``.
+    Returns ``(cost, path)`` as :func:`dijkstra_restricted` does and
+    raises :class:`PathNotFound` when ``target`` is unreachable.
+    """
+    if source == target:
+        return 0.0, [source]
+    ls = sub.local_of(source)
+    lt = sub.local_of(target)
     dist, pred = csgraph.dijkstra(
-        sub.matrix(w_local), directed=True, indices=ls, return_predecessors=True
+        matrix, directed=True, indices=ls, return_predecessors=True
     )
     if not np.isfinite(dist[lt]):
         raise PathNotFound(
             f"no path from {source} to {target} within the allowed vertex set"
         )
+    pred_of = pred.tolist()
     local_path = [lt]
     node = lt
     while node != ls:
-        node = int(pred[node])
+        node = pred_of[node]
         local_path.append(node)
     local_path.reverse()
-    return float(dist[lt]), [int(sub.nodes[i]) for i in local_path]
+    nodes = sub.nodes
+    return float(dist[lt]), [int(nodes[i]) for i in local_path]
 
 
 def _dijkstra_restricted_scalar(

@@ -40,6 +40,7 @@ class TransitionModel:
         self._pickups = pickup_counts
         total = pickup_counts.sum()
         self._pickup_freq = pickup_counts / total if total > 0 else np.zeros_like(pickup_counts)
+        self._peak = float(pickup_counts.max()) if pickup_counts.size else 0.0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -139,10 +140,9 @@ class TransitionModel:
 
     def relative_pickup_frequency(self, v: int) -> float:
         """Pickups at ``v`` relative to the hottest vertex, in ``[0, 1]``."""
-        peak = float(self._pickups.max()) if self._pickups.size else 0.0
-        if peak <= 0:
+        if self._peak <= 0:
             return 0.0
-        return float(self._pickups[v]) / peak
+        return float(self._pickups[v]) / self._peak
 
     def mass_to(self, v: int, dest_clusters) -> float:
         """``psi_v``: probability a trip from ``v`` ends in any of ``dest_clusters``.
@@ -155,6 +155,21 @@ class TransitionModel:
         if idx.size == 0:
             return 0.0
         return float(self._matrix[v, idx].sum())
+
+    def suitable_demand(self, vertices, dest_clusters) -> np.ndarray:
+        """``mass_to(v, dest_clusters) * relative_pickup_frequency(v)`` per vertex.
+
+        The array sibling of the two scalar methods, element for
+        element the same floats: step 3 of Algorithm 4 reads it once
+        per (partition, heading sector) instead of calling them per
+        vertex per leg.
+        """
+        verts = np.fromiter(vertices, dtype=np.int64)
+        idx = np.fromiter(dest_clusters, dtype=np.int64)
+        if idx.size == 0 or self._peak <= 0:
+            return np.zeros(verts.size)
+        mass = self._matrix[np.ix_(verts, idx)].sum(axis=1)
+        return mass * (self._pickups[verts] / self._peak)
 
     def partition_probability(
         self,

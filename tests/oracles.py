@@ -6,6 +6,16 @@ index names (``Simulator._advance_all``);
 taxi, every boundary, fleet order — kept here so it cannot drift into
 production.
 
+**Probabilistic routing.**  Production evaluates Algorithm 4 once per
+(partition, heading sector), per (source, destination, sector) and per
+(corridor, sector) and replays the stored answers
+(``repro.core.routing.ProbabilisticRouter``);
+:class:`ReferenceProbabilisticRouter` is the per-leg evaluation it
+replaced — the sector-keyed destination cache filled from the first
+caller's exact direction, the per-leg psi dict, the scalar weight
+closure handed to ``dijkstra_restricted``, the per-call share loop —
+verbatim, so routes can be diffed ``==``.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -17,17 +27,33 @@ here so they cannot drift into production.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.analysis import contracts
 from repro.core.matching import insertion_start
+from repro.core.mobility_cluster import MobilityVector
+from repro.core.routing import (
+    CORRIDOR_EXTRA_HOPS,
+    MAX_ENUMERATED_PATHS,
+    MIN_PSI,
+    ProbabilisticRouter,
+    RouteInfeasible,
+    compose_route,
+)
 from repro.core.window import WindowCostMatrix
 from repro.fleet.schedule import (
+    Stop,
     arrival_times,
     capacity_ok,
     deadlines_met,
     enumerate_insertions,
 )
+from repro.fleet.taxi import TaxiRoute
+from repro.network.geo import cosine_similarity
+from repro.network.shortest_path import PathNotFound, dijkstra_restricted
 from repro.sim.engine import Simulator
 
 
@@ -56,6 +82,320 @@ class FullSweepSimulator(Simulator):
 
     def _rekey(self, taxi):
         """No index to maintain."""
+
+
+class ReferenceProbabilisticRouter(ProbabilisticRouter):
+    """A :class:`ProbabilisticRouter` that evaluates Algorithm 4 afresh
+    on every leg and every cruise: the method bodies production had
+    before it kept its three tables, verbatim.  It is built like the
+    production router and shares nothing with it after ``__init__`` —
+    the tables it inherits stay empty (the tests assert so) and the
+    per-partition arrays are deleted, so any read of them fails."""
+
+    def __init__(self, network, engine, partition_filter, transition_model,
+                 lam=0.707, max_attempts=5, steering_m=120.0):
+        super().__init__(network, engine, partition_filter, transition_model,
+                         lam, max_attempts, steering_m)
+        del self._demand_share, self._hot_vertex, self._steering_s
+        self._steering_m = max(0.0, float(steering_m))
+        self._pd_cache: dict[tuple[int, int], list[int]] = {}
+
+    # ------------------------------------------------------------------
+    # step 1: suitability probabilities
+    # ------------------------------------------------------------------
+    def _suitable_destinations(
+        self, pi: int, direction: tuple[float, float]
+    ) -> list[int]:
+        """Destination partitions making a request from ``pi`` suitable.
+
+        A request hailed in ``P_i`` is suitable when its implied travel
+        direction (landmark of ``P_i`` to the destination partition's
+        landmark) is aligned with the taxi's direction.
+        """
+        lg = self._filter.landmark_graph
+        # Quantise the direction into 16 sectors so the cache is effective.
+        dx, dy = direction
+        if dx == 0.0 and dy == 0.0:
+            sector = 0
+        else:
+            sector = int(8.0 * (1.0 + math.atan2(dy, dx) / math.pi)) % 16
+        key = (pi, sector)
+        cached = self._pd_cache.get(key)
+        if cached is not None:
+            return cached
+        ix, iy = lg.landmark_xy(pi)
+        out: list[int] = []
+        for pa in range(lg.num_partitions):
+            if pa == pi:
+                continue
+            ax, ay = lg.landmark_xy(pa)
+            if cosine_similarity(ax - ix, ay - iy, dx, dy) >= self._lam:
+                out.append(pa)
+        self._pd_cache[key] = out
+        return out
+
+    def partition_probability(self, pi: int, direction: tuple[float, float]) -> float:
+        """``pi_i``: probability of meeting a suitable request in ``P_i``."""
+        dests = self._suitable_destinations(pi, direction)
+        lg = self._filter.landmark_graph
+        return self._model.partition_probability(lg.members(pi), dests)
+
+    # ------------------------------------------------------------------
+    # step 2: max-weight landmark paths
+    # ------------------------------------------------------------------
+    def _corridors(
+        self,
+        retained: list[int],
+        pz: int,
+        pz1: int,
+        weight: dict[int, float],
+    ) -> list[list[int]]:
+        """Simple landmark paths from ``pz`` to ``pz1`` inside ``retained``,
+        sorted by accumulated probability (descending), capped.
+
+        The landmark subgraph is small (the partitions that survive
+        filtering), so the paper enumerates all paths; we cap the
+        enumeration defensively and keep the best ones.
+        """
+        lg = self._filter.landmark_graph
+        if pz == pz1:
+            return [[pz]]
+        retained_set = set(retained)
+
+        # BFS hop distances to pz1 bound the DFS depth: corridors much
+        # longer than the shortest partition path only burn slack.
+        hops = {pz1: 0}
+        frontier = [pz1]
+        while frontier:
+            nxt_frontier: list[int] = []
+            for node in frontier:
+                for nb in lg.neighbors(node):
+                    if nb in retained_set and nb not in hops:
+                        hops[nb] = hops[node] + 1
+                        nxt_frontier.append(nb)
+            frontier = nxt_frontier
+        if pz not in hops:
+            return []
+        max_len = hops[pz] + CORRIDOR_EXTRA_HOPS
+
+        paths: list[tuple[float, list[int]]] = []
+        budget = MAX_ENUMERATED_PATHS
+
+        def dfs(node: int, visited: set[int], acc: float, path: list[int]) -> None:
+            nonlocal budget
+            if budget <= 0:
+                return
+            if node == pz1:
+                budget -= 1
+                paths.append((acc, list(path)))
+                return
+            if len(path) + hops.get(node, max_len) > max_len + 1:
+                return
+            for nxt in lg.neighbors(node):
+                if nxt in retained_set and nxt not in visited and nxt in hops:
+                    visited.add(nxt)
+                    path.append(nxt)
+                    dfs(nxt, visited, acc + weight.get(nxt, 0.0), path)
+                    path.pop()
+                    visited.remove(nxt)
+
+        dfs(pz, {pz}, weight.get(pz, 0.0), [pz])
+        paths.sort(key=lambda p: -p[0])
+        return [p for _w, p in paths[: self._max_attempts]]
+
+    # ------------------------------------------------------------------
+    # step 3: fine-grained vertex-weighted routing
+    # ------------------------------------------------------------------
+    def _weighted_leg(
+        self,
+        u: int,
+        v: int,
+        corridor: list[int],
+        direction: tuple[float, float],
+    ) -> list[int] | None:
+        """Vertex-weighted shortest path inside the corridor partitions."""
+        lg = self._filter.landmark_graph
+        # The memoised frozenset keys the network's induced-subgraph
+        # memo: repeated legs through the same corridor reuse the CSR
+        # submatrix.
+        allowed = self._filter.corridor_vertices(corridor)
+        psi: dict[int, float] = {}
+        for pi in corridor:
+            dests = self._suitable_destinations(pi, direction)
+            for c in lg.members(pi):
+                # psi_c: chance of a *suitable* request materialising at
+                # c — the accumulated transition probability towards the
+                # suitable destinations, weighted by how much pick-up
+                # demand c actually generates.
+                mass = self._model.mass_to(c, dests)
+                demand = self._model.relative_pickup_frequency(c)
+                psi[c] = max(mass * demand, MIN_PSI)
+        # The paper weights vertex c by 1/psi_c.  Raw reciprocals can be
+        # astronomically large for never-observed vertices and would make
+        # Dijkstra chase any observed vertex regardless of distance, so
+        # we use the bounded equivalent scale * (1 - psi_c / psi_max):
+        # minimising it prefers high-psi vertices, discounting up to
+        # ``scale`` seconds per hot vertex on top of the travel-time
+        # objective.  Normalising by the corridor's peak psi keeps the
+        # preference meaningful even when absolute probabilities are
+        # tiny (they always are: psi is a per-trip probability).
+        psi_max = max(psi.values(), default=MIN_PSI)
+        scale = self._network.meters_to_seconds(self._steering_m)
+
+        def weight(c: int) -> float:
+            return scale * (1.0 - psi.get(c, 0.0) / psi_max)
+
+        try:
+            _cost, path = dijkstra_restricted(self._network, u, v, allowed, vertex_weight=weight)
+            return path
+        except PathNotFound:
+            return None
+
+    def partition_demand_share(self, pi: int) -> float:
+        """Share of historical pick-up demand generated inside ``P_i``."""
+        lg = self._filter.landmark_graph
+        cached = getattr(self, "_demand_share", None)
+        if cached is None:
+            cached = []
+            for z in range(lg.num_partitions):
+                cached.append(
+                    sum(self._model.pickup_frequency(v) for v in lg.members(z))
+                )
+            self._demand_share = cached
+        return cached[pi]
+
+    def cruise_route(
+        self,
+        start_node: int,
+        start_time: float,
+        max_duration_s: float = 600.0,
+    ) -> TaxiRoute | None:
+        """A passenger-seeking cruise for an idle taxi (non-peak mode).
+
+        When online requests are inadequate, a vacant taxi heads for
+        the partition with the best demand-per-travel-time trade-off
+        and approaches it through demand-hot vertices.  Returns ``None``
+        when the taxi already stands in the best partition's hot spot.
+        """
+        lg = self._filter.landmark_graph
+        here = lg.partition_of(start_node)
+        hour = int(start_time // 3600) % 24
+        candidates: list[int] = []
+        scores: list[float] = []
+        for pi in range(lg.num_partitions):
+            share = self.partition_demand_share(pi)
+            if self.demand_predictor is not None:
+                # Blend the hour-of-day rate with the overall share: the
+                # hourly estimate is sharper but noisier (few observed
+                # days per hour), the overall share is stable.
+                share = 0.5 * share + 0.5 * self.demand_predictor.share(pi, hour)
+            if share <= 0.0:
+                continue
+            travel = lg.landmark_cost(here, pi)
+            if travel > max_duration_s:
+                continue
+            candidates.append(pi)
+            scores.append(share / (1.0 + travel / 300.0))
+        if not candidates:
+            return None
+        # Sample the target proportionally to its score instead of
+        # taking the argmax: greedy targeting would herd every vacant
+        # taxi onto one hotspot and strip coverage everywhere else.
+        # The seed is derived from (position, time) so runs stay
+        # deterministic.
+        rng = np.random.default_rng((start_node * 1_000_003 + int(start_time)) & 0x7FFFFFFF)
+        weights = np.asarray(scores)
+        weights = weights / weights.sum()
+        best_target = int(candidates[rng.choice(len(candidates), p=weights)])
+        target_vertex = max(
+            lg.members(best_target), key=self._model.pickup_count
+        )
+        if target_vertex == start_node:
+            # Already parked on the hot spot; hop to the runner-up so the
+            # taxi keeps sweeping demand instead of standing still.
+            neighbors = [z for z in lg.neighbors(best_target)
+                         if self.partition_demand_share(z) > 0]
+            if not neighbors:
+                return None
+            nxt = max(neighbors, key=self.partition_demand_share)
+            target_vertex = max(lg.members(nxt), key=self._model.pickup_count)
+            if target_vertex == start_node:
+                return None
+            best_target = nxt
+        corridor = self._filter.filter_partitions(here, best_target)
+        path = self._weighted_leg(start_node, target_vertex, corridor, (0.0, 0.0))
+        if path is None or len(path) < 2:
+            try:
+                path = self._engine.path(start_node, target_vertex)
+            except PathNotFound:
+                return None
+            if len(path) < 2:
+                return None
+        nodes = [path[0]]
+        times = [start_time]
+        for u, v in zip(path, path[1:]):
+            times.append(times[-1] + self._network.edge_cost(u, v))
+            nodes.append(v)
+        # A cruise has no schedule stops: stop_positions stays empty.
+        return TaxiRoute(nodes=nodes, times=times, stop_positions=[])
+
+    def _plan_probabilistic(
+        self,
+        start_node: int,
+        start_time: float,
+        stops: Sequence[Stop],
+        taxi_vector: MobilityVector,
+    ) -> TaxiRoute:
+        direction = taxi_vector.direction
+        lg = self._filter.landmark_graph
+
+        # Baseline slack: arrival times if every leg took the shortest path.
+        base_times = arrival_times(start_node, start_time, stops, self.cost)
+        if not deadlines_met(stops, base_times):
+            raise RouteInfeasible("schedule infeasible even with shortest paths")
+        # Remaining slack from each leg onwards.
+        slack_from = [0.0] * len(stops)
+        running = float("inf")
+        for k in range(len(stops) - 1, -1, -1):
+            running = min(running, stops[k].deadline - base_times[k])
+            slack_from[k] = running
+
+        legs: list[list[int]] = []
+        node = start_node
+        consumed_extra = 0.0
+        for k, stop in enumerate(stops):
+            shortest_cost = self.cost(node, stop.node)
+            budget = slack_from[k] - consumed_extra
+            chosen: list[int] | None = None
+
+            pz, pz1 = lg.partition_of(node), lg.partition_of(stop.node)
+            retained = self._filter.filter_partitions(pz, pz1)
+            weight = {pi: self.partition_probability(pi, direction) for pi in retained}
+            for corridor in self._corridors(retained, pz, pz1, weight):
+                path = self._weighted_leg(node, stop.node, corridor, direction)
+                if path is None:
+                    continue
+                extra = self._network.path_cost_s(path) - shortest_cost
+                if extra <= budget + 1e-9:
+                    chosen = path
+                    consumed_extra += max(0.0, extra)
+                    break
+            if chosen is None:
+                chosen = self.leg_path(node, stop.node)
+                extra = self._network.path_cost_s(chosen) - shortest_cost
+                if extra > budget + 1e-9:
+                    raise RouteInfeasible(
+                        f"no deadline-respecting leg from {node} to {stop.node}"
+                    )
+                consumed_extra += max(0.0, extra)
+            legs.append(chosen)
+            node = stop.node
+
+        route = compose_route(self._network, start_node, start_time, legs)
+        stop_times = [route.times[i] for i in route.stop_positions]
+        if not deadlines_met(stops, stop_times):
+            raise RouteInfeasible("probabilistic route misses a deadline")
+        return route
 
 
 def oracle_instances(engine, start, request):

@@ -53,8 +53,9 @@ def _observe(cls, scenario, scheme, variant, streamed, num_taxis=25):
     """Run ``cls`` over one world; return everything a decision change would move."""
     requests = scenario.requests(seed=1)
     fleet = scenario.make_fleet(num_taxis, seed=1)
+    name, _, prob = scheme.partition("+")  # "t-share+prob": Fig. 16's combinations
     sim = cls(
-        scenario.make_scheme(scheme),
+        scenario.make_scheme(name, probabilistic=bool(prob)),
         fleet,
         [] if streamed else requests,
         payment=PaymentModel(),

@@ -1,8 +1,14 @@
 """Tests for basic and probabilistic routing (Algorithms 3 and 4)."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.baselines.base import DispatchScheme
+from repro.core import mtshare, routing
 from repro.core.mobility_cluster import MobilityVector
 from repro.core.partition_filter import PartitionFilter
 from repro.core.routing import (
@@ -12,10 +18,15 @@ from repro.core.routing import (
     compose_route,
 )
 from repro.fleet.schedule import dropoff, pickup
+from repro.network import shortest_path
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.transition import TransitionModel
+from repro.sim.engine import Simulator
+from tests import oracles
 from tests.conftest import make_request
+from tests.oracles import ReferenceProbabilisticRouter
+from tests.test_advance_index import _observe
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +180,305 @@ class TestProbabilisticRouter:
         route = router.cruise_route(7, 0.0)
         # Either relocates elsewhere or declines; never a zero-length route.
         assert route is None or len(route.nodes) >= 2
+
+
+# ----------------------------------------------------------------------
+# Algorithm 4's three tables against the per-leg evaluation they replaced
+# ----------------------------------------------------------------------
+class _World:
+    """The non-peak test scenario's routing inputs, shared by fresh router pairs."""
+
+    def __init__(self, scenario):
+        config = scenario.default_config()
+        part = scenario.partitioning("bipartite", config.num_partitions)
+        self.net, self.engine = scenario.network, scenario.engine
+        self.lg = scenario.landmark_graph("bipartite", config.num_partitions)
+        self.predictor = scenario.demand_predictor(part)
+        self._args = (part.transition_model, config.lam,
+                      config.max_probabilistic_attempts, config.prob_steering_m)
+        self._filter_args = dict(lam=config.lam, epsilon=config.epsilon)
+
+    def router(self, cls, predictor=False, max_attempts=None):
+        args = list(self._args)
+        if max_attempts is not None:
+            args[2] = max_attempts
+        router = cls(self.net, self.engine, PartitionFilter(self.lg, **self._filter_args), *args)
+        if predictor:
+            router.demand_predictor = self.predictor
+        return router
+
+    def vertex_in(self, z, k=0):
+        return self.lg.members(z)[k]
+
+
+@pytest.fixture(scope="module")
+def world(test_nonpeak_scenario):
+    return _World(test_nonpeak_scenario)
+
+
+def heading(angle_deg, length_m=500.0):
+    a = math.radians(angle_deg)
+    return MobilityVector(0.0, 0.0, length_m * math.cos(a), length_m * math.sin(a))
+
+
+def route_op(world, start, t, trips, vector):
+    """``route_for_schedule`` over ``trips`` = ``(origin, destination, rho)``,
+    all picked up before anyone is dropped."""
+    requests = [
+        trip_request(world.engine, o, d, rho=rho, release=t, rid=i)
+        for i, (o, d, rho) in enumerate(trips)
+    ]
+    stops = [pickup(r) for r in requests] + [dropoff(r) for r in requests]
+    return ("route", start, t, stops, vector)
+
+
+def _apply(router, op):
+    if op[0] == "cruise":
+        route = router.cruise_route(op[1], op[2])
+    else:
+        try:
+            route = router.route_for_schedule(op[1], op[2], op[3], taxi_vector=op[4])
+        except RouteInfeasible:
+            return "infeasible"
+    return None if route is None else (route.nodes, route.times, route.stop_positions)
+
+
+def play(world, ops, predictor=False):
+    """``ops`` through a fresh production router and a fresh oracle;
+    every outcome and the first-caller-wins sector state must be equal."""
+    fast = world.router(ProbabilisticRouter, predictor)
+    oracle = world.router(ReferenceProbabilisticRouter, predictor)
+    for op in ops:
+        assert _apply(fast, op) == _apply(oracle, op), op[:3]
+    assert {key: entry.dests for key, entry in fast._sectors.items()} == oracle._pd_cache
+    assert fast.fallbacks == oracle.fallbacks
+    # The oracle ran none of the mechanism under test.
+    assert not oracle.sector_entries and not oracle.corridor_lists and not oracle.corridor_graphs
+    return fast, oracle
+
+
+@st.composite
+def _ops(draw):
+    # A handful of vertices and headings per example, so a drawn
+    # sequence revisits legs, corridors and sectors — and the same
+    # corridor under different sectors.
+    vertex = st.sampled_from(draw(st.lists(
+        st.integers(min_value=0, max_value=143), min_size=2, max_size=4, unique=True
+    )))
+    clock = st.floats(min_value=0.0, max_value=86400.0)
+    trip = st.tuples(vertex, vertex, st.sampled_from([1.0, 1.2, 1.5, 3.0]))
+    vector = st.sampled_from(
+        [MobilityVector(0.0, 0.0, 0.0, 0.0)]
+        + draw(st.lists(st.builds(heading, st.floats(min_value=-180.0, max_value=180.0)),
+                        min_size=1, max_size=4))
+    )
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("cruise"), vertex, clock),
+            st.tuples(st.just("route"), vertex, clock,
+                      st.lists(trip, min_size=1, max_size=2), vector),
+        ),
+        min_size=1, max_size=20,
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops(), predictor=st.booleans(), graph_capacity=st.sampled_from([1, None]))
+def test_probabilistic_router_matches_per_leg_oracle(world, ops, predictor, graph_capacity):
+    ops = [op if op[0] == "cruise" else route_op(world, *op[1:]) for op in ops]
+    capacity = graph_capacity or routing.CORRIDOR_GRAPH_CACHE_SIZE
+    with mock.patch.object(routing, "CORRIDOR_GRAPH_CACHE_SIZE", capacity):
+        fast, _ = play(world, ops, predictor)
+    assert len(fast.corridor_graphs) <= capacity
+
+
+# A taxi heading west-south-west shares sector 0 with the zero vector a
+# cruise passes; under lam = 0.707 the two disagree on every partition's
+# suitable destinations (the zero vector suits all of them).
+_WSW = heading(-170.0)
+
+
+@pytest.mark.parametrize("predictor", [False, True], ids=["share", "hourly"])
+@pytest.mark.parametrize("first", ["cruise", "taxi"])
+def test_sector_zero_belongs_to_whoever_fills_it_first(world, first, predictor):
+    assert routing.heading_sector(_WSW.direction) == routing.heading_sector((0.0, 0.0)) == 0
+    cruises = [("cruise", v, 7.5 * 3600.0 + v) for v in range(0, 144, 5)]
+    taxis = [route_op(world, v, 100.0, [(v, 143 - v, 3.0)], _WSW) for v in range(0, 60, 7)]
+    ops = cruises + taxis if first == "cruise" else taxis + cruises
+    fast, _ = play(world, ops + ops, predictor)
+    assert sum(_apply(fast, op) is not None for op in cruises) > 10
+    kappa = world.lg.num_partitions
+    suits_everyone = [
+        fast._sectors[(pi, 0)].dests == [pa for pa in range(kappa) if pa != pi]
+        for pi in range(kappa) if (pi, 0) in fast._sectors
+    ]
+    assert suits_everyone and (all(suits_everyone) if first == "cruise" else not all(suits_everyone))
+
+
+def test_two_headings_in_one_sector_keep_the_first_callers_destinations(world):
+    fresh = world.router(ReferenceProbabilisticRouter)
+    kappa = world.lg.num_partitions
+
+    def fresh_dests(pi, vector):
+        fresh._pd_cache.clear()
+        return fresh._suitable_destinations(pi, vector.direction)
+
+    # Both ends of the 22.5-degree sector that starts at 0 degrees.
+    low, high = heading(0.5), heading(22.0)
+    assert routing.heading_sector(low.direction) == routing.heading_sector(high.direction) == 8
+    differing = [pi for pi in range(kappa) if fresh_dests(pi, low) != fresh_dests(pi, high)]
+    assert differing
+    pi = differing[0]
+    # A leg that stays inside P_pi asks for (pi, sector 8) and nothing else.
+    u, v = world.vertex_in(pi, 0), world.vertex_in(pi, -1)
+    for first, second in ((low, high), (high, low)):
+        ops = [route_op(world, u, 0.0, [(u, v, 3.0)], first),
+               route_op(world, u, 0.0, [(u, v, 3.0)], second)]
+        fast, _ = play(world, ops)
+        assert fast._sectors[(pi, 8)].dests == fresh_dests(pi, first) != fresh_dests(pi, second)
+        assert fast.partition_probability(pi, second.direction) == (
+            fast.partition_probability(pi, first.direction)
+        )
+
+
+def test_one_leg_under_every_heading(world):
+    """The same corridors under all sixteen sectors: corridor order
+    (step 2) and edge weights (step 3) are per sector, not per corridor."""
+    u, v = world.vertex_in(0), world.vertex_in(9)
+    ops = [route_op(world, u, 0.0, [(u, v, 3.0)], heading(-179.0 + 22.5 * k)) for k in range(16)]
+    fast, _ = play(world, ops + ops)
+    pz, pz1 = world.lg.partition_of(u), world.lg.partition_of(v)
+    lists = [fast.corridor_lists[(pz, pz1, sector)] for sector in range(16)]
+    assert len({tuple(corridors) for corridors in lists}) > 1
+    routes = {tuple(_apply(fast, op)[0]) for op in ops}
+    assert len(routes) > 1
+
+
+def sweep(world, cruise_step, route_step, turn_deg):
+    """Cruises and one-trip routes from across the city, headings fanned
+    out by ``turn_deg`` per vertex: many distinct corridors and sectors."""
+    ops = [("cruise", v, 3600.0 + v) for v in range(0, 144, cruise_step)]
+    ops += [route_op(world, v, 50.0, [(v, (v * 37 + 11) % 144, 2.0)], heading(turn_deg * v))
+            for v in range(0, 144, route_step)]
+    return ops + ops  # the second pass reads what the first one stored
+
+
+def test_every_search_runs_on_bit_equal_edge_weights(world, monkeypatch):
+    """The stored matrices are the matrices the weight closure built:
+    same bytes, same source, call for call."""
+    seen = []
+    dijkstra = shortest_path.csgraph.dijkstra
+
+    def recording(matrix, **kwargs):
+        seen.append((matrix.data.tobytes(), matrix.indices.tobytes(),
+                     matrix.indptr.tobytes(), kwargs["indices"]))
+        return dijkstra(matrix, **kwargs)
+
+    monkeypatch.setattr(shortest_path.csgraph, "dijkstra", recording)
+    searches = []
+    for cls in (ProbabilisticRouter, ReferenceProbabilisticRouter):
+        router = world.router(cls)
+        seen.clear()
+        for op in sweep(world, 7, 5, 7.0):
+            _apply(router, op)
+        searches.append(list(seen))
+    assert searches[0] == searches[1] and len(searches[0]) > 100
+
+
+def test_leg_inside_one_partition(world):
+    pz = max(range(world.lg.num_partitions), key=lambda z: len(world.lg.members(z)))
+    u, v = world.vertex_in(pz, 0), world.vertex_in(pz, -1)
+    fast, _ = play(world, [route_op(world, u, 0.0, [(u, v, 2.0)], heading(45.0))] * 2)
+    assert fast.corridor_lists[(pz, pz, routing.heading_sector(heading(45.0).direction))] == [(pz,)]
+
+
+def test_corridor_enumeration_truncated_by_the_dfs_budget(world):
+    """Some partition pair has more simple landmark paths than
+    ``MAX_ENUMERATED_PATHS``; its corridor list is what the budget left."""
+    unbounded = world.router(ReferenceProbabilisticRouter, max_attempts=10**9)
+    kappa = world.lg.num_partitions
+    with mock.patch.object(oracles, "MAX_ENUMERATED_PATHS", 10**9):
+        pz, pz1 = next(
+            (a, b) for a in range(kappa) for b in range(kappa)
+            if a != b and len(unbounded._corridors(
+                unbounded._filter.filter_partitions(a, b), a, b, {}
+            )) > routing.MAX_ENUMERATED_PATHS
+        )
+    u, v = world.vertex_in(pz), world.vertex_in(pz1)
+    vector = MobilityVector(*world.net.xy[u], *world.net.xy[v])
+    fast, _ = play(world, [route_op(world, u, 0.0, [(u, v, 3.0)], vector)] * 2)
+    assert len(fast.corridor_lists[(pz, pz1, routing.heading_sector(vector.direction))]) == 5
+
+
+def test_leg_whose_every_corridor_busts_the_slack_takes_the_shortest_path(world):
+    """rho = 1 leaves no slack: every steered leg that is longer than
+    the shortest path is refused and ``leg_path`` is taken."""
+    oracle = world.router(ReferenceProbabilisticRouter)
+    lg = world.lg
+
+    def all_corridors_detour(u, v, direction):
+        retained = oracle._filter.filter_partitions(lg.partition_of(u), lg.partition_of(v))
+        weight = {pi: oracle.partition_probability(pi, direction) for pi in retained}
+        legs = [oracle._weighted_leg(u, v, corridor, direction) for corridor in
+                oracle._corridors(retained, lg.partition_of(u), lg.partition_of(v), weight)]
+        shortest = world.engine.cost(u, v)
+        return legs and all(
+            leg is None or world.net.path_cost_s(leg) > shortest + 1e-9 for leg in legs
+        )
+
+    u, v, vector = next(
+        (u, v, vector)
+        for u in range(0, 144, 3) for v in range(1, 144, 5)
+        for vector in [MobilityVector(*world.net.xy[u], *world.net.xy[v])]
+        if u != v and all_corridors_detour(u, v, vector.direction)
+    )
+    op = route_op(world, u, 0.0, [(u, v, 1.0)], vector)
+    fast, _ = play(world, [op, op])
+    nodes, _times, _positions = _apply(fast, op)
+    assert nodes == world.engine.path(u, v)
+
+
+def test_graph_memo_of_one_entry_rebuilds_the_same_routes(world, monkeypatch):
+    """Eviction may move speed, never a route."""
+    monkeypatch.setattr(routing, "CORRIDOR_GRAPH_CACHE_SIZE", 1)
+    fast, _ = play(world, sweep(world, 3, 4, 3.0))
+    graphs = fast.corridor_graphs
+    assert len(graphs) == 1 and graphs.evictions > 20 and graphs.misses > graphs.evictions
+
+
+# ----------------------------------------------------------------------
+# ... and whole runs, decision for decision
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("streamed", [False, True], ids=["batch", "streamed"])
+@pytest.mark.parametrize("variant", ["plain", "faults"])
+@pytest.mark.parametrize("scheme", ["mt-share-pro", "t-share+prob"])
+def test_whole_run_matches_per_leg_oracle(
+    test_nonpeak_scenario, monkeypatch, scheme, variant, streamed
+):
+    cruises = []
+    maybe_cruise = DispatchScheme.maybe_cruise
+
+    def counting(self, taxi, now):
+        started = maybe_cruise(self, taxi, now)
+        cruises.append(started)
+        return started
+
+    monkeypatch.setattr(DispatchScheme, "maybe_cruise", counting)
+    got, m = _observe(Simulator, test_nonpeak_scenario, scheme, variant, streamed)
+    started = sum(cruises)
+    cruises.clear()
+    for module in (routing, mtshare):  # where schemes look the class up
+        monkeypatch.setattr(module, "ProbabilisticRouter", ReferenceProbabilisticRouter)
+    expected, oracle_m = _observe(Simulator, test_nonpeak_scenario, scheme, variant, streamed)
+    for key, value in expected.items():
+        assert got[key] == value, key
+    assert sum(cruises) == started > 0
+    # Not vacuous: probabilistic plans were made and street hails served
+    # — through the tables in one run, past them in the other.
+    assert m.stages["route.probabilistic"]["count"] > 0 and m.served_offline > 0
+    assert m.stages["route.probabilistic"]["count"] == (
+        oracle_m.stages["route.probabilistic"]["count"]
+    )
+    assert m.counters["kernel.corridor_graph_hits"] > 0 and m.counters["route.sector_entries"] > 0
+    assert oracle_m.counters["kernel.corridor_graph_misses"] == 0
+    assert oracle_m.counters["route.sector_entries"] == 0

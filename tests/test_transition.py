@@ -79,6 +79,26 @@ class TestQueries:
         assert model.mass_to(0, [0, 1]) == pytest.approx(1.0)
         assert model.mass_to(0, []) == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=0, max_value=60),
+           st.integers(min_value=2, max_value=40))
+    def test_suitable_demand_is_the_scalar_methods_elementwise(self, seed, m, k):
+        """``==``, not approx: the router's stored psi must be the very
+        floats ``mass_to`` x ``relative_pickup_frequency`` produce."""
+        rng = np.random.default_rng(seed)
+        n = 30
+        model = TransitionModel.fit(
+            rng.integers(0, n, size=(m, 2)), rng.integers(0, k, size=n), k
+        )  # m = 0: no pickups anywhere, peak 0
+        verts = [int(v) for v in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+        dests = sorted(int(c) for c in rng.permutation(k)[: int(rng.integers(0, k + 1))])
+        got = model.suitable_demand(verts, dests)
+        want = [model.mass_to(v, dests) * model.relative_pickup_frequency(v) for v in verts]
+        assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_suitable_demand_empty_destinations(self):
+        assert simple_model().suitable_demand([0, 1, 3], []).tolist() == [0.0, 0.0, 0.0]
+
     def test_partition_probability_demand_weighted(self):
         model = simple_model()
         # Vertices {0, 1}, destinations {1}: weighted by pickup share.
