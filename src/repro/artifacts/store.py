@@ -208,22 +208,23 @@ class ArtifactStore:
         """Zero the per-process counters (tests)."""
         self._stats.clear()
 
-    def info(self) -> dict[str, dict[str, int]]:
-        """On-disk inventory: artifact count and bytes per kind."""
-        out: dict[str, dict[str, int]] = {}
+    def info(self) -> dict[str, dict[str, float]]:
+        """On-disk inventory per kind: artifact count, bytes, and the
+        total ``build_s`` their metas record (what building them cost
+        the processes that did; artifacts saved without one count 0).
+        Unreadable artifacts are skipped, as in :meth:`entries`."""
+        out: dict[str, dict[str, float]] = {}
         if not self.root.is_dir():
             return out
         for kind_dir in sorted(self.root.iterdir()):
             if not kind_dir.is_dir() or kind_dir.name == "tmp":
                 continue
-            count = 0
-            nbytes = 0
-            for meta in sorted(kind_dir.glob("*/*/meta.json")):
-                count += 1
-                nbytes += sum(
-                    f.stat().st_size for f in sorted(meta.parent.iterdir()) if f.is_file()
-                )
-            out[kind_dir.name] = {"artifacts": count, "bytes": nbytes}
+            rows = self.entries(kind_dir.name)
+            out[kind_dir.name] = {
+                "artifacts": len(rows),
+                "bytes": sum(row["bytes"] for row in rows),
+                "build_s": sum(row["meta"].get("build_s", 0.0) for row in rows),
+            }
         return out
 
     def entries(self, kind: str) -> list[dict]:

@@ -235,13 +235,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         info = store.info()
         if not info:
             print("  (empty)")
-        total = 0
-        for kind, row in info.items():
-            total += row["bytes"]
-            print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB")
-        if info:
-            print(f"  {'total':10s} {sum(r['artifacts'] for r in info.values()):4d} artifacts"
-                  f"  {total / 1e6:8.2f} MB")
+        # "build" is the wall time the artifacts' builders took, as their
+        # metas record it: where a cold start on this store went.
+        rows = list(info.items())
+        if rows:
+            rows.append(("total", {
+                field: sum(row[field] for row in info.values())
+                for field in ("artifacts", "bytes", "build_s")
+            }))
+        for kind, row in rows:
+            print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB"
+                  f"  {row['build_s']:8.2f} s build")
         hierarchies = store.entries("ch")
         if hierarchies:
             print("\ncontraction hierarchies:")

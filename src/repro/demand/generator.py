@@ -24,6 +24,7 @@ id, release time, origin/destination vertices).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ from ..network.graph import RoadNetwork
 from .dataset import TripDataset
 
 ZONE_TYPES = ("residential", "business", "leisure", "transport")
+
+#: Zone ``i`` gets type ``_TYPE_CYCLE[i % 5]``: residential twice as
+#: common as the others (as in real cities).
+_TYPE_CYCLE = ("residential", "business", "residential", "leisure", "transport")
 
 #: Hourly demand multipliers (0-23h) for workdays, shaped after the
 #: paper's Fig. 5(a): morning peak 8-9, evening peak 17-19, quiet night.
@@ -104,6 +109,20 @@ def _origin_weights(hour: int, weekend: bool) -> np.ndarray:
     return w / w.sum()
 
 
+def _cdf(p: np.ndarray) -> list[float]:
+    """The cumulative table behind a weighted draw.
+
+    ``Generator.choice(len(p), p=p)`` is one ``rng.random()`` looked up
+    with ``searchsorted(side="right")`` in exactly this table, which it
+    rebuilds on every call; ``bisect_right(_cdf(p), rng.random())`` is
+    therefore the same draw from the same stream position (see
+    docs/PERFORMANCE.md, "Trace generation").
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 @dataclass(frozen=True, slots=True)
 class Zone:
     """A demand hotspot: an anchor vertex, a spread, and a type."""
@@ -134,6 +153,15 @@ class ChengduLikeDemand:
         size for tractable experiments.
     num_taxis_in_trace:
         Taxi-id space for the generated historical records.
+    concentration:
+        How strongly demand runs along a few corridors.  It is the
+        exponent applied both to the hourly type-to-type flow shares
+        (see :func:`_flow_matrix`) and to the exponential zone-to-zone
+        affinities, so ``1.0`` leaves flows as tabulated and partner
+        zones diffuse, while the default ``4.0`` makes trips from a zone
+        concentrate on a handful of partner zones — the learnable
+        transition patterns partitioning and probabilistic routing
+        mine.  Must be positive; part of :meth:`spec_dict`.
     seed:
         Deterministic seed for zone placement and trip sampling.
     """
@@ -148,8 +176,12 @@ class ChengduLikeDemand:
         concentration: float = 4.0,
         seed: int = 42,
     ) -> None:
-        if num_zones < len(ZONE_TYPES):
-            raise ValueError(f"need at least {len(ZONE_TYPES)} zones, one per type")
+        empty = [zt for zt in ZONE_TYPES if zt not in _TYPE_CYCLE[: max(num_zones, 0)]]
+        if empty:
+            raise ValueError(
+                f"num_zones={num_zones} leaves no {' / '.join(empty)} zone: need at "
+                f"least {len(_TYPE_CYCLE)}, one round of the type cycle"
+            )
         if hourly_requests < 1:
             raise ValueError("hourly_requests must be positive")
         if concentration <= 0:
@@ -163,15 +195,38 @@ class ChengduLikeDemand:
         self._num_taxis = int(num_taxis_in_trace)
         self._concentration = float(concentration)
         self._zones = self._place_zones(num_zones, vertices_per_zone)
-        self._zone_ids_by_type = {
-            zt: [z.zone_id for z in self._zones if z.zone_type == zt] for zt in ZONE_TYPES
-        }
+        #: Zone ids per type, indexed like :data:`ZONE_TYPES`.
+        self._type_zone_ids = [
+            [z.zone_id for z in self._zones if z.zone_type == zt] for zt in ZONE_TYPES
+        ]
         # Stable zone-to-zone affinities create commute corridors: trips
         # from a given zone concentrate on a few partner zones, which is
         # both realistic and what makes transition patterns learnable.
         raw = self._rng.exponential(1.0, size=(num_zones, num_zones)) ** self._concentration
         np.fill_diagonal(raw, raw.min() * 0.1)
         self._zone_affinity = raw
+
+        # Sampling tables read per trip by generate_hour, built once.
+        # Within a zone, weight decays by rank from the anchor; the
+        # exponent 1.5 keeps most of a zone's demand on its few
+        # innermost vertices — real pick-up heat maps are sharply peaked
+        # (taxi queues, mall entrances), and this is what probabilistic
+        # routing learns to aim for.  Every zone spans the same number
+        # of vertices, so one table serves them all.
+        span = self._zones[0].member_vertices.shape[0]
+        decay = (1.0 + np.arange(span)) ** -1.5
+        decay /= decay.sum()
+        self._vertex_cdf = _cdf(decay)
+        self._zone_members = [z.member_vertices.tolist() for z in self._zones]
+        # Destination zone given (origin zone, destination type), by the
+        # affinities above; a type with a single zone has no table.
+        self._affinity_cdf: list[list[list[float] | None]] = []
+        for origin in range(num_zones):
+            tables = []
+            for ids in self._type_zone_ids:
+                weights = raw[origin, ids]
+                tables.append(_cdf(weights / weights.sum()) if len(ids) > 1 else None)
+            self._affinity_cdf.append(tables)
 
     # ------------------------------------------------------------------
     def _place_zones(self, num_zones: int, vertices_per_zone: int) -> list[Zone]:
@@ -187,8 +242,6 @@ class ChengduLikeDemand:
             anchors.append(int(np.argmax(d2)))
             d2 = np.minimum(d2, ((xy - xy[anchors[-1]]) ** 2).sum(axis=1))
 
-        # Type assignment: residential twice as common as the others.
-        type_cycle = ("residential", "business", "residential", "leisure", "transport")
         zones = []
         for zid, anchor in enumerate(anchors):
             dist = np.hypot(xy[:, 0] - xy[anchor, 0], xy[:, 1] - xy[anchor, 1])
@@ -196,7 +249,7 @@ class ChengduLikeDemand:
             zones.append(
                 Zone(
                     zone_id=zid,
-                    zone_type=type_cycle[zid % len(type_cycle)],
+                    zone_type=_TYPE_CYCLE[zid % len(_TYPE_CYCLE)],
                     anchor=anchor,
                     member_vertices=members,
                 )
@@ -212,34 +265,6 @@ class ChengduLikeDemand:
     def zones(self) -> list[Zone]:
         """All demand zones."""
         return list(self._zones)
-
-    def _sample_vertex_in_zone(self, zone: Zone, rng: np.random.Generator) -> int:
-        """Pick a zone vertex with weight decaying by rank from the anchor.
-
-        The decay exponent 1.5 keeps most of a zone's demand on its few
-        innermost vertices — real pick-up heat maps are sharply peaked
-        (taxi queues, mall entrances), and this is what probabilistic
-        routing learns to aim for.
-        """
-        m = zone.member_vertices.shape[0]
-        weights = (1.0 + np.arange(m)) ** -1.5
-        weights /= weights.sum()
-        return int(zone.member_vertices[rng.choice(m, p=weights)])
-
-    def _sample_zone_of_type(
-        self,
-        zone_type: str,
-        rng: np.random.Generator,
-        origin_zone: Zone | None = None,
-    ) -> Zone:
-        """Pick a zone of the given type; when an origin zone is known,
-        weight the choice by the stable zone-to-zone affinities."""
-        ids = self._zone_ids_by_type[zone_type]
-        if origin_zone is None or len(ids) == 1:
-            return self._zones[ids[int(rng.integers(len(ids)))]]
-        weights = self._zone_affinity[origin_zone.zone_id, ids]
-        weights = weights / weights.sum()
-        return self._zones[ids[int(rng.choice(len(ids), p=weights))]]
 
     # ------------------------------------------------------------------
     def generate_hour(
@@ -257,23 +282,35 @@ class ChengduLikeDemand:
         lam = self._hourly_requests * profile[hour % 24] * rate_scale
         rng = np.random.default_rng(self._rng.integers(2**63) ^ (day * 24 + hour))
         count = int(rng.poisson(lam))
-        flows = _flow_matrix(hour % 24, weekend, self._concentration)
-        origin_w = _origin_weights(hour % 24, weekend)
-        type_index = {zt: i for i, zt in enumerate(ZONE_TYPES)}
+        origin_cdf = _cdf(_origin_weights(hour % 24, weekend))
+        flow_cdfs = [_cdf(row) for row in _flow_matrix(hour % 24, weekend, self._concentration)]
 
         start = (day * 24 + hour) * 3600.0
         times = np.sort(rng.uniform(start, start + 3600.0, size=count))
+        # Each weighted draw is one uniform looked up in its table.  The
+        # unweighted zone picks stay ``rng.integers`` calls: those
+        # consume buffered 32-bit halves of the stream (and nothing at
+        # all for a single-zone type), which no uniform reproduces.
+        random, integers = rng.random, rng.integers
+        vertex_cdf, members = self._vertex_cdf, self._zone_members
+        type_zone_ids, affinity_cdf = self._type_zone_ids, self._affinity_cdf
         trips = []
-        for t in times:
-            o_type = ZONE_TYPES[int(rng.choice(4, p=origin_w))]
-            d_type = ZONE_TYPES[int(rng.choice(4, p=flows[type_index[o_type]]))]
-            o_zone = self._sample_zone_of_type(o_type, rng)
-            d_zone = self._sample_zone_of_type(d_type, rng, origin_zone=o_zone)
-            origin = self._sample_vertex_in_zone(o_zone, rng)
-            destination = self._sample_vertex_in_zone(d_zone, rng)
+        for t in times.tolist():
+            o_type = bisect_right(origin_cdf, random())
+            d_type = bisect_right(flow_cdfs[o_type], random())
+            ids = type_zone_ids[o_type]
+            o_zone = ids[integers(len(ids))]
+            ids = type_zone_ids[d_type]
+            zone_cdf = affinity_cdf[o_zone][d_type]
+            if zone_cdf is None:
+                d_zone = ids[integers(len(ids))]
+            else:
+                d_zone = ids[bisect_right(zone_cdf, random())]
+            origin = members[o_zone][bisect_right(vertex_cdf, random())]
+            destination = members[d_zone][bisect_right(vertex_cdf, random())]
             if origin == destination:
                 continue
-            trips.append((float(t), origin, destination))
+            trips.append((t, origin, destination))
         return trips
 
     def generate_window(

@@ -39,7 +39,6 @@ Hierarchy.to_arrays`) persisted as a content-addressed artifact kind
 from __future__ import annotations
 
 import heapq
-import time
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -143,8 +142,6 @@ class ContractionHierarchy:
             + np.count_nonzero(self._arrays["down_mid"] >= 0)
         )
         self.num_edges = len(self._up_head) + len(self._down_tail)
-        #: Wall-clock seconds spent contracting (0.0 on the warm path).
-        self.build_seconds = 0.0
         # Query-side memos.
         self._fwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
         self._bwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
@@ -174,7 +171,6 @@ class ContractionHierarchy:
         builds of the same network produce identical arrays (the basis
         of the content-addressed artifact round-trip).
         """
-        t0 = time.perf_counter()  # repro-lint: disable=REP003 reason=build_seconds metric only, never a decision input
         n = network.num_vertices
         csr = network.to_csr()
         indptr = csr.indptr
@@ -309,9 +305,7 @@ class ContractionHierarchy:
                     version[t] += 1
 
         arrays = cls._rows_to_arrays(rank, up_rows, down_rows)
-        ch = cls(network, arrays)
-        ch.build_seconds = time.perf_counter() - t0  # repro-lint: disable=REP003 reason=build_seconds metric only, never a decision input
-        return ch
+        return cls(network, arrays)
 
     @staticmethod
     def _rows_to_arrays(

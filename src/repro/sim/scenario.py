@@ -23,6 +23,7 @@ recomputing.
 from __future__ import annotations
 
 import hashlib
+import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any, TypeVar
@@ -286,7 +287,9 @@ class Scenario:
         ``spec`` keys the artifact; ``pack`` turns a freshly built
         product into ``(arrays, meta)`` and ``unpack`` turns a loaded
         :class:`~repro.artifacts.store.Artifact` back into the product.
-        With the store disabled this is just ``build()``.
+        With the store disabled this is just ``build()``.  A saved
+        artifact's meta carries ``build_s``, the wall seconds ``build()``
+        took, which ``repro cache info`` totals per kind.
         """
         store = artifacts.get_store()
         if store is None:
@@ -295,9 +298,11 @@ class Scenario:
         art = store.load(kind, key)
         if art is not None:
             return unpack(art)
+        t0 = time.perf_counter()  # repro-lint: disable=REP003 reason=build_s artifact metadata only, never a decision input
         product = build()
+        build_s = time.perf_counter() - t0  # repro-lint: disable=REP003 reason=build_s artifact metadata only, never a decision input
         arrays, meta = pack(product)
-        store.save(kind, key, arrays, meta=meta)
+        store.save(kind, key, arrays, meta={**meta, "build_s": round(build_s, 3)})
         return product
 
     def _build_engine(self) -> ShortestPathEngine:
@@ -323,7 +328,6 @@ class Scenario:
                     "vertices": network.num_vertices,
                     "edges": hierarchy.num_edges,
                     "shortcuts": hierarchy.num_shortcuts,
-                    "build_seconds": round(hierarchy.build_seconds, 3),
                 }
 
             return self._stored(

@@ -16,6 +16,14 @@ caller's exact direction, the per-leg psi dict, the scalar weight
 closure handed to ``dijkstra_restricted``, the per-call share loop —
 verbatim, so routes can be diffed ``==``.
 
+**Trace generation.**  Production draws every weighted choice of a
+trip as ``bisect_right(cdf, rng.random())`` against tables built once
+(``repro.demand.generator.ChengduLikeDemand.generate_hour``);
+:class:`ReferenceDemand` is the loop it replaced — five scalar
+``rng.choice(k, p=...)`` calls per trip, each weight vector rebuilt and
+renormalised on the spot — verbatim, so traces and the generator's RNG
+state can be diffed ``==``.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -44,6 +52,15 @@ from repro.core.routing import (
     compose_route,
 )
 from repro.core.window import WindowCostMatrix
+from repro.demand.generator import (
+    WEEKEND_HOURLY_PROFILE,
+    WORKDAY_HOURLY_PROFILE,
+    ZONE_TYPES,
+    ChengduLikeDemand,
+    Zone,
+    _flow_matrix,
+    _origin_weights,
+)
 from repro.fleet.schedule import (
     Stop,
     arrival_times,
@@ -396,6 +413,74 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
         if not deadlines_met(stops, stop_times):
             raise RouteInfeasible("probabilistic route misses a deadline")
         return route
+
+
+class ReferenceDemand(ChengduLikeDemand):
+    """A :class:`ChengduLikeDemand` that samples each trip with scalar
+    ``rng.choice`` calls: the ``generate_hour`` production had before it
+    kept its cumulative tables, and the two samplers it called,
+    verbatim.  Zone placement, the affinities and the seed stream are
+    the inherited ones; the inherited tables are deleted, so any read of
+    them fails."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        del self._vertex_cdf, self._zone_members, self._type_zone_ids, self._affinity_cdf
+        self._zone_ids_by_type = {
+            zt: [z.zone_id for z in self._zones if z.zone_type == zt] for zt in ZONE_TYPES
+        }
+
+    def _sample_vertex_in_zone(self, zone: Zone, rng: np.random.Generator) -> int:
+        """Pick a zone vertex with weight decaying by rank from the anchor."""
+        m = zone.member_vertices.shape[0]
+        weights = (1.0 + np.arange(m)) ** -1.5
+        weights /= weights.sum()
+        return int(zone.member_vertices[rng.choice(m, p=weights)])
+
+    def _sample_zone_of_type(
+        self,
+        zone_type: str,
+        rng: np.random.Generator,
+        origin_zone: Zone | None = None,
+    ) -> Zone:
+        """Pick a zone of the given type; when an origin zone is known,
+        weight the choice by the stable zone-to-zone affinities."""
+        ids = self._zone_ids_by_type[zone_type]
+        if origin_zone is None or len(ids) == 1:
+            return self._zones[ids[int(rng.integers(len(ids)))]]
+        weights = self._zone_affinity[origin_zone.zone_id, ids]
+        weights = weights / weights.sum()
+        return self._zones[ids[int(rng.choice(len(ids), p=weights))]]
+
+    def generate_hour(
+        self,
+        day: int,
+        hour: int,
+        weekend: bool = False,
+        rate_scale: float = 1.0,
+    ) -> list[tuple[float, int, int]]:
+        profile = WEEKEND_HOURLY_PROFILE if weekend else WORKDAY_HOURLY_PROFILE
+        lam = self._hourly_requests * profile[hour % 24] * rate_scale
+        rng = np.random.default_rng(self._rng.integers(2**63) ^ (day * 24 + hour))
+        count = int(rng.poisson(lam))
+        flows = _flow_matrix(hour % 24, weekend, self._concentration)
+        origin_w = _origin_weights(hour % 24, weekend)
+        type_index = {zt: i for i, zt in enumerate(ZONE_TYPES)}
+
+        start = (day * 24 + hour) * 3600.0
+        times = np.sort(rng.uniform(start, start + 3600.0, size=count))
+        trips = []
+        for t in times:
+            o_type = ZONE_TYPES[int(rng.choice(4, p=origin_w))]
+            d_type = ZONE_TYPES[int(rng.choice(4, p=flows[type_index[o_type]]))]
+            o_zone = self._sample_zone_of_type(o_type, rng)
+            d_zone = self._sample_zone_of_type(d_type, rng, origin_zone=o_zone)
+            origin = self._sample_vertex_in_zone(o_zone, rng)
+            destination = self._sample_vertex_in_zone(d_zone, rng)
+            if origin == destination:
+                continue
+            trips.append((float(t), origin, destination))
+        return trips
 
 
 def oracle_instances(engine, start, request):

@@ -135,8 +135,20 @@ def test_info_and_clear(tmp_path):
     info = store.info()
     assert info["trace"]["artifacts"] == 1
     assert info["trace"]["bytes"] > 0
+    assert info["trace"]["build_s"] == 0.0  # saved without one (an older checkout's)
     assert store.clear() == 1
     assert store.info() == {}
+
+
+def test_info_totals_recorded_build_seconds(tmp_path):
+    store = ArtifactStore(tmp_path)
+    for x, build_s in ((1, 0.25), (2, 1.5)):
+        store.save("trace", store.key_of("trace", {"x": x}), {"a": np.ones(2)},
+                   meta={"build_s": build_s})
+    store.save("ch", store.key_of("ch", {"x": 1}), {"a": np.ones(2)}, meta={"build_s": 0.5})
+    info = store.info()
+    assert info["trace"]["build_s"] == 1.75
+    assert info["ch"]["build_s"] == 0.5
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +190,65 @@ def test_warm_scenario_bit_identical(tmp_path, monkeypatch):
     assert np.array_equal(w_cold.release_times, w_warm.release_times)
     assert np.array_equal(w_cold.origins, w_warm.origins)
     assert np.array_equal(w_cold.taxi_ids, w_warm.taxi_ids)
+
+
+def test_built_artifacts_record_their_build_seconds(tmp_path, monkeypatch):
+    """Every product ``Scenario._stored`` builds carries ``build_s`` in
+    its meta, next to what ``pack`` put there; loading adds nothing."""
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+    cold = Scenario(MICRO_SPEC)
+    cold.landmark_graph()
+    store = get_store()
+    kinds = set(store.info())
+    assert {"apsp", "trace", "partition", "landmarks"} <= kinds
+    for kind in kinds:
+        (entry,) = store.entries(kind)
+        assert entry["meta"]["build_s"] >= 0.0, kind
+    (trace,) = store.entries("trace")
+    assert trace["meta"]["rows"] == len(cold.history) + len(cold.window_trips)
+    # pack_apsp hands its key spec out as meta: it must not grow a field.
+    assert "build_s" not in cold._network_spec
+    before = store.info()
+    Scenario(MICRO_SPEC).landmark_graph()
+    assert store.info() == before
+
+
+def test_trace_store_written_by_the_reference_generator_stays_warm(tmp_path, monkeypatch):
+    """A trace artifact written by the ``rng.choice`` generator (any
+    checkout before the sampling tables) is a valid warm store for this
+    one: same key, and the bytes this generator would have written."""
+    from repro.sim import scenario as sc
+    from tests.oracles import ReferenceDemand
+
+    def npy_bytes(store, key):
+        return {f.name: f.read_bytes() for f in sorted(store._dir_of("trace", key).glob("*.npy"))}
+
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "reference"))
+    with monkeypatch.context() as patched:
+        patched.setattr(sc, "ChengduLikeDemand", ReferenceDemand)
+        reference = Scenario(MICRO_SPEC)
+    store = get_store()
+    assert isinstance(reference.demand, ReferenceDemand)
+    assert store.stats()["trace"]["builds"] == 1
+    key = store.key_of("trace", reference._trace_spec)
+    store.reset_stats()
+
+    warm = Scenario(MICRO_SPEC)
+    assert type(warm.demand) is sc.ChengduLikeDemand
+    assert store.stats()["trace"] == {"loads": 1, "misses": 0, "builds": 0, "mmap_loads": 1}
+    assert np.array_equal(warm.history.release_times, reference.history.release_times)
+
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "cold"))
+    cold = Scenario(MICRO_SPEC)
+    cold_store = get_store()
+    assert cold_store.stats()["trace"]["builds"] == 1
+    assert cold_store.key_of("trace", cold._trace_spec) == key
+    assert npy_bytes(cold_store, key) == npy_bytes(store, key)
+    # ...and whatever is sampled next agrees across all three.
+    windows = [s.demand.generate_window(1, 8, 1) for s in (reference, warm, cold)]
+    for other in windows[1:]:
+        assert np.array_equal(other.origins, windows[0].origins)
+        assert np.array_equal(other.taxi_ids, windows[0].taxi_ids)
 
 
 _FRESH_PROCESS_SNIPPET = """

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from repro.artifacts import ARTIFACT_DIR_ENV, get_store
 from repro.cli import main
 from repro.service.codec import request_to_dict
 from repro.service.sources import synthetic_requests
-from repro.sim.scenario import ScenarioSpec, get_scenario
+from repro.sim.scenario import Scenario, ScenarioSpec, get_scenario
 
 
 class TestList:
@@ -173,3 +174,32 @@ class TestReplay:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "no_such_dir" in err
+
+
+class TestCacheInfo:
+    def test_info_prints_build_seconds_per_kind(self, tmp_path, monkeypatch, capsys):
+        """"Where did my cold start go" from the store alone: each kind's
+        row ends with the seconds its artifacts took to build, and the
+        total row with their sum."""
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+        assert main(["cache", "info"]) == 0
+        assert "(empty)" in capsys.readouterr().out
+
+        Scenario(ScenarioSpec(grid_rows=8, grid_cols=8, hourly_requests=60,
+                              history_days=1, num_partitions=4, seed=3))
+        assert main(["cache", "info"]) == 0
+        rows = {
+            fields[0]: fields
+            for fields in map(str.split, capsys.readouterr().out.splitlines())
+            if fields and fields[-1] == "build"
+        }
+        info = get_store().info()
+        assert set(rows) == {"apsp", "trace", "total"}
+        for kind in ("apsp", "trace"):
+            assert rows[kind][1:] == [
+                str(info[kind]["artifacts"]), "artifacts",
+                f"{info[kind]['bytes'] / 1e6:.2f}", "MB",
+                f"{info[kind]['build_s']:.2f}", "s", "build",
+            ]
+        total_s = info["apsp"]["build_s"] + info["trace"]["build_s"]
+        assert rows["total"][1] == "2" and rows["total"][5] == f"{total_s:.2f}"

@@ -1,7 +1,10 @@
 """Tests for the synthetic Chengdu-like demand generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.demand.generator import (
     WEEKEND_HOURLY_PROFILE,
@@ -11,6 +14,7 @@ from repro.demand.generator import (
     _flow_matrix,
     _origin_weights,
 )
+from tests.oracles import ReferenceDemand
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,16 @@ class TestZones:
     def test_too_few_zones_rejected(self, small_net):
         with pytest.raises(ValueError):
             ChengduLikeDemand(small_net, num_zones=2)
+
+    def test_zone_count_leaving_a_type_empty_rejected(self, small_net):
+        """Four zones pass a ``< len(ZONE_TYPES)`` check, but the type
+        cycle reaches ``transport`` only at the fifth; that used to
+        surface as ``ValueError: high <= 0`` in the first generated hour."""
+        with pytest.raises(ValueError, match="no transport zone"):
+            ChengduLikeDemand(small_net, num_zones=4)
+        assert {z.zone_type for z in ChengduLikeDemand(small_net, num_zones=5).zones} == set(
+            ZONE_TYPES
+        )
 
     def test_bad_rate_rejected(self, small_net):
         with pytest.raises(ValueError):
@@ -126,3 +140,108 @@ class TestGeneration:
             dest_counts = np.bincount(dests[mask])
             top_share = dest_counts.max() / mask.sum()
             assert top_share > 0.15
+
+
+# ----------------------------------------------------------------------
+# table-driven sampling == the scalar rng.choice loop it replaced
+# ----------------------------------------------------------------------
+DATASET_FIELDS = ("release_times", "origins", "destinations", "taxi_ids")
+
+
+def _pair(net, **kwargs):
+    return ChengduLikeDemand(net, **kwargs), ReferenceDemand(net, **kwargs)
+
+
+def _assert_same_dataset(new, ref):
+    for name in DATASET_FIELDS:
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _assert_same_rng_state(new, ref):
+    assert new._rng.bit_generator.state == ref._rng.bit_generator.state
+
+
+class TestReferenceEquivalence:
+    """Same trips from the same stream: element for element, and the
+    generator's RNG left in the same state, so whatever is sampled next
+    is the same too.  Zone counts 5, 7 and 9 leave some types a single
+    zone, whose pick draws nothing from the stream."""
+
+    @pytest.mark.parametrize("concentration", [4.0, 1.0])
+    @pytest.mark.parametrize("num_zones", [5, 7, 9, 12])
+    def test_generate_hour(self, small_net, num_zones, concentration):
+        new, ref = _pair(small_net, num_zones=num_zones, vertices_per_zone=8,
+                         hourly_requests=150, concentration=concentration, seed=4)
+        for day, hour, weekend, rate_scale in (
+            (0, 8, False, 1.0), (0, 17, False, 0.5), (5, 10, True, 1.0),
+            (6, 23, True, 2.0), (1, 3, False, 1.0),
+        ):
+            got = new.generate_hour(day, hour, weekend=weekend, rate_scale=rate_scale)
+            want = ref.generate_hour(day, hour, weekend=weekend, rate_scale=rate_scale)
+            assert got == want
+            assert all(
+                type(t) is float and type(o) is int and type(d) is int for t, o, d in got
+            )
+            _assert_same_rng_state(new, ref)
+
+    @pytest.mark.parametrize("num_zones", [5, 7, 9, 12])
+    def test_generate_days_and_window(self, small_net, num_zones):
+        new, ref = _pair(small_net, num_zones=num_zones, hourly_requests=60, seed=2)
+        _assert_same_dataset(
+            new.generate_days(3, weekend_days={1}, rate_scale=0.5),
+            ref.generate_days(3, weekend_days={1}, rate_scale=0.5),
+        )
+        _assert_same_rng_state(new, ref)
+        _assert_same_dataset(new.generate_days(7), ref.generate_days(7))
+        _assert_same_dataset(
+            new.generate_window(5, 9, 3, weekend=True, rate_scale=1.5),
+            ref.generate_window(5, 9, 3, weekend=True, rate_scale=1.5),
+        )
+        _assert_same_rng_state(new, ref)
+
+    def test_reference_shares_no_table(self, small_net):
+        ref = ReferenceDemand(small_net)
+        for name in ("_vertex_cdf", "_zone_members", "_type_zone_ids", "_affinity_cdf"):
+            assert not hasattr(ref, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_zones=st.integers(5, 20),
+        hourly_requests=st.integers(1, 80),
+        day=st.integers(0, 13),
+        hour=st.integers(0, 23),
+        weekend=st.booleans(),
+    )
+    def test_any_hour_of_any_generator(
+        self, small_net, seed, num_zones, hourly_requests, day, hour, weekend
+    ):
+        new, ref = _pair(small_net, num_zones=num_zones, vertices_per_zone=6,
+                         hourly_requests=hourly_requests, seed=seed)
+        assert new.generate_hour(day, hour, weekend=weekend) == ref.generate_hour(
+            day, hour, weekend=weekend
+        )
+        _assert_same_rng_state(new, ref)
+
+
+def test_stream_is_the_one_stored_traces_were_drawn_from(small_net):
+    """The trace of one small fixed spec, pinned by hash.
+
+    numpy promises no ``Generator`` stream across versions, and the
+    artifact store keys a trace by its *spec*: if an upgrade (or an
+    edit here) moved the stream, a cold store would hold a different
+    trace from a warm one under the same key, silently.  A failure here
+    means exactly that; bump ``repro.artifacts.SCHEMA_VERSION`` in the
+    change that accepts the new hash.
+    """
+    demand = ChengduLikeDemand(small_net, num_zones=7, vertices_per_zone=8,
+                               hourly_requests=40, seed=11)
+    trace = demand.generate_days(2, weekend_days={1})
+    digest = hashlib.sha256()
+    for name in DATASET_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(trace, name)).tobytes())
+    assert len(trace) == 868
+    assert digest.hexdigest() == (
+        "9b8bf875e6ddee99a21fa3ca4bfa6d2c485a6345e6fe6d231c507ed19f2b18ef"
+    )
