@@ -6,7 +6,7 @@ fleet serves fewer requests; the schemes' relative ordering should be
 insensitive to the congestion level.
 """
 
-from repro.experiments.reporting import ExperimentResult
+from repro.reporting import ExperimentResult
 from repro.experiments.runner import RunKey, run
 
 

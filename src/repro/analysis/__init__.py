@@ -24,7 +24,26 @@ suppression syntax and the baseline workflow.
 
 from __future__ import annotations
 
-from .checkers import ALL_CHECKERS
-from .engine import Finding, LintResult, lint_paths, main
+from importlib import import_module
 
 __all__ = ["ALL_CHECKERS", "Finding", "LintResult", "lint_paths", "main"]
+
+#: Public name -> the submodule that defines it.  Resolved on first
+#: access (PEP 562): the simulator imports :mod:`.contracts` through
+#: this package on every run and must not load the static tier with it.
+_HOMES = {
+    "ALL_CHECKERS": "checkers",
+    "Finding": "engine",
+    "LintResult": "engine",
+    "lint_paths": "engine",
+    "main": "engine",
+}
+
+
+def __getattr__(name: str) -> object:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value

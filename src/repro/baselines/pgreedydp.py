@@ -14,6 +14,7 @@ shows the largest response times in the paper's Figs. 7 and 11.
 from __future__ import annotations
 
 from ..core.matching import MatchResult
+from ..core.routing import RouteInfeasible
 from ..demand.request import RideRequest
 from ..fleet.insertion_dp import best_insertion_dp
 from ..fleet.taxi import Taxi
@@ -91,30 +92,33 @@ class PGreedyDP(DispatchScheme):
             candidates = self._candidates(request, now)
         self._obs.count("match.candidates_found", len(candidates))
         self.last_candidate_count = len(candidates)
-        best_taxi: Taxi | None = None
-        best_detour = float("inf")
-        best_stops: list | None = None
+        found: list[tuple[float, Taxi, list]] = []
         with self._obs.stage("match.insertion"):
             for taxi in candidates:
-                found = self._min_detour_insertion(taxi, request, now)
-                if found is None:
-                    continue
-                detour, stops = found
-                if detour < best_detour:
-                    best_detour = detour
-                    best_stops = stops
-                    best_taxi = taxi
-        if best_taxi is None:
-            return None
-        node, ready = best_taxi.position_at(now)
-        route = self._fallback_router.route_for_schedule(node, ready, best_stops)
-        return MatchResult(
-            taxi_id=best_taxi.taxi_id,
-            stops=tuple(best_stops),
-            route=route,
-            detour_cost=best_detour,
-            num_candidates=len(candidates),
-        )
+                insertion = self._min_detour_insertion(taxi, request, now)
+                if insertion is not None:
+                    found.append((insertion[0], taxi, insertion[1]))
+        # Minimum detour first, candidate order on a tie (the sort is
+        # stable).  The DP asks what an insertion delays, not whether
+        # the schedule it is inserted into is still on time, so a taxi
+        # that a shock window has made late for a stop it already
+        # carries passes it and fails when its route is laid out; the
+        # next-best candidate then gets the request, as in T-Share.
+        found.sort(key=lambda entry: entry[0])
+        for detour, taxi, stops in found:
+            node, ready = taxi.position_at(now)
+            try:
+                route = self._fallback_router.route_for_schedule(node, ready, stops)
+            except RouteInfeasible:
+                continue
+            return MatchResult(
+                taxi_id=taxi.taxi_id,
+                stops=tuple(stops),
+                route=route,
+                detour_cost=detour,
+                num_candidates=len(candidates),
+            )
+        return None
 
     def index_memory_bytes(self) -> int:
         """Footprint of the position grid."""

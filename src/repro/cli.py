@@ -1,6 +1,9 @@
 """Command-line interface: run simulations and regenerate paper figures.
 
-Exposed as ``python -m repro``.  Four subcommands:
+Exposed as ``python -m repro``.  Seven subcommands, each importing
+what it runs when it runs (``_COMMANDS``): ``--help``, ``lint`` and
+``cache info|clear`` never import the simulator, and ``simulate`` /
+``replay`` / ``serve`` never import the experiment registry.
 
 ``simulate``
     Run one scheme on one scenario and print the metric summary.
@@ -27,15 +30,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-from . import artifacts
-from .core.payment import PaymentModel
-from .experiments.ablations import ALL_ABLATIONS
-from .experiments.figures import ALL_EXPERIMENTS, NON_RUN_FIGURES, figure_run_keys
-from .experiments.reporting import observability_table
-from .experiments.runner import bench_scale, collect_keys, default_workers, run_many
-from .sim.engine import Simulator
-from .sim.scenario import SCHEME_NAMES, SCHEME_REGISTRY, ScenarioSpec, get_scenario
+from collections.abc import Callable
+from typing import NamedTuple
 
 #: Ablations that drive the simulator directly instead of going through
 #: ``runner.run`` — a planning pass over them would execute real work.
@@ -44,6 +40,8 @@ NON_RUN_ABLATIONS = frozenset({"redispatch"})
 
 def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_help: str) -> None:
     """The scenario flags ``simulate``, ``replay`` and ``serve`` share."""
+    from .sim.scenario import SCHEME_NAMES
+
     p.add_argument("--scheme", choices=SCHEME_NAMES, default="mt-share")
     p.add_argument("--kind", choices=("peak", "nonpeak"), default="peak")
     p.add_argument("--taxis", type=int, default=100)
@@ -61,14 +59,7 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
                         "dense-matrix vertex limit)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="mT-Share reproduction: simulate ridesharing or regenerate paper figures.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="run one scheme on one scenario")
+def _simulate_args(sim: argparse.ArgumentParser) -> None:
     _scenario_args(sim, 600, "expected busiest-hour request volume")
     sim.add_argument("--window", type=float, default=None, metavar="SECONDS",
                      help="dispatch-window length W for the window-lap "
@@ -93,12 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
                           "keys cadence_s, lead_s, max_moves, min_surplus, "
                           "max_cruise_s (see docs/ALGORITHMS.md)")
 
-    exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
+
+def _experiment_args(exp: argparse.ArgumentParser) -> None:
+    from .experiments.ablations import ALL_ABLATIONS
+    from .experiments.figures import ALL_EXPERIMENTS
+
     exp.add_argument("name", choices=sorted(list(ALL_EXPERIMENTS) + list(ALL_ABLATIONS)))
     exp.add_argument("--workers", type=int, default=None,
                      help="parallel sweep workers (default: REPRO_WORKERS or 1)")
 
-    cache = sub.add_parser("cache", help="manage the preprocessing artifact store")
+
+def _cache_args(cache: argparse.ArgumentParser) -> None:
     cache.add_argument("action", choices=("info", "warm", "clear"))
     cache.add_argument("--experiments", nargs="*", default=None, metavar="NAME",
                        help="experiments to warm artifacts for (default: all figures)")
@@ -113,26 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--seed", type=int, default=7,
                        help="scenario seed for --ch-grid")
 
-    sub.add_parser("list", help="list schemes, experiments, ablations")
 
-    # "lint" is registered for --help discoverability only; main()
-    # forwards its argv to the repro.analysis engine before parsing.
-    sub.add_parser("lint", help="run the determinism/invariant lint",
-                   add_help=False)
+def _service_args(p: argparse.ArgumentParser) -> None:
+    _scenario_args(p, 200, "scenario shaping only (demand history for the "
+                           "predictive indexes); the workload itself "
+                           "arrives through the service")
+    p.add_argument("--max-in-flight", type=int, default=4096,
+                   help="admission backpressure bound on queued requests")
+    p.add_argument("--late-policy", choices=("reject", "clamp"), default="reject",
+                   help="requests released behind the committed clock")
+    p.add_argument("--compact", action="store_true",
+                   help="bounded-memory mode for soak-length streams")
 
-    def _service_args(p: argparse.ArgumentParser) -> None:
-        _scenario_args(p, 200, "scenario shaping only (demand history for the "
-                               "predictive indexes); the workload itself "
-                               "arrives through the service")
-        p.add_argument("--max-in-flight", type=int, default=4096,
-                       help="admission backpressure bound on queued requests")
-        p.add_argument("--late-policy", choices=("reject", "clamp"), default="reject",
-                       help="requests released behind the committed clock")
-        p.add_argument("--compact", action="store_true",
-                       help="bounded-memory mode for soak-length streams")
 
-    rep = sub.add_parser("replay", help="stream a JSONL request trace "
-                                        "through the dispatch service")
+def _replay_args(rep: argparse.ArgumentParser) -> None:
     rep.add_argument("trace", metavar="TRACE.jsonl",
                      help="request trace, one JSON object per line")
     _service_args(rep)
@@ -142,16 +132,42 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--decisions", metavar="PATH", default=None,
                      help="append the decision stream to PATH as JSONL")
 
-    srv = sub.add_parser("serve", help="expose a simulator run over HTTP")
+
+def _serve_args(srv: argparse.ArgumentParser) -> None:
     _service_args(srv)
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8350)
+
+
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``repro`` parser with only ``command``'s flags filled in.
+
+    Every sub-command is registered, so ``repro --help`` lists them all
+    and an unknown one is rejected, but only the one being run gets its
+    arguments: a sub-command's ``choices`` come from the registry its
+    handler will use, and reading them imports it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="mT-Share reproduction: simulate ridesharing or regenerate paper figures.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, help=entry.help)
+        if name == command:
+            entry.add_arguments(p)
+    # "lint" is registered for --help discoverability only; main()
+    # forwards its argv to the repro.analysis engine before parsing.
+    sub.add_parser("lint", help="run the determinism/invariant lint",
+                   add_help=False)
     return parser
 
 
 def _build_scenario(args: argparse.Namespace, congestion: float = 1.0,
                     window: float | None = None):
     """Scenario, config, scheme and fleet from the shared scenario flags."""
+    from .sim.scenario import ScenarioSpec, get_scenario
+
     spec = ScenarioSpec(
         kind=args.kind,
         grid_rows=args.grid,
@@ -174,6 +190,10 @@ def _build_scenario(args: argparse.Namespace, congestion: float = 1.0,
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .core.payment import PaymentModel
+    from .reporting import observability_table
+    from .sim.engine import Simulator
+
     scenario, config, scheme, fleet = _build_scenario(args, args.congestion, args.window)
     requests = scenario.requests(rho=args.rho)
     try:
@@ -212,6 +232,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments.ablations import ALL_ABLATIONS
+    from .experiments.figures import ALL_EXPERIMENTS, NON_RUN_FIGURES
+    from .experiments.runner import bench_scale, collect_keys, default_workers, run_many
+
     fn = ALL_EXPERIMENTS.get(args.name, ALL_ABLATIONS.get(args.name))
     scale = bench_scale()
     workers = args.workers if args.workers is not None else default_workers()
@@ -226,6 +250,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from . import artifacts
+
     store = artifacts.get_store()
     if store is None:
         print(f"artifact store disabled ({artifacts.ARTIFACT_DIR_ENV} is 'off')")
@@ -264,6 +290,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.ch_grid is not None:
         # warm --ch-grid: pre-build (or touch) one scenario's hierarchy.
+        from .sim.scenario import ScenarioSpec, get_scenario
+
         spec = ScenarioSpec(
             kind=args.kind,
             grid_rows=args.ch_grid,
@@ -284,12 +312,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB")
         return 0
     # warm: build (or touch) every artifact the selected experiments need.
+    from .experiments.figures import ALL_EXPERIMENTS, figure_run_keys
+    from .experiments.runner import _warm_store
+
     names = args.experiments or None
+    unknown = sorted(set(names or ()) - set(ALL_EXPERIMENTS))
+    if unknown:
+        print(f"error: unknown experiment(s): {', '.join(unknown)} "
+              f"(choose from {', '.join(sorted(ALL_EXPERIMENTS))})", file=sys.stderr)
+        return 2
     keys = figure_run_keys(names)
     specs = {k.spec for k in keys}
     print(f"Warming artifacts for {len(keys)} runs ({len(specs)} scenarios)...")
-    from .experiments.runner import _warm_store
-
     _warm_store(keys)
     for kind, row in store.info().items():
         print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB")
@@ -298,7 +332,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _make_service(args: argparse.Namespace) -> "DispatchService":
     """Build a DispatchService from the shared service CLI flags."""
+    from .core.payment import PaymentModel
     from .service import AdmissionPolicy, DispatchService, ServiceConfig
+    from .sim.engine import Simulator
 
     _scenario, _config, scheme, fleet = _build_scenario(args)
     sim = Simulator(
@@ -373,7 +409,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_list() -> int:
+def _cmd_list(_args: argparse.Namespace) -> int:
+    from .experiments.ablations import ALL_ABLATIONS
+    from .experiments.figures import ALL_EXPERIMENTS
+    from .sim.scenario import SCHEME_REGISTRY
+
     print("schemes:")
     for info in SCHEME_REGISTRY.values():
         print(f"  {info.key:13s} {info.summary}")
@@ -381,6 +421,25 @@ def _cmd_list() -> int:
     print("ablations   :", ", ".join(sorted(ALL_ABLATIONS)))
     print("\nSet REPRO_BENCH_SCALE=full for paper-shaped sweeps.")
     return 0
+
+
+class _Command(NamedTuple):
+    """One sub-command: its ``repro --help`` line, its flags, its handler."""
+
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+_COMMANDS = {
+    "simulate": _Command("run one scheme on one scenario", _simulate_args, _cmd_simulate),
+    "experiment": _Command("regenerate a paper table/figure", _experiment_args, _cmd_experiment),
+    "cache": _Command("manage the preprocessing artifact store", _cache_args, _cmd_cache),
+    "list": _Command("list schemes, experiments, ablations", lambda _p: None, _cmd_list),
+    "replay": _Command("stream a JSONL request trace through the dispatch service",
+                       _replay_args, _cmd_replay),
+    "serve": _Command("expose a simulator run over HTTP", _serve_args, _cmd_serve),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -392,18 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         from .analysis import main as lint_main
 
         return lint_main(argv[1:])
-    args = _build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    return _cmd_list()
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    return _COMMANDS[args.command].run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

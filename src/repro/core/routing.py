@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from ..fleet.schedule import Stop, arrival_times, deadlines_met
 from ..fleet.taxi import TaxiRoute
@@ -44,6 +43,9 @@ from ..obs import NULL, Instrumentation
 from ..partitioning.transition import TransitionModel
 from .mobility_cluster import MobilityVector
 from .partition_filter import PartitionFilter
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Floor applied to psi_c so 1/psi_c vertex weights stay finite.
 MIN_PSI = 1e-6
@@ -342,6 +344,11 @@ class ProbabilisticRouter(BasicRouter):
     ) -> None:
         if partition_filter is None:
             raise ValueError("probabilistic routing requires a partition filter")
+        # Every weighted leg is a scipy Dijkstra on a scipy matrix, on any
+        # engine mode; import it with the router, not inside the first
+        # leg of a timed run (docs/ARCHITECTURE.md, "Import rule").
+        from scipy.sparse import csgraph  # noqa: F401
+
         super().__init__(network, engine, partition_filter)
         self._model = transition_model
         self._lam = float(lam)

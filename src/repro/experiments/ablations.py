@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .reporting import ExperimentResult
+from ..reporting import ExperimentResult
 from .runner import BenchScale, RunKey, bench_scale, run
 
 

@@ -13,7 +13,7 @@ import time
 
 from ..network.shortest_path import ShortestPathEngine
 from ..sim.scenario import ScenarioSpec, get_scenario
-from .reporting import ExperimentResult
+from ..reporting import ExperimentResult
 from .runner import BenchScale, RunKey, bench_scale, run
 
 #: The scheme line-up of the peak-scenario figures.

@@ -12,7 +12,6 @@ benchmarks use city-scale-in-miniature ones.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .graph import DEFAULT_SPEED_MPS, RoadNetwork
 
@@ -21,29 +20,72 @@ def _largest_scc(num_vertices: int, edges: list[tuple[int, int, float]]) -> tupl
     """Restrict to the largest strongly connected component.
 
     Returns the kept vertex ids (sorted) and the re-indexed edge list.
-    """
-    from scipy import sparse
 
+    Tarjan's algorithm with an explicit stack, so that importing a
+    generator does not import scipy.  Artifact keys hash the network's
+    *spec*, not its content, so the kept set must be exactly the one
+    ``scipy.sparse.csgraph.connected_components`` + ``argmax`` kept
+    (``tests/oracles.py::reference_largest_scc``), ties included: the
+    walk starts from the vertices in ascending order and follows
+    successors in descending order, which completes components in the
+    order scipy numbers them, and the first of the largest wins.
+    """
     if not edges:
         return np.array([0]), []
-    rows = np.array([e[0] for e in edges])
-    cols = np.array([e[1] for e in edges])
-    data = np.ones(len(edges))
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
-    n_comp, labels = csgraph.connected_components(mat, directed=True, connection="strong")
-    if n_comp == 1:
+    succ: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v, _length in edges:
+        succ[u].append(v)
+    for out in succ:
+        out.sort(reverse=True)
+    order = [-1] * num_vertices  # discovery number; -1 = not yet reached
+    # Smallest discovery number known reachable inside the vertex's
+    # still-open component; ``num_vertices`` once its component is complete.
+    low = [0] * num_vertices
+    pending: list[int] = []  # reached, component not yet complete
+    best: list[int] = []
+    reached = 0
+    for root in range(num_vertices):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = reached
+        reached += 1
+        pending.append(root)
+        walk = [(root, iter(succ[root]))]
+        while walk:
+            v, successors = walk[-1]
+            for w in successors:
+                if order[w] < 0:
+                    order[w] = low[w] = reached
+                    reached += 1
+                    pending.append(w)
+                    walk.append((w, iter(succ[w])))
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    at = len(pending) - 1
+                    while pending[at] != v:
+                        at -= 1
+                    component = pending[at:]
+                    del pending[at:]
+                    for w in component:
+                        low[w] = num_vertices
+                    if len(component) > len(best):
+                        best = component
+    if len(best) == num_vertices:
         return np.arange(num_vertices), edges
-    sizes = np.bincount(labels, minlength=n_comp)
-    keep_label = int(np.argmax(sizes))
-    keep = np.flatnonzero(labels == keep_label)
-    remap = -np.ones(num_vertices, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
+    best.sort()
+    remap = {v: i for i, v in enumerate(best)}
     kept_edges = [
-        (int(remap[u]), int(remap[v]), length)
+        (remap[u], remap[v], length)
         for u, v, length in edges
-        if remap[u] >= 0 and remap[v] >= 0
+        if u in remap and v in remap
     ]
-    return keep, kept_edges
+    return np.array(best), kept_edges
 
 
 def grid_city(

@@ -11,13 +11,15 @@ what deadlines and schedules are expressed in.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..memo import BoundedMemo
 from .geo import Point
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Constant taxi travel speed assumed throughout the paper's evaluation
 #: (Section V-A4): 15 km/h, expressed in metres per second.
@@ -51,6 +53,8 @@ class InducedSubgraph:
 
     def matrix(self, vertex_weight_local: np.ndarray | None) -> sparse.csr_matrix:
         """CSR travel-time matrix, vertex weights folded into in-edges."""
+        from scipy import sparse
+
         data = self.data_s
         if vertex_weight_local is not None:
             data = data + vertex_weight_local[self.indices]
@@ -245,6 +249,8 @@ class RoadNetwork:
     def to_csr(self) -> sparse.csr_matrix:
         """Sparse adjacency matrix with edge lengths, cached."""
         if self._csr is None:
+            from scipy import sparse
+
             n = self.num_vertices
             if self._num_edges == 0:
                 self._csr = sparse.csr_matrix((n, n))

@@ -35,14 +35,16 @@ from __future__ import annotations
 import heapq
 import os
 from collections.abc import Callable, Collection, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ..memo import BoundedMemo, memo_stats
 from .ch import ContractionHierarchy
 from .graph import InducedSubgraph, RoadNetwork
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Above this vertex count the full all-pairs matrix is not materialised.
 FULL_APSP_LIMIT = 6_000
@@ -127,6 +129,14 @@ class ShortestPathEngine:
         if mode not in ("auto", "full", "lazy", "ch"):
             raise ValueError(f"unknown mode {mode!r}")
         mode = resolve_sp_mode(mode, network.num_vertices)
+        if mode != "full" or full_arrays is None:
+            # This engine will call scipy — the all-pairs build, source
+            # trees, restricted legs — and each call site imports it
+            # where it is used.  Importing it here as well charges the
+            # ~0.3 s to set-up, never to the first query of a timed run;
+            # a "full" engine over injected tables never calls scipy and
+            # must not import it (docs/ARCHITECTURE.md, "Import rule").
+            from scipy.sparse import csgraph  # noqa: F401
         self._network = network
         self._mode = mode
         self._dist: np.ndarray | None = None
@@ -196,6 +206,8 @@ class ShortestPathEngine:
         return self._ch
 
     def _build_full(self) -> None:
+        from scipy.sparse import csgraph
+
         mat = self._network.to_csr()
         dist, pred = csgraph.dijkstra(mat, directed=True, return_predecessors=True)
         self._dist = dist
@@ -209,6 +221,8 @@ class ShortestPathEngine:
         tree = self._rows.lookup(source)
         if tree is not None:
             return tree
+        from scipy.sparse import csgraph
+
         mat = self._network.to_csr()
         dist, pred = csgraph.dijkstra(
             mat, directed=True, indices=source, return_predecessors=True
@@ -524,6 +538,8 @@ def subgraph_shortest_path(
     """
     if source == target:
         return 0.0, [source]
+    from scipy.sparse import csgraph
+
     ls = sub.local_of(source)
     lt = sub.local_of(target)
     dist, pred = csgraph.dijkstra(

@@ -24,6 +24,15 @@ trip as ``bisect_right(cdf, rng.random())`` against tables built once
 renormalised on the spot — verbatim, so traces and the generator's RNG
 state can be diffed ``==``.
 
+**Network generation.**  ``grid_city`` keeps the largest strongly
+connected component of its construction with a plain Tarjan walk
+(``repro.network.generators._largest_scc``), so that building a
+scenario imports no scipy; :func:`reference_largest_scc` is the
+``csgraph.connected_components`` + ``argmax`` version it replaced —
+verbatim, so kept vertices and re-indexed edges can be diffed ``==``.
+Artifact keys hash a network's spec, not its content: a different kept
+set would pair new networks with stored tables.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -39,6 +48,8 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from repro.analysis import contracts
 from repro.core.matching import insertion_start
@@ -72,6 +83,32 @@ from repro.fleet.taxi import TaxiRoute
 from repro.network.geo import cosine_similarity
 from repro.network.shortest_path import PathNotFound, dijkstra_restricted
 from repro.sim.engine import Simulator
+
+
+def reference_largest_scc(
+    num_vertices: int, edges: list[tuple[int, int, float]]
+) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
+    """``_largest_scc`` as it was on scipy: labels, ``argmax`` of the sizes."""
+    if not edges:
+        return np.array([0]), []
+    rows = np.array([e[0] for e in edges])
+    cols = np.array([e[1] for e in edges])
+    data = np.ones(len(edges))
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
+    n_comp, labels = csgraph.connected_components(mat, directed=True, connection="strong")
+    if n_comp == 1:
+        return np.arange(num_vertices), edges
+    sizes = np.bincount(labels, minlength=n_comp)
+    keep_label = int(np.argmax(sizes))
+    keep = np.flatnonzero(labels == keep_label)
+    remap = -np.ones(num_vertices, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    kept_edges = [
+        (int(remap[u]), int(remap[v]), length)
+        for u, v, length in edges
+        if remap[u] >= 0 and remap[v] >= 0
+    ]
+    return keep, kept_edges
 
 
 class FullSweepSimulator(Simulator):

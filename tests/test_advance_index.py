@@ -29,7 +29,8 @@ from repro.sim.engine import Simulator
 from tests.conftest import make_request
 from tests.oracles import FullSweepSimulator
 
-CHAOS = "seed=5,breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
+CHAOS_SPEC = "seed={seed},breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
+CHAOS = CHAOS_SPEC.format(seed=5)
 
 #: scheme -> scenario fixture (``mt-share-pro`` runs non-peak, where a
 #: quarter of the requests are street hails: encounter scans,
@@ -49,7 +50,7 @@ COUNTER_PREFIXES = ("sim.", "match.", "fault.", "rebalance.", "window.")
 INDEX_COUNTERS = {"sim.advance_calls", "sim.due_index_entries"}
 
 
-def _observe(cls, scenario, scheme, variant, streamed, num_taxis=25):
+def _observe(cls, scenario, scheme, variant, streamed, num_taxis=25, chaos=CHAOS):
     """Run ``cls`` over one world; return everything a decision change would move."""
     requests = scenario.requests(seed=1)
     fleet = scenario.make_fleet(num_taxis, seed=1)
@@ -59,7 +60,7 @@ def _observe(cls, scenario, scheme, variant, streamed, num_taxis=25):
         fleet,
         [] if streamed else requests,
         payment=PaymentModel(),
-        faults=scenario.fault_plan(CHAOS, fleet, requests) if variant == "faults" else None,
+        faults=scenario.fault_plan(chaos, fleet, requests) if variant == "faults" else None,
         rebalance=scenario.rebalance_policy("on") if variant == "rebalance" else None,
     )
     decisions = []
@@ -117,6 +118,23 @@ def test_due_index_matches_full_sweep(request, scheme, variant, streamed):
         # (non-peak mt-share-pro idles nobody: every free taxi is
         # already on a demand-seeking cruise, which the census skips)
         assert got["counters"].get("rebalance.moves", 0) > 0 or scheme == "mt-share-pro"
+
+
+@pytest.mark.parametrize("fault_seed", range(1, 13))
+def test_pgreedydp_survives_every_fault_seed(test_scenario, fault_seed):
+    """The matrix above runs fault seed 5 because, until ``PGreedyDP.dispatch``
+    caught ``RouteInfeasible``, it was one of the five in 1-12 that did not
+    crash: a shock window makes a taxi late for a stop it carries, the
+    insertion DP still accepts it, and laying its route out fails.  The
+    request must go to the next-best candidate (seeds 1, 2, 3, 4, 6, 7
+    and 9 reach that line)."""
+    chaos = CHAOS_SPEC.format(seed=fault_seed)
+    batch, m = _observe(Simulator, test_scenario, "pgreedydp", "faults", False, chaos=chaos)
+    m.check_balance()
+    assert m.breakdowns > 0 and m.served_online > 0
+    if fault_seed == 1:
+        streamed, _ = _observe(Simulator, test_scenario, "pgreedydp", "faults", True, chaos=chaos)
+        assert streamed == batch
 
 
 # ----------------------------------------------------------------------

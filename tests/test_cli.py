@@ -176,6 +176,15 @@ class TestReplay:
         assert err.startswith("error: ") and "no_such_dir" in err
 
 
+class TestCacheWarm:
+    def test_unknown_experiment_is_a_clean_error(self, capsys):
+        # Like every other bad input: "error: ..." and exit 2, not the
+        # KeyError traceback figure_run_keys used to die with.
+        assert main(["cache", "warm", "--experiments", "fig7", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment(s): nope (choose from ")
+
+
 class TestCacheInfo:
     def test_info_prints_build_seconds_per_kind(self, tmp_path, monkeypatch, capsys):
         """"Where did my cold start go" from the store alone: each kind's

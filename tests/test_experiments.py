@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import ExperimentResult
+from repro.reporting import ExperimentResult
 from repro.experiments.runner import BenchScale, RunKey, bench_scale, clear_cache, run
 from repro.experiments import figures
 

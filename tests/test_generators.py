@@ -1,12 +1,15 @@
 """Tests for the synthetic road-network generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from repro.network.generators import grid_city, ring_radial_city
+from repro.network.generators import _largest_scc, grid_city, ring_radial_city
+from tests.oracles import reference_largest_scc
 
 
 def is_strongly_connected(net) -> bool:
@@ -61,6 +64,88 @@ class TestGridCity:
         small = grid_city(rows=5, cols=5, spacing_m=100.0, jitter=0.0, removal_rate=0.0, seed=0)
         big = grid_city(rows=5, cols=5, spacing_m=300.0, jitter=0.0, removal_rate=0.0, seed=0)
         assert big.xy[:, 0].max() == pytest.approx(3 * small.xy[:, 0].max())
+
+
+def network_digest(net) -> tuple[str, str]:
+    """``(sha256(xy), sha256(edge list))``, truncated to 16 hex digits each."""
+    edges = list(net.edges())
+    ends = np.array([(u, v) for u, v, _length in edges], dtype=np.int64)
+    lengths = np.array([length for _u, _v, length in edges], dtype=np.float64)
+    return (
+        hashlib.sha256(np.ascontiguousarray(net.xy, dtype=np.float64).tobytes()).hexdigest()[:16],
+        hashlib.sha256(ends.tobytes() + lengths.tobytes()).hexdigest()[:16],
+    )
+
+
+@st.composite
+def digraphs(draw):
+    """Small digraphs with several components: isolated vertices,
+    self-loops, parallel edges, and — mostly — ties for the largest."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edge = st.tuples(vertex, vertex, st.floats(min_value=0.0, max_value=9.0))
+    return n, draw(st.lists(edge, max_size=3 * n))
+
+
+class TestLargestSCC:
+    """The network may not move by a vertex: artifact keys hash the
+    scenario's *spec*, so a generator that kept a different vertex set
+    (or numbered it differently) would silently pair new networks with
+    stored APSP / hierarchy / partition / trace artifacts."""
+
+    #: Taken at the last commit whose ``_largest_scc`` ran on scipy.
+    #: The three benchmark cities (``benchmarks/e2e/workloads.py``,
+    #: ``CITY_SEED = 1``) and the tier-1 ``test_spec``.
+    PINS = {
+        "CITY18": (dict(rows=18, cols=18, spacing_m=180.0, seed=1), 324, 1096,
+                   ("eeac10c25936e709", "ff4889e410050bad")),
+        "SOAK10": (dict(rows=10, cols=10, spacing_m=120.0, seed=1), 100, 322,
+                   ("f817ae068175b497", "9d46db2c18702f50")),
+        "CH40": (dict(rows=40, cols=40, spacing_m=180.0, seed=1), 1599, 5535,
+                 ("f570c88d9a6fcd5b", "5c499215f33863bf")),
+        "test_spec": (dict(rows=12, cols=12, spacing_m=180.0, seed=3), 144, 458,
+                      ("72606bab9039e913", "bba8c9a8829a8b07")),
+    }
+
+    @pytest.mark.parametrize("city", PINS)
+    def test_network_content_is_pinned(self, city):
+        kwargs, vertices, edges, digest = self.PINS[city]
+        net = grid_city(**kwargs)
+        assert (net.num_vertices, net.num_edges) == (vertices, edges)
+        assert network_digest(net) == digest
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_keeps_what_the_scipy_reference_keeps(self, graph):
+        """Ties for the largest component included: the walk completes
+        components in the order scipy numbers them, and the first of the
+        largest wins there (``argmax``) and here."""
+        n, edges = graph
+        keep, kept_edges = _largest_scc(n, edges)
+        want_keep, want_edges = reference_largest_scc(n, edges)
+        assert keep.dtype == want_keep.dtype and keep.tolist() == want_keep.tolist()
+        assert kept_edges == want_edges
+
+    @pytest.mark.parametrize("size,seed", [(10, 0), (14, 3), (20, 8)])
+    def test_matches_reference_on_broken_grids(self, size, seed, monkeypatch):
+        """Grids broken hard enough to fall apart (many components, one
+        giant): the edge list ``grid_city`` really hands over."""
+        import repro.network.generators as generators
+
+        seen = []
+
+        def recording(n, edges):
+            seen.append((n, list(edges)))
+            return _largest_scc(n, edges)
+
+        monkeypatch.setattr(generators, "_largest_scc", recording)
+        grid_city(rows=size, cols=size, removal_rate=0.35, one_way_rate=0.4,
+                  arterial_every=0, seed=seed)
+        ((n, edges),) = seen
+        keep, kept_edges = _largest_scc(n, edges)
+        want_keep, want_edges = reference_largest_scc(n, edges)
+        assert 1 < keep.size < n
+        assert keep.tolist() == want_keep.tolist() and kept_edges == want_edges
 
 
 class TestRingRadialCity:

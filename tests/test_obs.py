@@ -13,7 +13,7 @@ from time import perf_counter, sleep
 import pytest
 
 from repro.core.payment import PaymentModel
-from repro.experiments.reporting import observability_table
+from repro.reporting import observability_table
 from repro.obs import NULL, Instrumentation, JsonlTraceWriter, NullInstrumentation, StageStats
 from repro.sim.engine import Simulator
 

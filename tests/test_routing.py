@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from repro.baselines.base import DispatchScheme
 from repro.core import mtshare, routing
@@ -18,7 +19,6 @@ from repro.core.routing import (
     compose_route,
 )
 from repro.fleet.schedule import dropoff, pickup
-from repro.network import shortest_path
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.transition import TransitionModel
@@ -367,14 +367,14 @@ def test_every_search_runs_on_bit_equal_edge_weights(world, monkeypatch):
     """The stored matrices are the matrices the weight closure built:
     same bytes, same source, call for call."""
     seen = []
-    dijkstra = shortest_path.csgraph.dijkstra
+    dijkstra = csgraph.dijkstra
 
     def recording(matrix, **kwargs):
         seen.append((matrix.data.tobytes(), matrix.indices.tobytes(),
                      matrix.indptr.tobytes(), kwargs["indices"]))
         return dijkstra(matrix, **kwargs)
 
-    monkeypatch.setattr(shortest_path.csgraph, "dijkstra", recording)
+    monkeypatch.setattr(csgraph, "dijkstra", recording)
     searches = []
     for cls in (ProbabilisticRouter, ReferenceProbabilisticRouter):
         router = world.router(cls)
