@@ -15,6 +15,7 @@ hop is what catches the PR 3 bug class, where routing iterated
 from __future__ import annotations
 
 import ast
+from collections import deque
 from typing import ClassVar
 
 from .engine import Finding, ModuleContext
@@ -106,46 +107,44 @@ class SetTypes:
 
     # -- collection ----------------------------------------------------
     def _collect(self) -> None:
+        # One breadth-first pass (``ast.walk`` order, which the binding
+        # sweeps below depend on) hands every node its enclosing
+        # function and class from its parent's, and picks up the return
+        # annotations, parameter annotations and assignment sites.
         tree = self._ctx.tree
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        self._fn_of[tree] = self._class_of[tree] = None
+        assignments: list[ast.Assign | ast.AnnAssign] = []
+        todo: deque[ast.AST] = deque([tree])
+        while todo:
+            node = todo.popleft()
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            fn = node if is_def or isinstance(node, ast.Lambda) else self._fn_of[node]
+            cls = node if isinstance(node, ast.ClassDef) else self._class_of[node]
+            for child in ast.iter_child_nodes(node):
+                self._fn_of[child] = fn
+                self._class_of[child] = cls
+                todo.append(child)
+            if is_def:
                 kind = annotation_kind(node.returns)
                 if kind:
                     self.func_kinds[node.name] = kind
-        # Map every node to its enclosing function / class.
-        for node in ast.walk(tree):
-            parent = self._ctx.parent(node)
-            while parent is not None and not isinstance(
-                parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                parent = self._ctx.parent(parent)
-            self._fn_of[node] = parent
-            cls = self._ctx.parent(node)
-            while cls is not None and not isinstance(cls, ast.ClassDef):
-                cls = self._ctx.parent(cls)
-            self._class_of[node] = cls
-        # Parameter annotations.
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = self.fn_scopes.setdefault(node, {})
-                all_args = (
-                    list(node.args.posonlyargs)
-                    + list(node.args.args)
-                    + list(node.args.kwonlyargs)
-                )
-                for arg in all_args:
+                args = node.args
+                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
                     kind = annotation_kind(arg.annotation)
                     if kind:
                         scope[arg.arg] = kind
-        # Assignments (two sweeps so later reads see earlier bindings).
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assignments.append(node)
+        # Two sweeps so later reads see earlier bindings.
         for _sweep in range(2):
-            for node in ast.walk(tree):
+            for node in assignments:
                 if isinstance(node, ast.Assign):
                     kind = self.kind_of(node.value)
                     if kind:
                         for target in node.targets:
                             self._bind(target, kind, node)
-                elif isinstance(node, ast.AnnAssign):
+                else:
                     kind = annotation_kind(node.annotation) or (
                         self.kind_of(node.value) if node.value else None
                     )
@@ -289,7 +288,7 @@ class UnorderedSetIteration(Checker):
     include = ()
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
-        types = SetTypes(ctx)
+        types = ctx.set_types
         out: list[Finding] = []
 
         def flag(node: ast.AST, what: str) -> None:
@@ -559,7 +558,7 @@ class UnorderedHashInput(Checker):
         return None
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
-        types = SetTypes(ctx)
+        types = ctx.set_types
         out: list[Finding] = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

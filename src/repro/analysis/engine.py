@@ -31,11 +31,12 @@ import sys
 import tokenize
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .checkers import Checker
+    from .checkers import Checker, SetTypes
 
 #: Engine-level diagnostic code for files that fail to parse.
 PARSE_ERROR_CODE = "REP000"
@@ -168,6 +169,14 @@ class ModuleContext:
         """Syntactic parent of ``node`` (None for the module root)."""
         return self.parents.get(node)
 
+    @cached_property
+    def set_types(self) -> "SetTypes":
+        """The module's set-typed-ness inference, built once for every
+        checker that asks (REP001 and REP006)."""
+        from .checkers import SetTypes  # local import: cycle guard
+
+        return SetTypes(self)
+
 
 class ProjectTable:
     """Cross-module facts collected in a first pass over every file.
@@ -199,6 +208,10 @@ class ProjectTable:
 # ----------------------------------------------------------------------
 # baseline handling
 # ----------------------------------------------------------------------
+class BaselineError(ValueError):
+    """The baseline file exists but is not a lint baseline."""
+
+
 def load_baseline(path: Path | None) -> Counter:
     """Baseline entry counts keyed by ``(path, code, message)``.
 
@@ -208,10 +221,19 @@ def load_baseline(path: Path | None) -> Counter:
     counts: Counter = Counter()
     if path is None or not path.is_file():
         return counts
-    data = json.loads(path.read_text())
-    for entry in data.get("findings", []):
-        key = (str(entry["path"]), str(entry["code"]), str(entry["message"]))
-        counts[key] += int(entry.get("count", 1))
+    try:
+        data = json.loads(path.read_text())
+        if data["version"] != 1:
+            raise ValueError(f"version {data['version']!r}, expected 1")
+        for entry in data["findings"]:
+            key = (str(entry["path"]), str(entry["code"]), str(entry["message"]))
+            counts[key] += int(entry.get("count", 1))
+    except (ValueError, LookupError, TypeError) as exc:
+        # The file comes from outside the program: whatever is wrong
+        # with it is one kind of error to the caller.
+        raise BaselineError(
+            f"{path} is not a lint baseline: {type(exc).__name__}: {exc}"
+        ) from exc
     return counts
 
 
@@ -232,19 +254,18 @@ def lint_paths(
     paths: list[str],
     checkers: "list[Checker] | None" = None,
     baseline_path: Path | None = None,
-    deep: bool = False,
 ) -> LintResult:
     """Run every checker over every file under ``paths``.
 
-    With ``deep=True`` the whole-program tier also runs: a call graph
-    is built over every parsed file and the REP10x effect contracts
-    contribute findings through the same suppression and baseline
-    machinery as the per-file checkers.
+    Raises ``FileNotFoundError`` for a path that does not exist and
+    :class:`BaselineError` for a baseline file that is not one, both
+    before any checker runs.
     """
     from .checkers import ALL_CHECKERS
 
     active = list(ALL_CHECKERS) if checkers is None else list(checkers)
     files = iter_python_files(paths)
+    budget = load_baseline(baseline_path)
     result = LintResult(files_checked=len(files))
 
     parsed: list[tuple[str, ast.Module, str]] = []
@@ -286,15 +307,6 @@ def lint_paths(
                 else:
                     raw.append(finding)
 
-    if deep:
-        for finding in run_deep_checkers(parsed, suppression_map):
-            sup = suppression_map.get(finding.path, {}).get(finding.line)
-            if sup is not None and finding.code in sup.codes and sup.reason:
-                result.suppressed.append(finding)
-            else:
-                raw.append(finding)
-
-    budget = load_baseline(baseline_path)
     for finding in sorted(raw):
         if budget[finding.baseline_key] > 0:
             budget[finding.baseline_key] -= 1
@@ -302,54 +314,6 @@ def lint_paths(
         else:
             result.new.append(finding)
     return result
-
-
-# ----------------------------------------------------------------------
-# the deep (whole-program) tier
-# ----------------------------------------------------------------------
-#: Catalog rows for the REP10x whole-program checkers (``--list-checkers``).
-DEEP_CATALOG: tuple[tuple[str, str, str], ...] = (
-    ("REP101", "effect-contract [deep]",
-     "Everything reachable from a handler passed to subscribe(), DispatchScheme "
-     "match*, or WindowLAP.build_cost_matrix must be effect-free."),
-    ("REP102", "impure-fingerprint [deep]",
-     "fingerprint() functions must be pure: no RNG, clock, filesystem, env, "
-     "network, or global mutation anywhere in their call tree."),
-)
-
-
-def run_deep_checkers(
-    parsed: list[tuple[str, ast.Module, str]],
-    suppression_map: dict[str, dict[int, Suppression]],
-) -> list[Finding]:
-    """Build the call graph once and run every whole-program checker."""
-    from .callgraph import build_call_graph
-    from .effects import check_effects
-
-    graph = build_call_graph([(rel, tree) for rel, tree, _source in parsed])
-    return check_effects(graph, suppression_map)
-
-
-def _effects_report(paths: list[str]) -> int:
-    """``repro lint effects [paths]`` — print the effects report."""
-    from .callgraph import build_call_graph
-    from .effects import render_effects_report
-
-    files = iter_python_files(paths)
-    parsed: list[tuple[str, ast.Module]] = []
-    suppression_map: dict[str, dict[int, Suppression]] = {}
-    for file in files:
-        rel = _relpath(file)
-        source = file.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
-            continue
-        parsed.append((rel, tree))
-        suppression_map[rel] = parse_suppressions(source)
-    graph = build_call_graph(parsed)
-    print(render_effects_report(graph, suppression_map))
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -370,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline from the current findings and exit 0")
     parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument("--deep", action="store_true",
-                        help="also run the whole-program checkers (REP101/REP102: "
-                             "effect contracts over the call graph)")
     parser.add_argument("--list-checkers", action="store_true",
                         help="print the checker catalog and exit")
     return parser
@@ -384,24 +345,23 @@ def _print_catalog() -> None:
     for checker in ALL_CHECKERS:
         print(f"{checker.code}  {checker.name}")
         print(f"       {checker.description}")
-    for code, name, description in DEEP_CATALOG:
-        print(f"{code}  {name}")
-        print(f"       {description}")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point shared by ``repro lint`` and ``python -m repro.analysis``."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "effects":
-        return _effects_report(argv[1:] or ["src"])
     args = build_parser().parse_args(argv)
     if args.list_checkers:
         _print_catalog()
         return 0
 
     baseline = None if args.no_baseline else Path(args.baseline)
-    result = lint_paths(args.paths, baseline_path=baseline, deep=args.deep)
+    try:
+        result = lint_paths(args.paths, baseline_path=baseline)
+    except (FileNotFoundError, BaselineError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.update_baseline:
         target = Path(args.baseline)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import NamedTuple
 
 #: Ablations that drive the simulator directly instead of going through
@@ -163,29 +164,47 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+class _BadArguments(Exception):
+    """Flags that parse but describe nothing that can be built."""
+
+
+@contextmanager
+def _building(what: str = "") -> Iterator[None]:
+    """Set-up of what the flags describe: a ``ValueError`` in here is
+    the user's (``--grid 1``, ``--rho 0.5``, ``REPRO_SP_MODE=bogus``)
+    and :func:`main` reports it as one ``error:`` line, exit 2.  The
+    run itself is never inside: a ``ValueError`` out of
+    ``Simulator.run()`` is a bug and keeps its traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _BadArguments(f"{what}: {exc}" if what else str(exc)) from exc
+
+
 def _build_scenario(args: argparse.Namespace, congestion: float = 1.0,
                     window: float | None = None):
     """Scenario, config, scheme and fleet from the shared scenario flags."""
     from .sim.scenario import ScenarioSpec, get_scenario
 
-    spec = ScenarioSpec(
-        kind=args.kind,
-        grid_rows=args.grid,
-        grid_cols=args.grid,
-        hourly_requests=args.requests,
-        history_days=3,
-        num_partitions=args.partitions,
-        congestion=congestion,
-        seed=args.seed,
-        sp_mode=args.sp_mode,
-    )
-    scenario = get_scenario(spec)
-    overrides = {"rho": args.rho, "capacity": args.capacity}
-    if window is not None:
-        overrides["dispatch_window_s"] = window
-    config = scenario.default_config(**overrides)
-    scheme = scenario.make_scheme(args.scheme, config=config)
-    fleet = scenario.make_fleet(args.taxis, capacity=args.capacity)
+    with _building():
+        spec = ScenarioSpec(
+            kind=args.kind,
+            grid_rows=args.grid,
+            grid_cols=args.grid,
+            hourly_requests=args.requests,
+            history_days=3,
+            num_partitions=args.partitions,
+            congestion=congestion,
+            seed=args.seed,
+            sp_mode=args.sp_mode,
+        )
+        scenario = get_scenario(spec)
+        overrides = {"rho": args.rho, "capacity": args.capacity, "num_taxis": args.taxis}
+        if window is not None:
+            overrides["dispatch_window_s"] = window
+        config = scenario.default_config(**overrides)
+        scheme = scenario.make_scheme(args.scheme, config=config)
+        fleet = scenario.make_fleet(args.taxis, capacity=args.capacity)
     return scenario, config, scheme, fleet
 
 
@@ -196,16 +215,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     scenario, config, scheme, fleet = _build_scenario(args, args.congestion, args.window)
     requests = scenario.requests(rho=args.rho)
-    try:
+    with _building("bad --faults spec"):
         faults = scenario.fault_plan(args.faults, fleet, requests)
-    except ValueError as exc:
-        print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-        return 2
-    try:
+    with _building("bad --rebalance spec"):
         rebalance = scenario.rebalance_policy(args.rebalance, config)
-    except ValueError as exc:
-        print(f"error: bad --rebalance spec: {exc}", file=sys.stderr)
-        return 2
     print(
         f"Simulating {scheme.name}: {len(requests)} requests, "
         f"{args.taxis} taxis, {scenario.network.num_vertices} vertices"
@@ -292,17 +305,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         # warm --ch-grid: pre-build (or touch) one scenario's hierarchy.
         from .sim.scenario import ScenarioSpec, get_scenario
 
-        spec = ScenarioSpec(
-            kind=args.kind,
-            grid_rows=args.ch_grid,
-            grid_cols=args.ch_grid,
-            spacing_m=args.spacing,
-            seed=args.seed,
-            sp_mode="ch",
-        )
         print(f"Warming contraction hierarchy for {args.ch_grid}x{args.ch_grid} "
               f"{args.kind} scenario (seed {args.seed})...")
-        scenario = get_scenario(spec)
+        with _building():
+            scenario = get_scenario(ScenarioSpec(
+                kind=args.kind,
+                grid_rows=args.ch_grid,
+                grid_cols=args.ch_grid,
+                spacing_m=args.spacing,
+                seed=args.seed,
+                sp_mode="ch",
+            ))
         hierarchy = scenario.engine.hierarchy
         assert hierarchy is not None
         state = "built" if scenario.engine.ch_built else "already stored"
@@ -452,7 +465,11 @@ def main(argv: list[str] | None = None) -> int:
 
         return lint_main(argv[1:])
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
-    return _COMMANDS[args.command].run(args)
+    try:
+        return _COMMANDS[args.command].run(args)
+    except _BadArguments as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -94,22 +94,6 @@ class DemandPredictor:
         """Rate at an absolute simulation time."""
         return self.rate(partition, int(t_seconds // 3600) % 24)
 
-    def hot_partitions(self, hour: int, top: int = 5) -> list[int]:
-        """The ``top`` partitions by pick-up rate at hour-of-day.
-
-        ``kind="stable"`` is load-bearing, not a style choice: the
-        fitted rates are tie-heavy (sparse histories leave many
-        partitions with identical counts), and NumPy's default
-        introsort breaks ties by whatever the pivot pattern happens to
-        be for that dtype/size — which can differ across NumPy
-        versions.  A stable sort on the negated column fixes the tie
-        order to ascending partition id, so hotspot rankings (and
-        every decision downstream of them) are reproducible anywhere.
-        """
-        column = self._rates[:, hour % 24]
-        order = np.argsort(-column, kind="stable")
-        return [int(z) for z in order[:top] if column[z] > 0]
-
     def share(self, partition: int, hour: int) -> float:
         """Partition's share of the city's pick-ups at hour-of-day."""
         total = self._totals[hour % 24]

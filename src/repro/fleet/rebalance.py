@@ -22,8 +22,9 @@ down for free.
 
 Everything here is deterministic and effect-free: the planner is pure
 arithmetic over the census and the predictor's fitted rates (no RNG,
-no clock), so the simulator's ``rebalance.tick`` handler qualifies as
-a REP101 purity root and rebalanced runs stay bit-reproducible.
+no clock), so the simulator's ``rebalance.tick`` handler runs inside
+the purity guard of ``tests/test_determinism.py`` like every other
+handler and rebalanced runs stay bit-reproducible.
 
 The CLI grammar (``--rebalance cadence_s=120,max_moves=8,...``) is
 parsed by :func:`parse_rebalance_spec`.
@@ -139,8 +140,8 @@ class Rebalancer:
     The object is stateless across ticks: every decision is a pure
     function of the census the simulator hands it, the spec, and the
     fitted demand rates — which is what keeps rebalanced runs
-    deterministic and lets the ``rebalance.tick`` handler sit among
-    the REP101 purity roots.
+    deterministic and lets the ``rebalance.tick`` handler run under
+    the dispatch-path purity guard (``tests/test_determinism.py``).
     """
 
     def __init__(

@@ -256,8 +256,9 @@ def validate_stop_order(stops: Sequence[Stop]) -> None:
 # insertion scoring, grouped tier: numpy array kernels
 # ----------------------------------------------------------------------
 #: Per-m instance grids (pickup index, dropoff index, position map).
-#: They depend only on the pending-stop count, so one build serves the
-#: whole run.
+#: A module-level table written on the dispatch path, and safe there: a
+#: pure memo keyed by the pending-stop count, the value depends only on
+#: ``m``, so one build serves every run of the process.
 _GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
@@ -285,7 +286,7 @@ def _insertion_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             ),
         )
         cached = (ii, jj, seq)
-        _GRID_CACHE[m] = cached  # repro-lint: disable=REP101 reason=pure memo keyed by stop count; value depends only on m
+        _GRID_CACHE[m] = cached
     return cached
 
 
@@ -443,6 +444,8 @@ def evaluate_insertions_grouped(
 # insertion scoring, tight tier: plain-Python distance-row walk
 # ----------------------------------------------------------------------
 #: Per-m instance sequences as plain Python tuples, enumeration order.
+#: Like ``_GRID_CACHE`` a pure memo keyed by stop count: written on the
+#: dispatch path, the value depends only on ``m``.
 _SEQ_TUPLE_CACHE: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
 
@@ -460,7 +463,7 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
             (int(i), int(j) + 1, tuple(int(e) for e in row))
             for i, j, row in zip(ii, jj, seq)
         ]
-        _SEQ_TUPLE_CACHE[m] = cached  # repro-lint: disable=REP101 reason=pure memo keyed by stop count; value depends only on m
+        _SEQ_TUPLE_CACHE[m] = cached
     return cached
 
 

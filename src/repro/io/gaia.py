@@ -75,13 +75,6 @@ class MapMatcher:
         p = latlng_to_xy(lat, lng)
         return self.match_xy(p.x, p.y)
 
-    def match_many_xy(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`match_xy`; unmatched points get ``-1``."""
-        dists, idxs = self._tree.query(np.asarray(xy, dtype=float))
-        out = np.asarray(idxs, dtype=np.int64)
-        out[np.asarray(dists) > self._radius] = -1
-        return out
-
 
 def write_gaia_csv(path: str | Path, dataset: TripDataset, network: RoadNetwork) -> int:
     """Export a trip dataset as a GAIA-format CSV.

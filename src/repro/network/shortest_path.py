@@ -353,24 +353,6 @@ class ShortestPathEngine:
         self._rows.hits += 1
         return self._dist[:, target]
 
-    def distances_from(self, source: int) -> np.ndarray:
-        """Vector of shortest distances (metres) from ``source``.
-
-        Returns a *read-only view* of the cached source tree — callers
-        that need to mutate must copy.  This keeps the per-query cost at
-        O(1) instead of O(V) (the copy used to dominate landmark-cost
-        construction on large networks).
-        """
-        view = self.dist_row(source).view()
-        view.flags.writeable = False
-        return view
-
-    def eccentricity_m(self, source: int) -> float:
-        """Largest finite shortest-path distance from ``source``."""
-        dist = self.dist_row(source)
-        finite = dist[np.isfinite(dist)]
-        return float(finite.max()) if finite.size else 0.0
-
     def stats(self) -> dict[str, int]:
         """Every engine counter under its fully-qualified metric name.
 

@@ -134,6 +134,50 @@ class TestFaultsFlag:
         assert "meteor_rate" in capsys.readouterr().err
 
 
+SMALL_WORLD = ["--taxis", "5", "--requests", "50", "--grid", "8", "--partitions", "4"]
+
+
+class TestBadScenarioArguments:
+    """Flags that parse but describe nothing buildable: one ``error:``
+    line on stderr and exit 2, handled once where ``main`` calls the
+    sub-command — never a traceback, and never a report."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["simulate", *SMALL_WORLD, "--grid", "1"], {},
+         "grid_city needs at least a 2x2 grid"),
+        (["simulate", *SMALL_WORLD, "--requests", "0"], {}, "hourly_requests must be positive"),
+        (["simulate", *SMALL_WORLD, "--partitions", "0"], {}, "num_partitions must be >= 1"),
+        (["simulate", *SMALL_WORLD, "--rho", "0.5"], {}, "rho must be >= 1"),
+        (["simulate", *SMALL_WORLD, "--congestion", "0"], {},
+         "congestion must be a positive speed factor"),
+        # A seed no other test builds: a memoised scenario has its engine already.
+        (["simulate", *SMALL_WORLD, "--seed", "9723"], {"REPRO_SP_MODE": "bogus"},
+         "invalid REPRO_SP_MODE='bogus'; use auto/full/lazy/ch"),
+        (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
+        (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
+    ], ids=["grid", "requests", "partitions", "rho", "congestion", "sp-mode-env",
+            "cache-warm-ch-grid", "taxis"])
+    def test_one_error_line_and_exit_2(self, monkeypatch, capsys, argv, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "served" not in captured.out
+
+    def test_a_value_error_out_of_the_run_keeps_its_traceback(self, monkeypatch):
+        # The handler covers set-up only: the same exception type raised
+        # by the simulation is a bug, not a bad flag.
+        from repro.sim.engine import Simulator
+
+        def broken(self):
+            raise ValueError("accounting leak")
+
+        monkeypatch.setattr(Simulator, "run", broken)
+        with pytest.raises(ValueError, match="accounting leak"):
+            main(["simulate", "--scheme", "no-sharing", *SMALL_WORLD])
+
+
 class TestReplay:
     def test_replay_writes_one_decision_per_request(self, tmp_path, capsys):
         scenario = get_scenario(

@@ -187,6 +187,28 @@ def test_public_names_resolve_to_their_home_modules():
         exec("from repro import Simulatr")
 
 
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    """``benchmarks/e2e/trace.py::WRAP_TABLE`` names public callables as
+    ``module:Attr.path`` strings and the traced child patches them by
+    name, so a caller-less method in ``src/`` can still be surface the
+    harness needs (``ShortestPathEngine.cost_many`` is): deleting or
+    renaming one must fail here, not in the next benchmark run."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(SRC), "benchmarks", "e2e", "trace.py")
+    spec = importlib.util.spec_from_file_location("e2e_span_trace", path)
+    spantrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spantrace)
+    targets = [t for group in spantrace.WRAP_TABLE.values() for t in group]
+    assert "repro.network.shortest_path:ShortestPathEngine.cost_many" in targets
+    for target in targets:
+        module_name, attr_path = target.split(":")
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)  # AttributeError names the dead target
+        assert callable(owner), target
+
+
 @pytest.mark.parametrize("argv,code,absent", [
     (["--help"], 0, ("repro.sim", "repro.experiments", "repro.artifacts", "numpy", "scipy")),
     (["lint", "--help"], 0, ("repro.sim", "repro.experiments", "numpy", "scipy")),

@@ -48,11 +48,6 @@ class TestMapMatcher:
         lat, lng = xy_to_latlng(*map(float, tiny_net.xy[7]))
         assert matcher.match_latlng(lat, lng) == 7
 
-    def test_vectorised(self, tiny_net):
-        matcher = MapMatcher(tiny_net, snap_radius_m=60.0)
-        pts = np.array([[0.0, 0.0], [9999.0, 9999.0], [200.0, 200.0]])
-        assert matcher.match_many_xy(pts).tolist() == [0, -1, 8]
-
     def test_bad_radius(self, tiny_net):
         with pytest.raises(ValueError):
             MapMatcher(tiny_net, snap_radius_m=0.0)

@@ -61,25 +61,6 @@ class TestQueries:
         assert pred.rate_at_time(0, 8 * 3600.0 + 5.0) == 10.0
         assert pred.rate_at_time(0, (24 + 8) * 3600.0) == 10.0
 
-    def test_hot_partitions(self, pred):
-        assert pred.hot_partitions(8, top=2) == [0, 1]
-        assert pred.hot_partitions(20) == [2]
-        assert pred.hot_partitions(3) == []
-
-    def test_hot_partitions_tie_break_is_partition_id(self):
-        # Tie-heavy regression: sparse histories leave many partitions
-        # with *identical* rates, and NumPy's default introsort orders
-        # equal keys by pivot luck (which can change across NumPy
-        # versions).  The stable sort pins equal-rate partitions to
-        # ascending id, so the ranking is reproducible everywhere.
-        rates = np.zeros((64, 24))
-        rates[:, 8] = 3.0  # every partition ties
-        rates[41, 8] = 9.0  # one clear winner
-        pred = DemandPredictor(rates)
-        ranked = pred.hot_partitions(8, top=64)
-        assert ranked[0] == 41
-        assert ranked[1:] == sorted(set(range(64)) - {41})
-
     def test_share(self, pred):
         assert pred.share(0, 8) == pytest.approx(10.0 / 15.0)
         assert pred.share(2, 8) == 0.0

@@ -10,6 +10,7 @@ key on.  The final tests assert the shipped tree itself lints clean.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -477,6 +478,61 @@ def test_cli_list_checkers(capsys):
     out = capsys.readouterr().out
     for checker in ALL_CHECKERS:
         assert checker.code in out
+
+
+def test_list_checkers_matches_static_analysis_doc(capsys):
+    # Doc-drift guard: the rules ``--list-checkers`` prints and the rules
+    # in the catalog tables (header ``| Code |``) of STATIC_ANALYSIS.md
+    # must be the same set, so adding or removing one updates the doc.
+    assert main(["--list-checkers"]) == 0
+    printed = set(re.findall(r"^(REP\d{3}) ", capsys.readouterr().out, re.MULTILINE))
+    documented, in_catalog = set(), False
+    for line in (ROOT / "docs" / "STATIC_ANALYSIS.md").read_text().splitlines():
+        in_catalog = line.startswith("| Code") or (in_catalog and line.startswith("|"))
+        if in_catalog and (row := re.match(r"\| (REP\d{3}) \|", line)):
+            documented.add(row.group(1))
+    # REP000 is the engine's "file does not parse" code, not a checker.
+    assert printed == documented - {PARSE_ERROR_CODE}
+    assert printed == {f"REP00{n}" for n in range(1, 9)}
+
+
+def test_cli_missing_path_is_an_error_line_not_a_traceback(tmp_path, monkeypatch, capsys):
+    # ``repro lint effects`` lands here too: the sub-sub-command is gone,
+    # so the word is a path that does not exist.
+    monkeypatch.chdir(tmp_path)
+    for missing in ("no_such_dir", "effects"):
+        assert main([missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no such file or directory: {missing}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "not json",
+        '{"version": 2, "findings": []}',
+        '{"version": 1, "findings": 3}',
+        '{"version": 1, "findings": [{"code": "REP005"}]}',
+        "[]",
+    ],
+    ids=["not-json", "wrong-version", "findings-not-a-list", "entry-without-path", "not-an-object"],
+)
+def test_cli_bad_baseline_is_an_error_line_not_a_traceback(tmp_path, monkeypatch, capsys, content):
+    (tmp_path / "mod.py").write_text("x = 1\n")
+    (tmp_path / "baseline.json").write_text(content)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--baseline", "baseline.json", "mod.py"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: baseline.json is not a lint baseline: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_deep_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--deep", "src"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --deep" in capsys.readouterr().err
 
 
 def test_repro_cli_forwards_lint_subcommand(tmp_path, monkeypatch, capsys):

@@ -85,15 +85,6 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             ShortestPathEngine(tiny_net, mode="bogus")
 
-    def test_distances_from_vector(self, tiny_engine):
-        dist = tiny_engine.distances_from(0)
-        assert dist.shape == (9,)
-        assert dist[0] == 0.0
-        assert dist[8] == pytest.approx(400.0)
-
-    def test_eccentricity(self, tiny_engine):
-        assert tiny_engine.eccentricity_m(0) == pytest.approx(400.0)
-
     def test_full_mode_distance_queries_leave_the_predecessors_alone(self, tiny_net):
         """Only ``path`` reads a predecessor row; every query still tallies
         exactly the cache hits it always did (one per source row read)."""
@@ -117,8 +108,6 @@ class TestEngineBasics:
         assert hits(lambda: eng.cost_many(0, [1, 8]).tolist()) == ((dist[0, [1, 8]] / speed).tolist(), 1)
         assert hits(lambda: eng.dist_row(3).tolist()) == (dist[3].tolist(), 1)
         assert hits(lambda: eng.dist_col(3).tolist()) == (dist[:, 3].tolist(), 1)
-        assert hits(lambda: eng.distances_from(3).tolist()) == (dist[3].tolist(), 1)
-        assert hits(lambda: eng.eccentricity_m(0)) == (dist[0].max(), 1)
         assert hits(lambda: eng.cost_matrix([0, 1, 2], [8]).shape) == ((3, 1), 3)
         assert hits(lambda: eng.distance_m(4, 4)) == (0.0, 0)
         with pytest.raises(AssertionError, match="predecessor"):
@@ -143,7 +132,7 @@ class TestLazyMode:
     def test_cache_eviction(self, small_net):
         eng = _lazy_engine(small_net, 2)
         for source in range(5):
-            eng.distances_from(source)
+            eng.dist_row(source)
         stats = eng.stats()
         assert stats["spe.cache_entries"] == 2
         assert stats["spe.cache_evictions"] == 3
