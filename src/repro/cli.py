@@ -32,7 +32,10 @@ import argparse
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .artifacts.store import ArtifactStore
 
 #: Ablations that drive the simulator directly instead of going through
 #: ``runner.run`` — a planning pass over them would execute real work.
@@ -262,6 +265,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_store_rows(store: ArtifactStore) -> None:
+    """One line per artifact kind and a total: count, bytes, and the wall
+    seconds the artifacts' builders took as their metas record them —
+    where a cold start on this store went."""
+    info = store.info()
+    if not info:
+        print("  (empty)")
+        return
+    rows = list(info.items())
+    rows.append(("total", {
+        field: sum(row[field] for row in info.values())
+        for field in ("artifacts", "bytes", "build_s")
+    }))
+    for kind, row in rows:
+        print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB"
+              f"  {row['build_s']:8.2f} s build")
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     from . import artifacts
 
@@ -271,20 +292,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0 if args.action == "info" else 1
     if args.action == "info":
         print(f"artifact store: {store.root}")
-        info = store.info()
-        if not info:
-            print("  (empty)")
-        # "build" is the wall time the artifacts' builders took, as their
-        # metas record it: where a cold start on this store went.
-        rows = list(info.items())
-        if rows:
-            rows.append(("total", {
-                field: sum(row[field] for row in info.values())
-                for field in ("artifacts", "bytes", "build_s")
-            }))
-        for kind, row in rows:
-            print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB"
-                  f"  {row['build_s']:8.2f} s build")
+        _print_store_rows(store)
         hierarchies = store.entries("ch")
         if hierarchies:
             print("\ncontraction hierarchies:")
@@ -295,6 +303,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                     f"  {label:40s} {meta.get('vertices', '?'):>8} vertices"
                     f"  {meta.get('shortcuts', '?'):>8} shortcuts"
                     f"  {row['bytes'] / 1e6:8.2f} MB"
+                    f"  {meta.get('build_s', 0.0):8.2f} s build"
                 )
         return 0
     if args.action == "clear":
@@ -303,12 +312,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.ch_grid is not None:
         # warm --ch-grid: pre-build (or touch) one scenario's hierarchy.
-        from .sim.scenario import ScenarioSpec, get_scenario
+        from .sim.scenario import Scenario, ScenarioSpec
 
         print(f"Warming contraction hierarchy for {args.ch_grid}x{args.ch_grid} "
               f"{args.kind} scenario (seed {args.seed})...")
         with _building():
-            scenario = get_scenario(ScenarioSpec(
+            scenario = Scenario(ScenarioSpec(
                 kind=args.kind,
                 grid_rows=args.ch_grid,
                 grid_cols=args.ch_grid,
@@ -319,10 +328,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         hierarchy = scenario.engine.hierarchy
         assert hierarchy is not None
         state = "built" if scenario.engine.ch_built else "already stored"
+        key = store.key_of("ch", scenario._ch_spec())
+        build_s = next(row["meta"].get("build_s", 0.0)
+                       for row in store.entries("ch") if row["key"] == key)
         print(f"  {scenario.network_label()}: {hierarchy.num_vertices} vertices, "
-              f"{hierarchy.num_shortcuts} shortcuts ({state})")
-        for kind, row in store.info().items():
-            print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB")
+              f"{hierarchy.num_shortcuts} shortcuts, {build_s:.2f} s build ({state})")
+        _print_store_rows(store)
         return 0
     # warm: build (or touch) every artifact the selected experiments need.
     from .experiments.figures import ALL_EXPERIMENTS, figure_run_keys
@@ -338,8 +349,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     specs = {k.spec for k in keys}
     print(f"Warming artifacts for {len(keys)} runs ({len(specs)} scenarios)...")
     _warm_store(keys)
-    for kind, row in store.info().items():
-        print(f"  {kind:10s} {row['artifacts']:4d} artifacts  {row['bytes'] / 1e6:8.2f} MB")
+    _print_store_rows(store)
     return 0
 
 

@@ -13,6 +13,14 @@ queries reuse one backward search per target through meeting-vertex
 buckets, so a ``cost_matrix`` over k sources and targets costs
 O(k) searches instead of O(k) full Dijkstras.
 
+Contraction runs in rounds (:meth:`ContractionHierarchy.build`): each
+round contracts every vertex that ranks below all of its neighbours —
+an independent set — and answers all the witness searches the round
+leaves stale with batched, ``limit``-bounded
+:func:`scipy.sparse.csgraph.dijkstra` calls over the remaining graph,
+so the searches run inside scipy instead of as one Python Dijkstra per
+in-neighbour of every vertex.
+
 Bit-identical distances
 -----------------------
 The engine contract says every backend returns distances bit-identical
@@ -46,13 +54,15 @@ import numpy as np
 from ..memo import BoundedMemo, memo_stats
 from .graph import RoadNetwork
 
-#: Bump when the serialised array layout changes (part of the artifact key).
-CH_FORMAT_VERSION = 1
+#: Bump when the serialised arrays change — their layout, or the
+#: contraction that fills them (part of the artifact key, so a stored
+#: hierarchy's shortcut count and ``build_s`` describe the algorithm that
+#: produced it).  2: contraction in rounds.
+CH_FORMAT_VERSION = 2
 
-#: Settled-vertex cap per witness search during contraction.  A lower cap
-#: only ever inserts *more* shortcuts (witness not found in time), never
-#: wrong ones, so correctness does not depend on it.
-WITNESS_SETTLE_CAP = 60
+#: Distance cells (sources × remaining vertices) one batched witness
+#: search may hold: 4 MB of float64, however large the round.
+WITNESS_BLOCK_CELLS = 1 << 19
 
 #: Upward/downward search results kept per direction.
 SEARCH_CACHE_SIZE = 1024
@@ -82,6 +92,186 @@ _ARRAY_NAMES = (
 )
 
 
+def _weights_at(
+    keys: np.ndarray, weights: np.ndarray, wanted: np.ndarray
+) -> np.ndarray | None:
+    """``weights`` at each ``wanted`` key of the sorted ``keys``, or
+    ``None`` when one of them is absent."""
+    at = np.searchsorted(keys, wanted)
+    if np.any(at == keys.size) or not np.array_equal(keys[at], wanted):
+        return None
+    return weights[at]
+
+
+def _check_hierarchy(network: RoadNetwork, arrays: Mapping[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the first rule ``arrays`` break.
+
+    A stored hierarchy from another network of the same size, or one
+    with mismatched lengths, would otherwise attach silently and answer
+    wrongly or fail mid-query.  The rules, checked in this order with
+    whole-array operations:
+
+    1. *layout*: ``rank`` has one entry per vertex; each ``*_indptr`` is
+       a row pointer over the vertices whose last entry is the length of
+       its ``head``/``tail``, ``w`` and ``mid``; every id names a vertex,
+       and neighbours are sorted and distinct within a row;
+    2. *rank* is a permutation of ``0..n-1``;
+    3. *direction*: every up edge ascends in rank, every down edge
+       descends (its row vertex ranks below its tail);
+    4. *shortcuts*: each ``mid`` ranks below both endpoints, both of its
+       component edges exist, and its weight is their sum bit for bit;
+    5. *network*: every other edge is an edge of ``network`` with its
+       CSR weight bit for bit.
+    """
+    n = network.num_vertices
+    rank = np.asarray(arrays["rank"])
+    if rank.shape != (n,):
+        raise ValueError(f"hierarchy rank has shape {rank.shape}, expected ({n},)")
+    # Per side: the row vertex (lower rank) and neighbour of every edge,
+    # its key row * n + neighbour, weight and mid.
+    sides: dict[str, tuple[np.ndarray, ...]] = {}
+    for side, other_name in (("up", "up_head"), ("down", "down_tail")):
+        indptr = np.asarray(arrays[f"{side}_indptr"])
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"hierarchy {side}_indptr is not a row pointer over {n} vertices")
+        size = int(indptr[-1])
+        for name in (other_name, f"{side}_w", f"{side}_mid"):
+            if np.shape(arrays[name]) != (size,):
+                raise ValueError(
+                    f"hierarchy {name} has shape {np.shape(arrays[name])}, "
+                    f"expected ({size},) from {side}_indptr[-1]"
+                )
+        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        other = np.asarray(arrays[other_name], dtype=np.int64)
+        mid = np.asarray(arrays[f"{side}_mid"], dtype=np.int64)
+        if np.any((other < 0) | (other >= n)) or np.any((mid < -1) | (mid >= n)):
+            raise ValueError(f"hierarchy {side} edges name a vertex outside 0..{n - 1}")
+        key = row * n + other
+        if np.any(np.diff(key) <= 0):
+            raise ValueError(f"hierarchy {other_name} is not sorted and distinct per row")
+        sides[side] = (row, other, key, np.asarray(arrays[f"{side}_w"]), mid)
+    if not np.array_equal(np.sort(rank), np.arange(n)):
+        raise ValueError("hierarchy rank is not a permutation of 0..n-1")
+    for side, (row, other, _key, _w, _mid) in sides.items():
+        if np.any(rank[row] >= rank[other]):
+            word = "ascend" if side == "up" else "descend"
+            raise ValueError(f"hierarchy has a {side} edge that does not {word} in rank")
+    up_row, up_head, up_key, up_w, up_mid = sides["up"]
+    down_row, down_tail, down_key, down_w, down_mid = sides["down"]
+    # Every edge in original direction: tail, head, weight, mid.
+    tail = np.concatenate((up_row, down_tail))
+    head = np.concatenate((up_head, down_row))
+    weight = np.concatenate((up_w, down_w))
+    mid = np.concatenate((up_mid, down_mid))
+    cut = mid >= 0
+    via = mid[cut]
+    if np.any(rank[via] >= np.minimum(rank[tail[cut]], rank[head[cut]])):
+        raise ValueError("hierarchy has a shortcut whose mid does not rank below both ends")
+    # tail -> via is a down edge of via's row, via -> head an up edge.
+    first = _weights_at(down_key, down_w, via * n + tail[cut])
+    second = _weights_at(up_key, up_w, via * n + head[cut])
+    if first is None or second is None:
+        raise ValueError("hierarchy has a shortcut with a missing component edge")
+    if np.any(weight[cut] != first + second):
+        raise ValueError("hierarchy has a shortcut whose weight is not the sum of its components")
+    csr = network.to_csr()
+    net_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)) * n + csr.indices
+    by_key = np.argsort(net_key, kind="stable")
+    got = _weights_at(net_key[by_key], csr.data[by_key], tail[~cut] * n + head[~cut])
+    if got is None or np.any(got != weight[~cut]):
+        raise ValueError("hierarchy has an original edge that is not an edge of the network")
+
+
+def _lightest_per_pair(
+    tail: np.ndarray, head: np.ndarray, weight: np.ndarray, mid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One edge per ``(tail, head)``, sorted by it: the lightest, and of
+    equally light ones the first in input order (``lexsort`` is stable)."""
+    order = np.lexsort((weight, head, tail))
+    tail, head, weight, mid = tail[order], head[order], weight[order], mid[order]
+    first = np.ones(tail.size, dtype=bool)
+    first[1:] = (tail[1:] != tail[:-1]) | (head[1:] != head[:-1])
+    return tail[first], head[first], weight[first], mid[first]
+
+
+def _needed_shortcuts(
+    alive: np.ndarray,
+    tail: np.ndarray,
+    head: np.ndarray,
+    weight: np.ndarray,
+    vertices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shortcuts each of ``vertices`` needs if it were contracted now.
+
+    Every in-edge ``u → v`` meets every out-edge ``v → t`` (``t ≠ u``) of
+    each vertex ``v``; the pair needs the shortcut ``(u, t, via)``,
+    ``via = w(u, v) + w(v, t)``, unless a witness is strictly shorter:
+    ``dist(u, t) < via`` on the remaining graph (the ``alive`` vertices
+    and the edges between them), ``v`` included — the path through ``v``
+    measures exactly ``via``, so it never passes the test itself.  One
+    ``limit``-bounded scipy Dijkstra per distinct ``u`` answers all of
+    its pairs; sources run in order of their bound, in batches of
+    :data:`WITNESS_BLOCK_CELLS` distance cells, so a batch's ``limit``
+    fits its members.  Returns parallel ``(v, u, t, via)`` arrays.
+    """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    n = alive.size
+    # The remaining graph in compact ids, so that a search costs the
+    # vertices left, not the network's.
+    m = int(np.count_nonzero(alive))
+    local = np.full(n, -1, dtype=np.int64)
+    local[alive] = np.arange(m)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(local[tail], minlength=m), out=indptr[1:])
+    remaining = sparse.csr_matrix(
+        (weight, local[head].astype(np.int32), indptr), shape=(m, m)
+    )
+
+    is_vertex = np.zeros(n, dtype=bool)
+    is_vertex[vertices] = True
+    ins = np.flatnonzero(is_vertex[head])
+    ins = ins[np.argsort(head[ins], kind="stable")]
+    outs = np.flatnonzero(is_vertex[tail])  # grouped by tail already
+    out_count = np.bincount(tail[outs], minlength=n)
+    out_start = np.cumsum(out_count) - out_count
+    reps = out_count[head[ins]]
+    first = np.repeat(ins, reps)
+    ends = np.cumsum(reps)
+    offset = np.arange(first.size) - np.repeat(ends - reps, reps)
+    second = outs[np.repeat(out_start[head[ins]], reps) + offset]
+    u, v, t = tail[first], head[first], head[second]
+    via = weight[first] + weight[second]
+    pair = u != t
+    u, v, t, via = u[pair], v[pair], t[pair], via[pair]
+
+    sources, source_of = np.unique(u, return_inverse=True)
+    limit = np.zeros(sources.size)
+    np.maximum.at(limit, source_of, via)
+    by_limit = np.argsort(limit, kind="stable")
+    row = np.empty(sources.size, dtype=np.int64)
+    row[by_limit] = np.arange(sources.size)
+    pair_row = row[source_of]
+    pairs_by_row = np.argsort(pair_row, kind="stable")
+    sorted_rows = pair_row[pairs_by_row]
+    witnessed = np.zeros(u.size, dtype=bool)
+    batch = max(1, WITNESS_BLOCK_CELLS // m)
+    for lo in range(0, sources.size, batch):
+        hi = min(lo + batch, sources.size)
+        a, b = np.searchsorted(sorted_rows, (lo, hi))
+        idx = pairs_by_row[a:b]
+        block = csgraph.dijkstra(
+            remaining,
+            directed=True,
+            indices=local[sources[by_limit[lo:hi]]],
+            limit=float(limit[by_limit[hi - 1]]),
+        )
+        witnessed[idx] = block[pair_row[idx] - lo, local[t[idx]]] < via[idx]
+    need = ~witnessed
+    return v[need], u[need], t[need], via[need]
+
+
 class ContractionHierarchy:
     """A built contraction hierarchy over one :class:`RoadNetwork`.
 
@@ -93,7 +283,9 @@ class ContractionHierarchy:
     or ``-1`` for an original edge.
 
     Use :meth:`build` (cold) or :meth:`from_arrays` (artifact-store
-    warm path); the constructor itself only attaches prebuilt arrays.
+    warm path); the constructor itself attaches prebuilt arrays, after
+    checking that they form a hierarchy of ``network``
+    (:func:`_check_hierarchy`).
     """
 
     #: ``stats_snapshot()`` keys that are point-in-time gauges: the
@@ -108,10 +300,7 @@ class ContractionHierarchy:
         missing = [name for name in _ARRAY_NAMES if name not in arrays]
         if missing:
             raise ValueError(f"hierarchy arrays missing {missing}")
-        if arrays["rank"].shape != (n,):
-            raise ValueError(
-                f"hierarchy rank has shape {arrays['rank'].shape}, expected ({n},)"
-            )
+        _check_hierarchy(network, arrays)
         self._network = network
         self._arrays: dict[str, np.ndarray] = {
             name: arrays[name] for name in _ARRAY_NAMES
@@ -163,149 +352,111 @@ class ContractionHierarchy:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, network: RoadNetwork) -> "ContractionHierarchy":
-        """Contract ``network`` bottom-up by lazy edge difference.
+        """Contract ``network`` in rounds of independent vertex sets.
 
-        Deterministic: the priority queue breaks ties by vertex id, the
-        remaining-graph adjacency is insertion-ordered dicts seeded from
-        the CSR, and the final per-vertex edge lists are sorted — so two
-        builds of the same network produce identical arrays (the basis
-        of the content-addressed artifact round-trip).
+        Priority is the edge difference plus the deleted-neighbour count
+        (shortcuts needed − remaining in/out edges + contracted
+        neighbours).  Each round:
+
+        1. selects every remaining vertex whose ``(priority, id)`` is
+           strictly below that of all its remaining in- and
+           out-neighbours — an independent set, chosen deterministically;
+        2. contracts it in ``(priority, id)`` order, which assigns the
+           ranks: each vertex's edges become its up/down rows and the
+           shortcuts its latest witness searches asked for are inserted,
+           the lightest (then earliest) kept per ``(u, t)``;
+        3. re-runs the witness searches of every vertex that lost a
+           neighbour, all of them at once (:func:`_needed_shortcuts`);
+        4. refreshes those vertices' priorities from the results.
+
+        Contracting an independent set together is exact because the
+        witness test is strict and searches the graph *with* the vertex
+        in it: a shortest path ``x → … → y`` through contracted vertices
+        has each of them between two neighbours that are not contracted
+        this round, and the segment ``u → v → t`` around each is itself
+        shortest, so ``dist(u, t) < w(u, v) + w(v, t)`` is false for it
+        and its shortcut exists.  A ``<=`` test would let two vertices
+        of one round each accept the other as the witness of a tie, and
+        the distance would be lost.
+
+        Deterministic: every step is a sort with vertex ids as the last
+        key, and the final rows are sorted — so two builds of the same
+        network produce identical arrays (the basis of the
+        content-addressed artifact round-trip).
         """
         n = network.num_vertices
         csr = network.to_csr()
-        indptr = csr.indptr
-        cols = csr.indices
-        data = csr.data
-        # Remaining-graph adjacency: out_[u][v] = in_[v][u] = (weight, mid).
-        # Uses the same zero-length nudge as ``to_csr`` (it *is* the CSR
+        # The remaining graph: edge arrays sorted by (tail, head), one
+        # edge per ordered pair, ``mid`` -1 for an original edge.  Uses
+        # the same zero-length nudge as ``to_csr`` (it *is* the CSR
         # data), so rectified sums match the scipy reference exactly.
-        out_: list[dict[int, tuple[float, int]]] = [{} for _ in range(n)]
-        in_: list[dict[int, tuple[float, int]]] = [{} for _ in range(n)]
-        for u in range(n):
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            for v, w in zip(cols[lo:hi].tolist(), data[lo:hi].tolist()):
-                if v == u:
-                    continue
-                cur = out_[u].get(v)
-                if cur is None or w < cur[0]:
-                    out_[u][v] = (w, -1)
-                    in_[v][u] = (w, -1)
+        tail, head, weight, mid = _lightest_per_pair(
+            np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)),
+            csr.indices.astype(np.int64),
+            csr.data,
+            np.full(csr.nnz, -1, dtype=np.int64),
+        )
 
+        alive = np.ones(n, dtype=bool)
         rank = np.full(n, -1, dtype=np.int64)
-        deleted = [0] * n
-        # Neighborhood version: bumped whenever an edge incident to the
-        # vertex is added or removed, so shortcut sets (the expensive
-        # witness searches) are recomputed only when actually stale.
-        version = [0] * n
-        shortcut_cache: list[tuple[int, list[tuple[int, int, float]]] | None]
-        shortcut_cache = [None] * n
+        deleted = np.zeros(n, dtype=np.int64)
+        priority = np.zeros(n, dtype=np.int64)
+        # The shortcuts each remaining vertex needs, as its latest witness
+        # searches found them: parallel (vertex, tail, head, weight).
+        pending: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)]
+        up_parts: list[tuple[np.ndarray, ...]] = []
+        down_parts: list[tuple[np.ndarray, ...]] = []
+        touched = np.arange(n, dtype=np.int64)
+        next_rank = 0
+        while next_rank < n:
+            # 3-4 of the previous round (all vertices before the first):
+            # witness searches and priorities of every vertex touched.
+            found = _needed_shortcuts(alive, tail, head, weight, touched)
+            stale = np.zeros(n, dtype=bool)
+            stale[touched] = True
+            keep = ~stale[pending[0]]
+            pending = [np.concatenate((old[keep], new)) for old, new in zip(pending, found)]
+            needed = np.bincount(found[0], minlength=n)[touched]
+            degree = np.bincount(tail, minlength=n) + np.bincount(head, minlength=n)
+            priority[touched] = needed - degree[touched] + deleted[touched]
+            # 1. The independent set: (priority, id) below every neighbour's.
+            ids = np.flatnonzero(alive)
+            order = ids[np.lexsort((ids, priority[ids]))]
+            position = np.empty(n, dtype=np.int64)
+            position[order] = np.arange(order.size)
+            lowest_neighbour = np.full(n, n, dtype=np.int64)
+            np.minimum.at(lowest_neighbour, tail, position[head])
+            np.minimum.at(lowest_neighbour, head, position[tail])
+            chosen = order[position[order] < lowest_neighbour[order]]
+            # 2. Contract it: ranks, hierarchy rows, shortcuts.
+            rank[chosen] = np.arange(next_rank, next_rank + chosen.size)
+            next_rank += chosen.size
+            alive[chosen] = False
+            up = ~alive[tail]
+            down = ~alive[head]
+            up_parts.append((tail[up], head[up], weight[up], mid[up]))
+            down_parts.append((head[down], tail[down], weight[down], mid[down]))
+            np.add.at(deleted, head[up], 1)
+            np.add.at(deleted, tail[down], 1)
+            touched = np.unique(np.concatenate((head[up], tail[down])))
+            owner = pending[0]
+            inserted = np.flatnonzero(~alive[owner])
+            inserted = inserted[np.argsort(rank[owner[inserted]], kind="stable")]
+            kept = ~(up | down)
+            tail, head, weight, mid = _lightest_per_pair(
+                np.concatenate((tail[kept], pending[1][inserted])),
+                np.concatenate((head[kept], pending[2][inserted])),
+                np.concatenate((weight[kept], pending[3][inserted])),
+                np.concatenate((mid[kept], owner[inserted])),
+            )
+            pending = [column[alive[owner]] for column in pending]
+
         up_rows: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
         down_rows: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
-
-        def witness_dists(
-            src: int, excluded: int, limit: float, targets: dict[int, int]
-        ) -> dict[int, float]:
-            """Bounded Dijkstra from ``src`` avoiding ``excluded``.
-
-            Every tentative distance is the length of a real path, i.e. an
-            upper bound on the true distance, which is all a witness test
-            needs.  Stops as soon as all ``targets`` are settled (the
-            common case, long before the settle cap).
-            """
-            dist: dict[int, float] = {src: 0.0}
-            settled: dict[int, float] = {}
-            heap: list[tuple[float, int]] = [(0.0, src)]
-            remaining = len(targets) - (1 if src in targets else 0)
-            while heap and len(settled) < WITNESS_SETTLE_CAP and remaining > 0:
-                d, x = heapq.heappop(heap)
-                if x in settled:
-                    continue
-                if d > limit:
-                    break
-                settled[x] = d
-                if x in targets:
-                    remaining -= 1
-                for y, (w, _mid) in out_[x].items():
-                    if y == excluded or y in settled:
-                        continue
-                    nd = d + w
-                    if nd < dist.get(y, _INF):
-                        dist[y] = nd
-                        heapq.heappush(heap, (nd, y))
-            return dist
-
-        def shortcuts_for(v: int) -> list[tuple[int, int, float]]:
-            """Shortcuts (u, w, weight) required if ``v`` were contracted."""
-            ins = list(in_[v].items())
-            outs = list(out_[v].items())
-            needed: list[tuple[int, int, float]] = []
-            if not ins or not outs:
-                return needed
-            max_out = max(w for _t, (w, _m) in outs)
-            targets = {t: 0 for t, _wm in outs}
-            for u, (w_uv, _mu) in ins:
-                dist = witness_dists(u, v, w_uv + max_out, targets)
-                for t, (w_vt, _mt) in outs:
-                    if t == u:
-                        continue
-                    via = w_uv + w_vt
-                    if dist.get(t, _INF) <= via:
-                        continue  # a witness path avoids v
-                    needed.append((u, t, via))
-            return needed
-
-        def shortcuts_cached(v: int) -> list[tuple[int, int, float]]:
-            cached = shortcut_cache[v]
-            if cached is not None and cached[0] == version[v]:
-                return cached[1]
-            needed = shortcuts_for(v)
-            shortcut_cache[v] = (version[v], needed)
-            return needed
-
-        def priority_of(v: int, num_shortcuts: int) -> int:
-            return num_shortcuts - len(in_[v]) - len(out_[v]) + deleted[v]
-
-        heap: list[tuple[int, int]] = []
-        for v in range(n):
-            heap.append((priority_of(v, len(shortcuts_cached(v))), v))
-        heapq.heapify(heap)
-
-        next_rank = 0
-        while heap:
-            _p, v = heapq.heappop(heap)
-            if rank[v] >= 0:
-                continue
-            needed = shortcuts_cached(v)
-            prio = priority_of(v, len(needed))
-            # Lazy update: if v no longer has the smallest priority,
-            # requeue it with the fresh value and contract the new top.
-            if heap and (prio, v) > heap[0]:
-                heapq.heappush(heap, (prio, v))
-                continue
-            rank[v] = next_rank
-            next_rank += 1
-            for u, (w, mid) in in_[v].items():
-                down_rows[v].append((u, w, mid))
-                del out_[u][v]
-                deleted[u] += 1
-                version[u] += 1
-            for t, (w, mid) in out_[v].items():
-                up_rows[v].append((t, w, mid))
-                del in_[t][v]
-                deleted[t] += 1
-                version[t] += 1
-            in_[v].clear()
-            out_[v].clear()
-            for u, t, weight in needed:
-                cur = out_[u].get(t)
-                if cur is None or weight < cur[0]:
-                    out_[u][t] = (weight, v)
-                    in_[t][u] = (weight, v)
-                    version[u] += 1
-                    version[t] += 1
-
-        arrays = cls._rows_to_arrays(rank, up_rows, down_rows)
-        return cls(network, arrays)
+        for rows, parts in ((up_rows, up_parts), (down_rows, down_parts)):
+            for row, other, w, m in zip(*(np.concatenate(c).tolist() for c in zip(*parts))):
+                rows[row].append((other, w, m))
+        return cls(network, cls._rows_to_arrays(rank, up_rows, down_rows))
 
     @staticmethod
     def _rows_to_arrays(

@@ -33,6 +33,16 @@ verbatim, so kept vertices and re-indexed edges can be diffed ``==``.
 Artifact keys hash a network's spec, not its content: a different kept
 set would pair new networks with stored tables.
 
+**Contraction hierarchy.**  Production contracts an independent vertex
+set per round and runs the round's witness searches as batched scipy
+Dijkstras with a strict test (``repro.network.ch.ContractionHierarchy.
+build``); :func:`reference_ch_build` is the sequential build it
+replaced — one vertex at a time by lazy edge difference, one capped
+Python witness search per in-neighbour — verbatim.  The two hierarchies
+differ (ranks, shortcuts), their answers may not: distances bit for
+bit, paths wherever the shortest path is unique, and whole dispatch
+runs decision for decision.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -44,6 +54,7 @@ here so they cannot drift into production.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Sequence
 
@@ -80,6 +91,7 @@ from repro.fleet.schedule import (
     enumerate_insertions,
 )
 from repro.fleet.taxi import TaxiRoute
+from repro.network.ch import ContractionHierarchy
 from repro.network.geo import cosine_similarity
 from repro.network.shortest_path import PathNotFound, dijkstra_restricted
 from repro.sim.engine import Simulator
@@ -567,3 +579,149 @@ def scalar_cost_matrix(scheme, batch, now):
                 matrix.costs[i, j] = (last - ready) - taxi.remaining_route_cost(ready)
                 matrix.insertions[(i, j)] = (pi, pj)
     return matrix
+
+
+#: The sequential build's settled-vertex cap per witness search.
+WITNESS_SETTLE_CAP = 60
+
+
+def reference_ch_build(network):
+    """``ContractionHierarchy.build`` as it was before contraction in
+    rounds: one vertex at a time by lazy edge difference, one Python
+    witness Dijkstra per in-neighbour (``<=`` test, ``v`` excluded,
+    :data:`WITNESS_SETTLE_CAP`), verbatim."""
+    n = network.num_vertices
+    csr = network.to_csr()
+    indptr = csr.indptr
+    cols = csr.indices
+    data = csr.data
+    # Remaining-graph adjacency: out_[u][v] = in_[v][u] = (weight, mid).
+    # Uses the same zero-length nudge as ``to_csr`` (it *is* the CSR
+    # data), so rectified sums match the scipy reference exactly.
+    out_: list[dict[int, tuple[float, int]]] = [{} for _ in range(n)]
+    in_: list[dict[int, tuple[float, int]]] = [{} for _ in range(n)]
+    for u in range(n):
+        lo, hi = int(indptr[u]), int(indptr[u + 1])
+        for v, w in zip(cols[lo:hi].tolist(), data[lo:hi].tolist()):
+            if v == u:
+                continue
+            cur = out_[u].get(v)
+            if cur is None or w < cur[0]:
+                out_[u][v] = (w, -1)
+                in_[v][u] = (w, -1)
+
+    rank = np.full(n, -1, dtype=np.int64)
+    deleted = [0] * n
+    # Neighborhood version: bumped whenever an edge incident to the
+    # vertex is added or removed, so shortcut sets (the expensive
+    # witness searches) are recomputed only when actually stale.
+    version = [0] * n
+    shortcut_cache: list[tuple[int, list[tuple[int, int, float]]] | None]
+    shortcut_cache = [None] * n
+    up_rows: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+    down_rows: list[list[tuple[int, float, int]]] = [[] for _ in range(n)]
+
+    def witness_dists(
+        src: int, excluded: int, limit: float, targets: dict[int, int]
+    ) -> dict[int, float]:
+        """Bounded Dijkstra from ``src`` avoiding ``excluded``.
+
+        Every tentative distance is the length of a real path, i.e. an
+        upper bound on the true distance, which is all a witness test
+        needs.  Stops as soon as all ``targets`` are settled (the
+        common case, long before the settle cap).
+        """
+        dist: dict[int, float] = {src: 0.0}
+        settled: dict[int, float] = {}
+        heap: list[tuple[float, int]] = [(0.0, src)]
+        remaining = len(targets) - (1 if src in targets else 0)
+        while heap and len(settled) < WITNESS_SETTLE_CAP and remaining > 0:
+            d, x = heapq.heappop(heap)
+            if x in settled:
+                continue
+            if d > limit:
+                break
+            settled[x] = d
+            if x in targets:
+                remaining -= 1
+            for y, (w, _mid) in out_[x].items():
+                if y == excluded or y in settled:
+                    continue
+                nd = d + w
+                if nd < dist.get(y, math.inf):
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+        return dist
+
+    def shortcuts_for(v: int) -> list[tuple[int, int, float]]:
+        """Shortcuts (u, w, weight) required if ``v`` were contracted."""
+        ins = list(in_[v].items())
+        outs = list(out_[v].items())
+        needed: list[tuple[int, int, float]] = []
+        if not ins or not outs:
+            return needed
+        max_out = max(w for _t, (w, _m) in outs)
+        targets = {t: 0 for t, _wm in outs}
+        for u, (w_uv, _mu) in ins:
+            dist = witness_dists(u, v, w_uv + max_out, targets)
+            for t, (w_vt, _mt) in outs:
+                if t == u:
+                    continue
+                via = w_uv + w_vt
+                if dist.get(t, math.inf) <= via:
+                    continue  # a witness path avoids v
+                needed.append((u, t, via))
+        return needed
+
+    def shortcuts_cached(v: int) -> list[tuple[int, int, float]]:
+        cached = shortcut_cache[v]
+        if cached is not None and cached[0] == version[v]:
+            return cached[1]
+        needed = shortcuts_for(v)
+        shortcut_cache[v] = (version[v], needed)
+        return needed
+
+    def priority_of(v: int, num_shortcuts: int) -> int:
+        return num_shortcuts - len(in_[v]) - len(out_[v]) + deleted[v]
+
+    heap: list[tuple[int, int]] = []
+    for v in range(n):
+        heap.append((priority_of(v, len(shortcuts_cached(v))), v))
+    heapq.heapify(heap)
+
+    next_rank = 0
+    while heap:
+        _p, v = heapq.heappop(heap)
+        if rank[v] >= 0:
+            continue
+        needed = shortcuts_cached(v)
+        prio = priority_of(v, len(needed))
+        # Lazy update: if v no longer has the smallest priority,
+        # requeue it with the fresh value and contract the new top.
+        if heap and (prio, v) > heap[0]:
+            heapq.heappush(heap, (prio, v))
+            continue
+        rank[v] = next_rank
+        next_rank += 1
+        for u, (w, mid) in in_[v].items():
+            down_rows[v].append((u, w, mid))
+            del out_[u][v]
+            deleted[u] += 1
+            version[u] += 1
+        for t, (w, mid) in out_[v].items():
+            up_rows[v].append((t, w, mid))
+            del in_[t][v]
+            deleted[t] += 1
+            version[t] += 1
+        in_[v].clear()
+        out_[v].clear()
+        for u, t, weight in needed:
+            cur = out_[u].get(t)
+            if cur is None or weight < cur[0]:
+                out_[u][t] = (weight, v)
+                in_[t][u] = (weight, v)
+                version[u] += 1
+                version[t] += 1
+
+    arrays = ContractionHierarchy._rows_to_arrays(rank, up_rows, down_rows)
+    return ContractionHierarchy(network, arrays)

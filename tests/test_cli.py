@@ -221,6 +221,26 @@ class TestReplay:
 
 
 class TestCacheWarm:
+    def test_ch_grid_reports_the_build_then_finds_it_stored(self, tmp_path, monkeypatch, capsys):
+        """The warm line carries the stored ``build_s``: the seconds this
+        process spent contracting, then — on a second warm — the same
+        seconds, read back from the store, marked "already stored"."""
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+        argv = ["cache", "warm", "--ch-grid", "12"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        [entry] = get_store().entries("ch")
+        build_s = entry["meta"]["build_s"]
+        line = (f"{entry['meta']['vertices']} vertices, {entry['meta']['shortcuts']} shortcuts, "
+                f"{build_s:.2f} s build")
+        assert f"{line} (built)" in first
+        assert main(argv) == 0
+        assert f"{line} (already stored)" in capsys.readouterr().out
+        assert main(["cache", "info"]) == 0
+        [listing] = [row for row in capsys.readouterr().out.splitlines()
+                     if row.strip().startswith(entry["meta"]["label"])]
+        assert listing.split()[-3:] == [f"{build_s:.2f}", "s", "build"]
+
     def test_unknown_experiment_is_a_clean_error(self, capsys):
         # Like every other bad input: "error: ..." and exit 2, not the
         # KeyError traceback figure_run_keys used to die with.

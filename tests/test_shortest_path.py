@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from repro.core.payment import PaymentModel
 from repro.network.ch import ContractionHierarchy
@@ -20,6 +21,7 @@ from repro.network.shortest_path import (
 from repro.sim.engine import Simulator
 from repro.sim.scenario import Scenario
 
+from tests.oracles import reference_ch_build
 from tests.test_runner_parallel import decision_fingerprint
 
 
@@ -366,6 +368,229 @@ class TestCHArtifacts:
         for _ in range(25):
             u, v = (int(x) for x in rng.integers(0, cold.network.num_vertices, size=2))
             assert cold.engine.distance_m(u, v) == warm.engine.distance_m(u, v)
+
+
+def _diamond():
+    """``u↔v1↔t`` and ``u↔v2↔t`` at equal lengths, two pendants on each of
+    ``u`` and ``t``: ``v1``, ``v2`` and the pendants form the first round,
+    and ``v1`` and ``v2`` are each other's tie for ``u → t``."""
+    u, v1, v2, t = 0, 1, 2, 3
+    legs = [(u, v1), (v1, t), (u, v2), (v2, t), (u, 4), (u, 5), (t, 6), (t, 7)]
+    edges = [(a, b, 100.0) for a, b in legs] + [(b, a, 100.0) for a, b in legs]
+    xy = [(0, 0), (100, 50), (100, -50), (200, 0), (-100, 50), (-100, -50), (300, 50), (300, -50)]
+    return RoadNetwork(xy, edges)
+
+
+@st.composite
+def _digraphs(draw):
+    """Random digraphs of up to 12 vertices: one-way edges, parallel edges
+    (``RoadNetwork`` keeps the lightest), disconnected parts, and — in
+    half the draws — exact zero lengths.  Other lengths are continuous, so
+    a draw without zero lengths has unique shortest paths."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=3 * n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lengths = rng.uniform(1.0, 500.0, size=len(pairs))
+    if draw(st.booleans()):
+        lengths[rng.random(len(pairs)) < 0.3] = 0.0
+    edges = [(u, v, float(w)) for (u, v), w in zip(pairs, lengths)]
+    return RoadNetwork(rng.uniform(0.0, 1000.0, size=(n, 2)), edges)
+
+
+def _all_pairs(hierarchy, n):
+    return np.array([[hierarchy.distance_m(a, b) for b in range(n)] for a in range(n)])
+
+
+class TestContractionRounds:
+    """The hierarchy contracted in rounds answers exactly what scipy and
+    the sequential reference build (``tests/oracles.py``) answer."""
+
+    def test_symmetric_diamond_keeps_every_distance(self):
+        """Under a ``<=`` witness test ``v1`` and ``v2`` each take the other
+        as the witness of their tie and ``u`` loses ``t``."""
+        net = _diamond()
+        want = csgraph.dijkstra(net.to_csr())
+        assert np.isfinite(want).all()
+        arrays = ContractionHierarchy.build(net).to_arrays()
+        assert np.array_equal(_all_pairs(ContractionHierarchy.from_arrays(net, arrays), 8), want)
+        batched = ContractionHierarchy.from_arrays(net, arrays).cost_matrix_m(range(8), range(8))
+        assert np.array_equal(batched, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_digraphs())
+    def test_random_digraphs_bit_equal_to_scipy(self, net):
+        n = net.num_vertices
+        want = csgraph.dijkstra(net.to_csr())
+        arrays = ContractionHierarchy.build(net).to_arrays()
+        pointwise = ContractionHierarchy.from_arrays(net, arrays)
+        assert np.array_equal(_all_pairs(pointwise, n), want)
+        batched = ContractionHierarchy.from_arrays(net, arrays)
+        assert np.array_equal(batched.cost_matrix_m(range(n), range(n)), want)
+        unique = all(length > 0.0 for _u, _v, length in net.edges())
+        reference = reference_ch_build(net)
+        for a in range(n):
+            for b in range(n):
+                path = pointwise.path(a, b)
+                if np.isinf(want[a, b]):
+                    assert path is None
+                    continue
+                assert path[0] == a and path[-1] == b and net.is_path(path)
+                if unique:
+                    assert path == reference.path(a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_exact_tie_grids(self, rows, cols, seed):
+        """Every edge exactly 100.0 (some one-way): shortest paths tie
+        everywhere, distances stay bit-equal, and whichever path the
+        hierarchy unpacks is a real one of exactly that length."""
+        rng = np.random.default_rng(seed)
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c
+                for w in ((v + 1) if c + 1 < cols else None, (v + cols) if r + 1 < rows else None):
+                    if w is None:
+                        continue
+                    way = rng.integers(3)  # 0: both ways, 1: v -> w only, 2: w -> v only
+                    if way != 2:
+                        edges.append((v, w, 100.0))
+                    if way != 1:
+                        edges.append((w, v, 100.0))
+        xy = [(100.0 * (v % cols), 100.0 * (v // cols)) for v in range(rows * cols)]
+        net = RoadNetwork(xy, edges)
+        n = net.num_vertices
+        want = csgraph.dijkstra(net.to_csr())
+        hierarchy = ContractionHierarchy.build(net)
+        assert np.array_equal(_all_pairs(hierarchy, n), want)
+        for a in range(n):
+            for b in range(n):
+                path = hierarchy.path(a, b)
+                if np.isinf(want[a, b]):
+                    assert path is None
+                else:
+                    assert net.is_path(path) and net.path_length_m(path) == want[a, b]
+
+    def test_ch40_run_identical_on_the_reference_hierarchy(self):
+        """A trimmed ``cold-ch`` cell — the CH40 city, ``mt-share``, 100
+        requests — once on the hierarchy contracted in rounds and once on
+        the sequential reference: the same decisions in the same order,
+        the same trips and fingerprint, the same shortcut steps unpacked."""
+        from repro.sim.scenario import ScenarioSpec
+
+        scenario = Scenario(ScenarioSpec(
+            kind="peak", grid_rows=40, grid_cols=40, spacing_m=180.0, hourly_requests=800,
+            history_days=1, num_partitions=36, sp_mode="ch", seed=1,
+        ))
+        network = scenario.network
+        scenario.landmark_graph()  # built once, on neither of the two engines
+        runs = {}
+        for label, hierarchy in (
+            ("rounds", ContractionHierarchy.build(network)),
+            ("reference", reference_ch_build(network)),
+        ):
+            scenario.engine = ShortestPathEngine(network, mode="ch", ch_arrays=hierarchy.to_arrays())
+            decisions = []
+            sim = Simulator(
+                scenario.make_scheme("mt-share"),
+                scenario.make_fleet(100, seed=1),
+                scenario.requests(seed=1)[:100],
+                payment=PaymentModel(),
+            )
+            sim.on_decision = lambda request, now, matched, taxi_id, _elapsed_s, kind: (
+                decisions.append((request.request_id, now, matched, taxi_id, kind))
+            )
+            metrics = sim.run()
+            trips = [
+                (rid, t.taxi_id, t.assign_time, t.pickup_time, t.dropoff_time)
+                for rid, t in sorted(sim.log.trips.items())
+            ]
+            runs[label] = (decisions, trips, decision_fingerprint(metrics),
+                           scenario.engine.stats()["sp.ch.rect_steps"])
+        assert len(runs["rounds"][0]) == 100 and runs["rounds"][1], "cell served nothing"
+        assert runs["rounds"] == runs["reference"]
+
+
+def _first_up_shortcut(arrays):
+    return int(np.flatnonzero(arrays["up_mid"] >= 0)[0])
+
+
+def _break_lengths(arrays, _net):
+    arrays["up_w"] = arrays["up_w"][:-1]
+
+
+def _break_indptr(arrays, _net):
+    arrays["down_indptr"] = arrays["down_indptr"][:-1]
+
+
+def _break_vertex_id(arrays, net):
+    arrays["up_head"][0] = net.num_vertices
+
+
+def _break_row_order(arrays, _net):
+    row = int(np.flatnonzero(np.diff(arrays["up_indptr"]) >= 2)[0])
+    lo = arrays["up_indptr"][row]
+    arrays["up_head"][[lo, lo + 1]] = arrays["up_head"][[lo + 1, lo]]
+
+
+def _break_permutation(arrays, _net):
+    arrays["rank"][np.argmax(arrays["rank"])] = 0
+
+
+def _break_direction(arrays, _net):
+    rank = arrays["rank"]
+    lowest, highest = np.argmin(rank), np.argmax(rank)
+    rank[[lowest, highest]] = rank[[highest, lowest]]
+
+
+def _break_mid_rank(arrays, _net):
+    arrays["up_mid"][_first_up_shortcut(arrays)] = np.argmax(arrays["rank"])
+
+
+def _break_component(arrays, _net):
+    arrays["up_mid"][_first_up_shortcut(arrays)] = np.argmin(arrays["rank"])
+
+
+def _break_weight_sum(arrays, _net):
+    k = _first_up_shortcut(arrays)
+    arrays["up_w"][k] = np.nextafter(arrays["up_w"][k], np.inf)
+
+
+class TestHierarchyCheck:
+    """A hierarchy is checked when it is attached, so a corrupt or foreign
+    one fails there, naming the rule, and never mid-query."""
+
+    @pytest.fixture(scope="class")
+    def built(self, small_net):
+        return ContractionHierarchy.build(small_net).to_arrays()
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (_break_lengths, r"up_w has shape \(\d+,\), expected \(\d+,\) from up_indptr\[-1\]"),
+        (_break_indptr, "down_indptr is not a row pointer over 100 vertices"),
+        (_break_vertex_id, "up edges name a vertex outside 0..99"),
+        (_break_row_order, "up_head is not sorted and distinct per row"),
+        (_break_permutation, "rank is not a permutation"),
+        (_break_direction, "edge that does not (ascend|descend) in rank"),
+        (_break_mid_rank, "shortcut whose mid does not rank below both ends"),
+        (_break_component, "shortcut with a missing component edge"),
+        (_break_weight_sum, "shortcut whose weight is not the sum of its components"),
+    ], ids=["lengths", "indptr", "vertex-id", "row-order", "permutation", "direction",
+            "mid-rank", "component", "weight-sum"])
+    def test_each_rule_names_itself(self, small_net, built, corrupt, message):
+        arrays = {name: array.copy() for name, array in built.items()}
+        ContractionHierarchy.from_arrays(small_net, arrays)  # intact: attaches
+        corrupt(arrays, small_net)
+        with pytest.raises(ValueError, match=message):
+            ContractionHierarchy.from_arrays(small_net, arrays)
+
+    def test_a_hierarchy_of_another_network_of_the_same_size(self, small_net, built):
+        other = RoadNetwork(small_net.xy, [(u, v, 1.5 * w) for u, v, w in small_net.edges()])
+        assert other.num_vertices == small_net.num_vertices
+        with pytest.raises(ValueError, match="original edge that is not an edge of the network"):
+            ContractionHierarchy.from_arrays(other, built)
 
 
 class TestDijkstraRestricted:
