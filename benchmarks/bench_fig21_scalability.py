@@ -21,17 +21,18 @@ def test_fig21_scalability(benchmark, scale):
 
 
 def test_fig21v_vertex_scalability(benchmark, scale):
-    """Fig. 21 companion: network-size axis over the auto ch cutover.
+    """Fig. 21 companion: network-size axis over the auto lazy cutover.
 
     The sweep must cross ``FULL_APSP_LIMIT`` so the largest cell runs
-    on the contraction-hierarchy backend, and per-request response time
+    on the lazy per-source backend, and per-request response time
     must stay flat as the network grows.
     """
     res = run_figure(benchmark, fig21v_vertex_scalability, scale)
     assert res.series["sp_mode"][0] == "full"
-    assert res.series["sp_mode"][-1] == "ch"
+    assert res.series["sp_mode"][-1] == "lazy"
     # Absolute dispatch-latency bound: per-request response stays in the
     # tens of milliseconds even on networks far past the APSP ceiling
-    # (point lookups become hierarchy searches, so a relative-flatness
-    # gate against the dense-table cells would be meaningless).
+    # (point lookups become per-source Dijkstra trees behind an LRU memo,
+    # so a relative-flatness gate against the dense-table cells would be
+    # meaningless).
     assert max(res.series["response_ms"]) <= 50.0

@@ -59,8 +59,8 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
     p.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
                    default="auto",
                    help="shortest-path backend (auto resolves against "
-                        "REPRO_SP_MODE, then full below/ch above the "
-                        "dense-matrix vertex limit)")
+                        "REPRO_SP_MODE, then full below/lazy above the "
+                        "dense-matrix vertex limit; ch only when named)")
 
 
 def _simulate_args(sim: argparse.ArgumentParser) -> None:

@@ -521,16 +521,16 @@ def fig21v_vertex_scalability(
 
     The paper's Fig. 21 grows the trace volume on a fixed road network;
     this companion grows the *network* at a fixed workload — the axis
-    the contraction-hierarchy backend unlocks (a full APSP table needs
-    O(V^2) memory and dies around 20k vertices; ``mode="auto"`` flips
-    to ``ch`` above ``FULL_APSP_LIMIT``).  mT-Share runs with the
-    geometric partitioner (k-means over coordinates stays tractable at
-    hundreds of thousands of vertices, unlike the bipartite fixed
-    point) over one evaluation hour per size.
+    the on-demand backends unlock (a full APSP table needs O(V^2)
+    memory and dies around 20k vertices; ``mode="auto"`` flips to the
+    ``lazy`` per-source memo above ``FULL_APSP_LIMIT``).  mT-Share runs
+    with the geometric partitioner (k-means over coordinates stays
+    tractable at hundreds of thousands of vertices, unlike the
+    bipartite fixed point) over one evaluation hour per size.
     """
     scale = scale or bench_scale()
     if grid_sides is None:
-        # quick: one full-mode grid and one past the auto ch cutover;
+        # quick: one full-mode grid and one past the auto lazy cutover;
         # full: ~10k, ~50k and ~200k vertices.
         grid_sides = (40, 90) if scale.name == "quick" else (100, 224, 448)
     from ..sim.engine import Simulator

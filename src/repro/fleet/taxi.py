@@ -183,11 +183,6 @@ class Taxi:
         return self._onboard_pax + self._assigned_pax
 
     @property
-    def idle_seats(self) -> int:
-        """Free seats right now (onboard passengers only)."""
-        return self.capacity - self.occupancy
-
-    @property
     def stops_fired_total(self) -> int:
         """Lifetime count of executed stops (monotone, never reset).
 
@@ -211,15 +206,6 @@ class Taxi:
         i = self._route_cursor
         times = self.route.times
         return times[i] if i < len(times) else math.inf
-
-    def has_spare_commitment(self) -> bool:
-        """Whether accepting one more single passenger could ever fit.
-
-        A cheap necessary condition used to prune candidates: if even
-        the peak commitment exceeds capacity the insertion enumeration
-        cannot succeed.  (The exact check runs per schedule instance.)
-        """
-        return self.committed < self.capacity
 
     def position_at(self, now: float) -> tuple[int, float]:
         """Planning position: the next vertex and when it is reached.

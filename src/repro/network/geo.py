@@ -1,26 +1,16 @@
-"""Geographic primitives shared by the road-network and clustering code.
+"""Geometric primitives shared by the road-network and clustering code.
 
-The paper works with latitude/longitude pairs from OpenStreetMap and the
-Didi GAIA trace.  Internally we keep every coordinate on a local planar
-projection in metres, which makes distance computations exact, cheap and
-easy to reason about.  This module provides the conversions between the
-two representations plus the small vector helpers (bearing, cosine
-similarity) that the mobility-clustering machinery builds on.
+Every coordinate lives on a local planar projection in metres, which
+makes distance computations exact, cheap and easy to reason about.
+This module provides the planar point type and the cosine similarity
+that the mobility-clustering machinery builds on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-EARTH_RADIUS_M = 6_371_000.0
-
-#: Reference origin used when projecting synthetic city coordinates to
-#: latitude/longitude.  The value is the approximate centre of Chengdu,
-#: the city whose trace the paper evaluates on.
-CHENGDU_LAT = 30.6598
-CHENGDU_LNG = 104.0633
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,50 +27,6 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-
-def haversine_m(lat1: float, lng1: float, lat2: float, lng2: float) -> float:
-    """Great-circle distance between two lat/lng pairs, in metres."""
-    phi1 = math.radians(lat1)
-    phi2 = math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlmb = math.radians(lng2 - lng1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
-
-
-def latlng_to_xy(
-    lat: float,
-    lng: float,
-    origin_lat: float = CHENGDU_LAT,
-    origin_lng: float = CHENGDU_LNG,
-) -> Point:
-    """Project a lat/lng pair onto the local tangent plane at ``origin``.
-
-    An equirectangular projection is accurate to well under a metre over
-    the tens of kilometres a city network spans, which is all the
-    ridesharing algorithms need.
-    """
-    x = math.radians(lng - origin_lng) * EARTH_RADIUS_M * math.cos(math.radians(origin_lat))
-    y = math.radians(lat - origin_lat) * EARTH_RADIUS_M
-    return Point(x, y)
-
-
-def xy_to_latlng(
-    x: float,
-    y: float,
-    origin_lat: float = CHENGDU_LAT,
-    origin_lng: float = CHENGDU_LNG,
-) -> tuple[float, float]:
-    """Inverse of :func:`latlng_to_xy`."""
-    lat = origin_lat + math.degrees(y / EARTH_RADIUS_M)
-    lng = origin_lng + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(origin_lat))))
-    return lat, lng
-
-
-def euclidean(ax: float, ay: float, bx: float, by: float) -> float:
-    """Euclidean distance between ``(ax, ay)`` and ``(bx, by)``."""
-    return math.hypot(ax - bx, ay - by)
 
 
 def cosine_similarity(ax: float, ay: float, bx: float, by: float) -> float:
@@ -104,26 +50,3 @@ def cosine_similarity(ax: float, ay: float, bx: float, by: float) -> float:
     norm_b = math.hypot(bx, by)
     value = (ax * bx + ay * by) / (norm_a * norm_b)
     return max(-1.0, min(1.0, value))
-
-
-def bearing_deg(ax: float, ay: float, bx: float, by: float) -> float:
-    """Bearing of the vector from ``(ax, ay)`` to ``(bx, by)`` in degrees.
-
-    Measured counter-clockwise from the positive x axis, in ``[0, 360)``.
-    """
-    angle = math.degrees(math.atan2(by - ay, bx - ax))
-    return angle % 360.0
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Arithmetic mean of a non-empty iterable of :class:`Point`."""
-    xs = 0.0
-    ys = 0.0
-    n = 0
-    for p in points:
-        xs += p.x
-        ys += p.y
-        n += 1
-    if n == 0:
-        raise ValueError("centroid of an empty point set is undefined")
-    return Point(xs / n, ys / n)

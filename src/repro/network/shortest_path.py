@@ -6,12 +6,13 @@ so that a shortest-path query costs O(1) during matching (Section V-A4).
 builds the full all-pairs matrix with scipy's C Dijkstra; on larger
 graphs it falls back to per-source computation with a bounded LRU memo,
 which keeps memory bounded while staying fast for the skewed query
-distributions a dispatcher generates.  Above :data:`FULL_APSP_LIMIT`
-the default is now the contraction-hierarchy backend (``mode="ch"``,
-:mod:`repro.network.ch`): near-constant point-to-point and bucket-based
-many-to-many queries with rectified, bit-identical distances, and a
-persisted hierarchy so warm runs skip preprocessing.  The
-``REPRO_SP_MODE`` environment variable overrides the ``"auto"``
+distributions a dispatcher generates; ``mode="auto"`` picks it above
+:data:`FULL_APSP_LIMIT`.  The contraction-hierarchy backend
+(``mode="ch"``, :mod:`repro.network.ch`) answers the same queries with
+bit-identical distances from a persisted hierarchy; it runs only when
+asked for, because the lazy memo measured faster end to end at every
+size from 1.6k to 200k vertices (docs/PERFORMANCE.md, "Routing backends").
+The ``REPRO_SP_MODE`` environment variable overrides the ``"auto"``
 resolution (see :data:`SP_MODE_ENV`).
 
 :func:`dijkstra_restricted` is the segment-level router of basic
@@ -61,7 +62,8 @@ def resolve_sp_mode(mode: str, num_vertices: int) -> str:
     """Resolve an engine mode string against the env override and size rule.
 
     ``"auto"`` consults :data:`SP_MODE_ENV` first, then picks ``full``
-    at or below :data:`FULL_APSP_LIMIT` vertices and ``ch`` above it.
+    at or below :data:`FULL_APSP_LIMIT` vertices and ``lazy`` above it.
+    ``ch`` is never chosen by the size rule.
     """
     if mode == "auto":
         env = os.environ.get(SP_MODE_ENV, "").strip().lower()
@@ -70,7 +72,7 @@ def resolve_sp_mode(mode: str, num_vertices: int) -> str:
         elif env and env != "auto":
             raise ValueError(f"invalid {SP_MODE_ENV}={env!r}; use auto/full/lazy/ch")
     if mode == "auto":
-        mode = "full" if num_vertices <= FULL_APSP_LIMIT else "ch"
+        mode = "full" if num_vertices <= FULL_APSP_LIMIT else "lazy"
     if mode not in _SP_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return mode
@@ -97,7 +99,7 @@ class ShortestPathEngine:
         computes single-source trees on demand, ``"ch"`` builds (or
         attaches) a contraction hierarchy (:mod:`repro.network.ch`),
         ``"auto"`` (default) picks ``"full"`` at or below
-        :data:`FULL_APSP_LIMIT` vertices and ``"ch"`` above — unless
+        :data:`FULL_APSP_LIMIT` vertices and ``"lazy"`` above — unless
         the :data:`SP_MODE_ENV` environment variable overrides it.
     full_arrays:
         Optional precomputed ``(dist, pred)`` matrices for ``"full"``

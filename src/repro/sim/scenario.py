@@ -191,8 +191,9 @@ class ScenarioSpec:
     seed: int = 7
     #: Shortest-path backend: ``"auto"`` (default; resolved against the
     #: ``REPRO_SP_MODE`` env override and the vertex-count rule at build
-    #: time), ``"full"``, ``"lazy"`` or ``"ch"``.  Not part of the
-    #: network spec, so all backends share trace/partition artifacts.
+    #: time to ``"full"`` or ``"lazy"``), ``"full"``, ``"lazy"`` or
+    #: ``"ch"``, which only runs when named here or in the env.  Not part
+    #: of the network spec, so all backends share trace/partition artifacts.
     sp_mode: str = "auto"
 
     def __post_init__(self) -> None:
@@ -310,9 +311,10 @@ class Scenario:
 
         The spec's ``sp_mode`` is resolved first (``"auto"`` consults
         the ``REPRO_SP_MODE`` env override, then picks ``full`` for
-        small grids and ``ch`` above ``FULL_APSP_LIMIT``).  Full mode
-        persists/loads the APSP matrices; ch mode persists/loads the
-        contraction hierarchy.  On a warm store both are memory-mapped
+        small grids and ``lazy`` above ``FULL_APSP_LIMIT``, which
+        stores nothing).  Full mode persists/loads the APSP matrices; ch
+        mode, chosen only explicitly, persists/loads the contraction
+        hierarchy.  On a warm store both are memory-mapped
         (zero-copy: pages are shared between concurrent workers by the
         OS cache) instead of being recomputed.
         """

@@ -5,16 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from repro.network.geo import (
-    Point,
-    bearing_deg,
-    centroid,
-    cosine_similarity,
-    euclidean,
-    haversine_m,
-    latlng_to_xy,
-    xy_to_latlng,
-)
+from repro.network.geo import Point, cosine_similarity
 
 finite = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
 
@@ -34,52 +25,6 @@ class TestPoint:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Point(0.0, 0.0).x = 1.0
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        assert haversine_m(30.0, 104.0, 30.0, 104.0) == 0.0
-
-    def test_one_degree_latitude(self):
-        # One degree of latitude is about 111.2 km everywhere.
-        d = haversine_m(30.0, 104.0, 31.0, 104.0)
-        assert d == pytest.approx(111_195, rel=0.01)
-
-    def test_symmetry(self):
-        a = haversine_m(30.66, 104.06, 30.70, 104.10)
-        b = haversine_m(30.70, 104.10, 30.66, 104.06)
-        assert a == pytest.approx(b)
-
-
-class TestProjection:
-    def test_origin_maps_to_zero(self):
-        p = latlng_to_xy(30.6598, 104.0633)
-        assert p.x == pytest.approx(0.0, abs=1e-6)
-        assert p.y == pytest.approx(0.0, abs=1e-6)
-
-    def test_round_trip(self):
-        lat, lng = 30.70, 104.10
-        p = latlng_to_xy(lat, lng)
-        lat2, lng2 = xy_to_latlng(p.x, p.y)
-        assert lat2 == pytest.approx(lat, abs=1e-9)
-        assert lng2 == pytest.approx(lng, abs=1e-9)
-
-    def test_projection_close_to_haversine(self):
-        lat, lng = 30.69, 104.09
-        p = latlng_to_xy(lat, lng)
-        planar = math.hypot(p.x, p.y)
-        true = haversine_m(30.6598, 104.0633, lat, lng)
-        assert planar == pytest.approx(true, rel=0.001)
-
-    @given(
-        st.floats(min_value=30.5, max_value=30.8),
-        st.floats(min_value=103.9, max_value=104.2),
-    )
-    def test_round_trip_property(self, lat, lng):
-        p = latlng_to_xy(lat, lng)
-        lat2, lng2 = xy_to_latlng(p.x, p.y)
-        assert abs(lat2 - lat) < 1e-9
-        assert abs(lng2 - lng) < 1e-9
 
 
 class TestCosineSimilarity:
@@ -110,33 +55,3 @@ class TestCosineSimilarity:
         v1 = cosine_similarity(ax, ay, 3.0, 4.0)
         v2 = cosine_similarity(ax * k, ay * k, 3.0, 4.0)
         assert v1 == pytest.approx(v2, abs=1e-9)
-
-
-class TestBearing:
-    @pytest.mark.parametrize(
-        "dx, dy, expected",
-        [(1.0, 0.0, 0.0), (0.0, 1.0, 90.0), (-1.0, 0.0, 180.0), (0.0, -1.0, 270.0)],
-    )
-    def test_cardinal_directions(self, dx, dy, expected):
-        assert bearing_deg(0.0, 0.0, dx, dy) == pytest.approx(expected)
-
-    def test_range(self):
-        assert 0.0 <= bearing_deg(0.0, 0.0, -1.0, -1.0) < 360.0
-
-
-class TestEuclideanAndCentroid:
-    def test_euclidean(self):
-        assert euclidean(0, 0, 3, 4) == pytest.approx(5.0)
-
-    def test_centroid_of_square(self):
-        pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        c = centroid(pts)
-        assert (c.x, c.y) == (1.0, 1.0)
-
-    def test_centroid_single_point(self):
-        c = centroid([Point(5.0, -1.0)])
-        assert (c.x, c.y) == (5.0, -1.0)
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])

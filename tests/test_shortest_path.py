@@ -12,6 +12,7 @@ from repro.network.ch import ContractionHierarchy
 from repro.network import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import (
+    FULL_APSP_LIMIT,
     SP_MODE_ENV,
     PathNotFound,
     ShortestPathEngine,
@@ -289,14 +290,39 @@ class TestCHMode:
     def test_mode_resolution(self, monkeypatch):
         monkeypatch.delenv(SP_MODE_ENV, raising=False)
         assert resolve_sp_mode("auto", 100) == "full"
-        assert resolve_sp_mode("auto", 50_000) == "ch"
+        assert resolve_sp_mode("auto", FULL_APSP_LIMIT) == "full"
+        # The size rule never picks the hierarchy: lazy measured faster.
+        assert resolve_sp_mode("auto", FULL_APSP_LIMIT + 1) == "lazy"
+        assert resolve_sp_mode("auto", 50_000) == "lazy"
         assert resolve_sp_mode("lazy", 50_000) == "lazy"
+        assert resolve_sp_mode("ch", 100) == "ch"
         monkeypatch.setenv(SP_MODE_ENV, "ch")
         assert resolve_sp_mode("auto", 100) == "ch"
+        assert resolve_sp_mode("auto", 50_000) == "ch"
         assert resolve_sp_mode("full", 100) == "full"  # explicit beats env
         monkeypatch.setenv(SP_MODE_ENV, "bogus")
         with pytest.raises(ValueError):
             resolve_sp_mode("auto", 100)
+
+
+    def test_auto_above_limit_builds_no_hierarchy(self, tmp_path, monkeypatch):
+        """``auto`` on a grid just past the dense-table limit runs lazy
+        and leaves neither a ``ch`` nor an ``apsp`` artifact behind."""
+        from repro.artifacts import get_store
+        from repro.sim.scenario import ScenarioSpec
+
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        monkeypatch.delenv(SP_MODE_ENV, raising=False)
+        spec = ScenarioSpec(
+            grid_rows=78, grid_cols=78, hourly_requests=20, history_days=1,
+            num_partitions=4, offline_count=0, seed=3,
+        )
+        scenario = Scenario(spec)
+        assert scenario.network.num_vertices > FULL_APSP_LIMIT
+        assert scenario.engine.mode == "lazy"
+        assert scenario.engine.hierarchy is None
+        store = get_store()
+        assert store.entries("ch") == [] and store.entries("apsp") == []
 
 
 class TestCHArtifacts:
