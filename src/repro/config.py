@@ -8,6 +8,7 @@ with the paper's default values.  Experiments create variants with
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
@@ -133,6 +134,11 @@ class SystemConfig:
             raise ValueError("num_taxis must be positive")
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
+        # NaN slips past every ordered comparison below, and an infinite
+        # window never ticks: the float knobs must be finite first.
+        for name in ("search_range_m", "rho", "epsilon", "dispatch_window_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.search_range_m <= 0:
             raise ValueError("search_range_m must be positive")
         if self.rho < 1.0:

@@ -20,17 +20,21 @@ Assignment Problems"):
    pair's minimum-detour feasible insertion.  Idle candidates — the
    bulk of every window — are filled for *all* pairs at once from two
    batched :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_matrix`
-   gathers (CH bucket many-to-many above the APSP cutover); each
-   request's busy candidates go through one
+   gathers (CH bucket many-to-many above the APSP cutover); every
+   busy (request, candidate) pair of the window is one row of a single
    :func:`~repro.fleet.schedule.score_insertions` call.  Both fills
    reproduce the scalar per-pair insertion evaluation bit for bit;
    infeasible pairs stay ``+inf``.
-3. **Solve** the LAP with ``scipy.optimize.linear_sum_assignment``
-   after masking ``+inf`` to a large finite penalty, which makes the
-   optimum maximise the number of feasible matches first and minimise
-   total detour second.  Rows are in release order and columns in
-   ascending taxi id, so tie-breaking is a deterministic function of
-   the matrix alone.
+3. **Solve** the LAP after masking ``+inf`` to a large finite penalty,
+   which makes the optimum maximise the number of feasible matches
+   first and minimise total detour second.  The solver is
+   :func:`_linear_sum_assignment`, an exact port of scipy's
+   ``linear_sum_assignment`` (same answer on every input, pinned in
+   ``tests/test_window.py``), so building the scheme imports no scipy;
+   rows holding no feasible cell — most of every window — are settled
+   in O(1) each.  Rows are in release order and columns in ascending
+   taxi id, so tie-breaking is a deterministic function of the matrix
+   alone.
 4. **Apply** each winning pair through the ordinary
    :class:`~repro.baselines.base.DispatchScheme` plumbing — the LAP
    assigns every taxi at most one new request per window, so plans
@@ -45,12 +49,12 @@ to the next ``window.tick`` until their pick-up deadline expires.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
@@ -107,10 +111,10 @@ def solve_window_lap(costs: np.ndarray) -> list[tuple[int, int]]:
     """Feasible assignments of the window LAP, in row order.
 
     Masks ``+inf`` to :data:`INFEASIBLE_PENALTY`, solves the
-    rectangular problem with ``scipy.optimize.linear_sum_assignment``
-    and drops penalty pairs.  The solver is deterministic for a given
-    matrix, and rows/columns are deterministically ordered by the
-    caller, so equal-cost optima always resolve the same way.
+    rectangular problem with :func:`_linear_sum_assignment` and drops
+    penalty pairs.  The solver is deterministic for a given matrix, and
+    rows/columns are deterministically ordered by the caller, so
+    equal-cost optima always resolve the same way.
     """
     if costs.size == 0:
         return []
@@ -118,12 +122,177 @@ def solve_window_lap(costs: np.ndarray) -> list[tuple[int, int]]:
     if not bool(finite.any()):
         return []
     masked = np.where(finite, costs, INFEASIBLE_PENALTY)
-    rows, cols = linear_sum_assignment(masked)
+    rows, cols = _linear_sum_assignment(masked)
     return [
         (int(i), int(j))
         for i, j in zip(rows, cols)
         if bool(finite[i, j])
     ]
+
+
+def _linear_sum_assignment(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment(matrix)``, ported exactly.
+
+    Crouse's shortest augmenting path algorithm as scipy ships it
+    (``rectangular_lsap.cpp``): a matrix with fewer columns than rows
+    is solved transposed, rows are augmented in order, each path search
+    scans the remaining columns in scipy's order and prefers a free
+    column among equal minima, and every dual update is the same float
+    operation on the same operands — so the returned ``(rows, cols)``
+    are scipy's for every input (``tests/test_window.py`` pins them),
+    including the ``ValueError`` on NaN, ``-inf`` and infeasible input.
+    A module-level scipy import would cost a ``window-lap`` run about
+    0.3 s of set-up for a solve that takes 2 % of the run.
+    """
+    cost = np.asarray(matrix, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim} array")
+    if cost.shape[0] == 0 or cost.shape[1] == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    lowest = cost.min()  # NaN if any entry is NaN
+    if lowest != lowest or lowest == -np.inf:
+        raise ValueError("matrix contains invalid numeric entries")
+    col4row = _augment_rows(np.ascontiguousarray(cost))
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(col4row.size, dtype=np.int64), col4row
+
+
+def _augment_rows(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in the minimum-cost matching of a wide matrix.
+
+    Two exact shortcuts precede scipy's general path search.  A fresh
+    row's first scan sees ``cost - v`` (its own dual is still 0): when
+    the column it selects is free, the row is settled there.  A row
+    whose cells all equal ``c`` scans ``c - v[j]``, which is exactly
+    ``c`` on every free column (a free column's dual was never moved)
+    and ``>= c`` on the others while every dual is ``<= 0`` — true in
+    exact arithmetic, so it is checked, not assumed — and the tie rule
+    then picks the lowest-index free column: O(1) per row.
+
+    The general search scans whole rows in natural column order, so a
+    scan is a handful of array operations; scipy's swap-remove scan
+    order is kept on the side, because only the tie rule reads it.
+    Row duals and the assignment are read one scalar at a time and live
+    in lists, and a popped column's predecessor row is recovered from
+    the kept scans instead of being tracked per scan.
+    """
+    nr, nc = cost.shape
+    inf = np.inf
+    u = [0.0] * nr
+    v = np.zeros(nc)
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    assigned = np.zeros(nc, dtype=bool)
+    # scipy's scan order: remaining columns, filled in reverse.
+    reverse = np.arange(nc - 1, -1, -1)
+    first = cost[:, 0]
+    constant = ((cost == first[:, None]).all(axis=1) & (first < inf)).tolist()
+    lowest_free = 0
+    duals_nonpositive = True
+    for cur in range(nr):
+        if constant[cur] and duals_nonpositive:
+            while row4col[lowest_free] >= 0:
+                lowest_free += 1
+            u[cur] += float(first[cur])
+            row4col[lowest_free] = cur
+            col4row[cur] = lowest_free
+            assigned[lowest_free] = True
+            continue
+        # First scan of a fresh row (``u[cur]`` is 0), in natural column
+        # order: the last free column among the minima in scipy's
+        # reverse order is the lowest-index one; with none free, the
+        # first is the highest.
+        r = cost[cur] - v
+        j = int(r.argmin())
+        min_val = float(r[j])
+        if min_val == inf:
+            raise ValueError("cost matrix is infeasible")
+        if row4col[j] >= 0:
+            j_free = int(np.where(assigned, inf, r).argmin())
+            j = j_free if r[j_free] == min_val else nc - 1 - int(r[::-1].argmin())
+        if row4col[j] < 0:
+            # v[j] -= min_val - spc[j] subtracts 0.0: nothing to do.
+            u[cur] += min_val
+            row4col[j] = cur
+            col4row[cur] = j
+            assigned[j] = True
+            continue
+        # The general search, from the first scan's state.  A column
+        # leaves it with cost +inf and scan dual -inf, so every later
+        # scan reads +inf there; ``order`` / ``pos_of`` replay scipy's
+        # swap-remove scan order, which only the tie rule reads.
+        spc = r.copy()
+        scan_v = v.copy()
+        scans = [(cur, r)]
+        order = reverse.copy()
+        pos_of = reverse.copy()
+        n = nc
+        cols: list[int] = []
+        col_spc: list[float] = []
+        path: dict[int, int] = {}
+        while True:
+            cols.append(j)
+            col_spc.append(min_val)
+            # Predecessor: the first scan that reached the final cost
+            # (scipy updates on strict improvement only).
+            for row, scan in scans:
+                if scan[j] == min_val:
+                    path[j] = row
+                    break
+            spc[j] = inf
+            scan_v[j] = -inf
+            n -= 1
+            moved = order[n]
+            order[pos_of[j]] = moved
+            pos_of[moved] = pos_of[j]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            scan = min_val + cost[i]
+            scan -= u[i]
+            scan -= scan_v
+            scans.append((i, scan))
+            np.minimum(spc, scan, out=spc)
+            j = int(spc.argmin())
+            min_val = float(spc[j])
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            # A second argmin with the first minimum masked detects a tie
+            # cheaper than listing every minimum.
+            spc[j] = inf
+            runner_up = float(spc[spc.argmin()])
+            spc[j] = min_val
+            if runner_up == min_val:
+                # The last free column among the minima in scipy's order,
+                # else the first of them.
+                hits = (spc == min_val).nonzero()[0]
+                free = hits[~assigned[hits]]
+                if free.size:
+                    j = int(free[pos_of[free].argmax()])
+                else:
+                    j = int(hits[pos_of[hits].argmin()])
+        # Dual updates, then flip the path: scipy's order and operands
+        # (``scans[k]`` is the row reached through ``cols[k - 1]``).
+        u[cur] += min_val
+        for k in range(1, len(scans)):
+            u[scans[k][0]] += min_val - col_spc[k - 1]
+        for c, spent in zip(cols, col_spc):
+            v[c] -= min_val - spent
+            if v[c] > 0.0:
+                duals_nonpositive = False
+        assigned[j] = True
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
 
 
 class WindowLAP(MTShare):
@@ -166,8 +335,8 @@ class WindowLAP(MTShare):
         self.dispatch_window_s = float(
             config.dispatch_window_s if window_s is None else window_s
         )
-        if self.dispatch_window_s < 0:
-            raise ValueError("window_s must be non-negative")
+        if not (math.isfinite(self.dispatch_window_s) and self.dispatch_window_s >= 0):
+            raise ValueError("window_s must be non-negative and finite")
 
     # ------------------------------------------------------------------
     # window matching
@@ -252,8 +421,9 @@ class WindowLAP(MTShare):
         )
         if not screen.taxis:
             return matrix
-        with obs.stage("window.matrix"):
+        with obs.stage("window.fill_idle"):
             self._fill_idle(batch, screen, matrix)
+        with obs.stage("window.fill_busy"):
             self._fill_busy(batch, screen, matrix)
         obs.count("window.matrix_cells", costs.size)
         obs.count("window.matrix_feasible", int(np.isfinite(costs).sum()))
@@ -321,29 +491,32 @@ class WindowLAP(MTShare):
     def _fill_busy(
         self, batch: list[RideRequest], screen: WindowScreen, matrix: WindowCostMatrix
     ) -> None:
-        """Fill the busy-candidate pairs, one scorer call per request.
+        """Fill every busy-candidate pair of the window in one scorer call.
 
-        Busy schedules need the general insertion machinery; each
-        request's busy candidates go through one
-        :func:`~repro.fleet.schedule.score_insertions` call, sharing
-        the per-taxi state gathered once for the window.
+        Busy schedules need the general insertion machinery: each
+        (request, busy candidate) member pair is one row of a single
+        :func:`~repro.fleet.schedule.score_insertions` call, which
+        shares the per-taxi state gathered once for the window and
+        reads each taxi's schedule and each request once.
         """
         busy = [j for j, start in enumerate(screen.starts) if start[2]]
         if not busy:
             return
-        engine = self._engine
-        obs = self._obs
-        member = screen.member[:, busy]
-        for i, request in enumerate(batch):
-            cols = [busy[k] for k in np.flatnonzero(member[i]).tolist()]
-            if not cols:
-                continue
-            starts = [screen.starts[j] for j in cols]
-            for idx, last, pi, pj in score_insertions(engine, starts, request, obs):
-                j = cols[idx]
-                ready = starts[idx][1]
-                matrix.costs[i, j] = (last - ready) - screen.taxis[j].remaining_route_cost(ready)
-                matrix.insertions[(i, j)] = (pi, pj)
-        busy_pairs = int(member.sum())
-        if busy_pairs:
-            obs.count("window.matrix_busy_pairs", busy_pairs)
+        pair_rows, pair_busy = np.nonzero(screen.member[:, busy])
+        if not pair_rows.size:
+            return
+        rows = pair_rows.tolist()
+        cols = [busy[k] for k in pair_busy.tolist()]
+        starts = [screen.starts[j] for j in cols]
+        requests = [batch[i] for i in rows]
+        current: dict[int, float] = {}
+        for idx, last, pi, pj in score_insertions(self._engine, starts, requests, self._obs):
+            i = rows[idx]
+            j = cols[idx]
+            ready = starts[idx][1]
+            cost = current.get(j)
+            if cost is None:
+                cost = current[j] = screen.taxis[j].remaining_route_cost(ready)
+            matrix.costs[i, j] = (last - ready) - cost
+            matrix.insertions[(i, j)] = (pi, pj)
+        self._obs.count("window.matrix_busy_pairs", len(rows))

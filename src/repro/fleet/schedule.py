@@ -46,6 +46,13 @@ class StopKind(enum.Enum):
     DROPOFF = "dropoff"
 
 
+#: ``StopKind.PICKUP`` read once: an enum member looked up through its
+#: class costs ~0.24 us on CPython 3.11, more than the rest of a
+#: :class:`Stop` property, and the insertion scorers read those
+#: properties once per pending stop per candidate.
+_PICKUP = StopKind.PICKUP
+
+
 @dataclass(frozen=True, slots=True)
 class Stop:
     """One schedule event: pick up or drop off a request at a vertex."""
@@ -56,21 +63,21 @@ class Stop:
     @property
     def node(self) -> int:
         """The road vertex where this stop happens."""
-        if self.kind is StopKind.PICKUP:
+        if self.kind is _PICKUP:
             return self.request.origin
         return self.request.destination
 
     @property
     def deadline(self) -> float:
         """Latest admissible service time for this stop."""
-        if self.kind is StopKind.PICKUP:
+        if self.kind is _PICKUP:
             return self.request.pickup_deadline
         return self.request.deadline
 
     @property
     def passenger_delta(self) -> int:
         """Occupancy change when this stop executes."""
-        if self.kind is StopKind.PICKUP:
+        if self.kind is _PICKUP:
             return self.request.num_passengers
         return -self.request.num_passengers
 
@@ -317,7 +324,7 @@ def evaluate_insertions_grouped(
     start_nodes: Sequence[int],
     start_times: Sequence[float],
     pendings: Sequence[Sequence[Stop]],
-    request: RideRequest,
+    request: RideRequest | Sequence[RideRequest],
     initial_onboards: Sequence[int],
     capacities: Sequence[int],
     slack_s: float = 1e-9,
@@ -325,96 +332,53 @@ def evaluate_insertions_grouped(
     """Batched Algorithm-1 evaluation for ``T`` candidates sharing ``m``.
 
     Every candidate must have the same pending-stop count ``m`` (the
-    caller groups by it).  For all ``T * (m + 1)(m + 2) / 2`` insertion
-    instances at once this computes the arrival-time vectors (one cached
-    cost-matrix gather over the involved vertices plus a cumulative sum,
-    which accumulates left to right exactly like the scalar
-    :func:`arrival_times` loop), the occupancy profiles, and the
-    deadline masks.  Costs, feasibility verdicts and the implied
-    minimum-detour choices are bit-identical to driving
-    :func:`enumerate_insertions` through :func:`arrival_times` /
-    :func:`capacity_ok` / :func:`deadlines_met` per taxi and instance.
-
-    ``engine`` is a :class:`~repro.network.shortest_path.ShortestPathEngine`
-    (anything with ``cost_matrix``).
+    caller groups by it).  ``request`` is the one request inserted into
+    every candidate, or one request per candidate: a row is a (request,
+    taxi) pair, so a whole dispatch window fits one call.  For all
+    ``T * (m + 1)(m + 2) / 2`` insertion instances at once this gathers
+    exactly the legs the instances drive (one elementwise
+    :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_pairs`
+    query) and takes a cumulative sum, which accumulates left to right
+    exactly like the scalar :func:`arrival_times` loop, then the
+    occupancy profiles and the deadline masks.  Costs, feasibility
+    verdicts and the implied minimum-detour choices are bit-identical
+    to driving :func:`enumerate_insertions` through
+    :func:`arrival_times` / :func:`capacity_ok` / :func:`deadlines_met`
+    per row and instance.
     """
-    pu, do = request_stop_pair(request)
     t_count = len(pendings)
     m = len(pendings[0])
     ii, jj, seq = _insertion_grid(m)
-    r_count = ii.size
-
-    if m == 0:
-        # Idle candidates (the bulk of every dispatch) admit exactly one
-        # instance: pick-up then drop-off.  Two cost gathers and a few
-        # elementwise ops replace the general instance machinery; the
-        # arithmetic (sequential adds, same cost table entries) is the
-        # same, so results stay bit-identical.
-        if any(pendings):
-            raise ValueError("grouped candidates must share the pending-stop count")
-        srcs = np.empty(t_count + 1, dtype=np.int64)
-        srcs[:t_count] = start_nodes
-        srcs[t_count] = pu.node
-        ctab = engine.cost_matrix(srcs, [pu.node, do.node])
-        t_pu = np.asarray(start_times, dtype=np.float64) + ctab[:t_count, 0]
-        t_do = t_pu + ctab[t_count, 1]
-        onboard = np.asarray(initial_onboards, dtype=np.int64)
-        cap = np.asarray(capacities, dtype=np.int64)
-        occ_pu = onboard + pu.passenger_delta
-        occ_do = occ_pu + do.passenger_delta
-        over_pu = occ_pu > cap
-        over_do = occ_do > cap
-        if ((occ_pu < 0) | ((occ_do < 0) & ~over_pu)).any():
-            raise ValueError("schedule drops off passengers that were never aboard")
-        cap_ok = ~(over_pu | over_do)
-        dead_ok = (t_pu <= pu.deadline + slack_s) & (t_do <= do.deadline + slack_s)
-        return GroupedInsertionBatch(
-            pickup_idx=ii,
-            dropoff_idx=jj + 1,
-            last_arrival=t_do[:, None],
-            feasible=(cap_ok & dead_ok)[:, None],
-        )
-
-    # Global vertex list: candidate starts, then each candidate's
-    # pending stops, then the shared pick-up/drop-off pair.
-    nodes = np.empty(t_count * (m + 1) + 2, dtype=np.int64)
-    nodes[:t_count] = start_nodes
+    # Extended stops per row: ``0..m-1`` pending, ``m`` pick-up, ``m+1``
+    # drop-off.
+    if set(map(len, pendings)) != {m}:
+        raise ValueError("grouped candidates must share the pending-stop count")
+    requests = [request] if isinstance(request, RideRequest) else request
+    ext_nodes = np.empty((t_count, m + 2), dtype=np.int64)
     ext_dead = np.empty((t_count, m + 2), dtype=np.float64)
     ext_delta = np.empty((t_count, m + 2), dtype=np.int64)
-    for t, pending in enumerate(pendings):
-        if len(pending) != m:
-            raise ValueError("grouped candidates must share the pending-stop count")
-        base = t_count + t * m
-        for k, stop in enumerate(pending):
-            nodes[base + k] = stop.node
-            ext_dead[t, k] = stop.deadline
-            ext_delta[t, k] = stop.passenger_delta
-    pair_base = t_count + t_count * m
-    nodes[pair_base] = pu.node
-    nodes[pair_base + 1] = do.node
-    ext_dead[:, m] = pu.deadline
-    ext_dead[:, m + 1] = do.deadline
-    ext_delta[:, m] = pu.passenger_delta
-    ext_delta[:, m + 1] = do.passenger_delta
-
-    # One cached cost-matrix gather covers every leg of every instance
-    # of every candidate.
-    ctab = engine.cost_matrix(nodes, nodes)
-
-    # ext_map[t, e]: global position of candidate t's extended stop e.
-    ext_map = np.empty((t_count, m + 2), dtype=np.int64)
     if m:
-        ext_map[:, :m] = t_count + m * np.arange(t_count)[:, None] + np.arange(m)[None, :]
-    ext_map[:, m] = pair_base
-    ext_map[:, m + 1] = pair_base + 1
-    node_pos = ext_map[:, seq]  # (T, R, m + 2)
-    prev_pos = np.empty_like(node_pos)
-    prev_pos[:, :, 0] = np.arange(t_count)[:, None]
-    prev_pos[:, :, 1:] = node_pos[:, :, :-1]
+        stops = [stop for pending in pendings for stop in pending]
+        ext_nodes[:, :m] = np.array([s.node for s in stops]).reshape(t_count, m)
+        ext_dead[:, :m] = np.array([s.deadline for s in stops]).reshape(t_count, m)
+        ext_delta[:, :m] = np.array([s.passenger_delta for s in stops]).reshape(t_count, m)
+    ext_nodes[:, m] = [r.origin for r in requests]
+    ext_nodes[:, m + 1] = [r.destination for r in requests]
+    ext_dead[:, m] = [r.pickup_deadline for r in requests]
+    ext_dead[:, m + 1] = [r.deadline for r in requests]
+    ext_delta[:, m] = [r.num_passengers for r in requests]
+    ext_delta[:, m + 1] = -ext_delta[:, m]
 
-    acc = np.empty((t_count, r_count, m + 3), dtype=np.float64)
+    # Each instance's stop sequence and the vertex every leg leaves from.
+    to_nodes = ext_nodes[:, seq]  # (T, R, m + 2)
+    from_nodes = np.empty_like(to_nodes)
+    from_nodes[:, :, 0] = np.asarray(start_nodes, dtype=np.int64)[:, None]
+    from_nodes[:, :, 1:] = to_nodes[:, :, :-1]
+    acc = np.empty((t_count, ii.size, m + 3), dtype=np.float64)
     acc[:, :, 0] = np.asarray(start_times, dtype=np.float64)[:, None]
-    acc[:, :, 1:] = ctab[prev_pos, node_pos]
+    acc[:, :, 1:] = engine.cost_pairs(from_nodes.ravel(), to_nodes.ravel()).reshape(
+        to_nodes.shape
+    )
     times = np.cumsum(acc, axis=2)[:, :, 1:]
 
     deltas = ext_delta[:, seq]  # (T, R, m + 2)
@@ -470,7 +434,7 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
 def _tight_walk(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
-    request: RideRequest,
+    request: RideRequest | Sequence[RideRequest],
     slack_s: float = 1e-9,
 ) -> list[tuple[int, float, int, int]]:
     """:func:`score_insertions` by scalar distance-row reads.
@@ -479,20 +443,25 @@ def _tight_walk(
     across the whole candidate set, so a small batch costs a few dozen
     ``row.item`` reads — no numpy call overhead at all.
     """
-    pu, do = request_stop_pair(request)
-    pu_node = pu.node
-    do_node = do.node
-    pu_dead = pu.deadline + slack_s
-    do_dead = do.deadline + slack_s
-    n_pass = request.num_passengers
+    per_row = [request] * len(starts) if isinstance(request, RideRequest) else request
     speed = engine.network.speed_mps
     dist_row = engine.dist_row
-    row_cache: dict[int, np.ndarray] = {pu_node: dist_row(pu_node)}
-    pu_row = row_cache[pu_node]
+    row_cache: dict[int, np.ndarray] = {}
     inf = np.inf
 
     out: list[tuple[int, float, int, int]] = []
+    current: RideRequest | None = None
     for idx, (start_node, start_time, pending, onboard, capacity) in enumerate(starts):
+        if per_row[idx] is not current:
+            current = per_row[idx]
+            pu_node = current.origin
+            do_node = current.destination
+            pu_dead = current.pickup_deadline + slack_s
+            do_dead = current.deadline + slack_s
+            n_pass = current.num_passengers
+            if pu_node not in row_cache:
+                row_cache[pu_node] = dist_row(pu_node)
+            pu_row = row_cache[pu_node]
         start_row = row_cache.get(start_node)
         if start_row is None:
             start_row = dist_row(start_node)
@@ -639,12 +608,15 @@ def materialize_insertion(
 def score_insertions(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
-    request: RideRequest,
+    request: RideRequest | Sequence[RideRequest],
     obs: Instrumentation,
 ) -> list[tuple[int, float, int, int]]:
-    """Minimum-arrival feasible insertion of ``request`` per candidate.
+    """Minimum-arrival feasible insertion per candidate.
 
-    Returns ``(index, last_arrival, i, j)`` for every entry of
+    ``request`` is inserted into every entry of ``starts``, or is one
+    request per entry: a dispatch scores one request against its
+    candidates, a window scores all of its (request, taxi) pairs in one
+    call.  Returns ``(index, last_arrival, i, j)`` for every entry of
     ``starts`` that admits a feasible instance, ascending by index;
     ``(i, j)`` is the first minimum-last-arrival instance in
     :func:`enumerate_insertions` order
@@ -660,33 +632,47 @@ def score_insertions(
     drop-offs) and :func:`deadlines_met`, so the result is bit-identical
     to the scalar enumeration whichever tier runs.
     """
-    if sum(num_insertions(len(start[2])) for start in starts) <= TIGHT_INSERTION_MAX:
+    counts = [len(start[2]) for start in starts]
+    # Every candidate has at least one instance: a long list is grouped.
+    if len(counts) <= TIGHT_INSERTION_MAX and sum(map(num_insertions, counts)) <= (
+        TIGHT_INSERTION_MAX
+    ):
         obs.count("kernel.tight_dispatches", 1)
         return _tight_walk(engine, starts, request)
-    groups: dict[int, list[int]] = {}
-    for idx, start in enumerate(starts):
-        groups.setdefault(len(start[2]), []).append(idx)
-    obs.count("kernel.batched_insertions", len(groups))
+    node_col, time_col, pendings, onboard_col, capacity_col = zip(*starts)
+    nodes = np.array(node_col, dtype=np.int64)
+    times = np.array(time_col, dtype=np.float64)
+    onboards = np.array(onboard_col, dtype=np.int64)
+    capacities = np.array(capacity_col, dtype=np.int64)
+    by_count = np.array(counts)
+    groups = np.unique(by_count)
+    obs.count("kernel.batched_insertions", groups.size)
     out: list[tuple[int, float, int, int]] = []
-    for members in groups.values():
-        nodes, times, pendings, onboards, capacities = zip(*(starts[k] for k in members))
+    for m in groups.tolist():
+        members = np.flatnonzero(by_count == m)
+        picked = members.tolist()
         batch = evaluate_insertions_grouped(
-            engine, nodes, times, pendings, request, onboards, capacities
+            engine,
+            nodes[members],
+            times[members],
+            [pendings[k] for k in picked],
+            request if isinstance(request, RideRequest) else [request[k] for k in picked],
+            onboards[members],
+            capacities[members],
         )
         # First minimum among the feasible instances, per candidate —
         # the scalar loop's strict-improvement tie handling.
         masked = np.where(batch.feasible, batch.last_arrival, np.inf)
         winners = np.argmin(masked, axis=1)
-        for t, idx in enumerate(members):
-            k = int(winners[t])
-            if batch.feasible[t, k]:
-                out.append(
-                    (
-                        idx,
-                        float(batch.last_arrival[t, k]),
-                        int(batch.pickup_idx[k]),
-                        int(batch.dropoff_idx[k]),
-                    )
-                )
+        rows = np.flatnonzero(batch.feasible[np.arange(len(members)), winners])
+        ks = winners[rows]
+        out.extend(
+            zip(
+                members[rows].tolist(),
+                batch.last_arrival[rows, ks].tolist(),
+                batch.pickup_idx[ks].tolist(),
+                batch.dropoff_idx[ks].tolist(),
+            )
+        )
     out.sort()
     return out

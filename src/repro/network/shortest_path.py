@@ -294,6 +294,26 @@ class ShortestPathEngine:
             rows[k] = self.dist_row(int(u))[vs]
         return rows[inverse] / speed
 
+    def cost_pairs(
+        self, us: Sequence[int] | np.ndarray, vs: Sequence[int] | np.ndarray
+    ) -> np.ndarray:
+        """Travel costs (seconds) ``out[k] = cost(us[k], vs[k])``.
+
+        The elementwise leg gather of the grouped insertion kernel: one
+        fancy index into the APSP matrix in full mode; elsewhere one
+        :meth:`cost_matrix` over the distinct endpoints, read back per
+        pair.  Entry-wise bit-identical to :meth:`cost`.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        if self._mode == "full":
+            assert self._dist is not None
+            self._rows.hits += us.size
+            return self._dist[us, vs] / self._network.speed_mps
+        sources, source_of = np.unique(us, return_inverse=True)
+        targets, target_of = np.unique(vs, return_inverse=True)
+        return self.cost_matrix(sources, targets)[source_of, target_of]
+
     def path(self, u: int, v: int) -> list[int]:
         """Shortest path from ``u`` to ``v`` as a vertex list (inclusive).
 

@@ -43,6 +43,12 @@ differ (ranks, shortcuts), their answers may not: distances bit for
 bit, paths wherever the shortest path is unique, and whole dispatch
 runs decision for decision.
 
+**Window assignment.**  ``solve_window_lap`` masks infeasible cells
+with a large penalty and solves one rectangular assignment problem;
+:func:`best_partial_matching` enumerates every partial matching of a
+small window instead, so "feasible matches first, then least detour"
+is checked without trusting the penalty or any solver.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -579,6 +585,30 @@ def scalar_cost_matrix(scheme, batch, now):
                 matrix.costs[i, j] = (last - ready) - taxi.remaining_route_cost(ready)
                 matrix.insertions[(i, j)] = (pi, pj)
     return matrix
+
+
+def best_partial_matching(costs):
+    """``(matches, total)`` of the best partial matching of a small
+    window, by enumerating every one of them: the most pairs on finite
+    cells, then the least total cost.  Independent of any assignment
+    solver and of the penalty that ``solve_window_lap`` masks ``+inf``
+    with; exponential, so keep windows to about 6 x 6."""
+    rows, cols = costs.shape
+    best = (0, 0.0)
+
+    def extend(i, used, count, total):
+        nonlocal best
+        if i == rows:
+            if count > best[0] or (count == best[0] and total < best[1]):
+                best = (count, total)
+            return
+        extend(i + 1, used, count, total)
+        for j in range(cols):
+            if not used >> j & 1 and math.isfinite(costs[i, j]):
+                extend(i + 1, used | 1 << j, count + 1, total + costs[i, j])
+
+    extend(0, 0, 0, 0.0)
+    return best
 
 
 #: The sequential build's settled-vertex cap per witness search.

@@ -155,8 +155,12 @@ class TestBadScenarioArguments:
          "invalid REPRO_SP_MODE='bogus'; use auto/full/lazy/ch"),
         (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
+        # NaN passes every ordered comparison; before the finiteness
+        # check it died in the simulator's first window tick.
+        (["simulate", *SMALL_WORLD, "--scheme", "window-lap", "--window", "nan"], {},
+         "dispatch_window_s must be finite"),
     ], ids=["grid", "requests", "partitions", "rho", "congestion", "sp-mode-env",
-            "cache-warm-ch-grid", "taxis"])
+            "cache-warm-ch-grid", "taxis", "window-nan"])
     def test_one_error_line_and_exit_2(self, monkeypatch, capsys, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

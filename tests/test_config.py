@@ -15,6 +15,12 @@ class TestValidation:
             ("rho", 0.9),
             ("lam", 1.5),
             ("epsilon", -0.1),
+            ("dispatch_window_s", -1.0),
+            *[
+                (field, value)
+                for field in ("search_range_m", "rho", "epsilon", "dispatch_window_s")
+                for value in (float("nan"), float("inf"))
+            ],
         ],
     )
     def test_bad_values_rejected(self, field, value):

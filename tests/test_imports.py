@@ -2,7 +2,9 @@
 
 A warm ``full``-mode run of a scheme that routes on the stored
 all-pairs table never calls scipy, so it must not import it (~0.3 s of
-a ~0.55 s set-up); a run that *does* call scipy must have imported it
+a ~0.55 s set-up) — and no ``src/repro`` module imports scipy at its
+top, so importing a module never does either; a run that *does* call
+scipy must have imported it
 by the time the simulator is built, never inside ``run()``; the run
 path must not load the static linter; ``import repro`` must load
 nothing; and a CLI sub-command must import only what it runs
@@ -15,9 +17,11 @@ first.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -44,13 +48,13 @@ NO_SCIPY_CELLS = [
     ("mt-share", None, None),
     ("mt-share", FAULTS, None),
     ("mt-share", None, "on"),
+    ("window-lap", None, None),
 ]
 #: Cells that do: (scheme, sp_mode, a module construction must have loaded).
 SCIPY_CELLS = [
     ("mt-share-pro", "full", "scipy.sparse.csgraph"),
     ("mt-share", "lazy", "scipy.sparse.csgraph"),
     ("mt-share", "ch", "scipy.sparse.csgraph"),
-    ("window-lap", "full", "scipy.optimize"),
 ]
 
 #: Builds each cell in ``argv[1]`` and (``argv[2]``) runs it; prints, per
@@ -215,7 +219,9 @@ def test_every_name_the_benchmark_tracer_patches_resolves():
     (["cache", "info"], 0, ("repro.sim", "repro.experiments", "scipy")),
     (["simulate", *CLI_WORLD], 0, ("repro.experiments", "repro.analysis.checkers", "scipy")),
     (["simulate", *CLI_WORLD, "--scheme", "bogus"], 2, ("repro.experiments", "scipy")),
-], ids=["help", "lint-help", "cache-info", "simulate", "simulate-bad-scheme"])
+    (["simulate", *CLI_WORLD, "--scheme", "window-lap"], 0, ("repro.experiments", "scipy")),
+], ids=["help", "lint-help", "cache-info", "simulate", "simulate-bad-scheme",
+        "simulate-window-lap"])
 def test_cli_subcommand_imports_what_it_runs(warm_store, argv, code, absent):
     got = _python(warm_store, CLI_SCRIPT, json.dumps(argv))
     assert got["code"] == code
@@ -224,3 +230,39 @@ def test_cli_subcommand_imports_what_it_runs(warm_store, argv, code, absent):
         assert name not in loaded, name
     if argv[0] == "simulate" and code == 0:
         assert "repro.sim.engine" in loaded  # not vacuous
+
+
+def _module_top_imports(tree):
+    """Names of the modules an import of ``tree`` loads by itself: its
+    top-level and class-body imports, not those in functions or under
+    ``if TYPE_CHECKING:``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif isinstance(node, ast.If):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                stack.extend(node.body)
+            stack.extend(node.orelse)
+        elif isinstance(node, ast.Try):
+            stack.extend(node.body + node.orelse + node.finalbody)
+            stack.extend(stmt for handler in node.handlers for stmt in handler.body)
+        elif isinstance(node, (ast.ClassDef, ast.With)):
+            stack.extend(node.body)
+
+
+def test_no_module_imports_scipy_at_its_top():
+    """scipy is imported where it is called (docs/ARCHITECTURE.md,
+    "Import rule"); the rule has no exception left."""
+    offenders = []
+    seen_numpy = 0
+    for path in sorted(pathlib.Path(SRC, "repro").rglob("*.py")):
+        names = set(_module_top_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        seen_numpy += "numpy" in names
+        offenders += [f"{path.relative_to(SRC)}: {name}" for name in sorted(names)
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert seen_numpy > 10  # not vacuous: the walk sees module-top imports
+    assert offenders == []

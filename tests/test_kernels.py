@@ -154,6 +154,18 @@ class TestBatchedCosts:
             for b, v in enumerate(vs):
                 assert mat[a, b] == engine.cost(int(u), int(v))
 
+    def test_cost_pairs_bit_identical(self, net, engine):
+        rng = np.random.default_rng(21)
+        us = rng.integers(0, net.num_vertices, size=40)
+        vs = rng.integers(0, net.num_vertices, size=40)
+        us[3], vs[3] = us[0], us[0]  # a zero-length leg, and repeated endpoints
+        us[7] = us[0]
+        for backend in (engine, ShortestPathEngine(net, mode="ch")):
+            legs = backend.cost_pairs(us, vs)
+            assert legs.shape == (40,)
+            for u, v, leg in zip(us, vs, legs):
+                assert leg == backend.cost(int(u), int(v))
+
     def test_cost_matrix_accepts_lists(self, net, engine):
         mat = engine.cost_matrix([0, 3], [1])
         assert mat[0, 0] == engine.cost(0, 1)
@@ -186,6 +198,32 @@ class TestBatchedInsertions:
                     assert int(batch.dropoff_idx[k]) == j
                     assert batch.last_arrival[t, k] == last
                     assert bool(batch.feasible[t, k]) == ok
+
+    def test_one_request_per_row(self, net, engine):
+        """A row is a (request, taxi) pair: rows may insert different
+        requests, and rows may share one taxi's schedule object."""
+        rng = np.random.default_rng(22)
+        requests = [_random_request(rng, net, engine, rid=900 + k) for k in range(6)]
+        taxis = {}
+        for trial in range(40):
+            start = _random_start(rng, net, engine, base_rid=trial * 10)
+            taxis.setdefault(len(start[2]), []).append(start)
+        checked = 0
+        for m, group in taxis.items():
+            rows = [(start, request) for start in group for request in requests[: 1 + m]]
+            starts, row_requests = zip(*rows)
+            nodes, times, pendings, onboards, capacities = zip(*starts)
+            batch = evaluate_insertions_grouped(
+                engine, nodes, times, pendings, row_requests, onboards, capacities
+            )
+            for t, (start, request) in enumerate(rows):
+                for k, (_i, _j, _stops, last, ok) in enumerate(
+                    oracle_instances(engine, start, request)
+                ):
+                    assert batch.last_arrival[t, k] == last
+                    assert bool(batch.feasible[t, k]) == ok
+                    checked += ok
+        assert checked > 0
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine):
         rng = np.random.default_rng(4)
@@ -350,6 +388,26 @@ class TestTightInsertion:
         scored = {idx for idx, _last, _i, _j in out}
         assert scored and scored <= set(range(12))
         assert _score_both_tiers(engine, monkeypatch, starts[12:], request) == []
+
+    def test_one_request_per_row(self, net, engine, monkeypatch):
+        """A whole window in one call: each row its own (request, taxi)
+        pair, equal to scoring every row alone."""
+        rng = np.random.default_rng(23)
+        requests = [_random_request(rng, net, engine, rid=900 + k) for k in range(5)]
+        starts = [_random_start(rng, net, engine, base_rid=trial * 10) for trial in range(8)]
+        rows = [(start, request) for start in starts for request in requests]
+        expected = [
+            (idx, last, i, j)
+            for idx, (start, request) in enumerate(rows)
+            for _only, last, i, j in oracle_score_insertions(engine, [start], request)
+        ]
+        assert expected
+        row_starts, row_requests = (list(col) for col in zip(*rows))
+        for threshold, counter in TIERS.values():
+            monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+            obs = Instrumentation()
+            assert score_insertions(engine, row_starts, row_requests, obs) == expected
+            assert set(obs.counter_snapshot()) == {counter}
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine, monkeypatch):
         rng = np.random.default_rng(9)

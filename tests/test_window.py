@@ -16,17 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from repro.core import matching
+from repro.core import matching, window
 from repro.core.matching import BULK_SCREEN_MIN_REQUESTS
 from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
+from repro.fleet.schedule import score_insertions
 from repro.obs import Instrumentation
-from repro.core.window import WindowLAP, solve_window_lap
+from repro.core.window import (
+    INFEASIBLE_PENALTY,
+    WindowLAP,
+    _linear_sum_assignment,
+    solve_window_lap,
+)
 from repro.sim.engine import Simulator
 from repro.sim.scenario import SCHEME_NAMES, SCHEME_REGISTRY
 
-from tests.oracles import scalar_cost_matrix
+from tests.oracles import best_partial_matching, scalar_cost_matrix
 from tests.test_runner_parallel import decision_fingerprint
 
 
@@ -92,6 +99,94 @@ class TestSolveWindowLap:
         costs = np.array([[np.inf, np.inf], [1.0, 2.0]])
         assert solve_window_lap(costs) == [(1, 0)]
 
+    def test_feasible_matches_first_then_least_detour(self):
+        """Against exhaustive enumeration of every partial matching of
+        windows up to 6 x 6 — not against the penalty argument.  Integer
+        detours make the optimal totals compare exactly."""
+        rng = np.random.default_rng(27)
+        for trial in range(200):
+            rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+            costs = rng.integers(0, 30, size=(rows, cols)).astype(float)
+            costs[rng.random((rows, cols)) < (0.2, 0.5, 0.8, 1.0)[trial % 4]] = np.inf
+            pairs = solve_window_lap(costs)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            assert all(np.isfinite(costs[i, j]) for i, j in pairs)
+            assert (len(pairs), sum(costs[i, j] for i, j in pairs)) == best_partial_matching(
+                costs
+            ), costs
+
+
+def _matches_scipy(matrix):
+    """The port returns scipy's arrays, or raises scipy's error."""
+    try:
+        expected = linear_sum_assignment(matrix)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            _linear_sum_assignment(matrix)
+        assert str(raised.value) == str(exc)
+        return
+    got = _linear_sum_assignment(matrix)
+    for ours, theirs in zip(got, expected):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (matrix, got)
+
+
+def _random_cost_matrix(rng, kind):
+    """One of the input families the port must agree with scipy on."""
+    rows, cols = (int(k) for k in rng.integers(1, 11, size=2))
+    if kind == 0:  # small integers: ties everywhere
+        return rng.integers(0, 4, size=(rows, cols)).astype(float)
+    if kind == 1:
+        # A window: fractional detours among penalty cells.  Rounding at
+        # the penalty pushes some column duals above 0, after which the
+        # port must send constant rows through the general search (111
+        # of the 12,000 matrices of the test below get there).
+        costs = rng.uniform(0.0, 900.0, size=(rows, cols))
+        costs[rng.random((rows, cols)) < 0.75] = INFEASIBLE_PENALTY
+        costs[rng.random(rows) < 0.3] = INFEASIBLE_PENALTY
+        return costs
+    if kind == 2:  # constant rows among small integers
+        costs = rng.integers(0, 3, size=(rows, cols)).astype(float)
+        costs[rng.random(rows) < 0.5] = float(rng.integers(0, 9))
+        return costs
+    costs = rng.normal(size=(rows, cols))  # unmasked +inf: feasible or not
+    costs[rng.random((rows, cols)) < 0.3] = np.inf
+    return costs
+
+
+class TestAssignmentPort:
+    """``_linear_sum_assignment`` is scipy's solver, answer for answer."""
+
+    def test_random_matrices_match_scipy(self):
+        rng = np.random.default_rng(11)
+        for trial in range(12_000):
+            _matches_scipy(_random_cost_matrix(rng, trial % 4))
+
+    @pytest.mark.parametrize("matrix", [
+        np.empty((0, 0)), np.empty((0, 4)), np.empty((3, 0)),
+        np.array([[1.0, np.nan]]), np.array([[1.0], [-np.inf]]),
+        np.full((3, 2), np.inf), np.full((2, 3), np.inf),
+        np.array([[np.inf, 1.0], [np.inf, 2.0]]), np.array([[1.0, 2.0], [np.inf, np.inf]]),
+        np.full((4, 4), 7.0), np.full((1, 1), INFEASIBLE_PENALTY),
+        np.arange(6.0), np.ones((2, 2, 2)), [[3, 1], [2, 2]],
+    ], ids=["0x0", "0x4", "3x0", "nan", "-inf", "all-inf-tall", "all-inf-wide",
+            "infeasible-col", "infeasible-row", "constant", "penalty", "1-d", "3-d", "ints"])
+    def test_edge_inputs_match_scipy(self, matrix):
+        _matches_scipy(matrix)
+
+    def test_every_window_of_a_run_matches_scipy(self, test_scenario, monkeypatch):
+        solved = []
+
+        def checked(matrix):
+            _matches_scipy(matrix)
+            solved.append(matrix.shape)
+            return linear_sum_assignment(matrix)
+
+        monkeypatch.setattr(window, "_linear_sum_assignment", checked)
+        m = _run(test_scenario, _window_scheme(test_scenario, 120.0))
+        # Windows with no feasible cell never reach the solver.
+        assert 0 < len(solved) <= m.counters["window.lap_solves"]
+        assert any(rows > 1 for rows, _cols in solved)
+
 
 # ----------------------------------------------------------------------
 # vectorised cost matrix == scalar per-pair reference, bit for bit
@@ -138,7 +233,16 @@ class TestCostMatrixEquivalence:
         assert any(fleet[t].pending_stops() for t in fleet), "no busy taxis to exercise"
         obs = Instrumentation()
         scheme.instrument(obs)
+        calls = []
+
+        def counted(engine, starts, requests, scorer_obs):
+            calls.append(len(starts))
+            return score_insertions(engine, starts, requests, scorer_obs)
+
+        monkeypatch.setattr(window, "score_insertions", counted)
         fast = scheme.build_cost_matrix(batch, now)
+        # Every busy (request, taxi) pair of the window in one call.
+        assert calls == [obs.counters["window.matrix_busy_pairs"]]
         assert ("window.screened_pairs" in obs.counters) == (tier == "bulk")
         assert ("window.candidates" in obs.stages) == (tier == "scalar")
         slow = scalar_cost_matrix(scheme, batch, now)
