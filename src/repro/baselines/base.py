@@ -14,7 +14,12 @@ from collections.abc import Iterator
 
 from ..analysis import contracts
 from ..config import SystemConfig
-from ..core.matching import MatchResult, best_insertion_for_taxi, taxi_vector_with
+from ..core.matching import (
+    MatchResult,
+    best_insertion_for_taxi,
+    keeps_seats_idle,
+    taxi_vector_with,
+)
 from ..demand.request import RideRequest
 from ..fleet.schedule import remove_request_stops
 from ..fleet.taxi import Taxi
@@ -314,10 +319,7 @@ class DispatchScheme(abc.ABC):
     def _maybe_probabilistic_route(self, taxi: Taxi, request: RideRequest,
                                    result: MatchResult, now: float) -> MatchResult:
         """Re-plan a match's route probabilistically when enabled."""
-        if self._prob_router is None:
-            return result
-        idle_after = taxi.capacity - taxi.committed - request.num_passengers
-        if idle_after < taxi.capacity * self._config.probabilistic_idle_seats:
+        if self._prob_router is None or not keeps_seats_idle(taxi, request):
             return result
         node, ready = taxi.position_at(now)
         vec = taxi_vector_with(self._network, taxi, request, now)

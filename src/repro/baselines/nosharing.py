@@ -38,7 +38,7 @@ class NoSharing(DispatchScheme):
 
     def dispatch(self, request: RideRequest, now: float) -> MatchResult | None:
         """Assign the nearest idle taxi that can make the pick-up deadline."""
-        gamma = self._config.gamma_for_wait(request.max_wait)
+        gamma = self._config.search_range_m
         ox, oy = self._network.xy[request.origin]
         hits = self._idle_index.query_radius(float(ox), float(oy), gamma)
         stops = [pickup(request), dropoff(request)]

@@ -29,7 +29,7 @@ class PGreedyDP(DispatchScheme):
 
     def __init__(self, network, engine, config) -> None:
         super().__init__(network, engine, config)
-        self._position_index = GridSpatialIndex(cell_size_m=config.grid_cell_m)
+        self._position_index = GridSpatialIndex(cell_size_m=config.search_range_m / 2.0)
         self.last_candidate_count = 0
 
     # ------------------------------------------------------------------
@@ -47,7 +47,7 @@ class PGreedyDP(DispatchScheme):
 
     # ------------------------------------------------------------------
     def _candidates(self, request: RideRequest, now: float) -> list[Taxi]:
-        gamma = self._config.gamma_for_wait(request.max_wait)
+        gamma = self._config.search_range_m
         ox, oy = self._network.xy[request.origin]
         # Grid-granular range query: cells whose centre falls inside the
         # searching disc.  Taxis near the far edge of excluded cells are

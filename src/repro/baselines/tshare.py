@@ -29,7 +29,7 @@ class TShare(DispatchScheme):
 
     def __init__(self, network, engine, config) -> None:
         super().__init__(network, engine, config)
-        self._position_index = GridSpatialIndex(cell_size_m=config.grid_cell_m)
+        self._position_index = GridSpatialIndex(cell_size_m=config.search_range_m / 2.0)
         #: How many nearest candidates are examined before giving up;
         #: T-Share stops at the first feasible one anyway.
         self.max_examined = 64
@@ -60,7 +60,7 @@ class TShare(DispatchScheme):
         origin from beyond ``gamma`` — are removed outright.
         """
         speed = self._network.speed_mps
-        gamma = self._config.gamma_for_wait(request.max_wait)
+        gamma = self._config.search_range_m
         # Origin side: grids whose taxis can still make the pick-up
         # deadline — the temporal radius speed * Delta_t, never wider
         # than gamma.

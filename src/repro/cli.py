@@ -202,9 +202,7 @@ def _build_scenario(args: argparse.Namespace, congestion: float = 1.0,
             sp_mode=args.sp_mode,
         )
         scenario = get_scenario(spec)
-        overrides = {"rho": args.rho, "capacity": args.capacity, "num_taxis": args.taxis}
-        if window is not None:
-            overrides["dispatch_window_s"] = window
+        overrides = {} if window is None else {"dispatch_window_s": window}
         config = scenario.default_config(**overrides)
         scheme = scenario.make_scheme(args.scheme, config=config)
         fleet = scenario.make_fleet(args.taxis, capacity=args.capacity)
@@ -217,7 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .sim.engine import Simulator
 
     scenario, config, scheme, fleet = _build_scenario(args, args.congestion, args.window)
-    requests = scenario.requests(rho=args.rho)
+    with _building():
+        requests = scenario.requests(rho=args.rho)
     with _building("bad --faults spec"):
         faults = scenario.fault_plan(args.faults, fleet, requests)
     with _building("bad --rebalance spec"):
@@ -391,7 +390,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             service.set_sink(lambda d: None)  # replay prints totals, not a stream
         pump_every = args.pump_every if args.pump_every > 0 else None
         try:
-            metrics = service.replay(jsonl_requests(args.trace), pump_every=pump_every)
+            num_vertices = service.sim.scheme.network.num_vertices
+            requests = jsonl_requests(args.trace, num_vertices)
+            metrics = service.replay(requests, pump_every=pump_every)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

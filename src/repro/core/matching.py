@@ -24,7 +24,7 @@ detour, so probabilistic detours are fully accounted for.  Routes are
 planned lazily in ascending estimated-detour order: since a planned
 route can never undercut its own shortest-path estimate, planning stops
 once the next estimate cannot beat the best actual detour found (and,
-as a hard bound, after ``config.match_planning_cutoff`` successfully
+as a hard bound, after :data:`MATCH_PLANNING_CUTOFF` successfully
 planned candidates once a winner exists).
 """
 
@@ -81,6 +81,20 @@ class MatchResult:
 #: moves no decision.
 BULK_SCREEN_MIN_REQUESTS = 16
 
+#: How many candidates Algorithm 1 plans routes for once a winner exists.
+#: Planning stops earlier as soon as the next O(1) detour estimate cannot
+#: beat the incumbent's actual detour (a planned route never undercuts
+#: its own estimate); this cap bounds the worst case.  With a full
+#: all-pairs table basic routes equal their estimates and the loop exits
+#: after one plan, so the cap only binds for probabilistic or
+#: lazily-routed runs.
+MATCH_PLANNING_CUTOFF = 4
+
+#: A match plans a probability-seeking route when at least this share of
+#: the taxi's seats stays idle once the new passengers board (the
+#: paper: half the capacity).
+PROBABILISTIC_IDLE_SEATS = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class WindowScreen:
@@ -102,6 +116,14 @@ class WindowScreen:
         """Per request, its candidates in ascending taxi-id order."""
         taxis = self.taxis
         return [[taxis[j] for j in np.flatnonzero(row)] for row in self.member]
+
+
+def keeps_seats_idle(taxi: Taxi, request: RideRequest) -> bool:
+    """Whether ``taxi`` keeps :data:`PROBABILISTIC_IDLE_SEATS` of its
+    seats idle after ``request`` boards: the trigger for probabilistic
+    routing, for mT-Share_pro and every ``+prob`` baseline alike."""
+    idle_after = taxi.capacity - taxi.committed - request.num_passengers
+    return idle_after >= taxi.capacity * PROBABILISTIC_IDLE_SEATS
 
 
 def request_vector(network: RoadNetwork, request: RideRequest) -> MobilityVector:
@@ -148,7 +170,8 @@ class Matcher:
     cluster_index:
         Mobility clusters with their taxi lists ``C_a.L_t``.
     config:
-        System parameters (``gamma``, ``lambda``, capacity, ...).
+        System parameters (the searching range ``gamma`` and whether
+        it adapts to each request's waiting budget).
     basic_router:
         Router used to build concrete routes for non-probabilistic
         matches.
@@ -190,8 +213,8 @@ class Matcher:
             # Eq. 2: the searching range is exactly the reachability
             # radius of the request's waiting budget, so inbound taxis
             # beyond any static range (Fig. 1's taxi t3) are visible.
-            return max(0.0, request.max_wait) * self._config.speed_mps
-        return self._config.gamma_for_wait(request.max_wait)
+            return max(0.0, request.max_wait) * self._network.speed_mps
+        return self._config.search_range_m
 
     def candidate_taxis(
         self,
@@ -448,17 +471,6 @@ class Matcher:
         scored.sort(key=lambda item: (item[0], item[1].taxi_id))
         return scored
 
-    def _should_go_probabilistic(self, taxi: Taxi, request: RideRequest) -> bool:
-        """Whether this match should plan a probability-seeking route.
-
-        Requires a probabilistic router and enough idle seats after the
-        new passengers board (the paper: at least half the capacity).
-        """
-        if self._prob is None:
-            return False
-        idle_after = taxi.capacity - taxi.committed - request.num_passengers
-        return idle_after >= taxi.capacity * self._config.probabilistic_idle_seats
-
     def match(
         self,
         request: RideRequest,
@@ -486,9 +498,9 @@ class Matcher:
         # at best shortest paths, so actual >= estimate per candidate:
         # once the next estimate cannot beat the incumbent's actual
         # detour, no later candidate can win and planning stops.  The
-        # configured cutoff additionally bounds how many successfully
-        # planned candidates are examined after a winner exists.
-        cutoff = self._config.match_planning_cutoff
+        # cutoff additionally bounds how many successfully planned
+        # candidates are examined after a winner exists.
+        cutoff = MATCH_PLANNING_CUTOFF
         best_result: MatchResult | None = None
         planned = 0
         with obs.stage("match.planning"):
@@ -499,7 +511,7 @@ class Matcher:
                     break
                 stops = materialize_insertion(pending, request, i, j)
                 node, ready = taxi.position_at(now)
-                use_prob = self._should_go_probabilistic(taxi, request)
+                use_prob = self._prob is not None and keeps_seats_idle(taxi, request)
                 route = None
                 if use_prob:
                     vec = taxi_vector_with(self._network, taxi, request, now)

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import DEFAULT_LAMBDA
 from ..network.geo import cosine_similarity
-
-#: Default direction threshold: cos(45 degrees).
-DEFAULT_LAMBDA = 0.707
 
 #: Sentinel unit for a zero-length direction: aligned with everything
 #: (:func:`cosine_similarity` returns 1.0 for degenerate vectors).

@@ -24,14 +24,40 @@ from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
 from ..partitioning.bipartite import MapPartitioning
+from ..partitioning.transition import TransitionModel
 from .matching import Matcher, MatchResult, request_vector, taxi_vector
 from .mobility_cluster import MobilityClusterIndex
 from .partition_filter import PartitionFilter
 from .routing import BasicRouter, ProbabilisticRouter
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..demand.prediction import DemandPredictor
     from ..obs import Instrumentation
+
+
+def partition_routers(
+    network: RoadNetwork,
+    engine: ShortestPathEngine,
+    landmarks: LandmarkGraph,
+    config: SystemConfig,
+    transition_model: TransitionModel | None = None,
+) -> tuple[PartitionFilter, ProbabilisticRouter | None]:
+    """Algorithm 2's filter over ``landmarks`` and, given a transition
+    model, Algorithm 4's router on top of it, from ``config``'s
+    ``lambda`` and steering; the slack ``epsilon`` and the attempt cap
+    are the classes' own defaults.  mT-Share_pro and every ``+prob``
+    baseline build their routers here."""
+    pfilter = PartitionFilter(landmarks, lam=config.lam)
+    if transition_model is None:
+        return pfilter, None
+    router = ProbabilisticRouter(
+        network,
+        engine,
+        pfilter,
+        transition_model,
+        lam=config.lam,
+        steering_m=config.prob_steering_m,
+    )
+    return pfilter, router
 
 
 class MTShare(DispatchScheme):
@@ -50,10 +76,6 @@ class MTShare(DispatchScheme):
         ``probabilistic`` is requested.
     probabilistic:
         Enable probabilistic routing (the mT-Share_pro variant).
-    demand_predictor:
-        Optional hour-aware pick-up predictor
-        (:class:`~repro.demand.prediction.DemandPredictor`); when given,
-        idle cruising targets the partitions hot at the current hour.
     landmarks:
         Optional prebuilt :class:`LandmarkGraph` for ``partitioning``
         (e.g. restored from the artifact store); built from scratch
@@ -69,7 +91,6 @@ class MTShare(DispatchScheme):
         config: SystemConfig,
         partitioning: MapPartitioning,
         probabilistic: bool = False,
-        demand_predictor: DemandPredictor | None = None,
         landmarks: LandmarkGraph | None = None,
     ) -> None:
         super().__init__(network, engine, config)
@@ -83,24 +104,17 @@ class MTShare(DispatchScheme):
             if landmarks is not None
             else LandmarkGraph(network, partitioning.partitions, engine)
         )
-        self._filter = PartitionFilter(self._landmarks, lam=config.lam, epsilon=config.epsilon)
-        self._basic_router = BasicRouter(network, engine, self._filter)
-        self._prob_router = None
-        if probabilistic:
-            self._prob_router = ProbabilisticRouter(
-                network,
-                engine,
-                self._filter,
-                partitioning.transition_model,
-                lam=config.lam,
-                max_attempts=config.max_probabilistic_attempts,
-                steering_m=config.prob_steering_m,
-            )
-            self._prob_router.demand_predictor = demand_predictor
-            self.name = "mT-Share-pro"
-        self._pindex = PartitionTaxiIndex(
-            self._landmarks.num_partitions, horizon_s=config.index_horizon_s
+        self._filter, self._prob_router = partition_routers(
+            network,
+            engine,
+            self._landmarks,
+            config,
+            partitioning.transition_model if probabilistic else None,
         )
+        self._basic_router = BasicRouter(network, engine, self._filter)
+        if probabilistic:
+            self.name = "mT-Share-pro"
+        self._pindex = PartitionTaxiIndex(self._landmarks.num_partitions)
         self._cindex = MobilityClusterIndex(lam=config.lam)
         self._matcher = Matcher(
             network,

@@ -17,8 +17,10 @@ partition) pair, so it is memoised.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
+from ..config import DEFAULT_LAMBDA
 from ..network.geo import cosine_similarity
 from ..network.landmarks import LandmarkGraph
 
@@ -40,9 +42,12 @@ class PartitionFilter:
     def __init__(
         self,
         landmark_graph: LandmarkGraph,
-        lam: float = 0.707,
+        lam: float = DEFAULT_LAMBDA,
         epsilon: float = 1.0,
     ) -> None:
+        # NaN would fail every ordered comparison of the cost rule.
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError("epsilon must be finite and non-negative")
         self._lg = landmark_graph
         self._lam = float(lam)
         self._eps = float(epsilon)

@@ -41,7 +41,7 @@ from ..network.shortest_path import (
 )
 from ..obs import NULL, Instrumentation
 from ..partitioning.transition import TransitionModel
-from .mobility_cluster import MobilityVector
+from .mobility_cluster import DEFAULT_LAMBDA, MobilityVector
 from .partition_filter import PartitionFilter
 
 if TYPE_CHECKING:
@@ -338,7 +338,7 @@ class ProbabilisticRouter(BasicRouter):
         engine: ShortestPathEngine,
         partition_filter: PartitionFilter,
         transition_model: TransitionModel,
-        lam: float = 0.707,
+        lam: float = DEFAULT_LAMBDA,
         max_attempts: int = 5,
         steering_m: float = 120.0,
     ) -> None:
@@ -354,10 +354,6 @@ class ProbabilisticRouter(BasicRouter):
         self._lam = float(lam)
         self._max_attempts = int(max_attempts)
         self._steering_s = network.meters_to_seconds(max(0.0, float(steering_m)))
-        #: Optional hour-aware demand predictor; when set, cruising
-        #: targets the partitions that are hot at the current hour
-        #: instead of hot on average.
-        self.demand_predictor = None
         lg = partition_filter.landmark_graph
         parts = range(lg.num_partitions)
         # Share of historical pick-up demand generated inside each
@@ -568,12 +564,6 @@ class ProbabilisticRouter(BasicRouter):
         lg = self._filter.landmark_graph
         here = lg.partition_of(start_node)
         share = self._demand_share
-        if self.demand_predictor is not None:
-            # Blend the hour-of-day rate with the overall share: the
-            # hourly estimate is sharper but noisier (few observed
-            # days per hour), the overall share is stable.
-            hour = int(start_time // 3600) % 24
-            share = 0.5 * share + 0.5 * self.demand_predictor.shares(hour)
         travel = lg.landmark_cost_row(here)
         candidates = np.flatnonzero(~(share <= 0.0) & ~(travel > max_duration_s))
         if not candidates.size:

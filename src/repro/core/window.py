@@ -49,10 +49,8 @@ to the next ``window.tick`` until their pick-up deadline expires.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,9 +64,6 @@ from ..partitioning.bipartite import MapPartitioning
 from .matching import MatchResult, WindowScreen
 from .mtshare import MTShare
 from .routing import RouteInfeasible
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..demand.prediction import DemandPredictor
 
 #: Finite stand-in for ``+inf`` matrix cells when solving the LAP.
 #: Real detours are bounded by the drain horizon (~1e4 s) and a window
@@ -307,7 +302,7 @@ class WindowLAP(MTShare):
 
     Parameters match :class:`~repro.core.mtshare.MTShare` (always
     non-probabilistic: a window batch plans plain shortest-path
-    routes); ``window_s`` overrides ``config.dispatch_window_s``.
+    routes); the window length is ``config.dispatch_window_s``.
     """
 
     name = "window-LAP"
@@ -319,24 +314,10 @@ class WindowLAP(MTShare):
         config: SystemConfig,
         partitioning: MapPartitioning,
         landmarks: LandmarkGraph | None = None,
-        window_s: float | None = None,
-        demand_predictor: DemandPredictor | None = None,
     ) -> None:
-        super().__init__(
-            network,
-            engine,
-            config,
-            partitioning,
-            probabilistic=False,
-            demand_predictor=demand_predictor,
-            landmarks=landmarks,
-        )
+        super().__init__(network, engine, config, partitioning, landmarks=landmarks)
         self.name = "window-LAP"
-        self.dispatch_window_s = float(
-            config.dispatch_window_s if window_s is None else window_s
-        )
-        if not (math.isfinite(self.dispatch_window_s) and self.dispatch_window_s >= 0):
-            raise ValueError("window_s must be non-negative and finite")
+        self.dispatch_window_s = float(config.dispatch_window_s)
 
     # ------------------------------------------------------------------
     # window matching

@@ -4,8 +4,9 @@ The paper mines *where* trips go (the transition model); its non-peak
 premise — taxis seeking street hails where demand is — also needs
 *when and where trips start*.  :class:`DemandPredictor` estimates the
 historical pick-up intensity of every map partition for every hour of
-the week-day/week-end cycle, so probabilistic cruising can aim at the
-areas that are hot *now* rather than hot on average.  This is the
+the week-day/week-end cycle, so the rebalancer
+(:mod:`repro.fleet.rebalance`) can move idle taxis toward the areas
+that will be hot *soon* rather than hot on average.  This is the
 simple statistical end of the demand-prediction literature the paper
 cites ([40], [46], [52]); plugging in a learned model only requires the
 same ``rate(partition, hour)`` interface.

@@ -11,6 +11,7 @@ their origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -52,6 +53,14 @@ class RideRequest:
     offline: bool = False
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and a request with
+        # an infinite time would become a kernel event at infinity.
+        if not (
+            math.isfinite(self.release_time)
+            and math.isfinite(self.deadline)
+            and math.isfinite(self.direct_cost)
+        ):
+            raise RequestError("release_time, deadline and direct_cost must be finite")
         if self.release_time < 0:
             raise RequestError("release_time must be non-negative")
         if self.direct_cost < 0:
@@ -91,8 +100,8 @@ class RideRequest:
         offline: bool = False,
     ) -> "RideRequest":
         """Build a request whose deadline follows Eq. 9: ``e = t + rho * cost``."""
-        if rho < 1.0:
-            raise RequestError("the flexible factor rho must be >= 1")
+        if not (math.isfinite(rho) and rho >= 1.0):
+            raise RequestError("the flexible factor rho must be finite and >= 1")
         return cls(
             request_id=request_id,
             release_time=release_time,

@@ -110,10 +110,7 @@ def run(key: RunKey) -> SimulationMetrics:
         return cached
 
     scenario = get_scenario(key.spec)
-    overrides = dict(key.config_overrides)
-    overrides.setdefault("rho", key.rho)
-    overrides.setdefault("capacity", key.capacity)
-    config = scenario.default_config(**overrides)
+    config = scenario.default_config(**dict(key.config_overrides))
     scheme = scenario.make_scheme(
         key.scheme,
         config=config,
@@ -126,7 +123,7 @@ def run(key: RunKey) -> SimulationMetrics:
         scheme,
         fleet,
         requests,
-        payment=PaymentModel(beta=config.beta, eta=config.eta),
+        payment=PaymentModel(),
         rebalance=scenario.rebalance_policy(key.rebalance, config),
     ).run()
     _CACHE[key] = metrics

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..demand.request import RideRequest
+from ..demand.request import RequestError, RideRequest
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .service import DecisionRecord
@@ -33,14 +33,19 @@ def request_to_dict(request: RideRequest) -> dict[str, Any]:
     return {name: getattr(request, name) for name in _REQUEST_FIELDS}
 
 
-def request_from_dict(payload: dict[str, Any]) -> RideRequest:
-    """Parse one wire dict (validation is RideRequest's own).
+def request_from_dict(
+    payload: dict[str, Any], num_vertices: int | None = None
+) -> RideRequest:
+    """Parse one wire dict (field validation is RideRequest's own).
 
-    Raises ``KeyError`` on missing required fields and
+    With ``num_vertices``, an origin or destination outside the
+    network's ``0 .. num_vertices - 1`` is refused too: a request
+    enters the service here, and past this point a vertex id indexes
+    arrays.  Raises ``KeyError`` on missing required fields and
     :class:`~repro.demand.request.RequestError` on invalid values —
     callers surface both as client errors, not crashes.
     """
-    return RideRequest(
+    request = RideRequest(
         request_id=int(payload["request_id"]),
         release_time=float(payload["release_time"]),
         origin=int(payload["origin"]),
@@ -50,6 +55,13 @@ def request_from_dict(payload: dict[str, Any]) -> RideRequest:
         num_passengers=int(payload.get("num_passengers", 1)),
         offline=bool(payload.get("offline", False)),
     )
+    if num_vertices is not None:
+        for vertex in (request.origin, request.destination):
+            if not 0 <= vertex < num_vertices:
+                raise RequestError(
+                    f"vertex {vertex} is not in the network (0 .. {num_vertices - 1})"
+                )
+    return request
 
 
 def decision_to_dict(decision: "DecisionRecord") -> dict[str, Any]:

@@ -47,6 +47,8 @@ class ServiceState:
 
     def __init__(self, service: DispatchService) -> None:
         self._service = service
+        #: Vertex ids a posted request may name (``request_from_dict``).
+        self.num_vertices = service.sim.scheme.network.num_vertices
         self._lock = threading.Lock()
         self._buffer: list[DecisionRecord] = []
         self._finished_summary: dict[str, Any] | None = None
@@ -149,10 +151,12 @@ def _make_handler(state: ServiceState) -> type[BaseHTTPRequestHandler]:
                 payload = json.loads(self.rfile.read(length))
                 if not isinstance(payload, dict):
                     raise TypeError("request body must be a JSON object")
-                request = request_from_dict(payload)
-            except (KeyError, TypeError, ValueError) as exc:
+                request = request_from_dict(payload, state.num_vertices)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 # ValueError covers JSONDecodeError, bad UTF-8 and
-                # RequestError; a null field is int()/float()'s TypeError.
+                # RequestError (NaN and Infinity parse as JSON numbers
+                # and fail here); a null field is int()/float()'s
+                # TypeError, an infinite vertex id int()'s OverflowError.
                 return 400, {"error": str(exc)}
             return state.submit(request)
 

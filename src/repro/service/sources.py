@@ -23,12 +23,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..network.shortest_path import ShortestPathEngine
 
 
-def jsonl_requests(path: str) -> Iterator[RideRequest]:
+def jsonl_requests(path: str, num_vertices: int | None = None) -> Iterator[RideRequest]:
     """Yield requests from a JSONL trace file, one object per line.
 
-    Blank lines are skipped; malformed lines raise with the line number
-    so a truncated trace fails loudly instead of silently shortening
-    the workload.
+    Blank lines are skipped; malformed lines — with ``num_vertices``,
+    also a vertex outside the network (:func:`request_from_dict`) —
+    raise with the line number so a truncated or hostile trace fails
+    loudly instead of silently shortening the workload.
     """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -36,8 +37,8 @@ def jsonl_requests(path: str) -> Iterator[RideRequest]:
             if not line:
                 continue
             try:
-                yield request_from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                yield request_from_dict(json.loads(line), num_vertices)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad request record: {exc}") from exc
 
 

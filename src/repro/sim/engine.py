@@ -254,6 +254,11 @@ class Simulator:
         return self._metrics
 
     @property
+    def scheme(self) -> DispatchScheme:
+        """The dispatch scheme this run drives."""
+        return self._scheme
+
+    @property
     def log(self) -> FleetLog:
         """Per-request service records."""
         return self._log

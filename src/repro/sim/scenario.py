@@ -33,18 +33,23 @@ import numpy as np
 from .. import artifacts
 from ..baselines import DispatchScheme, NoSharing, PGreedyDP, TShare
 from ..config import SystemConfig
-from ..core.mtshare import MTShare
+from ..core.mtshare import MTShare, partition_routers
 from ..demand.dataset import TripDataset
 from ..demand.generator import ChengduLikeDemand
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
 from ..memo import BoundedMemo
 from ..network.generators import grid_city
-from ..network.graph import RoadNetwork
+from ..network.graph import DEFAULT_SPEED_MPS, RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.ch import CH_FORMAT_VERSION
 from ..network.shortest_path import ShortestPathEngine, resolve_sp_mode
-from ..partitioning.bipartite import MapPartitioning, bipartite_partition, geo_partition
+from ..partitioning.bipartite import (
+    DEFAULT_TRANSITION_CLUSTERS,
+    MapPartitioning,
+    bipartite_partition,
+    geo_partition,
+)
 from ..partitioning.grid import grid_partition
 
 #: Built scenarios kept resident by :func:`get_scenario`.
@@ -99,11 +104,6 @@ def _make_mtshare(
         config,
         part,
         probabilistic=probabilistic,
-        demand_predictor=(
-            scenario.demand_predictor(part)
-            if probabilistic and config.use_demand_prediction
-            else None
-        ),
         landmarks=scenario.landmark_graph(partition_method, config.num_partitions),
     )
 
@@ -225,13 +225,11 @@ class Scenario:
         # The congestion factor rescales the constant travel speed for
         # the simulated window (traffic stays stable *within* a window,
         # as the paper assumes).
-        from .. import config as _config
-
         self.network: RoadNetwork = grid_city(
             rows=spec.grid_rows,
             cols=spec.grid_cols,
             spacing_m=spec.spacing_m,
-            speed_mps=_config.DEFAULT_SPEED_MPS * spec.congestion,
+            speed_mps=DEFAULT_SPEED_MPS * spec.congestion,
             seed=spec.seed,
         )
         # The network spec keys the APSP / trace / partition artifacts.
@@ -447,7 +445,6 @@ class Scenario:
         base = SystemConfig(
             num_partitions=self.spec.num_partitions,
             search_range_m=round(2500.0 * width / 9400.0, 0),
-            speed_mps=self.network.speed_mps,
         )
         return base.replace(**overrides) if overrides else base
 
@@ -481,6 +478,10 @@ class Scenario:
         seed: int = 0,
     ) -> list[Taxi]:
         """Taxis parked at uniformly random vertices (Section V-A4)."""
+        if num_taxis < 1:
+            raise ValueError("num_taxis must be positive")
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
         rng = np.random.default_rng(seed)
         locs = rng.integers(0, self.network.num_vertices, size=num_taxis)
         return [
@@ -564,7 +565,6 @@ class Scenario:
         self,
         method: str = "bipartite",
         num_partitions: int | None = None,
-        num_transition_clusters: int = 20,
     ) -> MapPartitioning:
         """Build (and memoise) a map partitioning over this network.
 
@@ -577,7 +577,7 @@ class Scenario:
         cached = self._partitionings.get(key)
         if cached is not None:
             return cached
-        k_t = min(num_transition_clusters, max(2, kappa - 1))
+        k_t = min(DEFAULT_TRANSITION_CLUSTERS, max(2, kappa - 1))
 
         def build() -> MapPartitioning:
             trips = self.history.od_pairs()
@@ -643,23 +643,11 @@ class Scenario:
 
     def _probabilistic_router(self, config: SystemConfig):
         """A ProbabilisticRouter over this scenario's bipartite partitions."""
-        from ..core.partition_filter import PartitionFilter
-        from ..core.routing import ProbabilisticRouter
-
         part = self.partitioning("bipartite", config.num_partitions)
         landmarks = self.landmark_graph("bipartite", config.num_partitions)
-        pfilter = PartitionFilter(landmarks, lam=config.lam, epsilon=config.epsilon)
-        router = ProbabilisticRouter(
-            self.network,
-            self.engine,
-            pfilter,
-            part.transition_model,
-            lam=config.lam,
-            max_attempts=config.max_probabilistic_attempts,
-            steering_m=config.prob_steering_m,
+        _pfilter, router = partition_routers(
+            self.network, self.engine, landmarks, config, part.transition_model
         )
-        if config.use_demand_prediction:
-            router.demand_predictor = self.demand_predictor(part)
         return router
 
     def demand_predictor(self, partitioning: MapPartitioning):

@@ -70,7 +70,7 @@ from scipy.sparse import csgraph
 
 from repro.analysis import contracts
 from repro.core.matching import insertion_start
-from repro.core.mobility_cluster import MobilityVector
+from repro.core.mobility_cluster import DEFAULT_LAMBDA, MobilityVector
 from repro.core.routing import (
     CORRIDOR_EXTRA_HOPS,
     MAX_ENUMERATED_PATHS,
@@ -165,7 +165,7 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
     per-partition arrays are deleted, so any read of them fails."""
 
     def __init__(self, network, engine, partition_filter, transition_model,
-                 lam=0.707, max_attempts=5, steering_m=120.0):
+                 lam=DEFAULT_LAMBDA, max_attempts=5, steering_m=120.0):
         super().__init__(network, engine, partition_filter, transition_model,
                          lam, max_attempts, steering_m)
         del self._demand_share, self._hot_vertex, self._steering_s
@@ -351,16 +351,10 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
         """
         lg = self._filter.landmark_graph
         here = lg.partition_of(start_node)
-        hour = int(start_time // 3600) % 24
         candidates: list[int] = []
         scores: list[float] = []
         for pi in range(lg.num_partitions):
             share = self.partition_demand_share(pi)
-            if self.demand_predictor is not None:
-                # Blend the hour-of-day rate with the overall share: the
-                # hourly estimate is sharper but noisier (few observed
-                # days per hour), the overall share is stable.
-                share = 0.5 * share + 0.5 * self.demand_predictor.share(pi, hour)
             if share <= 0.0:
                 continue
             travel = lg.landmark_cost(here, pi)

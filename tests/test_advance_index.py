@@ -24,6 +24,7 @@ from repro.core.payment import PaymentModel
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, TaxiRoute
+from repro.index.spatial import GridSpatialIndex
 from repro.service.sources import synthetic_requests
 from repro.sim.engine import Simulator
 from tests.conftest import make_request
@@ -166,9 +167,10 @@ def _redispatch_world(cls, net, engine, winner):
     moved it along its new route.
     """
     width = float(net.xy[:, 0].max() - net.xy[:, 0].min())
-    config = SystemConfig(search_range_m=2.0 * width, speed_mps=net.speed_mps,
-                          baseline_grid_cell_m=150.0)
-    scheme = _RecordingTShare(net, engine, config)
+    scheme = _RecordingTShare(net, engine, SystemConfig(search_range_m=2.0 * width))
+    # The world is laid out on a 150 m position grid; T-Share's own is
+    # gamma / 2, a single cell at this search range.
+    scheme._position_index = GridSpatialIndex(cell_size_m=150.0)  # noqa: SLF001
     locs = {1: 0, winner: 43, 2 - winner: 99}
     fleet = [Taxi(taxi_id=i, capacity=1 if i == 1 else 3, loc=locs[i]) for i in range(3)]
 
@@ -301,7 +303,7 @@ def test_due_index_stays_fleet_sized_over_a_long_stream(small_net, small_engine)
     """No-sharing keeps one live entry per moving taxi: 5,000 requests
     through the bounded-memory streaming mode must not grow the heap."""
     width = float(small_net.xy[:, 0].max() - small_net.xy[:, 0].min())
-    config = SystemConfig(search_range_m=2.0 * width, speed_mps=small_net.speed_mps)
+    config = SystemConfig(search_range_m=2.0 * width)
     fleet = [Taxi(taxi_id=i, capacity=3, loc=(7 * i) % 100) for i in range(20)]
     sim = Simulator(NoSharing(small_net, small_engine, config), fleet, [], compact=True)
     peak = 0

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from repro.artifacts import ARTIFACT_DIR_ENV, get_store
+from repro import cli
 from repro.cli import main
 from repro.service.codec import request_to_dict
 from repro.service.sources import synthetic_requests
 from repro.sim.scenario import Scenario, ScenarioSpec, get_scenario
+from tests.test_service import HOSTILE, hostile_payload
 
 
 class TestList:
@@ -147,7 +149,12 @@ class TestBadScenarioArguments:
          "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--requests", "0"], {}, "hourly_requests must be positive"),
         (["simulate", *SMALL_WORLD, "--partitions", "0"], {}, "num_partitions must be >= 1"),
-        (["simulate", *SMALL_WORLD, "--rho", "0.5"], {}, "rho must be >= 1"),
+        (["simulate", *SMALL_WORLD, "--rho", "0.5"], {},
+         "the flexible factor rho must be finite and >= 1"),
+        (["simulate", *SMALL_WORLD, "--rho", "nan"], {},
+         "the flexible factor rho must be finite and >= 1"),
+        (["simulate", *SMALL_WORLD, "--rho", "inf"], {},
+         "the flexible factor rho must be finite and >= 1"),
         (["simulate", *SMALL_WORLD, "--congestion", "0"], {},
          "congestion must be a positive speed factor"),
         # A seed no other test builds: a memoised scenario has its engine already.
@@ -155,12 +162,13 @@ class TestBadScenarioArguments:
          "invalid REPRO_SP_MODE='bogus'; use auto/full/lazy/ch"),
         (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
+        (["simulate", *SMALL_WORLD, "--capacity", "0"], {}, "capacity must be positive"),
         # NaN passes every ordered comparison; before the finiteness
         # check it died in the simulator's first window tick.
         (["simulate", *SMALL_WORLD, "--scheme", "window-lap", "--window", "nan"], {},
          "dispatch_window_s must be finite"),
-    ], ids=["grid", "requests", "partitions", "rho", "congestion", "sp-mode-env",
-            "cache-warm-ch-grid", "taxis", "window-nan"])
+    ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
+            "sp-mode-env", "cache-warm-ch-grid", "taxis", "capacity", "window-nan"])
     def test_one_error_line_and_exit_2(self, monkeypatch, capsys, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -182,33 +190,56 @@ class TestBadScenarioArguments:
             main(["simulate", "--scheme", "no-sharing", *SMALL_WORLD])
 
 
+#: The network ``repro replay *REPLAY_FLAGS`` builds (only the grid
+#: and the seed shape it), for writing traces that fit it.
+REPLAY_SPEC = ScenarioSpec(kind="peak", grid_rows=8, grid_cols=8, hourly_requests=60,
+                           history_days=1, num_partitions=4, seed=3)
+REPLAY_FLAGS = ["--grid", "8", "--partitions", "4", "--requests", "60", "--taxis", "10",
+                "--seed", "3"]
+
+
 class TestReplay:
     def test_replay_writes_one_decision_per_request(self, tmp_path, capsys):
-        scenario = get_scenario(
-            ScenarioSpec(kind="peak", grid_rows=8, grid_cols=8, hourly_requests=60,
-                         history_days=1, num_partitions=4, seed=3)
-        )
+        scenario = get_scenario(REPLAY_SPEC)
         trace = tmp_path / "trace.jsonl"
         with open(trace, "w", encoding="utf-8") as fh:
             for request in synthetic_requests(scenario.engine, 200, seed=1):
                 fh.write(json.dumps(request_to_dict(request)) + "\n")
         decisions = tmp_path / "decisions.jsonl"
-        code = main(
-            [
-                "replay", str(trace),
-                "--grid", "8",
-                "--partitions", "4",
-                "--requests", "60",
-                "--taxis", "10",
-                "--seed", "3",
-                "--decisions", str(decisions),
-            ]
-        )
+        code = main(["replay", str(trace), *REPLAY_FLAGS, "--decisions", str(decisions)])
         assert code == 0
         assert "Replayed 200 requests (200 admitted, 0 rejected)" in capsys.readouterr().out
         with open(decisions, encoding="utf-8") as fh:
             stream = [json.loads(line) for line in fh]
         assert sorted(d["request_id"] for d in stream) == list(range(200))
+
+    @pytest.mark.parametrize("cell", list(HOSTILE))
+    def test_hostile_record_is_an_error_naming_its_line(self, tmp_path, monkeypatch, capsys,
+                                                        cell):
+        """Refused where it enters, like any malformed record: exit 2,
+        one ``error:`` line naming the line, nothing of it admitted, and
+        the run's accounting still closes."""
+        scenario = get_scenario(REPLAY_SPEC)
+        good, bad = synthetic_requests(scenario.engine, 2, seed=1)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            json.dumps(request_to_dict(good)) + "\n"
+            + json.dumps(hostile_payload(bad, cell, scenario.network.num_vertices)) + "\n"
+        )
+        built = []
+        make_service = cli._make_service
+
+        def keep(args):
+            built.append(make_service(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_make_service", keep)
+        assert main(["replay", str(trace), *REPLAY_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}:2: bad request record: ") and err.count("\n") == 1
+        [service] = built
+        assert service.submitted == 1
+        service.finish().check_balance()
 
     def test_replay_unwritable_decisions_path_is_a_clean_error(self, tmp_path, capsys):
         # Like `simulate --trace`: a sink that cannot be opened is a

@@ -340,8 +340,7 @@ class TestDrainClock:
                 super()._advance_all(now)
 
         width = small_net.xy[:, 0].max() - small_net.xy[:, 0].min()
-        config = SystemConfig(search_range_m=float(width) * 2.0,
-                              speed_mps=small_net.speed_mps)
+        config = SystemConfig(search_range_m=float(width) * 2.0)
         scheme = NoSharing(small_net, small_engine, config)
         # One long trip released at t=0: the whole run is drain steps.
         request = make_request(
@@ -379,8 +378,7 @@ class TestDrainHorizonCutoff:
         # before the ~11-minute cross-town trip can finish.
         monkeypatch.setattr("repro.sim.engine.DRAIN_HORIZON_S", 120.0)
         width = small_net.xy[:, 0].max() - small_net.xy[:, 0].min()
-        config = SystemConfig(search_range_m=float(width) * 2.0,
-                              speed_mps=small_net.speed_mps)
+        config = SystemConfig(search_range_m=float(width) * 2.0)
         scheme = NoSharing(small_net, small_engine, config)
         request = make_request(
             request_id=0, release_time=0.0, origin=0, destination=99,
@@ -492,8 +490,7 @@ class TestDrainOvershoot:
                 super()._advance_all(now)
 
         width = small_net.xy[:, 0].max() - small_net.xy[:, 0].min()
-        config = SystemConfig(search_range_m=float(width) * 2.0,
-                              speed_mps=small_net.speed_mps)
+        config = SystemConfig(search_range_m=float(width) * 2.0)
         scheme = NoSharing(small_net, small_engine, config)
         # One cross-town trip (~11 min) released at t=0: the taxi is
         # still busy when the 150 s horizon cuts the run.

@@ -259,8 +259,7 @@ class TestContinuationRequest:
 def micro(small_net, small_engine):
     """A NoSharing dispatcher over the small city with a wide search range."""
     width = small_net.xy[:, 0].max() - small_net.xy[:, 0].min()
-    config = SystemConfig(search_range_m=float(width) * 2.0,
-                          speed_mps=small_net.speed_mps)
+    config = SystemConfig(search_range_m=float(width) * 2.0)
     return NoSharing(small_net, small_engine, config)
 
 

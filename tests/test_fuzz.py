@@ -48,13 +48,12 @@ def random_world(seed: int):
     config = SystemConfig(
         num_partitions=part.num_partitions,
         search_range_m=float(rng.uniform(400, 1200)),
-        rho=rho,
-        capacity=int(rng.integers(2, 5)),
     )
+    capacity = int(rng.integers(2, 5))
     scheme = MTShare(net, engine, config, part,
                      probabilistic=bool(rng.integers(0, 2)))
     fleet = [
-        Taxi(taxi_id=i, capacity=config.capacity, loc=int(rng.integers(n)))
+        Taxi(taxi_id=i, capacity=capacity, loc=int(rng.integers(n)))
         for i in range(int(rng.integers(4, 16)))
     ]
     return scheme, fleet, requests

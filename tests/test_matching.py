@@ -210,10 +210,10 @@ class InflatingRouter(BasicRouter):
         )
 
 
-def build_matcher(tiny_net, tiny_engine, router, **config_kwargs):
+def build_matcher(tiny_net, tiny_engine, router):
     """A matcher over the row-partitioned tiny grid with a given router."""
     lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], tiny_engine)
-    config = SystemConfig(search_range_m=500.0, num_partitions=3, **config_kwargs)
+    config = SystemConfig(search_range_m=500.0, num_partitions=3)
     pindex = PartitionTaxiIndex(3)
     matcher = Matcher(
         tiny_net,
@@ -268,9 +268,10 @@ class TestWinnerByActualDetour:
         assert result.taxi_id == 0
         assert router.calls == 1
 
-    def test_planning_cutoff_bounds_routes_planned(self, tiny_net, tiny_engine):
+    def test_planning_cutoff_bounds_routes_planned(self, tiny_net, tiny_engine, monkeypatch):
         # Every candidate's route is inflated, so the estimate-based
         # early exit never triggers; the cutoff must stop planning.
+        monkeypatch.setattr(matching, "MATCH_PLANNING_CUTOFF", 2)
         class SlowEverywhere(InflatingRouter):
             def route_for_schedule(self, start_node, start_time, stops,
                                    taxi_vector=None):
@@ -279,9 +280,7 @@ class TestWinnerByActualDetour:
 
         slow = SlowEverywhere(tiny_net, tiny_engine, None, slow_node=-2,
                               penalty=500.0)
-        matcher, pindex, lg = build_matcher(
-            tiny_net, tiny_engine, slow, match_planning_cutoff=2
-        )
+        matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, slow)
         fleet = {
             0: idle_taxi(0, 1, pindex, lg),
             1: idle_taxi(1, 2, pindex, lg),
@@ -295,10 +294,6 @@ class TestWinnerByActualDetour:
         # estimate beats every inflated actual), so the cutoff is what
         # stops planning: exactly 2 routes get planned.
         assert slow.calls == 2
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            SystemConfig(match_planning_cutoff=0)
 
 
 class TestMatchObservability:

@@ -96,10 +96,3 @@ class TestScenarioIntegration:
     def test_predictor_memoised(self, test_scenario):
         part = test_scenario.partitioning("bipartite")
         assert test_scenario.demand_predictor(part) is test_scenario.demand_predictor(part)
-
-    def test_opt_in_flag_attaches_predictor(self, test_nonpeak_scenario):
-        cfg = test_nonpeak_scenario.default_config(use_demand_prediction=True)
-        scheme = test_nonpeak_scenario.make_scheme("mt-share-pro", config=cfg)
-        assert scheme._prob_router.demand_predictor is not None  # noqa: SLF001
-        scheme_off = test_nonpeak_scenario.make_scheme("mt-share-pro")
-        assert scheme_off._prob_router.demand_predictor is None  # noqa: SLF001

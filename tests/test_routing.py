@@ -193,19 +193,12 @@ class _World:
         part = scenario.partitioning("bipartite", config.num_partitions)
         self.net, self.engine = scenario.network, scenario.engine
         self.lg = scenario.landmark_graph("bipartite", config.num_partitions)
-        self.predictor = scenario.demand_predictor(part)
-        self._args = (part.transition_model, config.lam,
-                      config.max_probabilistic_attempts, config.prob_steering_m)
-        self._filter_args = dict(lam=config.lam, epsilon=config.epsilon)
+        self._model, self._lam = part.transition_model, config.lam
+        self._steering_m = config.prob_steering_m
 
-    def router(self, cls, predictor=False, max_attempts=None):
-        args = list(self._args)
-        if max_attempts is not None:
-            args[2] = max_attempts
-        router = cls(self.net, self.engine, PartitionFilter(self.lg, **self._filter_args), *args)
-        if predictor:
-            router.demand_predictor = self.predictor
-        return router
+    def router(self, cls, max_attempts=5):
+        return cls(self.net, self.engine, PartitionFilter(self.lg, lam=self._lam), self._model,
+                   self._lam, max_attempts, self._steering_m)
 
     def vertex_in(self, z, k=0):
         return self.lg.members(z)[k]
@@ -243,11 +236,11 @@ def _apply(router, op):
     return None if route is None else (route.nodes, route.times, route.stop_positions)
 
 
-def play(world, ops, predictor=False):
+def play(world, ops):
     """``ops`` through a fresh production router and a fresh oracle;
     every outcome and the first-caller-wins sector state must be equal."""
-    fast = world.router(ProbabilisticRouter, predictor)
-    oracle = world.router(ReferenceProbabilisticRouter, predictor)
+    fast = world.router(ProbabilisticRouter)
+    oracle = world.router(ReferenceProbabilisticRouter)
     for op in ops:
         assert _apply(fast, op) == _apply(oracle, op), op[:3]
     assert {key: entry.dests for key, entry in fast._sectors.items()} == oracle._pd_cache
@@ -283,12 +276,12 @@ def _ops(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops(), predictor=st.booleans(), graph_capacity=st.sampled_from([1, None]))
-def test_probabilistic_router_matches_per_leg_oracle(world, ops, predictor, graph_capacity):
+@given(ops=_ops(), graph_capacity=st.sampled_from([1, None]))
+def test_probabilistic_router_matches_per_leg_oracle(world, ops, graph_capacity):
     ops = [op if op[0] == "cruise" else route_op(world, *op[1:]) for op in ops]
     capacity = graph_capacity or routing.CORRIDOR_GRAPH_CACHE_SIZE
     with mock.patch.object(routing, "CORRIDOR_GRAPH_CACHE_SIZE", capacity):
-        fast, _ = play(world, ops, predictor)
+        fast, _ = play(world, ops)
     assert len(fast.corridor_graphs) <= capacity
 
 
@@ -298,14 +291,14 @@ def test_probabilistic_router_matches_per_leg_oracle(world, ops, predictor, grap
 _WSW = heading(-170.0)
 
 
-@pytest.mark.parametrize("predictor", [False, True], ids=["share", "hourly"])
-@pytest.mark.parametrize("first", ["cruise", "taxi"])
-def test_sector_zero_belongs_to_whoever_fills_it_first(world, first, predictor):
+# "share": cruises target partitions by their overall demand share.
+@pytest.mark.parametrize("first", ["cruise", "taxi"], ids=["cruise-share", "taxi-share"])
+def test_sector_zero_belongs_to_whoever_fills_it_first(world, first):
     assert routing.heading_sector(_WSW.direction) == routing.heading_sector((0.0, 0.0)) == 0
     cruises = [("cruise", v, 7.5 * 3600.0 + v) for v in range(0, 144, 5)]
     taxis = [route_op(world, v, 100.0, [(v, 143 - v, 3.0)], _WSW) for v in range(0, 60, 7)]
     ops = cruises + taxis if first == "cruise" else taxis + cruises
-    fast, _ = play(world, ops + ops, predictor)
+    fast, _ = play(world, ops + ops)
     assert sum(_apply(fast, op) is not None for op in cruises) > 10
     kappa = world.lg.num_partitions
     suits_everyone = [

@@ -81,5 +81,5 @@ class TestScenario:
         assert cfg.search_range_m == pytest.approx(2500.0 * width / 9400.0, abs=1.0)
 
     def test_default_config_overrides(self, test_scenario):
-        cfg = test_scenario.default_config(rho=1.5)
-        assert cfg.rho == 1.5
+        cfg = test_scenario.default_config(lam=0.5)
+        assert cfg.lam == 0.5

@@ -52,6 +52,23 @@ SERVICE_SPEC = ScenarioSpec(
 
 NONPEAK_SERVICE_SPEC = dataclasses.replace(SERVICE_SPEC, kind="nonpeak", offline_count=30)
 
+#: Hostile wire values per cell: a field and what it is set to (``None``
+#: means ``V``, the first vertex id past the network).  ``json`` writes
+#: and reads ``NaN`` and ``Infinity`` as numbers.
+HOSTILE = {
+    "nan": ("release_time", float("nan")),
+    "inf": ("deadline", float("inf")),
+    "-1": ("origin", -1),
+    "V": ("destination", None),
+}
+
+
+def hostile_payload(request, cell, num_vertices):
+    """``request``'s wire dict with the ``cell`` field made hostile."""
+    field, value = HOSTILE[cell]
+    return request_to_dict(request) | {field: num_vertices if value is None else value}
+
+
 MEASURED_KEYS = frozenset(
     {"response_ms", "stage_candidates_ms", "stage_insertion_ms", "stage_planning_ms"}
 )
@@ -468,6 +485,22 @@ class TestHTTPEndpoint:
         # Submissions after finish are refused cleanly.
         code, body = self._post(base, "/requests", request_to_dict(requests[1]))
         assert code == 409
+
+    @pytest.mark.parametrize("cell", list(HOSTILE))
+    def test_hostile_request_is_client_error(self, svc_scenario, service, server, cell):
+        """Refused with a 400 where it enters, before the lock: the
+        service admits nothing, and its accounting still closes."""
+        base, _state = server
+        good, bad = svc_scenario.requests()[:2]
+        assert self._post(base, "/requests", request_to_dict(good))[0] == 200
+        payload = hostile_payload(bad, cell, svc_scenario.network.num_vertices)
+        raw = json.dumps(payload).encode()
+        code, body = self._raw_post(base, raw, len(raw))
+        assert code == 400 and "error" in body
+        code, body = self._post(base, "/finish", {})
+        assert code == 200 and body["summary"]["unserved"] + body["summary"]["served"] == 1
+        assert service.submitted == 1
+        service.sim.metrics.check_balance()
 
     def test_malformed_request_is_client_error(self, server):
         base, _state = server
