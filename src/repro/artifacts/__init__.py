@@ -13,7 +13,6 @@ from .store import (
     canonical_json,
     default_root,
     get_store,
-    reset_stats,
     stats,
 )
 
@@ -25,6 +24,5 @@ __all__ = [
     "canonical_json",
     "default_root",
     "get_store",
-    "reset_stats",
     "stats",
 ]

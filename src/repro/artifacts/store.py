@@ -129,10 +129,6 @@ class ArtifactStore:
     def _dir_of(self, kind: str, key: str) -> Path:
         return self.root / kind / key[:2] / key
 
-    def contains(self, kind: str, key: str) -> bool:
-        """Whether a complete artifact exists for ``(kind, key)``."""
-        return (self._dir_of(kind, key) / "meta.json").is_file()
-
     # ------------------------------------------------------------------
     def load(self, kind: str, key: str, mmap: bool = True) -> Artifact | None:
         """Load an artifact, or ``None`` on miss (or corruption).
@@ -300,9 +296,3 @@ def stats() -> dict[str, dict[str, int]]:
             for k, v in st.items():
                 agg[k] += v
     return merged
-
-
-def reset_stats() -> None:
-    """Zero every store's per-process counters (tests)."""
-    for store in _STORES.values():
-        store.reset_stats()

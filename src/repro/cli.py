@@ -50,7 +50,6 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
     p.add_argument("--kind", choices=("peak", "nonpeak"), default="peak")
     p.add_argument("--taxis", type=int, default=100)
     p.add_argument("--capacity", type=int, default=3)
-    p.add_argument("--rho", type=float, default=1.3)
     p.add_argument("--requests", type=int, default=requests_default, help=requests_help)
     p.add_argument("--grid", type=int, default=16,
                    help="network grid side (vertices per side)")
@@ -65,6 +64,8 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
 
 def _simulate_args(sim: argparse.ArgumentParser) -> None:
     _scenario_args(sim, 600, "expected busiest-hour request volume")
+    sim.add_argument("--rho", type=float, default=1.3,
+                     help="flexible factor setting each request's deadline")
     sim.add_argument("--window", type=float, default=None, metavar="SECONDS",
                      help="dispatch-window length W for the window-lap "
                           "scheme (0 reproduces greedy decisions exactly; "
@@ -358,12 +359,13 @@ def _make_service(args: argparse.Namespace) -> "DispatchService":
     from .service import AdmissionPolicy, DispatchService, ServiceConfig
     from .sim.engine import Simulator
 
+    with _building():
+        policy = AdmissionPolicy(
+            max_in_flight=args.max_in_flight, late_policy=args.late_policy
+        )
     _scenario, _config, scheme, fleet = _build_scenario(args)
     sim = Simulator(
         scheme, fleet, [], payment=PaymentModel(), compact=args.compact
-    )
-    policy = AdmissionPolicy(
-        max_in_flight=args.max_in_flight, late_policy=args.late_policy
     )
     return DispatchService(sim, ServiceConfig(admission=policy))
 
@@ -418,7 +420,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = _make_service(args)
     try:
         server, _state = make_server(service, host=args.host, port=args.port)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0..65535
         print(f"error: cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 2
     host, port = server.server_address[:2]

@@ -114,14 +114,3 @@ def parse_spec(cls: type[_SpecT], text: str) -> _SpecT:
         except ValueError:
             raise ValueError(f"bad value for {key!r}: {raw!r}") from None
     return cls(**values)
-
-
-def format_spec(spec: Any) -> str:
-    """``spec``'s non-default fields as ``key=value,...`` — the inverse
-    of :func:`parse_spec` (floats print their shortest round-trip form)."""
-    default = type(spec)()
-    return ",".join(
-        f"{f.name}={getattr(spec, f.name)!r}"
-        for f in dataclasses.fields(spec)
-        if getattr(spec, f.name) != getattr(default, f.name)
-    )

@@ -112,11 +112,6 @@ class WindowScreen:
     starts: list[InsertionStart]
     member: np.ndarray
 
-    def candidate_lists(self) -> list[list[Taxi]]:
-        """Per request, its candidates in ascending taxi-id order."""
-        taxis = self.taxis
-        return [[taxis[j] for j in np.flatnonzero(row)] for row in self.member]
-
 
 def keeps_seats_idle(taxi: Taxi, request: RideRequest) -> bool:
     """Whether ``taxi`` keeps :data:`PROBABILISTIC_IDLE_SEATS` of its
@@ -339,8 +334,8 @@ class Matcher:
     ) -> WindowScreen:
         """:meth:`candidate_taxis` for every request of a window at once.
 
-        ``screen.candidate_lists()`` equals ``[candidate_taxis(r, fleet,
-        now) for r in batch]`` taxi for taxi.  Small batches run exactly
+        Row ``i`` of ``screen.member`` selects, from ``screen.taxis``,
+        ``candidate_taxis(batch[i], fleet, now)`` taxi for taxi.  Small batches run exactly
         that comprehension; from :data:`BULK_SCREEN_MIN_REQUESTS`
         requests on, :meth:`_screen_bulk` reads the fleet once and
         evaluates the rules as array expressions.  The tier is chosen

@@ -94,10 +94,6 @@ class MobilityVector:
         bx, by = other.direction
         return cosine_similarity(ax, ay, bx, by)
 
-    def is_aligned(self, other: "MobilityVector", lam: float = DEFAULT_LAMBDA) -> bool:
-        """Whether the direction difference is small enough (cos >= lambda)."""
-        return self.similarity(other) >= lam
-
 
 class _Cluster:
     """Internal cluster state: member sums for the general vector."""
@@ -169,7 +165,6 @@ class MobilityClusterIndex:
         self._clusters: dict[int, _Cluster] = {}
         self._cluster_of_request: dict[int, int] = {}
         self._cluster_of_taxi: dict[int, int] = {}
-        self._taxi_vectors: dict[int, MobilityVector] = {}
         self._taxi_units: dict[int, tuple[float, float, float]] = {}
         self._next_id = 0
         # Cached (cluster ids, normalised direction units) over the live
@@ -197,14 +192,6 @@ class MobilityClusterIndex:
     def general_vector(self, cluster_id: int) -> MobilityVector:
         """The cluster's general mobility vector."""
         return self._clusters[cluster_id].general_vector()
-
-    def members_of(self, cluster_id: int) -> set[int]:
-        """Request ids currently in the cluster."""
-        return set(self._clusters[cluster_id].members)
-
-    def taxi_list(self, cluster_id: int) -> set[int]:
-        """``C_a.L_t``: busy taxis travelling with the cluster."""
-        return set(self._clusters[cluster_id].taxis)
 
     def cluster_of_request(self, request_id: int) -> int | None:
         """Cluster holding ``request_id``, if any."""
@@ -292,13 +279,6 @@ class MobilityClusterIndex:
             ids[k] for k, unit in enumerate(units) if unit_similarity(unit, bu) >= lam
         ]
 
-    def aligned_taxis(self, vec: MobilityVector) -> set[int]:
-        """Union of ``C_a.L_t`` over all clusters aligned with ``vec``."""
-        out: set[int] = set()
-        for cid in self.matching_clusters(vec):
-            out.update(self._clusters[cid].taxis)
-        return out
-
     # ------------------------------------------------------------------
     # taxi side
     # ------------------------------------------------------------------
@@ -314,10 +294,8 @@ class MobilityClusterIndex:
         if old is not None and old in self._clusters:
             self._clusters[old].taxis.discard(taxi_id)
         if vec is None:
-            self._taxi_vectors.pop(taxi_id, None)
             self._taxi_units.pop(taxi_id, None)
             return None
-        self._taxi_vectors[taxi_id] = vec
         self._taxi_units[taxi_id] = direction_unit(*vec.direction)
         best_id, best_sim = self._best_cluster(vec)
         if best_id is None or best_sim < self._lam:
@@ -325,10 +303,6 @@ class MobilityClusterIndex:
         self._clusters[best_id].taxis.add(taxi_id)
         self._cluster_of_taxi[taxi_id] = best_id
         return best_id
-
-    def taxi_vector(self, taxi_id: int) -> MobilityVector | None:
-        """Last known mobility vector of a busy taxi."""
-        return self._taxi_vectors.get(taxi_id)
 
     def taxi_unit(self, taxi_id: int) -> tuple[float, float, float] | None:
         """Normalised direction unit of a busy taxi's mobility vector.
@@ -379,5 +353,5 @@ class MobilityClusterIndex:
         for cluster in self._clusters.values():
             total += 128 + 72 * len(cluster.members) + 28 * len(cluster.taxis)
         total += 56 * (len(self._cluster_of_request) + len(self._cluster_of_taxi))
-        total += 72 * len(self._taxi_vectors)
+        total += 72 * len(self._taxi_units)
         return total

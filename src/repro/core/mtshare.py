@@ -239,11 +239,3 @@ class MTShare(DispatchScheme):
     def index_memory_bytes(self) -> int:
         """Footprint of both index views (Table IV's "index size")."""
         return self._pindex.memory_bytes() + self._cindex.memory_bytes()
-
-    def total_memory_bytes(self) -> int:
-        """Index plus partition/landmark/transition support structures."""
-        total = self.index_memory_bytes() + self._landmarks.memory_bytes()
-        model = self._partitioning.transition_model
-        if model is not None:
-            total += model.memory_bytes()
-        return total

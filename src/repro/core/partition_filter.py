@@ -60,10 +60,6 @@ class PartitionFilter:
         """The landmark graph being filtered."""
         return self._lg
 
-    def filter_nodes(self, u: int, v: int) -> list[int]:
-        """Retained partitions for a leg between road vertices ``u``, ``v``."""
-        return self.filter_partitions(self._lg.partition_of(u), self._lg.partition_of(v))
-
     def filter_partitions(self, pz: int, pz1: int) -> list[int]:
         """Retained partitions for a leg from partition ``pz`` to ``pz1``.
 
@@ -119,9 +115,9 @@ class PartitionFilter:
         """Union of the member vertices of an explicit partition corridor.
 
         Memoised per corridor tuple; the *same frozenset object* is
-        returned for repeated corridors, so the induced-subgraph LRU in
-        :mod:`repro.network.shortest_path` gets cache hits by identity
-        instead of rebuilding the CSR submatrix per routed leg.
+        returned for repeated corridors, so the induced-subgraph memo it
+        keys, ``RoadNetwork.corridors``, hits by identity instead of
+        rebuilding the CSR submatrix per routed leg.
         """
         key = tuple(corridor)
         cached = self._corridor_cache.get(key)
@@ -133,13 +129,3 @@ class PartitionFilter:
         result = frozenset(vertices)
         self._corridor_cache[key] = result
         return result
-
-    def cache_size(self) -> int:
-        """Number of memoised (source, destination) partition pairs."""
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop all memoised results (after re-partitioning)."""
-        self._cache.clear()
-        self._vertex_cache.clear()
-        self._corridor_cache.clear()

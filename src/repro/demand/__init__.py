@@ -9,7 +9,7 @@ from .generator import (
     ChengduLikeDemand,
     Zone,
 )
-from .request import RequestError, RideRequest, ServedTrip, TripRecord
+from .request import RequestError, RideRequest, ServedTrip
 
 __all__ = [
     "ChengduLikeDemand",
@@ -18,7 +18,6 @@ __all__ = [
     "RideRequest",
     "ServedTrip",
     "TripDataset",
-    "TripRecord",
     "WEEKEND_HOURLY_PROFILE",
     "WORKDAY_HOURLY_PROFILE",
     "ZONE_TYPES",

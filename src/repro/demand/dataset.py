@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..network.shortest_path import ShortestPathEngine
-from .request import RideRequest, TripRecord
+from .request import RideRequest
 
 
 @dataclass(frozen=True)
@@ -70,28 +70,6 @@ class TripDataset:
     def od_pairs(self) -> np.ndarray:
         """``(m, 2)`` array of (origin, destination) for transition mining."""
         return np.stack([self.origins, self.destinations], axis=1)
-
-    def records(self) -> list[TripRecord]:
-        """Materialise the rows as :class:`TripRecord` objects."""
-        return [
-            TripRecord(
-                trip_id=i,
-                taxi_id=int(self.taxi_ids[i]),
-                release_time=float(self.release_times[i]),
-                origin=int(self.origins[i]),
-                destination=int(self.destinations[i]),
-            )
-            for i in range(len(self))
-        ]
-
-    def concat(self, other: "TripDataset") -> "TripDataset":
-        """Concatenate two datasets (rows are re-sorted by release time)."""
-        return TripDataset(
-            release_times=np.concatenate([self.release_times, other.release_times]),
-            origins=np.concatenate([self.origins, other.origins]),
-            destinations=np.concatenate([self.destinations, other.destinations]),
-            taxi_ids=np.concatenate([self.taxi_ids, other.taxi_ids]),
-        )
 
     # ------------------------------------------------------------------
     # request workloads
@@ -160,22 +138,6 @@ class TripDataset:
     # ------------------------------------------------------------------
     # Fig. 5 statistics
     # ------------------------------------------------------------------
-    def hourly_counts(self) -> dict[int, int]:
-        """Number of trips per absolute hour index."""
-        if not len(self):
-            return {}
-        hours = (self.release_times // 3600.0).astype(np.int64)
-        uniq, counts = np.unique(hours, return_counts=True)
-        return {int(h): int(c) for h, c in zip(uniq, counts)}
-
-    def busiest_hour(self) -> tuple[int, int]:
-        """``(hour_index, count)`` of the busiest hour in the dataset."""
-        counts = self.hourly_counts()
-        if not counts:
-            raise ValueError("empty dataset has no busiest hour")
-        hour = max(counts, key=counts.get)
-        return hour, counts[hour]
-
     def travel_time_distribution(
         self,
         engine: ShortestPathEngine,

@@ -114,22 +114,6 @@ class RideRequest:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TripRecord:
-    """One historical taxi transaction from the (synthetic) trace.
-
-    Mirrors the fields of the Didi GAIA records the paper mines:
-    transaction id, taxi id, release time, pick-up and drop-off
-    locations (already map-matched to road vertices).
-    """
-
-    trip_id: int
-    taxi_id: int
-    release_time: float
-    origin: int
-    destination: int
-
-
 @dataclass(slots=True)
 class ServedTrip:
     """Outcome of a served request, recorded by the simulator.

@@ -130,20 +130,6 @@ def run(key: RunKey) -> SimulationMetrics:
     return metrics
 
 
-def run_simple(
-    spec: ScenarioSpec,
-    scheme: str,
-    num_taxis: int,
-    **kwargs,
-) -> SimulationMetrics:
-    """Convenience wrapper building the :class:`RunKey` from kwargs."""
-    overrides = kwargs.pop("config_overrides", {})
-    if isinstance(overrides, dict):
-        overrides = tuple(sorted(overrides.items()))
-    return run(RunKey(spec=spec, scheme=scheme, num_taxis=num_taxis,
-                      config_overrides=overrides, **kwargs))
-
-
 # ----------------------------------------------------------------------
 # parallel sweep executor
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .plan import (
     ShockWindow,
     TaxiBreakdown,
     build_fault_plan,
-    format_fault_spec,
     parse_fault_spec,
 )
 from .recovery import CONTINUATION_ID_BASE, continuation_request
@@ -30,6 +29,5 @@ __all__ = [
     "TaxiBreakdown",
     "build_fault_plan",
     "continuation_request",
-    "format_fault_spec",
     "parse_fault_spec",
 ]

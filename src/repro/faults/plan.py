@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import format_spec, parse_spec
+from ..config import parse_spec
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
@@ -121,11 +121,6 @@ def parse_fault_spec(text: str) -> FaultSpec:
     An empty string yields the all-off default spec.
     """
     return parse_spec(FaultSpec, text)
-
-
-def format_fault_spec(spec: FaultSpec) -> str:
-    """The canonical ``key=value,...`` form of a spec (non-defaults only)."""
-    return format_spec(spec)
 
 
 # ----------------------------------------------------------------------

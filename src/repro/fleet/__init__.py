@@ -9,32 +9,24 @@ from .schedule import (
     deadlines_met,
     dropoff,
     enumerate_insertions,
-    is_feasible,
     pickup,
     request_stop_pair,
-    schedule_cost,
-    validate_stop_order,
 )
-from .taxi import FleetLog, PathFn, Taxi, TaxiError, TaxiRoute, build_route
+from .taxi import FleetLog, Taxi, TaxiError, TaxiRoute
 
 __all__ = [
     "FleetLog",
     "best_insertion_dp",
-    "PathFn",
     "Stop",
     "StopKind",
     "Taxi",
     "TaxiError",
     "TaxiRoute",
     "arrival_times",
-    "build_route",
     "capacity_ok",
     "deadlines_met",
     "dropoff",
     "enumerate_insertions",
-    "is_feasible",
     "pickup",
     "request_stop_pair",
-    "schedule_cost",
-    "validate_stop_order",
 ]

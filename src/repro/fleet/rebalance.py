@@ -36,7 +36,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from ..config import format_spec, parse_spec
+from ..config import parse_spec
 from ..demand.prediction import DemandPredictor
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
@@ -47,7 +47,6 @@ __all__ = [
     "RebalanceMove",
     "RebalanceSpec",
     "Rebalancer",
-    "format_rebalance_spec",
     "parse_rebalance_spec",
 ]
 
@@ -119,11 +118,6 @@ def parse_rebalance_spec(text: str) -> RebalanceSpec:
     return parse_spec(RebalanceSpec, text)
 
 
-def format_rebalance_spec(spec: RebalanceSpec) -> str:
-    """The spec as a ``--rebalance`` string (non-default fields only)."""
-    return format_spec(spec) or "on"
-
-
 @dataclass(frozen=True, slots=True)
 class RebalanceMove:
     """One planned repositioning: a taxi sent towards a deficit zone."""
@@ -163,11 +157,6 @@ class Rebalancer:
     def spec(self) -> RebalanceSpec:
         """The policy parameters."""
         return self._spec
-
-    @property
-    def landmarks(self) -> LandmarkGraph:
-        """The partition/landmark geometry the policy plans over."""
-        return self._landmarks
 
     def partition_of(self, vertex: int) -> int:
         """The partition a vertex belongs to (census helper)."""

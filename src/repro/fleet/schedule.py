@@ -193,72 +193,6 @@ def capacity_ok(
     return True
 
 
-def schedule_cost(
-    start_node: int,
-    start_time: float,
-    stops: Sequence[Stop],
-    cost_fn: CostFn,
-) -> float:
-    """Total travel time (seconds) to execute ``stops`` from the start."""
-    times = arrival_times(start_node, start_time, stops, cost_fn)
-    return (times[-1] - start_time) if times else 0.0
-
-
-def is_feasible(
-    start_node: int,
-    start_time: float,
-    stops: Sequence[Stop],
-    cost_fn: CostFn,
-    initial_onboard: int,
-    capacity: int,
-) -> bool:
-    """Combined deadline + capacity feasibility of a schedule instance."""
-    if not capacity_ok(stops, initial_onboard, capacity):
-        return False
-    times = arrival_times(start_node, start_time, stops, cost_fn)
-    return deadlines_met(stops, times)
-
-
-def validate_stop_order(stops: Sequence[Stop]) -> None:
-    """Assert structural sanity: each drop-off follows its pick-up and no
-    request appears twice in the same role.
-
-    Pick-ups without a drop-off (or vice versa, for onboard passengers)
-    are allowed; pairing is only checked when both stops are present.
-    """
-    picked: set[int] = set()
-    dropped: set[int] = set()
-    for stop in stops:
-        rid = stop.request.request_id
-        if stop.kind is StopKind.PICKUP:
-            if rid in picked:
-                raise ValueError(f"request {rid} has two pick-ups")
-            picked.add(rid)
-        else:
-            if rid in dropped:
-                raise ValueError(f"request {rid} has two drop-offs")
-            if rid in picked or rid not in picked and rid not in dropped:
-                # A drop-off with no preceding pick-up is legal only for
-                # passengers already onboard; the caller knows which
-                # those are, so only the double-event cases are errors.
-                pass
-            dropped.add(rid)
-    for stop in stops:
-        rid = stop.request.request_id
-        if stop.kind is StopKind.DROPOFF and rid in picked:
-            # ensure order: pick-up index < drop-off index
-            pu_idx = next(
-                i for i, s in enumerate(stops)
-                if s.kind is StopKind.PICKUP and s.request.request_id == rid
-            )
-            do_idx = next(
-                i for i, s in enumerate(stops)
-                if s.kind is StopKind.DROPOFF and s.request.request_id == rid
-            )
-            if do_idx < pu_idx:
-                raise ValueError(f"request {rid} is dropped off before pick-up")
-
-
 # ----------------------------------------------------------------------
 # insertion scoring, grouped tier: numpy array kernels
 # ----------------------------------------------------------------------

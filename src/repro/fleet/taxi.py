@@ -10,13 +10,11 @@ vertex position on the route is reached, moving passengers on and off.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..demand.request import RideRequest, ServedTrip
 from .schedule import Stop, StopKind
-
-PathFn = Callable[[int, int], list[int]]
 
 
 class TaxiError(RuntimeError):
@@ -70,44 +68,6 @@ class TaxiRoute:
         if self.empty:
             return 0.0
         return self.times[-1] - self.times[0]
-
-
-def build_route(
-    start_node: int,
-    start_time: float,
-    stops: Sequence[Stop],
-    path_fn: PathFn,
-    cost_of_path: Callable[[Sequence[int]], float],
-) -> TaxiRoute:
-    """Concatenate per-leg paths into a full route (the paper's ``|><|``).
-
-    Parameters
-    ----------
-    path_fn:
-        Returns the vertex path between two vertices (both inclusive);
-        basic routing passes shortest paths, probabilistic routing its
-        probability-weighted paths.
-    cost_of_path:
-        Travel time of a vertex path in seconds (normally
-        ``network.path_cost_s``).
-    """
-    nodes = [start_node]
-    times = [start_time]
-    stop_positions: list[int] = []
-    for stop in stops:
-        leg = path_fn(nodes[-1], stop.node)
-        if not leg or leg[0] != nodes[-1] or leg[-1] != stop.node:
-            raise TaxiError(
-                f"path_fn returned an invalid leg {leg!r} for "
-                f"({nodes[-1]} -> {stop.node})"
-            )
-        t = times[-1]
-        for u, v in zip(leg, leg[1:]):
-            t += cost_of_path([u, v])
-            nodes.append(v)
-            times.append(t)
-        stop_positions.append(len(nodes) - 1)
-    return TaxiRoute(nodes=nodes, times=times, stop_positions=stop_positions)
 
 
 @dataclass

@@ -3,8 +3,9 @@
 For every map partition ``P_z`` the index keeps a taxi list ``P_z.L_t``
 of the taxis that are currently in, or whose planned route will reach,
 partition ``P_z`` within a horizon ``T_mp`` (the paper uses one hour),
-annotated with the arrival time and kept sorted ascending by it.  The
-list answers two questions during candidate searching: *which taxis can
+annotated with the arrival time (a taxi -> arrival mapping; nothing
+reads the list in arrival order, so it is not kept sorted).  The list
+answers two questions during candidate searching: *which taxis can
 be near this request's origin*, and *can taxi t reach the request's
 partition before its pick-up deadline* (refinement rule 3).
 """
@@ -101,19 +102,6 @@ class PartitionTaxiIndex:
         for z in self._partitions_of_taxi.pop(taxi_id, ()):
             self._by_partition[z].pop(taxi_id, None)
 
-    def taxis_in(self, partition: int) -> list[tuple[int, float]]:
-        """``P_z.L_t``: ``(taxi_id, arrival_time)`` sorted by arrival."""
-        entries = self._by_partition[partition]
-        return sorted(entries.items(), key=lambda kv: (kv[1], kv[0]))
-
-    def taxi_ids_in(self, partition: int) -> set[int]:
-        """Just the taxi ids of ``P_z.L_t``."""
-        return set(self._by_partition[partition])
-
-    def arrival_time(self, partition: int, taxi_id: int) -> float | None:
-        """Indexed arrival of ``taxi_id`` at ``partition``, if any."""
-        return self._by_partition[partition].get(taxi_id)
-
     def arrival_map(self, partition: int) -> dict[int, float]:
         """The live taxi -> arrival mapping of one partition.
 
@@ -148,10 +136,6 @@ class PartitionTaxiIndex:
         table = np.full((len(lists), len(ids)), np.nan)
         table[rows, cols] = times
         return ids, table
-
-    def partitions_of(self, taxi_id: int) -> set[int]:
-        """Partitions currently indexing ``taxi_id``."""
-        return set(self._partitions_of_taxi.get(taxi_id, ()))
 
     def union_taxis(self, partitions: Iterable[int]) -> list[int]:
         """Union of the taxi lists of several partitions (Eq. 3 left side).

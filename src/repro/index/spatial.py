@@ -16,7 +16,6 @@ register offline requests (``Simulator._register_offline``).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -126,11 +125,6 @@ class GridSpatialIndex:
                     hits.extend((obj_id, d) for obj_id in bucket)
         hits.sort(key=lambda h: (h[1], h[0]))
         return hits
-
-    def bulk_load(self, items: Iterable[tuple[int, float, float]]) -> None:
-        """Insert many ``(obj_id, x, y)`` triples."""
-        for obj_id, x, y in items:
-            self.insert(obj_id, x, y)
 
     def memory_bytes(self) -> int:
         """Rough footprint: cells plus position table."""

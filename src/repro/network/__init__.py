@@ -1,7 +1,7 @@
 """Road-network substrate: graphs, geometry, generators, routing engines."""
 
-from .geo import Point, cosine_similarity
-from .generators import grid_city, ring_radial_city, small_test_network
+from .geo import cosine_similarity
+from .generators import grid_city, ring_radial_city
 from .graph import DEFAULT_SPEED_MPS, RoadNetwork, RoadNetworkError
 from .landmarks import LandmarkGraph
 from .shortest_path import (
@@ -14,7 +14,6 @@ __all__ = [
     "DEFAULT_SPEED_MPS",
     "LandmarkGraph",
     "PathNotFound",
-    "Point",
     "RoadNetwork",
     "RoadNetworkError",
     "ShortestPathEngine",
@@ -22,5 +21,4 @@ __all__ = [
     "dijkstra_restricted",
     "grid_city",
     "ring_radial_city",
-    "small_test_network",
 ]

@@ -207,24 +207,3 @@ def ring_radial_city(
             link(index[(ring, k)], index[(ring + 1, k)])
 
     return RoadNetwork(xy, edges, speed_mps=speed_mps)
-
-
-def small_test_network(speed_mps: float = DEFAULT_SPEED_MPS) -> RoadNetwork:
-    """Tiny deterministic 3x3 bidirectional grid used across the test suite.
-
-    Vertex layout (ids), spacing 100 m::
-
-        6 7 8
-        3 4 5
-        0 1 2
-    """
-    xy = [(100.0 * (i % 3), 100.0 * (i // 3)) for i in range(9)]
-    edges: list[tuple[int, int]] = []
-    for r in range(3):
-        for c in range(3):
-            u = 3 * r + c
-            if c < 2:
-                edges += [(u, u + 1), (u + 1, u)]
-            if r < 2:
-                edges += [(u, u + 3), (u + 3, u)]
-    return RoadNetwork(xy, edges, speed_mps=speed_mps)

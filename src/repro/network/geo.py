@@ -2,31 +2,13 @@
 
 Every coordinate lives on a local planar projection in metres, which
 makes distance computations exact, cheap and easy to reason about.
-This module provides the planar point type and the cosine similarity
-that the mobility-clustering machinery builds on.
+This module provides the cosine similarity that the mobility-clustering
+machinery builds on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True, slots=True)
-class Point:
-    """A point on the local planar projection, in metres."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other`` in metres."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.x
-        yield self.y
 
 
 def cosine_similarity(ax: float, ay: float, bx: float, by: float) -> float:

@@ -10,13 +10,11 @@ what deadlines and schedules are expressed in.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..memo import BoundedMemo
-from .geo import Point
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -133,10 +131,8 @@ class RoadNetwork:
                 length_of[key] = length
 
         self._adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self._radj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         for (u, v), length in sorted(length_of.items()):
             self._adj[u].append((v, length))
-            self._radj[v].append((u, length))
         self._num_edges = len(length_of)
         self._length_of = length_of
         self._csr: sparse.csr_matrix | None = None
@@ -171,30 +167,9 @@ class RoadNetwork:
         view.flags.writeable = False
         return view
 
-    def vertices(self) -> range:
-        """All vertex ids."""
-        return range(self.num_vertices)
-
-    def point(self, v: int) -> Point:
-        """Coordinates of vertex ``v`` as a :class:`Point`."""
-        x, y = self._xy[v]
-        return Point(float(x), float(y))
-
     def neighbors(self, v: int) -> list[tuple[int, float]]:
         """Outgoing ``(neighbor, length_m)`` pairs of vertex ``v``."""
         return list(self._adj[v])
-
-    def in_neighbors(self, v: int) -> list[tuple[int, float]]:
-        """Incoming ``(neighbor, length_m)`` pairs of vertex ``v``."""
-        return list(self._radj[v])
-
-    def out_degree(self, v: int) -> int:
-        """Number of outgoing edges of ``v``."""
-        return len(self._adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the directed edge ``(u, v)`` exists."""
-        return (u, v) in self._length_of
 
     def edge_length(self, u: int, v: int) -> float:
         """Length in metres of edge ``(u, v)``; raises if absent."""
@@ -215,18 +190,9 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def seconds_to_meters(self, seconds: float) -> float:
-        """Distance covered in ``seconds`` at the network speed."""
-        return seconds * self._speed
-
     def meters_to_seconds(self, meters: float) -> float:
         """Travel time for ``meters`` at the network speed."""
         return meters / self._speed
-
-    def straight_line_m(self, u: int, v: int) -> float:
-        """Euclidean distance between vertices ``u`` and ``v`` in metres."""
-        du = self._xy[u] - self._xy[v]
-        return float(math.hypot(du[0], du[1]))
 
     def path_length_m(self, path: Sequence[int]) -> float:
         """Total length in metres of a vertex path; validates every hop."""
@@ -238,10 +204,6 @@ class RoadNetwork:
     def path_cost_s(self, path: Sequence[int]) -> float:
         """Total travel time in seconds of a vertex path."""
         return self.path_length_m(path) / self._speed
-
-    def is_path(self, path: Sequence[int]) -> bool:
-        """Whether consecutive vertices in ``path`` are joined by edges."""
-        return all(self.has_edge(u, v) for u, v in zip(path, path[1:]))
 
     # ------------------------------------------------------------------
     # scipy interop
@@ -273,11 +235,6 @@ class RoadNetwork:
         if sub is None:
             sub = self.corridors.store(allowed, InducedSubgraph(self, allowed))
         return sub
-
-    def nearest_vertex(self, x: float, y: float) -> int:
-        """Vertex closest to the planar point ``(x, y)``."""
-        d2 = (self._xy[:, 0] - x) ** 2 + (self._xy[:, 1] - y) ** 2
-        return int(np.argmin(d2))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -197,11 +197,6 @@ class LandmarkGraph:
         """Vertex lists per partition (copies are not made; do not mutate)."""
         return self._partitions
 
-    @property
-    def landmarks(self) -> list[int]:
-        """Landmark vertex id of every partition."""
-        return list(self._landmarks)
-
     def landmark(self, z: int) -> int:
         """Landmark vertex of partition ``z``."""
         return self._landmarks[z]
@@ -223,15 +218,6 @@ class LandmarkGraph:
         """Vertices of partition ``z``."""
         return self._partitions[z]
 
-    def centroid(self, z: int) -> np.ndarray:
-        """Planar centroid of partition ``z``."""
-        return self._centroids[z]
-
-    @property
-    def centroids(self) -> np.ndarray:
-        """``(kappa, 2)`` array of partition centroids."""
-        return self._centroids
-
     def radius(self, z: int) -> float:
         """Max member distance from the centroid of partition ``z``."""
         return float(self._radii[z])
@@ -239,10 +225,6 @@ class LandmarkGraph:
     def neighbors(self, z: int) -> tuple[int, ...]:
         """Partitions adjacent to ``z`` (sharing at least one edge), sorted."""
         return self._adjacency[z]
-
-    def adjacent(self, a: int, b: int) -> bool:
-        """Whether partitions ``a`` and ``b`` are adjacent."""
-        return b in self._adjacency[a]
 
     def landmark_cost(self, a: int, b: int) -> float:
         """Travel cost (seconds) between the landmarks of ``a`` and ``b``."""
@@ -253,10 +235,6 @@ class LandmarkGraph:
         row = self._landmark_cost[a]
         row.flags.writeable = False
         return row
-
-    def landmark_cost_matrix(self) -> np.ndarray:
-        """Copy of the full landmark cost matrix in seconds."""
-        return self._landmark_cost.copy()
 
     def _centroid_distances(self, x: float, y: float) -> list[float]:
         """Distances from ``(x, y)`` to every partition centroid, memoised.

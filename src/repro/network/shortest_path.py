@@ -16,26 +16,22 @@ The ``REPRO_SP_MODE`` environment variable overrides the ``"auto"``
 resolution (see :data:`SP_MODE_ENV`).
 
 :func:`dijkstra_restricted` is the segment-level router of basic
-routing (Algorithm 3): a Dijkstra over an arbitrary *allowed vertex
-set* (the union of the partitions that survived partition filtering),
-optionally with additive per-vertex weights.  Its default fast path
-builds the induced CSR submatrix of the allowed set — with vertex
-weights folded into the incoming-edge costs — and runs scipy's C
+routing (Algorithm 3): a Dijkstra over an *allowed vertex set* (the
+union of the partitions that survived partition filtering).  It builds
+the induced CSR submatrix of the allowed set and runs scipy's C
 Dijkstra; induced subgraphs are memoised per corridor on the network
 itself (:meth:`RoadNetwork.induced_subgraph`) so repeated legs through
 the same corridor skip the rebuild.  Probabilistic routing
-(Algorithm 4) keeps its vertex-weighted corridor matrices itself and
-enters at :func:`subgraph_shortest_path`, the "scipy + unwind" step
-both share.  The pure-Python heap implementation is retained as the
-reference path (``method="scalar"``) that the kernel tests diff
-against.
+(Algorithm 4) folds its vertex weights into corridor matrices it keeps
+itself and enters at :func:`subgraph_shortest_path`, the "scipy +
+unwind" step both share.  The pure-Python heap Dijkstra the kernel
+tests diff both against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,8 +75,6 @@ def resolve_sp_mode(mode: str, num_vertices: int) -> str:
 
 #: Per-source Dijkstra results kept by the lazy row memo.
 LAZY_CACHE_SIZE = 4_096
-
-_UNREACHABLE = np.inf
 
 
 class PathNotFound(RuntimeError):
@@ -252,10 +246,6 @@ class ShortestPathEngine:
         constant speed.  Returns ``inf`` when unreachable.
         """
         return self.distance_m(u, v) / self._network.speed_mps
-
-    def reachable(self, u: int, v: int) -> bool:
-        """Whether ``v`` can be reached from ``u``."""
-        return self.distance_m(u, v) != _UNREACHABLE
 
     def cost_many(self, u: int, vs: Sequence[int] | np.ndarray) -> np.ndarray:
         """Travel costs (seconds) from ``u`` to every vertex in ``vs``.
@@ -439,94 +429,23 @@ class ShortestPathEngine:
         return total
 
 
-def _resolve_weight_fn(
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
-) -> Callable[[int], float] | None:
-    if vertex_weight is None:
-        return None
-    if callable(vertex_weight):
-        return vertex_weight
-    mapping = vertex_weight
-
-    def weight_of(v: int) -> float:
-        return mapping.get(v, 0.0)
-
-    return weight_of
-
-
 def dijkstra_restricted(
     network: RoadNetwork,
     source: int,
     target: int,
-    allowed: Collection[int] | None = None,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None = None,
-    method: str = "auto",
+    allowed: frozenset[int],
 ) -> tuple[float, list[int]]:
     """Dijkstra from ``source`` to ``target`` over an allowed vertex set.
 
-    Parameters
-    ----------
-    allowed:
-        Vertices the path may use.  ``source`` and ``target`` are always
-        admitted.  ``None`` means the whole graph.
-    vertex_weight:
-        Optional additive weight charged on *entering* a vertex — the
-        form of Algorithm 4's step 3, where vertex ``v_c`` carries
-        weight ``1 / psi_c``.  May be a mapping (missing vertices cost
-        0) or a callable.  No production caller passes one any more
-        (:class:`~repro.core.routing.ProbabilisticRouter` folds its
-        weights into stored matrices as one array expression); with
-        ``method="scalar"`` it stays as the reference
-        ``tests/test_kernels.py::test_csr_matches_scalar_with_vertex_weights``
-        and the routing oracle in ``tests/oracles.py`` diff against.
-    method:
-        ``"auto"`` (default) runs scipy's C Dijkstra on the induced CSR
-        submatrix of ``allowed`` (memoised per corridor), falling
-        back to the scalar path when the endpoints lie outside
-        ``allowed``; ``"csr"`` forces the fast path; ``"scalar"``
-        forces the pure-Python reference implementation.
-
-    Returns
-    -------
-    (cost, path):
-        ``cost`` is the generalised path cost in seconds (edge travel
-        times plus vertex weights); ``path`` the vertex list.  When
-        equal-cost paths exist the two methods may return different
-        (equally cheap) vertex sequences.
-
-    Raises
-    ------
-    PathNotFound
-        When ``target`` is unreachable within ``allowed``.
+    Runs scipy's C Dijkstra on the induced CSR subgraph of ``allowed``
+    (memoised per set on the network).  ``source`` and ``target`` must
+    lie inside ``allowed``: partition filtering always retains the
+    endpoints' own partitions.  Returns ``(cost, path)`` with ``cost``
+    in seconds; raises :class:`PathNotFound` when ``target`` is
+    unreachable within ``allowed``.
     """
-    if method not in ("auto", "csr", "scalar"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "scalar" and allowed is not None:
-        if not isinstance(allowed, frozenset):
-            allowed = frozenset(allowed)
-        if source in allowed and target in allowed:
-            return _dijkstra_restricted_csr(network, source, target, allowed, vertex_weight)
-        if method == "csr":
-            raise ValueError("csr method requires source and target inside `allowed`")
-    return _dijkstra_restricted_scalar(network, source, target, allowed, vertex_weight)
-
-
-def _dijkstra_restricted_csr(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    allowed: frozenset,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
-) -> tuple[float, list[int]]:
-    """CSR fast path: scipy Dijkstra on the memoised induced subgraph."""
     sub = network.induced_subgraph(allowed)
-    weight_of = _resolve_weight_fn(vertex_weight)
-    w_local = None
-    if weight_of is not None:
-        w_local = np.fromiter(
-            (weight_of(int(v)) for v in sub.nodes), dtype=np.float64, count=sub.nodes.size
-        )
-    return subgraph_shortest_path(sub, sub.matrix(w_local), source, target)
+    return subgraph_shortest_path(sub, sub.matrix(None), source, target)
 
 
 def subgraph_shortest_path(
@@ -546,6 +465,8 @@ def subgraph_shortest_path(
 
     ls = sub.local_of(source)
     lt = sub.local_of(target)
+    if ls < 0 or lt < 0:
+        raise ValueError(f"{source} -> {target}: both endpoints must lie inside the subgraph")
     dist, pred = csgraph.dijkstra(
         matrix, directed=True, indices=ls, return_predecessors=True
     )
@@ -562,52 +483,3 @@ def subgraph_shortest_path(
     local_path.reverse()
     nodes = sub.nodes
     return float(dist[lt]), [int(nodes[i]) for i in local_path]
-
-
-def _dijkstra_restricted_scalar(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    allowed: Collection[int] | None,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
-) -> tuple[float, list[int]]:
-    """Reference implementation: pure-Python heap Dijkstra."""
-    if allowed is not None and not isinstance(allowed, (set, frozenset)):
-        allowed = set(allowed)
-
-    weight_of = _resolve_weight_fn(vertex_weight)
-    speed = network.speed_mps
-    dist: dict[int, float] = {source: 0.0}
-    prev: dict[int, int] = {}
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    done: set[int] = set()
-
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        if u == target:
-            path = [u]
-            while path[-1] != source:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return d, path
-        done.add(u)
-        for v, length in network.neighbors(u):
-            if v in done:
-                continue
-            if allowed is not None and v != target and v not in allowed:
-                continue
-            # The vertex weight is folded into the edge cost *before*
-            # adding to ``d`` so the accumulation order matches the CSR
-            # fast path bit for bit.
-            edge = length / speed if weight_of is None else length / speed + weight_of(v)
-            nd = d + edge
-            if nd < dist.get(v, _UNREACHABLE):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-
-    raise PathNotFound(
-        f"no path from {source} to {target} within the allowed vertex set"
-    )

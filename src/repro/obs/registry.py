@@ -71,15 +71,6 @@ class StageStats:
             "max_s": self.max_s,
         }
 
-    def merge(self, other: "StageStats") -> None:
-        """Fold another aggregate into this one."""
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StageStats(count={self.count}, total_s={self.total_s:.6f}, "
@@ -147,16 +138,6 @@ class Instrumentation:
         if self._trace is not None:
             self._trace.emit({"ev": "stage", "name": name, "dt_s": dt})
 
-    @property
-    def current_stage(self) -> str | None:
-        """Innermost open stage, or ``None`` outside any stage."""
-        return self._stack[-1] if self._stack else None
-
-    @property
-    def stage_depth(self) -> int:
-        """Number of currently open (nested) stages."""
-        return len(self._stack)
-
     # ------------------------------------------------------------------
     # counters
     # ------------------------------------------------------------------
@@ -173,11 +154,6 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # trace
     # ------------------------------------------------------------------
-    @property
-    def tracing(self) -> bool:
-        """Whether a JSONL trace is attached."""
-        return self._trace is not None
-
     def event(self, kind: str, **fields) -> None:
         """Append a structured event to the trace (no-op when not tracing)."""
         if self._trace is not None:

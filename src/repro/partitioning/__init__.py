@@ -7,7 +7,7 @@ from .bipartite import (
     geo_partition,
 )
 from .grid import grid_labels, grid_partition
-from .kmeans import KMeansResult, cluster_sizes, kmeans
+from .kmeans import KMeansResult, kmeans
 from .transition import TransitionModel
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "MapPartitioning",
     "TransitionModel",
     "bipartite_partition",
-    "cluster_sizes",
     "geo_partition",
     "grid_labels",
     "grid_partition",

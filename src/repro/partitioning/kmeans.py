@@ -35,11 +35,6 @@ class KMeansResult:
     inertia: float
     iterations: int
 
-    @property
-    def num_clusters(self) -> int:
-        """Number of clusters actually produced."""
-        return self.centers.shape[0]
-
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centres proportionally to D^2."""
@@ -137,11 +132,3 @@ def kmeans(
         inertia = new_inertia
 
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, iterations=iterations)
-
-
-def cluster_sizes(labels: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Histogram of cluster sizes for a label vector."""
-    labels = np.asarray(labels)
-    if k is None:
-        k = int(labels.max()) + 1 if labels.size else 0
-    return np.bincount(labels, minlength=k)

@@ -104,11 +104,6 @@ class TransitionModel:
         return self._matrix.shape[0]
 
     @property
-    def num_clusters(self) -> int:
-        """Size ``kappa`` of the destination-cluster space."""
-        return self._matrix.shape[1]
-
-    @property
     def matrix(self) -> np.ndarray:
         """Read-only view of the ``(n, kappa)`` probability matrix."""
         view = self._matrix.view()
@@ -121,10 +116,6 @@ class TransitionModel:
         view = self._pickups.view()
         view.flags.writeable = False
         return view
-
-    def vector(self, v: int) -> np.ndarray:
-        """Transition probability vector ``B_v`` (copy)."""
-        return self._matrix[v].copy()
 
     def prob(self, v: int, cluster: int) -> float:
         """``B_{v,cluster}``: probability a trip from ``v`` ends in ``cluster``."""

@@ -60,7 +60,6 @@ __all__ = [
     "REQUEST_RELEASE",
     "WINDOW_TICK",
     "Event",
-    "EventQueue",
     "Kernel",
     "KernelError",
     "ScheduledInPast",
@@ -102,41 +101,6 @@ class Event:
         return (self.time, self.priority, self.seq)
 
 
-class EventQueue:
-    """A binary heap of events with a stable total order."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[tuple[float, int, int], Event]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, event: Event) -> None:
-        """Insert an event (heap-ordered, duplicates allowed)."""
-        heapq.heappush(self._heap, (event.sort_key, event))
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise KernelError("pop from an empty event queue")
-        return heapq.heappop(self._heap)[1]
-
-    def peek(self) -> Event:
-        """The earliest event without removing it."""
-        if not self._heap:
-            raise KernelError("peek into an empty event queue")
-        return self._heap[0][1]
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest event, or ``None`` when empty."""
-        return self._heap[0][1].time if self._heap else None
-
-
 @dataclass
 class Kernel:
     """Event queue + committed clock.
@@ -147,14 +111,15 @@ class Kernel:
         Initial committed clock value.
 
     Handlers subscribe per event kind and run in subscription order.
-    ``run()`` pops events until the queue is empty (or a bound is hit),
+    ``run()`` pops events until the queue is empty (or past ``until``),
     committing the clock to each event's time before its handlers fire;
     a handler may schedule further events at or after the committed
     clock, which keeps the clock monotone by construction.
     """
 
     start_time: float = 0.0
-    _queue: EventQueue = field(default_factory=EventQueue)
+    #: ``(sort_key, event)`` pairs, a binary heap.
+    _queue: list[tuple[tuple[float, int, int], Event]] = field(default_factory=list)
     _handlers: dict[str, list[Callable[[Event], None]]] = field(default_factory=dict)
     _seq: "itertools.count[int]" = field(default_factory=itertools.count)
     _now: float = 0.0
@@ -185,10 +150,6 @@ class Kernel:
         """Events accepted into the queue so far."""
         return self._scheduled
 
-    def peek_time(self) -> float | None:
-        """Time of the next pending event, or ``None``."""
-        return self._queue.peek_time()
-
     # ------------------------------------------------------------------
     def subscribe(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register a handler for one event kind (append order is call order)."""
@@ -214,7 +175,7 @@ class Kernel:
                 f"cannot schedule {kind!r} at {t}: clock already committed to {self._now}"
             )
         event = Event(time=t, kind=kind, seq=next(self._seq), payload=payload, priority=spec.priority)
-        self._queue.push(event)
+        heapq.heappush(self._queue, (event.sort_key, event))
         self._scheduled += 1
         return event
 
@@ -223,25 +184,22 @@ class Kernel:
         """Dispatch the single earliest event; ``None`` when idle."""
         if not self._queue:
             return None
-        event = self._queue.pop()
+        event = heapq.heappop(self._queue)[1]
         self._now = event.time
         self._processed += 1
         for handler in self._handlers[event.kind]:
             handler(event)
         return event
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
+    def run(self, until: float | None = None) -> int:
         """Dispatch pending events in order; returns the number dispatched.
 
         ``until`` stops *before* dispatching any event later than the
-        bound (the clock commits at most to ``until``); ``max_events``
-        bounds the number of dispatches.
+        bound (the clock commits at most to ``until``).
         """
         dispatched = 0
         while self._queue:
-            if until is not None and self._queue.peek().time > until:
-                break
-            if max_events is not None and dispatched >= max_events:
+            if until is not None and self._queue[0][1].time > until:
                 break
             self.step()
             dispatched += 1

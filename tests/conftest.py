@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny deterministic networks and a small scenario."""
+"""Shared fixtures: tiny deterministic networks and a small scenario, plus
+the network and route builders the unit tests use as tools."""
 
 from __future__ import annotations
 
@@ -11,13 +12,67 @@ import pytest
 from repro.analysis import contracts
 from repro.artifacts import ARTIFACT_DIR_ENV
 from repro.demand.request import RideRequest
-from repro.network.generators import grid_city, small_test_network
+from repro.fleet.taxi import TaxiError, TaxiRoute
+from repro.network.generators import grid_city
+from repro.network.graph import DEFAULT_SPEED_MPS, RoadNetwork
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.bipartite import bipartite_partition
 from repro.sim.engine import Simulator
 from repro.sim.kernel import Kernel
 from repro.sim.scenario import ScenarioSpec, get_scenario
+
+
+def small_test_network(speed_mps: float = DEFAULT_SPEED_MPS) -> RoadNetwork:
+    """Tiny deterministic 3x3 bidirectional grid used across the test suite.
+
+    Vertex layout (ids), spacing 100 m::
+
+        6 7 8
+        3 4 5
+        0 1 2
+    """
+    xy = [(100.0 * (i % 3), 100.0 * (i // 3)) for i in range(9)]
+    edges: list[tuple[int, int]] = []
+    for r in range(3):
+        for c in range(3):
+            u = 3 * r + c
+            if c < 2:
+                edges += [(u, u + 1), (u + 1, u)]
+            if r < 2:
+                edges += [(u, u + 3), (u + 3, u)]
+    return RoadNetwork(xy, edges, speed_mps=speed_mps)
+
+
+def is_path(network, path) -> bool:
+    """Whether consecutive vertices in ``path`` are joined by edges."""
+    return all(v in {w for w, _length in network.neighbors(u)} for u, v in zip(path, path[1:]))
+
+
+def build_route(start_node, start_time, stops, path_fn, cost_of_path) -> TaxiRoute:
+    """Concatenate per-leg paths into a full route (the paper's ``|><|``).
+
+    ``path_fn(u, v)`` returns the vertex path between two vertices (both
+    inclusive); ``cost_of_path`` prices a vertex path in seconds
+    (normally ``network.path_cost_s``).
+    """
+    nodes = [start_node]
+    times = [start_time]
+    stop_positions: list[int] = []
+    for stop in stops:
+        leg = path_fn(nodes[-1], stop.node)
+        if not leg or leg[0] != nodes[-1] or leg[-1] != stop.node:
+            raise TaxiError(
+                f"path_fn returned an invalid leg {leg!r} for "
+                f"({nodes[-1]} -> {stop.node})"
+            )
+        t = times[-1]
+        for u, v in zip(leg, leg[1:]):
+            t += cost_of_path([u, v])
+            nodes.append(v)
+            times.append(t)
+        stop_positions.append(len(nodes) - 1)
+    return TaxiRoute(nodes=nodes, times=times, stop_positions=stop_positions)
 
 
 @pytest.fixture(scope="session", autouse=True)

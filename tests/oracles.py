@@ -13,8 +13,16 @@ production.
 :class:`ReferenceProbabilisticRouter` is the per-leg evaluation it
 replaced — the sector-keyed destination cache filled from the first
 caller's exact direction, the per-leg psi dict, the scalar weight
-closure handed to ``dijkstra_restricted``, the per-call share loop —
-verbatim, so routes can be diffed ``==``.
+closure evaluated over the corridor's vertices, the per-call share
+loop — verbatim, so routes can be diffed ``==``.
+
+**Restricted Dijkstra.**  Production routes a leg inside a corridor
+with scipy's C Dijkstra on an induced CSR subgraph, vertex weights
+folded into its in-edges
+(``repro.network.shortest_path.subgraph_shortest_path``);
+:func:`reference_dijkstra` is the pure-Python heap Dijkstra it
+replaced, with the weight added on entering a vertex in the same order,
+so costs can be diffed ``==``.
 
 **Trace generation.**  Production draws every weighted choice of a
 trip as ``bisect_right(cdf, rng.random())`` against tables built once
@@ -99,8 +107,48 @@ from repro.fleet.schedule import (
 from repro.fleet.taxi import TaxiRoute
 from repro.network.ch import ContractionHierarchy
 from repro.network.geo import cosine_similarity
-from repro.network.shortest_path import PathNotFound, dijkstra_restricted
+from repro.network.shortest_path import PathNotFound, subgraph_shortest_path
 from repro.sim.engine import Simulator
+
+
+def reference_dijkstra(network, source, target, allowed=None, vertex_weight=None):
+    """Pure-Python heap Dijkstra from ``source`` to ``target``.
+
+    ``allowed`` (``None``: the whole graph) restricts the path; the
+    target is always admitted.  ``vertex_weight`` maps a vertex to the
+    additive weight charged on entering it (missing vertices cost 0).
+    Returns ``(cost, path)``, cost in seconds; raises
+    :class:`PathNotFound` when ``target`` is unreachable.
+    """
+    weights = vertex_weight or {}
+    speed = network.speed_mps
+    dist = {source: 0.0}
+    prev = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        if u == target:
+            path = [u]
+            while path[-1] != source:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return d, path
+        done.add(u)
+        for v, length in network.neighbors(u):
+            if v in done or (allowed is not None and v != target and v not in allowed):
+                continue
+            # The weight is folded into the edge cost *before* adding to
+            # ``d``, the accumulation order of the CSR matrix.
+            edge = length / speed if v not in weights else length / speed + weights[v]
+            nd = d + edge
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    raise PathNotFound(f"no path from {source} to {target} within the allowed vertex set")
 
 
 def reference_largest_scc(
@@ -317,8 +365,10 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
         def weight(c: int) -> float:
             return scale * (1.0 - psi.get(c, 0.0) / psi_max)
 
+        sub = self._network.induced_subgraph(allowed)
+        w_local = np.fromiter((weight(int(c)) for c in sub.nodes), np.float64, sub.nodes.size)
         try:
-            _cost, path = dijkstra_restricted(self._network, u, v, allowed, vertex_weight=weight)
+            _cost, path = subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
             return path
         except PathNotFound:
             return None

@@ -98,7 +98,6 @@ def test_save_load_round_trip_and_mmap(tmp_path):
     dist = np.arange(25, dtype=np.float64).reshape(5, 5)
     pred = np.arange(25, dtype=np.int32).reshape(5, 5)
     store.save("apsp", key, {"dist": dist, "pred": pred}, meta={"n": 5})
-    assert store.contains("apsp", key)
 
     art = store.load("apsp", key)
     assert art is not None
@@ -174,8 +173,10 @@ def test_warm_scenario_bit_identical(tmp_path, monkeypatch):
     assert np.array_equal(
         cold_part.transition_model.matrix, warm_part.transition_model.matrix
     )
-    assert cold_lg.landmarks == warm_lg.landmarks
-    assert np.array_equal(cold_lg.landmark_cost_matrix(), warm_lg.landmark_cost_matrix())
+    assert np.array_equal(cold_lg.to_tables()["landmarks"], warm_lg.to_tables()["landmarks"])
+    assert np.array_equal(
+        cold_lg.to_tables()["landmark_cost"], warm_lg.to_tables()["landmark_cost"]
+    )
     # Not just equal *sets*: identical iteration order.  Probabilistic
     # routing enumerates corridors by iterating these sets under a path
     # budget, so a layout difference between a fresh build and a
@@ -271,7 +272,7 @@ print(json.dumps({
     "tm_sha": __import__("hashlib").sha256(
         np.ascontiguousarray(part.transition_model.matrix).tobytes()).hexdigest(),
     "cost_sha": __import__("hashlib").sha256(
-        np.ascontiguousarray(lg.landmark_cost_matrix()).tobytes()).hexdigest(),
+        np.ascontiguousarray(lg.to_tables()["landmark_cost"]).tobytes()).hexdigest(),
 }))
 """
 
@@ -337,7 +338,7 @@ def test_landmark_key_uses_label_content(tmp_path, monkeypatch):
     store = get_store()
     key = store.key_of("landmarks", lg_key_spec)
     s.landmark_graph()
-    assert store.contains("landmarks", key)
+    assert store.load("landmarks", key) is not None
 
 
 def test_warm_engine_reads_the_mapped_table_as_plain_ndarray(tmp_path, monkeypatch):

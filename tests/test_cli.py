@@ -255,6 +255,32 @@ class TestReplay:
         assert err.startswith("error: ") and "no_such_dir" in err
 
 
+class TestServiceFlags:
+    """``replay`` and ``serve`` flags: one ``error:`` line and exit 2,
+    before anything is served."""
+
+    def test_rho_is_not_a_replay_flag(self, tmp_path, capsys):
+        # Nothing in a replay reads it: the trace carries each deadline.
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(tmp_path / "trace.jsonl"), *REPLAY_FLAGS, "--rho", "0.2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rho 0.2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["replay", "serve"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_in_flight_must_be_positive(self, tmp_path, capsys, command, bound):
+        trace = [str(tmp_path / "trace.jsonl")] if command == "replay" else []
+        argv = [command, *trace, *REPLAY_FLAGS, "--max-in-flight", bound]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: max_in_flight must be positive\n"
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_outside_the_range_is_an_error(self, capsys, port):
+        assert main(["serve", *REPLAY_FLAGS, "--port", port]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ") and err.count("\n") == 1
+
+
 class TestCacheWarm:
     def test_ch_grid_reports_the_build_then_finds_it_stored(self, tmp_path, monkeypatch, capsys):
         """The warm line carries the stored ``build_s``: the seconds this

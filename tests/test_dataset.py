@@ -52,17 +52,6 @@ class TestContainer:
         ds = make_dataset([1.0, 2.0], origins=[3, 4], dests=[5, 6])
         assert ds.od_pairs().tolist() == [[3, 5], [4, 6]]
 
-    def test_records(self):
-        recs = make_dataset([1.0], origins=[2], dests=[3], taxis=[9]).records()
-        assert len(recs) == 1
-        assert recs[0].taxi_id == 9
-
-    def test_concat(self):
-        a = make_dataset([5.0])
-        b = make_dataset([1.0])
-        both = a.concat(b)
-        assert both.release_times.tolist() == [1.0, 5.0]
-
 
 class TestToRequests:
     def test_conversion(self, tiny_engine):
@@ -98,19 +87,6 @@ class TestToRequests:
 
 
 class TestStatistics:
-    def test_hourly_counts(self):
-        ds = make_dataset([0.0, 100.0, 3700.0])
-        counts = ds.hourly_counts()
-        assert counts == {0: 2, 1: 1}
-
-    def test_busiest_hour(self):
-        ds = make_dataset([0.0, 100.0, 3700.0])
-        assert ds.busiest_hour() == (0, 2)
-
-    def test_busiest_hour_empty_raises(self):
-        with pytest.raises(ValueError):
-            make_dataset([]).busiest_hour()
-
     def test_travel_time_distribution(self, tiny_engine):
         ds = make_dataset([0.0, 1.0], origins=[0, 0], dests=[2, 8])
         pct = ds.travel_time_distribution(tiny_engine, percentiles=(50.0,))

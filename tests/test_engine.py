@@ -4,10 +4,10 @@ import pytest
 
 from repro.core.payment import PaymentModel
 from repro.fleet.schedule import dropoff, pickup
-from repro.fleet.taxi import Taxi, TaxiRoute, build_route
+from repro.fleet.taxi import Taxi, TaxiRoute
 from repro.sim.engine import Simulator
 from repro.sim.metrics import SimulationMetrics
-from tests.conftest import make_request
+from tests.conftest import build_route, make_request
 
 
 SCHEMES = ["no-sharing", "t-share", "pgreedydp", "mt-share"]

@@ -26,14 +26,13 @@ from repro.faults.plan import (
     ShockWindow,
     TaxiBreakdown,
     build_fault_plan,
-    format_fault_spec,
     parse_fault_spec,
 )
 from repro.faults.recovery import CONTINUATION_ID_BASE, continuation_request
 from repro.fleet.schedule import dropoff, pickup, remove_request_stops
-from repro.fleet.taxi import Taxi, TaxiError, TaxiRoute, build_route
+from repro.fleet.taxi import Taxi, TaxiError, TaxiRoute
 from repro.sim.engine import Simulator
-from tests.conftest import make_request
+from tests.conftest import build_route, make_request
 
 
 class TestFaultSpec:
@@ -80,14 +79,6 @@ class TestFaultSpec:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             FaultSpec(**kwargs)
-
-    def test_format_roundtrip(self):
-        for spec in (
-            FaultSpec(seed=7, breakdown_rate=0.2, shock_windows=1),
-            FaultSpec(cancel_rate=0.123456789, shock_delay_s=61.2345678),
-        ):
-            assert parse_fault_spec(format_fault_spec(spec)) == spec
-        assert format_fault_spec(FaultSpec()) == ""
 
 
 class TestFaultPlan:
@@ -381,7 +372,7 @@ class TestBreakdownOnRebalanceCruise:
         # as the rebalance tick handler would.
         home = rebalance.partition_of(taxi.loc)
         target = next(
-            z for z in range(rebalance.landmarks.num_partitions)
+            z for z in range(scheme.landmark_graph.num_partitions)
             if z != home and rebalance.cruise_route(taxi.loc, 0.0, z) is not None
         )
         taxi.set_plan([], rebalance.cruise_route(taxi.loc, 0.0, target))
@@ -402,10 +393,8 @@ class TestBreakdownOnRebalanceCruise:
         assert m.unsettled_episodes == 0
         assert m.counters.get("rebalance.broken") == 1
         # The partition index no longer advertises the dead taxi's supply.
-        for z in range(rebalance.landmarks.num_partitions):
-            assert taxi.taxi_id not in [
-                tid for tid, _ in scheme._pindex.taxis_in(z)
-            ]
+        for z in range(scheme.landmark_graph.num_partitions):
+            assert taxi.taxi_id not in scheme._pindex.arrival_map(z)
         m.check_balance()
 
     def test_chaos_with_rebalancing_is_deterministic(self, test_scenario):

@@ -167,8 +167,8 @@ class TestRingRadialCity:
 class TestSmallTestNetwork:
     def test_layout(self, tiny_net):
         assert tiny_net.num_vertices == 9
-        assert tiny_net.point(0).x == 0.0
-        assert tiny_net.point(8).y == 200.0
+        assert tiny_net.xy[0].tolist() == [0.0, 0.0]
+        assert tiny_net.xy[8].tolist() == [200.0, 200.0]
 
     def test_strongly_connected(self, tiny_net):
         assert is_strongly_connected(tiny_net)

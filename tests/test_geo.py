@@ -5,26 +5,9 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from repro.network.geo import Point, cosine_similarity
+from repro.network.geo import cosine_similarity
 
 finite = st.floats(min_value=-5e4, max_value=5e4, allow_nan=False)
-
-
-class TestPoint:
-    def test_distance_to_self_is_zero(self):
-        p = Point(3.0, 4.0)
-        assert p.distance_to(p) == 0.0
-
-    def test_distance_is_euclidean(self):
-        assert Point(0.0, 0.0).distance_to(Point(3.0, 4.0)) == pytest.approx(5.0)
-
-    def test_unpacking(self):
-        x, y = Point(1.5, -2.5)
-        assert (x, y) == (1.5, -2.5)
-
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            Point(0.0, 0.0).x = 1.0
 
 
 class TestCosineSimilarity:

@@ -1,4 +1,5 @@
-"""Import hygiene: a process imports what it will call.
+"""Import hygiene: a process imports what it will call — and the
+package defines only what something outside the tests calls.
 
 A warm ``full``-mode run of a scheme that routes on the stored
 all-pairs table never calls scipy, so it must not import it (~0.3 s of
@@ -18,10 +19,12 @@ first.
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -266,3 +269,106 @@ def test_no_module_imports_scipy_at_its_top():
                       if name == "scipy" or name.startswith("scipy.")]
     assert seen_numpy > 10  # not vacuous: the walk sees module-top imports
     assert offenders == []
+
+
+#: ``def``s and ``class``es in ``src/repro`` that nothing outside
+#: ``tests/`` calls, each with the reason it stays.  Every other
+#: caller-less definition is dead code and fails
+#: :func:`test_every_definition_has_a_caller_outside_the_tests`.
+SURFACE_KEEP = {
+    # Reference implementations the tests diff production against.
+    "MobilityVector.similarity": "Eq. 1 on two vectors, the scalar form of "
+    "the clustering and alignment kernels (tests/test_kernels.py)",
+    "TransitionModel.mass_to": "per-vertex psi, the scalar form of "
+    "suitable_demand (tests/oracles.py::ReferenceProbabilisticRouter)",
+    "TransitionModel.relative_pickup_frequency": "per-vertex demand weight, the "
+    "scalar form of suitable_demand (tests/oracles.py::ReferenceProbabilisticRouter)",
+    # Documented test hooks.
+    "contracts.enable": "turns the runtime contracts on for the test session "
+    "(repro.analysis.contracts, docs/STATIC_ANALYSIS.md)",
+    "MTShare.matcher": "the dispatcher's Matcher, screened directly by the "
+    "candidate-search tests (tests/test_matching.py::ScreeningWorld)",
+    "runner.clear_cache": "drops memoised runs and scenarios between cells "
+    "(docs/PERFORMANCE.md, docs/STATIC_ANALYSIS.md)",
+    "ArtifactStore.reset_stats": "zeroes a store's per-process counters between "
+    "a cold and a warm load (its docstring)",
+    # Callbacks the standard library calls by name.
+    "Handler.log_message": "http.server.BaseHTTPRequestHandler hook",
+    "Handler.do_GET": "http.server.BaseHTTPRequestHandler hook",
+    "Handler.do_POST": "http.server.BaseHTTPRequestHandler hook",
+}
+
+#: ``module:Attr.path`` strings, the form ``benchmarks/e2e/trace.py``'s
+#: ``WRAP_TABLE`` names its patch targets in.
+_PATCH_TARGET = re.compile(r"^[\w.]+:[\w.]+$")
+
+
+class _Surface(ast.NodeVisitor):
+    """Collects a module's definitions (``src`` only) and the names it uses.
+
+    A use is a bare name, an attribute, or a part of a patch-target
+    string; import statements and ``__all__`` lists name things without
+    calling them, so they do not count.
+    """
+
+    def __init__(self, path, collect, defs, uses):
+        self.path, self.collect, self.defs, self.uses = path, collect, defs, uses
+        self.owner = path.stem  # the enclosing class or function, else the module
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_FunctionDef(self, node):
+        if self.collect and not (node.name.startswith("__") and node.name.endswith("__")):
+            self.defs.append((f"{self.owner}.{node.name}", node.name, self.path,
+                              node.lineno, node.end_lineno))
+        saved, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = saved
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self.uses[node.id].append((self.path, node.lineno))
+
+    def visit_Attribute(self, node):
+        self.uses[node.attr].append((self.path, node.lineno))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and _PATCH_TARGET.match(node.value):
+            for part in re.split(r"[:.]", node.value):
+                self.uses[part].append((self.path, node.lineno))
+
+
+def caller_less_definitions(root):
+    """Qualified names (``Owner.name``) of the ``def``s and ``class``es in
+    ``root/src`` that no line of ``src``, ``examples`` or ``benchmarks``
+    outside their own body names; ``Owner`` is the enclosing class or
+    function, or the module for top-level definitions."""
+    defs, uses = [], collections.defaultdict(list)
+    for tree in ("src", "examples", "benchmarks"):
+        for path in sorted(pathlib.Path(root, tree).rglob("*.py")):
+            module = ast.parse(path.read_text(encoding="utf-8"))
+            _Surface(path, tree == "src", defs, uses).visit(module)
+    assert len(defs) > 500  # not vacuous: the walk sees the package
+    return sorted(
+        qualname for qualname, name, path, first, last in defs
+        if all(p == path and first <= line <= last for p, line in uses[name])
+    )
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """A helper only its unit test calls is surface nobody uses: delete
+    it with its test, or give it a reason in :data:`SURFACE_KEEP`.  The
+    check matches names, not bindings, so a dead method that shares its
+    name with a live one passes (``DemandPredictor.share`` hid behind
+    ``share`` this way until it was deleted)."""
+    assert caller_less_definitions(os.path.dirname(SRC)) == sorted(SURFACE_KEEP)
+    assert all(reason.strip() for reason in SURFACE_KEEP.values())

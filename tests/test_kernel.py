@@ -8,48 +8,43 @@ from repro.sim.kernel import (
     REBALANCE_TICK,
     REQUEST_RELEASE,
     WINDOW_TICK,
-    Event,
-    EventQueue,
     Kernel,
     KernelError,
     ScheduledInPast,
 )
 
 
+def fired_payloads(kernel):
+    """Run ``kernel`` to the end; each dispatched event's payload, in order."""
+    fired = []
+    for kind in EVENT_TABLE:
+        kernel.subscribe(kind, lambda e: fired.append(e.payload))
+    kernel.run()
+    return fired
+
+
 class TestEventQueue:
     def test_heap_orders_by_time(self):
-        q = EventQueue()
-        for i, t in enumerate([5.0, 1.0, 3.0, 2.0, 4.0]):
-            q.push(Event(time=t, kind=DRAIN_TICK, seq=i))
-        assert [q.pop().time for _ in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        kernel = Kernel()
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
+        for t in [5.0, 1.0, 3.0, 2.0, 4.0]:
+            kernel.schedule(t, DRAIN_TICK, payload=t)
+        assert fired_payloads(kernel) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_equal_time_stable_by_seq(self):
-        q = EventQueue()
+        kernel = Kernel()
+        kernel.subscribe(DRAIN_TICK, lambda e: None)
         for i in range(10):
-            q.push(Event(time=7.0, kind=DRAIN_TICK, seq=i, payload=i))
-        assert [q.pop().payload for _ in range(10)] == list(range(10))
+            kernel.schedule(7.0, DRAIN_TICK, payload=i)
+        assert fired_payloads(kernel) == list(range(10))
 
     def test_priority_breaks_ties_before_seq(self):
-        q = EventQueue()
-        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=0, payload="late", priority=1))
-        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=1, payload="early", priority=0))
-        assert q.pop().payload == "early"
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(Event(time=1.0, kind=DRAIN_TICK, seq=0))
-        assert q.peek().time == 1.0
-        assert len(q) == 1
-        assert q.peek_time() == 1.0
-
-    def test_empty_queue_raises(self):
-        q = EventQueue()
-        assert not q
-        assert q.peek_time() is None
-        with pytest.raises(KernelError):
-            q.pop()
-        with pytest.raises(KernelError):
-            q.peek()
+        kernel = Kernel()
+        kernel.subscribe(WINDOW_TICK, lambda e: None)
+        kernel.subscribe(REQUEST_RELEASE, lambda e: None)
+        kernel.schedule(1.0, WINDOW_TICK, payload="late")  # priority 1, seq 0
+        kernel.schedule(1.0, REQUEST_RELEASE, payload="early")  # priority 0, seq 1
+        assert fired_payloads(kernel) == ["early", "late"]
 
 
 class TestKernelClock:
@@ -97,14 +92,6 @@ class TestKernelClock:
         assert fired == [1.0, 2.0]
         assert kernel.pending == 1
         assert kernel.run() == 1
-
-    def test_max_events_bound(self):
-        kernel = Kernel()
-        kernel.subscribe(DRAIN_TICK, lambda e: None)
-        for t in range(5):
-            kernel.schedule(float(t), DRAIN_TICK)
-        assert kernel.run(max_events=2) == 2
-        assert kernel.pending == 3
 
     def test_step_on_idle_kernel(self):
         assert Kernel().step() is None

@@ -43,10 +43,11 @@ from repro.network.shortest_path import (
     PathNotFound,
     ShortestPathEngine,
     dijkstra_restricted,
+    subgraph_shortest_path,
 )
 from repro.obs import NULL, Instrumentation
 
-from tests.oracles import oracle_instances, oracle_score_insertions
+from tests.oracles import oracle_instances, oracle_score_insertions, reference_dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def _random_request(rng, net, engine, rid):
     n = net.num_vertices
     origin = int(rng.integers(n))
     destination = int(rng.integers(n))
-    while destination == origin or not engine.reachable(origin, destination):
+    while destination == origin or engine.cost(origin, destination) == np.inf:
         destination = int(rng.integers(n))
     direct = engine.cost(origin, destination)
     deadline = (1.0 + rng.uniform(0.0, 2.0)) * direct + rng.uniform(0.0, 600.0)
@@ -295,12 +296,12 @@ class TestRestrictedDijkstra:
             nodes = sorted(allowed)
             u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
             try:
-                cost_s, path_s = dijkstra_restricted(net, u, v, allowed, method="scalar")
+                cost_s, path_s = reference_dijkstra(net, u, v, allowed)
             except PathNotFound:
                 with pytest.raises(PathNotFound):
-                    dijkstra_restricted(net, u, v, allowed, method="csr")
+                    dijkstra_restricted(net, u, v, allowed)
                 continue
-            cost_c, path_c = dijkstra_restricted(net, u, v, allowed, method="csr")
+            cost_c, path_c = dijkstra_restricted(net, u, v, allowed)
             compared += 1
             assert cost_c == cost_s
             assert path_c[0] == u and path_c[-1] == v
@@ -316,14 +317,13 @@ class TestRestrictedDijkstra:
             nodes = sorted(allowed)
             u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
             try:
-                cost_s, _ = dijkstra_restricted(
-                    net, u, v, allowed, vertex_weight=weights, method="scalar"
-                )
+                cost_s, _ = reference_dijkstra(net, u, v, allowed, vertex_weight=weights)
             except PathNotFound:
                 continue
-            cost_c, path_c = dijkstra_restricted(
-                net, u, v, allowed, vertex_weight=weights, method="csr"
-            )
+            # Probabilistic routing's path: weights folded into the matrix.
+            sub = net.induced_subgraph(allowed)
+            w_local = np.array([weights[int(c)] for c in sub.nodes])
+            cost_c, path_c = subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
             compared += 1
             assert cost_c == cost_s
             assert path_c[0] == u and path_c[-1] == v
@@ -332,16 +332,7 @@ class TestRestrictedDijkstra:
     def test_source_equals_target(self, net):
         allowed = frozenset(range(10))
         assert dijkstra_restricted(net, 3, 3, allowed) == (0.0, [3])
-        assert dijkstra_restricted(net, 3, 3, allowed, method="scalar") == (0.0, [3])
-
-    def test_endpoints_outside_allowed_fall_back(self, net):
-        # auto mode must route endpoints outside the corridor through
-        # the scalar path instead of failing.
-        allowed = frozenset(range(1, net.num_vertices))
-        cost, path = dijkstra_restricted(net, 0, net.num_vertices - 1, allowed)
-        assert path[0] == 0
-        with pytest.raises(ValueError):
-            dijkstra_restricted(net, 0, net.num_vertices - 1, allowed, method="csr")
+        assert reference_dijkstra(net, 3, 3, allowed) == (0.0, [3])
 
     def test_subgraph_cache_hits(self, net):
         net.corridors.clear()
@@ -578,6 +569,7 @@ class TestDiscCache:
         n = net.num_vertices
         parts = [list(range(i, n, 4)) for i in range(4)]
         lg = LandmarkGraph(net, parts, engine)
+        centroids = lg.to_tables()["centroids"]
         rng = np.random.default_rng(15)
         for _ in range(30):
             v = int(rng.integers(n))
@@ -586,7 +578,7 @@ class TestDiscCache:
             expected = [
                 int(z)
                 for z in np.flatnonzero(
-                    np.hypot(lg.centroids[:, 0] - x, lg.centroids[:, 1] - y)
+                    np.hypot(centroids[:, 0] - x, centroids[:, 1] - y)
                     <= np.array([lg.radius(z) for z in range(4)]) + radius
                 )
             ]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.partitioning.kmeans import KMeansResult, cluster_sizes, kmeans
+from repro.partitioning.kmeans import KMeansResult, kmeans
 
 
 def blobs(seed=0, per=30):
@@ -18,12 +18,12 @@ class TestKMeans:
         data = blobs()
         result = kmeans(data, 3, seed=1)
         # Each blob of 30 should land in one cluster.
-        assert sorted(cluster_sizes(result.labels, 3).tolist()) == [30, 30, 30]
+        assert sorted(np.bincount(result.labels, minlength=3).tolist()) == [30, 30, 30]
 
     def test_label_range(self):
         result = kmeans(blobs(), 3, seed=1)
         assert set(result.labels) <= {0, 1, 2}
-        assert result.num_clusters == 3
+        assert result.centers.shape[0] == 3
 
     def test_deterministic_for_seed(self):
         data = blobs()
@@ -35,7 +35,7 @@ class TestKMeans:
     def test_k_clamped_to_samples(self):
         data = np.array([[0.0, 0.0], [1.0, 1.0]])
         result = kmeans(data, 10, seed=0)
-        assert result.num_clusters == 2
+        assert result.centers.shape[0] == 2
 
     def test_k_one(self):
         data = blobs()
@@ -85,15 +85,3 @@ class TestKMeans:
         i2 = kmeans(data, 2, seed=0).inertia
         i6 = kmeans(data, 6, seed=0).inertia
         assert i6 <= i2
-
-
-class TestClusterSizes:
-    def test_basic(self):
-        sizes = cluster_sizes(np.array([0, 0, 1, 2, 2, 2]), 3)
-        assert sizes.tolist() == [2, 1, 3]
-
-    def test_infers_k(self):
-        assert cluster_sizes(np.array([0, 2])).tolist() == [1, 0, 1]
-
-    def test_empty(self):
-        assert cluster_sizes(np.array([], dtype=int)).tolist() == []

@@ -31,11 +31,11 @@ class TestStructure:
 
     def test_counts(self, lg):
         assert lg.num_partitions == 3
-        assert len(lg.landmarks) == 3
+        assert len(lg.to_tables()["landmarks"]) == 3
 
     def test_landmark_is_row_middle(self, lg):
         # The medoid of each 3-vertex row is its middle vertex.
-        assert lg.landmarks == [1, 4, 7]
+        assert [lg.landmark(z) for z in range(3)] == [1, 4, 7]
 
     def test_partition_of(self, lg):
         assert lg.partition_of(0) == 0
@@ -48,8 +48,6 @@ class TestStructure:
     def test_adjacency(self, lg):
         assert lg.neighbors(0) == (1,)
         assert lg.neighbors(1) == (0, 2)
-        assert lg.adjacent(0, 1)
-        assert not lg.adjacent(0, 2)
 
     def test_landmark_costs_symmetric_grid(self, lg, tiny_net):
         c01 = lg.landmark_cost(0, 1)
@@ -58,12 +56,12 @@ class TestStructure:
         assert lg.landmark_cost(2, 2) == 0.0
 
     def test_landmark_cost_matrix(self, lg):
-        mat = lg.landmark_cost_matrix()
+        mat = lg.to_tables()["landmark_cost"]
         assert mat.shape == (3, 3)
         assert np.allclose(np.diag(mat), 0.0)
 
     def test_centroid_and_radius(self, lg):
-        c = lg.centroid(0)
+        c = lg.to_tables()["centroids"][0]
         assert c[0] == pytest.approx(100.0)
         assert c[1] == pytest.approx(0.0)
         assert lg.radius(0) == pytest.approx(100.0)
@@ -92,7 +90,7 @@ class TestLazyEngineMedoid:
     def test_lazy_mode_uses_euclidean_medoid(self, tiny_net):
         engine = ShortestPathEngine(tiny_net, mode="lazy")
         lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], engine)
-        assert lg.landmarks == [1, 4, 7]
+        assert [lg.landmark(z) for z in range(3)] == [1, 4, 7]
 
 
 class TestOnScenarioPartitions:

@@ -3,6 +3,7 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +15,12 @@ from repro.core.partition_filter import PartitionFilter
 from repro.core.routing import BasicRouter
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import dropoff, pickup
-from repro.fleet.taxi import Taxi, build_route
+from repro.fleet.taxi import Taxi
 from repro.index.partition_index import PartitionTaxiIndex
 from repro.network.landmarks import LandmarkGraph
 from repro.obs import Instrumentation
 from repro.sim.engine import Simulator
-from tests.conftest import make_request
+from tests.conftest import build_route, is_path, make_request
 
 
 @pytest.fixture()
@@ -128,7 +129,7 @@ class TestMatch:
         assert result.num_candidates == 1
         # Route serves pickup then dropoff.
         assert [s.kind.value for s in result.stops] == ["pickup", "dropoff"]
-        assert tiny_net.is_path(list(result.route.nodes))
+        assert is_path(tiny_net, list(result.route.nodes))
 
     def test_picks_minimum_detour_taxi(self, setup, tiny_engine):
         matcher, pindex, _cindex, lg = setup
@@ -332,7 +333,8 @@ class ScreeningWorld:
         self.scheme = scenario.make_scheme("mt-share", config=scenario.default_config(**config))
         sim = Simulator(self.scheme, scenario.make_fleet(taxis, seed=seed), [])
         sim.stream_begin()
-        for request in scenario.requests(seed=seed)[:warmup]:
+        self.warmup = scenario.requests(seed=seed)[:warmup]
+        for request in self.warmup:
             sim.stream_submit(request)
         sim.stream_pump()
         self.fleet, self.now = sim.fleet, sim.kernel.now
@@ -382,9 +384,9 @@ class ScreeningWorld:
         return {tid: taxi for tid, taxi in fleet.items() if tid != victim}
 
     def dissolve_clusters(self, fleet):
-        for cid in self.cindex.cluster_ids():
-            for rid in self.cindex.members_of(cid):
-                self.cindex.remove_request(rid)
+        for request in self.warmup:
+            self.cindex.remove_request(request.request_id)
+        assert self.cindex.num_clusters == 0
         return fleet
 
     def unit_none(self, fleet):
@@ -410,7 +412,9 @@ class ScreeningWorld:
             self.matcher.instrument(obs)
             if bulk:
                 with mock.patch.object(matching, "BULK_SCREEN_MIN_REQUESTS", 1):
-                    lists = self.matcher.screen_window(batch, fleet, self.now).candidate_lists()
+                    screen = self.matcher.screen_window(batch, fleet, self.now)
+                    lists = [[screen.taxis[j] for j in np.flatnonzero(row)]
+                             for row in screen.member]
                 assert obs.counters.get("window.screened_pairs", 0) == len(batch) * len(
                     [tid for tid in self.pindex.arrival_table()[0] if tid in fleet]
                 )
@@ -559,7 +563,7 @@ class TestBulkScreening:
         cost = 64.0
         batch = []
         for z in range(world.pindex.num_partitions):
-            for tid, arrival in world.pindex.taxis_in(z):
+            for tid, arrival in sorted(world.pindex.arrival_map(z).items()):
                 origin = world.lg.members(z)[0]
                 destination = (origin + 17) % world.network.num_vertices
                 for nudge in (0.0, 1e-9, -1e-9):  # at, just inside, just past
@@ -577,9 +581,9 @@ class TestBulkScreening:
                         break  # the float round trip missed; another pair will hit
                     batch.append(request)
         assert any(
-            r.pickup_deadline == world.pindex.arrival_time(world.lg.partition_of(r.origin), tid)
+            r.pickup_deadline == arrival
             for r in batch
-            for tid in world.pindex.taxi_ids_in(world.lg.partition_of(r.origin))
+            for arrival in world.pindex.arrival_map(world.lg.partition_of(r.origin)).values()
         )
         bulk, scalar = world.screen(batch)
         assert bulk == scalar
@@ -596,7 +600,7 @@ class TestBulkScreening:
             assert taxi.position_at(now) == (taxi.loc, now)
             for origin in range(0, world.network.num_vertices, 5):
                 z = world.lg.partition_of(origin)
-                if origin == taxi.loc or world.pindex.arrival_time(z, taxi.taxi_id) is not None:
+                if origin == taxi.loc or taxi.taxi_id in world.pindex.arrival_map(z):
                     continue
                 arrival = now + world.engine.cost(taxi.loc, origin)
                 for nudge in (0.0, 1e-9, -1e-9):

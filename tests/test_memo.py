@@ -107,7 +107,7 @@ def test_clear_cache_releases_the_network():
         kind="nonpeak", grid_rows=8, grid_cols=8, hourly_requests=150,
         history_days=2, num_partitions=9, offline_count=30, seed=11,
     )
-    metrics = runner.run_simple(spec, "mt-share-pro", num_taxis=12)
+    metrics = runner.run(runner.RunKey(spec=spec, scheme="mt-share-pro", num_taxis=12))
     assert metrics.counters["kernel.subgraph_builds"] > 0
     network_ref = weakref.ref(get_scenario(spec).network)
     del metrics

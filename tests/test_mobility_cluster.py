@@ -40,8 +40,10 @@ class TestMobilityVector:
         assert EAST.similarity(NORTH) == pytest.approx(0.0)
 
     def test_is_aligned_threshold(self):
-        assert EAST.is_aligned(NORTHEAST, lam=0.707)  # 45 degrees exactly
-        assert not EAST.is_aligned(NORTH, lam=0.707)
+        idx = MobilityClusterIndex(lam=0.707)
+        east = idx.add_request(1, EAST)
+        assert idx.matching_clusters(NORTHEAST) == [east]  # 45 degrees exactly
+        assert idx.matching_clusters(NORTH) == []
 
     def test_default_lambda_is_cos45(self):
         assert DEFAULT_LAMBDA == pytest.approx(math.cos(math.radians(45)), abs=1e-3)
@@ -53,14 +55,14 @@ class TestClusterIndexRequests:
         cid = idx.add_request(1, EAST)
         assert idx.num_clusters == 1
         assert idx.cluster_of_request(1) == cid
-        assert idx.members_of(cid) == {1}
+        assert idx.cluster_ids() == [cid]
 
     def test_aligned_request_joins(self):
         idx = MobilityClusterIndex()
         cid = idx.add_request(1, EAST)
         cid2 = idx.add_request(2, vec(10, 0, 110, 10))
-        assert cid2 == cid
-        assert idx.members_of(cid) == {1, 2}
+        assert cid2 == cid == idx.cluster_of_request(1)
+        assert idx.num_clusters == 1
 
     def test_misaligned_request_founds_new(self):
         idx = MobilityClusterIndex()
@@ -96,7 +98,8 @@ class TestClusterIndexRequests:
         cid = idx.add_request(1, EAST)
         idx.add_request(2, EAST)
         idx.remove_request(1)
-        assert idx.members_of(cid) == {2}
+        assert idx.cluster_ids() == [cid] == [idx.cluster_of_request(2)]
+        assert idx.general_vector(cid) == EAST
 
     def test_matching_clusters(self):
         idx = MobilityClusterIndex()
@@ -115,7 +118,6 @@ class TestClusterIndexTaxis:
         east = idx.add_request(1, EAST)
         idx.add_request(2, WEST)
         assert idx.update_taxi(9, vec(0, 0, 80, 10)) == east
-        assert idx.taxi_list(east) == {9}
         assert idx.cluster_of_taxi(9) == east
 
     def test_unaligned_taxi_joins_nothing(self):
@@ -123,16 +125,16 @@ class TestClusterIndexTaxis:
         idx.add_request(1, EAST)
         assert idx.update_taxi(9, NORTH) is None
         assert idx.cluster_of_taxi(9) is None
-        # but its vector is remembered for direct comparisons
-        assert idx.taxi_vector(9) is NORTH
+        # but its direction is remembered for direct comparisons
+        assert idx.taxi_unit(9) == direction_unit(*NORTH.direction)
 
     def test_empty_taxi_removed(self):
         idx = MobilityClusterIndex()
         east = idx.add_request(1, EAST)
         idx.update_taxi(9, EAST)
         idx.update_taxi(9, None)
-        assert idx.taxi_list(east) == set()
-        assert idx.taxi_vector(9) is None
+        assert east in idx.cluster_ids() and idx.cluster_of_taxi(9) is None
+        assert idx.taxi_unit(9) is None
 
     def test_taxi_reassigned_on_update(self):
         idx = MobilityClusterIndex()
@@ -140,16 +142,18 @@ class TestClusterIndexTaxis:
         west = idx.add_request(2, WEST)
         idx.update_taxi(9, EAST)
         idx.update_taxi(9, WEST)
-        assert idx.taxi_list(east) == set()
-        assert idx.taxi_list(west) == {9}
+        assert idx.cluster_of_taxi(9) == west != east
 
     def test_aligned_taxis_union(self):
+        # Eq. 3's right side, probed per taxi as ``Matcher.candidate_taxis``
+        # does: the taxi's cluster is one of the request's matching clusters.
         idx = MobilityClusterIndex()
         idx.add_request(1, EAST)
         idx.add_request(2, vec(0, 0, 90, 30))
         idx.update_taxi(7, EAST)
         idx.update_taxi(8, WEST)
-        assert idx.aligned_taxis(EAST) == {7}
+        aligned = idx.matching_clusters(EAST)
+        assert {t for t in (7, 8) if idx.cluster_of_taxi(t) in aligned} == {7}
 
     def test_cluster_death_unlinks_taxis(self):
         idx = MobilityClusterIndex()
@@ -175,12 +179,9 @@ class TestClusterProperties:
         idx = MobilityClusterIndex()
         for i, (dx, dy) in enumerate(directions):
             idx.add_request(i, vec(0, 0, dx, dy))
-        seen = set()
-        for cid in idx.cluster_ids():
-            members = idx.members_of(cid)
-            assert not (members & seen)
-            seen |= members
-        assert seen == set(range(len(directions)))
+        # Every request sits in a live cluster, and no live cluster is empty.
+        held = {idx.cluster_of_request(i) for i in range(len(directions))}
+        assert held == set(idx.cluster_ids())
 
 
 def scalar_alignment(idx, request_vec, taxi_id):

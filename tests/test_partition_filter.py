@@ -53,13 +53,7 @@ class TestFilter:
         pf = PartitionFilter(row_lg)
         first = pf.filter_partitions(0, 2)
         assert pf.filter_partitions(0, 2) is first
-        assert pf.cache_size() == 1
-        pf.clear_cache()
-        assert pf.cache_size() == 0
-
-    def test_filter_nodes_maps_to_partitions(self, row_lg):
-        pf = PartitionFilter(row_lg)
-        assert pf.filter_nodes(0, 8) == pf.filter_partitions(0, 2)
+        assert pf.corridor_vertices(first) is pf.corridor_vertices(tuple(first))
 
     def test_allowed_vertices(self, row_lg):
         pf = PartitionFilter(row_lg)

@@ -6,6 +6,11 @@ import pytest
 from repro.index.partition_index import PartitionTaxiIndex
 
 
+def partitions_of(idx, taxi_id):
+    """The partitions whose list holds ``taxi_id``."""
+    return {z for z in range(idx.num_partitions) if taxi_id in idx.arrival_map(z)}
+
+
 class TestValidation:
     def test_needs_partitions(self):
         with pytest.raises(ValueError):
@@ -20,38 +25,30 @@ class TestUpdates:
     def test_update_and_query(self):
         idx = PartitionTaxiIndex(4)
         idx.update_taxi(7, {0: 100.0, 2: 250.0})
-        assert idx.taxis_in(0) == [(7, 100.0)]
-        assert idx.taxi_ids_in(2) == {7}
-        assert idx.arrival_time(2, 7) == 250.0
-        assert idx.arrival_time(1, 7) is None
-        assert idx.partitions_of(7) == {0, 2}
+        assert idx.arrival_map(0) == {7: 100.0}
+        assert idx.arrival_map(2) == {7: 250.0}
+        assert 7 not in idx.arrival_map(1)
+        assert partitions_of(idx, 7) == {0, 2}
 
     def test_update_replaces(self):
         idx = PartitionTaxiIndex(4)
         idx.update_taxi(7, {0: 100.0})
         idx.update_taxi(7, {3: 50.0})
-        assert idx.taxis_in(0) == []
-        assert idx.taxis_in(3) == [(7, 50.0)]
+        assert idx.arrival_map(0) == {}
+        assert idx.arrival_map(3) == {7: 50.0}
 
     def test_remove(self):
         idx = PartitionTaxiIndex(2)
         idx.update_taxi(1, {0: 5.0})
         idx.remove_taxi(1)
-        assert idx.taxis_in(0) == []
-        assert idx.partitions_of(1) == set()
+        assert idx.arrival_map(0) == {}
+        assert partitions_of(idx, 1) == set()
         idx.remove_taxi(42)  # unknown: no-op
-
-    def test_sorted_by_arrival(self):
-        idx = PartitionTaxiIndex(1)
-        idx.update_taxi(1, {0: 30.0})
-        idx.update_taxi(2, {0: 10.0})
-        idx.update_taxi(3, {0: 20.0})
-        assert [t for t, _a in idx.taxis_in(0)] == [2, 3, 1]
 
     def test_place_idle(self):
         idx = PartitionTaxiIndex(3)
         idx.place_idle_taxi(9, 1, now=42.0)
-        assert idx.taxis_in(1) == [(9, 42.0)]
+        assert idx.arrival_map(1) == {9: 42.0}
 
     def test_union(self):
         idx = PartitionTaxiIndex(3)
@@ -81,9 +78,9 @@ class TestFromRoute:
             partition_of=partition_of,
             now=0.0,
         )
-        assert idx.arrival_time(0, 5) == 0.0   # first visit, not 10.0
-        assert idx.arrival_time(1, 5) == 20.0
-        assert idx.arrival_time(2, 5) == 30.0
+        assert idx.arrival_map(0) == {5: 0.0}   # first visit, not 10.0
+        assert idx.arrival_map(1) == {5: 20.0}
+        assert idx.arrival_map(2) == {5: 30.0}
 
     def test_horizon_truncates(self):
         idx = PartitionTaxiIndex(2, horizon_s=15.0)
@@ -91,12 +88,12 @@ class TestFromRoute:
         idx.update_taxi_from_route(
             1, [0, 1], [0.0, 100.0], partition_of, now=0.0
         )
-        assert idx.arrival_time(1, 1) is None
+        assert idx.arrival_map(1) == {}
 
     def test_past_times_clamped_to_now(self):
         idx = PartitionTaxiIndex(1)
         idx.update_taxi_from_route(1, [0], [5.0], lambda v: 0, now=50.0)
-        assert idx.arrival_time(0, 1) == 50.0
+        assert idx.arrival_map(0) == {1: 50.0}
 
     def test_total_entries_and_memory(self):
         idx = PartitionTaxiIndex(3)
@@ -120,13 +117,13 @@ class TestArrivalTable:
         assert table.shape == (3, 3) and table.dtype == np.float64
         for z in range(3):
             for j, tid in enumerate(ids):
-                arrival = idx.arrival_time(z, tid)
+                arrival = idx.arrival_map(z).get(tid)
                 if arrival is None:
                     assert np.isnan(table[z, j])
                 else:
                     assert table[z, j] == arrival
         table[:] = 0.0  # the caller owns it
-        assert idx.arrival_time(2, 7) == 1.25
+        assert idx.arrival_map(2)[7] == 1.25
 
     def test_empty_index(self):
         ids, table = PartitionTaxiIndex(4).arrival_table()

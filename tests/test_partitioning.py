@@ -47,7 +47,7 @@ class TestBipartite:
     def test_transition_model_attached(self, small_partitioning):
         model = small_partitioning.transition_model
         assert model is not None
-        assert model.num_clusters == small_partitioning.num_partitions
+        assert model.matrix.shape[1] == small_partitioning.num_partitions
 
     def test_every_vertex_assigned(self, small_net, small_partitioning):
         assert small_partitioning.labels.shape == (small_net.num_vertices,)

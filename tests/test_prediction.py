@@ -61,24 +61,6 @@ class TestQueries:
         assert pred.rate_at_time(0, 8 * 3600.0 + 5.0) == 10.0
         assert pred.rate_at_time(0, (24 + 8) * 3600.0) == 10.0
 
-    def test_share(self, pred):
-        assert pred.share(0, 8) == pytest.approx(10.0 / 15.0)
-        assert pred.share(2, 8) == 0.0
-        assert pred.share(0, 3) == 0.0  # no demand at all that hour
-
-    def test_shares_is_share_elementwise(self, pred):
-        """``==``, not approx, zero-total hours included."""
-        rng = np.random.default_rng(7)
-        dense = DemandPredictor(rng.random((37, 24)) * rng.integers(0, 2, size=(37, 24)))
-        for predictor in (pred, dense):
-            for hour in (3, 8, 20, 32):
-                want = [predictor.share(z, hour) for z in range(predictor.num_partitions)]
-                assert predictor.shares(hour).tolist() == want
-                total = float(predictor.rates[:, hour % 24].sum())  # the strided column sum
-                assert all(w == (predictor.rate(z, hour) / total if total > 0 else 0.0)
-                           for z, w in enumerate(want))
-        assert pred.shares(3).tolist() == [0.0, 0.0, 0.0]
-
     def test_memory(self, pred):
         assert pred.memory_bytes() > 0
 

@@ -24,7 +24,6 @@ from repro.fleet.rebalance import (
     RebalanceMove,
     RebalanceSpec,
     Rebalancer,
-    format_rebalance_spec,
     parse_rebalance_spec,
 )
 from repro.fleet.taxi import Taxi, TaxiRoute
@@ -81,14 +80,6 @@ class TestRebalanceSpec:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             RebalanceSpec(**kwargs)
-
-    def test_format_roundtrip(self):
-        for spec in (
-            RebalanceSpec(cadence_s=45.0, max_moves=3),
-            RebalanceSpec(cadence_s=61.2345678),  # more digits than ``:g`` keeps
-        ):
-            assert parse_rebalance_spec(format_rebalance_spec(spec)) == spec
-        assert format_rebalance_spec(RebalanceSpec()) == "on"
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.demand.request import RequestError, RideRequest, ServedTrip, TripRecord
+from repro.demand.request import RequestError, RideRequest, ServedTrip
 
 
 class TestRideRequest:
@@ -61,12 +61,6 @@ class TestRideRequest:
         assert r.deadline >= r.release_time + r.direct_cost - 1e-9
         assert r.max_wait == pytest.approx((rho - 1.0) * cost, rel=1e-6, abs=1e-6)
         assert r.pickup_deadline <= r.deadline
-
-
-class TestTripRecord:
-    def test_fields(self):
-        rec = TripRecord(trip_id=1, taxi_id=2, release_time=3.0, origin=4, destination=5)
-        assert (rec.trip_id, rec.taxi_id, rec.origin, rec.destination) == (1, 2, 4, 5)
 
 
 class TestServedTrip:

@@ -24,7 +24,7 @@ from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.transition import TransitionModel
 from repro.sim.engine import Simulator
 from tests import oracles
-from tests.conftest import make_request
+from tests.conftest import is_path, make_request
 from tests.oracles import ReferenceProbabilisticRouter
 from tests.test_advance_index import _observe
 
@@ -79,7 +79,7 @@ class TestBasicRouter:
         r = trip_request(tiny_engine, 1, 7)
         route = router.route_for_schedule(1, 0.0, [pickup(r), dropoff(r)])
         assert route.total_cost() == pytest.approx(tiny_engine.cost(1, 7))
-        assert tiny_net.is_path(route.nodes)
+        assert is_path(tiny_net, route.nodes)
 
     def test_no_filter_works(self, tiny_net, tiny_engine):
         router = BasicRouter(tiny_net, tiny_engine, None)
@@ -102,7 +102,7 @@ class TestBasicRouter:
         lazy = ShortestPathEngine(tiny_net, mode="lazy")
         router = BasicRouter(tiny_net, lazy, PartitionFilter(row_lg))
         path = router.leg_path(0, 8)
-        assert tiny_net.is_path(path)
+        assert is_path(tiny_net, path)
         assert path[0] == 0 and path[-1] == 8
 
     def test_multi_stop_schedule(self, tiny_net, tiny_engine):
@@ -139,7 +139,7 @@ class TestProbabilisticRouter:
         route = router.route_for_schedule(1, 0.0, [pickup(r), dropoff(r)], taxi_vector=vec)
         arrival = route.times[route.stop_positions[-1]]
         assert arrival <= r.deadline + 1e-6
-        assert tiny_net.is_path(route.nodes)
+        assert is_path(tiny_net, route.nodes)
 
     def test_infeasible_schedule_raises(self, router, tiny_engine):
         r = trip_request(tiny_engine, 1, 7, rho=1.01)

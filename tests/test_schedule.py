@@ -10,11 +10,8 @@ from repro.fleet.schedule import (
     deadlines_met,
     dropoff,
     enumerate_insertions,
-    is_feasible,
     pickup,
     request_stop_pair,
-    schedule_cost,
-    validate_stop_order,
 )
 from tests.conftest import make_request
 
@@ -127,40 +124,6 @@ class TestFeasibility:
         r = make_request(request_id=1)
         with pytest.raises(ValueError):
             capacity_ok([dropoff(r)], 0, 4)
-
-    def test_is_feasible_combines(self):
-        r = make_request(direct_cost=1000.0, rho=1.5, origin=1, destination=2)
-        stops = [pickup(r), dropoff(r)]
-        assert is_feasible(0, 0.0, stops, const_cost(100.0), 0, 4)
-        assert not is_feasible(0, 0.0, stops, const_cost(100.0), 4, 4)
-        assert not is_feasible(0, 0.0, stops, const_cost(2000.0), 0, 4)
-
-    def test_schedule_cost(self):
-        r = make_request(origin=1, destination=2, direct_cost=1000.0)
-        assert schedule_cost(0, 5.0, [pickup(r), dropoff(r)], const_cost(10.0)) == pytest.approx(20.0)
-        assert schedule_cost(0, 5.0, [], const_cost(10.0)) == 0.0
-
-
-class TestValidateStopOrder:
-    def test_valid_sequences_pass(self):
-        r1, r2 = make_request(request_id=1), make_request(request_id=2)
-        validate_stop_order([pickup(r1), pickup(r2), dropoff(r1), dropoff(r2)])
-        validate_stop_order([dropoff(r1)])  # onboard passenger: allowed
-
-    def test_double_pickup_rejected(self):
-        r = make_request(request_id=1)
-        with pytest.raises(ValueError):
-            validate_stop_order([pickup(r), pickup(r)])
-
-    def test_double_dropoff_rejected(self):
-        r = make_request(request_id=1)
-        with pytest.raises(ValueError):
-            validate_stop_order([dropoff(r), dropoff(r)])
-
-    def test_dropoff_before_pickup_rejected(self):
-        r = make_request(request_id=1)
-        with pytest.raises(ValueError):
-            validate_stop_order([dropoff(r), pickup(r)])
 
 
 class TestInsertionProperties:

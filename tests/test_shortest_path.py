@@ -18,9 +18,11 @@ from repro.network.shortest_path import (
     ShortestPathEngine,
     dijkstra_restricted,
     resolve_sp_mode,
+    subgraph_shortest_path,
 )
 from repro.sim.engine import Simulator
 from repro.sim.scenario import Scenario
+from tests.conftest import is_path, small_test_network
 
 from tests.oracles import reference_ch_build
 from tests.test_runner_parallel import decision_fingerprint
@@ -73,14 +75,13 @@ class TestEngineBasics:
     def test_path_is_valid_and_shortest(self, tiny_engine, tiny_net):
         path = tiny_engine.path(0, 8)
         assert path[0] == 0 and path[-1] == 8
-        assert tiny_net.is_path(path)
+        assert is_path(tiny_net, path)
         assert tiny_net.path_length_m(path) == pytest.approx(tiny_engine.distance_m(0, 8))
 
     def test_unreachable(self):
         net = RoadNetwork([(0, 0), (100, 0)], [(0, 1)])  # one way only
         eng = ShortestPathEngine(net)
         assert eng.distance_m(1, 0) == np.inf
-        assert not eng.reachable(1, 0)
         with pytest.raises(PathNotFound):
             eng.path(1, 0)
 
@@ -142,7 +143,7 @@ class TestLazyMode:
 
     def test_paths_valid(self, small_net, lazy_engine):
         path = lazy_engine.path(0, small_net.num_vertices - 1)
-        assert small_net.is_path(path)
+        assert is_path(small_net, path)
 
     def test_auto_mode_selects_full_for_small(self, tiny_net):
         assert ShortestPathEngine(tiny_net, mode="auto").mode == "full"
@@ -200,7 +201,7 @@ class TestCHMode:
         eng = ShortestPathEngine(net, mode="ch")
         assert eng.distance_m(0, 1) == pytest.approx(100.0)
         assert eng.distance_m(0, 2) == np.inf
-        assert not eng.reachable(3, 1)
+        assert eng.distance_m(3, 1) == np.inf
         with pytest.raises(PathNotFound):
             eng.path(0, 3)
         # Batched queries agree with the scalar ones.
@@ -267,7 +268,7 @@ class TestCHMode:
             u, v = (int(x) for x in rng.integers(0, small_net.num_vertices, size=2))
             path = ch_engine.path(u, v)
             assert path[0] == u and path[-1] == v
-            assert small_net.is_path(path)
+            assert is_path(small_net, path)
             assert small_net.path_length_m(path) == pytest.approx(
                 small_engine.distance_m(u, v)
             )
@@ -462,7 +463,7 @@ class TestContractionRounds:
                 if np.isinf(want[a, b]):
                     assert path is None
                     continue
-                assert path[0] == a and path[-1] == b and net.is_path(path)
+                assert path[0] == a and path[-1] == b and is_path(net, path)
                 if unique:
                     assert path == reference.path(a, b)
 
@@ -498,7 +499,7 @@ class TestContractionRounds:
                 if np.isinf(want[a, b]):
                     assert path is None
                 else:
-                    assert net.is_path(path) and net.path_length_m(path) == want[a, b]
+                    assert is_path(net, path) and net.path_length_m(path) == want[a, b]
 
     def test_ch40_run_identical_on_the_reference_hierarchy(self):
         """A trimmed ``cold-ch`` cell — the CH40 city, ``mt-share``, 100
@@ -619,58 +620,57 @@ class TestHierarchyCheck:
             ContractionHierarchy.from_arrays(other, built)
 
 
+def weighted_path(net, u, v, weights):
+    """The probabilistic router's step: vertex weights folded into the
+    in-edges of the whole graph's induced matrix."""
+    sub = net.induced_subgraph(frozenset(range(net.num_vertices)))
+    w_local = np.array([weights.get(int(c), 0.0) for c in sub.nodes])
+    return subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
+
+
 class TestDijkstraRestricted:
     def test_unrestricted_matches_engine(self, tiny_net, tiny_engine):
-        cost, path = dijkstra_restricted(tiny_net, 0, 8)
+        cost, path = dijkstra_restricted(tiny_net, 0, 8, frozenset(range(9)))
         assert cost == pytest.approx(tiny_engine.cost(0, 8))
-        assert tiny_net.is_path(path)
+        assert is_path(tiny_net, path)
 
     def test_allowed_set_respected(self, tiny_net):
         # Only the top row detour is allowed: 0-3-6-7-8.
-        allowed = {0, 3, 6, 7, 8}
+        allowed = frozenset({0, 3, 6, 7, 8})
         _cost, path = dijkstra_restricted(tiny_net, 0, 8, allowed)
         assert set(path) <= allowed
 
-    def test_endpoints_always_admitted(self, tiny_net):
-        # Target admitted even if not listed in `allowed`.
-        _cost, path = dijkstra_restricted(tiny_net, 0, 2, allowed={0, 1})
-        assert path == [0, 1, 2]
+    def test_endpoints_outside_allowed_are_refused(self, tiny_net):
+        with pytest.raises(ValueError, match="inside the subgraph"):
+            dijkstra_restricted(tiny_net, 0, 2, frozenset({0, 1}))
 
     def test_disconnection_raises(self, tiny_net):
         with pytest.raises(PathNotFound):
-            dijkstra_restricted(tiny_net, 0, 8, allowed={0, 8})
+            dijkstra_restricted(tiny_net, 0, 8, frozenset({0, 8}))
 
     def test_vertex_weights_steer(self, tiny_net):
         # Two equal-cost 0->2 alternatives exist via 1; penalise vertex 1
         # heavily and the path must avoid it.
-        heavy = {1: 1e6}
-        _cost, path = dijkstra_restricted(tiny_net, 0, 2, vertex_weight=heavy)
-        assert 1 not in path
-
-    def test_vertex_weight_callable(self, tiny_net):
-        _cost, path = dijkstra_restricted(
-            tiny_net, 0, 2, vertex_weight=lambda v: 1e6 if v == 1 else 0.0
-        )
+        _cost, path = weighted_path(tiny_net, 0, 2, {1: 1e6})
         assert 1 not in path
 
     def test_weighted_cost_includes_weights(self, tiny_net):
-        base_cost, _ = dijkstra_restricted(tiny_net, 0, 2)
-        w_cost, _ = dijkstra_restricted(tiny_net, 0, 2, vertex_weight={5: 7.5, 2: 2.5})
+        base_cost, _ = weighted_path(tiny_net, 0, 2, {})
+        w_cost, _ = weighted_path(tiny_net, 0, 2, {5: 7.5, 2: 2.5})
         # 0->1->2 avoids 5; weight on target 2 still applies.
         assert w_cost == pytest.approx(base_cost + 2.5)
 
     def test_source_equals_target(self, tiny_net):
-        cost, path = dijkstra_restricted(tiny_net, 3, 3)
+        cost, path = dijkstra_restricted(tiny_net, 3, 3, frozenset({3}))
         assert cost == 0.0
         assert path == [3]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
     def test_matches_engine_everywhere(self, u, v):
-        from repro.network.generators import small_test_network
 
         net = small_test_network()
         eng = ShortestPathEngine(net)
-        cost, path = dijkstra_restricted(net, u, v)
+        cost, path = dijkstra_restricted(net, u, v, frozenset(range(9)))
         assert cost == pytest.approx(eng.cost(u, v))
-        assert net.is_path(path)
+        assert is_path(net, path)

@@ -38,11 +38,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             GridSpatialIndex(0.0)
 
-    def test_bulk_load(self):
-        idx = GridSpatialIndex(50.0)
-        idx.bulk_load([(i, float(i), 0.0) for i in range(10)])
-        assert len(idx) == 10
-
     def test_memory(self):
         idx = GridSpatialIndex(50.0)
         idx.insert(0, 0.0, 0.0)

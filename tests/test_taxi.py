@@ -3,8 +3,8 @@
 import pytest
 
 from repro.fleet.schedule import dropoff, pickup
-from repro.fleet.taxi import FleetLog, Taxi, TaxiError, TaxiRoute, build_route
-from tests.conftest import make_request
+from repro.fleet.taxi import FleetLog, Taxi, TaxiError, TaxiRoute
+from tests.conftest import build_route, is_path, make_request
 
 
 def straight_route(nodes, start_time, per_hop, stop_positions=()):
@@ -48,7 +48,7 @@ class TestBuildRoute:
         assert route.nodes[0] == 0
         assert route.nodes[route.stop_positions[0]] == 2
         assert route.nodes[route.stop_positions[1]] == 8
-        assert tiny_net.is_path(route.nodes)
+        assert is_path(tiny_net, route.nodes)
 
     def test_times_are_cumulative(self, tiny_net, tiny_engine):
         r = make_request(origin=1, destination=2, direct_cost=tiny_engine.cost(1, 2))

@@ -36,7 +36,7 @@ class TestFit:
         model = simple_model()
         # Vertex 3 has no pickups: falls back to the global marginal
         # (1 trip to cluster 0, 3 trips to cluster 1).
-        assert model.vector(3) == pytest.approx([0.25, 0.75])
+        assert [model.prob(3, c) for c in (0, 1)] == pytest.approx([0.25, 0.75])
 
     def test_pickup_counts(self):
         model = simple_model()
@@ -65,7 +65,7 @@ class TestFit:
         trips = np.array([[0, 0]])
         model = TransitionModel.fit(trips, labels, 2, smoothing=1.0)
         # counts: [1+1, 0+1] -> [2/3, 1/3]
-        assert model.vector(0) == pytest.approx([2 / 3, 1 / 3])
+        assert [model.prob(0, c) for c in (0, 1)] == pytest.approx([2 / 3, 1 / 3])
 
     def test_bad_trip_shape_rejected(self):
         with pytest.raises(ValueError):
