@@ -22,9 +22,11 @@ are true travel times, so deadline bookkeeping downstream is exact.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,19 +35,11 @@ from ..fleet.taxi import TaxiRoute
 from ..memo import BoundedMemo
 from ..network.geo import cosine_similarity
 from ..network.graph import InducedSubgraph, RoadNetwork
-from ..network.shortest_path import (
-    PathNotFound,
-    ShortestPathEngine,
-    dijkstra_restricted,
-    subgraph_shortest_path,
-)
+from ..network.shortest_path import PathNotFound, ShortestPathEngine, dijkstra_restricted
 from ..obs import NULL, Instrumentation
 from ..partitioning.transition import TransitionModel
 from .mobility_cluster import DEFAULT_LAMBDA, MobilityVector
 from .partition_filter import PartitionFilter
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 #: Floor applied to psi_c so 1/psi_c vertex weights stay finite.
 MIN_PSI = 1e-6
@@ -282,11 +276,77 @@ class SectorEntry(NamedTuple):
 
 
 class CorridorGraph(NamedTuple):
-    """Step 3's search graph for one (corridor, heading sector)."""
+    """Step 3's search graph for one (corridor, heading sector).
 
-    sub: InducedSubgraph
-    #: Travel times with every vertex's ``psi`` weight folded into its in-edges.
-    matrix: sparse.csr_matrix
+    Plain Python lists: a corridor has tens of vertices, where a heap
+    Dijkstra over lists beats a call into scipy (docs/PERFORMANCE.md,
+    "Segment routing").
+    """
+
+    #: Global id of each local vertex, ascending (``InducedSubgraph.nodes``).
+    nodes: list[int]
+    #: CSR row pointers and column indices in the local numbering.
+    indptr: list[int]
+    indices: list[int]
+    #: Travel times with every vertex's weight folded into its in-edges.
+    weights: list[float]
+
+    @classmethod
+    def build(cls, sub: InducedSubgraph, vertex_weight_local: np.ndarray) -> CorridorGraph:
+        """``sub`` with ``vertex_weight_local[c]`` added to every edge into ``c``."""
+        weights = sub.data_s + vertex_weight_local[sub.indices]
+        return cls(sub.nodes.tolist(), sub.indptr.tolist(), sub.indices.tolist(),
+                   weights.tolist())
+
+    def local_of(self, v: int) -> int:
+        """Local index of global vertex ``v``, or -1 when absent."""
+        i = bisect_left(self.nodes, v)
+        return i if i < len(self.nodes) and self.nodes[i] == v else -1
+
+    def shortest_path(self, source: int, target: int) -> tuple[float, list[int]]:
+        """Binary-heap Dijkstra from ``source`` to ``target`` (global ids).
+
+        Stops when it settles ``target``; a distance changes only on a
+        strict improvement, and the heap pops ``(distance, local
+        index)`` in order, so of equally short paths the one through
+        the lower local indices wins.  Returns ``(cost, path)``; raises
+        ``ValueError`` unless both endpoints lie in the corridor and
+        :class:`PathNotFound` when ``target`` is unreachable.
+        """
+        ls = self.local_of(source)
+        lt = self.local_of(target)
+        if ls < 0 or lt < 0:
+            raise ValueError(f"{source} -> {target}: both endpoints must lie inside the subgraph")
+        if ls == lt:
+            return 0.0, [source]
+        nodes, indptr, indices, weights = self
+        dist = [math.inf] * len(nodes)
+        pred = [-1] * len(nodes)
+        dist[ls] = 0.0
+        heap = [(0.0, ls)]
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, u = pop(heap)
+            if u == lt:
+                break
+            if d > dist[u]:
+                continue  # superseded by a strict improvement
+            for j in range(indptr[u], indptr[u + 1]):
+                nd = d + weights[j]
+                v = indices[j]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+        else:
+            raise PathNotFound(f"no path from {source} to {target} within the corridor")
+        path = [target]
+        node = lt
+        while node != ls:
+            node = pred[node]
+            path.append(nodes[node])
+        path.reverse()
+        return dist[lt], path
 
 
 def heading_sector(direction: tuple[float, float]) -> int:
@@ -306,8 +366,8 @@ class ProbabilisticRouter(BasicRouter):
     the granularity at which it is a function: :class:`SectorEntry` per
     (partition, sector), the corridor lists per (source partition,
     destination partition, sector), a :class:`CorridorGraph` per
-    (corridor, sector).  A leg is then one scipy Dijkstra on a stored
-    matrix.
+    (corridor, sector).  A leg is then one heap Dijkstra over a stored
+    graph.
 
     A sector entry is filled from the *exact* direction of the first
     caller that needs it and never changes afterwards (two headings in
@@ -344,11 +404,6 @@ class ProbabilisticRouter(BasicRouter):
     ) -> None:
         if partition_filter is None:
             raise ValueError("probabilistic routing requires a partition filter")
-        # Every weighted leg is a scipy Dijkstra on a scipy matrix, on any
-        # engine mode; import it with the router, not inside the first
-        # leg of a timed run (docs/ARCHITECTURE.md, "Import rule").
-        from scipy.sparse import csgraph  # noqa: F401
-
         super().__init__(network, engine, partition_filter)
         self._model = transition_model
         self._lam = float(lam)
@@ -526,7 +581,7 @@ class ProbabilisticRouter(BasicRouter):
         # preference meaningful even when absolute probabilities are
         # tiny (they always are: psi is a per-trip probability).
         weights = self._steering_s * (1.0 - psi / psi.max())
-        return self.corridor_graphs.store(key, CorridorGraph(sub, sub.matrix(weights)))
+        return self.corridor_graphs.store(key, CorridorGraph.build(sub, weights))
 
     def _weighted_leg(
         self,
@@ -539,7 +594,7 @@ class ProbabilisticRouter(BasicRouter):
         (which hold both ``u`` and ``v``)."""
         graph = self._corridor_graph(corridor, direction)
         try:
-            _cost, path = subgraph_shortest_path(graph.sub, graph.matrix, u, v)
+            _cost, path = graph.shortest_path(u, v)
             return path
         except PathNotFound:
             return None

@@ -28,19 +28,34 @@ SUBGRAPH_CACHE_SIZE = 256
 
 
 class InducedSubgraph:
-    """One memoised corridor: the induced CSR submatrix of an allowed set."""
+    """One memoised corridor: the induced CSR submatrix of an allowed set.
+
+    The rows of ``nodes`` (sorted) are gathered from the network's CSR
+    arrays in numpy, keeping the columns that lie in ``nodes``: the same
+    arrays, byte for byte, as scipy's ``to_csr()[nodes][:, nodes]``.
+    """
 
     __slots__ = ("nodes", "indptr", "indices", "data_s")
 
     def __init__(self, network: RoadNetwork, allowed: frozenset[int]) -> None:
         nodes = np.fromiter(allowed, dtype=np.int64, count=len(allowed))  # repro-lint: disable=REP001 reason=order canonicalised by the sort on the next line
         nodes.sort()
-        sub = network.to_csr()[nodes][:, nodes].tocsr()
+        indptr, indices, lengths = network.csr_arrays
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        # Positions of every out-edge of the kept rows, row by row.
+        offsets = np.cumsum(counts) - counts
+        edges = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        heads = indices[edges]
+        local = np.searchsorted(nodes, heads)
+        kept = nodes[np.minimum(local, nodes.size - 1)] == heads
+        row_of = np.repeat(np.arange(nodes.size), counts)[kept]
         self.nodes = nodes
-        self.indptr = sub.indptr
-        self.indices = sub.indices
+        self.indptr = np.zeros(nodes.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row_of, minlength=nodes.size), out=self.indptr[1:])
+        self.indices = local[kept].astype(np.int32)
         # Edge lengths become travel times once, at build.
-        self.data_s = sub.data / network.speed_mps
+        self.data_s = lengths[edges[kept]] / network.speed_mps
 
     def local_of(self, v: int) -> int:
         """Local index of global vertex ``v``, or -1 when absent."""
@@ -48,16 +63,6 @@ class InducedSubgraph:
         if i < self.nodes.size and self.nodes[i] == v:
             return i
         return -1
-
-    def matrix(self, vertex_weight_local: np.ndarray | None) -> sparse.csr_matrix:
-        """CSR travel-time matrix, vertex weights folded into in-edges."""
-        from scipy import sparse
-
-        data = self.data_s
-        if vertex_weight_local is not None:
-            data = data + vertex_weight_local[self.indices]
-        n = self.nodes.size
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def memory_bytes(self) -> int:
         """Bytes held by the four arrays."""
@@ -131,10 +136,26 @@ class RoadNetwork:
                 length_of[key] = length
 
         self._adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), length in sorted(length_of.items()):
+        ordered = sorted(length_of.items())
+        for (u, v), length in ordered:
             self._adj[u].append((v, length))
         self._num_edges = len(length_of)
         self._length_of = length_of
+        # CSR adjacency, rows and the columns of each row sorted: what
+        # scipy builds from the edge list, with its index dtype.
+        tails = np.fromiter((u for (u, _v), _l in ordered), dtype=np.int64, count=len(ordered))
+        self._indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(tails, minlength=n), out=self._indptr[1:])
+        self._indices = np.fromiter(
+            (v for (_u, v), _l in ordered), dtype=np.int32, count=len(ordered)
+        )
+        lengths = np.fromiter((length for _k, length in ordered), dtype=np.float64,
+                              count=len(ordered))
+        # csgraph treats an explicit 0 as "no edge"; nudge zero-length
+        # edges to a tiny positive weight instead.
+        self._lengths = np.where(lengths > 0, lengths, 1e-9)
+        for array in (self._indptr, self._indices, self._lengths):
+            array.flags.writeable = False  # shared with to_csr() and its callers
         self._csr: sparse.csr_matrix | None = None
         #: Induced subgraph per allowed vertex set (a pure function of
         #: the set on this immutable network); dies with the network.
@@ -206,27 +227,26 @@ class RoadNetwork:
         return self.path_length_m(path) / self._speed
 
     # ------------------------------------------------------------------
-    # scipy interop
+    # CSR adjacency and scipy interop
     # ------------------------------------------------------------------
+    @property
+    def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, lengths_m)`` of the sorted CSR adjacency.
+
+        Zero-length edges carry ``1e-9`` m (see ``__init__``).  Shared,
+        not copied, and read-only.
+        """
+        return self._indptr, self._indices, self._lengths
+
     def to_csr(self) -> sparse.csr_matrix:
-        """Sparse adjacency matrix with edge lengths, cached."""
+        """The CSR arrays as a scipy matrix (no copy), cached."""
         if self._csr is None:
             from scipy import sparse
 
             n = self.num_vertices
-            if self._num_edges == 0:
-                self._csr = sparse.csr_matrix((n, n))
-            else:
-                rows = np.empty(self._num_edges, dtype=np.int64)
-                cols = np.empty(self._num_edges, dtype=np.int64)
-                data = np.empty(self._num_edges, dtype=np.float64)
-                for i, ((u, v), length) in enumerate(self._length_of.items()):
-                    rows[i] = u
-                    cols[i] = v
-                    # csgraph treats an explicit 0 as "no edge"; nudge
-                    # zero-length edges to a tiny positive weight instead.
-                    data[i] = length if length > 0 else 1e-9
-                self._csr = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+            self._csr = sparse.csr_matrix(
+                (self._lengths, self._indices, self._indptr), shape=(n, n)
+            )
         return self._csr
 
     def induced_subgraph(self, allowed: frozenset[int]) -> InducedSubgraph:

@@ -17,31 +17,30 @@ resolution (see :data:`SP_MODE_ENV`).
 
 :func:`dijkstra_restricted` is the segment-level router of basic
 routing (Algorithm 3): a Dijkstra over an *allowed vertex set* (the
-union of the partitions that survived partition filtering).  It builds
-the induced CSR submatrix of the allowed set and runs scipy's C
-Dijkstra; induced subgraphs are memoised per corridor on the network
-itself (:meth:`RoadNetwork.induced_subgraph`) so repeated legs through
-the same corridor skip the rebuild.  Probabilistic routing
-(Algorithm 4) folds its vertex weights into corridor matrices it keeps
-itself and enters at :func:`subgraph_shortest_path`, the "scipy +
-unwind" step both share.  The pure-Python heap Dijkstra the kernel
-tests diff both against lives in ``tests/oracles.py``.
+union of the partitions that survived partition filtering).  It takes
+the induced CSR subgraph of the allowed set — memoised per set on the
+network itself (:meth:`RoadNetwork.induced_subgraph`), so repeated legs
+through the same corridor skip the rebuild — and runs scipy's C
+Dijkstra on it.  It serves the ``lazy`` and ``ch`` engines only, which
+have imported scipy already; on their corridors (hundreds of vertices)
+scipy is the faster search.  Probabilistic routing (Algorithm 4)
+searches its own, smaller corridors, vertex weights folded in, with an
+in-tree heap Dijkstra (:class:`repro.core.routing.CorridorGraph`), so
+it runs without scipy on a ``full`` engine.  The adjacency-list heap
+Dijkstra the kernel tests diff both against, and the scipy corridor
+search the in-tree one replaced, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..memo import BoundedMemo, memo_stats
 from .ch import ContractionHierarchy
-from .graph import InducedSubgraph, RoadNetwork
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .graph import RoadNetwork
 
 #: Above this vertex count the full all-pairs matrix is not materialised.
 FULL_APSP_LIMIT = 6_000
@@ -438,35 +437,25 @@ def dijkstra_restricted(
     """Dijkstra from ``source`` to ``target`` over an allowed vertex set.
 
     Runs scipy's C Dijkstra on the induced CSR subgraph of ``allowed``
-    (memoised per set on the network).  ``source`` and ``target`` must
-    lie inside ``allowed``: partition filtering always retains the
-    endpoints' own partitions.  Returns ``(cost, path)`` with ``cost``
-    in seconds; raises :class:`PathNotFound` when ``target`` is
-    unreachable within ``allowed``.
+    (memoised per set on the network) and unwinds its predecessors.
+    ``source`` and ``target`` must lie inside ``allowed`` — partition
+    filtering always retains the endpoints' own partitions — else
+    ``ValueError``, also when they are equal.  Returns ``(cost, path)``
+    with ``cost`` in seconds; raises :class:`PathNotFound` when
+    ``target`` is unreachable within ``allowed``.
     """
     sub = network.induced_subgraph(allowed)
-    return subgraph_shortest_path(sub, sub.matrix(None), source, target)
-
-
-def subgraph_shortest_path(
-    sub: InducedSubgraph, matrix: sparse.csr_matrix, source: int, target: int
-) -> tuple[float, list[int]]:
-    """scipy Dijkstra on ``matrix`` plus the predecessor unwind.
-
-    ``matrix`` is a travel-time matrix in ``sub``'s local numbering
-    (:meth:`InducedSubgraph.matrix`, or one a caller built once and
-    kept); ``source`` and ``target`` are global ids inside ``sub``.
-    Returns ``(cost, path)`` as :func:`dijkstra_restricted` does and
-    raises :class:`PathNotFound` when ``target`` is unreachable.
-    """
-    if source == target:
-        return 0.0, [source]
-    from scipy.sparse import csgraph
-
     ls = sub.local_of(source)
     lt = sub.local_of(target)
     if ls < 0 or lt < 0:
         raise ValueError(f"{source} -> {target}: both endpoints must lie inside the subgraph")
+    if ls == lt:
+        return 0.0, [source]
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    n = sub.nodes.size
+    matrix = sparse.csr_matrix((sub.data_s, sub.indices, sub.indptr), shape=(n, n))
     dist, pred = csgraph.dijkstra(
         matrix, directed=True, indices=ls, return_predecessors=True
     )
@@ -481,5 +470,4 @@ def subgraph_shortest_path(
         node = pred_of[node]
         local_path.append(node)
     local_path.reverse()
-    nodes = sub.nodes
-    return float(dist[lt]), [int(nodes[i]) for i in local_path]
+    return float(dist[lt]), sub.nodes[local_path].tolist()

@@ -16,13 +16,29 @@ caller's exact direction, the per-leg psi dict, the scalar weight
 closure evaluated over the corridor's vertices, the per-call share
 loop — verbatim, so routes can be diffed ``==``.
 
-**Restricted Dijkstra.**  Production routes a leg inside a corridor
-with scipy's C Dijkstra on an induced CSR subgraph, vertex weights
-folded into its in-edges
-(``repro.network.shortest_path.subgraph_shortest_path``);
-:func:`reference_dijkstra` is the pure-Python heap Dijkstra it
+**Restricted Dijkstra.**  Production routes a basic leg inside a
+corridor with scipy's C Dijkstra on an induced CSR subgraph
+(``repro.network.shortest_path.dijkstra_restricted``), and a
+probabilistic leg with an in-tree heap Dijkstra over Python lists,
+vertex weights folded into the in-edges
+(``repro.core.routing.CorridorGraph.shortest_path``).
+:func:`reference_dijkstra` is the adjacency-list heap Dijkstra both
 replaced, with the weight added on entering a vertex in the same order,
-so costs can be diffed ``==``.
+so costs can be diffed ``==``.  :func:`reference_corridor_path` is the
+scipy search the in-tree one replaced (``csgraph.dijkstra`` plus the
+predecessor unwind), verbatim; the two agree on costs bit for bit and
+on paths wherever the shortest path is unique.  Of equally short paths
+scipy keeps the first its Fibonacci heap settles and the in-tree search
+the one its ``(distance, local index)`` heap settles first, so on ties
+each returns *a* shortest path, not necessarily the same one.
+
+**CSR adjacency.**  ``RoadNetwork`` builds its sorted CSR arrays once,
+in numpy, and ``to_csr`` wraps them; :func:`reference_to_csr` is the
+COO build it replaced.  ``InducedSubgraph`` gathers a corridor's rows
+from those arrays; :func:`reference_induced_subgraph` is the scipy
+fancy index it replaced.  Both pairs are diffed byte for byte, dtypes
+included: the all-pairs table and the contraction hierarchy are built
+from ``to_csr``, so a store written before stays warm.
 
 **Trace generation.**  Production draws every weighted choice of a
 trip as ``bisect_right(cdf, rng.random())`` against tables built once
@@ -107,7 +123,7 @@ from repro.fleet.schedule import (
 from repro.fleet.taxi import TaxiRoute
 from repro.network.ch import ContractionHierarchy
 from repro.network.geo import cosine_similarity
-from repro.network.shortest_path import PathNotFound, subgraph_shortest_path
+from repro.network.shortest_path import PathNotFound
 from repro.sim.engine import Simulator
 
 
@@ -149,6 +165,74 @@ def reference_dijkstra(network, source, target, allowed=None, vertex_weight=None
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     raise PathNotFound(f"no path from {source} to {target} within the allowed vertex set")
+
+
+def reference_to_csr(network):
+    """``RoadNetwork.to_csr`` as it was: a COO build over the edge dict
+    in insertion order, which scipy sums and sorts into CSR."""
+    n = network.num_vertices
+    if network.num_edges == 0:
+        return sparse.csr_matrix((n, n))
+    rows = np.empty(network.num_edges, dtype=np.int64)
+    cols = np.empty(network.num_edges, dtype=np.int64)
+    data = np.empty(network.num_edges, dtype=np.float64)
+    for i, (u, v, length) in enumerate(network.edges()):
+        rows[i] = u
+        cols[i] = v
+        data[i] = length if length > 0 else 1e-9
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def reference_induced_subgraph(network, allowed):
+    """The induced CSR submatrix of ``allowed`` as scipy fancy-indexes it:
+    ``(nodes, indptr, indices, lengths_m)``, ``nodes`` sorted."""
+    nodes = np.array(sorted(allowed), dtype=np.int64)
+    sub = reference_to_csr(network)[nodes][:, nodes].tocsr()
+    return nodes, sub.indptr, sub.indices, sub.data
+
+
+def weighted_matrix(sub, vertex_weight_local):
+    """``sub``'s CSR travel-time matrix, ``vertex_weight_local[c]`` folded
+    into every edge into ``c`` (``InducedSubgraph.matrix`` as it was)."""
+    data = sub.data_s + vertex_weight_local[sub.indices]
+    n = sub.nodes.size
+    return sparse.csr_matrix((data, sub.indices, sub.indptr), shape=(n, n))
+
+
+def reference_corridor_path(sub, matrix, source, target):
+    """scipy Dijkstra on ``matrix`` plus the predecessor unwind.
+
+    ``matrix`` is a travel-time matrix in ``sub``'s local numbering
+    (:func:`weighted_matrix`); ``source`` and ``target`` are global ids
+    inside ``sub``.  Returns ``(cost, path)`` and raises
+    :class:`PathNotFound` when ``target`` is unreachable.  Ties: a
+    distance changes only on a strict improvement, so a vertex keeps the
+    predecessor that first reached it with its final distance — first
+    in the settle order of scipy's Fibonacci heap, which is not the
+    in-tree search's ``(distance, local index)`` order.
+    """
+    if source == target:
+        return 0.0, [source]
+    ls = sub.local_of(source)
+    lt = sub.local_of(target)
+    if ls < 0 or lt < 0:
+        raise ValueError(f"{source} -> {target}: both endpoints must lie inside the subgraph")
+    dist, pred = csgraph.dijkstra(
+        matrix, directed=True, indices=ls, return_predecessors=True
+    )
+    if not np.isfinite(dist[lt]):
+        raise PathNotFound(
+            f"no path from {source} to {target} within the allowed vertex set"
+        )
+    pred_of = pred.tolist()
+    local_path = [lt]
+    node = lt
+    while node != ls:
+        node = pred_of[node]
+        local_path.append(node)
+    local_path.reverse()
+    nodes = sub.nodes
+    return float(dist[lt]), [int(nodes[i]) for i in local_path]
 
 
 def reference_largest_scc(
@@ -368,7 +452,7 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
         sub = self._network.induced_subgraph(allowed)
         w_local = np.fromiter((weight(int(c)) for c in sub.nodes), np.float64, sub.nodes.size)
         try:
-            _cost, path = subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
+            _cost, path = reference_corridor_path(sub, weighted_matrix(sub, w_local), u, v)
             return path
         except PathNotFound:
             return None

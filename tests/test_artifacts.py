@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,35 @@ def test_trace_store_written_by_the_reference_generator_stays_warm(tmp_path, mon
     for other in windows[1:]:
         assert np.array_equal(other.origins, windows[0].origins)
         assert np.array_equal(other.taxi_ids, windows[0].taxi_ids)
+
+
+@pytest.mark.parametrize("sp_mode", ["full", "ch"])
+def test_store_built_on_the_coo_csr_stays_warm(tmp_path, monkeypatch, sp_mode):
+    """A store whose all-pairs table or hierarchy was built from the COO
+    ``to_csr`` (any checkout before the numpy CSR arrays) is a valid warm
+    store for this one, and holds the bytes this one would have written."""
+    from repro.network.graph import RoadNetwork
+    from tests.oracles import reference_to_csr
+
+    def npy_bytes(store):
+        return {str(f.relative_to(store.root)): f.read_bytes()
+                for f in sorted(store.root.rglob("*.npy"))}
+
+    spec = replace(MICRO_SPEC, sp_mode=sp_mode)
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "reference"))
+    with monkeypatch.context() as patched:
+        patched.setattr(RoadNetwork, "to_csr", reference_to_csr)
+        Scenario(spec)  # builds the engine's table or hierarchy
+    store = get_store()
+    assert sum(row["builds"] for row in store.stats().values()) > 0
+    store.reset_stats()
+
+    Scenario(spec)
+    assert sum(row["builds"] for row in store.stats().values()) == 0
+
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "cold"))
+    Scenario(spec)
+    assert npy_bytes(get_store()) == npy_bytes(store)
 
 
 _FRESH_PROCESS_SNIPPET = """

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.network.graph import DEFAULT_SPEED_MPS, RoadNetwork, RoadNetworkError
+from repro.network.generators import grid_city
+from repro.network.graph import DEFAULT_SPEED_MPS, InducedSubgraph, RoadNetwork, RoadNetworkError
 from tests.conftest import is_path
+from tests.oracles import reference_induced_subgraph, reference_to_csr
 
 
 def line_network(n=4, spacing=100.0, speed=DEFAULT_SPEED_MPS):
@@ -126,3 +128,54 @@ class TestCsr:
         net = RoadNetwork([(0, 0), (0, 0.0001)], [(0, 1, 0.0)])
         mat = net.to_csr()
         assert mat[0, 1] > 0  # nudged, not dropped
+
+
+def _jittered(seed):
+    """A jittered grid city re-laid in shuffled edge order, about a fifth
+    of its edges at exact zero length."""
+    base = grid_city(rows=6, cols=7, spacing_m=150.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    edges = list(base.edges())
+    order = rng.permutation(len(edges))
+    zero = rng.random(len(edges)) < 0.2
+    return RoadNetwork(base.xy, [(edges[i][0], edges[i][1], 0.0 if zero[i] else edges[i][2])
+                                 for i in order])
+
+
+def _same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestCsrArrays:
+    """The numpy-built CSR arrays are, byte for byte, what scipy built
+    (``tests/oracles.py``, "CSR adjacency")."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_to_csr_equals_the_coo_build(self, seed):
+        net = _jittered(seed)
+        got, want = net.to_csr(), reference_to_csr(net)
+        for name, array in zip(("indptr", "indices", "data"), net.csr_arrays):
+            _same_bytes(getattr(got, name), getattr(want, name))
+            assert np.shares_memory(getattr(got, name), array)  # wrapped, not copied
+
+    def test_edgeless_network(self):
+        net = RoadNetwork([(0, 0), (50, 0), (0, 50)], [])
+        got, want = net.to_csr(), reference_to_csr(net)
+        for name in ("indptr", "indices", "data"):
+            _same_bytes(getattr(got, name), getattr(want, name))
+        sub = net.induced_subgraph(frozenset({0, 2}))
+        assert sub.indptr.tolist() == [0, 0, 0] and sub.indices.size == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_induced_subgraph_equals_the_scipy_fancy_index(self, seed):
+        net = _jittered(seed)
+        rng = np.random.default_rng(100 + seed)
+        n = net.num_vertices
+        for size in [0, 1, n] + rng.integers(1, n, size=40).tolist():
+            allowed = frozenset(rng.choice(n, size=size, replace=False).tolist())
+            sub = InducedSubgraph(net, allowed)
+            nodes, indptr, indices, lengths = reference_induced_subgraph(net, allowed)
+            _same_bytes(sub.nodes, nodes)
+            _same_bytes(sub.indptr, indptr)
+            _same_bytes(sub.indices, indices)
+            _same_bytes(sub.data_s, lengths / net.speed_mps)

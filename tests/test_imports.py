@@ -2,8 +2,8 @@
 package defines only what something outside the tests calls.
 
 A warm ``full``-mode run of a scheme that routes on the stored
-all-pairs table never calls scipy, so it must not import it (~0.3 s of
-a ~0.55 s set-up) — and no ``src/repro`` module imports scipy at its
+all-pairs table — probabilistic routing included — never calls scipy,
+so it must not import it (~0.3 s of a ~0.55 s set-up) — and no ``src/repro`` module imports scipy at its
 top, so importing a module never does either; a run that *does* call
 scipy must have imported it
 by the time the simulator is built, never inside ``run()``; the run
@@ -44,6 +44,7 @@ CLI_WORLD = ["--grid", "8", "--requests", "60", "--partitions", "4", "--seed", "
 FAULTS = "seed=1,breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
 
 #: Warm ``full`` cells that never call scipy: (scheme, faults, rebalance).
+#: ``+prob`` attaches probabilistic routing to a baseline (Fig. 16).
 NO_SCIPY_CELLS = [
     ("no-sharing", None, None),
     ("t-share", None, None),
@@ -52,12 +53,14 @@ NO_SCIPY_CELLS = [
     ("mt-share", FAULTS, None),
     ("mt-share", None, "on"),
     ("window-lap", None, None),
+    ("mt-share-pro", None, None),
+    ("t-share+prob", None, None),
 ]
 #: Cells that do: (scheme, sp_mode, a module construction must have loaded).
 SCIPY_CELLS = [
-    ("mt-share-pro", "full", "scipy.sparse.csgraph"),
     ("mt-share", "lazy", "scipy.sparse.csgraph"),
     ("mt-share", "ch", "scipy.sparse.csgraph"),
+    ("mt-share-pro", "lazy", "scipy.sparse.csgraph"),
 ]
 
 #: Builds each cell in ``argv[1]`` and (``argv[2]``) runs it; prints, per
@@ -74,13 +77,14 @@ def scipy_modules():
 
 out = []
 for cell in json.loads(sys.argv[1]):
-    kind = "nonpeak" if cell["scheme"] == "mt-share-pro" else "peak"
+    name, prob, _ = cell["scheme"].partition("+prob")
+    kind = "nonpeak" if name == "mt-share-pro" or prob else "peak"
     scenario = get_scenario(ScenarioSpec(kind=kind, sp_mode=cell["sp_mode"], **cell["spec"]))
     config = scenario.default_config()
     fleet = scenario.make_fleet(10, seed=1)
     requests = scenario.requests(seed=1)
     sim = Simulator(
-        scenario.make_scheme(cell["scheme"], config), fleet, requests,
+        scenario.make_scheme(name, config, probabilistic=bool(prob)), fleet, requests,
         payment=PaymentModel(),
         faults=scenario.fault_plan(cell["faults"], fleet, requests),
         rebalance=scenario.rebalance_policy(cell["rebalance"], config),
@@ -156,10 +160,10 @@ def test_warm_full_run_imports_neither_scipy_nor_the_linter(no_scipy_runs, index
 @pytest.mark.parametrize("scheme,sp_mode,needs", SCIPY_CELLS,
                          ids=[f"{s}-{m}" for s, m, _ in SCIPY_CELLS])
 def test_scipy_is_imported_by_construction_never_inside_run(warm_store, scheme, sp_mode, needs):
-    """An import that lands in the first corridor search or the first
-    source tree is ~0.3 s inside the timed run (a variant of this change
-    without the construction-time imports read ``nonpeak-pro`` ``run_s``
-    +27 %)."""
+    """An import that lands in the first source tree or the first
+    restricted leg is ~0.3 s inside the timed run (when probabilistic
+    routing still ran its corridor legs on scipy, a variant without the
+    construction-time import read ``nonpeak-pro`` ``run_s`` +27 %)."""
     (got,) = _python(warm_store, CELL_SCRIPT, json.dumps([_cell(scheme, sp_mode)]), "true")
     assert got["builds"] == 0 and got["served"] > 0
     assert needs in got["before"]
@@ -223,8 +227,10 @@ def test_every_name_the_benchmark_tracer_patches_resolves():
     (["simulate", *CLI_WORLD], 0, ("repro.experiments", "repro.analysis.checkers", "scipy")),
     (["simulate", *CLI_WORLD, "--scheme", "bogus"], 2, ("repro.experiments", "scipy")),
     (["simulate", *CLI_WORLD, "--scheme", "window-lap"], 0, ("repro.experiments", "scipy")),
+    (["simulate", *CLI_WORLD, "--scheme", "mt-share-pro", "--kind", "nonpeak"], 0,
+     ("repro.experiments", "scipy")),
 ], ids=["help", "lint-help", "cache-info", "simulate", "simulate-bad-scheme",
-        "simulate-window-lap"])
+        "simulate-window-lap", "simulate-mt-share-pro"])
 def test_cli_subcommand_imports_what_it_runs(warm_store, argv, code, absent):
     got = _python(warm_store, CLI_SCRIPT, json.dumps(argv))
     assert got["code"] == code

@@ -1,20 +1,22 @@
 """Kernel-equivalence property tests.
 
 The fast paths (batched cost queries, tiered insertion scoring,
-CSR-subgraph restricted Dijkstra) must be *bit-identical* to the
-scalar references: same costs, same feasibility masks, same chosen
-schedules.  Every test here drives both over randomized small networks
-and diffs the results exactly — no ``approx`` — in both ``full`` and
-``lazy`` engine modes.  Insertion scoring has one entry point,
-``score_insertions``; :func:`_score_both_tiers` forces it to each side
-of its tier threshold and diffs both against the scalar oracle in
-``tests/oracles.py``.
+CSR-subgraph restricted Dijkstra, the in-tree corridor search) must be
+*bit-identical* to the scalar references: same costs, same feasibility
+masks, same chosen schedules.  Every test here drives both over
+randomized small networks and diffs the results exactly — no
+``approx`` — in both ``full`` and ``lazy`` engine modes.  Insertion
+scoring has one entry point, ``score_insertions``;
+:func:`_score_both_tiers` forces it to each side of its tier threshold
+and diffs both against the scalar oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 import repro.fleet.schedule as schedule_mod
 from repro.core.matching import Matcher, best_insertion_for_taxi
@@ -25,7 +27,7 @@ from repro.core.mobility_cluster import (
     direction_unit,
     unit_similarity,
 )
-from repro.core.routing import BasicRouter, compose_route
+from repro.core.routing import BasicRouter, CorridorGraph, compose_route
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import (
     dropoff,
@@ -38,16 +40,18 @@ from repro.fleet.schedule import (
 )
 from repro.network.generators import grid_city
 from repro.network.geo import cosine_similarity
+from repro.network.graph import RoadNetwork
 from repro.network.landmarks import LandmarkGraph
-from repro.network.shortest_path import (
-    PathNotFound,
-    ShortestPathEngine,
-    dijkstra_restricted,
-    subgraph_shortest_path,
-)
+from repro.network.shortest_path import PathNotFound, ShortestPathEngine, dijkstra_restricted
 from repro.obs import NULL, Instrumentation
 
-from tests.oracles import oracle_instances, oracle_score_insertions, reference_dijkstra
+from tests.oracles import (
+    oracle_instances,
+    oracle_score_insertions,
+    reference_corridor_path,
+    reference_dijkstra,
+    weighted_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +324,10 @@ class TestRestrictedDijkstra:
                 cost_s, _ = reference_dijkstra(net, u, v, allowed, vertex_weight=weights)
             except PathNotFound:
                 continue
-            # Probabilistic routing's path: weights folded into the matrix.
+            # Probabilistic routing's path: weights folded into the edges.
             sub = net.induced_subgraph(allowed)
             w_local = np.array([weights[int(c)] for c in sub.nodes])
-            cost_c, path_c = subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
+            cost_c, path_c = CorridorGraph.build(sub, w_local).shortest_path(u, v)
             compared += 1
             assert cost_c == cost_s
             assert path_c[0] == u and path_c[-1] == v
@@ -346,6 +350,120 @@ class TestRestrictedDijkstra:
         assert after["entries"] >= 1
         assert sum(sub.memory_bytes() for sub in net.corridors.values()) > 0
         net.corridors.clear()
+
+
+# ----------------------------------------------------------------------
+# in-tree corridor search == the scipy search it replaced
+# ----------------------------------------------------------------------
+@st.composite
+def _corridor_cases(draw, ties):
+    """A jittered grid city, an allowed subset of it, a weight per kept
+    vertex and two endpoints in the subset (equal in about one draw of
+    eight).
+
+    ``ties=False``: the city's continuous lengths, in half the draws a
+    fifth of them at exact zero, and continuous weights, a fifth of them
+    exactly 0 (the corridor's hottest vertex weighs 0).  ``ties=True``:
+    every length 100 m at 1 m/s and weights of 0 or 10 s, so every sum
+    is exact and equally short paths are everywhere.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    base = grid_city(rows=draw(st.integers(min_value=3, max_value=7)),
+                     cols=draw(st.integers(min_value=3, max_value=7)),
+                     spacing_m=150.0, seed=seed % 1000)
+    edges = list(base.edges())
+    if ties:
+        lengths = np.full(len(edges), 100.0)
+    else:
+        lengths = np.array([length for _u, _v, length in edges])
+        if draw(st.booleans()):
+            lengths[rng.random(len(edges)) < 0.2] = 0.0
+    net = RoadNetwork(base.xy, [(u, v, float(w)) for (u, v, _), w in zip(edges, lengths)],
+                      speed_mps=1.0 if ties else base.speed_mps)
+    n = net.num_vertices
+    size = int(rng.integers(max(1, n // 3), n + 1))
+    allowed = frozenset(rng.choice(n, size=size, replace=False).tolist())
+    nodes = sorted(allowed)
+    if ties:
+        weights = 10.0 * rng.integers(0, 2, size=len(nodes))
+    else:
+        weights = rng.uniform(0.0, 30.0, size=len(nodes))
+        weights[rng.random(len(nodes)) < 0.2] = 0.0
+    source, target = (nodes[i] for i in rng.integers(len(nodes), size=2))
+    if rng.random() < 0.125:
+        target = source
+    return net, allowed, weights, source, target
+
+
+def _shortest_paths_between(matrix, ls, lt):
+    """How many shortest paths run from ``ls`` to ``lt``: paths of tight
+    edges (``dist[u] + w == dist[v]``, exactly), counted in distance order."""
+    dist = csgraph.dijkstra(matrix, directed=True, indices=ls)
+    count = np.zeros(dist.size, dtype=np.int64)
+    count[ls] = 1
+    coo = matrix.tocoo()
+    for v in np.argsort(dist, kind="stable"):
+        tight = (coo.col == v) & (dist[coo.row] + coo.data == dist[v])
+        count[v] += count[coo.row[tight]].sum()
+    return int(count[lt])
+
+
+class TestCorridorSearch:
+    """The in-tree heap Dijkstra of probabilistic routing against the scipy
+    search it replaced (``tests/oracles.py``, "Restricted Dijkstra"):
+    costs bit-equal, paths equal wherever the shortest path is unique,
+    and otherwise a real path of exactly the cost."""
+
+    @staticmethod
+    def _both(case):
+        net, allowed, weights, source, target = case
+        sub = net.induced_subgraph(allowed)
+        graph = CorridorGraph.build(sub, weights)
+        matrix = weighted_matrix(sub, weights)
+        try:
+            want = reference_corridor_path(sub, matrix, source, target)
+        except PathNotFound:
+            with pytest.raises(PathNotFound):
+                graph.shortest_path(source, target)
+            return None
+        cost, path = graph.shortest_path(source, target)
+        assert cost == want[0]
+        assert path[0] == source and path[-1] == target
+        weight_of = {}
+        for u in range(sub.nodes.size):
+            for j in range(graph.indptr[u], graph.indptr[u + 1]):
+                weight_of[u, graph.indices[j]] = graph.weights[j]
+        local = [sub.local_of(v) for v in path]
+        total = 0.0
+        for hop in zip(local, local[1:]):
+            total += weight_of[hop]  # KeyError: not an edge of the corridor
+        assert total == cost
+        return path, want[1], _shortest_paths_between(matrix, local[0], local[-1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corridor_cases(ties=False))
+    def test_jittered_corridors_match_scipy(self, case):
+        found = self._both(case)
+        if found is not None:
+            path, want_path, shortest = found
+            if shortest == 1:
+                assert path == want_path
+
+    @settings(max_examples=200, deadline=None)
+    @given(_corridor_cases(ties=True))
+    def test_tied_corridors_give_a_shortest_path(self, case):
+        self._both(case)
+
+    def test_ties_go_to_the_lower_local_index(self):
+        """``0 -> 1 -> 3`` and ``0 -> 2 -> 3`` are equally long: the heap
+        settles 1 first, and 2 does not strictly improve 3."""
+        net = RoadNetwork([(0, 0), (1, 1), (1, -1), (2, 0)],
+                          [(0, 1, 100.0), (0, 2, 100.0), (1, 3, 100.0), (2, 3, 100.0)])
+        sub = net.induced_subgraph(frozenset(range(4)))
+        assert CorridorGraph.build(sub, np.zeros(4)).shortest_path(0, 3)[1] == [0, 1, 3]
+        weighted = CorridorGraph.build(sub, np.array([0.0, 5.0, 0.0, 0.0]))
+        assert weighted.shortest_path(0, 3)[1] == [0, 2, 3]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csgraph
 
 from repro.core.payment import PaymentModel
+from repro.core.routing import CorridorGraph
 from repro.network.ch import ContractionHierarchy
 from repro.network import shortest_path
 from repro.network.graph import RoadNetwork
@@ -18,7 +19,6 @@ from repro.network.shortest_path import (
     ShortestPathEngine,
     dijkstra_restricted,
     resolve_sp_mode,
-    subgraph_shortest_path,
 )
 from repro.sim.engine import Simulator
 from repro.sim.scenario import Scenario
@@ -622,10 +622,10 @@ class TestHierarchyCheck:
 
 def weighted_path(net, u, v, weights):
     """The probabilistic router's step: vertex weights folded into the
-    in-edges of the whole graph's induced matrix."""
+    in-edges of the whole graph's induced subgraph."""
     sub = net.induced_subgraph(frozenset(range(net.num_vertices)))
     w_local = np.array([weights.get(int(c), 0.0) for c in sub.nodes])
-    return subgraph_shortest_path(sub, sub.matrix(w_local), u, v)
+    return CorridorGraph.build(sub, w_local).shortest_path(u, v)
 
 
 class TestDijkstraRestricted:
@@ -643,6 +643,17 @@ class TestDijkstraRestricted:
     def test_endpoints_outside_allowed_are_refused(self, tiny_net):
         with pytest.raises(ValueError, match="inside the subgraph"):
             dijkstra_restricted(tiny_net, 0, 2, frozenset({0, 1}))
+
+    def test_equal_endpoints_outside_allowed_are_refused(self, tiny_net):
+        """Validation comes before the ``source == target`` shortcut, in
+        both searches: ``3 -> 3`` outside ``{5, 6}`` fails as ``3 -> 4`` does."""
+        allowed = frozenset({5, 6})
+        for target in (3, 4):
+            with pytest.raises(ValueError, match="inside the subgraph"):
+                dijkstra_restricted(tiny_net, 3, target, allowed)
+            graph = CorridorGraph.build(tiny_net.induced_subgraph(allowed), np.zeros(2))
+            with pytest.raises(ValueError, match="inside the subgraph"):
+                graph.shortest_path(3, target)
 
     def test_disconnection_raises(self, tiny_net):
         with pytest.raises(PathNotFound):
