@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..faults.plan import ShockWindow
     from ..fleet.schedule import Stop
     from ..fleet.taxi import Taxi
     from ..sim.metrics import SimulationMetrics
@@ -208,6 +209,42 @@ def check_due_index(
             )
 
 
+@invariant("a shock pass that skipped a taxi skipped one it would not have shocked")
+def check_shock_scan(
+    taxis: "Sequence[Taxi]",
+    scanned: "Collection[int]",
+    k: int,
+    window: "ShockWindow",
+    xy: "Sequence[Sequence[float]]",
+    shocked: "Collection[tuple[int, int]]",
+) -> None:
+    """Completeness of an incremental shock pass (``Simulator._apply_shock``).
+
+    ``scanned`` holds the fleet orders the pass examined for window
+    ``k``; ``shocked`` the ``(window, taxi id)`` pairs delayed so far.
+    Every other in-service taxi inside the disc with a remaining route
+    must already have been shocked in window ``k`` — otherwise a change
+    to its position or route reached the taxi without a ``_rekey`` and
+    the pass never saw it.  O(fleet), which is why it is a contract and
+    not part of the pass.
+    """
+    if window.delay_s <= 0.0:
+        return  # nobody is ever shocked
+    scanned = set(scanned)
+    r2 = window.radius_m * window.radius_m
+    for order, taxi in enumerate(taxis):
+        if order in scanned or taxi.out_of_service or taxi.next_due == math.inf:
+            continue
+        x, y = xy[taxi.loc]
+        dx = float(x) - window.cx
+        dy = float(y) - window.cy
+        if dx * dx + dy * dy <= r2 and (k, taxi.taxi_id) not in shocked:
+            raise ContractViolation(
+                f"taxi {taxi.taxi_id} is routed inside shock window {k} but the pass "
+                "neither scanned nor shocked it: a change to it bypassed the re-key"
+            )
+
+
 __all__ = [
     "ENV_VAR",
     "ContractViolation",
@@ -215,6 +252,7 @@ __all__ = [
     "check_monotone_clock",
     "check_request_accounting",
     "check_schedule",
+    "check_shock_scan",
     "enable",
     "enabled",
     "invariant",

@@ -70,11 +70,8 @@ class SystemConfig:
     dispatch_window_s: float = 30.0
 
     def __post_init__(self) -> None:
-        # NaN slips past every ordered comparison below, and an infinite
-        # window never ticks: the float knobs must be finite first.
-        for name in ("search_range_m", "dispatch_window_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # An infinite window never ticks.
+        require_finite(self)
         if self.search_range_m <= 0:
             raise ValueError("search_range_m must be positive")
         if not -1.0 <= self.lam <= 1.0:
@@ -85,6 +82,18 @@ class SystemConfig:
     def replace(self, **changes) -> "SystemConfig":
         """A copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
+
+
+def require_finite(spec: Any) -> None:
+    """Reject a NaN or infinite value in any float field of dataclass ``spec``.
+
+    Called first in a spec's ``__post_init__``: NaN slips past every
+    ordered comparison the range checks after it make.
+    """
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import parse_spec
+from ..config import parse_spec, require_finite
 from ..demand.request import RideRequest
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
@@ -88,6 +88,7 @@ class FaultSpec:
     continuation_wait_s: float = 600.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.breakdown_rate <= 1.0:
             raise ValueError("breakdown_rate must be a probability in [0, 1]")
         if not 0.0 <= self.cancel_rate <= 1.0:

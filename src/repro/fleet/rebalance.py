@@ -36,7 +36,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from ..config import parse_spec
+from ..config import parse_spec, require_finite
 from ..demand.prediction import DemandPredictor
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
@@ -85,6 +85,7 @@ class RebalanceSpec:
     max_cruise_s: float = 900.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.cadence_s < 0:
             raise ValueError("cadence_s must be non-negative")
         if self.lead_s < 0:

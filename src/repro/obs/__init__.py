@@ -33,7 +33,8 @@ path engine source-tree cache), ``match.insertions_evaluated``,
 Fault-injection runs (``repro.faults``, docs/ROBUSTNESS.md) add the
 ``fault.*`` family — ``fault.breakdowns``, ``fault.cancellations``,
 ``fault.continuations``, ``fault.redispatches``, ``fault.stranded``,
-``fault.shock_delays`` — plus ``sim.unsettled_episodes`` for episodes
+``fault.shock_delays``, ``fault.shock_checks`` (taxis the shock pass
+examined) — plus ``sim.unsettled_episodes`` for episodes
 force-settled at the drain-horizon cutoff.  The matching trace events
 (``breakdown``, ``cancel``, ``continuation``, ``stranded``, ``shock``,
 ``unsettled_episode``) carry the affected taxi/request ids and the

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -196,6 +196,14 @@ class Simulator:
         self._breakdown_i = 0
         self._cancel_i = 0
         self._shocked: set[tuple[int, int]] = set()
+        # Shock replay (docs/PERFORMANCE.md, "Fault replay"): the fleet
+        # orders re-keyed since the last boundary, and the shock windows
+        # that have had their first boundary.  Only a plan with shock
+        # windows keeps the set; every other run skips the bookkeeping.
+        self._touched: set[int] | None = (
+            set() if self._faults is not None and self._faults.shocks else None
+        )
+        self._shocks_opened: set[int] = set()
         # continuation/redispatched request id -> the original workload
         # request whose accounting bucket the recovery chain occupies.
         self._continuation_root: dict[int, RideRequest] = {}
@@ -445,11 +453,17 @@ class Simulator:
         plan A gave itself) at the next one.  So a plan that falls due
         mid-sweep joins the in-flight queue iff its taxi's turn is
         still ahead; everything else waits in the heap.
+
+        Every change to a taxi's position, route or cursor passes
+        through here, so this is also where the shock pass learns which
+        taxis it must look at again (``_apply_shock``).
         """
+        order = self._order[taxi.taxi_id]
+        if self._touched is not None:
+            self._touched.add(order)
         due = self._due_time(taxi)
         if due == math.inf:
             return
-        order = self._order[taxi.taxi_id]
         if self._sweep_queue is not None and due <= self._sweep_now and order > self._sweep_order:
             heappush(self._sweep_queue, order)
         else:
@@ -554,6 +568,8 @@ class Simulator:
         for k, window in enumerate(plan.shocks):
             if window.start <= now < window.end:
                 self._apply_shock(k, window, now)
+        if self._touched is not None:
+            self._touched.clear()
         contracts.check_request_accounting(self._metrics)
 
     def _handle_breakdown(self, taxi: Taxi, now: float) -> None:
@@ -692,11 +708,27 @@ class Simulator:
         ``_shocked``); taxis without a remaining route are unaffected
         but stay eligible if they pick up a plan while the window is
         still open.
+
+        The test reads ``out_of_service``, ``loc``, whether a route
+        remains and ``_shocked``, and none of those changes without a
+        ``_rekey`` (a breakdown only ever makes a taxi ineligible).  So
+        the window's first boundary scans the whole fleet and every
+        later one only the taxis re-keyed since the previous boundary —
+        read live, so a taxi an earlier window shocked at this boundary
+        is looked at again — in fleet order.
         """
+        if k in self._shocks_opened:
+            orders: Sequence[int] = sorted(self._touched)
+        else:
+            self._shocks_opened.add(k)
+            orders = range(len(self._taxis))
         xy = self._scheme.network.xy
         r2 = window.radius_m * window.radius_m
         shocked = self._shocked
-        for tid, taxi in self._fleet.items():
+        taxis = self._taxis
+        for order in orders:
+            taxi = taxis[order]
+            tid = taxi.taxi_id
             if taxi.out_of_service or (k, tid) in shocked:
                 continue
             x, y = xy[taxi.loc]
@@ -711,6 +743,8 @@ class Simulator:
                 self._scheme.on_taxi_replanned(taxi, now)
                 self._obs.count("fault.shock_delays")
                 self._obs.event("shock", taxi=tid, t=now, window=k)
+        self._obs.count("fault.shock_checks", len(orders))
+        contracts.check_shock_scan(taxis, orders, k, window, xy, shocked)
 
     # ------------------------------------------------------------------
     # dispatching

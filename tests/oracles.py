@@ -4,7 +4,10 @@
 index names (``Simulator._advance_all``);
 :class:`FullSweepSimulator` is the sweep it replaced — every in-service
 taxi, every boundary, fleet order — kept here so it cannot drift into
-production.
+production.  It also keeps the shock pass production replaced: every
+taxi at every boundary of an open shock window, where production looks
+again only at the taxis re-keyed since the last boundary
+(``Simulator._apply_shock``).
 
 **Probabilistic routing.**  Production evaluates Algorithm 4 once per
 (partition, heading sector), per (source, destination, sector) and per
@@ -263,7 +266,8 @@ def reference_largest_scc(
 
 class FullSweepSimulator(Simulator):
     """A :class:`Simulator` that treats every in-service taxi as due at
-    every boundary: the O(fleet) sweep, verbatim, as the due index's oracle."""
+    every boundary: the O(fleet) sweep and shock pass, verbatim, as the
+    oracle of the due index and of the incremental shock pass."""
 
     def _advance_all(self, now):
         contracts.check_monotone_clock(self._now, now)
@@ -286,6 +290,28 @@ class FullSweepSimulator(Simulator):
 
     def _rekey(self, taxi):
         """No index to maintain."""
+
+    def _apply_shock(self, k, window, now):
+        """The fleet-wide shock pass, verbatim: every taxi at every boundary
+        of an open window (the ``_rekey`` feed above is empty here)."""
+        xy = self._scheme.network.xy
+        r2 = window.radius_m * window.radius_m
+        shocked = self._shocked
+        for tid, taxi in self._fleet.items():
+            if taxi.out_of_service or (k, tid) in shocked:
+                continue
+            x, y = xy[taxi.loc]
+            dx = float(x) - window.cx
+            dy = float(y) - window.cy
+            if dx * dx + dy * dy > r2:
+                continue
+            if taxi.apply_delay(window.delay_s):
+                self._rekey(taxi)
+                shocked.add((k, tid))
+                self._metrics.shock_delays += 1
+                self._scheme.on_taxi_replanned(taxi, now)
+                self._obs.count("fault.shock_delays")
+                self._obs.event("shock", taxi=tid, t=now, window=k)
 
 
 class ReferenceProbabilisticRouter(ProbabilisticRouter):

@@ -45,10 +45,10 @@ SCHEMES = {
     "window-lap": "test_scenario",  # W = 30 s, the config default
 }
 
-#: Counter families the advancement order feeds; the index's own two
-#: counters are the only ``sim.*`` names the oracle does not produce.
+#: Counter families the advancement order feeds; the two indexes' own
+#: work counters are the only names the oracle does not produce.
 COUNTER_PREFIXES = ("sim.", "match.", "fault.", "rebalance.", "window.")
-INDEX_COUNTERS = {"sim.advance_calls", "sim.due_index_entries"}
+INDEX_COUNTERS = {"sim.advance_calls", "sim.due_index_entries", "fault.shock_checks"}
 
 
 def _observe(cls, scenario, scheme, variant, streamed, num_taxis=25, chaos=CHAOS):

@@ -167,8 +167,23 @@ class TestBadScenarioArguments:
         # check it died in the simulator's first window tick.
         (["simulate", *SMALL_WORLD, "--scheme", "window-lap", "--window", "nan"], {},
          "dispatch_window_s must be finite"),
+        # Without their finiteness check a NaN radius shocked every
+        # routed taxi, an infinite delay made arrivals infinite, and the
+        # rebalance ones crashed mid-run or switched rebalancing off.
+        (["simulate", *SMALL_WORLD, "--faults", "shock_windows=1,shock_radius_frac=nan"], {},
+         "bad --faults spec: shock_radius_frac must be finite"),
+        (["simulate", *SMALL_WORLD, "--faults", "shock_windows=1,shock_delay_s=inf"], {},
+         "bad --faults spec: shock_delay_s must be finite"),
+        (["simulate", *SMALL_WORLD, "--rebalance", "lead_s=nan,max_moves=4"], {},
+         "bad --rebalance spec: lead_s must be finite"),
+        (["simulate", *SMALL_WORLD, "--rebalance", "cadence_s=inf"], {},
+         "bad --rebalance spec: cadence_s must be finite"),
+        (["simulate", *SMALL_WORLD, "--rebalance", "cadence_s=nan"], {},
+         "bad --rebalance spec: cadence_s must be finite"),
     ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
-            "sp-mode-env", "cache-warm-ch-grid", "taxis", "capacity", "window-nan"])
+            "sp-mode-env", "cache-warm-ch-grid", "taxis", "capacity", "window-nan",
+            "shock-radius-nan", "shock-delay-inf", "rebalance-lead-nan",
+            "rebalance-cadence-inf", "rebalance-cadence-nan"])
     def test_one_error_line_and_exit_2(self, monkeypatch, capsys, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

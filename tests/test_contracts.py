@@ -9,12 +9,14 @@ contract functions themselves plus the disabled path.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from operator import attrgetter
 
 import pytest
 
 from repro.analysis import contracts
 from repro.analysis.contracts import ContractViolation
+from repro.faults.plan import ShockWindow
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, TaxiRoute
 from repro.sim.engine import Simulator
@@ -139,6 +141,61 @@ def test_forgotten_rekey_fails_at_the_next_boundary(test_scenario):
         test_scenario.requests(),
     )
     with pytest.raises(ContractViolation, match="not re-keyed"):
+        sim.run()
+
+
+# ----------------------------------------------------------------------
+# check_shock_scan
+# ----------------------------------------------------------------------
+XY = [(0.0, 0.0), (100.0, 0.0), (5000.0, 0.0)]
+DISC = ShockWindow(start=0.0, end=900.0, cx=0.0, cy=0.0, radius_m=150.0, delay_s=60.0)
+
+
+def _routed(taxi_id, loc):
+    taxi = Taxi(taxi_id=taxi_id, capacity=3, loc=loc)
+    taxi.set_plan([], TaxiRoute(nodes=[loc, 2], times=[5.0, 99.0]))
+    return taxi
+
+
+def test_shock_scan_completeness():
+    parked = Taxi(taxi_id=0, capacity=3, loc=0)  # in the disc, no route
+    far = _routed(1, 2)                           # routed, outside the disc
+    near = _routed(2, 1)                          # routed, inside the disc
+    taxis = [parked, far, near]
+
+    contracts.check_shock_scan(taxis, [2], 0, DISC, XY, set())        # scanned it
+    contracts.check_shock_scan(taxis, [], 0, DISC, XY, {(0, 2)})      # already shocked
+    contracts.check_shock_scan(taxis, [], 0, replace(DISC, delay_s=0.0), XY, set())
+    near.out_of_service = True
+    contracts.check_shock_scan(taxis, [], 0, DISC, XY, set())
+    near.out_of_service = False
+    with pytest.raises(ContractViolation, match="taxi 2 .* window 0 .* bypassed"):
+        contracts.check_shock_scan(taxis, [0, 1], 0, DISC, XY, set())
+    with pytest.raises(ContractViolation, match="taxi 2 .* window 1"):
+        contracts.check_shock_scan(taxis, [], 1, DISC, XY, {(0, 2)})  # another window's
+
+
+def test_disabled_shock_scan_check_is_a_noop(toggling):
+    contracts.enable(False)
+    contracts.check_shock_scan([_routed(0, 1)], [], 0, DISC, XY, set())
+
+
+def test_unfed_shock_pass_fails_the_contract(test_scenario):
+    """A shock pass that never hears of a re-keyed taxi misses its shock;
+    the armed contract catches the miss at the boundary it happens."""
+
+    class Unfed(Simulator):
+        def _rekey(self, taxi):
+            super()._rekey(taxi)
+            self._touched.clear()
+
+    fleet = test_scenario.make_fleet(15, seed=1)
+    requests = test_scenario.requests()
+    sim = Unfed(
+        test_scenario.make_scheme("no-sharing"), fleet, requests,
+        faults=test_scenario.fault_plan("seed=5,shock_windows=2", fleet, requests),
+    )
+    with pytest.raises(ContractViolation, match="bypassed the re-key"):
         sim.run()
 
 

@@ -31,8 +31,11 @@ from repro.faults.plan import (
 from repro.faults.recovery import CONTINUATION_ID_BASE, continuation_request
 from repro.fleet.schedule import dropoff, pickup, remove_request_stops
 from repro.fleet.taxi import Taxi, TaxiError, TaxiRoute
+from repro.obs import Instrumentation
 from repro.sim.engine import Simulator
 from tests.conftest import build_route, make_request
+from tests.oracles import FullSweepSimulator
+from tests.test_obs import ListTrace
 
 
 class TestFaultSpec:
@@ -74,6 +77,13 @@ class TestFaultSpec:
             {"shock_delay_s": -1.0},
             {"continuation_rho": 0.5},
             {"continuation_wait_s": -1.0},
+            # NaN fails every ``< 0`` check, so these used to pass.
+            {"shock_radius_frac": math.nan},
+            {"shock_delay_s": math.nan},
+            {"shock_delay_s": math.inf},
+            {"shock_duration_s": math.inf},
+            {"continuation_rho": math.nan},
+            {"continuation_wait_s": math.inf},
         ],
     )
     def test_spec_validation(self, kwargs):
@@ -493,6 +503,93 @@ class TestShockWindows:
         m, trip = self._run(micro, small_engine, small_net, [far])
         assert m.shock_delays == 0
         assert trip.completed
+
+
+@pytest.mark.parametrize("cls", [Simulator, FullSweepSimulator], ids=["production", "oracle"])
+class TestShockRescan:
+    """Which taxis a shock window looks at, and when.
+
+    Production scans the whole fleet at a window's first boundary and
+    afterwards only the taxis re-keyed since the previous boundary
+    (``Simulator._apply_shock``); the oracle scans everybody every time.
+    Each rule below must come out the same both ways.  The taxi needs
+    about 36 s per 150 m hop, and after the one release the boundaries
+    are the 60 s drain steps.
+    """
+
+    def _run(self, cls, micro, small_engine, trips, shocks):
+        requests = [_trip_request(small_engine, rid, origin, destination, release)
+                    for rid, (origin, destination, release) in enumerate(trips)]
+        trace = ListTrace()
+        sim = cls(
+            micro, [Taxi(taxi_id=0, capacity=3, loc=0)], requests,
+            payment=PaymentModel(),
+            faults=_plan(shocks=shocks, shock_windows=len(shocks)) if shocks else None,
+            obs=Instrumentation(trace=trace),
+        )
+        m = sim.run()
+        m.check_balance()
+        events = [(e["t"], e["window"]) for e in trace if e["ev"] == "shock"]
+        return events, [trip.dropoff_time for _, trip in sorted(sim.log.trips.items())]
+
+    @staticmethod
+    def _everywhere(small_net, start, delay_s=240.0):
+        xy = small_net.xy
+        return ShockWindow(start=start, end=3600.0, cx=float(xy[:, 0].mean()),
+                           cy=float(xy[:, 1].mean()), radius_m=1e9, delay_s=delay_s)
+
+    def test_parked_taxi_matched_later_is_shocked_at_the_next_boundary(
+            self, cls, micro, small_engine, small_net):
+        # The window opens at the t=100 release, before the match: the
+        # taxi is parked with no route, so that first full scan passes
+        # it over.  The match re-keys it; the t=160 drain step shocks it.
+        trips = [(0, 99, 100.0)]
+        _, plain = self._run(cls, micro, small_engine, trips, [])
+        events, dropoffs = self._run(cls, micro, small_engine, trips,
+                                     [self._everywhere(small_net, 0.0)])
+        assert events == [(160.0, 0)]
+        assert dropoffs == [pytest.approx(plain[0] + 240.0)]
+
+    def test_taxi_that_drives_into_the_disc_is_shocked(
+            self, cls, micro, small_engine, small_net):
+        # The disc covers the half of the trip nearest vertex 99; the
+        # taxi starts at vertex 0, outside it, when the window opens.
+        xy = small_net.xy
+        gap = float(((xy[99] - xy[0]) ** 2).sum() ** 0.5)
+        disc = ShockWindow(start=0.0, end=3600.0, cx=float(xy[99, 0]),
+                           cy=float(xy[99, 1]), radius_m=gap / 2.0, delay_s=240.0)
+        trips = [(0, 99, 0.0)]
+        _, plain = self._run(cls, micro, small_engine, trips, [])
+        events, dropoffs = self._run(cls, micro, small_engine, trips, [disc])
+        assert len(events) == 1 and events[0][0] > 60.0  # not on the first step
+        assert dropoffs == [pytest.approx(plain[0] + 240.0)]
+
+    def test_rekeyed_taxi_is_not_shocked_twice_in_one_window(
+            self, cls, micro, small_engine, small_net):
+        # The t=60 release finds the taxi busy and goes unserved; its
+        # boundary shocks the taxi.  Then the taxi advances, parks, is
+        # matched again at t=1200 and drives a second trip, all inside
+        # the same window.
+        trips = [(0, 99, 0.0), (50, 55, 60.0), (99, 0, 1200.0)]
+        _, plain = self._run(cls, micro, small_engine, trips, [])
+        events, dropoffs = self._run(cls, micro, small_engine, trips,
+                                     [self._everywhere(small_net, 0.0)])
+        assert events == [(60.0, 0)]
+        assert dropoffs == [pytest.approx(plain[0] + 240.0), pytest.approx(plain[1])]
+
+    def test_overlapping_windows_shock_the_same_taxi_once_each(
+            self, cls, micro, small_engine, small_net):
+        # Window 0 shocks the taxi at t=60 and pushes its next vertex
+        # ~600 s out, so nothing re-keys it before window 1 opens at the
+        # t=240 step: only that window's first-boundary scan can find it.
+        trips = [(0, 99, 0.0)]
+        _, plain = self._run(cls, micro, small_engine, trips, [])
+        events, dropoffs = self._run(cls, micro, small_engine, trips, [
+            self._everywhere(small_net, 0.0, delay_s=600.0),
+            self._everywhere(small_net, 200.0, delay_s=600.0),
+        ])
+        assert events == [(60.0, 0), (240.0, 1)]
+        assert dropoffs == [pytest.approx(plain[0] + 1200.0)]
 
 
 # ----------------------------------------------------------------------

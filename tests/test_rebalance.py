@@ -16,6 +16,8 @@ Four properties anchor the subsystem:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,12 @@ class TestRebalanceSpec:
             {"max_moves": -1},
             {"min_surplus": -1},
             {"max_cruise_s": 0.0},
+            # NaN fails every ``< 0`` check, so these used to pass.
+            {"cadence_s": math.nan},
+            {"cadence_s": math.inf},
+            {"lead_s": math.nan},
+            {"max_cruise_s": math.nan},
+            {"max_cruise_s": math.inf},
         ],
     )
     def test_spec_validation(self, kwargs):
