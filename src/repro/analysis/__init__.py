@@ -18,8 +18,8 @@ package enforces both:
     monotonicity, request accounting) enabled by ``REPRO_CONTRACTS=1``
     and in the test suite; no-ops otherwise.
 
-See ``docs/STATIC_ANALYSIS.md`` for the checker catalog, the
-suppression syntax and the baseline workflow.
+See ``docs/STATIC_ANALYSIS.md`` for the checker catalog and the
+suppression syntax.
 """
 
 from __future__ import annotations

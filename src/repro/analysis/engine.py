@@ -1,11 +1,10 @@
-"""The ``repro lint`` engine: file walking, suppressions, baselines, output.
+"""The ``repro lint`` engine: file walking, suppressions, output.
 
 The engine is deliberately small: it parses every ``.py`` file once,
 hands the tree (plus a little cross-module context) to each registered
-checker, filters the resulting findings through per-line suppressions
-and the committed baseline, and renders the survivors as human-readable
-lines or JSON.  The process exits nonzero iff *new* (non-baselined)
-findings remain.
+checker, filters the resulting findings through per-line suppressions,
+and renders the survivors as human-readable lines or JSON.  The process
+exits nonzero iff any finding survives.
 
 Suppression syntax (same physical line as the finding)::
 
@@ -13,11 +12,6 @@ Suppression syntax (same physical line as the finding)::
 
 A suppression without a ``reason=`` is ignored — the finding still
 fires — so every silenced warning documents why it is safe.
-
-Baseline files are JSON (``{"version": 1, "findings": [...]}``) keyed
-by ``(path, code, message)`` with an occurrence count, so grandfathered
-findings survive unrelated line drift but resurface when the code is
-touched in a way that changes the message or adds occurrences.
 """
 
 from __future__ import annotations
@@ -29,14 +23,13 @@ import json
 import re
 import sys
 import tokenize
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .checkers import Checker, SetTypes
+    from .checkers import SetTypes
 
 #: Engine-level diagnostic code for files that fail to parse.
 PARSE_ERROR_CODE = "REP000"
@@ -56,11 +49,6 @@ class Finding:
     col: int
     code: str
     message: str
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used to match baseline entries."""
-        return (self.path, self.code, self.message)
 
     def render(self) -> str:
         """``path:line:col: CODE message`` (clickable in most editors)."""
@@ -91,13 +79,12 @@ class LintResult:
     """Everything one lint run produced, pre-partitioned."""
 
     new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     files_checked: int = 0
 
     @property
     def exit_code(self) -> int:
-        """0 when no new findings survived suppression and baseline."""
+        """0 when no finding survived suppression."""
         return 1 if self.new else 0
 
 
@@ -122,7 +109,7 @@ def iter_python_files(paths: list[str]) -> list[Path]:
 
 
 def _relpath(path: Path) -> str:
-    """Posix path relative to the CWD when possible (stable baselines)."""
+    """Posix path relative to the CWD when possible (stable output)."""
     try:
         return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
     except ValueError:
@@ -206,66 +193,17 @@ class ProjectTable:
 
 
 # ----------------------------------------------------------------------
-# baseline handling
-# ----------------------------------------------------------------------
-class BaselineError(ValueError):
-    """The baseline file exists but is not a lint baseline."""
-
-
-def load_baseline(path: Path | None) -> Counter:
-    """Baseline entry counts keyed by ``(path, code, message)``.
-
-    A missing file is an empty baseline, so a fresh checkout with no
-    grandfathered findings needs no baseline at all.
-    """
-    counts: Counter = Counter()
-    if path is None or not path.is_file():
-        return counts
-    try:
-        data = json.loads(path.read_text())
-        if data["version"] != 1:
-            raise ValueError(f"version {data['version']!r}, expected 1")
-        for entry in data["findings"]:
-            key = (str(entry["path"]), str(entry["code"]), str(entry["message"]))
-            counts[key] += int(entry.get("count", 1))
-    except (ValueError, LookupError, TypeError) as exc:
-        # The file comes from outside the program: whatever is wrong
-        # with it is one kind of error to the caller.
-        raise BaselineError(
-            f"{path} is not a lint baseline: {type(exc).__name__}: {exc}"
-        ) from exc
-    return counts
-
-
-def write_baseline(findings: list[Finding], path: Path) -> None:
-    """Persist ``findings`` as the new baseline (sorted, counted)."""
-    counts: Counter = Counter(f.baseline_key for f in findings)
-    entries = [
-        {"path": p, "code": c, "message": m, "count": n}
-        for (p, c, m), n in sorted(counts.items())
-    ]
-    path.write_text(json.dumps({"version": 1, "findings": entries}, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
 # the lint run
 # ----------------------------------------------------------------------
-def lint_paths(
-    paths: list[str],
-    checkers: "list[Checker] | None" = None,
-    baseline_path: Path | None = None,
-) -> LintResult:
+def lint_paths(paths: list[str]) -> LintResult:
     """Run every checker over every file under ``paths``.
 
-    Raises ``FileNotFoundError`` for a path that does not exist and
-    :class:`BaselineError` for a baseline file that is not one, both
-    before any checker runs.
+    Raises ``FileNotFoundError`` for a path that does not exist, before
+    any checker runs.
     """
     from .checkers import ALL_CHECKERS
 
-    active = list(ALL_CHECKERS) if checkers is None else list(checkers)
     files = iter_python_files(paths)
-    budget = load_baseline(baseline_path)
     result = LintResult(files_checked=len(files))
 
     parsed: list[tuple[str, ast.Module, str]] = []
@@ -297,7 +235,7 @@ def lint_paths(
     for rel, tree, source in parsed:
         ctx = ModuleContext(rel, tree, source, project)
         suppressions = suppression_map[rel]
-        for checker in active:
+        for checker in ALL_CHECKERS:
             if not checker.applies_to(rel):
                 continue
             for finding in checker.check(ctx):
@@ -307,12 +245,7 @@ def lint_paths(
                 else:
                     raw.append(finding)
 
-    for finding in sorted(raw):
-        if budget[finding.baseline_key] > 0:
-            budget[finding.baseline_key] -= 1
-            result.baselined.append(finding)
-        else:
-            result.new.append(finding)
+    result.new = sorted(raw)
     return result
 
 
@@ -326,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--baseline", default="lint-baseline.json", metavar="PATH",
-                        help="baseline file of grandfathered findings "
-                             "(default: lint-baseline.json; missing file = empty)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline; report every finding as new")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current findings and exit 0")
     parser.add_argument("--format", choices=("human", "json"), default="human")
     parser.add_argument("--list-checkers", action="store_true",
                         help="print the checker catalog and exit")
@@ -356,26 +282,17 @@ def main(argv: list[str] | None = None) -> int:
         _print_catalog()
         return 0
 
-    baseline = None if args.no_baseline else Path(args.baseline)
     try:
-        result = lint_paths(args.paths, baseline_path=baseline)
-    except (FileNotFoundError, BaselineError) as exc:
+        result = lint_paths(args.paths)
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        target = Path(args.baseline)
-        write_baseline(result.new + result.baselined, target)
-        print(f"baseline written: {target} "
-              f"({len(result.new) + len(result.baselined)} findings)")
-        return 0
-
     if args.format == "json":
         payload = {
-            "version": 1,
+            "version": 2,
             "files_checked": result.files_checked,
             "new": [f.as_dict() for f in result.new],
-            "baselined": [f.as_dict() for f in result.baselined],
             "suppressed": [f.as_dict() for f in result.suppressed],
         }
         print(json.dumps(payload, indent=2))
@@ -384,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     for finding in result.new:
         print(finding.render())
     print(
-        f"repro lint: {len(result.new)} new, {len(result.baselined)} baselined, "
+        f"repro lint: {len(result.new)} new, "
         f"{len(result.suppressed)} suppressed across {result.files_checked} files"
     )
     return result.exit_code

@@ -130,11 +130,11 @@ class ArtifactStore:
         return self.root / kind / key[:2] / key
 
     # ------------------------------------------------------------------
-    def load(self, kind: str, key: str, mmap: bool = True) -> Artifact | None:
+    def load(self, kind: str, key: str) -> Artifact | None:
         """Load an artifact, or ``None`` on miss (or corruption).
 
-        With ``mmap=True`` (default) arrays come back memory-mapped
-        read-only; treat them as immutable (copy before mutating).
+        Arrays come back memory-mapped read-only; treat them as
+        immutable (copy before mutating).
         """
         path = self._dir_of(kind, key)
         st = self._kind_stats(kind)
@@ -146,16 +146,14 @@ class ArtifactStore:
             meta = json.loads(meta_path.read_text())
             arrays: dict[str, np.ndarray] = {}
             for name in meta.get("__arrays__", ()):
-                arr = np.load(path / f"{name}.npy", mmap_mode="r" if mmap else None)
-                arrays[name] = arr
+                arrays[name] = np.load(path / f"{name}.npy", mmap_mode="r")
         except (OSError, ValueError, json.JSONDecodeError):
             # A torn or stale-format artifact reads as a miss; the
             # caller rebuilds and the save overwrites it.
             st["misses"] += 1
             return None
         st["loads"] += 1
-        if mmap:
-            st["mmap_loads"] += 1
+        st["mmap_loads"] += 1
         meta = {k: v for k, v in meta.items() if k != "__arrays__"}
         return Artifact(kind=kind, key=key, arrays=arrays, meta=meta)
 

@@ -30,7 +30,6 @@ class PGreedyDP(DispatchScheme):
     def __init__(self, network, engine, config) -> None:
         super().__init__(network, engine, config)
         self._position_index = GridSpatialIndex(cell_size_m=config.search_range_m / 2.0)
-        self.last_candidate_count = 0
 
     # ------------------------------------------------------------------
     def _index_taxi(self, taxi: Taxi, now: float) -> None:
@@ -91,7 +90,6 @@ class PGreedyDP(DispatchScheme):
         with self._obs.stage("match.candidates"):
             candidates = self._candidates(request, now)
         self._obs.count("match.candidates_found", len(candidates))
-        self.last_candidate_count = len(candidates)
         found: list[tuple[float, Taxi, list]] = []
         with self._obs.stage("match.insertion"):
             for taxi in candidates:

@@ -22,6 +22,11 @@ from ..index.spatial import GridSpatialIndex
 from .base import DispatchScheme
 
 
+#: How many nearest candidates T-Share examines before giving up; it
+#: stops at the first feasible one anyway.
+MAX_EXAMINED = 64
+
+
 class TShare(DispatchScheme):
     """Grid-indexed dual-side search with first-valid selection."""
 
@@ -30,10 +35,6 @@ class TShare(DispatchScheme):
     def __init__(self, network, engine, config) -> None:
         super().__init__(network, engine, config)
         self._position_index = GridSpatialIndex(cell_size_m=config.search_range_m / 2.0)
-        #: How many nearest candidates are examined before giving up;
-        #: T-Share stops at the first feasible one anyway.
-        self.max_examined = 64
-        self.last_candidate_count = 0
 
     # ------------------------------------------------------------------
     def _index_taxi(self, taxi: Taxi, now: float) -> None:
@@ -112,8 +113,7 @@ class TShare(DispatchScheme):
         with self._obs.stage("match.candidates"):
             candidates = self._dual_side_candidates(request, now)
         self._obs.count("match.candidates_found", len(candidates))
-        self.last_candidate_count = len(candidates)
-        for taxi in candidates[: self.max_examined]:
+        for taxi in candidates[:MAX_EXAMINED]:
             node, ready = taxi.position_at(now)
             if ready + self._engine.cost(node, request.origin) > request.pickup_deadline:
                 continue

@@ -57,9 +57,8 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
                    default="auto",
-                   help="shortest-path backend (auto resolves against "
-                        "REPRO_SP_MODE, then full below/lazy above the "
-                        "dense-matrix vertex limit; ch only when named)")
+                   help="shortest-path backend (auto: full below/lazy above "
+                        "the dense-matrix vertex limit; ch only when named)")
 
 
 def _simulate_args(sim: argparse.ArgumentParser) -> None:
@@ -96,7 +95,8 @@ def _experiment_args(exp: argparse.ArgumentParser) -> None:
 
     exp.add_argument("name", choices=sorted(list(ALL_EXPERIMENTS) + list(ALL_ABLATIONS)))
     exp.add_argument("--workers", type=int, default=None,
-                     help="parallel sweep workers (default: REPRO_WORKERS or 1)")
+                     help="parallel sweep workers, a positive integer "
+                          "(default: REPRO_WORKERS or 1)")
 
 
 def _cache_args(cache: argparse.ArgumentParser) -> None:
@@ -174,8 +174,9 @@ class _BadArguments(Exception):
 
 @contextmanager
 def _building(what: str = "") -> Iterator[None]:
-    """Set-up of what the flags describe: a ``ValueError`` in here is
-    the user's (``--grid 1``, ``--rho 0.5``, ``REPRO_SP_MODE=bogus``)
+    """Set-up of what the flags and the environment describe: a
+    ``ValueError`` in here is the user's (``--grid 1``, ``--rho 0.5``,
+    ``--workers 0``, ``REPRO_WORKERS=abc``, ``REPRO_BENCH_SCALE=bogus``)
     and :func:`main` reports it as one ``error:`` line, exit 2.  The
     run itself is never inside: a ``ValueError`` out of
     ``Simulator.run()`` is a bug and keeps its traceback."""
@@ -253,8 +254,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from .experiments.runner import bench_scale, collect_keys, default_workers, run_many
 
     fn = ALL_EXPERIMENTS.get(args.name, ALL_ABLATIONS.get(args.name))
-    scale = bench_scale()
-    workers = args.workers if args.workers is not None else default_workers()
+    with _building():
+        scale = bench_scale()
+        workers = args.workers if args.workers is not None else default_workers()
+        if workers < 1:
+            raise ValueError(f"--workers must be a positive integer, got {workers}")
     plannable = args.name not in NON_RUN_FIGURES and args.name not in NON_RUN_ABLATIONS
     if workers > 1 and plannable:
         keys = collect_keys(fn, scale)

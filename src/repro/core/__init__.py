@@ -10,8 +10,8 @@ from .mobility_cluster import (
 )
 from .partition_filter import PartitionFilter
 from .payment import (
-    DEFAULT_BETA,
-    DEFAULT_ETA,
+    BETA,
+    ETA,
     FareSchedule,
     PassengerCharge,
     PaymentModel,
@@ -23,10 +23,10 @@ if TYPE_CHECKING:
     from .mtshare import MTShare
 
 __all__ = [
+    "BETA",
     "BasicRouter",
-    "DEFAULT_BETA",
-    "DEFAULT_ETA",
     "DEFAULT_LAMBDA",
+    "ETA",
     "FareSchedule",
     "MTShare",
     "MatchResult",

@@ -189,10 +189,6 @@ class MobilityClusterIndex:
         """Ids of all live clusters."""
         return list(self._clusters)
 
-    def general_vector(self, cluster_id: int) -> MobilityVector:
-        """The cluster's general mobility vector."""
-        return self._clusters[cluster_id].general_vector()
-
     def cluster_of_request(self, request_id: int) -> int | None:
         """Cluster holding ``request_id``, if any."""
         return self._cluster_of_request.get(request_id)

@@ -43,8 +43,8 @@ def partition_routers(
 ) -> tuple[PartitionFilter, ProbabilisticRouter | None]:
     """Algorithm 2's filter over ``landmarks`` and, given a transition
     model, Algorithm 4's router on top of it, from ``config``'s
-    ``lambda`` and steering; the slack ``epsilon`` and the attempt cap
-    are the classes' own defaults.  mT-Share_pro and every ``+prob``
+    ``lambda`` and steering; the slack ``EPSILON`` and the attempt cap
+    ``MAX_ATTEMPTS`` are module constants.  mT-Share_pro and every ``+prob``
     baseline build their routers here."""
     pfilter = PartitionFilter(landmarks, lam=config.lam)
     if transition_model is None:

@@ -9,7 +9,7 @@ landmark graph and keeps a partition ``P_i`` only when
   ``P_i``'s landmark is aligned (cosine >= ``lambda``) with the vector
   from the source landmark to the destination landmark, and
 * **travel cost rule** — routing via ``P_i``'s landmark costs at most
-  ``(1 + epsilon)`` times the direct landmark-to-landmark cost.
+  ``(1 + EPSILON)`` times the direct landmark-to-landmark cost.
 
 The result depends only on the (source partition, destination
 partition) pair, so it is memoised.
@@ -17,12 +17,17 @@ partition) pair, so it is memoised.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 from ..config import DEFAULT_LAMBDA
 from ..network.geo import cosine_similarity
 from ..network.landmarks import LandmarkGraph
+
+#: Cost-slack threshold ``epsilon`` of the travel cost rule: a partition
+#: is on the way when routing via its landmark costs at most
+#: ``(1 + EPSILON)`` times the direct landmark cost (the paper
+#: conservatively uses 1.0).
+EPSILON = 1.0
 
 
 class PartitionFilter:
@@ -35,22 +40,15 @@ class PartitionFilter:
     lam:
         Direction threshold ``lambda`` (shared with mobility
         clustering; default cos 45 deg).
-    epsilon:
-        Cost-slack threshold (the paper conservatively uses 1.0).
     """
 
     def __init__(
         self,
         landmark_graph: LandmarkGraph,
         lam: float = DEFAULT_LAMBDA,
-        epsilon: float = 1.0,
     ) -> None:
-        # NaN would fail every ordered comparison of the cost rule.
-        if not (math.isfinite(epsilon) and epsilon >= 0):
-            raise ValueError("epsilon must be finite and non-negative")
         self._lg = landmark_graph
         self._lam = float(lam)
-        self._eps = float(epsilon)
         self._cache: dict[tuple[int, int], list[int]] = {}
         self._vertex_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._corridor_cache: dict[tuple[int, ...], frozenset[int]] = {}
@@ -82,7 +80,7 @@ class PartitionFilter:
         z1x, z1y = lg.landmark_xy(pz1)
         vx, vy = z1x - zx, z1y - zy
         direct = lg.landmark_cost(pz, pz1)
-        budget = (1.0 + self._eps) * direct
+        budget = (1.0 + EPSILON) * direct
 
         result: list[int] = []
         for pi in range(lg.num_partitions):

@@ -14,8 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-DEFAULT_BETA = 0.8
-DEFAULT_ETA = 0.01
+#: ``beta``: the passengers' share of the benefit (Eq. 8); the driver
+#: keeps ``1 - BETA``.  The paper fixes 0.8.
+BETA = 0.8
+#: ``eta``: base detour rate (Eq. 6), so zero-detour passengers still
+#: get a positive share.  The paper fixes 0.01.
+ETA = 0.01
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,43 +83,17 @@ class PaymentModel:
     Parameters
     ----------
     schedule:
-        The metered tariff used for all fares.
-    beta:
-        Passenger share of the benefit (Eq. 8); the driver keeps
-        ``1 - beta``.  The paper fixes ``beta = 0.8``.
-    eta:
-        Base detour rate (Eq. 6) so zero-detour passengers still get a
-        positive share.  The paper fixes ``eta = 0.01``.
+        The metered tariff used for all fares.  The rates ``beta`` and
+        ``eta`` are the paper's, :data:`BETA` and :data:`ETA`.
     """
 
-    def __init__(
-        self,
-        schedule: FareSchedule | None = None,
-        beta: float = DEFAULT_BETA,
-        eta: float = DEFAULT_ETA,
-    ) -> None:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if eta <= 0:
-            raise ValueError("eta must be positive so shares are well-defined")
+    def __init__(self, schedule: FareSchedule | None = None) -> None:
         self._schedule = schedule if schedule is not None else FareSchedule()
-        self._beta = float(beta)
-        self._eta = float(eta)
 
     @property
     def schedule(self) -> FareSchedule:
         """The tariff in force."""
         return self._schedule
-
-    @property
-    def beta(self) -> float:
-        """Passenger share of the benefit."""
-        return self._beta
-
-    @property
-    def eta(self) -> float:
-        """Base detour rate."""
-        return self._eta
 
     # ------------------------------------------------------------------
     def detour_rate(self, shared_distance_m: float, shortest_distance_m: float) -> float:
@@ -128,7 +106,7 @@ class PaymentModel:
         if shortest_distance_m <= 0:
             raise ValueError("shortest distance must be positive")
         detour = max(0.0, shared_distance_m - shortest_distance_m)
-        return self._eta + detour / shortest_distance_m
+        return ETA + detour / shortest_distance_m
 
     def projected_detour_rate(
         self,
@@ -145,7 +123,7 @@ class PaymentModel:
             raise ValueError("shortest distance must be positive")
         projected = travelled_so_far_m + remaining_shortest_m
         detour = max(0.0, projected - shortest_distance_m)
-        return self._eta + detour / shortest_distance_m
+        return ETA + detour / shortest_distance_m
 
     def benefit(
         self,
@@ -188,10 +166,11 @@ class PaymentModel:
             i: self.detour_rate(shared_distances_m[i], shortest_distances_m[i]) for i in ids
         }
         sigma_total = sum(sigmas.values())
+        beta = BETA
         charges: list[PassengerCharge] = []
         for i in ids:
             share = sigmas[i] / sigma_total if sigma_total > 0 else 0.0
-            shared_fare = regular[i] - self._beta * benefit * share
+            shared_fare = regular[i] - beta * benefit * share
             charges.append(
                 PassengerCharge(
                     request_id=i,
@@ -200,7 +179,7 @@ class PaymentModel:
                     detour_rate=sigmas[i],
                 )
             )
-        driver_income = route_fare + (1.0 - self._beta) * benefit
+        driver_income = route_fare + (1.0 - beta) * benefit
         return Settlement(
             charges=tuple(charges),
             route_fare=route_fare,
@@ -240,4 +219,4 @@ class PaymentModel:
                 )
         sigma_total = sum(sigmas.values())
         share = sigmas[arriving_id] / sigma_total if sigma_total > 0 else 0.0
-        return regular[arriving_id] - self._beta * benefit * share
+        return regular[arriving_id] - BETA * benefit * share

@@ -47,6 +47,9 @@ MIN_PSI = 1e-6
 #: Cap on the number of landmark paths enumerated per corridor search.
 MAX_ENUMERATED_PATHS = 400
 
+#: Corridors a leg tries, best first, before giving up (the paper: 5).
+MAX_ATTEMPTS = 5
+
 #: Extra partition hops allowed beyond the minimum when enumerating
 #: corridors; longer corridors only waste deadline slack.
 CORRIDOR_EXTRA_HOPS = 3
@@ -388,8 +391,6 @@ class ProbabilisticRouter(BasicRouter):
     lam:
         Direction threshold used to decide which destination partitions
         make an offline request *suitable* for the taxi.
-    max_attempts:
-        Corridor retries before giving up on a leg (paper: 5).
     """
 
     def __init__(
@@ -399,7 +400,6 @@ class ProbabilisticRouter(BasicRouter):
         partition_filter: PartitionFilter,
         transition_model: TransitionModel,
         lam: float = DEFAULT_LAMBDA,
-        max_attempts: int = 5,
         steering_m: float = 120.0,
     ) -> None:
         if partition_filter is None:
@@ -407,7 +407,6 @@ class ProbabilisticRouter(BasicRouter):
         super().__init__(network, engine, partition_filter)
         self._model = transition_model
         self._lam = float(lam)
-        self._max_attempts = int(max_attempts)
         self._steering_s = network.meters_to_seconds(max(0.0, float(steering_m)))
         lg = partition_filter.landmark_graph
         parts = range(lg.num_partitions)
@@ -466,10 +465,6 @@ class ProbabilisticRouter(BasicRouter):
         entry = SectorEntry(dests, self._model.partition_probability(members, dests), psi)
         self._sectors[(pi, sector)] = entry
         return entry
-
-    def partition_probability(self, pi: int, direction: tuple[float, float]) -> float:
-        """``pi_i``: probability of meeting a suitable request in ``P_i``."""
-        return self._sector_entry(pi, heading_sector(direction), direction).pi
 
     # ------------------------------------------------------------------
     # step 2: max-weight landmark paths
@@ -547,7 +542,7 @@ class ProbabilisticRouter(BasicRouter):
 
         dfs(pz, {pz}, weight.get(pz, 0.0), [pz])
         paths.sort(key=lambda p: -p[0])
-        return [p for _w, p in paths[: self._max_attempts]]
+        return [p for _w, p in paths[:MAX_ATTEMPTS]]
 
     # ------------------------------------------------------------------
     # step 3: fine-grained vertex-weighted routing

@@ -14,8 +14,8 @@ Assignment Problems"):
    unchanged from mT-Share) — the whole window in one
    :meth:`~repro.core.matching.Matcher.screen_window` call, which
    reads every indexed taxi once per flush and evaluates the rules as
-   ``requests x taxis`` array expressions (small windows fall back to
-   one scalar search per request; the sets are identical).
+   ``requests x taxis`` array expressions, returning for each request
+   exactly the set a single-request search returns.
 2. **Fill** the rectangular ``requests x taxis`` cost matrix with each
    pair's minimum-detour feasible insertion.  Idle candidates — the
    bulk of every window — are filled for *all* pairs at once from two
@@ -56,7 +56,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
-from ..fleet.schedule import Stop, materialize_insertion, score_insertions
+from ..fleet.schedule import DEADLINE_SLACK_S, Stop, materialize_insertion, score_insertions
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
@@ -451,7 +451,7 @@ class WindowLAP(MTShare):
         t_do = t_pu + direct[None, :]
         detour = (t_do - ready) - remaining
 
-        slack = 1e-9
+        slack = DEADLINE_SLACK_S
         pu_deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)[None, :]
         do_deadline = np.array([r.deadline for r in batch], dtype=np.float64)[None, :]
         onboard = np.array([start[3] for start in starts], dtype=np.int64)[:, None]

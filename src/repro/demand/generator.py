@@ -38,6 +38,17 @@ ZONE_TYPES = ("residential", "business", "leisure", "transport")
 #: common as the others (as in real cities).
 _TYPE_CYCLE = ("residential", "business", "residential", "leisure", "transport")
 
+#: Taxi-id space of the generated historical records.
+NUM_TAXIS_IN_TRACE = 400
+
+#: How strongly demand runs along a few corridors: the exponent applied
+#: both to the hourly type-to-type flow shares (see :func:`_flow_matrix`)
+#: and to the exponential zone-to-zone affinities.  ``1.0`` would leave
+#: flows as tabulated and partner zones diffuse; ``4.0`` makes trips
+#: from a zone concentrate on a handful of partner zones — the learnable
+#: transition patterns partitioning and probabilistic routing mine.
+CONCENTRATION = 4.0
+
 #: Hourly demand multipliers (0-23h) for workdays, shaped after the
 #: paper's Fig. 5(a): morning peak 8-9, evening peak 17-19, quiet night.
 WORKDAY_HOURLY_PROFILE = np.array(
@@ -151,17 +162,6 @@ class ChengduLikeDemand:
         8-9 a.m.).  The paper's busiest hour has 29,534 requests on the
         full-size network; scale this down proportionally to network
         size for tractable experiments.
-    num_taxis_in_trace:
-        Taxi-id space for the generated historical records.
-    concentration:
-        How strongly demand runs along a few corridors.  It is the
-        exponent applied both to the hourly type-to-type flow shares
-        (see :func:`_flow_matrix`) and to the exponential zone-to-zone
-        affinities, so ``1.0`` leaves flows as tabulated and partner
-        zones diffuse, while the default ``4.0`` makes trips from a zone
-        concentrate on a handful of partner zones — the learnable
-        transition patterns partitioning and probabilistic routing
-        mine.  Must be positive; part of :meth:`spec_dict`.
     seed:
         Deterministic seed for zone placement and trip sampling.
     """
@@ -172,8 +172,6 @@ class ChengduLikeDemand:
         num_zones: int = 12,
         vertices_per_zone: int = 16,
         hourly_requests: int = 1200,
-        num_taxis_in_trace: int = 400,
-        concentration: float = 4.0,
         seed: int = 42,
     ) -> None:
         empty = [zt for zt in ZONE_TYPES if zt not in _TYPE_CYCLE[: max(num_zones, 0)]]
@@ -184,16 +182,14 @@ class ChengduLikeDemand:
             )
         if hourly_requests < 1:
             raise ValueError("hourly_requests must be positive")
-        if concentration <= 0:
-            raise ValueError("concentration must be positive")
         self._network = network
         self._seed = int(seed)
         self._num_zones = int(num_zones)
         self._vertices_per_zone = int(vertices_per_zone)
         self._rng = np.random.default_rng(seed)
         self._hourly_requests = int(hourly_requests)
-        self._num_taxis = int(num_taxis_in_trace)
-        self._concentration = float(concentration)
+        self._num_taxis = NUM_TAXIS_IN_TRACE
+        self._concentration = CONCENTRATION
         self._zones = self._place_zones(num_zones, vertices_per_zone)
         #: Zone ids per type, indexed like :data:`ZONE_TYPES`.
         self._type_zone_ids = [
@@ -272,14 +268,13 @@ class ChengduLikeDemand:
         day: int,
         hour: int,
         weekend: bool = False,
-        rate_scale: float = 1.0,
     ) -> list[tuple[float, int, int]]:
         """Sample ``(release_time, origin, destination)`` trips for one hour.
 
         Release times are absolute seconds from the start of ``day 0``.
         """
         profile = WEEKEND_HOURLY_PROFILE if weekend else WORKDAY_HOURLY_PROFILE
-        lam = self._hourly_requests * profile[hour % 24] * rate_scale
+        lam = self._hourly_requests * profile[hour % 24]
         rng = np.random.default_rng(self._rng.integers(2**63) ^ (day * 24 + hour))
         count = int(rng.poisson(lam))
         origin_cdf = _cdf(_origin_weights(hour % 24, weekend))
@@ -319,19 +314,17 @@ class ChengduLikeDemand:
         start_hour: int,
         num_hours: int,
         weekend: bool = False,
-        rate_scale: float = 1.0,
     ) -> TripDataset:
         """Generate a :class:`TripDataset` covering consecutive hours."""
         rows: list[tuple[float, int, int]] = []
         for h in range(start_hour, start_hour + num_hours):
-            rows.extend(self.generate_hour(day, h, weekend=weekend, rate_scale=rate_scale))
+            rows.extend(self.generate_hour(day, h, weekend=weekend))
         return self._to_dataset(rows)
 
     def generate_days(
         self,
         num_days: int,
         weekend_days: set[int] | None = None,
-        rate_scale: float = 1.0,
     ) -> TripDataset:
         """Generate several full days; days in ``weekend_days`` use the
         weekend profile (defaults to days 5 and 6 of each week)."""
@@ -341,7 +334,7 @@ class ChengduLikeDemand:
         for day in range(num_days):
             weekend = day in weekend_days
             for hour in range(24):
-                rows.extend(self.generate_hour(day, hour, weekend=weekend, rate_scale=rate_scale))
+                rows.extend(self.generate_hour(day, hour, weekend=weekend))
         return self._to_dataset(rows)
 
     def spec_dict(self) -> dict:

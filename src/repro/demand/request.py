@@ -96,10 +96,11 @@ class RideRequest:
         destination: int,
         direct_cost: float,
         rho: float = 1.3,
-        num_passengers: int = 1,
         offline: bool = False,
     ) -> "RideRequest":
-        """Build a request whose deadline follows Eq. 9: ``e = t + rho * cost``."""
+        """Build a one-passenger request whose deadline follows Eq. 9:
+        ``e = t + rho * cost``.  Groups arrive through
+        :mod:`repro.service.codec`."""
         if not (math.isfinite(rho) and rho >= 1.0):
             raise RequestError("the flexible factor rho must be finite and >= 1")
         return cls(
@@ -109,7 +110,6 @@ class RideRequest:
             destination=destination,
             deadline=release_time + rho * direct_cost,
             direct_cost=direct_cost,
-            num_passengers=num_passengers,
             offline=offline,
         )
 

@@ -579,11 +579,9 @@ def fig21v_vertex_scalability(
 NON_RUN_FIGURES = frozenset({"fig5", "fig21", "fig21v"})
 
 
-def figure_run_keys(
-    names: tuple[str, ...] | list[str] | None = None,
-    scale: BenchScale | None = None,
-) -> list[RunKey]:
-    """The unique RunKeys the named experiments would simulate.
+def figure_run_keys(names: tuple[str, ...] | list[str] | None = None) -> list[RunKey]:
+    """The unique RunKeys the named experiments would simulate at
+    :func:`~repro.experiments.runner.bench_scale`.
 
     A planning pass (see :func:`repro.experiments.runner.collect_keys`)
     over each experiment function; figures in :data:`NON_RUN_FIGURES`
@@ -599,7 +597,7 @@ def figure_run_keys(
     for name in names:
         if name in NON_RUN_FIGURES:
             continue
-        keys.extend(collect_keys(ALL_EXPERIMENTS[name], scale))
+        keys.extend(collect_keys(ALL_EXPERIMENTS[name]))
     return list(dict.fromkeys(keys))
 
 

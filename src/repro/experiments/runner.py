@@ -134,14 +134,21 @@ def run(key: RunKey) -> SimulationMetrics:
 # parallel sweep executor
 # ----------------------------------------------------------------------
 def default_workers() -> int:
-    """Worker count for sweeps: :data:`WORKERS_ENV`, else 1 (sequential)."""
+    """Worker count for sweeps: :data:`WORKERS_ENV`, else 1 (sequential).
+
+    Raises ``ValueError`` unless the variable, when set, is a positive
+    integer.
+    """
     raw = os.environ.get(WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+    if not raw:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _warm_store(keys: Sequence[RunKey]) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..demand.request import RideRequest
-from .schedule import CostFn, Stop, dropoff, pickup
+from .schedule import DEADLINE_SLACK_S, CostFn, Stop, dropoff, pickup
 
 
 def _prefix_state(
@@ -91,6 +91,7 @@ def best_insertion_dp(
         start_node, start_time, stops, cost_fn, capacity, initial_onboard
     )
     slack = _slack_after(stops, arrive)
+    tol = DEADLINE_SLACK_S
     base_total = arrive[m] - start_time
 
     best_cost = float("inf")
@@ -102,12 +103,12 @@ def best_insertion_dp(
             continue
         prev = nodes[i]
         t_pick = arrive[i] + cost_fn(prev, pu_node)
-        if t_pick > request.pickup_deadline + 1e-9:
+        if t_pick > request.pickup_deadline + tol:
             continue
 
         # Case j == i: drop off immediately after picking up.
         t_drop = t_pick + cost_fn(pu_node, do_node)
-        if t_drop <= request.deadline + 1e-9:
+        if t_drop <= request.deadline + tol:
             if i == m:
                 detour = t_drop - arrive[m]
                 if detour < best_cost - 1e-12:
@@ -118,7 +119,7 @@ def best_insertion_dp(
                 delay = (
                     t_drop + cost_fn(do_node, nxt) - arrive[i + 1]
                 )
-                if delay <= slack[i] + 1e-9 and delay < best_cost - 1e-12:
+                if delay <= slack[i] + tol and delay < best_cost - 1e-12:
                     best_cost = delay
                     best_pair = (i, i)
 
@@ -128,7 +129,7 @@ def best_insertion_dp(
         if i < m:
             nxt = nodes[i + 1]
             pick_delay = t_pick + cost_fn(pu_node, nxt) - arrive[i + 1]
-            if pick_delay > slack[i] + 1e-9:
+            if pick_delay > slack[i] + tol:
                 continue  # later positions only get worse for this i
         else:
             continue  # i == m handled by the j == i case above
@@ -139,14 +140,14 @@ def best_insertion_dp(
             # Arrive at stop j with the rider aboard.
             t = t + cost_fn(node, stops[j].node)
             node = stops[j].node
-            if t > stops[j].deadline + 1e-9:
+            if t > stops[j].deadline + tol:
                 break
             if onboard[j + 1] + pax > capacity:
                 break  # the rider cannot stay aboard past stop j
             # Try dropping off right after stop j (position j+1 in the
             # original indexing).
             t_drop = t + cost_fn(node, do_node)
-            if t_drop <= request.deadline + 1e-9:
+            if t_drop <= request.deadline + tol:
                 if j + 1 == m:
                     detour = t_drop - arrive[m]
                     if detour < best_cost - 1e-12:
@@ -155,7 +156,7 @@ def best_insertion_dp(
                 else:
                     nxt = nodes[j + 2]
                     delay = t_drop + cost_fn(do_node, nxt) - arrive[j + 2]
-                    if delay <= slack[j + 1] + 1e-9 and delay < best_cost - 1e-12:
+                    if delay <= slack[j + 1] + tol and delay < best_cost - 1e-12:
                         best_cost = delay
                         best_pair = (i, j + 1)
 

@@ -52,6 +52,12 @@ class StopKind(enum.Enum):
 #: properties once per pending stop per candidate.
 _PICKUP = StopKind.PICKUP
 
+#: Seconds a stop may be served after its deadline and still count as
+#: on time: absorbs float rounding in summed leg costs.  Every deadline
+#: check of the insertion machinery — here, in
+#: :mod:`repro.fleet.insertion_dp` and in the window fill — reads it.
+DEADLINE_SLACK_S = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class Stop:
@@ -164,13 +170,10 @@ def arrival_times(
     return times
 
 
-def deadlines_met(
-    stops: Sequence[Stop],
-    times: Sequence[float],
-    slack_s: float = 1e-9,
-) -> bool:
+def deadlines_met(stops: Sequence[Stop], times: Sequence[float]) -> bool:
     """Whether every stop is served no later than its deadline."""
-    return all(t <= stop.deadline + slack_s for stop, t in zip(stops, times))
+    slack = DEADLINE_SLACK_S
+    return all(t <= stop.deadline + slack for stop, t in zip(stops, times))
 
 
 def capacity_ok(
@@ -261,7 +264,6 @@ def evaluate_insertions_grouped(
     request: RideRequest | Sequence[RideRequest],
     initial_onboards: Sequence[int],
     capacities: Sequence[int],
-    slack_s: float = 1e-9,
 ) -> GroupedInsertionBatch:
     """Batched Algorithm-1 evaluation for ``T`` candidates sharing ``m``.
 
@@ -328,7 +330,7 @@ def evaluate_insertions_grouped(
         if (negative & ~prior_over).any():
             raise ValueError("schedule drops off passengers that were never aboard")
     cap_ok = ~over.any(axis=2)
-    dead_ok = (times <= ext_dead[:, seq] + slack_s).all(axis=2)
+    dead_ok = (times <= ext_dead[:, seq] + DEADLINE_SLACK_S).all(axis=2)
 
     return GroupedInsertionBatch(
         pickup_idx=ii,
@@ -369,7 +371,6 @@ def _tight_walk(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
     request: RideRequest | Sequence[RideRequest],
-    slack_s: float = 1e-9,
 ) -> list[tuple[int, float, int, int]]:
     """:func:`score_insertions` by scalar distance-row reads.
 
@@ -379,6 +380,7 @@ def _tight_walk(
     """
     per_row = [request] * len(starts) if isinstance(request, RideRequest) else request
     speed = engine.network.speed_mps
+    slack = DEADLINE_SLACK_S
     dist_row = engine.dist_row
     row_cache: dict[int, np.ndarray] = {}
     inf = np.inf
@@ -390,8 +392,8 @@ def _tight_walk(
             current = per_row[idx]
             pu_node = current.origin
             do_node = current.destination
-            pu_dead = current.pickup_deadline + slack_s
-            do_dead = current.deadline + slack_s
+            pu_dead = current.pickup_deadline + slack
+            do_dead = current.deadline + slack
             n_pass = current.num_passengers
             if pu_node not in row_cache:
                 row_cache[pu_node] = dist_row(pu_node)
@@ -437,7 +439,7 @@ def _tight_walk(
         for stop in pending:
             v = stop.node
             ext_nodes.append(v)
-            ext_dead.append(stop.deadline + slack_s)
+            ext_dead.append(stop.deadline + slack)
             delta = stop.passenger_delta
             ext_delta.append(delta)
             row = row_cache.get(v)

@@ -17,7 +17,9 @@ from itertools import chain
 
 import numpy as np
 
-DEFAULT_HORIZON_S = 3600.0
+#: ``T_mp``: route positions further than this in the future are not
+#: indexed (the paper: one hour).
+HORIZON_S = 3600.0
 
 
 class PartitionTaxiIndex:
@@ -27,17 +29,11 @@ class PartitionTaxiIndex:
     ----------
     num_partitions:
         Number of map partitions ``kappa``.
-    horizon_s:
-        ``T_mp``: route positions further than this in the future are
-        not indexed.
     """
 
-    def __init__(self, num_partitions: int, horizon_s: float = DEFAULT_HORIZON_S) -> None:
+    def __init__(self, num_partitions: int) -> None:
         if num_partitions < 1:
             raise ValueError("need at least one partition")
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        self._horizon = float(horizon_s)
         self._by_partition: list[dict[int, float]] = [{} for _ in range(num_partitions)]
         self._partitions_of_taxi: dict[int, set[int]] = {}
 
@@ -45,11 +41,6 @@ class PartitionTaxiIndex:
     def num_partitions(self) -> int:
         """Number of partitions indexed."""
         return len(self._by_partition)
-
-    @property
-    def horizon_s(self) -> float:
-        """The indexing horizon ``T_mp`` in seconds."""
-        return self._horizon
 
     def update_taxi(
         self,
@@ -84,7 +75,7 @@ class PartitionTaxiIndex:
         arrival per partition within ``now + T_mp`` is recorded.
         """
         arrivals: dict[int, float] = {}
-        limit = now + self._horizon
+        limit = now + HORIZON_S
         for node, t in zip(route_nodes, route_times):
             if t > limit:
                 break

@@ -54,8 +54,6 @@ class GridSpatialIndex:
         self._cells.setdefault(key, set()).add(obj_id)
         self._positions[obj_id] = (x, y)
 
-    update = insert
-
     def remove(self, obj_id: int) -> None:
         """Remove an object; missing ids are ignored."""
         pos = self._positions.pop(obj_id, None)

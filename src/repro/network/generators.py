@@ -15,6 +15,17 @@ import numpy as np
 
 from .graph import DEFAULT_SPEED_MPS, RoadNetwork
 
+#: :func:`grid_city`'s positional noise, as a fraction of the block size.
+JITTER = 0.25
+#: Share of :func:`grid_city`'s street segments removed to break the
+#: perfect grid.
+REMOVAL_RATE = 0.08
+#: Share of the remaining segments that keep only one direction.
+ONE_WAY_RATE = 0.10
+#: Every ``ARTERIAL_EVERY``-th row and column is an arterial whose
+#: segments are never removed or made one-way, mimicking main roads.
+ARTERIAL_EVERY = 8
+
 
 def _largest_scc(num_vertices: int, edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
     """Restrict to the largest strongly connected component.
@@ -92,10 +103,6 @@ def grid_city(
     rows: int = 40,
     cols: int = 40,
     spacing_m: float = 220.0,
-    jitter: float = 0.25,
-    removal_rate: float = 0.08,
-    one_way_rate: float = 0.10,
-    arterial_every: int = 8,
     speed_mps: float = DEFAULT_SPEED_MPS,
     seed: int | None = 7,
 ) -> RoadNetwork:
@@ -108,24 +115,20 @@ def grid_city(
     spacing_m:
         Nominal block size.  A 40x40 grid at 220 m covers ~8.8 km x 8.8 km,
         roughly the extent of Chengdu's 2nd-ring area at 1/5 scale.
-    jitter:
-        Positional noise as a fraction of ``spacing_m``.
-    removal_rate:
-        Fraction of street segments removed to break the perfect grid.
-    one_way_rate:
-        Fraction of remaining segments that keep only one direction.
-    arterial_every:
-        Every ``arterial_every``-th row/column becomes an arterial whose
-        segments are never removed, mimicking main roads.
     seed:
         RNG seed; ``None`` gives nondeterministic output.
 
-    The result is the largest strongly connected component of the
-    construction, with vertices re-indexed contiguously.
+    Positions are jittered by :data:`JITTER`, and segments off the
+    arterials are removed at :data:`REMOVAL_RATE` or made one-way at
+    :data:`ONE_WAY_RATE`.  The result is the largest strongly connected
+    component of the construction, with vertices re-indexed
+    contiguously.
     """
     if rows < 2 or cols < 2:
         raise ValueError("grid_city needs at least a 2x2 grid")
     rng = np.random.default_rng(seed)
+    jitter, arterial_every = JITTER, ARTERIAL_EVERY
+    removal_rate, one_way_rate = REMOVAL_RATE, ONE_WAY_RATE
 
     ids = np.arange(rows * cols).reshape(rows, cols)
     xs = np.tile(np.arange(cols) * spacing_m, (rows, 1))
@@ -135,8 +138,6 @@ def grid_city(
     xy = np.stack([xs.ravel(), ys.ravel()], axis=1)
 
     def is_arterial(r: int, c: int, horizontal: bool) -> bool:
-        if arterial_every <= 0:
-            return False
         return (r % arterial_every == 0) if horizontal else (c % arterial_every == 0)
 
     edges: list[tuple[int, int, float]] = []
@@ -169,7 +170,6 @@ def ring_radial_city(
     num_rings: int = 6,
     num_radials: int = 16,
     ring_spacing_m: float = 700.0,
-    speed_mps: float = DEFAULT_SPEED_MPS,
     seed: int | None = 11,
 ) -> RoadNetwork:
     """Ring-and-radial city (European style) used as an alternative topology.
@@ -206,4 +206,4 @@ def ring_radial_city(
         for ring in range(1, num_rings):
             link(index[(ring, k)], index[(ring + 1, k)])
 
-    return RoadNetwork(xy, edges, speed_mps=speed_mps)
+    return RoadNetwork(xy, edges)

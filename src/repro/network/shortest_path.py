@@ -12,8 +12,6 @@ distributions a dispatcher generates; ``mode="auto"`` picks it above
 bit-identical distances from a persisted hierarchy; it runs only when
 asked for, because the lazy memo measured faster end to end at every
 size from 1.6k to 200k vertices (docs/PERFORMANCE.md, "Routing backends").
-The ``REPRO_SP_MODE`` environment variable overrides the ``"auto"``
-resolution (see :data:`SP_MODE_ENV`).
 
 :func:`dijkstra_restricted` is the segment-level router of basic
 routing (Algorithm 3): a Dijkstra over an *allowed vertex set* (the
@@ -33,7 +31,6 @@ search the in-tree one replaced, live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -45,27 +42,15 @@ from .graph import RoadNetwork
 #: Above this vertex count the full all-pairs matrix is not materialised.
 FULL_APSP_LIMIT = 6_000
 
-#: Environment override for ``mode="auto"`` resolution: one of
-#: ``full`` / ``lazy`` / ``ch`` (empty or ``auto`` keeps the default
-#: rule).  Explicit non-auto ``mode=`` arguments always win.
-SP_MODE_ENV = "REPRO_SP_MODE"
-
 _SP_MODES = ("full", "lazy", "ch")
 
 
 def resolve_sp_mode(mode: str, num_vertices: int) -> str:
-    """Resolve an engine mode string against the env override and size rule.
+    """Resolve an engine mode string by the size rule.
 
-    ``"auto"`` consults :data:`SP_MODE_ENV` first, then picks ``full``
-    at or below :data:`FULL_APSP_LIMIT` vertices and ``lazy`` above it.
-    ``ch`` is never chosen by the size rule.
+    ``"auto"`` picks ``full`` at or below :data:`FULL_APSP_LIMIT`
+    vertices and ``lazy`` above it; ``ch`` runs only when named.
     """
-    if mode == "auto":
-        env = os.environ.get(SP_MODE_ENV, "").strip().lower()
-        if env in _SP_MODES:
-            mode = env
-        elif env and env != "auto":
-            raise ValueError(f"invalid {SP_MODE_ENV}={env!r}; use auto/full/lazy/ch")
     if mode == "auto":
         mode = "full" if num_vertices <= FULL_APSP_LIMIT else "lazy"
     if mode not in _SP_MODES:
@@ -92,8 +77,7 @@ class ShortestPathEngine:
         computes single-source trees on demand, ``"ch"`` builds (or
         attaches) a contraction hierarchy (:mod:`repro.network.ch`),
         ``"auto"`` (default) picks ``"full"`` at or below
-        :data:`FULL_APSP_LIMIT` vertices and ``"lazy"`` above — unless
-        the :data:`SP_MODE_ENV` environment variable overrides it.
+        :data:`FULL_APSP_LIMIT` vertices and ``"lazy"`` above.
     full_arrays:
         Optional precomputed ``(dist, pred)`` matrices for ``"full"``
         mode — typically memory-mapped ``.npy`` views served by the

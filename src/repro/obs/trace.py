@@ -15,6 +15,9 @@ from typing import IO
 
 __all__ = ["JsonlTraceWriter"]
 
+#: Events :class:`JsonlTraceWriter` buffers before a physical write.
+BUFFER_LINES = 1024
+
 
 class JsonlTraceWriter:
     """Buffered JSON-Lines writer for instrumentation events.
@@ -23,13 +26,10 @@ class JsonlTraceWriter:
     ----------
     path:
         Output file, truncated on open.
-    buffer_lines:
-        Number of events buffered before a physical write.
     """
 
-    def __init__(self, path: str, buffer_lines: int = 1024) -> None:
+    def __init__(self, path: str) -> None:
         self._path = str(path)
-        self._buffer_lines = max(1, int(buffer_lines))
         self._buf: list[str] = []
         self._fh: IO[str] | None = open(self._path, "w", encoding="utf-8")
         self.events_written = 0
@@ -45,7 +45,7 @@ class JsonlTraceWriter:
             raise ValueError(f"trace writer for {self._path!r} is closed")
         self._buf.append(json.dumps(payload, separators=(",", ":")))
         self.events_written += 1
-        if len(self._buf) >= self._buffer_lines:
+        if len(self._buf) >= BUFFER_LINES:
             self.flush()
 
     def flush(self) -> None:

@@ -31,6 +31,10 @@ from .transition import TransitionModel
 
 DEFAULT_TRANSITION_CLUSTERS = 20
 
+#: Safety cap on the outer loop of :func:`bipartite_partition` (the
+#: paper iterates until the spatial clusters stop changing).
+MAX_ITERATIONS = 10
+
 
 @dataclass(frozen=True)
 class MapPartitioning:
@@ -147,8 +151,6 @@ def bipartite_partition(
     historical_trips: np.ndarray,
     num_partitions: int,
     num_transition_clusters: int = DEFAULT_TRANSITION_CLUSTERS,
-    max_iterations: int = 10,
-    smoothing: float = 0.0,
     seed: int = 0,
 ) -> MapPartitioning:
     """Run the bipartite map partitioning to a fixed point.
@@ -166,11 +168,6 @@ def bipartite_partition(
     num_transition_clusters:
         ``k_t`` of step 2; the paper fixes 20 and requires
         ``k_t < kappa``.
-    max_iterations:
-        Safety cap on the outer loop (the paper iterates until the
-        spatial clusters stop changing).
-    smoothing:
-        Laplace smoothing for the transition estimates.
     seed:
         RNG seed shared by all k-means invocations.
     """
@@ -186,13 +183,13 @@ def bipartite_partition(
     labels = kmeans(xy, num_partitions, seed=seed).labels
     labels = _relabel_contiguous(labels)
     signature = _partition_signature(labels)
-    model = TransitionModel.fit(trips, labels, int(labels.max()) + 1, smoothing=smoothing)
+    model = TransitionModel.fit(trips, labels, int(labels.max()) + 1)
 
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         kappa = int(labels.max()) + 1
         # Step 1: transition probabilities against the current clusters.
-        model = TransitionModel.fit(trips, labels, kappa, smoothing=smoothing)
+        model = TransitionModel.fit(trips, labels, kappa)
 
         # Step 2: cluster vertices by transition behaviour.
         transition_labels = kmeans(model.matrix, k_t, seed=seed + iterations).labels
@@ -218,7 +215,7 @@ def bipartite_partition(
         signature = new_signature
 
     kappa = int(labels.max()) + 1
-    model = TransitionModel.fit(trips, labels, kappa, smoothing=smoothing)
+    model = TransitionModel.fit(trips, labels, kappa)
     return MapPartitioning(
         labels=labels,
         method="bipartite",
@@ -231,7 +228,6 @@ def geo_partition(
     network: RoadNetwork,
     num_partitions: int,
     historical_trips: np.ndarray | None = None,
-    smoothing: float = 0.0,
     seed: int = 0,
 ) -> MapPartitioning:
     """Pure geographic k-means partitioning (ablation baseline).
@@ -247,6 +243,5 @@ def geo_partition(
             np.asarray(historical_trips, dtype=np.int64),
             labels,
             int(labels.max()) + 1,
-            smoothing=smoothing,
         )
     return MapPartitioning(labels=labels, method="geo-kmeans", transition_model=model)

@@ -43,7 +43,6 @@ def grid_partition(
     network: RoadNetwork,
     num_partitions: int,
     historical_trips: np.ndarray | None = None,
-    smoothing: float = 0.0,
 ) -> MapPartitioning:
     """Partition the network with a square grid of about ``num_partitions`` cells.
 
@@ -66,6 +65,5 @@ def grid_partition(
             np.asarray(historical_trips, dtype=np.int64),
             labels,
             int(labels.max()) + 1,
-            smoothing=smoothing,
         )
     return MapPartitioning(labels=labels, method="grid", transition_model=model)

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Lloyd iterations before :func:`kmeans` stops without converging.
+MAX_ITER = 100
+
+#: Convergence: an iteration that improves the inertia by at most this
+#: share of it is the last.
+TOL = 1e-6
+
 
 @dataclass(frozen=True, slots=True)
 class KMeansResult:
@@ -72,8 +79,6 @@ def _assign(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def kmeans(
     data: np.ndarray,
     k: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
     seed: int | None = 0,
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ initialisation.
@@ -85,10 +90,6 @@ def kmeans(
     k:
         Requested number of clusters.  Clamped to ``n`` when fewer
         samples than clusters are supplied.
-    max_iter:
-        Iteration cap.
-    tol:
-        Relative inertia-improvement threshold for convergence.
     seed:
         Seed for the seeding RNG; determinism matters because map
         partitions feed every downstream index.
@@ -112,7 +113,7 @@ def kmeans(
     inertia = float(dist_sq.sum())
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         new_centers = np.empty_like(centers)
         counts = np.bincount(labels, minlength=k)
         for j in range(k):
@@ -126,7 +127,7 @@ def kmeans(
         centers = new_centers
         labels, dist_sq = _assign(data, centers)
         new_inertia = float(dist_sq.sum())
-        if inertia - new_inertia <= tol * max(inertia, 1e-12):
+        if inertia - new_inertia <= TOL * max(inertia, 1e-12):
             inertia = new_inertia
             break
         inertia = new_inertia

@@ -49,7 +49,6 @@ class TransitionModel:
         trips: np.ndarray,
         dest_cluster_of_vertex: np.ndarray,
         num_clusters: int,
-        smoothing: float = 0.0,
     ) -> "TransitionModel":
         """Estimate the model from historical ``(origin, destination)`` pairs.
 
@@ -63,10 +62,9 @@ class TransitionModel:
             cluster; destinations are bucketed through it.
         num_clusters:
             The ``kappa`` of the label space.
-        smoothing:
-            Additive (Laplace) smoothing per cell.  Vertices with no
-            observed pickups fall back to the global destination
-            marginal, so every row is a proper distribution.
+
+        Vertices with no observed pickups fall back to the global
+        destination marginal, so every row is a proper distribution.
         """
         dest_cluster_of_vertex = np.asarray(dest_cluster_of_vertex, dtype=np.int64)
         n = dest_cluster_of_vertex.shape[0]
@@ -82,8 +80,6 @@ class TransitionModel:
             np.add.at(counts, (origins, dest_clusters), 1.0)
             np.add.at(pickups, origins, 1.0)
 
-        if smoothing > 0:
-            counts += smoothing
         row_sums = counts.sum(axis=1, keepdims=True)
         global_marginal = counts.sum(axis=0)
         total = global_marginal.sum()
@@ -162,29 +158,21 @@ class TransitionModel:
         mass = self._matrix[np.ix_(verts, idx)].sum(axis=1)
         return mass * (self._pickups[verts] / self._peak)
 
-    def partition_probability(
-        self,
-        vertices,
-        dest_clusters,
-        weight_by_demand: bool = True,
-    ) -> float:
+    def partition_probability(self, vertices, dest_clusters) -> float:
         """``pi_i``: chance of meeting a suitable request inside a partition.
 
         Step 1 of Algorithm 4 sums, over the partition's vertices, the
         transition probability towards the suitable destination set.
-        With ``weight_by_demand`` (the default) each vertex contributes
-        proportionally to its historical pickup frequency, so partitions
-        that generate little demand score low even if their few trips
-        head the right way.
+        Each vertex contributes proportionally to its historical pickup
+        frequency, so partitions that generate little demand score low
+        even if their few trips head the right way.
         """
         verts = np.fromiter(vertices, dtype=np.int64)
         dests = np.fromiter(dest_clusters, dtype=np.int64)
         if verts.size == 0 or dests.size == 0:
             return 0.0
         mass = self._matrix[np.ix_(verts, dests)].sum(axis=1)
-        if weight_by_demand:
-            return float((mass * self._pickup_freq[verts]).sum())
-        return float(mass.sum() / verts.size)
+        return float((mass * self._pickup_freq[verts]).sum())
 
     def memory_bytes(self) -> int:
         """Approximate footprint of the model's arrays."""

@@ -48,9 +48,9 @@ def synthetic_requests(
     rate_per_s: float = 2.0,
     rho: float = 1.5,
     seed: int = 0,
-    start_id: int = 0,
 ) -> Iterator[RideRequest]:
-    """Generate ``count`` online requests lazily (O(1) memory).
+    """Generate ``count`` online requests, ids ``0..count-1``, lazily
+    (O(1) memory).
 
     Poisson arrivals at ``rate_per_s``, origin/destination uniform over
     the network's vertices (re-drawn until distinct and reachable),
@@ -77,7 +77,7 @@ def synthetic_requests(
         if not np.isfinite(cost) or cost <= 0.0:
             continue
         yield RideRequest.from_flexible_factor(
-            request_id=start_id + produced,
+            request_id=produced,
             release_time=t,
             origin=origin,
             destination=destination,

@@ -62,7 +62,7 @@ DRAIN_HORIZON_S = 3 * 3600.0
 
 #: A street-hailing passenger flags down any taxi passing within this
 #: distance of where they stand (roughly one city block).
-DEFAULT_ENCOUNTER_RADIUS_M = 250.0
+ENCOUNTER_RADIUS_M = 250.0
 
 #: Raw-sample list bound in compact (bounded-RSS streaming) mode.
 COMPACT_SAMPLE_CAP = 4096
@@ -139,7 +139,6 @@ class Simulator:
         requests: list[RideRequest],
         payment: PaymentModel | None = None,
         redispatch_encounters: bool = True,
-        encounter_radius_m: float = DEFAULT_ENCOUNTER_RADIUS_M,
         obs: Instrumentation | None = None,
         trace_path: str | None = None,
         faults: FaultPlan | None = None,
@@ -175,7 +174,6 @@ class Simulator:
         self._requests = sorted(requests, key=lambda r: (r.release_time, r.request_id))
         self._payment = payment
         self._redispatch = redispatch_encounters
-        self._encounter_radius = float(encounter_radius_m)
 
         self._log = FleetLog()
         self._metrics = SimulationMetrics(scheme_name=scheme.name)
@@ -476,11 +474,13 @@ class Simulator:
         instead of an O(V) full-network scan; the grid's exact distance
         predicate keeps the catchment set identical to the scan's.
         """
+        radius = ENCOUNTER_RADIUS_M
         if self._vertex_grid is None:
-            cell = max(self._encounter_radius, 1.0)
-            self._vertex_grid = StaticVertexGrid(self._scheme.network.xy, cell_size_m=cell)
+            self._vertex_grid = StaticVertexGrid(
+                self._scheme.network.xy, cell_size_m=max(radius, 1.0)
+            )
         ox, oy = self._scheme.network.xy[request.origin]
-        catchment = self._vertex_grid.query_radius(float(ox), float(oy), self._encounter_radius)
+        catchment = self._vertex_grid.query_radius(float(ox), float(oy), radius)
         self._obs.count("kernel.grid_catchment_queries")
         for node in catchment:
             self._offline_pool[int(node)].append(request)

@@ -189,11 +189,11 @@ class ScenarioSpec:
     num_partitions: int = 36
     congestion: float = 1.0
     seed: int = 7
-    #: Shortest-path backend: ``"auto"`` (default; resolved against the
-    #: ``REPRO_SP_MODE`` env override and the vertex-count rule at build
-    #: time to ``"full"`` or ``"lazy"``), ``"full"``, ``"lazy"`` or
-    #: ``"ch"``, which only runs when named here or in the env.  Not part
-    #: of the network spec, so all backends share trace/partition artifacts.
+    #: Shortest-path backend: ``"auto"`` (default; resolved by the
+    #: vertex-count rule at build time to ``"full"`` or ``"lazy"``),
+    #: ``"full"``, ``"lazy"`` or ``"ch"``, which only runs when named
+    #: here.  Not part of the network spec, so all backends share
+    #: trace/partition artifacts.
     sp_mode: str = "auto"
 
     def __post_init__(self) -> None:
@@ -263,6 +263,8 @@ class Scenario:
             "demand": self.demand.spec_dict(),
             "num_days": num_days,
             "weekend_days": [5, 6],
+            # Traces are drawn at the profile's own rate; the key stays
+            # so stores written with it keep serving.
             "rate_scale": 1.0,
         }
         full = self._build_trace(num_days)
@@ -307,10 +309,9 @@ class Scenario:
     def _build_engine(self) -> ShortestPathEngine:
         """Shortest-path engine, loading preprocessing from the store.
 
-        The spec's ``sp_mode`` is resolved first (``"auto"`` consults
-        the ``REPRO_SP_MODE`` env override, then picks ``full`` for
-        small grids and ``lazy`` above ``FULL_APSP_LIMIT``, which
-        stores nothing).  Full mode persists/loads the APSP matrices; ch
+        The spec's ``sp_mode`` is resolved first (``"auto"`` picks
+        ``full`` for small grids and ``lazy`` above ``FULL_APSP_LIMIT``,
+        which stores nothing).  Full mode persists/loads the APSP matrices; ch
         mode, chosen only explicitly, persists/loads the contraction
         hierarchy.  On a warm store both are memory-mapped
         (zero-copy: pages are shared between concurrent workers by the

@@ -235,7 +235,7 @@ def make_request(
     num_passengers=1,
 ):
     """Request factory with permissive defaults for unit tests."""
-    return RideRequest.from_flexible_factor(
+    request = RideRequest.from_flexible_factor(
         request_id=request_id,
         release_time=release_time,
         origin=origin,
@@ -243,8 +243,8 @@ def make_request(
         direct_cost=direct_cost,
         rho=rho,
         offline=offline,
-        num_passengers=num_passengers,
     )
+    return dataclasses.replace(request, num_passengers=num_passengers)
 
 
 @pytest.fixture

@@ -100,6 +100,7 @@ from repro.core.matching import insertion_start
 from repro.core.mobility_cluster import DEFAULT_LAMBDA, MobilityVector
 from repro.core.routing import (
     CORRIDOR_EXTRA_HOPS,
+    MAX_ATTEMPTS,
     MAX_ENUMERATED_PATHS,
     MIN_PSI,
     ProbabilisticRouter,
@@ -323,9 +324,9 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
     per-partition arrays are deleted, so any read of them fails."""
 
     def __init__(self, network, engine, partition_filter, transition_model,
-                 lam=DEFAULT_LAMBDA, max_attempts=5, steering_m=120.0):
+                 lam=DEFAULT_LAMBDA, steering_m=120.0):
         super().__init__(network, engine, partition_filter, transition_model,
-                         lam, max_attempts, steering_m)
+                         lam, steering_m)
         del self._demand_share, self._hot_vertex, self._steering_s
         self._steering_m = max(0.0, float(steering_m))
         self._pd_cache: dict[tuple[int, int], list[int]] = {}
@@ -431,7 +432,7 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
 
         dfs(pz, {pz}, weight.get(pz, 0.0), [pz])
         paths.sort(key=lambda p: -p[0])
-        return [p for _w, p in paths[: self._max_attempts]]
+        return [p for _w, p in paths[:MAX_ATTEMPTS]]
 
     # ------------------------------------------------------------------
     # step 3: fine-grained vertex-weighted routing
@@ -666,10 +667,9 @@ class ReferenceDemand(ChengduLikeDemand):
         day: int,
         hour: int,
         weekend: bool = False,
-        rate_scale: float = 1.0,
     ) -> list[tuple[float, int, int]]:
         profile = WEEKEND_HOURLY_PROFILE if weekend else WORKDAY_HOURLY_PROFILE
-        lam = self._hourly_requests * profile[hour % 24] * rate_scale
+        lam = self._hourly_requests * profile[hour % 24]
         rng = np.random.default_rng(self._rng.integers(2**63) ^ (day * 24 + hour))
         count = int(rng.poisson(lam))
         flows = _flow_matrix(hour % 24, weekend, self._concentration)

@@ -26,6 +26,7 @@ from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, TaxiRoute
 from repro.index.spatial import GridSpatialIndex
 from repro.service.sources import synthetic_requests
+from repro.sim import engine as engine_module
 from repro.sim.engine import Simulator
 from tests.conftest import make_request
 from tests.oracles import FullSweepSimulator
@@ -187,7 +188,7 @@ def _redispatch_world(cls, net, engine, winner):
         trip(2, boundary, 3, 9, 110.0),
     ]
     decisions = []
-    sim = cls(scheme, fleet, requests, redispatch_encounters=True, encounter_radius_m=1.0)
+    sim = cls(scheme, fleet, requests, redispatch_encounters=True)
     sim.on_decision = lambda request, now, matched, taxi_id, _elapsed, kind: decisions.append(
         (request.request_id, now, matched, taxi_id, kind)
     )
@@ -197,10 +198,13 @@ def _redispatch_world(cls, net, engine, winner):
 
 
 @pytest.mark.parametrize("winner", [2, 0], ids=["later-in-fleet-order", "earlier-in-fleet-order"])
-def test_plan_installed_mid_sweep_is_advanced_in_fleet_order(small_net, small_engine, winner):
+def test_plan_installed_mid_sweep_is_advanced_in_fleet_order(small_net, small_engine, winner,
+                                                             monkeypatch):
     """A full sweep reaches taxi 2 after taxi 1 at the same boundary and
     taxi 0 not until the next one; the due index must do the same, and
-    the release sharing the boundary must see the same fleet."""
+    the release sharing the boundary must see the same fleet.  The hail
+    is heard only at its own vertex."""
+    monkeypatch.setattr(engine_module, "ENCOUNTER_RADIUS_M", 1.0)
     expected = _redispatch_world(FullSweepSimulator, small_net, small_engine, winner)
     got = _redispatch_world(Simulator, small_net, small_engine, winner)
     assert got == expected

@@ -106,10 +106,7 @@ def test_save_load_round_trip_and_mmap(tmp_path):
     assert np.array_equal(np.asarray(art["dist"]), dist)
     assert np.array_equal(np.asarray(art["pred"]), pred)
     assert art.meta["n"] == 5
-
-    eager = store.load("apsp", key, mmap=False)
-    assert not isinstance(eager["dist"], np.memmap)
-    assert np.array_equal(eager["dist"], dist)
+    assert store.stats()["apsp"]["mmap_loads"] == 1
 
 
 def test_corrupt_artifact_counts_as_miss(tmp_path):
@@ -383,8 +380,8 @@ def test_warm_engine_reads_the_mapped_table_as_plain_ndarray(tmp_path, monkeypat
     handed_out = {}
     load = ArtifactStore.load
 
-    def recording_load(self, kind, key, mmap=True):
-        art = load(self, kind, key, mmap=mmap)
+    def recording_load(self, kind, key):
+        art = load(self, kind, key)
         handed_out[kind] = art
         return art
 

@@ -157,9 +157,6 @@ class TestBadScenarioArguments:
          "the flexible factor rho must be finite and >= 1"),
         (["simulate", *SMALL_WORLD, "--congestion", "0"], {},
          "congestion must be a positive speed factor"),
-        # A seed no other test builds: a memoised scenario has its engine already.
-        (["simulate", *SMALL_WORLD, "--seed", "9723"], {"REPRO_SP_MODE": "bogus"},
-         "invalid REPRO_SP_MODE='bogus'; use auto/full/lazy/ch"),
         (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
         (["simulate", *SMALL_WORLD, "--capacity", "0"], {}, "capacity must be positive"),
@@ -180,10 +177,26 @@ class TestBadScenarioArguments:
          "bad --rebalance spec: cadence_s must be finite"),
         (["simulate", *SMALL_WORLD, "--rebalance", "cadence_s=nan"], {},
          "bad --rebalance spec: cadence_s must be finite"),
+        # ``repro experiment`` read its environment outside set-up: a bad
+        # scale was a traceback, a bad worker count one sequential run.
+        (["experiment", "table4"], {"REPRO_BENCH_SCALE": "bogus"},
+         "unknown REPRO_BENCH_SCALE value 'bogus'; use 'quick' or 'full'"),
+        (["experiment", "table4"], {"REPRO_WORKERS": "abc"},
+         "REPRO_WORKERS must be a positive integer, got 'abc'"),
+        (["experiment", "table4"], {"REPRO_WORKERS": "0"},
+         "REPRO_WORKERS must be a positive integer, got '0'"),
+        (["experiment", "table4"], {"REPRO_WORKERS": "-3"},
+         "REPRO_WORKERS must be a positive integer, got '-3'"),
+        (["experiment", "table4", "--workers", "-2"], {},
+         "--workers must be a positive integer, got -2"),
+        (["experiment", "table4", "--workers", "0"], {},
+         "--workers must be a positive integer, got 0"),
     ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
-            "sp-mode-env", "cache-warm-ch-grid", "taxis", "capacity", "window-nan",
+            "cache-warm-ch-grid", "taxis", "capacity", "window-nan",
             "shock-radius-nan", "shock-delay-inf", "rebalance-lead-nan",
-            "rebalance-cadence-inf", "rebalance-cadence-nan"])
+            "rebalance-cadence-inf", "rebalance-cadence-nan", "bench-scale-env",
+            "workers-env-abc", "workers-env-0", "workers-env-negative", "workers-negative",
+            "workers-0"])
     def test_one_error_line_and_exit_2(self, monkeypatch, capsys, argv, env, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

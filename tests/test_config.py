@@ -12,12 +12,9 @@ import repro
 from repro.baselines.pgreedydp import PGreedyDP
 from repro.baselines.tshare import TShare
 from repro.config import SystemConfig
-from repro.core import matching
-from repro.core.partition_filter import PartitionFilter
-from repro.core.payment import PaymentModel
-from repro.core.routing import ProbabilisticRouter
+from repro.core import matching, partition_filter, payment, routing
 from repro.demand.request import RideRequest
-from repro.index.partition_index import DEFAULT_HORIZON_S
+from repro.index.partition_index import HORIZON_S
 from repro.partitioning.bipartite import DEFAULT_TRANSITION_CLUSTERS
 from repro.sim.scenario import Scenario
 from tests.conftest import make_request
@@ -29,7 +26,6 @@ OWNERS = {
     "num_taxis": lambda scenario, v: scenario.make_fleet(v),
     "capacity": lambda scenario, v: scenario.make_fleet(1, capacity=v),
     "rho": lambda scenario, v: RideRequest.from_flexible_factor(0, 0.0, 0, 1, 60.0, rho=v),
-    "epsilon": lambda scenario, v: PartitionFilter(scenario.landmark_graph(), epsilon=v),
 }
 
 
@@ -42,11 +38,10 @@ class TestValidation:
             ("search_range_m", 0.0),
             ("rho", 0.9),
             ("lam", 1.5),
-            ("epsilon", -0.1),
             ("dispatch_window_s", -1.0),
             *[
                 (field, value)
-                for field in ("search_range_m", "rho", "epsilon", "dispatch_window_s")
+                for field in ("search_range_m", "rho", "dispatch_window_s")
                 for value in (float("nan"), float("inf"))
             ],
         ],
@@ -66,11 +61,11 @@ class TestValidation:
         # The values with one setting in use, at the code that owns them.
         assert inspect.signature(Scenario.make_fleet).parameters["capacity"].default == 3
         assert inspect.signature(Scenario.requests).parameters["rho"].default == 1.3
-        assert (PaymentModel().beta, PaymentModel().eta) == (0.8, 0.01)
+        assert (payment.BETA, payment.ETA) == (0.8, 0.01)
         assert DEFAULT_TRANSITION_CLUSTERS == 20
-        assert inspect.signature(PartitionFilter).parameters["epsilon"].default == 1.0
-        assert DEFAULT_HORIZON_S == 3600.0
-        assert inspect.signature(ProbabilisticRouter).parameters["max_attempts"].default == 5
+        assert partition_filter.EPSILON == 1.0
+        assert HORIZON_S == 3600.0
+        assert routing.MAX_ATTEMPTS == 5
         assert matching.PROBABILISTIC_IDLE_SEATS == 0.5
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.demand import generator
 from repro.demand.generator import (
     WEEKEND_HOURLY_PROFILE,
     WORKDAY_HOURLY_PROFILE,
@@ -82,10 +83,6 @@ class TestZones:
         with pytest.raises(ValueError):
             ChengduLikeDemand(small_net, hourly_requests=0)
 
-    def test_bad_concentration_rejected(self, small_net):
-        with pytest.raises(ValueError):
-            ChengduLikeDemand(small_net, concentration=0.0)
-
 
 class TestGeneration:
     def test_hour_volume_tracks_profile(self, demand):
@@ -109,10 +106,14 @@ class TestGeneration:
         b = ChengduLikeDemand(small_net, num_zones=6, hourly_requests=100, seed=9)
         assert a.generate_hour(0, 8) == b.generate_hour(0, 8)
 
-    def test_rate_scale(self, demand):
-        big = demand.generate_hour(0, 8, rate_scale=2.0)
-        small = demand.generate_hour(0, 8, rate_scale=0.25)
-        assert len(big) > len(small)
+    def test_rate_scale(self, small_net):
+        """The hour's Poisson rate scales with ``hourly_requests``."""
+
+        def peak_hour(hourly_requests):
+            return ChengduLikeDemand(small_net, num_zones=8, vertices_per_zone=8,
+                                     hourly_requests=hourly_requests, seed=1).generate_hour(0, 8)
+
+        assert len(peak_hour(400)) > len(peak_hour(50))
 
     def test_generate_window(self, demand):
         ds = demand.generate_window(1, 8, 2, weekend=False)
@@ -170,15 +171,15 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("concentration", [4.0, 1.0])
     @pytest.mark.parametrize("num_zones", [5, 7, 9, 12])
-    def test_generate_hour(self, small_net, num_zones, concentration):
+    def test_generate_hour(self, small_net, num_zones, concentration, monkeypatch):
+        monkeypatch.setattr(generator, "CONCENTRATION", concentration)
         new, ref = _pair(small_net, num_zones=num_zones, vertices_per_zone=8,
-                         hourly_requests=150, concentration=concentration, seed=4)
-        for day, hour, weekend, rate_scale in (
-            (0, 8, False, 1.0), (0, 17, False, 0.5), (5, 10, True, 1.0),
-            (6, 23, True, 2.0), (1, 3, False, 1.0),
+                         hourly_requests=150, seed=4)
+        for day, hour, weekend in (
+            (0, 8, False), (0, 17, False), (5, 10, True), (6, 23, True), (1, 3, False),
         ):
-            got = new.generate_hour(day, hour, weekend=weekend, rate_scale=rate_scale)
-            want = ref.generate_hour(day, hour, weekend=weekend, rate_scale=rate_scale)
+            got = new.generate_hour(day, hour, weekend=weekend)
+            want = ref.generate_hour(day, hour, weekend=weekend)
             assert got == want
             assert all(
                 type(t) is float and type(o) is int and type(d) is int for t, o, d in got
@@ -189,14 +190,13 @@ class TestReferenceEquivalence:
     def test_generate_days_and_window(self, small_net, num_zones):
         new, ref = _pair(small_net, num_zones=num_zones, hourly_requests=60, seed=2)
         _assert_same_dataset(
-            new.generate_days(3, weekend_days={1}, rate_scale=0.5),
-            ref.generate_days(3, weekend_days={1}, rate_scale=0.5),
+            new.generate_days(3, weekend_days={1}), ref.generate_days(3, weekend_days={1})
         )
         _assert_same_rng_state(new, ref)
         _assert_same_dataset(new.generate_days(7), ref.generate_days(7))
         _assert_same_dataset(
-            new.generate_window(5, 9, 3, weekend=True, rate_scale=1.5),
-            ref.generate_window(5, 9, 3, weekend=True, rate_scale=1.5),
+            new.generate_window(5, 9, 3, weekend=True),
+            ref.generate_window(5, 9, 3, weekend=True),
         )
         _assert_same_rng_state(new, ref)
 

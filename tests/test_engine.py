@@ -5,6 +5,7 @@ import pytest
 from repro.core.payment import PaymentModel
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, TaxiRoute
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.metrics import SimulationMetrics
 from tests.conftest import build_route, make_request
@@ -150,12 +151,12 @@ class TestOfflineHandling:
         ).run()
         assert without_r.served_offline <= with_r.served_offline
 
-    def test_encounter_radius_zero_still_works(self, test_nonpeak_scenario):
+    def test_encounter_radius_zero_still_works(self, test_nonpeak_scenario, monkeypatch):
+        monkeypatch.setattr(engine, "ENCOUNTER_RADIUS_M", 0.0)
         m = Simulator(
             test_nonpeak_scenario.make_scheme("mt-share"),
             test_nonpeak_scenario.make_fleet(10, seed=0),
             test_nonpeak_scenario.requests(),
-            encounter_radius_m=0.0,
         ).run()
         assert m.served >= 0  # exact-vertex encounters only
 

@@ -5,6 +5,8 @@ parameters: whatever the draw, served trips respect deadlines, metrics
 stay consistent, and schemes never corrupt taxi state.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
 from repro.demand.dataset import TripDataset
 from repro.fleet.taxi import Taxi
+from repro.network import generators
 from repro.network.generators import grid_city
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.bipartite import bipartite_partition
@@ -23,8 +26,9 @@ def random_world(seed: int):
     """A small random city, trace, fleet and mT-Share dispatcher."""
     rng = np.random.default_rng(seed)
     size = int(rng.integers(7, 11))
-    net = grid_city(rows=size, cols=size, spacing_m=float(rng.uniform(120, 260)),
-                    removal_rate=float(rng.uniform(0.0, 0.15)), seed=seed)
+    spacing_m = float(rng.uniform(120, 260))
+    with mock.patch.object(generators, "REMOVAL_RATE", float(rng.uniform(0.0, 0.15))):
+        net = grid_city(rows=size, cols=size, spacing_m=spacing_m, seed=seed)
     engine = ShortestPathEngine(net)
 
     n = net.num_vertices

@@ -1,6 +1,7 @@
 """Tests for the synthetic road-network generators."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from repro.network import generators
 from repro.network.generators import _largest_scc, grid_city, ring_radial_city
 from tests.oracles import reference_largest_scc
 
@@ -49,20 +51,25 @@ class TestGridCity:
         with pytest.raises(ValueError):
             grid_city(rows=1, cols=5)
 
-    def test_no_removals_keeps_full_grid(self):
-        net = grid_city(rows=5, cols=5, removal_rate=0.0, one_way_rate=0.0, seed=0)
+    def test_no_removals_keeps_full_grid(self, monkeypatch):
+        monkeypatch.setattr(generators, "REMOVAL_RATE", 0.0)
+        monkeypatch.setattr(generators, "ONE_WAY_RATE", 0.0)
+        net = grid_city(rows=5, cols=5, seed=0)
         assert net.num_vertices == 25
         assert net.num_edges == 2 * (2 * 5 * 4)  # 40 undirected segments
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=4, max_value=10), st.integers(min_value=0, max_value=100))
     def test_always_strongly_connected(self, size, seed):
-        net = grid_city(rows=size, cols=size, removal_rate=0.15, one_way_rate=0.2, seed=seed)
+        with mock.patch.multiple(generators, REMOVAL_RATE=0.15, ONE_WAY_RATE=0.2):
+            net = grid_city(rows=size, cols=size, seed=seed)
         assert is_strongly_connected(net)
 
-    def test_spacing_scales_extent(self):
-        small = grid_city(rows=5, cols=5, spacing_m=100.0, jitter=0.0, removal_rate=0.0, seed=0)
-        big = grid_city(rows=5, cols=5, spacing_m=300.0, jitter=0.0, removal_rate=0.0, seed=0)
+    def test_spacing_scales_extent(self, monkeypatch):
+        monkeypatch.setattr(generators, "JITTER", 0.0)
+        monkeypatch.setattr(generators, "REMOVAL_RATE", 0.0)
+        small = grid_city(rows=5, cols=5, spacing_m=100.0, seed=0)
+        big = grid_city(rows=5, cols=5, spacing_m=300.0, seed=0)
         assert big.xy[:, 0].max() == pytest.approx(3 * small.xy[:, 0].max())
 
 
@@ -130,8 +137,6 @@ class TestLargestSCC:
     def test_matches_reference_on_broken_grids(self, size, seed, monkeypatch):
         """Grids broken hard enough to fall apart (many components, one
         giant): the edge list ``grid_city`` really hands over."""
-        import repro.network.generators as generators
-
         seen = []
 
         def recording(n, edges):
@@ -139,8 +144,11 @@ class TestLargestSCC:
             return _largest_scc(n, edges)
 
         monkeypatch.setattr(generators, "_largest_scc", recording)
-        grid_city(rows=size, cols=size, removal_rate=0.35, one_way_rate=0.4,
-                  arterial_every=0, seed=seed)
+        monkeypatch.setattr(generators, "REMOVAL_RATE", 0.35)
+        monkeypatch.setattr(generators, "ONE_WAY_RATE", 0.4)
+        # Only row 0 and column 0 stay arterial.
+        monkeypatch.setattr(generators, "ARTERIAL_EVERY", size)
+        grid_city(rows=size, cols=size, seed=seed)
         ((n, edges),) = seen
         keep, kept_edges = _largest_scc(n, edges)
         want_keep, want_edges = reference_largest_scc(n, edges)

@@ -1,5 +1,6 @@
 """Import hygiene: a process imports what it will call — and the
-package defines only what something outside the tests calls.
+package defines only what something outside the tests calls, and takes
+as a parameter only what something outside the tests sets.
 
 A warm ``full``-mode run of a scheme that routes on the stored
 all-pairs table — probabilistic routing included — never calls scipy,
@@ -112,8 +113,7 @@ print("\\n" + json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 
 def _python(store, script, *args):
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_SP_MODE"}
-    env.update({"PYTHONPATH": SRC, ARTIFACT_DIR_ENV: str(store)})
+    env = {**os.environ, "PYTHONPATH": SRC, ARTIFACT_DIR_ENV: str(store)}
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
@@ -378,3 +378,151 @@ def test_every_definition_has_a_caller_outside_the_tests():
     ``share`` this way until it was deleted)."""
     assert caller_less_definitions(os.path.dirname(SRC)) == sorted(SURFACE_KEEP)
     assert all(reason.strip() for reason in SURFACE_KEEP.values())
+
+
+#: Defaulted parameters in ``src/repro`` that nothing outside ``tests/``
+#: sets, each with the reason it stays settable.  Every other such
+#: parameter is a setting only the tests turn: a module constant the
+#: tests patch, or gone; see
+#: :func:`test_every_defaulted_parameter_is_set_outside_the_tests`.
+PARAMETER_KEEP = {
+    "contracts.enable(on)": "the documented switch the test session arms the runtime "
+    "contracts with (repro.analysis.contracts, docs/STATIC_ANALYSIS.md)",
+    "DispatchService.pump(until)": "the batch == streamed checks pump up to each release "
+    "(tests/test_service.py, test_determinism.py, test_advance_index.py); it forwards "
+    "to Simulator.stream_pump(until), so the two stay together",
+    "Simulator.__init__(obs)": "the seam tests inject an in-memory trace through "
+    "(tests/test_faults.py::TestShockRescan)",
+}
+
+
+class _Settings(ast.NodeVisitor):
+    """Collects a module's defaulted parameters (``src`` only) and, per
+    callable name, the calls that pass arguments and the references
+    that hand the callable on without calling it.
+
+    A call to ``Cls(...)`` or ``super().__init__(...)`` inside a
+    subclass of ``Cls`` is a call to ``Cls.__init__``; annotations,
+    base-class lists and ``isinstance`` tests name a class without
+    handing it on.
+    """
+
+    def __init__(self, path, collect, params, calls, refs):
+        self.path, self.collect = path, collect
+        self.params, self.calls, self.refs = params, calls, refs
+        self.classes = []
+        self.passive = set()  # ids of nodes that are no reference
+
+    def visit_Import(self, node):
+        pass
+
+    visit_ImportFrom = visit_Import
+
+    def visit_ClassDef(self, node):
+        self.passive.update(id(base) for base in node.bases)
+        self.classes.append(node)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+            if arg is not None and arg.annotation is not None:
+                self.passive.update(id(n) for n in ast.walk(arg.annotation))
+        if node.returns is not None:
+            self.passive.update(id(n) for n in ast.walk(node.returns))
+        cls = self.classes[-1] if self.classes and node in self.classes[-1].body else None
+        if self.collect:
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if cls is not None and not static else 0  # self / cls
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            owner = cls.name if cls is not None else self.path.stem
+            init = node.name == "__init__" and cls is not None
+            callee = cls.name if init else node.name
+            method = cls is not None and not init
+            defaulted = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for name, position in defaulted:
+                self.params.append((f"{owner}.{node.name}({name})", callee, method,
+                                    name, position))
+        saved, self.classes = self.classes, []
+        self.generic_visit(node)
+        self.classes = saved
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_AnnAssign(self, node):
+        self.passive.update(id(n) for n in ast.walk(node.annotation))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("isinstance", "issubclass") and node.args:
+            self.passive.update(id(n) for n in ast.walk(node.args[-1]))
+        if isinstance(func, ast.Name):
+            names = [func.id]
+        elif (isinstance(func, ast.Attribute) and func.attr == "__init__"
+              and isinstance(func.value, ast.Call) and isinstance(func.value.func, ast.Name)
+              and func.value.func.id == "super" and self.classes):
+            names = [b.id if isinstance(b, ast.Name) else b.attr
+                     for b in self.classes[-1].bases if isinstance(b, (ast.Name, ast.Attribute))]
+        elif isinstance(func, ast.Attribute):
+            names = [func.attr]
+        else:
+            names = []
+        starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords)
+        for name in names:
+            self.calls[name].append((len(node.args), {k.arg for k in node.keywords}, starred))
+        self.passive.add(id(func))
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if id(node) not in self.passive:
+            self.refs[node.id].add("name")
+
+    def visit_Attribute(self, node):
+        if id(node) not in self.passive:
+            self.refs[node.attr].add("attribute")
+        self.generic_visit(node)
+
+
+def unset_parameters(root):
+    """Qualified names (``Owner.function(parameter)``) of the defaulted
+    parameters in ``root/src`` that no call in ``src``, ``examples`` or
+    ``benchmarks`` passes, by keyword or by position, to a callable of
+    that name.  A call through ``*`` or ``**`` passes every parameter,
+    and so does handing the callable on uncalled (a registry entry, a
+    callback): a method by attribute, a function or class by name."""
+    params, calls = [], collections.defaultdict(list)
+    refs = collections.defaultdict(set)
+    for tree in ("src", "examples", "benchmarks"):
+        for path in sorted(pathlib.Path(root, tree).rglob("*.py")):
+            module = ast.parse(path.read_text(encoding="utf-8"))
+            _Settings(path, tree == "src", params, calls, refs).visit(module)
+    assert len(params) > 100  # not vacuous: the walk sees the package
+    unset = []
+    for qualname, callee, method, name, position in params:
+        handed_on = "attribute" in refs[callee] or (not method and "name" in refs[callee])
+        passed = any(
+            starred or name in keywords or (position is not None and position < npos)
+            for npos, keywords, starred in calls[callee]
+        )
+        if not (handed_on or passed):
+            unset.append(qualname)
+    return sorted(unset)
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    """A setting stays settable only if code outside ``tests/`` sets it;
+    one only a test turns is a module constant with today's value (the
+    test patches it) or, when its default is the only behaviour, gone.
+    The match is by name, like :func:`caller_less_definitions`, so a
+    parameter a same-named call sets passes; ``ArtifactStore.load(mmap)``
+    hid behind a local variable called ``load`` until references were
+    told apart from calls."""
+    assert unset_parameters(os.path.dirname(SRC)) == sorted(PARAMETER_KEEP)
+    assert all(reason.strip() for reason in PARAMETER_KEEP.values())

@@ -580,13 +580,13 @@ class TestDirectionUnits:
             brute = [
                 cid
                 for cid in index.cluster_ids()
-                if index.general_vector(cid).similarity(vec) >= index.lam
+                if index._clusters[cid].general_vector().similarity(vec) >= index.lam
             ]
             assert index.matching_clusters(vec) == brute
             best_id, best_sim = index._best_cluster(vec)
             exp_id, exp_sim = None, -2.0
             for cid in index.cluster_ids():
-                sim = index.general_vector(cid).similarity(vec)
+                sim = index._clusters[cid].general_vector().similarity(vec)
                 if sim > exp_sim:
                     exp_id, exp_sim = cid, sim
             assert (best_id, best_sim) == (exp_id, exp_sim)

@@ -1,7 +1,6 @@
 """Tests for passenger-taxi matching (candidate search + Algorithm 1)."""
 
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -316,7 +315,7 @@ class TestMatchObservability:
 
 
 # ----------------------------------------------------------------------
-# whole-window screening: the bulk tier against the scalar search
+# whole-window screening against the per-request search
 # ----------------------------------------------------------------------
 class ScreeningWorld:
     """A mid-run ``mt-share`` world to screen requests against.
@@ -411,10 +410,9 @@ class ScreeningWorld:
             obs = Instrumentation()
             self.matcher.instrument(obs)
             if bulk:
-                with mock.patch.object(matching, "BULK_SCREEN_MIN_REQUESTS", 1):
-                    screen = self.matcher.screen_window(batch, fleet, self.now)
-                    lists = [[screen.taxis[j] for j in np.flatnonzero(row)]
-                             for row in screen.member]
+                screen = self.matcher.screen_window(batch, fleet, self.now)
+                lists = [[screen.taxis[j] for j in np.flatnonzero(row)]
+                         for row in screen.member]
                 assert obs.counters.get("window.screened_pairs", 0) == len(batch) * len(
                     [tid for tid in self.pindex.arrival_table()[0] if tid in fleet]
                 )
@@ -429,9 +427,9 @@ class ScreeningWorld:
 
 
 class TestBulkScreening:
-    """``Matcher.screen_window``'s bulk tier returns, request by request,
-    the taxis ``candidate_taxis`` returns, in its order, and counts the
-    same exact reachability checks."""
+    """``Matcher.screen_window`` returns, request by request, the taxis
+    ``candidate_taxis`` returns, in its order, and counts the same exact
+    reachability checks."""
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -74,7 +74,7 @@ class TestClusterIndexRequests:
         idx = MobilityClusterIndex()
         cid = idx.add_request(1, vec(0, 0, 100, 0))
         idx.add_request(2, vec(20, 0, 120, 40))
-        gv = idx.general_vector(cid)
+        gv = idx._clusters[cid].general_vector()
         assert gv.ox == pytest.approx(10.0)
         assert gv.dx == pytest.approx(110.0)
         assert gv.dy == pytest.approx(20.0)
@@ -99,7 +99,7 @@ class TestClusterIndexRequests:
         idx.add_request(2, EAST)
         idx.remove_request(1)
         assert idx.cluster_ids() == [cid] == [idx.cluster_of_request(2)]
-        assert idx.general_vector(cid) == EAST
+        assert idx._clusters[cid].general_vector() == EAST
 
     def test_matching_clusters(self):
         idx = MobilityClusterIndex()

@@ -15,6 +15,7 @@ import pytest
 from repro.core.payment import PaymentModel
 from repro.reporting import observability_table
 from repro.obs import NULL, Instrumentation, JsonlTraceWriter, NullInstrumentation, StageStats
+from repro.obs import trace as trace_module
 from repro.sim.engine import Simulator
 
 
@@ -135,9 +136,10 @@ class TestNullInstrumentation:
 
 
 class TestJsonlTrace:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trace_module, "BUFFER_LINES", 2)
         path = tmp_path / "t.jsonl"
-        with JsonlTraceWriter(str(path), buffer_lines=2) as w:
+        with JsonlTraceWriter(str(path)) as w:
             for i in range(5):
                 w.emit({"ev": "x", "i": i})
         lines = path.read_text().splitlines()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.index.partition_index import PartitionTaxiIndex
+from repro.index.partition_index import HORIZON_S, PartitionTaxiIndex
 
 
 def partitions_of(idx, taxi_id):
@@ -15,10 +15,6 @@ class TestValidation:
     def test_needs_partitions(self):
         with pytest.raises(ValueError):
             PartitionTaxiIndex(0)
-
-    def test_needs_positive_horizon(self):
-        with pytest.raises(ValueError):
-            PartitionTaxiIndex(3, horizon_s=0.0)
 
 
 class TestUpdates:
@@ -69,7 +65,7 @@ class TestUpdates:
 
 class TestFromRoute:
     def test_first_arrival_per_partition(self):
-        idx = PartitionTaxiIndex(3, horizon_s=1000.0)
+        idx = PartitionTaxiIndex(3)
         partition_of = {0: 0, 1: 0, 2: 1, 3: 2}.__getitem__
         idx.update_taxi_from_route(
             5,
@@ -83,12 +79,16 @@ class TestFromRoute:
         assert idx.arrival_map(2) == {5: 30.0}
 
     def test_horizon_truncates(self):
-        idx = PartitionTaxiIndex(2, horizon_s=15.0)
+        idx = PartitionTaxiIndex(2)
         partition_of = {0: 0, 1: 1}.__getitem__
         idx.update_taxi_from_route(
-            1, [0, 1], [0.0, 100.0], partition_of, now=0.0
+            1, [0, 1], [10.0, 10.0 + HORIZON_S + 1.0], partition_of, now=10.0
         )
         assert idx.arrival_map(1) == {}
+        idx.update_taxi_from_route(
+            1, [0, 1], [10.0, 10.0 + HORIZON_S], partition_of, now=10.0
+        )
+        assert idx.arrival_map(1) == {1: 10.0 + HORIZON_S}
 
     def test_past_times_clamped_to_now(self):
         idx = PartitionTaxiIndex(1)

@@ -1,8 +1,11 @@
 """Tests for the payment model (Eqs. 5-8)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import payment
 from repro.core.payment import FareSchedule, PaymentModel
 
 dist = st.floats(min_value=500.0, max_value=20000.0)
@@ -31,19 +34,19 @@ class TestFareSchedule:
 
 class TestDetourRates:
     def test_no_detour_gives_base_rate(self):
-        pm = PaymentModel(eta=0.01)
+        pm = PaymentModel()
         assert pm.detour_rate(1000.0, 1000.0) == pytest.approx(0.01)
 
     def test_detour_rate(self):
-        pm = PaymentModel(eta=0.01)
+        pm = PaymentModel()
         assert pm.detour_rate(1500.0, 1000.0) == pytest.approx(0.51)
 
     def test_shorter_than_direct_clamped(self):
         pm = PaymentModel()
-        assert pm.detour_rate(900.0, 1000.0) == pytest.approx(pm.eta)
+        assert pm.detour_rate(900.0, 1000.0) == pytest.approx(payment.ETA)
 
     def test_projected_rate(self):
-        pm = PaymentModel(eta=0.01)
+        pm = PaymentModel()
         # travelled 800, remaining shortest 400, direct 1000 -> 20% detour
         assert pm.projected_detour_rate(800.0, 400.0, 1000.0) == pytest.approx(0.21)
 
@@ -52,19 +55,9 @@ class TestDetourRates:
             PaymentModel().detour_rate(100.0, 0.0)
 
 
-class TestModelValidation:
-    def test_beta_range(self):
-        with pytest.raises(ValueError):
-            PaymentModel(beta=1.5)
-
-    def test_eta_positive(self):
-        with pytest.raises(ValueError):
-            PaymentModel(eta=0.0)
-
-
 class TestSettlement:
-    def two_rider_settlement(self, beta=0.8):
-        pm = PaymentModel(beta=beta)
+    def two_rider_settlement(self):
+        pm = PaymentModel()
         shortest = {1: 4000.0, 2: 5000.0}
         shared = {1: 4400.0, 2: 5000.0}
         route_m = 7000.0  # much shorter than 9000 combined
@@ -126,10 +119,11 @@ class TestSettlement:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_settlement_invariants(self, shortest, stretch, beta):
-        pm = PaymentModel(beta=beta)
+        pm = PaymentModel()
         shared = {i: d * stretch for i, d in shortest.items()}
         route_m = max(shared.values())
-        s = pm.settle(shortest, shared, route_m)
+        with mock.patch.object(payment, "BETA", beta):
+            s = pm.settle(shortest, shared, route_m)
         assert s.benefit >= 0.0
         assert s.driver_income >= s.route_fare - 1e-9
         for c in s.charges:

@@ -1,4 +1,4 @@
-"""The ``repro lint`` analyzer: per-checker fixtures, suppressions, baseline.
+"""The ``repro lint`` analyzer: per-checker fixtures, suppressions, CLI.
 
 Each checker gets (at least) a true-positive fixture, a suppressed
 fixture and a clean fixture.  Fixture files are written under a
@@ -19,21 +19,17 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_CHECKERS, lint_paths, main
-from repro.analysis.engine import (
-    PARSE_ERROR_CODE,
-    parse_suppressions,
-    write_baseline,
-)
+from repro.analysis.engine import PARSE_ERROR_CODE, parse_suppressions
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def lint_source(tmp_path, relfile: str, source: str, baseline_path=None):
+def lint_source(tmp_path, relfile: str, source: str):
     """Write ``source`` at ``tmp_path/relfile`` and lint the tree."""
     target = tmp_path / relfile
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    return lint_paths([str(tmp_path)], baseline_path=baseline_path)
+    return lint_paths([str(tmp_path)])
 
 
 def new_codes(result) -> list[str]:
@@ -396,7 +392,7 @@ def test_rep008_sorted_clean(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# engine behaviour: suppressions, baseline, parse errors, CLI
+# engine behaviour: suppressions, parse errors, CLI
 # ----------------------------------------------------------------------
 def test_suppression_without_reason_still_fires(tmp_path):
     result = lint_source(
@@ -421,45 +417,22 @@ def test_parse_error_reported_as_rep000(tmp_path):
     assert new_codes(result) == [PARSE_ERROR_CODE]
 
 
-def test_baseline_grandfathers_exact_budget(tmp_path):
-    source = textwrap.dedent(
-        """
-        def one(x, a=[]):
-            return a
-
-        def two(x, b={}):
-            return b
-        """
-    )
-    result = lint_source(tmp_path, "anywhere/mod.py", source)
-    assert len(result.new) == 2
-
-    baseline = tmp_path / "baseline.json"
-    write_baseline(result.new, baseline)
-
-    again = lint_source(tmp_path, "anywhere/mod.py", source, baseline_path=baseline)
-    assert again.new == []
-    assert len(again.baselined) == 2
-    assert again.exit_code == 0
-
-    # A third occurrence exceeds the grandfathered budget and is new.
-    grown = source + "\ndef three(x, c=set()):\n    return c\n"
-    regrown = lint_source(tmp_path, "anywhere/mod.py", grown, baseline_path=baseline)
-    assert len(regrown.baselined) == 2
-    assert len(regrown.new) == 1
-    assert regrown.exit_code == 1
-
-
 def test_cli_update_baseline_round_trip(tmp_path, monkeypatch, capsys):
+    """Nothing can be grandfathered: the baseline flags are refused, no
+    file is written, and the finding still fails the next run."""
     target = tmp_path / "repro" / "core" / "mod.py"
     target.parent.mkdir(parents=True)
     target.write_text("def f(a=[]):\n    return a\n")
     monkeypatch.chdir(tmp_path)
 
     assert main([str(target)]) == 1
-    assert main([str(target), "--update-baseline"]) == 0
-    assert json.loads(Path("lint-baseline.json").read_text())["findings"]
-    assert main([str(target)]) == 0
+    for flag in (["--update-baseline"], ["--no-baseline"], ["--baseline", "b.json"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*flag, str(target)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.json")) == []
+    assert main([str(target)]) == 1
     capsys.readouterr()
 
 
@@ -467,9 +440,10 @@ def test_cli_json_format(tmp_path, monkeypatch, capsys):
     target = tmp_path / "mod.py"
     target.write_text("def f(a=[]):\n    return a\n")
     monkeypatch.chdir(tmp_path)
-    code = main([str(target), "--format", "json", "--no-baseline"])
+    code = main([str(target), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
+    assert payload["version"] == 2 and "baselined" not in payload
     assert [f["code"] for f in payload["new"]] == ["REP005"]
 
 
@@ -507,27 +481,6 @@ def test_cli_missing_path_is_an_error_line_not_a_traceback(tmp_path, monkeypatch
         assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "not json",
-        '{"version": 2, "findings": []}',
-        '{"version": 1, "findings": 3}',
-        '{"version": 1, "findings": [{"code": "REP005"}]}',
-        "[]",
-    ],
-    ids=["not-json", "wrong-version", "findings-not-a-list", "entry-without-path", "not-an-object"],
-)
-def test_cli_bad_baseline_is_an_error_line_not_a_traceback(tmp_path, monkeypatch, capsys, content):
-    (tmp_path / "mod.py").write_text("x = 1\n")
-    (tmp_path / "baseline.json").write_text(content)
-    monkeypatch.chdir(tmp_path)
-    assert main(["--baseline", "baseline.json", "mod.py"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: baseline.json is not a lint baseline: ")
-    assert captured.err.count("\n") == 1 and captured.out == ""
-
-
 def test_deep_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--deep", "src"])
@@ -550,14 +503,14 @@ def test_repro_cli_forwards_lint_subcommand(tmp_path, monkeypatch, capsys):
 # ----------------------------------------------------------------------
 def test_shipped_tree_lints_clean(monkeypatch):
     monkeypatch.chdir(ROOT)
-    result = lint_paths(["src"], baseline_path=Path("lint-baseline.json"))
+    result = lint_paths(["src"])
     assert result.new == [], "\n".join(f.render() for f in result.new)
     assert result.exit_code == 0
 
 
 def test_shipped_baseline_is_empty():
-    data = json.loads((ROOT / "lint-baseline.json").read_text())
-    assert data == {"version": 1, "findings": []}
+    """No file of grandfathered findings ships, so none can hide one."""
+    assert not (ROOT / "lint-baseline.json").exists()
 
 
 def test_module_entry_point_exits_zero():

@@ -150,7 +150,8 @@ class TestProbabilisticRouter:
     def test_partition_probability_positive_towards_demand(self, router):
         # Direction north (towards row 2 where trips end): row 2's
         # pick-up hotspot (vertex 7) lies in partition 2.
-        p = router.partition_probability(2, (0.0, 1.0))
+        north = (0.0, 1.0)
+        p = router._sector_entry(2, routing.heading_sector(north), north).pi
         assert p >= 0.0
 
     def test_steers_through_hot_vertex_when_free(self, router, tiny_engine, tiny_net):
@@ -196,9 +197,9 @@ class _World:
         self._model, self._lam = part.transition_model, config.lam
         self._steering_m = config.prob_steering_m
 
-    def router(self, cls, max_attempts=5):
+    def router(self, cls):
         return cls(self.net, self.engine, PartitionFilter(self.lg, lam=self._lam), self._model,
-                   self._lam, max_attempts, self._steering_m)
+                   self._lam, self._steering_m)
 
     def vertex_in(self, z, k=0):
         return self.lg.members(z)[k]
@@ -329,9 +330,7 @@ def test_two_headings_in_one_sector_keep_the_first_callers_destinations(world):
                route_op(world, u, 0.0, [(u, v, 3.0)], second)]
         fast, _ = play(world, ops)
         assert fast._sectors[(pi, 8)].dests == fresh_dests(pi, first) != fresh_dests(pi, second)
-        assert fast.partition_probability(pi, second.direction) == (
-            fast.partition_probability(pi, first.direction)
-        )
+        assert fast._sector_entry(pi, 8, second.direction) is fast._sectors[(pi, 8)]
 
 
 def test_one_leg_under_every_heading(world):
@@ -398,9 +397,10 @@ def test_leg_inside_one_partition(world):
 def test_corridor_enumeration_truncated_by_the_dfs_budget(world):
     """Some partition pair has more simple landmark paths than
     ``MAX_ENUMERATED_PATHS``; its corridor list is what the budget left."""
-    unbounded = world.router(ReferenceProbabilisticRouter, max_attempts=10**9)
+    unbounded = world.router(ReferenceProbabilisticRouter)
     kappa = world.lg.num_partitions
-    with mock.patch.object(oracles, "MAX_ENUMERATED_PATHS", 10**9):
+    with mock.patch.object(oracles, "MAX_ENUMERATED_PATHS", 10**9), \
+            mock.patch.object(oracles, "MAX_ATTEMPTS", 10**9):
         pz, pz1 = next(
             (a, b) for a in range(kappa) for b in range(kappa)
             if a != b and len(unbounded._corridors(

@@ -9,8 +9,9 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from repro.experiments import runner
+from repro.experiments import figures, runner
 from repro.experiments.figures import ALL_EXPERIMENTS, NON_RUN_FIGURES, figure_run_keys
 from repro.experiments.runner import (
     BenchScale,
@@ -100,9 +101,10 @@ def test_collect_keys_records_without_running():
     assert runner._PLANNING is None, "planning flag must be restored"
 
 
-def test_figure_run_keys_skips_non_run_figures():
+def test_figure_run_keys_skips_non_run_figures(monkeypatch):
     assert "fig5" in NON_RUN_FIGURES and "fig21" in NON_RUN_FIGURES
-    keys = figure_run_keys(["fig5", "fig6", "fig7", "table3", "fig21"], MICRO_SCALE)
+    monkeypatch.setattr(figures, "bench_scale", lambda: MICRO_SCALE)
+    keys = figure_run_keys(["fig5", "fig6", "fig7", "table3", "fig21"])
     assert keys, "run()-routed figures must contribute keys"
     # Figs. 6/7 and Table III share the peak fleet sweep: 4 schemes x 2
     # fleet sizes, deduplicated.
@@ -110,8 +112,9 @@ def test_figure_run_keys_skips_non_run_figures():
     assert all(k.spec == MICRO_SPEC for k in keys)
 
 
-def test_figure_run_keys_default_covers_all_run_figures():
-    keys = figure_run_keys(scale=MICRO_SCALE)
+def test_figure_run_keys_default_covers_all_run_figures(monkeypatch):
+    monkeypatch.setattr(figures, "bench_scale", lambda: MICRO_SCALE)
+    keys = figure_run_keys()
     assert len(keys) > 20
     names = set(ALL_EXPERIMENTS) - NON_RUN_FIGURES
     assert names, "registry should have run()-routed figures"
@@ -161,8 +164,10 @@ def test_default_workers_env(monkeypatch):
     assert default_workers() == 1
     monkeypatch.setenv(runner.WORKERS_ENV, "4")
     assert default_workers() == 4
-    monkeypatch.setenv(runner.WORKERS_ENV, "bogus")
-    assert default_workers() == 1
+    for bad in ("bogus", "0", "-3"):
+        monkeypatch.setenv(runner.WORKERS_ENV, bad)
+        with pytest.raises(ValueError, match=f"positive integer, got '{bad}'"):
+            default_workers()
 
 
 # ----------------------------------------------------------------------

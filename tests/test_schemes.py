@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.mtshare import MTShare
 from repro.fleet.taxi import Taxi
+from repro.obs import Instrumentation
 from repro.partitioning.bipartite import geo_partition
 
 
@@ -124,11 +125,13 @@ class TestTShare:
 
     def test_candidate_count_tracked(self, scenario):
         scheme = scenario.make_scheme("t-share")
+        obs = Instrumentation()
+        scheme.instrument(obs)
         fleet = small_fleet(scenario, 30)
         scheme.register_fleet(fleet, now=0.0)
         request = first_request(scenario)
         scheme.dispatch(request, request.release_time)
-        assert scheme.last_candidate_count >= 0
+        assert obs.counters["match.candidates_found"] >= 0
 
 
 class TestPGreedyDP:

@@ -14,7 +14,6 @@ from repro.network import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.network.shortest_path import (
     FULL_APSP_LIMIT,
-    SP_MODE_ENV,
     PathNotFound,
     ShortestPathEngine,
     dijkstra_restricted,
@@ -289,7 +288,8 @@ class TestCHMode:
         assert "sp.ch.shortcuts" in eng.STAT_GAUGES
 
     def test_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv(SP_MODE_ENV, raising=False)
+        # The size rule alone: no environment variable moves ``auto``.
+        monkeypatch.setenv("REPRO_SP_MODE", "ch")
         assert resolve_sp_mode("auto", 100) == "full"
         assert resolve_sp_mode("auto", FULL_APSP_LIMIT) == "full"
         # The size rule never picks the hierarchy: lazy measured faster.
@@ -297,13 +297,9 @@ class TestCHMode:
         assert resolve_sp_mode("auto", 50_000) == "lazy"
         assert resolve_sp_mode("lazy", 50_000) == "lazy"
         assert resolve_sp_mode("ch", 100) == "ch"
-        monkeypatch.setenv(SP_MODE_ENV, "ch")
-        assert resolve_sp_mode("auto", 100) == "ch"
-        assert resolve_sp_mode("auto", 50_000) == "ch"
-        assert resolve_sp_mode("full", 100) == "full"  # explicit beats env
-        monkeypatch.setenv(SP_MODE_ENV, "bogus")
+        assert resolve_sp_mode("full", 50_000) == "full"
         with pytest.raises(ValueError):
-            resolve_sp_mode("auto", 100)
+            resolve_sp_mode("bogus", 100)
 
 
     def test_auto_above_limit_builds_no_hierarchy(self, tmp_path, monkeypatch):
@@ -313,7 +309,6 @@ class TestCHMode:
         from repro.sim.scenario import ScenarioSpec
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
-        monkeypatch.delenv(SP_MODE_ENV, raising=False)
         spec = ScenarioSpec(
             grid_rows=78, grid_cols=78, hourly_requests=20, history_days=1,
             num_partitions=4, offline_count=0, seed=3,

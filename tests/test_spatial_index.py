@@ -22,7 +22,7 @@ class TestBasics:
     def test_update_moves(self):
         idx = GridSpatialIndex(100.0)
         idx.insert(1, 0.0, 0.0)
-        idx.update(1, 1000.0, 1000.0)
+        idx.insert(1, 1000.0, 1000.0)
         assert len(idx) == 1
         assert idx.position(1) == (1000.0, 1000.0)
         assert idx.query_radius(0.0, 0.0, 10.0) == []

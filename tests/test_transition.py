@@ -60,13 +60,6 @@ class TestFit:
         assert np.allclose(model.matrix, 0.5)
         assert model.pickup_frequency(0) == 0.0
 
-    def test_smoothing(self):
-        labels = np.array([0, 1])
-        trips = np.array([[0, 0]])
-        model = TransitionModel.fit(trips, labels, 2, smoothing=1.0)
-        # counts: [1+1, 0+1] -> [2/3, 1/3]
-        assert [model.prob(0, c) for c in (0, 1)] == pytest.approx([2 / 3, 1 / 3])
-
     def test_bad_trip_shape_rejected(self):
         with pytest.raises(ValueError):
             TransitionModel.fit(np.zeros((3, 3), dtype=int), np.array([0]), 1)
@@ -104,13 +97,6 @@ class TestQueries:
         # Vertices {0, 1}, destinations {1}: weighted by pickup share.
         expected = (2 / 3) * (3 / 4) + 1.0 * (1 / 4)
         assert model.partition_probability([0, 1], [1]) == pytest.approx(expected)
-
-    def test_partition_probability_unweighted(self):
-        model = simple_model()
-        expected = ((2 / 3) + 1.0) / 2
-        assert model.partition_probability([0, 1], [1], weight_by_demand=False) == pytest.approx(
-            expected
-        )
 
     def test_partition_probability_empty(self):
         model = simple_model()

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.core import matching, window
-from repro.core.matching import BULK_SCREEN_MIN_REQUESTS
+from repro.core import window
 from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
 from repro.fleet.schedule import score_insertions
@@ -213,23 +212,18 @@ class TestCostMatrixEquivalence:
         return scheme, fleet, batch, now
 
     def test_matrix_matches_scalar_reference(self, test_scenario, monkeypatch):
-        self._assert_matches_reference(test_scenario, "scalar", monkeypatch)
+        self._assert_matches_reference(test_scenario, monkeypatch)
 
     @pytest.mark.parametrize("sp_mode", ["full", "lazy", "ch"])
-    @pytest.mark.parametrize("tier", ["scalar", "bulk"])
-    def test_matrix_matches_scalar_reference_on(
-        self, sp_mode_scenarios, sp_mode, tier, monkeypatch
-    ):
-        """Both screening tiers, every routing backend."""
+    def test_matrix_matches_scalar_reference_on(self, sp_mode_scenarios, sp_mode, monkeypatch):
+        """Every routing backend."""
         assert sp_mode_scenarios[sp_mode].engine.mode == sp_mode
-        self._assert_matches_reference(sp_mode_scenarios[sp_mode], tier, monkeypatch)
+        self._assert_matches_reference(sp_mode_scenarios[sp_mode], monkeypatch)
 
-    def _assert_matches_reference(self, scenario, tier, monkeypatch):
+    def _assert_matches_reference(self, scenario, monkeypatch):
         """The LAP input is the scalar reference's, byte for byte."""
         scheme, fleet, batch, now = self._busy_state(scenario)
-        assert 2 <= len(batch) < BULK_SCREEN_MIN_REQUESTS
-        if tier == "bulk":
-            monkeypatch.setattr(matching, "BULK_SCREEN_MIN_REQUESTS", 2)
+        assert len(batch) >= 2
         assert any(fleet[t].pending_stops() for t in fleet), "no busy taxis to exercise"
         obs = Instrumentation()
         scheme.instrument(obs)
@@ -243,8 +237,7 @@ class TestCostMatrixEquivalence:
         fast = scheme.build_cost_matrix(batch, now)
         # Every busy (request, taxi) pair of the window in one call.
         assert calls == [obs.counters["window.matrix_busy_pairs"]]
-        assert ("window.screened_pairs" in obs.counters) == (tier == "bulk")
-        assert ("window.candidates" in obs.stages) == (tier == "scalar")
+        assert obs.counters["window.screened_pairs"] > 0
         slow = scalar_cost_matrix(scheme, batch, now)
         assert fast.taxi_ids == slow.taxi_ids
         assert fast.num_candidates == slow.num_candidates
@@ -314,13 +307,14 @@ class TestRollover:
             assert m.counters.get(counter, 0) > 0, counter
         assert "window.solve" in m.stages
         assert m.stages["window.solve"]["count"] == m.counters["window.flushes"]
-        # 30 s windows at this demand hold a handful of requests: the
-        # scalar screening tier is still what small windows reach ...
-        assert m.stages["window.candidates"]["count"] > 0
-        assert "window.screened_pairs" not in m.counters
+        # 30 s windows at this demand hold a handful of requests: each
+        # one of two or more is screened whole, never request by request.
+        assert 0 < m.stages["window.screen"]["count"] <= m.counters["window.flushes"]
+        assert m.counters["window.screened_pairs"] > 0
+        assert "window.candidates" not in m.stages
 
     def test_large_windows_screen_in_bulk(self, test_scenario):
-        # ... and five-minute windows hold a few dozen: the bulk tier.
+        # Five-minute windows hold a few dozen requests.
         m = _run(test_scenario, _window_scheme(test_scenario, 300.0))
         assert m.counters["window.screened_pairs"] > 0
         assert 0 < m.stages["window.screen"]["count"] <= m.counters["window.flushes"]
@@ -351,19 +345,40 @@ class TestWindowedDeterminism:
 
 
 # ----------------------------------------------------------------------
-# the screening tier never moves a decision: whole runs, every subsystem on
+# window screening never moves a decision: whole runs, every subsystem on
 # ----------------------------------------------------------------------
 CHAOS = "seed=5,breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
 
+#: Counters only the production fill keeps: the reference below builds
+#: its matrix pair by pair and reads no fleet-wide screen.
+FILL_COUNTERS = ("window.screened_pairs", "window.bulk_m2m_cells", "window.matrix_idle_pairs",
+                 "window.matrix_busy_pairs")
 
-def _observe(scenario, streamed, min_bulk, monkeypatch):
-    """One ``window-lap`` run with faults and rebalancing on, screening in
-    bulk from ``min_bulk`` requests up; everything a decision would move."""
-    monkeypatch.setattr(matching, "BULK_SCREEN_MIN_REQUESTS", min_bulk)
+
+class ScalarWindowLAP(WindowLAP):
+    """``window-lap`` whose cost matrix is the per-pair reference:
+    one ``candidate_taxis`` search per request and the scalar insertion
+    oracle per candidate (``tests/oracles.py::scalar_cost_matrix``)."""
+
+    def build_cost_matrix(self, batch, now):
+        matrix = scalar_cost_matrix(self, batch, now)
+        self._obs.count("match.candidates_found", sum(matrix.num_candidates))
+        self._obs.count("window.matrix_cells", matrix.costs.size)
+        self._obs.count("window.matrix_feasible", int(np.isfinite(matrix.costs).sum()))
+        return matrix
+
+
+def _observe(scenario, cls, streamed):
+    """One windowed run of ``cls`` with faults and rebalancing on;
+    everything a decision would move."""
+    config = scenario.default_config(dispatch_window_s=60.0)
+    landmarks = scenario.landmark_graph("bipartite", config.num_partitions)
+    scheme = cls(scenario.network, scenario.engine, config,
+                 scenario.partitioning("bipartite", config.num_partitions), landmarks=landmarks)
     requests = scenario.requests(rho=1.6, seed=1)
     fleet = scenario.make_fleet(12, seed=1)
     sim = Simulator(
-        _window_scheme(scenario, 60.0),
+        scheme,
         fleet,
         [] if streamed else requests,
         payment=PaymentModel(),
@@ -390,33 +405,35 @@ def _observe(scenario, streamed, min_bulk, monkeypatch):
         "waiting": m.waiting_times_s,
         "detour": m.detour_times_s,
         "fares": (m.regular_fares, m.shared_fares, m.driver_incomes),
-        "reach_checks": m.counters.get("kernel.batched_reach_checks", 0),
         "counters": {
             k: v for k, v in m.counters.items()
-            if k.startswith(("match.", "fault.", "rebalance.", "sim."))
-            or (k.startswith("window.") and k != "window.screened_pairs")
+            if k.startswith(("match.", "fault.", "rebalance.", "sim.", "window."))
+            and k not in FILL_COUNTERS
         },
+        # Both screens count each exact reachability bound they take.
+        "reach_checks": m.counters.get("kernel.batched_reach_checks", 0),
     }, m
 
 
 @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "streamed"])
-def test_screening_tier_never_moves_a_decision(test_scenario, streamed, monkeypatch):
-    """Every multi-request window screened in bulk against every window
-    screened by the per-request scalar search: the ``on_decision``
-    streams agree record by record, with breakdowns, cancellations,
-    shocks and rebalancing on."""
-    bulk, bulk_rest, m = _observe(test_scenario, streamed, 2, monkeypatch)
-    scalar, scalar_rest, m_scalar = _observe(test_scenario, streamed, 10**9, monkeypatch)
-    assert len(bulk) == len(scalar)
-    for got, expected in zip(bulk, scalar):
+def test_screening_tier_never_moves_a_decision(test_scenario, streamed):
+    """Whole ``window-lap`` runs against the per-pair reference scheme:
+    the ``on_decision`` streams agree record by record, and so do the
+    trips, candidate counts, fares and counters, with breakdowns,
+    cancellations, shocks and rebalancing on."""
+    fast, fast_rest, m = _observe(test_scenario, WindowLAP, streamed)
+    slow, slow_rest, m_slow = _observe(test_scenario, ScalarWindowLAP, streamed)
+    assert len(fast) == len(slow)
+    for got, expected in zip(fast, slow):
         assert got == expected
-    for key, value in scalar_rest.items():
-        assert bulk_rest[key] == value, key
-    # Not vacuous: each side ran its tier, and the subsystems ran.
+    for key, value in slow_rest.items():
+        assert fast_rest[key] == value, key
+    # Not vacuous: production screened whole windows, the reference did
+    # not, the reach checks ran, and the subsystems ran.
     assert m.counters["window.screened_pairs"] > 0
     assert m.stages["window.screen"]["count"] > 0
-    assert "window.screened_pairs" not in m_scalar.counters
-    assert m_scalar.stages["window.candidates"]["count"] > 0
+    assert "window.screen" not in m_slow.stages
+    assert m.counters["kernel.batched_reach_checks"] > 0
     assert m.breakdowns > 0 and m.cancelled > 0
     assert m.counters["rebalance.ticks"] > 0
     assert m.counters["window.rolled"] > 0 and m.counters["window.matched"] > 0
