@@ -240,13 +240,15 @@ class DispatchScheme(abc.ABC):
         taxi: Taxi,
         request: RideRequest,
         now: float,
+        router: BasicRouter,
     ) -> MatchResult | None:
         """Minimum-detour feasible insertion of ``request`` into one taxi.
 
-        Shared by the offline-encounter path of all schemes (the paper
-        extends T-Share and pGreedyDP the same way for fairness) and by
-        grid-based baselines as their scheduling core.  Routes use plain
-        cached shortest paths.
+        The street-hail path of every scheme (Section IV-C2: only the
+        encountering taxi's schedule is examined; the paper extends
+        T-Share and pGreedyDP the same way for fairness).  ``router``
+        lays out the winning schedule: the baselines pass their plain
+        shortest-path router, mT-Share its partition-filtered one.
         """
         best = best_insertion_for_taxi(self._engine, taxi, request, now, self._obs)
         if best is None:
@@ -255,7 +257,7 @@ class DispatchScheme(abc.ABC):
         node, ready = taxi.position_at(now)
         detour = (last - ready) - taxi.remaining_route_cost(ready)
         try:
-            route = self._fallback_router.route_for_schedule(node, ready, stops)
+            route = router.route_for_schedule(node, ready, stops)
         except RouteInfeasible:
             return None
         return MatchResult(
@@ -268,7 +270,7 @@ class DispatchScheme(abc.ABC):
 
     def try_offline(self, taxi: Taxi, request: RideRequest, now: float) -> MatchResult | None:
         """Attempt to serve an offline request this taxi just encountered."""
-        return self.generic_insertion(taxi, request, now)
+        return self.generic_insertion(taxi, request, now, self._fallback_router)
 
     # ------------------------------------------------------------------
     # optional probabilistic routing (Fig. 16's scheme x routing grid)

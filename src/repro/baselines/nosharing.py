@@ -66,7 +66,7 @@ class NoSharing(DispatchScheme):
         """A regular taxi only stops for street hails when it is vacant."""
         if not taxi.idle:
             return None
-        return self.generic_insertion(taxi, request, now)
+        return self.generic_insertion(taxi, request, now, self._fallback_router)
 
     def index_memory_bytes(self) -> int:
         """Footprint of the idle-taxi grid."""

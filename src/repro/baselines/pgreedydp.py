@@ -5,18 +5,20 @@ pGreedyDP indexes taxis with a uniform grid like T-Share, but searches
 largest candidate sets of all compared schemes (the paper's Table III).
 For every candidate it computes the minimum-detour feasible insertion
 of the new pick-up/drop-off pair into the existing schedule — the
-"insertion operator" solved with dynamic programming in the original —
-and greedily assigns the request to the candidate with the global
-minimum detour.  Examining every candidate exhaustively is also why it
-shows the largest response times in the paper's Figs. 7 and 11.
+"insertion operator", solved with dynamic programming in the original
+and here by the one insertion scorer every scheme shares
+(:func:`repro.fleet.schedule.score_insertions`), which returns the same
+optimum — and greedily assigns the request to the candidate with the
+global minimum detour.  Examining every candidate exhaustively is also
+why it shows the largest response times in the paper's Figs. 7 and 11.
 """
 
 from __future__ import annotations
 
-from ..core.matching import MatchResult
+from ..core.matching import MatchResult, score_candidates
 from ..core.routing import RouteInfeasible
 from ..demand.request import RideRequest
-from ..fleet.insertion_dp import best_insertion_dp
+from ..fleet.schedule import materialize_insertion
 from ..fleet.taxi import Taxi
 from ..index.spatial import GridSpatialIndex
 from .base import DispatchScheme
@@ -61,49 +63,21 @@ class PGreedyDP(DispatchScheme):
             out.append(taxi)
         return out
 
-    def _min_detour_insertion(
-        self,
-        taxi: Taxi,
-        request: RideRequest,
-        now: float,
-    ) -> tuple[float, list] | None:
-        """The DP insertion operator (Xu et al., ICDE'19): the optimal
-        (i, j) under the original stop order, computed in O(m^2) with
-        slack-based pruning instead of enumerating all instances.
-        Property-tested equivalent to full enumeration.
-        """
-        node, ready = taxi.position_at(now)
-        if ready + self._engine.cost(node, request.origin) > request.pickup_deadline:
-            return None
-        return best_insertion_dp(
-            node,
-            ready,
-            taxi.pending_stops(),
-            request,
-            self._engine.cost,
-            taxi.capacity,
-            initial_onboard=taxi.occupancy,
-        )
-
     def dispatch(self, request: RideRequest, now: float) -> MatchResult | None:
         """Greedy assignment: the candidate with the global minimum detour."""
         with self._obs.stage("match.candidates"):
             candidates = self._candidates(request, now)
         self._obs.count("match.candidates_found", len(candidates))
-        found: list[tuple[float, Taxi, list]] = []
+        if not candidates:
+            return None
         with self._obs.stage("match.insertion"):
-            for taxi in candidates:
-                insertion = self._min_detour_insertion(taxi, request, now)
-                if insertion is not None:
-                    found.append((insertion[0], taxi, insertion[1]))
+            scored = score_candidates(self._engine, candidates, request, now, self._obs)
         # Minimum detour first, candidate order on a tie (the sort is
-        # stable).  The DP asks what an insertion delays, not whether
-        # the schedule it is inserted into is still on time, so a taxi
-        # that a shock window has made late for a stop it already
-        # carries passes it and fails when its route is laid out; the
-        # next-best candidate then gets the request, as in T-Share.
-        found.sort(key=lambda entry: entry[0])
-        for detour, taxi, stops in found:
+        # stable).  A route the fallback router cannot lay out passes
+        # the request on to the next-best candidate, as in T-Share.
+        scored.sort(key=lambda entry: entry[0])
+        for detour, taxi, pending, i, j in scored:
+            stops = materialize_insertion(pending, request, i, j)
             node, ready = taxi.position_at(now)
             try:
                 route = self._fallback_router.route_for_schedule(node, ready, stops)

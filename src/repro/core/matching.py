@@ -404,32 +404,6 @@ class Matcher:
     # ------------------------------------------------------------------
     # taxi scheduling (Algorithm 1)
     # ------------------------------------------------------------------
-    def _score_candidates(
-        self,
-        candidates: list[Taxi],
-        request: RideRequest,
-        now: float,
-    ) -> list[tuple[float, Taxi, Sequence[Stop], int, int]]:
-        """Best feasible insertion per candidate, for the whole dispatch.
-
-        Returns ``(detour, taxi, pending, i, j)`` tuples sorted by
-        detour (taxi id breaking ties); ``materialize_insertion(pending,
-        request, i, j)`` is the winning stop list, so only the few
-        candidates that reach route planning pay for building it.
-        """
-        starts = [insertion_start(taxi, now) for taxi in candidates]
-        self._obs.count(
-            "match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts)
-        )
-        scored: list[tuple[float, Taxi, Sequence[Stop], int, int]] = []
-        for idx, last, i, j in score_insertions(self._engine, starts, request, self._obs):
-            taxi = candidates[idx]
-            _node, ready, pending, _onboard, _capacity = starts[idx]
-            detour = (last - ready) - taxi.remaining_route_cost(ready)
-            scored.append((detour, taxi, pending, i, j))
-        scored.sort(key=lambda item: (item[0], item[1].taxi_id))
-        return scored
-
     def match(
         self,
         request: RideRequest,
@@ -448,9 +422,11 @@ class Matcher:
             return None
 
         # Evaluate every candidate's best insertion with O(1) cached
-        # costs, batched across the whole candidate set.
+        # costs, batched across the whole candidate set; minimum detour
+        # first, taxi id breaking ties.
         with obs.stage("match.insertion"):
-            scored = self._score_candidates(candidates, request, now)
+            scored = score_candidates(self._engine, candidates, request, now, obs)
+            scored.sort(key=lambda item: (item[0], item[1].taxi_id))
 
         # Plan concrete routes lazily in estimated-detour order and keep
         # the minimum *actual* route detour.  A planned route's legs are
@@ -500,39 +476,38 @@ class Matcher:
         obs.count("match.routes_planned", planned)
         return best_result
 
-    def insertion_for_taxi(
-        self,
-        taxi: Taxi,
-        request: RideRequest,
-        now: float,
-    ) -> MatchResult | None:
-        """Feasible min-detour insertion into one specific taxi.
-
-        Used when a taxi *encounters* an offline request on the street:
-        only this taxi's schedule is examined (Section IV-C2).
-        """
-        best = best_insertion_for_taxi(self._engine, taxi, request, now, self._obs)
-        if best is None:
-            return None
-        _last, stops = best
-        node, ready = taxi.position_at(now)
-        try:
-            route = self._basic.route_for_schedule(node, ready, stops)
-        except RouteInfeasible:
-            return None
-        return MatchResult(
-            taxi_id=taxi.taxi_id,
-            stops=tuple(stops),
-            route=route,
-            detour_cost=route.total_cost() - taxi.remaining_route_cost(ready),
-            num_candidates=1,
-        )
-
 
 def insertion_start(taxi: Taxi, now: float) -> InsertionStart:
     """``taxi``'s state at ``now`` as a :func:`score_insertions` candidate."""
     node, ready = taxi.position_at(now)
     return node, ready, taxi.pending_stops(), taxi.occupancy, taxi.capacity
+
+
+def score_candidates(
+    engine: ShortestPathEngine,
+    candidates: Sequence[Taxi],
+    request: RideRequest,
+    now: float,
+    obs: Instrumentation,
+) -> list[tuple[float, Taxi, Sequence[Stop], int, int]]:
+    """Best feasible insertion per candidate, for a whole dispatch.
+
+    One :func:`score_insertions` call over every candidate.  Returns
+    ``(detour, taxi, pending, i, j)`` in candidate order for each
+    candidate that admits a feasible instance; ``detour`` is Eq. 4,
+    ``cost(R') - cost(R)``, and ``materialize_insertion(pending,
+    request, i, j)`` is the winning stop list, so only the few
+    candidates that reach route planning pay for building it.
+    """
+    starts = [insertion_start(taxi, now) for taxi in candidates]
+    obs.count("match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts))
+    scored: list[tuple[float, Taxi, Sequence[Stop], int, int]] = []
+    for idx, last, i, j in score_insertions(engine, starts, request, obs):
+        taxi = candidates[idx]
+        _node, ready, pending, _onboard, _capacity = starts[idx]
+        detour = (last - ready) - taxi.remaining_route_cost(ready)
+        scored.append((detour, taxi, pending, i, j))
+    return scored
 
 
 def best_insertion_for_taxi(

@@ -129,11 +129,6 @@ class MTShare(DispatchScheme):
 
     # ------------------------------------------------------------------
     @property
-    def landmark_graph(self) -> LandmarkGraph:
-        """Partition geometry and landmark costs."""
-        return self._landmarks
-
-    @property
     def partition_index(self) -> PartitionTaxiIndex:
         """``P_z.L_t`` taxi lists."""
         return self._pindex
@@ -233,8 +228,9 @@ class MTShare(DispatchScheme):
         self._cindex.update_taxi(taxi.taxi_id, None)
 
     def try_offline(self, taxi: Taxi, request: RideRequest, now: float) -> MatchResult | None:
-        """Offline encounter: examine only this taxi's schedule."""
-        return self._matcher.insertion_for_taxi(taxi, request, now)
+        """Offline encounter: examine only this taxi's schedule, and lay
+        its route out with the partition-filtered router."""
+        return self.generic_insertion(taxi, request, now, self._basic_router)
 
     def index_memory_bytes(self) -> int:
         """Footprint of both index views (Table IV's "index size")."""

@@ -90,11 +90,6 @@ class PaymentModel:
     def __init__(self, schedule: FareSchedule | None = None) -> None:
         self._schedule = schedule if schedule is not None else FareSchedule()
 
-    @property
-    def schedule(self) -> FareSchedule:
-        """The tariff in force."""
-        return self._schedule
-
     # ------------------------------------------------------------------
     def detour_rate(self, shared_distance_m: float, shortest_distance_m: float) -> float:
         """``sigma_i`` (Eq. 6): base rate plus relative detour.

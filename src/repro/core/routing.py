@@ -138,16 +138,6 @@ class BasicRouter:
         """Attach an observability registry (``repro.obs``)."""
         self._obs = obs
 
-    @property
-    def network(self) -> RoadNetwork:
-        """The road network."""
-        return self._network
-
-    @property
-    def engine(self) -> ShortestPathEngine:
-        """The shortest-path engine (O(1) cost queries)."""
-        return self._engine
-
     def cost(self, u: int, v: int) -> float:
         """Leg travel cost in seconds — the cached shortest-path cost.
 

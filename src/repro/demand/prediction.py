@@ -68,11 +68,6 @@ class DemandPredictor:
 
     # ------------------------------------------------------------------
     @property
-    def num_partitions(self) -> int:
-        """Number of partitions covered."""
-        return self._rates.shape[0]
-
-    @property
     def rates(self) -> np.ndarray:
         """Read-only view of the ``(num_partitions, 24)`` rate table.
 

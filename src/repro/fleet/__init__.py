@@ -1,6 +1,5 @@
 """Fleet substrate: taxi state, schedules, insertion machinery, route execution."""
 
-from .insertion_dp import best_insertion_dp
 from .schedule import (
     Stop,
     StopKind,
@@ -16,7 +15,6 @@ from .taxi import FleetLog, Taxi, TaxiError, TaxiRoute
 
 __all__ = [
     "FleetLog",
-    "best_insertion_dp",
     "Stop",
     "StopKind",
     "Taxi",

@@ -102,7 +102,6 @@ class Taxi:
     route: TaxiRoute = field(default_factory=TaxiRoute)
     onboard: dict[int, RideRequest] = field(default_factory=dict)
     assigned: dict[int, RideRequest] = field(default_factory=dict)
-    probabilistic_mode: bool = False
     #: Broken-down taxis stay in the fleet dict (their log entries and
     #: episode settlements remain addressable) but are skipped by the
     #: simulator and must never receive new plans.

@@ -37,11 +37,6 @@ class PartitionTaxiIndex:
         self._by_partition: list[dict[int, float]] = [{} for _ in range(num_partitions)]
         self._partitions_of_taxi: dict[int, set[int]] = {}
 
-    @property
-    def num_partitions(self) -> int:
-        """Number of partitions indexed."""
-        return len(self._by_partition)
-
     def update_taxi(
         self,
         taxi_id: int,

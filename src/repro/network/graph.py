@@ -10,6 +10,7 @@ what deadlines and schedules are expressed in.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,8 +106,8 @@ class RoadNetwork:
             raise RoadNetworkError("xy must be an (n, 2) array of coordinates")
         if xy.shape[0] == 0:
             raise RoadNetworkError("a road network needs at least one vertex")
-        if speed_mps <= 0:
-            raise RoadNetworkError("speed must be positive")
+        if not math.isfinite(speed_mps) or speed_mps <= 0:
+            raise RoadNetworkError("speed must be positive and finite")
         self._xy = xy
         self._speed = float(speed_mps)
         n = xy.shape[0]
@@ -135,10 +136,7 @@ class RoadNetwork:
             if key not in length_of or length < length_of[key]:
                 length_of[key] = length
 
-        self._adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         ordered = sorted(length_of.items())
-        for (u, v), length in ordered:
-            self._adj[u].append((v, length))
         self._num_edges = len(length_of)
         self._length_of = length_of
         # CSR adjacency, rows and the columns of each row sorted: what
@@ -187,10 +185,6 @@ class RoadNetwork:
         view = self._xy.view()
         view.flags.writeable = False
         return view
-
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
-        """Outgoing ``(neighbor, length_m)`` pairs of vertex ``v``."""
-        return list(self._adj[v])
 
     def edge_length(self, u: int, v: int) -> float:
         """Length in metres of edge ``(u, v)``; raises if absent."""

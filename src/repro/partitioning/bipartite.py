@@ -83,10 +83,6 @@ class MapPartitioning:
         """Vertex lists per partition."""
         return self._partitions
 
-    def partition_of(self, v: int) -> int:
-        """Partition id of vertex ``v``."""
-        return int(self.labels[v])
-
     def sizes(self) -> np.ndarray:
         """Partition sizes."""
         return np.bincount(self.labels, minlength=self.num_partitions)

@@ -95,11 +95,6 @@ class TransitionModel:
 
     # ------------------------------------------------------------------
     @property
-    def num_vertices(self) -> int:
-        """Number of vertices the model covers."""
-        return self._matrix.shape[0]
-
-    @property
     def matrix(self) -> np.ndarray:
         """Read-only view of the ``(n, kappa)`` probability matrix."""
         view = self._matrix.view()

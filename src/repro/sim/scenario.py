@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import artifacts
 from ..baselines import DispatchScheme, NoSharing, PGreedyDP, TShare
-from ..config import SystemConfig
+from ..config import SystemConfig, require_finite
 from ..core.mtshare import MTShare, partition_routers
 from ..demand.dataset import TripDataset
 from ..demand.generator import ChengduLikeDemand
@@ -145,7 +145,7 @@ SCHEME_REGISTRY: "dict[str, SchemeInfo]" = {
         ),
         SchemeInfo(
             "pgreedydp",
-            "greedy insertion with DP schedule reoptimisation baseline",
+            "origin-side grid search, global minimum-detour insertion baseline",
             _make_pgreedydp,
         ),
         SchemeInfo(
@@ -197,8 +197,11 @@ class ScenarioSpec:
     sp_mode: str = "auto"
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ("peak", "nonpeak"):
             raise ValueError("kind must be 'peak' or 'nonpeak'")
+        if self.spacing_m <= 0:
+            raise ValueError("spacing_m must be positive")
         if self.congestion <= 0:
             raise ValueError("congestion must be a positive speed factor")
         if self.sp_mode not in ("auto", "full", "lazy", "ch"):

@@ -46,7 +46,8 @@ def small_test_network(speed_mps: float = DEFAULT_SPEED_MPS) -> RoadNetwork:
 
 def is_path(network, path) -> bool:
     """Whether consecutive vertices in ``path`` are joined by edges."""
-    return all(v in {w for w, _length in network.neighbors(u)} for u, v in zip(path, path[1:]))
+    indptr, indices, _lengths = network.csr_arrays
+    return all(v in indices[indptr[u]:indptr[u + 1]] for u, v in zip(path, path[1:]))
 
 
 def build_route(start_node, start_time, stops, path_fn, cost_of_path) -> TaxiRoute:

@@ -142,6 +142,7 @@ def reference_dijkstra(network, source, target, allowed=None, vertex_weight=None
     """
     weights = vertex_weight or {}
     speed = network.speed_mps
+    indptr, indices, lengths = network.csr_arrays
     dist = {source: 0.0}
     prev = {}
     heap = [(0.0, source)]
@@ -157,7 +158,8 @@ def reference_dijkstra(network, source, target, allowed=None, vertex_weight=None
             path.reverse()
             return d, path
         done.add(u)
-        for v, length in network.neighbors(u):
+        for k in range(indptr[u], indptr[u + 1]):
+            v, length = int(indices[k]), float(lengths[k])
             if v in done or (allowed is not None and v != target and v not in allowed):
                 continue
             # The weight is folded into the edge cost *before* adding to

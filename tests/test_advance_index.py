@@ -124,12 +124,12 @@ def test_due_index_matches_full_sweep(request, scheme, variant, streamed):
 
 @pytest.mark.parametrize("fault_seed", range(1, 13))
 def test_pgreedydp_survives_every_fault_seed(test_scenario, fault_seed):
-    """The matrix above runs fault seed 5 because, until ``PGreedyDP.dispatch``
-    caught ``RouteInfeasible``, it was one of the five in 1-12 that did not
-    crash: a shock window makes a taxi late for a stop it carries, the
-    insertion DP still accepts it, and laying its route out fails.  The
-    request must go to the next-best candidate (seeds 1, 2, 3, 4, 6, 7
-    and 9 reach that line)."""
+    """pGreedyDP under every fault seed 1-12, not only the matrix's seed 5.
+    A shock window can make a taxi late for a stop it already carries;
+    scoring then finds no feasible insertion for it, and a route the
+    fallback router cannot lay out sends the request to the next-best
+    candidate.  Every seed must finish with its accounting balanced, and
+    seed 1 streamed must decide exactly as batch."""
     chaos = CHAOS_SPEC.format(seed=fault_seed)
     batch, m = _observe(Simulator, test_scenario, "pgreedydp", "faults", False, chaos=chaos)
     m.check_balance()

@@ -157,6 +157,18 @@ class TestBadScenarioArguments:
          "the flexible factor rho must be finite and >= 1"),
         (["simulate", *SMALL_WORLD, "--congestion", "0"], {},
          "congestion must be a positive speed factor"),
+        # A NaN or infinite speed factor built a network every request
+        # was unreachable in: "0 requests", exit 0.
+        (["simulate", *SMALL_WORLD, "--congestion", "nan"], {}, "congestion must be finite"),
+        (["simulate", *SMALL_WORLD, "--congestion", "inf"], {}, "congestion must be finite"),
+        # A NaN or zero spacing stored a hierarchy for a degenerate grid;
+        # a negative one died in the jitter draw naming no flag.
+        (["cache", "warm", "--ch-grid", "6", "--spacing", "nan"], {},
+         "spacing_m must be finite"),
+        (["cache", "warm", "--ch-grid", "6", "--spacing", "0"], {},
+         "spacing_m must be positive"),
+        (["cache", "warm", "--ch-grid", "6", "--spacing", "-5"], {},
+         "spacing_m must be positive"),
         (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
         (["simulate", *SMALL_WORLD, "--capacity", "0"], {}, "capacity must be positive"),
@@ -192,6 +204,7 @@ class TestBadScenarioArguments:
         (["experiment", "table4", "--workers", "0"], {},
          "--workers must be a positive integer, got 0"),
     ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
+            "congestion-nan", "congestion-inf", "spacing-nan", "spacing-0", "spacing-negative",
             "cache-warm-ch-grid", "taxis", "capacity", "window-nan",
             "shock-radius-nan", "shock-delay-inf", "rebalance-lead-nan",
             "rebalance-cadence-inf", "rebalance-cadence-nan", "bench-scale-env",
@@ -204,6 +217,11 @@ class TestBadScenarioArguments:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert "served" not in captured.out
+
+    def test_bad_spacing_stores_nothing(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "store"))
+        assert main(["cache", "warm", "--ch-grid", "6", "--spacing", "nan"]) == 2
+        assert get_store().entries("ch") == [] and get_store().entries("trace") == []
 
     def test_a_value_error_out_of_the_run_keeps_its_traceback(self, monkeypatch):
         # The handler covers set-up only: the same exception type raised

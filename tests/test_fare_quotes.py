@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.payment import PaymentModel
+from repro.core.payment import FareSchedule, PaymentModel
 from repro.sim.engine import Simulator
 
 
@@ -27,10 +27,9 @@ class TestQuotes:
         lower floor (a short-trip rider with a large detour share can
         be quoted near zero), so we only check sanity bounds."""
         sim, m = quoted_run
-        payment = PaymentModel()
         speed = sim._scheme.network.speed_mps  # noqa: SLF001
         for rid, quote in m.quoted_fares.items():
-            solo = payment.schedule.fare(sim.log.trips[rid].request.direct_cost * speed)
+            solo = FareSchedule().fare(sim.log.trips[rid].request.direct_cost * speed)
             assert -solo <= quote <= solo + 1e-6
 
     def test_quotes_close_to_settlement(self, quoted_run):
@@ -42,11 +41,10 @@ class TestQuotes:
 
     def test_quote_never_exceeds_solo_fare(self, quoted_run):
         sim, m = quoted_run
-        payment = PaymentModel()
         speed = sim._scheme.network.speed_mps  # noqa: SLF001 - test introspection
         for rid, quote in m.quoted_fares.items():
             trip = sim.log.trips[rid]
-            solo = payment.schedule.fare(trip.request.direct_cost * speed)
+            solo = FareSchedule().fare(trip.request.direct_cost * speed)
             assert quote <= solo + 1e-6
 
     def test_no_payment_no_quotes(self, test_scenario):

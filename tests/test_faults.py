@@ -382,7 +382,7 @@ class TestBreakdownOnRebalanceCruise:
         # as the rebalance tick handler would.
         home = rebalance.partition_of(taxi.loc)
         target = next(
-            z for z in range(scheme.landmark_graph.num_partitions)
+            z for z in range(test_scenario.landmark_graph().num_partitions)
             if z != home and rebalance.cruise_route(taxi.loc, 0.0, z) is not None
         )
         taxi.set_plan([], rebalance.cruise_route(taxi.loc, 0.0, target))
@@ -403,7 +403,7 @@ class TestBreakdownOnRebalanceCruise:
         assert m.unsettled_episodes == 0
         assert m.counters.get("rebalance.broken") == 1
         # The partition index no longer advertises the dead taxi's supply.
-        for z in range(scheme.landmark_graph.num_partitions):
+        for z in range(test_scenario.landmark_graph().num_partitions):
             assert taxi.taxi_id not in scheme._pindex.arrival_map(z)
         m.check_balance()
 

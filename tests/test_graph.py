@@ -1,5 +1,7 @@
 """Unit tests for the road-network graph."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,13 @@ class TestConstruction:
         with pytest.raises(RoadNetworkError):
             RoadNetwork([(0, 0), (1, 1)], [(0, 1)], speed_mps=-1.0)
 
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, speed):
+        # NaN passes ``speed <= 0``; either value made every edge cost
+        # NaN or zero.
+        with pytest.raises(RoadNetworkError, match="finite"):
+            RoadNetwork([(0, 0), (1, 1)], [(0, 1)], speed_mps=speed)
+
     def test_parallel_edges_keep_cheapest(self):
         net = RoadNetwork([(0, 0), (100, 0)], [(0, 1, 500.0), (0, 1, 120.0)])
         assert net.num_edges == 1
@@ -67,14 +76,16 @@ class TestConstruction:
 
 class TestAccessors:
     def test_neighbors(self, tiny_net):
-        # Centre vertex 4 connects to 1, 3, 5, 7.
-        assert sorted(v for v, _l in tiny_net.neighbors(4)) == [1, 3, 5, 7]
+        # Centre vertex 4 connects to 1, 3, 5, 7: its CSR row, sorted.
+        indptr, indices, _lengths = tiny_net.csr_arrays
+        assert indices[indptr[4]:indptr[5]].tolist() == [1, 3, 5, 7]
 
     def test_in_neighbors_symmetric_grid(self, tiny_net):
         assert sorted(u for u, v, _l in tiny_net.edges() if v == 4) == [1, 3, 5, 7]
 
     def test_out_degree_corner(self, tiny_net):
-        assert len(tiny_net.neighbors(0)) == 2
+        indptr, _indices, _lengths = tiny_net.csr_arrays
+        assert indptr[1] - indptr[0] == 2
 
     def test_edge_length_missing_raises(self, tiny_net):
         with pytest.raises(RoadNetworkError):

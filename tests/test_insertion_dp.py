@@ -1,35 +1,77 @@
-"""Equivalence tests: DP insertion operator vs exhaustive enumeration."""
+"""pGreedyDP's insertion operator against exhaustive enumeration.
+
+pGreedyDP's original solves the minimum-detour insertion with dynamic
+programming; here every scheme scores insertions through
+:func:`repro.fleet.schedule.score_insertions`.  These draws are built so
+that the base schedule is feasible but its deadlines bind, and the
+operator's detour (Eq. 4 against the unchanged schedule) must equal the
+optimum of full enumeration + feasibility filtering.
+"""
 
 import numpy as np
 import pytest
 
-from repro.fleet.insertion_dp import best_insertion_dp
+from repro.demand.request import RideRequest
 from repro.fleet.schedule import (
     arrival_times,
     capacity_ok,
     deadlines_met,
+    dropoff,
     enumerate_insertions,
+    materialize_insertion,
+    pickup,
+    score_insertions,
 )
+from repro.network.graph import RoadNetwork
+from repro.network.shortest_path import ShortestPathEngine
+from repro.obs import NULL
 from tests.conftest import make_request
 
 
+def _manhattan_engine() -> ShortestPathEngine:
+    """A 10x10 bidirectional grid of nodes 0..99, 10 s per block."""
+    xy = [(100.0 * (v % 10), 100.0 * (v // 10)) for v in range(100)]
+    edges = []
+    for v in range(100):
+        if v % 10 < 9:
+            edges += [(v, v + 1), (v + 1, v)]
+        if v < 90:
+            edges += [(v, v + 10), (v + 10, v)]
+    return ShortestPathEngine(RoadNetwork(xy, edges, speed_mps=10.0), mode="full")
+
+
+ENGINE = _manhattan_engine()
+
+
 def grid_cost(u, v):
-    """Manhattan travel cost on an abstract 10x10 grid of nodes 0..99."""
-    ux, uy = u % 10, u // 10
-    vx, vy = v % 10, v // 10
-    return 10.0 * (abs(ux - vx) + abs(uy - vy))
+    """Manhattan travel cost on the grid: what the engine returns."""
+    return ENGINE.cost(u, v)
 
 
-def reference_best(start_node, start_time, stops, request, cost_fn, capacity, onboard):
+def operator_best(start_node, start_time, stops, request, capacity, onboard):
+    """``(detour, stops)`` of the operator, or ``None``."""
+    scored = score_insertions(
+        ENGINE, [(start_node, start_time, stops, onboard, capacity)], request, NULL
+    )
+    if not scored:
+        return None
+    _idx, last, i, j = scored[0]
+    base = arrival_times(start_node, start_time, stops, grid_cost)
+    base_total = (base[-1] - start_time) if base else 0.0
+    detour = (last - start_time) - base_total
+    return detour, materialize_insertion(stops, request, i, j)
+
+
+def reference_best(start_node, start_time, stops, request, capacity, onboard):
     """Ground truth: full enumeration + feasibility filtering."""
     best = None
     for _i, _j, new_stops in enumerate_insertions(stops, request):
         if not capacity_ok(new_stops, onboard, capacity):
             continue
-        times = arrival_times(start_node, start_time, new_stops, cost_fn)
-        if not deadlines_met(times and new_stops, times):
+        times = arrival_times(start_node, start_time, new_stops, grid_cost)
+        if not deadlines_met(new_stops, times):
             continue
-        base = arrival_times(start_node, start_time, list(stops), cost_fn)
+        base = arrival_times(start_node, start_time, list(stops), grid_cost)
         base_total = (base[-1] - start_time) if base else 0.0
         detour = (times[-1] - start_time) - base_total
         if best is None or detour < best[0] - 1e-12:
@@ -44,9 +86,6 @@ def random_case(seed):
     start_time = float(rng.uniform(0, 100))
     capacity = int(rng.integers(1, 5))
     onboard = 0
-
-    from repro.demand.request import RideRequest
-    from repro.fleet.schedule import dropoff, pickup
 
     # Draw OD pairs, lay out a provisional schedule, then derive each
     # existing passenger's deadline from their *actual* arrival times so
@@ -120,15 +159,13 @@ def test_dp_matches_enumeration(seed):
     if case is None:
         pytest.skip("infeasible base draw")
     start_node, start_time, stops, request, capacity, onboard = case
-    expected = reference_best(start_node, start_time, stops, request,
-                              grid_cost, capacity, onboard)
-    got = best_insertion_dp(start_node, start_time, stops, request,
-                            grid_cost, capacity, onboard)
+    expected = reference_best(*case)
+    got = operator_best(*case)
     if expected is None:
         assert got is None
         return
     assert got is not None
-    assert got[0] == pytest.approx(expected[0], abs=1e-6)
+    assert got[0] == pytest.approx(expected[0], abs=1e-9)
     # The returned schedule must itself be feasible with the same detour.
     times = arrival_times(start_node, start_time, got[1], grid_cost)
     assert deadlines_met(got[1], times)
@@ -138,7 +175,7 @@ def test_dp_matches_enumeration(seed):
 def test_empty_schedule_insertion():
     r = make_request(request_id=1, origin=3, destination=47,
                      direct_cost=grid_cost(3, 47), rho=2.0)
-    got = best_insertion_dp(0, 0.0, [], r, grid_cost, capacity=3)
+    got = operator_best(0, 0.0, [], r, capacity=3, onboard=0)
     assert got is not None
     detour, stops = got
     assert detour == pytest.approx(grid_cost(0, 3) + grid_cost(3, 47))
@@ -148,5 +185,4 @@ def test_empty_schedule_insertion():
 def test_full_taxi_returns_none():
     r = make_request(request_id=1, origin=3, destination=47,
                      direct_cost=grid_cost(3, 47), rho=2.0)
-    assert best_insertion_dp(0, 0.0, [], r, grid_cost, capacity=1,
-                             initial_onboard=1) is None
+    assert operator_best(0, 0.0, [], r, capacity=1, onboard=1) is None

@@ -10,6 +10,7 @@ from repro.config import SystemConfig
 from repro.core import matching
 from repro.core.matching import Matcher, request_vector, taxi_vector, taxi_vector_with
 from repro.core.mobility_cluster import ZERO_UNIT, MobilityClusterIndex, MobilityVector
+from repro.core.mtshare import MTShare
 from repro.core.partition_filter import PartitionFilter
 from repro.core.routing import BasicRouter
 from repro.demand.request import RideRequest
@@ -18,6 +19,7 @@ from repro.fleet.taxi import Taxi
 from repro.index.partition_index import PartitionTaxiIndex
 from repro.network.landmarks import LandmarkGraph
 from repro.obs import Instrumentation
+from repro.partitioning.bipartite import MapPartitioning
 from repro.sim.engine import Simulator
 from tests.conftest import build_route, is_path, make_request
 
@@ -169,20 +171,35 @@ class TestMatch:
         assert result is not None
         assert len(result.stops) == 4
 
-    def test_insertion_for_taxi_offline_path(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        taxi = idle_taxi(0, 1, pindex, lg)
+    def test_insertion_for_taxi_offline_path(self, tiny_net, tiny_engine):
+        scheme = _row_partitioned_mtshare(tiny_net, tiny_engine)
+        taxi = Taxi(taxi_id=0, capacity=3, loc=1)
+        scheme.register_fleet({0: taxi}, now=0.0)
         r = trip(tiny_engine, 1, 7)
-        result = matcher.insertion_for_taxi(taxi, r, 0.0)
+        result = scheme.try_offline(taxi, r, 0.0)
         assert result is not None
-        assert result.num_candidates == 1
+        assert result.taxi_id == 0 and result.num_candidates == 1
+        # Eq. 4 against an empty schedule: the whole trip is detour.
+        assert result.detour_cost == pytest.approx(tiny_engine.cost(1, 7))
+        # The partition-filtered router laid the legs out, as for an
+        # online match, not the scheme's unfiltered fallback.
+        assert scheme._basic_router.legs and not scheme._fallback_router.legs
 
-    def test_insertion_for_full_taxi_is_none(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        taxi = idle_taxi(0, 1, pindex, lg, capacity=1)
+    def test_insertion_for_full_taxi_is_none(self, tiny_net, tiny_engine):
+        scheme = _row_partitioned_mtshare(tiny_net, tiny_engine)
+        taxi = Taxi(taxi_id=0, capacity=1, loc=1)
+        scheme.register_fleet({0: taxi}, now=0.0)
         taxi.assign(trip(tiny_engine, 1, 5, rid=9))
         r = trip(tiny_engine, 1, 7)
-        assert matcher.insertion_for_taxi(taxi, r, 0.0) is None
+        assert scheme.try_offline(taxi, r, 0.0) is None
+
+
+def _row_partitioned_mtshare(tiny_net, tiny_engine):
+    """mT-Share over the tiny grid partitioned by rows, as ``setup``."""
+    partitioning = MapPartitioning(np.arange(9) // 3, "grid")
+    lg = LandmarkGraph(tiny_net, partitioning.partitions, tiny_engine)
+    config = SystemConfig(search_range_m=500.0, num_partitions=3)
+    return MTShare(tiny_net, tiny_engine, config, partitioning, landmarks=lg)
 
 
 class InflatingRouter(BasicRouter):
@@ -339,7 +356,7 @@ class ScreeningWorld:
         self.fleet, self.now = sim.fleet, sim.kernel.now
         self.matcher = self.scheme.matcher
         self.pindex, self.cindex = self.scheme.partition_index, self.scheme.cluster_index
-        self.lg = self.scheme.landmark_graph
+        self.lg = scenario.landmark_graph(num_partitions=self.scheme.config.num_partitions)
 
     def busy(self):
         return [t for t in self.fleet.values() if t.schedule and not t.out_of_service]
@@ -560,7 +577,7 @@ class TestBulkScreening:
         world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
         cost = 64.0
         batch = []
-        for z in range(world.pindex.num_partitions):
+        for z in range(world.lg.num_partitions):
             for tid, arrival in sorted(world.pindex.arrival_map(z).items()):
                 origin = world.lg.members(z)[0]
                 destination = (origin + 17) % world.network.num_vertices

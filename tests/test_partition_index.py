@@ -7,8 +7,12 @@ from repro.index.partition_index import HORIZON_S, PartitionTaxiIndex
 
 
 def partitions_of(idx, taxi_id):
-    """The partitions whose list holds ``taxi_id``."""
-    return {z for z in range(idx.num_partitions) if taxi_id in idx.arrival_map(z)}
+    """The partitions whose list holds ``taxi_id``, read from the
+    arrival table the window screen reads."""
+    ids, table = idx.arrival_table()
+    if taxi_id not in ids:
+        return set()
+    return set(np.flatnonzero(~np.isnan(table[:, ids.index(taxi_id)])).tolist())
 
 
 class TestValidation:

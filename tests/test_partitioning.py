@@ -28,8 +28,7 @@ class TestMapPartitioning:
 
     def test_partition_of(self):
         part = MapPartitioning(labels=np.array([1, 0, 1]), method="x")
-        assert part.partition_of(0) == 1
-        assert part.partition_of(1) == 0
+        assert part.partitions == [[1], [0, 2]]
 
     def test_sizes(self):
         part = MapPartitioning(labels=np.array([0, 0, 1]), method="x")

@@ -64,8 +64,9 @@ class TestSettlement:
         return pm, pm.settle(shortest, shared, route_m)
 
     def test_benefit_positive(self):
-        pm, s = self.two_rider_settlement()
-        expected = pm.schedule.fare(4000) + pm.schedule.fare(5000) - pm.schedule.fare(7000)
+        _pm, s = self.two_rider_settlement()
+        fs = FareSchedule()  # the tariff PaymentModel() settles with
+        expected = fs.fare(4000) + fs.fare(5000) - fs.fare(7000)
         assert s.benefit == pytest.approx(expected)
 
     def test_driver_income_exceeds_route_fare(self):

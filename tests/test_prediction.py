@@ -69,10 +69,10 @@ class TestScenarioIntegration:
     def test_predictor_fits_scenario_history(self, test_scenario):
         part = test_scenario.partitioning("bipartite")
         pred = test_scenario.demand_predictor(part)
-        assert pred.num_partitions == part.num_partitions
+        assert pred.rates.shape == (part.num_partitions, 24)
         # Morning hours carry demand in the synthetic workday trace.
-        total_morning = sum(pred.rate(z, 8) for z in range(pred.num_partitions))
-        total_night = sum(pred.rate(z, 3) for z in range(pred.num_partitions))
+        total_morning = sum(pred.rate(z, 8) for z in range(part.num_partitions))
+        total_night = sum(pred.rate(z, 3) for z in range(part.num_partitions))
         assert total_morning > total_night
 
     def test_predictor_memoised(self, test_scenario):

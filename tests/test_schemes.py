@@ -1,8 +1,10 @@
 """Tests for the dispatch schemes: mT-Share and the three baselines."""
 
+import numpy as np
 import pytest
 
 from repro.core.mtshare import MTShare
+from repro.fleet.schedule import arrival_times, capacity_ok, deadlines_met, enumerate_insertions
 from repro.fleet.taxi import Taxi
 from repro.obs import Instrumentation
 from repro.partitioning.bipartite import geo_partition
@@ -134,21 +136,69 @@ class TestTShare:
         assert obs.counters["match.candidates_found"] >= 0
 
 
+def _scalar_min_detour(engine, taxi, request, now):
+    """Least Eq. 4 detour of ``request`` in ``taxi`` under the scalar
+    enumeration, or ``None`` when no instance is feasible."""
+    node, ready = taxi.position_at(now)
+    best = None
+    for _i, _j, stops in enumerate_insertions(taxi.pending_stops(), request):
+        if not capacity_ok(stops, taxi.occupancy, taxi.capacity):
+            continue
+        times = arrival_times(node, ready, stops, engine.cost)
+        if not deadlines_met(stops, times):
+            continue
+        detour = (times[-1] - ready) - taxi.remaining_route_cost(ready)
+        if best is None or detour < best:
+            best = detour
+    return best
+
+
 class TestPGreedyDP:
     def test_min_detour_across_candidates(self, scenario):
-        scheme = scenario.make_scheme("pgreedydp")
-        fleet = small_fleet(scenario, 30)
-        scheme.register_fleet(fleet, now=0.0)
-        request = first_request(scenario)
-        result = scheme.dispatch(request, request.release_time)
-        if result is None:
-            pytest.skip("no feasible taxi in this draw")
-        # No other candidate offers a strictly better insertion.
-        best = result.detour_cost
-        for taxi in fleet.values():
-            found = scheme._min_detour_insertion(taxi, request, request.release_time)
-            if found is not None:
-                assert found[0] >= best - 1e-6
+        """Over fuzzed fleets with a shocked (late) taxi, pGreedyDP's
+        winner has the least Eq. 4 detour among its own grid candidates,
+        and a taxi the shock made late is never chosen."""
+        requests = scenario.requests()
+        rng = np.random.default_rng(11)
+        winners = shocked_candidates = 0
+        for draw in range(8):
+            scheme = scenario.make_scheme("pgreedydp")
+            fleet = small_fleet(scenario, 30, seed=draw)
+            scheme.register_fleet(fleet, now=0.0)
+            start = int(rng.integers(0, len(requests) - 40))
+            for request in requests[start:start + 30]:
+                result = scheme.dispatch(request, request.release_time)
+                if result is not None:
+                    scheme.install(result, request, request.release_time)
+            for request in requests[start + 30:start + 40]:
+                now = request.release_time
+                candidates = scheme._candidates(request, now)
+                # Shock one busy candidate far past its deadlines.
+                busy = [taxi for taxi in candidates if taxi.schedule]
+                late = None
+                if busy:
+                    late = busy[int(rng.integers(len(busy)))]
+                    assert late.apply_delay(3600.0)
+                    scheme.on_taxi_replanned(late, now)
+                    candidates = scheme._candidates(request, now)
+                    if late.taxi_id in {taxi.taxi_id for taxi in candidates}:
+                        shocked_candidates += 1
+                        assert _scalar_min_detour(scheme.engine, late, request, now) is None
+                detours = {
+                    taxi.taxi_id: _scalar_min_detour(scheme.engine, taxi, request, now)
+                    for taxi in candidates
+                }
+                feasible = [d for d in detours.values() if d is not None]
+                result = scheme.dispatch(request, now)
+                if result is None:
+                    assert not feasible
+                    continue
+                winners += 1
+                assert late is None or result.taxi_id != late.taxi_id
+                assert result.detour_cost == pytest.approx(min(feasible), abs=1e-9)
+                assert detours[result.taxi_id] == pytest.approx(min(feasible), abs=1e-9)
+                scheme.install(result, request, now)
+        assert winners > 0 and shocked_candidates > 0
 
 
 class TestMTShare:
