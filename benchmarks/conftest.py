@@ -1,10 +1,13 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one table/figure of the paper via the
-experiment harness and prints the same rows the paper plots.  Runs are
-macro-benchmarks (whole simulation sweeps), so every benchmark executes
-a single round; the experiment runner memoises simulations shared
-between figures (Figs. 6-9 and Table III reuse one fleet sweep).
+Each benchmark regenerates one table/figure of the paper, or one
+ablation, via the experiment harness and prints the same rows the paper
+plots.  Every figure function has a wrapper; of the ablations,
+``seed_robustness`` and ``rebalance_imbalance`` have none and run only
+through ``repro experiment``.  Runs are macro-benchmarks (whole
+simulation sweeps), so every benchmark executes a single round; the
+experiment runner memoises simulations shared between figures
+(Figs. 6-9 and Table III reuse one fleet sweep).
 
 Set ``REPRO_BENCH_SCALE=full`` for the paper-shaped six-point sweeps;
 the default ``quick`` scale keeps the whole suite to a few minutes.

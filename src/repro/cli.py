@@ -66,8 +66,8 @@ def _simulate_args(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--rho", type=float, default=1.3,
                      help="flexible factor setting each request's deadline")
     sim.add_argument("--window", type=float, default=None, metavar="SECONDS",
-                     help="dispatch-window length W for the window-lap "
-                          "scheme (0 reproduces greedy decisions exactly; "
+                     help="dispatch-window length W, only with --scheme "
+                          "window-lap (0 reproduces greedy decisions exactly; "
                           "default: the config's dispatch_window_s)")
     sim.add_argument("--congestion", type=float, default=1.0,
                      help="speed factor; < 1 slows traffic")
@@ -216,6 +216,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from .reporting import observability_table
     from .sim.engine import Simulator
 
+    if args.window is not None and args.scheme != "window-lap":
+        raise _BadArguments("--window applies only to --scheme window-lap")
     scenario, config, scheme, fleet = _build_scenario(args, args.congestion, args.window)
     with _building():
         requests = scenario.requests(rho=args.rho)

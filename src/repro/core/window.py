@@ -2,12 +2,11 @@
 
 Every other scheme matches greedily, one request at a time, so each
 dispatch pays the full per-request Python loop and the batched kernels
-(PR 2) and CH many-to-many queries (PR 7) never amortise across
-requests.  ``window-lap`` instead collects every online request
-released inside a ``W``-second dispatch window and solves the whole
-window as one taxi-to-request *linear assignment problem* (Simonetto,
-Monteil & Gambella, "Real-time City-scale Ridesharing via Linear
-Assignment Problems"):
+never amortise across requests.  ``window-lap`` instead collects every
+online request released inside a ``W``-second dispatch window and
+solves the whole window as one taxi-to-request *linear assignment
+problem* (Simonetto, Monteil & Gambella, "Real-time City-scale
+Ridesharing via Linear Assignment Problems"):
 
 1. **Prune** each request's candidate taxis through the existing
    partition/mobility-cluster indexes (Eq. 3 plus the three rules,
@@ -17,14 +16,11 @@ Assignment Problems"):
    ``requests x taxis`` array expressions, returning for each request
    exactly the set a single-request search returns.
 2. **Fill** the rectangular ``requests x taxis`` cost matrix with each
-   pair's minimum-detour feasible insertion.  Idle candidates — the
-   bulk of every window — are filled for *all* pairs at once from two
-   batched :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_matrix`
-   gathers (CH bucket many-to-many above the APSP cutover); every
-   busy (request, candidate) pair of the window is one row of a single
-   :func:`~repro.fleet.schedule.score_insertions` call.  Both fills
-   reproduce the scalar per-pair insertion evaluation bit for bit;
-   infeasible pairs stay ``+inf``.
+   pair's minimum-detour feasible insertion: every screened
+   (request, candidate) pair of the window, idle or busy, is one row
+   of a single :func:`~repro.fleet.schedule.score_insertions` call.
+   The fill reproduces the scalar per-pair insertion evaluation bit
+   for bit; infeasible and unscreened pairs stay ``+inf``.
 3. **Solve** the LAP after masking ``+inf`` to a large finite penalty,
    which makes the optimum maximise the number of feasible matches
    first and minimise total detour second.  The solver is
@@ -56,12 +52,12 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..demand.request import RideRequest
-from ..fleet.schedule import DEADLINE_SLACK_S, Stop, materialize_insertion, score_insertions
+from ..fleet.schedule import Stop, materialize_insertion, score_insertions
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
 from ..partitioning.bipartite import MapPartitioning
-from .matching import MatchResult, WindowScreen
+from .matching import MatchResult
 from .mtshare import MTShare
 from .routing import RouteInfeasible
 
@@ -89,16 +85,18 @@ class WindowCostMatrix:
     taxi_ids: list[int]
     costs: np.ndarray
     num_candidates: list[int]
-    #: Winning insertion indices ``(i, j)`` per feasible busy cell;
-    #: idle cells are implicitly ``(0, 1)``, the only instance of an
-    #: empty schedule.
-    insertions: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
     #: Pending stops per column, gathered once at fill time.
     pendings: list[Sequence[Stop]] = field(default_factory=list)
+    #: Winning insertion indices ``(i, j)`` of every feasible cell, at
+    #: ``insertions[row, col]``.
+    insertions: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.insertions = np.zeros(self.costs.shape + (2,), dtype=np.int64)
 
     def build_stops(self, i: int, j: int) -> list[Stop]:
         """Materialise the winning stop list of pair ``(row i, col j)``."""
-        pi, pj = self.insertions.get((i, j), (0, 1))
+        pi, pj = self.insertions[i, j].tolist()
         return materialize_insertion(self.pendings[j], self.requests[i], pi, pj)
 
 
@@ -316,7 +314,6 @@ class WindowLAP(MTShare):
         landmarks: LandmarkGraph | None = None,
     ) -> None:
         super().__init__(network, engine, config, partitioning, landmarks=landmarks)
-        self.name = "window-LAP"
         self.dispatch_window_s = float(config.dispatch_window_s)
 
     # ------------------------------------------------------------------
@@ -382,13 +379,14 @@ class WindowLAP(MTShare):
     def build_cost_matrix(self, batch: list[RideRequest], now: float) -> WindowCostMatrix:
         """Prune candidates and fill the window's min-detour cost matrix.
 
-        Entries are bit-identical to evaluating each surviving
-        ``(request, taxi)`` pair with the scalar insertion oracle
-        (``tests/oracles.py`` diffs them).
+        Every screened (request, candidate) pair, idle or busy, is one
+        row of a single :func:`~repro.fleet.schedule.score_insertions`
+        call over the per-taxi state the screen gathered once for the
+        window; an empty schedule is just a row with no pending stops.
+        Entries are bit-identical to evaluating each pair with the
+        scalar insertion oracle (``tests/oracles.py`` diffs them).
         """
         obs = self._obs
-        # One state read per taxi per window: the screen's columns, their
-        # ``insertion_start`` and the membership mask feed both fills.
         screen = self._matcher.screen_window(batch, self._fleet, now)
         num_candidates: list[int] = screen.member.sum(axis=1).tolist()
         obs.count("match.candidates_found", sum(num_candidates))
@@ -402,102 +400,25 @@ class WindowLAP(MTShare):
         )
         if not screen.taxis:
             return matrix
-        with obs.stage("window.fill_idle"):
-            self._fill_idle(batch, screen, matrix)
-        with obs.stage("window.fill_busy"):
-            self._fill_busy(batch, screen, matrix)
+        with obs.stage("window.fill"):
+            pair_rows, pair_cols = np.nonzero(screen.member)
+            starts = [screen.starts[j] for j in pair_cols.tolist()]
+            requests = [batch[i] for i in pair_rows.tolist()]
+            scored = score_insertions(self._engine, starts, requests, obs)
+            if scored:
+                idx, last, pi, pj = (np.array(column) for column in zip(*scored))
+                rows = pair_rows[idx]
+                cols = pair_cols[idx]
+                ready = np.array([start[1] for start in screen.starts], dtype=np.float64)
+                current = np.array(
+                    [taxi.remaining_route_cost(start[1])
+                     for taxi, start in zip(screen.taxis, screen.starts)],
+                    dtype=np.float64,
+                )
+                costs[rows, cols] = (last - ready[cols]) - current[cols]
+                matrix.insertions[rows, cols, 0] = pi
+                matrix.insertions[rows, cols, 1] = pj
+        obs.count("window.matrix_pairs", len(starts))
         obs.count("window.matrix_cells", costs.size)
         obs.count("window.matrix_feasible", int(np.isfinite(costs).sum()))
         return matrix
-
-    def _fill_idle(
-        self, batch: list[RideRequest], screen: WindowScreen, matrix: WindowCostMatrix
-    ) -> None:
-        """Bulk-fill every (request, idle-candidate) pair of the window.
-
-        Idle candidates admit exactly one insertion (pick up, then drop
-        off), so the whole tier reduces to two batched cost gathers —
-        one ``taxi-position x request-origin`` many-to-many matrix and
-        the requests' direct legs — plus elementwise deadline/capacity
-        masks.  The arithmetic accumulates left to right with the exact
-        operations of the scalar :func:`~repro.fleet.schedule.arrival_times`
-        walk over the same cached cost entries, so detours and
-        feasibility verdicts are bit-identical to the per-pair
-        reference.
-        """
-        idle = [j for j, start in enumerate(screen.starts) if not start[2]]
-        if not idle:
-            return
-        engine = self._engine
-        obs = self._obs
-        starts = [screen.starts[j] for j in idle]
-        nodes = [start[0] for start in starts]
-        origins = [r.origin for r in batch]
-        # (T_idle, R) pick-up legs in one many-to-many gather; the
-        # direct legs are per *request*, not per pair.
-        leg_pu = engine.cost_matrix(nodes, origins)
-        direct = np.array(
-            [engine.cost(r.origin, r.destination) for r in batch], dtype=np.float64
-        )
-        obs.count("window.bulk_m2m_cells", int(leg_pu.size))
-        obs.count("kernel.batched_insertions", 1)
-
-        ready = np.array([start[1] for start in starts], dtype=np.float64)[:, None]
-        remaining = np.array(
-            [screen.taxis[j].remaining_route_cost(start[1]) for j, start in zip(idle, starts)],
-            dtype=np.float64,
-        )[:, None]
-        t_pu = ready + leg_pu
-        t_do = t_pu + direct[None, :]
-        detour = (t_do - ready) - remaining
-
-        slack = DEADLINE_SLACK_S
-        pu_deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)[None, :]
-        do_deadline = np.array([r.deadline for r in batch], dtype=np.float64)[None, :]
-        onboard = np.array([start[3] for start in starts], dtype=np.int64)[:, None]
-        cap = np.array([start[4] for start in starts], dtype=np.int64)[:, None]
-        n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)[None, :]
-        feasible = (
-            (t_pu <= pu_deadline + slack)
-            & (t_do <= do_deadline + slack)
-            & (onboard + n_pass <= cap)
-        )
-
-        cols = np.array(idle, dtype=np.intp)
-        member = screen.member[:, cols]
-        t_idx, r_idx = np.nonzero(member.T & feasible)  # (T_idle, R)
-        matrix.costs[r_idx, cols[t_idx]] = detour[t_idx, r_idx]
-        obs.count("window.matrix_idle_pairs", int(member.sum()))
-
-    def _fill_busy(
-        self, batch: list[RideRequest], screen: WindowScreen, matrix: WindowCostMatrix
-    ) -> None:
-        """Fill every busy-candidate pair of the window in one scorer call.
-
-        Busy schedules need the general insertion machinery: each
-        (request, busy candidate) member pair is one row of a single
-        :func:`~repro.fleet.schedule.score_insertions` call, which
-        shares the per-taxi state gathered once for the window and
-        reads each taxi's schedule and each request once.
-        """
-        busy = [j for j, start in enumerate(screen.starts) if start[2]]
-        if not busy:
-            return
-        pair_rows, pair_busy = np.nonzero(screen.member[:, busy])
-        if not pair_rows.size:
-            return
-        rows = pair_rows.tolist()
-        cols = [busy[k] for k in pair_busy.tolist()]
-        starts = [screen.starts[j] for j in cols]
-        requests = [batch[i] for i in rows]
-        current: dict[int, float] = {}
-        for idx, last, pi, pj in score_insertions(self._engine, starts, requests, self._obs):
-            i = rows[idx]
-            j = cols[idx]
-            ready = starts[idx][1]
-            cost = current.get(j)
-            if cost is None:
-                cost = current[j] = screen.taxis[j].remaining_route_cost(ready)
-            matrix.costs[i, j] = (last - ready) - cost
-            matrix.insertions[(i, j)] = (pi, pj)
-        self._obs.count("window.matrix_busy_pairs", len(rows))

@@ -3,8 +3,10 @@
 Each function regenerates one table or figure of the paper's
 evaluation: it runs (memoised) simulations with the right workload and
 parameters and returns an :class:`ExperimentResult` whose rows are the
-series the paper plots.  The benchmarks under ``benchmarks/`` wrap
-these functions one-to-one.
+series the paper plots.  Each function here, and each ablation of
+:mod:`.ablations` except ``ablation_seed_robustness`` and
+``ablation_rebalance_imbalance`` (run those with ``repro experiment``),
+has one ``benchmarks/bench_*.py`` wrapper.
 """
 
 from __future__ import annotations

@@ -54,8 +54,7 @@ _PICKUP = StopKind.PICKUP
 
 #: Seconds a stop may be served after its deadline and still count as
 #: on time: absorbs float rounding in summed leg costs.  Every deadline
-#: check of the insertion machinery — here and in the window fill —
-#: reads it.
+#: check of the insertion machinery reads it.
 DEADLINE_SLACK_S = 1e-9
 
 

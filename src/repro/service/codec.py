@@ -33,27 +33,44 @@ def request_to_dict(request: RideRequest) -> dict[str, Any]:
     return {name: getattr(request, name) for name in _REQUEST_FIELDS}
 
 
+#: What ``json`` decodes a JSON number to.
+_NUMBER = (int, float)
+_JSON_TYPE_NAMES = {int: "integer", _NUMBER: "number", bool: "boolean"}
+
+
+def _wire_value(name: str, value: Any, kind: type | tuple[type, ...]) -> Any:
+    """``value`` when it decoded from a JSON value of ``kind``, else a
+    :class:`~repro.demand.request.RequestError` naming the field."""
+    # ``bool`` is an ``int`` to Python, but not a number on the wire.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise RequestError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def request_from_dict(
     payload: dict[str, Any], num_vertices: int | None = None
 ) -> RideRequest:
-    """Parse one wire dict (field validation is RideRequest's own).
+    """Parse one wire dict (value validation is RideRequest's own).
 
-    With ``num_vertices``, an origin or destination outside the
-    network's ``0 .. num_vertices - 1`` is refused too: a request
+    Each field must carry its JSON type: integers for ids, vertices and
+    the passenger count, numbers for times and costs, a boolean for
+    ``offline`` — ``3.5``, ``"12"`` or ``"false"`` are refused, never
+    coerced.  With ``num_vertices``, an origin or destination outside
+    the network's ``0 .. num_vertices - 1`` is refused too: a request
     enters the service here, and past this point a vertex id indexes
     arrays.  Raises ``KeyError`` on missing required fields and
     :class:`~repro.demand.request.RequestError` on invalid values —
     callers surface both as client errors, not crashes.
     """
     request = RideRequest(
-        request_id=int(payload["request_id"]),
-        release_time=float(payload["release_time"]),
-        origin=int(payload["origin"]),
-        destination=int(payload["destination"]),
-        deadline=float(payload["deadline"]),
-        direct_cost=float(payload["direct_cost"]),
-        num_passengers=int(payload.get("num_passengers", 1)),
-        offline=bool(payload.get("offline", False)),
+        request_id=_wire_value("request_id", payload["request_id"], int),
+        release_time=float(_wire_value("release_time", payload["release_time"], _NUMBER)),
+        origin=_wire_value("origin", payload["origin"], int),
+        destination=_wire_value("destination", payload["destination"], int),
+        deadline=float(_wire_value("deadline", payload["deadline"], _NUMBER)),
+        direct_cost=float(_wire_value("direct_cost", payload["direct_cost"], _NUMBER)),
+        num_passengers=_wire_value("num_passengers", payload.get("num_passengers", 1), int),
+        offline=_wire_value("offline", payload.get("offline", False), bool),
     )
     if num_vertices is not None:
         for vertex in (request.origin, request.destination):

@@ -176,6 +176,9 @@ class TestBadScenarioArguments:
         # check it died in the simulator's first window tick.
         (["simulate", *SMALL_WORLD, "--scheme", "window-lap", "--window", "nan"], {},
          "dispatch_window_s must be finite"),
+        # Every other scheme ran greedy dispatch and exited 0.
+        (["simulate", *SMALL_WORLD, "--scheme", "mt-share", "--window", "30"], {},
+         "--window applies only to --scheme window-lap"),
         # Without their finiteness check a NaN radius shocked every
         # routed taxi, an infinite delay made arrivals infinite, and the
         # rebalance ones crashed mid-run or switched rebalancing off.
@@ -205,7 +208,7 @@ class TestBadScenarioArguments:
          "--workers must be a positive integer, got 0"),
     ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
             "congestion-nan", "congestion-inf", "spacing-nan", "spacing-0", "spacing-negative",
-            "cache-warm-ch-grid", "taxis", "capacity", "window-nan",
+            "cache-warm-ch-grid", "taxis", "capacity", "window-nan", "window-other-scheme",
             "shock-radius-nan", "shock-delay-inf", "rebalance-lead-nan",
             "rebalance-cadence-inf", "rebalance-cadence-nan", "bench-scale-env",
             "workers-env-abc", "workers-env-0", "workers-env-negative", "workers-negative",

@@ -60,6 +60,9 @@ HOSTILE = {
     "inf": ("deadline", float("inf")),
     "-1": ("origin", -1),
     "V": ("destination", None),
+    "frac": ("origin", 3.5),
+    "str-id": ("request_id", "12"),
+    "str-bool": ("offline", "false"),
 }
 
 

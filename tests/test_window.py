@@ -235,8 +235,10 @@ class TestCostMatrixEquivalence:
 
         monkeypatch.setattr(window, "score_insertions", counted)
         fast = scheme.build_cost_matrix(batch, now)
-        # Every busy (request, taxi) pair of the window in one call.
-        assert calls == [obs.counters["window.matrix_busy_pairs"]]
+        assert any(not fleet[t].pending_stops() for t in fast.taxi_ids), "no idle candidates"
+        # Every screened (request, taxi) pair of the window, idle or
+        # busy, is a row of one call.
+        assert calls == [obs.counters["window.matrix_pairs"]] == [sum(fast.num_candidates)]
         assert obs.counters["window.screened_pairs"] > 0
         slow = scalar_cost_matrix(scheme, batch, now)
         assert fast.taxi_ids == slow.taxi_ids
@@ -351,8 +353,7 @@ CHAOS = "seed=5,breakdown_rate=0.3,cancel_rate=0.15,shock_windows=2"
 
 #: Counters only the production fill keeps: the reference below builds
 #: its matrix pair by pair and reads no fleet-wide screen.
-FILL_COUNTERS = ("window.screened_pairs", "window.bulk_m2m_cells", "window.matrix_idle_pairs",
-                 "window.matrix_busy_pairs")
+FILL_COUNTERS = ("window.screened_pairs", "window.matrix_pairs")
 
 
 class ScalarWindowLAP(WindowLAP):
