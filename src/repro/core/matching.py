@@ -94,8 +94,8 @@ class WindowScreen:
     candidate set of the window's ``i``-th request (Eq. 3 plus the
     three rules).  Columns are the taxis that are a candidate of at
     least one request, ascending by taxi id; ``starts[j]`` is
-    ``insertion_start(taxis[j], now)``, read once per window and shared
-    with the cost-matrix fill.
+    ``insertion_start(taxis[j], now)``, built once per window for the
+    surviving columns only and shared with the cost-matrix fill.
     """
 
     taxis: list[Taxi]
@@ -345,9 +345,11 @@ class Matcher:
                 ids = [ids[j] for j in known]
                 arrivals = arrivals[:, known]
             taxis = [fleet[tid] for tid in ids]
-            starts = [insertion_start(taxi, now) for taxi in taxis]
-            nodes = np.array([start[0] for start in starts], dtype=np.int64)
-            ready = np.array([start[1] for start in starts], dtype=np.float64)
+            # Rule 3 needs every indexed taxi's planning position; the
+            # rest of its insertion start waits for the screen's verdict.
+            positions = [taxi.position_at(now) for taxi in taxis]
+            nodes = np.array([node for node, _at in positions], dtype=np.int64)
+            ready = np.array([at for _node, at in positions], dtype=np.float64)
             spare = np.array([taxi.capacity - taxi.committed for taxi in taxis], dtype=np.int64)
             busy = [j for j, taxi in enumerate(taxis) if taxi.schedule]
 
@@ -397,9 +399,12 @@ class Matcher:
 
             used = np.flatnonzero(keep.any(axis=0))
             columns = used.tolist()
-            return WindowScreen(
-                [taxis[j] for j in columns], [starts[j] for j in columns], keep[:, used]
-            )
+            survivors = [taxis[j] for j in columns]
+            starts: list[InsertionStart] = [
+                (node, at, taxi.pending_stops(), taxi.occupancy, taxi.capacity)
+                for taxi, (node, at) in zip(survivors, [positions[j] for j in columns])
+            ]
+            return WindowScreen(survivors, starts, keep[:, used])
 
     # ------------------------------------------------------------------
     # taxi scheduling (Algorithm 1)
@@ -502,7 +507,8 @@ def score_candidates(
     starts = [insertion_start(taxi, now) for taxi in candidates]
     obs.count("match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts))
     scored: list[tuple[float, Taxi, Sequence[Stop], int, int]] = []
-    for idx, last, i, j in score_insertions(engine, starts, request, obs):
+    pairs = ([0] * len(starts), range(len(starts)))
+    for idx, last, i, j in score_insertions(engine, starts, [request], pairs, obs):
         taxi = candidates[idx]
         _node, ready, pending, _onboard, _capacity = starts[idx]
         detour = (last - ready) - taxi.remaining_route_cost(ready)
@@ -529,7 +535,7 @@ def best_insertion_for_taxi(
     start = insertion_start(taxi, now)
     pending = start[2]
     obs.count("match.insertions_evaluated", num_insertions(len(pending)))
-    scored = score_insertions(engine, [start], request, obs)
+    scored = score_insertions(engine, [start], [request], ([0], [0]), obs)
     if not scored:
         return None
     _idx, last, i, j = scored[0]

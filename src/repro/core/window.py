@@ -18,7 +18,8 @@ Ridesharing via Linear Assignment Problems"):
 2. **Fill** the rectangular ``requests x taxis`` cost matrix with each
    pair's minimum-detour feasible insertion: every screened
    (request, candidate) pair of the window, idle or busy, is one row
-   of a single :func:`~repro.fleet.schedule.score_insertions` call.
+   of a single :func:`~repro.fleet.schedule.score_insertions` call,
+   indexed into the window's distinct taxis and requests.
    The fill reproduces the scalar per-pair insertion evaluation bit
    for bit; infeasible and unscreened pairs stay ``+inf``.
 3. **Solve** the LAP after masking ``+inf`` to a large finite penalty,
@@ -381,8 +382,10 @@ class WindowLAP(MTShare):
 
         Every screened (request, candidate) pair, idle or busy, is one
         row of a single :func:`~repro.fleet.schedule.score_insertions`
-        call over the per-taxi state the screen gathered once for the
-        window; an empty schedule is just a row with no pending stops.
+        call: the screen's per-column starts, the batch, and the
+        membership mask's ``np.nonzero`` as the pair index, so no
+        per-row list is built; an empty schedule is just a row with no
+        pending stops.
         Entries are bit-identical to evaluating each pair with the
         scalar insertion oracle (``tests/oracles.py`` diffs them).
         """
@@ -402,9 +405,9 @@ class WindowLAP(MTShare):
             return matrix
         with obs.stage("window.fill"):
             pair_rows, pair_cols = np.nonzero(screen.member)
-            starts = [screen.starts[j] for j in pair_cols.tolist()]
-            requests = [batch[i] for i in pair_rows.tolist()]
-            scored = score_insertions(self._engine, starts, requests, obs)
+            scored = score_insertions(
+                self._engine, screen.starts, batch, (pair_rows, pair_cols), obs
+            )
             if scored:
                 idx, last, pi, pj = (np.array(column) for column in zip(*scored))
                 rows = pair_rows[idx]
@@ -418,7 +421,7 @@ class WindowLAP(MTShare):
                 costs[rows, cols] = (last - ready[cols]) - current[cols]
                 matrix.insertions[rows, cols, 0] = pi
                 matrix.insertions[rows, cols, 1] = pj
-        obs.count("window.matrix_pairs", len(starts))
+        obs.count("window.matrix_pairs", pair_rows.size)
         obs.count("window.matrix_cells", costs.size)
         obs.count("window.matrix_feasible", int(np.isfinite(costs).sum()))
         return matrix

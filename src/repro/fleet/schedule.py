@@ -12,12 +12,14 @@ supplied by the caller as a cost function, so the same machinery serves
 basic routing, probabilistic routing and the grid-based baselines.
 
 :func:`score_insertions` is the production form of the primitive and
-the only entry point the dispatch schemes call: per candidate, the
-minimum-arrival feasible ``(i, j)`` instance.  It picks between two
-tiers from the instance count — a plain-Python walk over cached
-distance rows for small batches, grouped numpy array kernels
-(:func:`evaluate_insertions_grouped`) for large ones — and both are
-bit-identical to the scalar oracle that stays here
+the only entry point the dispatch schemes call: per (request,
+candidate) row of a pair index over distinct candidates and distinct
+requests, the minimum-arrival feasible ``(i, j)`` instance.  It picks
+between two tiers from the row and instance counts — a plain-Python
+walk over cached distance rows for small calls, grouped numpy array
+kernels (:func:`evaluate_insertions_grouped`) for large ones, fed
+from fields gathered once per candidate and once per request — and
+both are bit-identical to the scalar oracle that stays here
 (:func:`enumerate_insertions` + :func:`arrival_times` +
 :func:`capacity_ok` + :func:`deadlines_met`), which the kernel tests
 diff them against and T-Share's first-feasible rule uses directly.
@@ -35,8 +37,16 @@ import numpy as np
 from ..demand.request import RideRequest
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy.typing as npt
+
     from ..network.shortest_path import ShortestPathEngine
     from ..obs import Instrumentation
+
+    #: One column of a :func:`score_insertions` pair index: each row's
+    #: position in ``requests``, or in ``starts``.
+    IndexColumn = Sequence[int] | npt.NDArray[np.intp]
+    #: The pair index ``(request_of_row, start_of_row)``.
+    InsertionPairs = tuple[IndexColumn, IndexColumn]
 
 
 class StopKind(enum.Enum):
@@ -118,7 +128,7 @@ def remove_request_stops(stops: Sequence[Stop], request_id: int) -> list[Stop]:
 
 CostFn = Callable[[int, int], float]
 
-#: One candidate of :func:`score_insertions`: ``(start_node,
+#: One distinct candidate of :func:`score_insertions`: ``(start_node,
 #: start_time, pending_stops, initial_onboard, capacity)``.
 InsertionStart = tuple[int, float, Sequence[Stop], int, int]
 
@@ -235,10 +245,10 @@ def _insertion_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, slots=True)
 class GroupedInsertionBatch:
-    """Every insertion instance of *several* candidates with equal ``m``.
+    """Every insertion instance of *several* rows with equal ``m``.
 
     ``last_arrival`` and ``feasible`` are ``(T, R)`` arrays — one row
-    per candidate, one column per insertion instance, columns in
+    per (request, candidate) row, one column per insertion instance, columns in
     :func:`enumerate_insertions` order, so ``argmin`` over the feasible
     arrivals reproduces the scalar loop's first-minimum tie handling.
     """
@@ -257,19 +267,23 @@ class GroupedInsertionBatch:
 
 def evaluate_insertions_grouped(
     engine: ShortestPathEngine,
-    start_nodes: Sequence[int],
-    start_times: Sequence[float],
-    pendings: Sequence[Sequence[Stop]],
-    request: RideRequest | Sequence[RideRequest],
-    initial_onboards: Sequence[int],
-    capacities: Sequence[int],
+    start_nodes: np.ndarray,
+    start_times: np.ndarray,
+    ext_nodes: np.ndarray,
+    ext_deadlines: np.ndarray,
+    ext_deltas: np.ndarray,
+    initial_onboards: np.ndarray,
+    capacities: np.ndarray,
 ) -> GroupedInsertionBatch:
-    """Batched Algorithm-1 evaluation for ``T`` candidates sharing ``m``.
+    """Batched Algorithm-1 evaluation for ``T`` rows sharing ``m``.
 
-    Every candidate must have the same pending-stop count ``m`` (the
-    caller groups by it).  ``request`` is the one request inserted into
-    every candidate, or one request per candidate: a row is a (request,
-    taxi) pair, so a whole dispatch window fits one call.  For all
+    A row is one (request, candidate) pair, already gathered into
+    arrays: ``ext_nodes`` / ``ext_deadlines`` / ``ext_deltas`` are
+    ``(T, m + 2)`` — the candidate's ``m`` pending stops in order, then
+    the request's pick-up (column ``m``) and drop-off (column
+    ``m + 1``) — and the other operands hold one value per row.  Every
+    row has the same pending-stop count (the caller groups by it), and
+    nothing here reads a :class:`Stop` or a request.  For all
     ``T * (m + 1)(m + 2) / 2`` insertion instances at once this gathers
     exactly the legs the instances drive (one elementwise
     :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_pairs`
@@ -281,46 +295,23 @@ def evaluate_insertions_grouped(
     :func:`arrival_times` / :func:`capacity_ok` / :func:`deadlines_met`
     per row and instance.
     """
-    t_count = len(pendings)
-    m = len(pendings[0])
-    ii, jj, seq = _insertion_grid(m)
-    # Extended stops per row: ``0..m-1`` pending, ``m`` pick-up, ``m+1``
-    # drop-off.
-    if set(map(len, pendings)) != {m}:
-        raise ValueError("grouped candidates must share the pending-stop count")
-    requests = [request] if isinstance(request, RideRequest) else request
-    ext_nodes = np.empty((t_count, m + 2), dtype=np.int64)
-    ext_dead = np.empty((t_count, m + 2), dtype=np.float64)
-    ext_delta = np.empty((t_count, m + 2), dtype=np.int64)
-    if m:
-        stops = [stop for pending in pendings for stop in pending]
-        ext_nodes[:, :m] = np.array([s.node for s in stops]).reshape(t_count, m)
-        ext_dead[:, :m] = np.array([s.deadline for s in stops]).reshape(t_count, m)
-        ext_delta[:, :m] = np.array([s.passenger_delta for s in stops]).reshape(t_count, m)
-    ext_nodes[:, m] = [r.origin for r in requests]
-    ext_nodes[:, m + 1] = [r.destination for r in requests]
-    ext_dead[:, m] = [r.pickup_deadline for r in requests]
-    ext_dead[:, m + 1] = [r.deadline for r in requests]
-    ext_delta[:, m] = [r.num_passengers for r in requests]
-    ext_delta[:, m + 1] = -ext_delta[:, m]
+    t_count, width = ext_nodes.shape
+    ii, jj, seq = _insertion_grid(width - 2)
 
     # Each instance's stop sequence and the vertex every leg leaves from.
     to_nodes = ext_nodes[:, seq]  # (T, R, m + 2)
     from_nodes = np.empty_like(to_nodes)
-    from_nodes[:, :, 0] = np.asarray(start_nodes, dtype=np.int64)[:, None]
+    from_nodes[:, :, 0] = start_nodes[:, None]
     from_nodes[:, :, 1:] = to_nodes[:, :, :-1]
-    acc = np.empty((t_count, ii.size, m + 3), dtype=np.float64)
-    acc[:, :, 0] = np.asarray(start_times, dtype=np.float64)[:, None]
+    acc = np.empty((t_count, ii.size, width + 1), dtype=np.float64)
+    acc[:, :, 0] = start_times[:, None]
     acc[:, :, 1:] = engine.cost_pairs(from_nodes.ravel(), to_nodes.ravel()).reshape(
         to_nodes.shape
     )
     times = np.cumsum(acc, axis=2)[:, :, 1:]
 
-    deltas = ext_delta[:, seq]  # (T, R, m + 2)
-    occupancy = np.asarray(initial_onboards, dtype=np.int64)[:, None, None] + np.cumsum(
-        deltas, axis=2
-    )
-    over = occupancy > np.asarray(capacities, dtype=np.int64)[:, None, None]
+    occupancy = initial_onboards[:, None, None] + np.cumsum(ext_deltas[:, seq], axis=2)
+    over = occupancy > capacities[:, None, None]
     negative = occupancy < 0
     if negative.any():
         # The scalar loop raises when it reaches a negative occupancy
@@ -329,7 +320,7 @@ def evaluate_insertions_grouped(
         if (negative & ~prior_over).any():
             raise ValueError("schedule drops off passengers that were never aboard")
     cap_ok = ~over.any(axis=2)
-    dead_ok = (times <= ext_dead[:, seq] + DEADLINE_SLACK_S).all(axis=2)
+    dead_ok = (times <= ext_deadlines[:, seq] + DEADLINE_SLACK_S).all(axis=2)
 
     return GroupedInsertionBatch(
         pickup_idx=ii,
@@ -369,15 +360,16 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
 def _tight_walk(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
-    request: RideRequest | Sequence[RideRequest],
+    requests: Sequence[RideRequest],
+    request_of: IndexColumn,
+    start_of: IndexColumn,
 ) -> list[tuple[int, float, int, int]]:
     """:func:`score_insertions` by scalar distance-row reads.
 
     Distance rows are fetched once per distinct vertex and shared
-    across the whole candidate set, so a small batch costs a few dozen
+    across the whole call, so a small batch costs a few dozen
     ``row.item`` reads — no numpy call overhead at all.
     """
-    per_row = [request] * len(starts) if isinstance(request, RideRequest) else request
     speed = engine.network.speed_mps
     slack = DEADLINE_SLACK_S
     dist_row = engine.dist_row
@@ -385,15 +377,19 @@ def _tight_walk(
     inf = np.inf
 
     out: list[tuple[int, float, int, int]] = []
-    current: RideRequest | None = None
-    for idx, (start_node, start_time, pending, onboard, capacity) in enumerate(starts):
-        if per_row[idx] is not current:
-            current = per_row[idx]
-            pu_node = current.origin
-            do_node = current.destination
-            pu_dead = current.pickup_deadline + slack
-            do_dead = current.deadline + slack
-            n_pass = current.num_passengers
+    current: int | None = None
+    for idx, s in enumerate(start_of):
+        start_node, start_time, pending, onboard, capacity = starts[s]
+        r = request_of[idx]
+        if r != current:
+            _check_index("request", r, r, len(requests))
+            current = r
+            request = requests[r]
+            pu_node = request.origin
+            do_node = request.destination
+            pu_dead = request.pickup_deadline + slack
+            do_dead = request.deadline + slack
+            n_pass = request.num_passengers
             if pu_node not in row_cache:
                 row_cache[pu_node] = dist_row(pu_node)
             pu_row = row_cache[pu_node]
@@ -543,71 +539,131 @@ def materialize_insertion(
 def score_insertions(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
-    request: RideRequest | Sequence[RideRequest],
+    requests: Sequence[RideRequest],
+    pairs: InsertionPairs,
     obs: Instrumentation,
 ) -> list[tuple[int, float, int, int]]:
-    """Minimum-arrival feasible insertion per candidate.
+    """Minimum-arrival feasible insertion per (request, candidate) row.
 
-    ``request`` is inserted into every entry of ``starts``, or is one
-    request per entry: a dispatch scores one request against its
-    candidates, a window scores all of its (request, taxi) pairs in one
-    call.  Returns ``(index, last_arrival, i, j)`` for every entry of
-    ``starts`` that admits a feasible instance, ascending by index;
-    ``(i, j)`` is the first minimum-last-arrival instance in
-    :func:`enumerate_insertions` order
+    ``starts`` are distinct candidates and ``requests`` distinct
+    requests; ``pairs = (request_of_row, start_of_row)`` says which
+    request each row inserts into which candidate — ``np.nonzero`` of a
+    ``(requests, starts)`` membership mask.  A dispatch scores its one
+    request against every candidate (``([0] * k, range(k))``), a window
+    scores all of its screened pairs in one call.  Returns ``(row,
+    last_arrival, i, j)`` for every row that admits a feasible
+    instance, ascending by row; ``(i, j)`` is the first
+    minimum-last-arrival instance in :func:`enumerate_insertions` order
     (:func:`materialize_insertion` builds its stop list).  The detour
     ``(last_arrival - start_time) - current_cost`` is monotone in the
     last arrival, so this is Algorithm 1's minimum-detour choice.
+    Columns of unequal length, or an index outside ``starts`` or
+    ``requests``, raise ``ValueError``.
 
-    Small batches take a plain-Python walk over cached distance rows,
-    large ones the grouped array kernels, selected from the instance
-    count alone.  Both accumulate arrivals left to right with the exact
-    operations of :func:`arrival_times` over ``engine.cost`` and follow
-    :func:`capacity_ok` (including its ``ValueError`` on impossible
-    drop-offs) and :func:`deadlines_met`, so the result is bit-identical
-    to the scalar enumeration whichever tier runs.
+    Small calls take a plain-Python walk over cached distance rows,
+    large ones the grouped array kernels, selected from the row count
+    and the total instance count.  Both accumulate arrivals left to
+    right with the exact operations of :func:`arrival_times` over
+    ``engine.cost`` and follow :func:`capacity_ok` (including its
+    ``ValueError`` on impossible drop-offs) and :func:`deadlines_met`,
+    so the result is bit-identical to the scalar enumeration whichever
+    tier runs.
     """
-    counts = [len(start[2]) for start in starts]
-    # Every candidate has at least one instance: a long list is grouped.
-    if len(counts) <= TIGHT_INSERTION_MAX and sum(map(num_insertions, counts)) <= (
-        TIGHT_INSERTION_MAX
-    ):
-        obs.count("kernel.tight_dispatches", 1)
-        return _tight_walk(engine, starts, request)
+    request_of, start_of = pairs
+    rows = len(request_of)
+    if len(start_of) != rows:
+        raise ValueError(
+            f"pairs columns differ in length: {rows} request indices, "
+            f"{len(start_of)} start indices"
+        )
+    if not rows:
+        return []
+    # Every row has at least one instance: a long call is grouped.
+    if rows <= TIGHT_INSERTION_MAX:
+        _check_index("start", min(start_of), max(start_of), len(starts))
+        instances = [num_insertions(len(start[2])) for start in starts]
+        if sum(map(instances.__getitem__, start_of)) <= TIGHT_INSERTION_MAX:
+            obs.count("kernel.tight_dispatches", 1)
+            return _tight_walk(engine, starts, requests, request_of, start_of)
+    request_idx = np.asarray(request_of, dtype=np.intp)
+    start_idx = np.asarray(start_of, dtype=np.intp)
+    _check_index("request", int(request_idx.min()), int(request_idx.max()), len(requests))
+    _check_index("start", int(start_idx.min()), int(start_idx.max()), len(starts))
+
+    # One flat stop table, read once: every distinct start's pending
+    # stops in order, then every distinct request's pick-up and
+    # drop-off.  A row's extended stops are an index row into it.
     node_col, time_col, pendings, onboard_col, capacity_col = zip(*starts)
     nodes = np.array(node_col, dtype=np.int64)
     times = np.array(time_col, dtype=np.float64)
     onboards = np.array(onboard_col, dtype=np.int64)
     capacities = np.array(capacity_col, dtype=np.int64)
-    by_count = np.array(counts)
-    groups = np.unique(by_count)
+    counts_of = np.array([len(pending) for pending in pendings], dtype=np.intp)
+    first_stop = np.cumsum(counts_of) - counts_of
+    stops = [stop for pending in pendings for stop in pending]
+    passengers = [r.num_passengers for r in requests]
+    flat_nodes = np.array(
+        [stop.node for stop in stops] + [v for r in requests for v in (r.origin, r.destination)],
+        dtype=np.int64,
+    )
+    flat_dead = np.array(
+        [stop.deadline for stop in stops]
+        + [t for r in requests for t in (r.pickup_deadline, r.deadline)],
+        dtype=np.float64,
+    )
+    flat_delta = np.array(
+        [stop.passenger_delta for stop in stops] + [d for n in passengers for d in (n, -n)],
+        dtype=np.int64,
+    )
+    request_stops = np.arange(len(stops), flat_nodes.size).reshape(-1, 2)
+
+    # Rows grouped by pending-stop count, ascending within each group.
+    by_count = counts_of[start_idx]
+    order = np.argsort(by_count, kind="stable")
+    sizes = np.bincount(by_count)
+    groups = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)
     obs.count("kernel.batched_insertions", groups.size)
     out: list[tuple[int, float, int, int]] = []
-    for m in groups.tolist():
-        members = np.flatnonzero(by_count == m)
-        picked = members.tolist()
+    for m, begin, end in zip(
+        groups.tolist(), (ends - sizes)[groups].tolist(), ends[groups].tolist()
+    ):
+        members = order[begin:end]
+        s = start_idx[members]
+        at = np.concatenate(
+            (first_stop[s, None] + np.arange(m), request_stops[request_idx[members]]), axis=1
+        )
         batch = evaluate_insertions_grouped(
             engine,
-            nodes[members],
-            times[members],
-            [pendings[k] for k in picked],
-            request if isinstance(request, RideRequest) else [request[k] for k in picked],
-            onboards[members],
-            capacities[members],
+            nodes[s],
+            times[s],
+            flat_nodes[at],
+            flat_dead[at],
+            flat_delta[at],
+            onboards[s],
+            capacities[s],
         )
-        # First minimum among the feasible instances, per candidate —
-        # the scalar loop's strict-improvement tie handling.
+        # First minimum among the feasible instances, per row — the
+        # scalar loop's strict-improvement tie handling.
         masked = np.where(batch.feasible, batch.last_arrival, np.inf)
         winners = np.argmin(masked, axis=1)
-        rows = np.flatnonzero(batch.feasible[np.arange(len(members)), winners])
-        ks = winners[rows]
+        won = np.flatnonzero(batch.feasible[np.arange(members.size), winners])
+        ks = winners[won]
         out.extend(
             zip(
-                members[rows].tolist(),
-                batch.last_arrival[rows, ks].tolist(),
+                members[won].tolist(),
+                batch.last_arrival[won, ks].tolist(),
                 batch.pickup_idx[ks].tolist(),
                 batch.dropoff_idx[ks].tolist(),
             )
         )
     out.sort()
     return out
+
+
+def _check_index(name: str, low: int, high: int, size: int) -> None:
+    """Refuse a pair index that reaches outside its ``size`` entries."""
+    if low < 0 or high >= size:
+        raise ValueError(
+            f"pairs index a {name} outside [0, {size}): indices span [{low}, {high}]"
+        )

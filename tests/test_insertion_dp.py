@@ -50,9 +50,8 @@ def grid_cost(u, v):
 
 def operator_best(start_node, start_time, stops, request, capacity, onboard):
     """``(detour, stops)`` of the operator, or ``None``."""
-    scored = score_insertions(
-        ENGINE, [(start_node, start_time, stops, onboard, capacity)], request, NULL
-    )
+    start = (start_node, start_time, stops, onboard, capacity)
+    scored = score_insertions(ENGINE, [start], [request], ([0], [0]), NULL)
     if not scored:
         return None
     _idx, last, i, j = scored[0]

@@ -123,15 +123,48 @@ TIERS = {
 }
 
 
+def _every_start(count):
+    """The pair index of one request scored against ``count`` starts."""
+    return [0] * count, range(count)
+
+
 def _score_both_tiers(engine, monkeypatch, starts, request):
-    """``score_insertions`` through each tier == the scalar oracle."""
+    """``score_insertions`` of one request against every start, through
+    each tier, == the scalar oracle."""
     expected = oracle_score_insertions(engine, starts, request)
     for threshold, counter in TIERS.values():
         monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
         obs = Instrumentation()
-        assert score_insertions(engine, starts, request, obs) == expected
+        got = score_insertions(engine, starts, [request], _every_start(len(starts)), obs)
+        assert got == expected
         assert set(obs.counter_snapshot()) == {counter}
     return expected
+
+
+def _oracle_rows(engine, starts, requests, pairs):
+    """The scalar oracle per row of a pair index."""
+    return [
+        (row, last, i, j)
+        for row, (r, s) in enumerate(zip(*pairs))
+        for _only, last, i, j in oracle_score_insertions(engine, [starts[s]], requests[r])
+    ]
+
+
+def _grouped(engine, rows):
+    """``evaluate_insertions_grouped`` over ``(start, request)`` rows of
+    one pending-stop count, its operands read here from the stops."""
+    extended = [[*start[2], pickup(request), dropoff(request)] for start, request in rows]
+    nodes, times, _pendings, onboards, capacities = zip(*(start for start, _r in rows))
+    return evaluate_insertions_grouped(
+        engine,
+        np.array(nodes, dtype=np.int64),
+        np.array(times, dtype=np.float64),
+        np.array([[s.node for s in stops] for stops in extended], dtype=np.int64),
+        np.array([[s.deadline for s in stops] for stops in extended], dtype=np.float64),
+        np.array([[s.passenger_delta for s in stops] for stops in extended], dtype=np.int64),
+        np.array(onboards, dtype=np.int64),
+        np.array(capacities, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -190,10 +223,7 @@ class TestBatchedInsertions:
             by_m.setdefault(len(start[2]), []).append(start)
         assert len(by_m) > 3 and any(len(g) > 1 for g in by_m.values())
         for m, group in by_m.items():
-            nodes, times, pendings, onboards, capacities = zip(*group)
-            batch = evaluate_insertions_grouped(
-                engine, nodes, times, pendings, request, onboards, capacities
-            )
+            batch = _grouped(engine, [(start, request) for start in group])
             assert batch.feasible.shape == (len(group), num_insertions(m))
             for t, start in enumerate(group):
                 for k, (i, j, _stops, last, ok) in enumerate(
@@ -216,11 +246,7 @@ class TestBatchedInsertions:
         checked = 0
         for m, group in taxis.items():
             rows = [(start, request) for start in group for request in requests[: 1 + m]]
-            starts, row_requests = zip(*rows)
-            nodes, times, pendings, onboards, capacities = zip(*starts)
-            batch = evaluate_insertions_grouped(
-                engine, nodes, times, pendings, row_requests, onboards, capacities
-            )
+            batch = _grouped(engine, rows)
             for t, (start, request) in enumerate(rows):
                 for k, (_i, _j, _stops, last, ok) in enumerate(
                     oracle_instances(engine, start, request)
@@ -236,7 +262,7 @@ class TestBatchedInsertions:
         request = _random_request(rng, net, engine, rid=2)
         # Drop-off with nobody aboard: scalar capacity_ok raises.
         with pytest.raises(ValueError):
-            evaluate_insertions_grouped(engine, [0], [0.0], [[dropoff(r1)]], request, [0], [4])
+            _grouped(engine, [((0, 0.0, [dropoff(r1)], 0, 4), request)])
 
 
 # ----------------------------------------------------------------------
@@ -504,19 +530,116 @@ class TestTightInsertion:
         rng = np.random.default_rng(23)
         requests = [_random_request(rng, net, engine, rid=900 + k) for k in range(5)]
         starts = [_random_start(rng, net, engine, base_rid=trial * 10) for trial in range(8)]
-        rows = [(start, request) for start in starts for request in requests]
-        expected = [
-            (idx, last, i, j)
-            for idx, (start, request) in enumerate(rows)
-            for _only, last, i, j in oracle_score_insertions(engine, [start], request)
-        ]
+        pairs = (
+            [r for _s in range(len(starts)) for r in range(len(requests))],
+            [s for s in range(len(starts)) for _r in range(len(requests))],
+        )
+        expected = _oracle_rows(engine, starts, requests, pairs)
         assert expected
-        row_starts, row_requests = (list(col) for col in zip(*rows))
         for threshold, counter in TIERS.values():
             monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
             obs = Instrumentation()
-            assert score_insertions(engine, row_starts, row_requests, obs) == expected
+            assert score_insertions(engine, starts, requests, pairs, obs) == expected
             assert set(obs.counter_snapshot()) == {counter}
+
+    def test_shuffled_pair_index(self, net, engine, monkeypatch):
+        """Rows in any order, starts and requests shared across rows,
+        some of each referenced by no row, mixed pending-stop counts:
+        every row equals the oracle on its own pair."""
+        rng = np.random.default_rng(24)
+        checked = mixed = 0
+        for trial in range(12):
+            starts = [
+                _random_start(rng, net, engine, base_rid=1000 * trial + 10 * k)
+                for k in range(9)
+            ]
+            requests = [
+                _random_request(rng, net, engine, rid=1000 * trial + 900 + k) for k in range(5)
+            ]
+            # Start 0 and request 0 stay unreferenced; pairs repeat.
+            rows = int(rng.integers(1, 30))
+            pairs = (
+                rng.integers(1, len(requests), size=rows).tolist(),
+                rng.integers(1, len(starts), size=rows).tolist(),
+            )
+            mixed += len({len(starts[s][2]) for s in pairs[1]}) > 1
+            expected = _oracle_rows(engine, starts, requests, pairs)
+            for threshold, counter in TIERS.values():
+                monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+                obs = Instrumentation()
+                as_arrays = tuple(np.array(column, dtype=np.intp) for column in pairs)
+                for index in (pairs, as_arrays):
+                    assert score_insertions(engine, starts, requests, index, obs) == expected
+                assert set(obs.counter_snapshot()) == {counter}
+            checked += len(expected)
+        assert checked > 0 and mixed > 6
+
+    def test_grouped_tier_gathers_once_per_start_and_request(self, net, engine, monkeypatch):
+        """The grouped tier reads every pending stop's fields once per
+        distinct start and every request once, however many rows share
+        them."""
+        rng = np.random.default_rng(25)
+        starts = [_random_start(rng, net, engine, base_rid=10 * k) for k in range(6)]
+        requests = [_random_request(rng, net, engine, rid=900 + k) for k in range(4)]
+        assert sum(len(start[2]) for start in starts) > 0
+        pairs = (
+            [r for _s in range(len(starts)) for r in range(len(requests))] * 2,
+            [s for s in range(len(starts)) for _r in range(len(requests))] * 2,
+        )
+        expected = _oracle_rows(engine, starts, requests, pairs)
+        reads: dict[tuple[str, int], int] = {}
+
+        def counting(cls, name):
+            original = getattr(cls, name).fget
+
+            def read(obj):
+                key = (name, id(obj))
+                reads[key] = reads.get(key, 0) + 1
+                return original(obj)
+
+            monkeypatch.setattr(cls, name, property(read))
+
+        for name in ("node", "deadline", "passenger_delta"):
+            counting(schedule_mod.Stop, name)
+        counting(RideRequest, "pickup_deadline")
+        monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", 0)
+        assert score_insertions(engine, starts, requests, pairs, NULL) == expected
+        for start in starts:
+            for stop in start[2]:
+                for name in ("node", "deadline", "passenger_delta"):
+                    assert reads[(name, id(stop))] == 1
+        for request in requests:
+            assert reads[("pickup_deadline", id(request))] == 1
+
+    def test_refuses_a_pair_index_that_disagrees(self, net, engine, monkeypatch):
+        """Unequal columns and out-of-range indices, negative ones
+        included, are refused in both tiers instead of dropped or
+        wrapped."""
+        rng = np.random.default_rng(26)
+        starts = [_random_start(rng, net, engine, base_rid=10 * k) for k in range(3)]
+        requests = [_random_request(rng, net, engine, rid=900 + k) for k in range(4)]
+        unequal = [
+            ([0, 1, 2, 3], [0, 1, 2]),
+            ([0, 1, 2], range(4)),
+            (np.zeros(2, dtype=np.intp), np.arange(3, dtype=np.intp)),
+        ]
+        outside = [
+            ([0, 1, 4], [0, 1, 2]),  # a fifth request
+            ([0, 1, 2], [0, 1, 3]),  # a fourth start
+            ([0, -1, 2], [0, 1, 2]),
+            ([-1, 1, 2], [0, 1, 2]),
+            ([0, 1, 2], [0, 1, -1]),
+            (np.array([0, 1, 2], dtype=np.intp), np.array([-3, 1, 2], dtype=np.intp)),
+        ]
+        for threshold, _counter in TIERS.values():
+            monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
+            for pairs in unequal:
+                with pytest.raises(ValueError, match="differ in length"):
+                    score_insertions(engine, starts, requests, pairs, NULL)
+            for pairs in outside:
+                with pytest.raises(ValueError, match="outside"):
+                    score_insertions(engine, starts, requests, pairs, NULL)
+            assert score_insertions(engine, starts, requests, ([], []), NULL) == []
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine, monkeypatch):
         rng = np.random.default_rng(9)
@@ -533,7 +656,7 @@ class TestTightInsertion:
                 with pytest.raises(ValueError):
                     oracle_score_insertions(engine, starts, request)
                 with pytest.raises(ValueError):
-                    score_insertions(engine, starts, request, NULL)
+                    score_insertions(engine, starts, [request], ([0], [0]), NULL)
         # capacity_ok fails an instance at its first over-capacity stop,
         # before it can reach the negative occupancy that would raise:
         # with no seat at all, every instance is over capacity first.

@@ -228,17 +228,20 @@ class TestCostMatrixEquivalence:
         obs = Instrumentation()
         scheme.instrument(obs)
         calls = []
+        starts_seen = []
 
-        def counted(engine, starts, requests, scorer_obs):
-            calls.append(len(starts))
-            return score_insertions(engine, starts, requests, scorer_obs)
+        def counted(engine, starts, requests, pairs, scorer_obs):
+            calls.append(len(pairs[0]))
+            starts_seen.append(len(starts))
+            return score_insertions(engine, starts, requests, pairs, scorer_obs)
 
         monkeypatch.setattr(window, "score_insertions", counted)
         fast = scheme.build_cost_matrix(batch, now)
         assert any(not fleet[t].pending_stops() for t in fast.taxi_ids), "no idle candidates"
         # Every screened (request, taxi) pair of the window, idle or
-        # busy, is a row of one call.
+        # busy, is a row of one call, indexed into one start per column.
         assert calls == [obs.counters["window.matrix_pairs"]] == [sum(fast.num_candidates)]
+        assert starts_seen == [len(fast.taxi_ids)]
         assert obs.counters["window.screened_pairs"] > 0
         slow = scalar_cost_matrix(scheme, batch, now)
         assert fast.taxi_ids == slow.taxi_ids
