@@ -9,8 +9,10 @@ what it runs when it runs (``_COMMANDS``): ``--help``, ``lint`` and
     Run one scheme on one scenario and print the metric summary.
 ``experiment``
     Regenerate one of the paper's tables/figures (or an ablation) and
-    print its rows; ``--workers N`` (or ``REPRO_WORKERS``) fans the
-    underlying simulations out over worker processes.
+    print its rows, or (``claims``) check every paper claim on three
+    scenario seeds and print the results and verdicts as JSON;
+    ``--workers N`` (or ``REPRO_WORKERS``) fans the underlying
+    simulations out over worker processes.
 ``cache``
     Inspect, warm, or clear the persistent preprocessing artifact
     store (see :mod:`repro.artifacts`).
@@ -36,10 +38,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .artifacts.store import ArtifactStore
-
-#: Ablations that drive the simulator directly instead of going through
-#: ``runner.run`` — a planning pass over them would execute real work.
-NON_RUN_ABLATIONS = frozenset({"redispatch"})
 
 
 def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_help: str) -> None:
@@ -90,10 +88,9 @@ def _simulate_args(sim: argparse.ArgumentParser) -> None:
 
 
 def _experiment_args(exp: argparse.ArgumentParser) -> None:
-    from .experiments.ablations import ALL_ABLATIONS
-    from .experiments.figures import ALL_EXPERIMENTS
+    from .experiments.claims import REGISTRY
 
-    exp.add_argument("name", choices=sorted(list(ALL_EXPERIMENTS) + list(ALL_ABLATIONS)))
+    exp.add_argument("name", choices=sorted(REGISTRY))
     exp.add_argument("--workers", type=int, default=None,
                      help="parallel sweep workers, a positive integer "
                           "(default: REPRO_WORKERS or 1)")
@@ -251,22 +248,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments.ablations import ALL_ABLATIONS
-    from .experiments.figures import ALL_EXPERIMENTS, NON_RUN_FIGURES
+    from .experiments.claims import REGISTRY
     from .experiments.runner import bench_scale, collect_keys, default_workers, run_many
 
-    fn = ALL_EXPERIMENTS.get(args.name, ALL_ABLATIONS.get(args.name))
+    entry = REGISTRY[args.name]
     with _building():
         scale = bench_scale()
         workers = args.workers if args.workers is not None else default_workers()
         if workers < 1:
             raise ValueError(f"--workers must be a positive integer, got {workers}")
-    plannable = args.name not in NON_RUN_FIGURES and args.name not in NON_RUN_ABLATIONS
-    if workers > 1 and plannable:
-        keys = collect_keys(fn, scale)
-        print(f"Sweeping {len(keys)} runs across {workers} workers...")
+    if workers > 1 and entry.plannable:
+        keys = collect_keys(entry.fn, scale)
+        # stderr: stdout is the result, JSON for ``claims``.
+        print(f"Sweeping {len(keys)} runs across {workers} workers...", file=sys.stderr)
         run_many(keys, workers=workers)
-    result = fn(scale)
+    result = entry.fn(scale)
     result.print()
     return 0
 
@@ -443,13 +439,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     from .experiments.ablations import ALL_ABLATIONS
-    from .experiments.figures import ALL_EXPERIMENTS
+    from .experiments.claims import REGISTRY
     from .sim.scenario import SCHEME_REGISTRY
 
     print("schemes:")
     for info in SCHEME_REGISTRY.values():
         print(f"  {info.key:13s} {info.summary}")
-    print("experiments :", ", ".join(sorted(ALL_EXPERIMENTS)))
+    print("experiments :", ", ".join(sorted(set(REGISTRY) - set(ALL_ABLATIONS))))
     print("ablations   :", ", ".join(sorted(ALL_ABLATIONS)))
     print("\nSet REPRO_BENCH_SCALE=full for paper-shaped sweeps.")
     return 0

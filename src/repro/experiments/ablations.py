@@ -3,9 +3,11 @@
 These go beyond the paper's own sweeps: they isolate individual design
 decisions DESIGN.md calls out — the searching-range policy (static
 ``gamma`` versus the Eq. 2 adaptive radius), the probability-vs-detour
-steering strength the paper defers to future work, and the idle
-demand-seeking cruising of the non-peak mode — so a downstream user can
-see what each buys.
+steering strength the paper defers to future work, the idle
+demand-seeking cruising of the non-peak mode, offline redispatch,
+congestion, the dispatch window and proactive rebalancing — so a
+downstream user can see what each buys.  :data:`ALL_ABLATIONS`
+registers them by the short names ``repro experiment`` takes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..reporting import ExperimentResult
-from .runner import BenchScale, RunKey, bench_scale, run
+from .runner import BenchScale, Experiment, RunKey, bench_scale, run
 
 
 def ablation_adaptive_gamma(scale: BenchScale | None = None) -> ExperimentResult:
@@ -137,41 +139,29 @@ def ablation_redispatch(scale: BenchScale | None = None) -> ExperimentResult:
     return result
 
 
-def ablation_seed_robustness(scale: BenchScale | None = None,
-                             seeds: tuple[int, ...] = (7, 11, 13)) -> ExperimentResult:
-    """Headline peak metrics across scenario seeds.
+def ablation_traffic(scale: BenchScale | None = None) -> ExperimentResult:
+    """Congestion sensitivity (the paper's traffic extension).
 
-    Each seed is a fresh synthetic substrate — network perturbation,
-    demand zones, trace, partitions — so this checks the comparative
-    results are not an artifact of one draw.  It is also the most
-    preprocessing-heavy sweep in the suite (every seed rebuilds all
-    scenario artifacts), which makes it the showcase workload for the
-    artifact store and the parallel executor.
+    The paper assumes stable traffic but notes the system extends to
+    real-time conditions.  Slower traffic lengthens every trip, so the
+    same fleet serves fewer requests; the schemes' relative ordering
+    should be insensitive to the congestion level.
     """
     scale = scale or bench_scale()
     result = ExperimentResult(
-        title="Ablation: scenario-seed robustness (mT-Share, peak)",
-        x_label="spec_seed",
-        x_values=list(seeds),
-        y_label="value",
+        title="Ablation: congestion factor (peak, mT-Share vs pGreedyDP)",
+        x_label="speed_factor",
+        x_values=[1.0, 0.7],
+        y_label="served",
     )
-    served = []
-    waiting = []
-    detour = []
-    for seed in seeds:
-        metrics = run(
-            RunKey(
-                spec=replace(scale.peak, seed=seed),
-                scheme="mt-share",
-                num_taxis=scale.default_taxis,
+    for scheme in ("pgreedydp", "mt-share"):
+        values = []
+        for factor in (1.0, 0.7):
+            spec = replace(scale.peak, congestion=factor)
+            values.append(
+                run(RunKey(spec=spec, scheme=scheme, num_taxis=scale.default_taxis)).served
             )
-        )
-        served.append(metrics.served)
-        waiting.append(round(metrics.avg_waiting_min, 2))
-        detour.append(round(metrics.avg_detour_min, 2))
-    result.add_series("served", served)
-    result.add_series("waiting_min", waiting)
-    result.add_series("detour_min", detour)
+        result.add_series(scheme, values)
     return result
 
 
@@ -181,31 +171,34 @@ def ablation_window_size(scale: BenchScale | None = None,
     """``window-lap`` service quality and dispatch cost versus ``W``.
 
     ``W = 0`` degenerates to single-request windows and reproduces the
-    greedy mT-Share decisions exactly (the PR 8 equivalence gate); the
-    wider the window, the more requests each linear assignment batches
-    — amortising matrix fill across the window — at the price of up to
-    ``W`` seconds of added matching delay per request.
+    greedy mT-Share decisions exactly; the ``greedy`` column is greedy
+    mT-Share on the same fleet, the reference.  The wider the window,
+    the more requests each linear assignment batches — amortising matrix
+    fill across the window — at the price of up to ``W`` seconds of
+    added matching delay per request.
     """
     scale = scale or bench_scale()
     result = ExperimentResult(
         title="Ablation: window-lap dispatch-window length (peak)",
         x_label="window_s",
-        x_values=[int(w) for w in windows],
+        x_values=[*(int(w) for w in windows), "greedy"],
         y_label="value",
     )
     served = []
     waiting = []
     dispatch_ms = []
     rolled = []
-    for w in windows:
-        metrics = run(
-            RunKey(
-                spec=scale.peak,
-                scheme="window-lap",
-                num_taxis=scale.default_taxis,
-                config_overrides=(("dispatch_window_s", float(w)),),
-            )
+    keys = [
+        RunKey(
+            spec=scale.peak,
+            scheme="window-lap",
+            num_taxis=scale.default_taxis,
+            config_overrides=(("dispatch_window_s", float(w)),),
         )
+        for w in windows
+    ]
+    for key in [*keys, RunKey(spec=scale.peak, scheme="mt-share", num_taxis=scale.default_taxis)]:
+        metrics = run(key)
         served.append(metrics.served)
         waiting.append(round(metrics.avg_waiting_min, 2))
         stage = metrics.stages.get("sim.dispatch", {})
@@ -260,12 +253,13 @@ def ablation_rebalance_imbalance(scale: BenchScale | None = None) -> ExperimentR
     return result
 
 
+#: Every ablation by its ``repro experiment`` name.
 ALL_ABLATIONS = {
-    "adaptive_gamma": ablation_adaptive_gamma,
-    "steering": ablation_steering,
-    "cruising": ablation_cruising,
-    "redispatch": ablation_redispatch,
-    "seed_robustness": ablation_seed_robustness,
-    "window_size": ablation_window_size,
-    "rebalance_imbalance": ablation_rebalance_imbalance,
+    "adaptive_gamma": Experiment(ablation_adaptive_gamma, plannable=True),
+    "steering": Experiment(ablation_steering, plannable=True),
+    "cruising": Experiment(ablation_cruising, plannable=True),
+    "redispatch": Experiment(ablation_redispatch, plannable=False),
+    "traffic": Experiment(ablation_traffic, plannable=True),
+    "window_size": Experiment(ablation_window_size, plannable=True),
+    "rebalance_imbalance": Experiment(ablation_rebalance_imbalance, plannable=True),
 }

@@ -3,20 +3,21 @@
 Each function regenerates one table or figure of the paper's
 evaluation: it runs (memoised) simulations with the right workload and
 parameters and returns an :class:`ExperimentResult` whose rows are the
-series the paper plots.  Each function here, and each ablation of
-:mod:`.ablations` except ``ablation_seed_robustness`` and
-``ablation_rebalance_imbalance`` (run those with ``repro experiment``),
-has one ``benchmarks/bench_*.py`` wrapper.
+series the paper plots.  :data:`ALL_EXPERIMENTS` registers them by the
+short names ``repro experiment`` takes; the paper's claims about them,
+checked by ``benchmarks/bench_claims.py`` and rendered into
+EXPERIMENTS.md, are :data:`repro.experiments.claims.CLAIMS`.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..demand.dataset import TripDataset
 from ..network.shortest_path import ShortestPathEngine
-from ..sim.scenario import ScenarioSpec, get_scenario
+from ..sim.scenario import Scenario, ScenarioSpec, get_scenario
 from ..reporting import ExperimentResult
-from .runner import BenchScale, RunKey, bench_scale, run
+from .runner import BenchScale, Experiment, RunKey, bench_scale, collect_keys, run
 
 #: The scheme line-up of the peak-scenario figures.
 PEAK_SCHEMES = ("no-sharing", "t-share", "pgreedydp", "mt-share")
@@ -52,33 +53,41 @@ def _metric_sweep(
 # ----------------------------------------------------------------------
 # Fig. 5 — dataset statistics
 # ----------------------------------------------------------------------
+def _trips_where(trips: TripDataset, mask) -> TripDataset:
+    return TripDataset(release_times=trips.release_times[mask], origins=trips.origins[mask],
+                       destinations=trips.destinations[mask], taxi_ids=trips.taxi_ids[mask])
+
+
 def fig5_dataset_stats(scale: BenchScale | None = None) -> ExperimentResult:
-    """Fig. 5: taxi-utilisation per hour and trip travel-time percentiles."""
+    """Fig. 5: taxi utilisation and trip travel-time percentiles by hour
+    of day; the ``all hours`` column holds the daily mean utilisation
+    and the percentiles over every trip of the trace."""
     scale = scale or bench_scale()
     scenario = get_scenario(scale.peak)
     engine: ShortestPathEngine = scenario.engine
+    history = scenario.history
 
     # Day 2 is a plain workday (day 1 hosts the excised peak window).
-    workday = scenario.history.window(2 * 86400.0, 3 * 86400.0)
-    weekend = scenario.history.window(6 * 86400.0, 7 * 86400.0)
+    workday = history.window(2 * 86400.0, 3 * 86400.0)
+    weekend = history.window(6 * 86400.0, 7 * 86400.0)
     hours = list(range(6, 22, 2))
     result = ExperimentResult(
-        title="Fig. 5(a): average taxi utilisation ratio by hour of day",
+        title="Fig. 5: taxi utilisation ratio and trip travel time (min) by hour of day",
         x_label="hour",
-        x_values=hours,
-        y_label="utilisation",
+        x_values=[*hours, "all hours"],
+        y_label="value",
     )
     for name, day, base in (("workday", workday, 2), ("weekend", weekend, 6)):
         util = day.hourly_utilization(engine)
-        result.add_series(
-            name, [round(util.get(base * 24 + h, 0.0), 3) for h in hours]
-        )
-    pct = scenario.history.travel_time_distribution(engine, percentiles=(50.0, 90.0))
-    result.notes.append(
-        "Fig. 5(b): trip travel time p50="
-        f"{pct[50.0] / 60.0:.1f} min, p90={pct[90.0] / 60.0:.1f} min "
-        "(paper: 15 and 30 min on the full-size network)"
-    )
+        daily = [util.get(base * 24 + h, 0.0) for h in range(24)]
+        result.add_series(name, [round(daily[h], 3) for h in hours] + [round(sum(daily) / 24, 3)])
+    hour_of_day = (history.release_times // 3600.0) % 24
+    trips = [_trips_where(history, hour_of_day == h) for h in hours] + [history]
+    pcts = [t.travel_time_distribution(engine, percentiles=(50.0, 90.0)) for t in trips]
+    for p in (50.0, 90.0):
+        result.add_series(f"trip p{p:.0f} min", [round(pct[p] / 60.0, 1) for pct in pcts])
+    result.notes.append("Fig. 5(b): the paper's trip travel time is p50 = 15 min, "
+                        "p90 = 30 min on the full-size network")
     return result
 
 
@@ -528,7 +537,9 @@ def fig21v_vertex_scalability(
     ``lazy`` per-source memo above ``FULL_APSP_LIMIT``).  mT-Share runs
     with the geometric partitioner (k-means over coordinates stays
     tractable at hundreds of thousands of vertices, unlike the
-    bipartite fixed point) over one evaluation hour per size.
+    bipartite fixed point) over one evaluation hour per size, on the
+    scale's scenario seed.  Each size's scenario is built for its one
+    run and not memoised: the largest holds hundreds of megabytes.
     """
     scale = scale or bench_scale()
     if grid_sides is None:
@@ -551,9 +562,9 @@ def fig21v_vertex_scalability(
             history_days=2,
             offline_count=40,
             num_partitions=16,
-            seed=7,
+            seed=scale.peak.seed,
         )
-        scenario = get_scenario(spec)
+        scenario = Scenario(spec)
         vertices.append(scenario.network.num_vertices)
         modes.append(scenario.engine.mode)
         requests = scenario.requests()
@@ -575,35 +586,6 @@ def fig21v_vertex_scalability(
     return result
 
 
-#: Experiments that do not route their work through :func:`run` (they
-#: read the trace or drive the simulator directly), so a planning pass
-#: over them yields nothing to parallelise.
-NON_RUN_FIGURES = frozenset({"fig5", "fig21", "fig21v"})
-
-
-def figure_run_keys(names: tuple[str, ...] | list[str] | None = None) -> list[RunKey]:
-    """The unique RunKeys the named experiments would simulate at
-    :func:`~repro.experiments.runner.bench_scale`.
-
-    A planning pass (see :func:`repro.experiments.runner.collect_keys`)
-    over each experiment function; figures in :data:`NON_RUN_FIGURES`
-    are skipped.  Feed the result to ``run_many`` to execute a whole
-    multi-figure sweep in parallel, then call the experiment functions
-    normally — every run is recalled from the memo cache.
-    """
-    from .runner import collect_keys
-
-    if names is None:
-        names = [n for n in ALL_EXPERIMENTS if n not in NON_RUN_FIGURES]
-    keys: list[RunKey] = []
-    for name in names:
-        if name in NON_RUN_FIGURES:
-            continue
-        keys.extend(collect_keys(ALL_EXPERIMENTS[name]))
-    return list(dict.fromkeys(keys))
-
-
-#: Registry used by the benchmark suite and the EXPERIMENTS.md generator.
 # ----------------------------------------------------------------------
 # Fig. 22w (companion) — batch-window assignment at peak workload
 # ----------------------------------------------------------------------
@@ -642,28 +624,47 @@ def fig22w_window_peak(scale: BenchScale | None = None,
     return result
 
 
+#: Every figure and table by its ``repro experiment`` name.
 ALL_EXPERIMENTS = {
-    "fig5": fig5_dataset_stats,
-    "fig6": fig6_served_peak,
-    "fig7": fig7_response_peak,
-    "table3": table3_candidates_peak,
-    "fig8": fig8_detour_peak,
-    "fig9": fig9_waiting_peak,
-    "fig10": fig10_served_nonpeak,
-    "fig11": fig11_response_nonpeak,
-    "fig12": fig12_detour_nonpeak,
-    "fig13": fig13_waiting_nonpeak,
-    "table4": table4_memory,
-    "fig14a": fig14a_partitions,
-    "fig14b": fig14b_capacity,
-    "table5": table5_partitioning,
-    "fig15": fig15_gamma,
-    "fig16": fig16_routing_modes,
-    "fig17": fig17_rho_waiting,
-    "fig18": fig18_rho_detour_served,
-    "fig19": fig19_rho_payment,
-    "fig20": fig20_lambda,
-    "fig21": fig21_scalability,
-    "fig21v": fig21v_vertex_scalability,
-    "fig22w": fig22w_window_peak,
+    "fig5": Experiment(fig5_dataset_stats, plannable=True),
+    "fig6": Experiment(fig6_served_peak, plannable=True),
+    "fig7": Experiment(fig7_response_peak, plannable=True),
+    "table3": Experiment(table3_candidates_peak, plannable=True),
+    "fig8": Experiment(fig8_detour_peak, plannable=True),
+    "fig9": Experiment(fig9_waiting_peak, plannable=True),
+    "fig10": Experiment(fig10_served_nonpeak, plannable=True),
+    "fig11": Experiment(fig11_response_nonpeak, plannable=True),
+    "fig12": Experiment(fig12_detour_nonpeak, plannable=True),
+    "fig13": Experiment(fig13_waiting_nonpeak, plannable=True),
+    "table4": Experiment(table4_memory, plannable=True),
+    "fig14a": Experiment(fig14a_partitions, plannable=True),
+    "fig14b": Experiment(fig14b_capacity, plannable=True),
+    "table5": Experiment(table5_partitioning, plannable=True),
+    "fig15": Experiment(fig15_gamma, plannable=True),
+    "fig16": Experiment(fig16_routing_modes, plannable=True),
+    "fig17": Experiment(fig17_rho_waiting, plannable=True),
+    "fig18": Experiment(fig18_rho_detour_served, plannable=True),
+    "fig19": Experiment(fig19_rho_payment, plannable=True),
+    "fig20": Experiment(fig20_lambda, plannable=True),
+    "fig21": Experiment(fig21_scalability, plannable=False),
+    "fig21v": Experiment(fig21v_vertex_scalability, plannable=False),
+    "fig22w": Experiment(fig22w_window_peak, plannable=True),
 }
+
+
+def figure_run_keys(names: tuple[str, ...] | list[str] | None = None) -> list[RunKey]:
+    """The unique RunKeys the named figures (default: all) would simulate
+    at :func:`~repro.experiments.runner.bench_scale`.
+
+    A planning pass (see :func:`repro.experiments.runner.collect_keys`)
+    over each plannable figure; the others are skipped.  Feed the result
+    to ``run_many`` to execute a whole multi-figure sweep in parallel,
+    then call the experiment functions normally — every run is recalled
+    from the memo cache.
+    """
+    keys: list[RunKey] = []
+    for name in names or ALL_EXPERIMENTS:
+        entry = ALL_EXPERIMENTS[name]
+        if entry.plannable:
+            keys.extend(collect_keys(entry.fn))
+    return list(dict.fromkeys(keys))

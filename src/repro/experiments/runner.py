@@ -24,6 +24,7 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
+from typing import Any, NamedTuple
 
 from .. import artifacts
 from ..core.payment import PaymentModel
@@ -78,6 +79,11 @@ def clear_cache() -> None:
     _CACHE.clear()
     _WORKER_SNAPSHOTS.clear()
     clear_scenarios()
+
+
+def planning() -> bool:
+    """Whether a :func:`collect_keys` pass is in progress."""
+    return _PLANNING is not None
 
 
 def collect_keys(fn: Callable, *args, **kwargs) -> list[RunKey]:
@@ -302,3 +308,17 @@ def bench_scale() -> BenchScale:
             default_taxis=160,
         )
     raise ValueError(f"unknown {SCALE_ENV} value {name!r}; use 'quick' or 'full'")
+
+
+class Experiment(NamedTuple):
+    """One registered experiment: ``fn(scale)`` builds its result.
+
+    ``plannable`` says a :func:`collect_keys` pass over ``fn`` simulates
+    nothing: every simulation it needs goes through :func:`run`, so the
+    pass is free and its keys can fan out over :func:`run_many`.  An
+    experiment that drives the :class:`Simulator` itself (to time it, or
+    to set an option no :class:`RunKey` carries) is not plannable.
+    """
+
+    fn: Callable[[BenchScale], Any]
+    plannable: bool

@@ -1,8 +1,12 @@
 """Tests for the experiment runner, reporting, and figure functions."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.claims import REGISTRY
 from repro.reporting import ExperimentResult
+from repro.sim.scenario import Scenario
 from repro.experiments.runner import BenchScale, RunKey, bench_scale, clear_cache, run
 from repro.experiments import figures
 
@@ -81,7 +85,11 @@ class TestFigures:
     def test_fig5(self, mini_scale):
         res = figures.fig5_dataset_stats(mini_scale)
         assert "workday" in res.series and "weekend" in res.series
-        assert res.notes  # carries the travel-time percentiles
+        assert res.notes  # carries the paper's travel-time percentiles
+        assert res.x_values[-1] == "all hours"
+        for p in ("p50", "p90"):
+            assert all(v > 0 for v in res.series[f"trip {p} min"])
+        assert res.value("trip p50 min", "all hours") <= res.value("trip p90 min", "all hours")
 
     def test_fig6_and_friends_share_runs(self, mini_scale):
         served = figures.fig6_served_peak(mini_scale)
@@ -125,3 +133,20 @@ class TestFigures:
             "fig22w",
         }
         assert set(figures.ALL_EXPERIMENTS) == expected
+        ablations = {
+            "adaptive_gamma", "steering", "cruising", "redispatch", "traffic",
+            "window_size", "rebalance_imbalance",
+        }
+        assert set(REGISTRY) == expected | ablations | {"claims"}
+
+    def test_fig21v_runs_on_the_scale_seed(self, mini_scale, monkeypatch):
+        built = []
+
+        def recording(spec):
+            built.append(spec)
+            return Scenario(spec)
+
+        monkeypatch.setattr(figures, "Scenario", recording)
+        scale = replace(mini_scale, peak=replace(mini_scale.peak, seed=11))
+        figures.fig21v_vertex_scalability(scale, grid_sides=(6,))
+        assert built and all(spec.seed == 11 for spec in built)

@@ -289,6 +289,8 @@ SURFACE_KEEP = {
     "suitable_demand (tests/oracles.py::ReferenceProbabilisticRouter)",
     "TransitionModel.relative_pickup_frequency": "per-vertex demand weight, the "
     "scalar form of suitable_demand (tests/oracles.py::ReferenceProbabilisticRouter)",
+    "TransitionModel.prob": "B_{v,c}, the scalar read of the transition matrix "
+    "tests/test_transition.py checks the model through",
     # Documented test hooks.
     "contracts.enable": "turns the runtime contracts on for the test session "
     "(repro.analysis.contracts, docs/STATIC_ANALYSIS.md)",

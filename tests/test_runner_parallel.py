@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import figures, runner
-from repro.experiments.figures import ALL_EXPERIMENTS, NON_RUN_FIGURES, figure_run_keys
+from repro.experiments.claims import REGISTRY
+from repro.experiments.figures import ALL_EXPERIMENTS, figure_run_keys
 from repro.experiments.runner import (
     BenchScale,
     RunKey,
@@ -102,7 +103,9 @@ def test_collect_keys_records_without_running():
 
 
 def test_figure_run_keys_skips_non_run_figures(monkeypatch):
-    assert "fig5" in NON_RUN_FIGURES and "fig21" in NON_RUN_FIGURES
+    # fig5 reads the trace (its planning pass is free and yields no key);
+    # fig21 times its own Simulator runs, so it is not planned at all.
+    assert ALL_EXPERIMENTS["fig5"].plannable and not ALL_EXPERIMENTS["fig21"].plannable
     monkeypatch.setattr(figures, "bench_scale", lambda: MICRO_SCALE)
     keys = figure_run_keys(["fig5", "fig6", "fig7", "table3", "fig21"])
     assert keys, "run()-routed figures must contribute keys"
@@ -116,8 +119,37 @@ def test_figure_run_keys_default_covers_all_run_figures(monkeypatch):
     monkeypatch.setattr(figures, "bench_scale", lambda: MICRO_SCALE)
     keys = figure_run_keys()
     assert len(keys) > 20
-    names = set(ALL_EXPERIMENTS) - NON_RUN_FIGURES
+    names = {name for name, entry in ALL_EXPERIMENTS.items() if entry.plannable}
     assert names, "registry should have run()-routed figures"
+
+
+class _Simulated(Exception):
+    """Raised by the patched ``Simulator.run`` a planning pass must not reach."""
+
+
+def test_planning_simulates_nothing_iff_the_entry_is_plannable(monkeypatch):
+    """"Plannable" is one fact on each registry entry, and it is true:
+    a planning pass over a plannable entry reaches ``Simulator.run``
+    zero times, and one over any other entry reaches it (the pass
+    would simulate for real, which is why nothing plans it)."""
+    from repro.sim.engine import Simulator
+
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        raise _Simulated
+
+    monkeypatch.setattr(Simulator, "run", counted)
+    # "quick" keeps fig21v on its small 40 x 40 first grid.
+    scale = replace(MICRO_SCALE, name="quick")
+    for name, entry in REGISTRY.items():
+        calls.clear()
+        try:
+            collect_keys(entry.fn, scale)
+        except _Simulated:
+            pass
+        assert (not calls) == entry.plannable, name
 
 
 # ----------------------------------------------------------------------
