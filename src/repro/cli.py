@@ -53,10 +53,10 @@ def _scenario_args(p: argparse.ArgumentParser, requests_default: int, requests_h
                    help="network grid side (vertices per side)")
     p.add_argument("--partitions", type=int, default=25)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--sp-mode", choices=("auto", "full", "lazy", "ch"),
+    p.add_argument("--sp-mode", choices=("auto", "full", "lazy"),
                    default="auto",
                    help="shortest-path backend (auto: full below/lazy above "
-                        "the dense-matrix vertex limit; ch only when named)")
+                        "the dense-matrix vertex limit)")
 
 
 def _simulate_args(sim: argparse.ArgumentParser) -> None:
@@ -100,16 +100,6 @@ def _cache_args(cache: argparse.ArgumentParser) -> None:
     cache.add_argument("action", choices=("info", "warm", "clear"))
     cache.add_argument("--experiments", nargs="*", default=None, metavar="NAME",
                        help="experiments to warm artifacts for (default: all figures)")
-    cache.add_argument("--ch-grid", type=int, default=None, metavar="SIDE",
-                       help="warm: pre-build the contraction hierarchy for a "
-                            "SIDE x SIDE scenario network instead of warming "
-                            "experiment artifacts")
-    cache.add_argument("--kind", choices=("peak", "nonpeak"), default="peak",
-                       help="scenario kind for --ch-grid")
-    cache.add_argument("--spacing", type=float, default=180.0,
-                       help="grid spacing in metres for --ch-grid")
-    cache.add_argument("--seed", type=int, default=7,
-                       help="scenario seed for --ch-grid")
 
 
 def _service_args(p: argparse.ArgumentParser) -> None:
@@ -295,47 +285,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "info":
         print(f"artifact store: {store.root}")
         _print_store_rows(store)
-        hierarchies = store.entries("ch")
-        if hierarchies:
-            print("\ncontraction hierarchies:")
-            for row in hierarchies:
-                meta = row["meta"]
-                label = meta.get("label", row["key"])
-                print(
-                    f"  {label:40s} {meta.get('vertices', '?'):>8} vertices"
-                    f"  {meta.get('shortcuts', '?'):>8} shortcuts"
-                    f"  {row['bytes'] / 1e6:8.2f} MB"
-                    f"  {meta.get('build_s', 0.0):8.2f} s build"
-                )
         return 0
     if args.action == "clear":
         removed = store.clear()
         print(f"removed {removed} artifacts from {store.root}")
-        return 0
-    if args.ch_grid is not None:
-        # warm --ch-grid: pre-build (or touch) one scenario's hierarchy.
-        from .sim.scenario import Scenario, ScenarioSpec
-
-        print(f"Warming contraction hierarchy for {args.ch_grid}x{args.ch_grid} "
-              f"{args.kind} scenario (seed {args.seed})...")
-        with _building():
-            scenario = Scenario(ScenarioSpec(
-                kind=args.kind,
-                grid_rows=args.ch_grid,
-                grid_cols=args.ch_grid,
-                spacing_m=args.spacing,
-                seed=args.seed,
-                sp_mode="ch",
-            ))
-        hierarchy = scenario.engine.hierarchy
-        assert hierarchy is not None
-        state = "built" if scenario.engine.ch_built else "already stored"
-        key = store.key_of("ch", scenario._ch_spec())
-        build_s = next(row["meta"].get("build_s", 0.0)
-                       for row in store.entries("ch") if row["key"] == key)
-        print(f"  {scenario.network_label()}: {hierarchy.num_vertices} vertices, "
-              f"{hierarchy.num_shortcuts} shortcuts, {build_s:.2f} s build ({state})")
-        _print_store_rows(store)
         return 0
     # warm: build (or touch) every artifact the selected experiments need.
     from .experiments.figures import ALL_EXPERIMENTS, figure_run_keys

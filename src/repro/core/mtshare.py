@@ -96,7 +96,6 @@ class MTShare(DispatchScheme):
         super().__init__(network, engine, config)
         if probabilistic and partitioning.transition_model is None:
             raise ValueError("probabilistic routing needs a fitted transition model")
-        self._partitioning = partitioning
         if landmarks is not None and landmarks.num_partitions != partitioning.num_partitions:
             raise ValueError("landmarks do not match the supplied partitioning")
         self._landmarks = (

@@ -38,10 +38,6 @@ Per-source rectified prefixes are memoised (an LRU of partial scipy
 rows, in effect), so a dispatcher's skewed, repetitive query mix hits
 an O(1) dict lookup most of the time and only pays a search + unpack
 on the first visit of a (source, target) pair.
-
-The hierarchy itself is nine flat numpy arrays (:meth:`Contraction
-Hierarchy.to_arrays`) persisted as a content-addressed artifact kind
-(``"ch"``) so warm runs mmap it and skip preprocessing entirely.
 """
 
 from __future__ import annotations
@@ -53,12 +49,6 @@ import numpy as np
 
 from ..memo import BoundedMemo, memo_stats
 from .graph import RoadNetwork
-
-#: Bump when the serialised arrays change — their layout, or the
-#: contraction that fills them (part of the artifact key, so a stored
-#: hierarchy's shortcut count and ``build_s`` describe the algorithm that
-#: produced it).  2: contraction in rounds.
-CH_FORMAT_VERSION = 2
 
 #: Distance cells (sources × remaining vertices) one batched witness
 #: search may hold: 4 MB of float64, however large the round.
@@ -78,109 +68,6 @@ _INF = float("inf")
 #: ``(dist, pred)`` of one upward/downward search: final distances by
 #: vertex in settle order, and ``pred[v] = (other_endpoint, edge_index)``.
 SearchResult = tuple[dict[int, float], dict[int, tuple[int, int]]]
-
-_ARRAY_NAMES = (
-    "rank",
-    "up_indptr",
-    "up_head",
-    "up_w",
-    "up_mid",
-    "down_indptr",
-    "down_tail",
-    "down_w",
-    "down_mid",
-)
-
-
-def _weights_at(
-    keys: np.ndarray, weights: np.ndarray, wanted: np.ndarray
-) -> np.ndarray | None:
-    """``weights`` at each ``wanted`` key of the sorted ``keys``, or
-    ``None`` when one of them is absent."""
-    at = np.searchsorted(keys, wanted)
-    if np.any(at == keys.size) or not np.array_equal(keys[at], wanted):
-        return None
-    return weights[at]
-
-
-def _check_hierarchy(network: RoadNetwork, arrays: Mapping[str, np.ndarray]) -> None:
-    """Raise ``ValueError`` naming the first rule ``arrays`` break.
-
-    A stored hierarchy from another network of the same size, or one
-    with mismatched lengths, would otherwise attach silently and answer
-    wrongly or fail mid-query.  The rules, checked in this order with
-    whole-array operations:
-
-    1. *layout*: ``rank`` has one entry per vertex; each ``*_indptr`` is
-       a row pointer over the vertices whose last entry is the length of
-       its ``head``/``tail``, ``w`` and ``mid``; every id names a vertex,
-       and neighbours are sorted and distinct within a row;
-    2. *rank* is a permutation of ``0..n-1``;
-    3. *direction*: every up edge ascends in rank, every down edge
-       descends (its row vertex ranks below its tail);
-    4. *shortcuts*: each ``mid`` ranks below both endpoints, both of its
-       component edges exist, and its weight is their sum bit for bit;
-    5. *network*: every other edge is an edge of ``network`` with its
-       CSR weight bit for bit.
-    """
-    n = network.num_vertices
-    rank = np.asarray(arrays["rank"])
-    if rank.shape != (n,):
-        raise ValueError(f"hierarchy rank has shape {rank.shape}, expected ({n},)")
-    # Per side: the row vertex (lower rank) and neighbour of every edge,
-    # its key row * n + neighbour, weight and mid.
-    sides: dict[str, tuple[np.ndarray, ...]] = {}
-    for side, other_name in (("up", "up_head"), ("down", "down_tail")):
-        indptr = np.asarray(arrays[f"{side}_indptr"])
-        if indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-            raise ValueError(f"hierarchy {side}_indptr is not a row pointer over {n} vertices")
-        size = int(indptr[-1])
-        for name in (other_name, f"{side}_w", f"{side}_mid"):
-            if np.shape(arrays[name]) != (size,):
-                raise ValueError(
-                    f"hierarchy {name} has shape {np.shape(arrays[name])}, "
-                    f"expected ({size},) from {side}_indptr[-1]"
-                )
-        row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        other = np.asarray(arrays[other_name], dtype=np.int64)
-        mid = np.asarray(arrays[f"{side}_mid"], dtype=np.int64)
-        if np.any((other < 0) | (other >= n)) or np.any((mid < -1) | (mid >= n)):
-            raise ValueError(f"hierarchy {side} edges name a vertex outside 0..{n - 1}")
-        key = row * n + other
-        if np.any(np.diff(key) <= 0):
-            raise ValueError(f"hierarchy {other_name} is not sorted and distinct per row")
-        sides[side] = (row, other, key, np.asarray(arrays[f"{side}_w"]), mid)
-    if not np.array_equal(np.sort(rank), np.arange(n)):
-        raise ValueError("hierarchy rank is not a permutation of 0..n-1")
-    for side, (row, other, _key, _w, _mid) in sides.items():
-        if np.any(rank[row] >= rank[other]):
-            word = "ascend" if side == "up" else "descend"
-            raise ValueError(f"hierarchy has a {side} edge that does not {word} in rank")
-    up_row, up_head, up_key, up_w, up_mid = sides["up"]
-    down_row, down_tail, down_key, down_w, down_mid = sides["down"]
-    # Every edge in original direction: tail, head, weight, mid.
-    tail = np.concatenate((up_row, down_tail))
-    head = np.concatenate((up_head, down_row))
-    weight = np.concatenate((up_w, down_w))
-    mid = np.concatenate((up_mid, down_mid))
-    cut = mid >= 0
-    via = mid[cut]
-    if np.any(rank[via] >= np.minimum(rank[tail[cut]], rank[head[cut]])):
-        raise ValueError("hierarchy has a shortcut whose mid does not rank below both ends")
-    # tail -> via is a down edge of via's row, via -> head an up edge.
-    first = _weights_at(down_key, down_w, via * n + tail[cut])
-    second = _weights_at(up_key, up_w, via * n + head[cut])
-    if first is None or second is None:
-        raise ValueError("hierarchy has a shortcut with a missing component edge")
-    if np.any(weight[cut] != first + second):
-        raise ValueError("hierarchy has a shortcut whose weight is not the sum of its components")
-    csr = network.to_csr()
-    net_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr)) * n + csr.indices
-    by_key = np.argsort(net_key, kind="stable")
-    got = _weights_at(net_key[by_key], csr.data[by_key], tail[~cut] * n + head[~cut])
-    if got is None or np.any(got != weight[~cut]):
-        raise ValueError("hierarchy has an original edge that is not an edge of the network")
-
 
 def _lightest_per_pair(
     tail: np.ndarray, head: np.ndarray, weight: np.ndarray, mid: np.ndarray
@@ -282,10 +169,8 @@ class ContractionHierarchy:
     climb).  ``*_mid`` holds the contracted middle vertex of a shortcut
     or ``-1`` for an original edge.
 
-    Use :meth:`build` (cold) or :meth:`from_arrays` (artifact-store
-    warm path); the constructor itself attaches prebuilt arrays, after
-    checking that they form a hierarchy of ``network``
-    (:func:`_check_hierarchy`).
+    Use :meth:`build`; the constructor takes the nine flat arrays it
+    produces.
     """
 
     #: ``stats_snapshot()`` keys that are point-in-time gauges: the
@@ -297,18 +182,10 @@ class ContractionHierarchy:
 
     def __init__(self, network: RoadNetwork, arrays: Mapping[str, np.ndarray]) -> None:
         n = network.num_vertices
-        missing = [name for name in _ARRAY_NAMES if name not in arrays]
-        if missing:
-            raise ValueError(f"hierarchy arrays missing {missing}")
-        _check_hierarchy(network, arrays)
-        self._network = network
-        self._arrays: dict[str, np.ndarray] = {
-            name: arrays[name] for name in _ARRAY_NAMES
-        }
+        self._arrays: dict[str, np.ndarray] = dict(arrays)
         # Plain Python lists for the query hot loops: unboxed element
         # access is several times faster than per-element numpy indexing,
         # and the O(E) conversion is milliseconds even at 200k vertices.
-        # The numpy arrays (possibly memmapped) stay the storage format.
         up_indptr = self._arrays["up_indptr"]
         down_indptr = self._arrays["down_indptr"]
         self._up_indptr: list[int] = up_indptr.tolist()
@@ -325,12 +202,10 @@ class ContractionHierarchy:
         self._down_owner: list[int] = np.repeat(
             np.arange(n, dtype=np.int64), np.diff(down_indptr)
         ).tolist()
-        self.num_vertices = n
         self.num_shortcuts = int(
             np.count_nonzero(self._arrays["up_mid"] >= 0)
             + np.count_nonzero(self._arrays["down_mid"] >= 0)
         )
-        self.num_edges = len(self._up_head) + len(self._down_tail)
         # Query-side memos.
         self._fwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
         self._bwd_memo: BoundedMemo[int, SearchResult] = BoundedMemo(SEARCH_CACHE_SIZE)
@@ -381,8 +256,7 @@ class ContractionHierarchy:
 
         Deterministic: every step is a sort with vertex ids as the last
         key, and the final rows are sorted — so two builds of the same
-        network produce identical arrays (the basis of the
-        content-addressed artifact round-trip).
+        network produce identical arrays.
         """
         n = network.num_vertices
         csr = network.to_csr()
@@ -499,17 +373,6 @@ class ContractionHierarchy:
             "down_w": down_w,
             "down_mid": down_mid,
         }
-
-    @classmethod
-    def from_arrays(
-        cls, network: RoadNetwork, arrays: Mapping[str, np.ndarray]
-    ) -> "ContractionHierarchy":
-        """Attach a persisted hierarchy (typically mmapped .npy views)."""
-        return cls(network, arrays)
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The hierarchy as named flat arrays (the serialisation format)."""
-        return dict(self._arrays)
 
     # ------------------------------------------------------------------
     # searches
@@ -856,7 +719,3 @@ class ContractionHierarchy:
     def memory_bytes(self) -> int:
         """Bytes held by the hierarchy arrays (not the query caches)."""
         return sum(int(a.nbytes) for a in self._arrays.values())
-
-    def is_mmapped(self) -> bool:
-        """Whether the attached arrays are memory-mapped files."""
-        return any(isinstance(a, np.memmap) for a in self._arrays.values())

@@ -9,9 +9,10 @@ which keeps memory bounded while staying fast for the skewed query
 distributions a dispatcher generates; ``mode="auto"`` picks it above
 :data:`FULL_APSP_LIMIT`.  The contraction-hierarchy backend
 (``mode="ch"``, :mod:`repro.network.ch`) answers the same queries with
-bit-identical distances from a persisted hierarchy; it runs only when
-asked for, because the lazy memo measured faster end to end at every
-size from 1.6k to 200k vertices (docs/PERFORMANCE.md, "Routing backends").
+bit-identical distances from a hierarchy it contracts at construction
+and stores nowhere; it runs only when asked for, because the lazy memo
+measured faster end to end at every size from 1.6k to 200k vertices
+(docs/PERFORMANCE.md, "Routing backends").
 
 :func:`dijkstra_restricted` is the segment-level router of basic
 routing (Algorithm 3): a Dijkstra over an *allowed vertex set* (the
@@ -31,7 +32,7 @@ search the in-tree one replaced, live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -74,10 +75,10 @@ class ShortestPathEngine:
         The road network to route on.
     mode:
         ``"full"`` precomputes the all-pairs matrix up front, ``"lazy"``
-        computes single-source trees on demand, ``"ch"`` builds (or
-        attaches) a contraction hierarchy (:mod:`repro.network.ch`),
-        ``"auto"`` (default) picks ``"full"`` at or below
-        :data:`FULL_APSP_LIMIT` vertices and ``"lazy"`` above.
+        computes single-source trees on demand, ``"ch"`` contracts a
+        hierarchy in memory (:mod:`repro.network.ch`), ``"auto"``
+        (default) picks ``"full"`` at or below :data:`FULL_APSP_LIMIT`
+        vertices and ``"lazy"`` above.
     full_arrays:
         Optional precomputed ``(dist, pred)`` matrices for ``"full"``
         mode — typically memory-mapped ``.npy`` views served by the
@@ -86,12 +87,6 @@ class ShortestPathEngine:
         holding) its own all-pairs Dijkstra.  The engine reads them
         through base-class ``ndarray`` views of the same pages (see
         ``__init__``).  Ignored in other modes.
-    ch_arrays:
-        Optional persisted hierarchy arrays for ``"ch"`` mode (the
-        artifact-store warm path; usually mmapped).  Nothing to view
-        here: :class:`~repro.network.ch.ContractionHierarchy` copies
-        what its hot loops read into lists at construction.  Ignored in
-        other modes.
     """
 
     #: ``stats()`` keys that are point-in-time gauges; every other key
@@ -103,10 +98,7 @@ class ShortestPathEngine:
         network: RoadNetwork,
         mode: str = "auto",
         full_arrays: tuple[np.ndarray, np.ndarray] | None = None,
-        ch_arrays: Mapping[str, np.ndarray] | None = None,
     ) -> None:
-        if mode not in ("auto", "full", "lazy", "ch"):
-            raise ValueError(f"unknown mode {mode!r}")
         mode = resolve_sp_mode(mode, network.num_vertices)
         if mode != "full" or full_arrays is None:
             # This engine will call scipy — the all-pairs build, source
@@ -127,25 +119,12 @@ class ShortestPathEngine:
         self._rows: BoundedMemo[int, tuple[np.ndarray, np.ndarray]] = BoundedMemo(
             LAZY_CACHE_SIZE
         )
-        #: Whether this engine ran the all-pairs Dijkstra itself (False
-        #: when the matrices were injected, e.g. from the artifact store).
-        self.full_built = False
         #: Whether the full matrices are memory-mapped (zero-copy).
         self.full_mmapped = False
         #: The contraction hierarchy backing ``"ch"`` mode, if any.
-        self._ch: ContractionHierarchy | None = None
-        #: Whether this engine contracted the hierarchy itself (False
-        #: when the arrays were injected from the artifact store).
-        self.ch_built = False
-        #: Whether the hierarchy arrays are memory-mapped (zero-copy).
-        self.ch_mmapped = False
-        if mode == "ch":
-            if ch_arrays is not None:
-                self._ch = ContractionHierarchy.from_arrays(network, ch_arrays)
-                self.ch_mmapped = self._ch.is_mmapped()
-            else:
-                self._ch = ContractionHierarchy.build(network)
-                self.ch_built = True
+        self._ch: ContractionHierarchy | None = (
+            ContractionHierarchy.build(network) if mode == "ch" else None
+        )
         if mode == "full":
             if full_arrays is not None:
                 dist, pred = full_arrays
@@ -166,7 +145,6 @@ class ShortestPathEngine:
                 self._pred = np.asarray(pred)
             else:
                 self._build_full()
-                self.full_built = True
 
     # ------------------------------------------------------------------
     @property
@@ -178,11 +156,6 @@ class ShortestPathEngine:
     def mode(self) -> str:
         """``"full"``, ``"lazy"`` or ``"ch"``."""
         return self._mode
-
-    @property
-    def hierarchy(self) -> ContractionHierarchy | None:
-        """The contraction hierarchy (``"ch"`` mode only), else ``None``."""
-        return self._ch
 
     def _build_full(self) -> None:
         from scipy.sparse import csgraph
@@ -372,16 +345,6 @@ class ShortestPathEngine:
             return None
         return self._dist, self._pred
 
-    def hierarchy_arrays(self) -> dict[str, np.ndarray] | None:
-        """The hierarchy's named arrays, or ``None`` outside ``"ch"`` mode.
-
-        Used by the artifact store to persist a freshly contracted
-        hierarchy; treat the arrays as read-only.
-        """
-        if self._ch is None:
-            return None
-        return self._ch.to_arrays()
-
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the cached structures.
 
@@ -402,14 +365,10 @@ class ShortestPathEngine:
 
     def mmap_bytes(self) -> int:
         """Bytes of the footprint that are memory-mapped (file-backed)."""
-        total = 0
-        if self.full_mmapped:
-            assert self._dist is not None and self._pred is not None
-            total += self._dist.nbytes + self._pred.nbytes
-        if self.ch_mmapped:
-            assert self._ch is not None
-            total += self._ch.memory_bytes()
-        return total
+        if not self.full_mmapped:
+            return 0
+        assert self._dist is not None and self._pred is not None
+        return self._dist.nbytes + self._pred.nbytes
 
 
 def dijkstra_restricted(

@@ -17,7 +17,8 @@ partitioning), so built scenarios are memoised per spec in a bounded
 memo, and every expensive preprocessing product is persisted in
 the content-addressed artifact store (:mod:`repro.artifacts`) so warm
 processes load it back — memory-mapped where possible — instead of
-recomputing.
+recomputing.  The one exception is the contraction hierarchy of the
+explicitly named ``ch`` backend, contracted on every build.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..memo import BoundedMemo
 from ..network.generators import grid_city
 from ..network.graph import DEFAULT_SPEED_MPS, RoadNetwork
 from ..network.landmarks import LandmarkGraph
-from ..network.ch import CH_FORMAT_VERSION
 from ..network.shortest_path import ShortestPathEngine, resolve_sp_mode
 from ..partitioning.bipartite import (
     DEFAULT_TRANSITION_CLUSTERS,
@@ -192,7 +192,8 @@ class ScenarioSpec:
     #: Shortest-path backend: ``"auto"`` (default; resolved by the
     #: vertex-count rule at build time to ``"full"`` or ``"lazy"``),
     #: ``"full"``, ``"lazy"`` or ``"ch"``, which only runs when named
-    #: here.  Not part of the network spec, so all backends share
+    #: here and contracts its hierarchy on every build (nothing stores
+    #: it).  Not part of the network spec, so all backends share
     #: trace/partition artifacts.
     sp_mode: str = "auto"
 
@@ -313,36 +314,15 @@ class Scenario:
         """Shortest-path engine, loading preprocessing from the store.
 
         The spec's ``sp_mode`` is resolved first (``"auto"`` picks
-        ``full`` for small grids and ``lazy`` above ``FULL_APSP_LIMIT``,
-        which stores nothing).  Full mode persists/loads the APSP matrices; ch
-        mode, chosen only explicitly, persists/loads the contraction
-        hierarchy.  On a warm store both are memory-mapped
-        (zero-copy: pages are shared between concurrent workers by the
-        OS cache) instead of being recomputed.
+        ``full`` for small grids and ``lazy`` above ``FULL_APSP_LIMIT``).
+        Only full mode stores anything: it persists/loads the APSP
+        matrices, memory-mapped on a warm store (zero-copy: pages are
+        shared between concurrent workers by the OS cache) instead of
+        being recomputed.  ``lazy`` and ``ch`` (chosen only explicitly;
+        it contracts its hierarchy here, every time) store nothing.
         """
         network = self.network
         mode = resolve_sp_mode(self.spec.sp_mode, network.num_vertices)
-        if mode == "ch":
-
-            def pack_ch(engine: ShortestPathEngine):
-                hierarchy = engine.hierarchy
-                assert hierarchy is not None
-                return engine.hierarchy_arrays(), {
-                    "label": self.network_label(),
-                    "vertices": network.num_vertices,
-                    "edges": hierarchy.num_edges,
-                    "shortcuts": hierarchy.num_shortcuts,
-                }
-
-            return self._stored(
-                "ch",
-                self._ch_spec(),
-                build=lambda: ShortestPathEngine(network, mode="ch"),
-                pack=pack_ch,
-                unpack=lambda art: ShortestPathEngine(
-                    network, mode="ch", ch_arrays=dict(art.arrays)
-                ),
-            )
         if mode == "full":
 
             def pack_apsp(engine: ShortestPathEngine):
@@ -359,15 +339,6 @@ class Scenario:
                 ),
             )
         return ShortestPathEngine(network, mode=mode)
-
-    def _ch_spec(self) -> dict:
-        """Artifact-store key spec for the contraction hierarchy."""
-        return {"network": self._network_spec, "format": CH_FORMAT_VERSION}
-
-    def network_label(self) -> str:
-        """Human-readable graph label used in artifact metadata / CLI."""
-        s = self.spec
-        return f"grid_city {s.grid_rows}x{s.grid_cols} spacing={s.spacing_m:g} seed={s.seed}"
 
     def _build_trace(self, num_days: int) -> TripDataset:
         """The full synthetic trace, persisted across processes.

@@ -250,11 +250,10 @@ def test_trace_store_written_by_the_reference_generator_stays_warm(tmp_path, mon
         assert np.array_equal(other.taxi_ids, windows[0].taxi_ids)
 
 
-@pytest.mark.parametrize("sp_mode", ["full", "ch"])
-def test_store_built_on_the_coo_csr_stays_warm(tmp_path, monkeypatch, sp_mode):
-    """A store whose all-pairs table or hierarchy was built from the COO
-    ``to_csr`` (any checkout before the numpy CSR arrays) is a valid warm
-    store for this one, and holds the bytes this one would have written."""
+def test_store_built_on_the_coo_csr_stays_warm(tmp_path, monkeypatch):
+    """A store whose all-pairs table was built from the COO ``to_csr``
+    (any checkout before the numpy CSR arrays) is a valid warm store for
+    this one, and holds the bytes this one would have written."""
     from repro.network.graph import RoadNetwork
     from tests.oracles import reference_to_csr
 
@@ -262,20 +261,19 @@ def test_store_built_on_the_coo_csr_stays_warm(tmp_path, monkeypatch, sp_mode):
         return {str(f.relative_to(store.root)): f.read_bytes()
                 for f in sorted(store.root.rglob("*.npy"))}
 
-    spec = replace(MICRO_SPEC, sp_mode=sp_mode)
     monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "reference"))
     with monkeypatch.context() as patched:
         patched.setattr(RoadNetwork, "to_csr", reference_to_csr)
-        Scenario(spec)  # builds the engine's table or hierarchy
+        Scenario(MICRO_SPEC)  # builds the engine's table
     store = get_store()
     assert sum(row["builds"] for row in store.stats().values()) > 0
     store.reset_stats()
 
-    Scenario(spec)
+    Scenario(MICRO_SPEC)
     assert sum(row["builds"] for row in store.stats().values()) == 0
 
     monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "cold"))
-    Scenario(spec)
+    Scenario(MICRO_SPEC)
     assert npy_bytes(get_store()) == npy_bytes(store)
 
 
@@ -386,12 +384,13 @@ def test_warm_engine_reads_the_mapped_table_as_plain_ndarray(tmp_path, monkeypat
         return art
 
     monkeypatch.setattr(ArtifactStore, "load", recording_load)
+    get_store().reset_stats()
     warm = sc.get_scenario(MICRO_SPEC)
     engine = warm.engine
     stored_dist, stored_pred = handed_out["apsp"]["dist"], handed_out["apsp"]["pred"]
     assert isinstance(stored_dist, np.memmap) and isinstance(stored_pred, np.memmap)
 
-    assert engine.full_mmapped is True and not engine.full_built
+    assert engine.full_mmapped is True and get_store().stats()["apsp"]["builds"] == 0
     assert engine.mmap_bytes() == stored_dist.nbytes + stored_pred.nbytes
     assert warm.mmap_bytes() == engine.mmap_bytes()
     assert sc.scenario_cache_stats()["mmap_bytes"] == engine.mmap_bytes()

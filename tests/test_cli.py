@@ -161,15 +161,6 @@ class TestBadScenarioArguments:
         # was unreachable in: "0 requests", exit 0.
         (["simulate", *SMALL_WORLD, "--congestion", "nan"], {}, "congestion must be finite"),
         (["simulate", *SMALL_WORLD, "--congestion", "inf"], {}, "congestion must be finite"),
-        # A NaN or zero spacing stored a hierarchy for a degenerate grid;
-        # a negative one died in the jitter draw naming no flag.
-        (["cache", "warm", "--ch-grid", "6", "--spacing", "nan"], {},
-         "spacing_m must be finite"),
-        (["cache", "warm", "--ch-grid", "6", "--spacing", "0"], {},
-         "spacing_m must be positive"),
-        (["cache", "warm", "--ch-grid", "6", "--spacing", "-5"], {},
-         "spacing_m must be positive"),
-        (["cache", "warm", "--ch-grid", "1"], {}, "grid_city needs at least a 2x2 grid"),
         (["simulate", *SMALL_WORLD, "--taxis", "0"], {}, "num_taxis must be positive"),
         (["simulate", *SMALL_WORLD, "--capacity", "0"], {}, "capacity must be positive"),
         # NaN passes every ordered comparison; before the finiteness
@@ -207,8 +198,7 @@ class TestBadScenarioArguments:
         (["experiment", "table4", "--workers", "0"], {},
          "--workers must be a positive integer, got 0"),
     ], ids=["grid", "requests", "partitions", "rho", "rho-nan", "rho-inf", "congestion",
-            "congestion-nan", "congestion-inf", "spacing-nan", "spacing-0", "spacing-negative",
-            "cache-warm-ch-grid", "taxis", "capacity", "window-nan", "window-other-scheme",
+            "congestion-nan", "congestion-inf", "taxis", "capacity", "window-nan", "window-other-scheme",
             "shock-radius-nan", "shock-delay-inf", "rebalance-lead-nan",
             "rebalance-cadence-inf", "rebalance-cadence-nan", "bench-scale-env",
             "workers-env-abc", "workers-env-0", "workers-env-negative", "workers-negative",
@@ -220,11 +210,6 @@ class TestBadScenarioArguments:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert "served" not in captured.out
-
-    def test_bad_spacing_stores_nothing(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path / "store"))
-        assert main(["cache", "warm", "--ch-grid", "6", "--spacing", "nan"]) == 2
-        assert get_store().entries("ch") == [] and get_store().entries("trace") == []
 
     def test_a_value_error_out_of_the_run_keeps_its_traceback(self, monkeypatch):
         # The handler covers set-up only: the same exception type raised
@@ -331,26 +316,6 @@ class TestServiceFlags:
 
 
 class TestCacheWarm:
-    def test_ch_grid_reports_the_build_then_finds_it_stored(self, tmp_path, monkeypatch, capsys):
-        """The warm line carries the stored ``build_s``: the seconds this
-        process spent contracting, then — on a second warm — the same
-        seconds, read back from the store, marked "already stored"."""
-        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
-        argv = ["cache", "warm", "--ch-grid", "12"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        [entry] = get_store().entries("ch")
-        build_s = entry["meta"]["build_s"]
-        line = (f"{entry['meta']['vertices']} vertices, {entry['meta']['shortcuts']} shortcuts, "
-                f"{build_s:.2f} s build")
-        assert f"{line} (built)" in first
-        assert main(argv) == 0
-        assert f"{line} (already stored)" in capsys.readouterr().out
-        assert main(["cache", "info"]) == 0
-        [listing] = [row for row in capsys.readouterr().out.splitlines()
-                     if row.strip().startswith(entry["meta"]["label"])]
-        assert listing.split()[-3:] == [f"{build_s:.2f}", "s", "build"]
-
     def test_unknown_experiment_is_a_clean_error(self, capsys):
         # Like every other bad input: "error: ..." and exit 2, not the
         # KeyError traceback figure_run_keys used to die with.
@@ -386,3 +351,51 @@ class TestCacheInfo:
             ]
         total_s = info["apsp"]["build_s"] + info["trace"]["build_s"]
         assert rows["total"][1] == "2" and rows["total"][5] == f"{total_s:.2f}"
+
+    def test_a_store_holding_hierarchies_stays_warm(self, tmp_path, monkeypatch, capsys):
+        """A store written by a checkout that still stored contraction
+        hierarchies keeps serving: a warm ``auto`` scenario builds and
+        loads nothing new, ``cache info`` lists the ``ch`` kind like any
+        other, and ``cache clear`` removes it with the rest."""
+        from repro.network.ch import ContractionHierarchy
+
+        monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+        spec = ScenarioSpec(grid_rows=8, grid_cols=8, hourly_requests=60,
+                            history_days=1, num_partitions=4, seed=3)
+        cold = Scenario(spec)
+        cold.landmark_graph()
+        store = get_store()
+        # What such a checkout saved: the hierarchy's nine arrays, keyed by
+        # the network spec and its format version.
+        hierarchy = ContractionHierarchy.build(cold.network)
+        store.save("ch", store.key_of("ch", {"network": cold._network_spec, "format": 2}),
+                   hierarchy._arrays, meta={"vertices": cold.network.num_vertices,
+                                            "shortcuts": hierarchy.num_shortcuts,
+                                            "build_s": 0.25})
+        store.reset_stats()
+        Scenario(spec).landmark_graph()
+        assert sum(row["builds"] for row in store.stats().values()) == 0
+        assert "ch" not in store.stats()
+
+        assert main(["cache", "info"]) == 0
+        rows = {fields[0]: fields for fields in map(str.split, capsys.readouterr().out.splitlines())
+                if fields and fields[-1] == "build"}
+        assert rows["ch"][1:3] == ["1", "artifacts"] and rows["ch"][5] == "0.25"
+        stored = sum(row["artifacts"] for row in store.info().values())
+        assert main(["cache", "clear"]) == 0
+        assert f"removed {stored} artifacts" in capsys.readouterr().out
+        assert store.info() == {}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", *SMALL_WORLD, "--sp-mode", "ch"], "--sp-mode"),
+    (["cache", "warm", "--ch-grid", "6"], "--ch-grid"),
+], ids=["sp-mode-ch", "cache-warm-ch-grid"])
+def test_removed_hierarchy_flags_are_usage_errors(capsys, argv, flag):
+    """The ``ch`` backend is no CLI choice and nothing pre-builds a
+    hierarchy: both exit 2 with one ``error:`` line naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert flag in line

@@ -15,6 +15,15 @@ class TestSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(kind="rush")
 
+    @pytest.mark.parametrize("spacing,message", [
+        (float("nan"), "spacing_m must be finite"),
+        (0.0, "spacing_m must be positive"),
+        (-5.0, "spacing_m must be positive"),
+    ])
+    def test_spacing_validated(self, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec(spacing_m=spacing)
+
     def test_windows(self):
         assert peak_spec().window == (1, 8, False)
         assert nonpeak_spec().window == (5, 10, True)

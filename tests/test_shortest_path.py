@@ -284,7 +284,12 @@ class TestCHMode:
                     "sp.ch.queries", "sp.ch.shortcuts"):
             assert key in stats
         assert stats["sp.ch.queries"] >= 1
-        assert stats["sp.ch.shortcuts"] == eng.hierarchy.num_shortcuts
+        arrays = eng._ch._arrays
+        shortcuts = sum(
+            int(np.count_nonzero(arrays[key] >= 0)) for key in ("up_mid", "down_mid")
+        )
+        assert shortcuts > 0
+        assert stats["sp.ch.shortcuts"] == shortcuts
         assert "sp.ch.shortcuts" in eng.STAT_GAUGES
 
     def test_mode_resolution(self, monkeypatch):
@@ -316,80 +321,27 @@ class TestCHMode:
         scenario = Scenario(spec)
         assert scenario.network.num_vertices > FULL_APSP_LIMIT
         assert scenario.engine.mode == "lazy"
-        assert scenario.engine.hierarchy is None
+        assert not any(key.startswith("sp.ch.") for key in scenario.engine.stats())
         store = get_store()
         assert store.entries("ch") == [] and store.entries("apsp") == []
 
-
-class TestCHArtifacts:
-    """The hierarchy must round-trip through arrays deterministically."""
-
-    def test_build_deterministic(self, tiny_net):
-        a = ContractionHierarchy.build(tiny_net).to_arrays()
-        b = ContractionHierarchy.build(tiny_net).to_arrays()
-        assert sorted(a) == sorted(b)
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
-
-    def test_round_trip_queries_identical(self, small_net):
-        cold = ContractionHierarchy.build(small_net)
-        warm = ContractionHierarchy.from_arrays(small_net, cold.to_arrays())
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            u, v = (int(x) for x in rng.integers(0, small_net.num_vertices, size=2))
-            assert cold.distance_m(u, v) == warm.distance_m(u, v)
-        us = [int(x) for x in rng.integers(0, small_net.num_vertices, size=6)]
-        assert np.array_equal(cold.cost_matrix_m(us, us), warm.cost_matrix_m(us, us))
-
-    def test_engine_warm_flags(self, tiny_net):
-        cold = ShortestPathEngine(tiny_net, mode="ch")
-        assert cold.ch_built and not cold.ch_mmapped
-        arrays = cold.hierarchy_arrays()
-        warm = ShortestPathEngine(tiny_net, mode="ch", ch_arrays=arrays)
-        assert not warm.ch_built
-        assert warm.distance_m(0, 8) == cold.distance_m(0, 8)
-
-    def test_scenario_warm_store(self, tmp_path, monkeypatch):
+    def test_ch_scenario_stores_no_hierarchy(self, tmp_path, monkeypatch):
+        """A ``ch`` scenario on an empty store contracts its hierarchy in
+        memory and writes no ``ch`` artifact; the trace is stored as on
+        every backend."""
         from repro.artifacts import get_store
-        from repro.sim.scenario import Scenario, ScenarioSpec
+        from repro.sim.scenario import ScenarioSpec
 
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
         spec = ScenarioSpec(
-            kind="peak",
-            grid_rows=8,
-            grid_cols=8,
-            spacing_m=150.0,
-            hourly_requests=50,
-            history_days=1,
-            num_partitions=4,
-            offline_count=5,
-            seed=2,
-            sp_mode="ch",
+            grid_rows=8, grid_cols=8, spacing_m=150.0, hourly_requests=50,
+            history_days=1, num_partitions=4, offline_count=5, seed=2, sp_mode="ch",
         )
+        scenario = Scenario(spec)
+        assert scenario.engine.stats()["sp.ch.shortcuts"] > 0
         store = get_store()
-        store.reset_stats()
-        cold = Scenario(spec)
-        assert cold.engine.ch_built
-        assert store.stats()["ch"]["builds"] == 1
-
-        store.reset_stats()
-        warm = Scenario(spec)
-        st = store.stats()["ch"]
-        assert st["builds"] == 0
-        assert st["mmap_loads"] >= 1
-        assert not warm.engine.ch_built and warm.engine.ch_mmapped
-        assert warm.engine.mmap_bytes() > 0
-        # Same content key regardless of which process computes it.
-        key = store.key_of("ch", cold._ch_spec())
-        assert key == store.key_of("ch", warm._ch_spec())
-        entries = store.entries("ch")
-        assert len(entries) == 1 and entries[0]["key"] == key
-        assert entries[0]["meta"]["vertices"] == cold.network.num_vertices
-        # Warm and cold engines answer identically.
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            u, v = (int(x) for x in rng.integers(0, cold.network.num_vertices, size=2))
-            assert cold.engine.distance_m(u, v) == warm.engine.distance_m(u, v)
+        assert store.entries("ch") == [] and "ch" not in store.stats()
+        assert store.entries("trace")
 
 
 def _diamond():
@@ -435,20 +387,25 @@ class TestContractionRounds:
         net = _diamond()
         want = csgraph.dijkstra(net.to_csr())
         assert np.isfinite(want).all()
-        arrays = ContractionHierarchy.build(net).to_arrays()
-        assert np.array_equal(_all_pairs(ContractionHierarchy.from_arrays(net, arrays), 8), want)
-        batched = ContractionHierarchy.from_arrays(net, arrays).cost_matrix_m(range(8), range(8))
+        assert np.array_equal(_all_pairs(ContractionHierarchy.build(net), 8), want)
+        batched = ContractionHierarchy.build(net).cost_matrix_m(range(8), range(8))
         assert np.array_equal(batched, want)
+
+    def test_build_deterministic(self, tiny_net):
+        a = ContractionHierarchy.build(tiny_net)._arrays
+        b = ContractionHierarchy.build(tiny_net)._arrays
+        assert sorted(a) == sorted(b)
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
 
     @settings(max_examples=60, deadline=None)
     @given(_digraphs())
     def test_random_digraphs_bit_equal_to_scipy(self, net):
         n = net.num_vertices
         want = csgraph.dijkstra(net.to_csr())
-        arrays = ContractionHierarchy.build(net).to_arrays()
-        pointwise = ContractionHierarchy.from_arrays(net, arrays)
+        pointwise = ContractionHierarchy.build(net)
         assert np.array_equal(_all_pairs(pointwise, n), want)
-        batched = ContractionHierarchy.from_arrays(net, arrays)
+        batched = ContractionHierarchy.build(net)
         assert np.array_equal(batched.cost_matrix_m(range(n), range(n)), want)
         unique = all(length > 0.0 for _u, _v, length in net.edges())
         reference = reference_ch_build(net)
@@ -496,11 +453,12 @@ class TestContractionRounds:
                 else:
                     assert is_path(net, path) and net.path_length_m(path) == want[a, b]
 
-    def test_ch40_run_identical_on_the_reference_hierarchy(self):
+    def test_ch40_run_identical_on_the_reference_hierarchy(self, monkeypatch):
         """A trimmed ``cold-ch`` cell — the CH40 city, ``mt-share``, 100
         requests — once on the hierarchy contracted in rounds and once on
-        the sequential reference: the same decisions in the same order,
-        the same trips and fingerprint, the same shortcut steps unpacked."""
+        the sequential reference, patched in for ``ContractionHierarchy.
+        build``: the same decisions in the same order, the same trips and
+        fingerprint, the same shortcut steps unpacked."""
         from repro.sim.scenario import ScenarioSpec
 
         scenario = Scenario(ScenarioSpec(
@@ -509,12 +467,15 @@ class TestContractionRounds:
         ))
         network = scenario.network
         scenario.landmark_graph()  # built once, on neither of the two engines
-        runs = {}
-        for label, hierarchy in (
-            ("rounds", ContractionHierarchy.build(network)),
-            ("reference", reference_ch_build(network)),
+        runs, shortcuts = {}, {}
+        for label, build in (
+            ("rounds", ContractionHierarchy.build),
+            ("reference", reference_ch_build),
         ):
-            scenario.engine = ShortestPathEngine(network, mode="ch", ch_arrays=hierarchy.to_arrays())
+            with monkeypatch.context() as patched:
+                patched.setattr(ContractionHierarchy, "build", staticmethod(build))
+                scenario.engine = ShortestPathEngine(network, mode="ch")
+            shortcuts[label] = scenario.engine.stats()["sp.ch.shortcuts"]
             decisions = []
             sim = Simulator(
                 scenario.make_scheme("mt-share"),
@@ -532,87 +493,9 @@ class TestContractionRounds:
             ]
             runs[label] = (decisions, trips, decision_fingerprint(metrics),
                            scenario.engine.stats()["sp.ch.rect_steps"])
+        assert shortcuts["rounds"] != shortcuts["reference"], "one build ran twice"
         assert len(runs["rounds"][0]) == 100 and runs["rounds"][1], "cell served nothing"
         assert runs["rounds"] == runs["reference"]
-
-
-def _first_up_shortcut(arrays):
-    return int(np.flatnonzero(arrays["up_mid"] >= 0)[0])
-
-
-def _break_lengths(arrays, _net):
-    arrays["up_w"] = arrays["up_w"][:-1]
-
-
-def _break_indptr(arrays, _net):
-    arrays["down_indptr"] = arrays["down_indptr"][:-1]
-
-
-def _break_vertex_id(arrays, net):
-    arrays["up_head"][0] = net.num_vertices
-
-
-def _break_row_order(arrays, _net):
-    row = int(np.flatnonzero(np.diff(arrays["up_indptr"]) >= 2)[0])
-    lo = arrays["up_indptr"][row]
-    arrays["up_head"][[lo, lo + 1]] = arrays["up_head"][[lo + 1, lo]]
-
-
-def _break_permutation(arrays, _net):
-    arrays["rank"][np.argmax(arrays["rank"])] = 0
-
-
-def _break_direction(arrays, _net):
-    rank = arrays["rank"]
-    lowest, highest = np.argmin(rank), np.argmax(rank)
-    rank[[lowest, highest]] = rank[[highest, lowest]]
-
-
-def _break_mid_rank(arrays, _net):
-    arrays["up_mid"][_first_up_shortcut(arrays)] = np.argmax(arrays["rank"])
-
-
-def _break_component(arrays, _net):
-    arrays["up_mid"][_first_up_shortcut(arrays)] = np.argmin(arrays["rank"])
-
-
-def _break_weight_sum(arrays, _net):
-    k = _first_up_shortcut(arrays)
-    arrays["up_w"][k] = np.nextafter(arrays["up_w"][k], np.inf)
-
-
-class TestHierarchyCheck:
-    """A hierarchy is checked when it is attached, so a corrupt or foreign
-    one fails there, naming the rule, and never mid-query."""
-
-    @pytest.fixture(scope="class")
-    def built(self, small_net):
-        return ContractionHierarchy.build(small_net).to_arrays()
-
-    @pytest.mark.parametrize("corrupt,message", [
-        (_break_lengths, r"up_w has shape \(\d+,\), expected \(\d+,\) from up_indptr\[-1\]"),
-        (_break_indptr, "down_indptr is not a row pointer over 100 vertices"),
-        (_break_vertex_id, "up edges name a vertex outside 0..99"),
-        (_break_row_order, "up_head is not sorted and distinct per row"),
-        (_break_permutation, "rank is not a permutation"),
-        (_break_direction, "edge that does not (ascend|descend) in rank"),
-        (_break_mid_rank, "shortcut whose mid does not rank below both ends"),
-        (_break_component, "shortcut with a missing component edge"),
-        (_break_weight_sum, "shortcut whose weight is not the sum of its components"),
-    ], ids=["lengths", "indptr", "vertex-id", "row-order", "permutation", "direction",
-            "mid-rank", "component", "weight-sum"])
-    def test_each_rule_names_itself(self, small_net, built, corrupt, message):
-        arrays = {name: array.copy() for name, array in built.items()}
-        ContractionHierarchy.from_arrays(small_net, arrays)  # intact: attaches
-        corrupt(arrays, small_net)
-        with pytest.raises(ValueError, match=message):
-            ContractionHierarchy.from_arrays(small_net, arrays)
-
-    def test_a_hierarchy_of_another_network_of_the_same_size(self, small_net, built):
-        other = RoadNetwork(small_net.xy, [(u, v, 1.5 * w) for u, v, w in small_net.edges()])
-        assert other.num_vertices == small_net.num_vertices
-        with pytest.raises(ValueError, match="original edge that is not an edge of the network"):
-            ContractionHierarchy.from_arrays(other, built)
 
 
 def weighted_path(net, u, v, weights):
