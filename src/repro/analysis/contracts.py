@@ -155,21 +155,7 @@ def check_request_accounting(metrics: "SimulationMetrics") -> None:
     are part of the identity, so it holds under injected churn too
     (docs/ROBUSTNESS.md).
     """
-    online = (
-        metrics.served_online
-        + metrics.unserved_online
-        + metrics.cancelled_online
-        + metrics.stranded_online
-        + metrics.rejected_online
-    )
-    offline = (
-        metrics.served_offline
-        + metrics.expired_offline
-        + metrics.unserved_offline
-        + metrics.cancelled_offline
-        + metrics.stranded_offline
-        + metrics.rejected_offline
-    )
+    online, offline = metrics.accounted_online, metrics.accounted_offline
     if online > metrics.num_online or offline > metrics.num_offline:
         raise ContractViolation(
             "request accounting overshoots its population: "

@@ -225,9 +225,8 @@ class ArtifactStore:
         """Per-artifact detail of one kind: key, metadata, on-disk bytes.
 
         Sorted by key for deterministic listings; unreadable metadata is
-        skipped (corrupt artifacts already count as load misses).  Used
-        by ``repro cache info`` to describe e.g. stored contraction
-        hierarchies (graph label, vertex count, size).
+        skipped (corrupt artifacts already count as load misses).
+        :meth:`info` totals these per kind for ``repro cache info``.
         """
         out: list[dict] = []
         kind_dir = self.root / kind

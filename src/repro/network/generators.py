@@ -7,6 +7,9 @@ planar networks with the structural features the ridesharing algorithms
 care about: a dense grid core, arterial shortcuts, and mild geometric
 irregularity.  Sizes are configurable so tests run on tiny graphs while
 benchmarks use city-scale-in-miniature ones.
+
+A scenario stores the network it generates in the artifact store
+(kind ``network``), so :func:`grid_city` runs only on a cold build.
 """
 
 from __future__ import annotations
@@ -31,72 +34,35 @@ def _largest_scc(num_vertices: int, edges: list[tuple[int, int, float]]) -> tupl
     """Restrict to the largest strongly connected component.
 
     Returns the kept vertex ids (sorted) and the re-indexed edge list.
-
-    Tarjan's algorithm with an explicit stack, so that importing a
-    generator does not import scipy.  Artifact keys hash the network's
-    *spec*, not its content, so the kept set must be exactly the one
-    ``scipy.sparse.csgraph.connected_components`` + ``argmax`` kept
-    (``tests/oracles.py::reference_largest_scc``), ties included: the
-    walk starts from the vertices in ascending order and follows
-    successors in descending order, which completes components in the
-    order scipy numbers them, and the first of the largest wins.
+    Components are scipy's ``connected_components`` labels; the first
+    of the largest wins (``argmax``).  Artifact keys hash the network's
+    *spec*, not its content, so this choice is pinned: another kept set
+    would pair new networks with stored tables.  Only a cold build runs
+    this, and a cold build imports scipy for its shortest paths anyway.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     if not edges:
         return np.array([0]), []
-    succ: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v, _length in edges:
-        succ[u].append(v)
-    for out in succ:
-        out.sort(reverse=True)
-    order = [-1] * num_vertices  # discovery number; -1 = not yet reached
-    # Smallest discovery number known reachable inside the vertex's
-    # still-open component; ``num_vertices`` once its component is complete.
-    low = [0] * num_vertices
-    pending: list[int] = []  # reached, component not yet complete
-    best: list[int] = []
-    reached = 0
-    for root in range(num_vertices):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = reached
-        reached += 1
-        pending.append(root)
-        walk = [(root, iter(succ[root]))]
-        while walk:
-            v, successors = walk[-1]
-            for w in successors:
-                if order[w] < 0:
-                    order[w] = low[w] = reached
-                    reached += 1
-                    pending.append(w)
-                    walk.append((w, iter(succ[w])))
-                    break
-                if low[w] < low[v]:
-                    low[v] = low[w]
-            else:
-                walk.pop()
-                if walk and low[v] < low[walk[-1][0]]:
-                    low[walk[-1][0]] = low[v]
-                if low[v] == order[v]:
-                    at = len(pending) - 1
-                    while pending[at] != v:
-                        at -= 1
-                    component = pending[at:]
-                    del pending[at:]
-                    for w in component:
-                        low[w] = num_vertices
-                    if len(component) > len(best):
-                        best = component
-    if len(best) == num_vertices:
+    tails = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
+    heads = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
+    mat = sparse.csr_matrix(
+        (np.ones(len(edges)), (tails, heads)), shape=(num_vertices, num_vertices)
+    )
+    n_comp, labels = csgraph.connected_components(mat, directed=True, connection="strong")
+    if n_comp == 1:
         return np.arange(num_vertices), edges
-    best.sort()
-    remap = {v: i for i, v in enumerate(best)}
+    keep = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    remap = np.full(num_vertices, -1)
+    remap[keep] = np.arange(keep.size)
+    new_id = remap.tolist()  # one int object per vertex, shared by its edges
     kept_edges = [
-        (remap[u], remap[v], length)
+        (new_id[u], new_id[v], length)
         for u, v, length in edges
-        if u in remap and v in remap
+        if new_id[u] >= 0 and new_id[v] >= 0
     ]
-    return np.array(best), kept_edges
+    return keep, kept_edges
 
 
 def grid_city(

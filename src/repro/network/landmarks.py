@@ -148,14 +148,17 @@ class LandmarkGraph:
         """Member vertex minimising total distance to other members."""
         if len(part) == 1:
             return int(part[0])
-        if self._engine.mode == "full":
+        matrices = self._engine.full_matrices()
+        if matrices is not None:
             idx = np.asarray(part)
             # Full matrix available: slice and sum (inf-safe).
-            sub = self._engine._dist[np.ix_(idx, idx)]  # noqa: SLF001 - same package
+            sub = matrices[0][np.ix_(idx, idx)]
             sub = np.where(np.isfinite(sub), sub, np.nanmax(sub[np.isfinite(sub)], initial=0.0) * 2 + 1)
             return int(idx[np.argmin(sub.sum(axis=1))])
-        # Lazy mode: fall back to the Euclidean medoid, a standard
-        # approximation that avoids |P| single-source searches.
+        # Lazy and ch: fall back to the Euclidean medoid, a standard
+        # approximation that avoids |P| single-source searches.  The two
+        # rules can pick different landmarks, so this is a backend
+        # inequality of its own (hence ``engine_mode`` in the landmarks key).
         pts = self._network.xy[list(part)]
         c = pts.mean(axis=0)
         return int(part[int(np.argmin(np.hypot(*(pts - c).T)))])

@@ -338,8 +338,8 @@ class ShortestPathEngine:
     def full_matrices(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The ``(dist, pred)`` all-pairs matrices, or ``None`` in lazy mode.
 
-        Used by the artifact store to persist a freshly built matrix;
-        treat the arrays as read-only.
+        Used by the artifact store to persist a freshly built matrix and
+        by the landmark medoid; treat the arrays as read-only.
         """
         if self._dist is None or self._pred is None:
             return None

@@ -190,6 +190,18 @@ class SimulationMetrics:
         return self.rejected_online + self.rejected_offline
 
     @property
+    def accounted_online(self) -> int:
+        """Online requests in a terminal bucket (:meth:`check_balance`)."""
+        return (self.served_online + self.unserved_online + self.cancelled_online
+                + self.stranded_online + self.rejected_online)
+
+    @property
+    def accounted_offline(self) -> int:
+        """Offline requests in a terminal bucket (:meth:`check_balance`)."""
+        return (self.served_offline + self.expired_offline + self.unserved_offline
+                + self.cancelled_offline + self.stranded_offline + self.rejected_offline)
+
+    @property
     def lazy_cache_hit_rate(self) -> float:
         """Shortest-path source-tree cache hit rate (1.0 in full mode)."""
         hits = self.counters.get("spe.cache_hits", 0)
@@ -220,21 +232,7 @@ class SimulationMetrics:
         behaviour of expired offline requests) fails loudly instead of
         skewing the service rate.
         """
-        online = (
-            self.served_online
-            + self.unserved_online
-            + self.cancelled_online
-            + self.stranded_online
-            + self.rejected_online
-        )
-        offline = (
-            self.served_offline
-            + self.expired_offline
-            + self.unserved_offline
-            + self.cancelled_offline
-            + self.stranded_offline
-            + self.rejected_offline
-        )
+        online, offline = self.accounted_online, self.accounted_offline
         if online != self.num_online or offline != self.num_offline:
             raise ValueError(
                 "request accounting out of balance: "

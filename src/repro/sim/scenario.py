@@ -14,11 +14,13 @@ configurable scale on the synthetic network/trace substrate, and
 provides the scheme factory used by every benchmark.  Scenario
 construction is expensive (trace synthesis, all-pairs shortest paths,
 partitioning), so built scenarios are memoised per spec in a bounded
-memo, and every expensive preprocessing product is persisted in
-the content-addressed artifact store (:mod:`repro.artifacts`) so warm
-processes load it back — memory-mapped where possible — instead of
-recomputing.  The one exception is the contraction hierarchy of the
-explicitly named ``ch`` backend, contracted on every build.
+memo, and every preprocessing product — the road network itself
+included — is persisted in the content-addressed artifact store
+(:mod:`repro.artifacts`) so warm processes load it back — memory-mapped
+where possible — instead of recomputing: a warm build generates no
+network and runs no component search.  The one exception is the
+contraction hierarchy of the explicitly named ``ch`` backend,
+contracted on every build.
 """
 
 from __future__ import annotations
@@ -170,6 +172,19 @@ SCHEME_REGISTRY: "dict[str, SchemeInfo]" = {
 SCHEME_NAMES = tuple(SCHEME_REGISTRY)
 
 
+def _pack_network(network: RoadNetwork) -> tuple[dict[str, np.ndarray], dict]:
+    """The network's coordinates and its ``edges()`` in their order, so
+    the loaded network rebuilds the same edge dict, CSR arrays and all."""
+    edges, m = network.edges, network.num_edges
+    arrays = {
+        "xy": network.xy,
+        "tails": np.fromiter((u for u, _v, _l in edges()), dtype=np.int64, count=m),
+        "heads": np.fromiter((v for _u, v, _l in edges()), dtype=np.int64, count=m),
+        "lengths": np.fromiter((length for *_, length in edges()), dtype=np.float64, count=m),
+    }
+    return arrays, {"vertices": network.num_vertices, "edges": m}
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     """Everything that determines a scenario, hashable for memoisation.
@@ -194,7 +209,7 @@ class ScenarioSpec:
     #: ``"full"``, ``"lazy"`` or ``"ch"``, which only runs when named
     #: here and contracts its hierarchy on every build (nothing stores
     #: it).  Not part of the network spec, so all backends share
-    #: trace/partition artifacts.
+    #: network/trace/partition artifacts.
     sp_mode: str = "auto"
 
     def __post_init__(self) -> None:
@@ -226,21 +241,11 @@ class Scenario:
 
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        # The congestion factor rescales the constant travel speed for
-        # the simulated window (traffic stays stable *within* a window,
-        # as the paper assumes).
-        self.network: RoadNetwork = grid_city(
-            rows=spec.grid_rows,
-            cols=spec.grid_cols,
-            spacing_m=spec.spacing_m,
-            speed_mps=DEFAULT_SPEED_MPS * spec.congestion,
-            seed=spec.seed,
-        )
-        # The network spec keys the APSP / trace / partition artifacts.
-        # Speed (and hence the congestion factor) is deliberately left
-        # out: distances are in metres and trip sampling is geometric,
-        # so congestion variants of the same grid share every
-        # speed-independent artifact.
+        # The network spec keys every stored artifact, the network's own
+        # included.  Speed (and hence the congestion factor) is
+        # deliberately left out: distances are in metres and trip
+        # sampling is geometric, so congestion variants of the same grid
+        # share every speed-independent artifact.
         self._network_spec = {
             "generator": "grid_city",
             "rows": spec.grid_rows,
@@ -248,6 +253,27 @@ class Scenario:
             "spacing_m": spec.spacing_m,
             "seed": spec.seed,
         }
+        # The congestion factor rescales the constant travel speed for
+        # the simulated window (traffic stays stable *within* a window,
+        # as the paper assumes).
+        speed_mps = DEFAULT_SPEED_MPS * spec.congestion
+        self.network: RoadNetwork = self._stored(
+            "network",
+            self._network_spec,
+            build=lambda: grid_city(
+                rows=spec.grid_rows,
+                cols=spec.grid_cols,
+                spacing_m=spec.spacing_m,
+                speed_mps=speed_mps,
+                seed=spec.seed,
+            ),
+            pack=_pack_network,
+            unpack=lambda art: RoadNetwork(
+                np.array(art["xy"], dtype=np.float64),
+                zip(art["tails"].tolist(), art["heads"].tolist(), art["lengths"].tolist()),
+                speed_mps=speed_mps,
+            ),
+        )
         self.engine = self._build_engine()
         self.demand = ChengduLikeDemand(
             self.network,

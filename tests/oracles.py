@@ -51,15 +51,6 @@ trip as ``bisect_right(cdf, rng.random())`` against tables built once
 renormalised on the spot — verbatim, so traces and the generator's RNG
 state can be diffed ``==``.
 
-**Network generation.**  ``grid_city`` keeps the largest strongly
-connected component of its construction with a plain Tarjan walk
-(``repro.network.generators._largest_scc``), so that building a
-scenario imports no scipy; :func:`reference_largest_scc` is the
-``csgraph.connected_components`` + ``argmax`` version it replaced —
-verbatim, so kept vertices and re-indexed edges can be diffed ``==``.
-Artifact keys hash a network's spec, not its content: a different kept
-set would pair new networks with stored tables.
-
 **Contraction hierarchy.**  Production contracts an independent vertex
 set per round and runs the round's witness searches as batched scipy
 Dijkstras with a strict test (``repro.network.ch.ContractionHierarchy.
@@ -239,32 +230,6 @@ def reference_corridor_path(sub, matrix, source, target):
     local_path.reverse()
     nodes = sub.nodes
     return float(dist[lt]), [int(nodes[i]) for i in local_path]
-
-
-def reference_largest_scc(
-    num_vertices: int, edges: list[tuple[int, int, float]]
-) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
-    """``_largest_scc`` as it was on scipy: labels, ``argmax`` of the sizes."""
-    if not edges:
-        return np.array([0]), []
-    rows = np.array([e[0] for e in edges])
-    cols = np.array([e[1] for e in edges])
-    data = np.ones(len(edges))
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
-    n_comp, labels = csgraph.connected_components(mat, directed=True, connection="strong")
-    if n_comp == 1:
-        return np.arange(num_vertices), edges
-    sizes = np.bincount(labels, minlength=n_comp)
-    keep_label = int(np.argmax(sizes))
-    keep = np.flatnonzero(labels == keep_label)
-    remap = -np.ones(num_vertices, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    kept_edges = [
-        (int(remap[u]), int(remap[v]), length)
-        for u, v, length in edges
-        if remap[u] >= 0 and remap[v] >= 0
-    ]
-    return keep, kept_edges
 
 
 class FullSweepSimulator(Simulator):

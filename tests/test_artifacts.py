@@ -191,6 +191,36 @@ def test_warm_scenario_bit_identical(tmp_path, monkeypatch):
     assert np.array_equal(w_cold.taxi_ids, w_warm.taxi_ids)
 
 
+def test_warm_scenario_loads_its_network_and_generates_none(tmp_path, monkeypatch):
+    """The network is a stored product like the others: a warm build
+    loads it once, builds nothing and never calls the generator, and
+    the loaded network is the generated one — coordinates, CSR arrays,
+    ``edges()`` order and the pinned digest."""
+    from repro.sim import scenario as sc
+    from tests.test_generators import network_digest
+
+    monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
+    cold = Scenario(MICRO_SPEC)
+    store = get_store()
+    assert store.stats()["network"]["builds"] == 1
+    store.reset_stats()
+    calls = []
+    generate = sc.grid_city
+    monkeypatch.setattr(sc, "grid_city", lambda **kw: calls.append(kw) or generate(**kw))
+
+    warm = Scenario(MICRO_SPEC)
+    assert calls == []
+    assert store.stats()["network"] == {"loads": 1, "misses": 0, "builds": 0, "mmap_loads": 1}
+    assert sum(row["builds"] for row in store.stats().values()) == 0
+    a, b = cold.network, warm.network
+    assert a.xy.tobytes() == b.xy.tobytes() and type(b.xy) is np.ndarray
+    for x, y in zip(a.csr_arrays, b.csr_arrays):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert list(a.edges()) == list(b.edges())
+    assert network_digest(a) == network_digest(b)
+    assert a.speed_mps == b.speed_mps
+
+
 def test_built_artifacts_record_their_build_seconds(tmp_path, monkeypatch):
     """Every product ``Scenario._stored`` builds carries ``build_s`` in
     its meta, next to what ``pack`` put there; loading adds nothing."""
@@ -199,7 +229,7 @@ def test_built_artifacts_record_their_build_seconds(tmp_path, monkeypatch):
     cold.landmark_graph()
     store = get_store()
     kinds = set(store.info())
-    assert {"apsp", "trace", "partition", "landmarks"} <= kinds
+    assert {"network", "apsp", "trace", "partition", "landmarks"} <= kinds
     for kind in kinds:
         (entry,) = store.entries(kind)
         assert entry["meta"]["build_s"] >= 0.0, kind
@@ -342,12 +372,18 @@ def test_congestion_variants_share_speed_independent_artifacts(tmp_path, monkeyp
     slow.partitioning()
     slow.landmark_graph()
     stats = store.stats()
-    # APSP, trace and partition artifacts are reused...
+    # The network, APSP, trace and partition artifacts are reused...
+    assert stats["network"] == {"loads": 1, "misses": 0, "builds": 0, "mmap_loads": 1}
     assert stats["apsp"]["loads"] == 1
     assert stats["trace"]["loads"] == 1
     assert stats["partition"]["loads"] == 1
     # ...but landmark costs are in seconds, so they rebuild.
     assert stats["landmarks"]["builds"] == 1
+    # The one stored network serves both speeds.
+    assert len(store.entries("network")) == 1
+    assert slow.network.speed_mps == 0.5 * base.network.speed_mps
+    u, v, _length = next(base.network.edges())
+    assert slow.network.edge_cost(u, v) == pytest.approx(2.0 * base.network.edge_cost(u, v))
 
 
 def test_landmark_key_uses_label_content(tmp_path, monkeypatch):

@@ -327,8 +327,9 @@ class TestCacheWarm:
 class TestCacheInfo:
     def test_info_prints_build_seconds_per_kind(self, tmp_path, monkeypatch, capsys):
         """"Where did my cold start go" from the store alone: each kind's
-        row ends with the seconds its artifacts took to build, and the
-        total row with their sum."""
+        row — the generated network's included — ends with the seconds
+        its artifacts took to build, and the total row with their sum;
+        ``cache clear`` removes the network with the rest."""
         monkeypatch.setenv(ARTIFACT_DIR_ENV, str(tmp_path))
         assert main(["cache", "info"]) == 0
         assert "(empty)" in capsys.readouterr().out
@@ -342,15 +343,20 @@ class TestCacheInfo:
             if fields and fields[-1] == "build"
         }
         info = get_store().info()
-        assert set(rows) == {"apsp", "trace", "total"}
-        for kind in ("apsp", "trace"):
+        kinds = ("network", "apsp", "trace")
+        assert set(rows) == {*kinds, "total"}
+        for kind in kinds:
             assert rows[kind][1:] == [
                 str(info[kind]["artifacts"]), "artifacts",
                 f"{info[kind]['bytes'] / 1e6:.2f}", "MB",
                 f"{info[kind]['build_s']:.2f}", "s", "build",
             ]
-        total_s = info["apsp"]["build_s"] + info["trace"]["build_s"]
-        assert rows["total"][1] == "2" and rows["total"][5] == f"{total_s:.2f}"
+        total_s = sum(info[kind]["build_s"] for kind in kinds)
+        assert rows["total"][1] == "3" and rows["total"][5] == f"{total_s:.2f}"
+
+        assert main(["cache", "clear"]) == 0
+        assert "removed 3 artifacts" in capsys.readouterr().out
+        assert get_store().info() == {}
 
     def test_a_store_holding_hierarchies_stays_warm(self, tmp_path, monkeypatch, capsys):
         """A store written by a checkout that still stored contraction

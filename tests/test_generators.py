@@ -10,8 +10,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.network import generators
-from repro.network.generators import _largest_scc, grid_city, ring_radial_city
-from tests.oracles import reference_largest_scc
+from repro.network.generators import grid_city, ring_radial_city
 
 
 def is_strongly_connected(net) -> bool:
@@ -84,23 +83,14 @@ def network_digest(net) -> tuple[str, str]:
     )
 
 
-@st.composite
-def digraphs(draw):
-    """Small digraphs with several components: isolated vertices,
-    self-loops, parallel edges, and — mostly — ties for the largest."""
-    n = draw(st.integers(min_value=1, max_value=12))
-    vertex = st.integers(min_value=0, max_value=n - 1)
-    edge = st.tuples(vertex, vertex, st.floats(min_value=0.0, max_value=9.0))
-    return n, draw(st.lists(edge, max_size=3 * n))
-
-
 class TestLargestSCC:
     """The network may not move by a vertex: artifact keys hash the
     scenario's *spec*, so a generator that kept a different vertex set
     (or numbered it differently) would silently pair new networks with
-    stored APSP / hierarchy / partition / trace artifacts."""
+    stored network / APSP / partition / trace artifacts."""
 
-    #: Taken at the last commit whose ``_largest_scc`` ran on scipy.
+    #: The content every store written since the artifact store exists
+    #: was keyed to (scipy components, first of the largest kept).
     #: The three benchmark cities (``benchmarks/e2e/workloads.py``,
     #: ``CITY_SEED = 1``) and the tier-1 ``test_spec``.
     PINS = {
@@ -120,40 +110,6 @@ class TestLargestSCC:
         net = grid_city(**kwargs)
         assert (net.num_vertices, net.num_edges) == (vertices, edges)
         assert network_digest(net) == digest
-
-    @settings(max_examples=300, deadline=None)
-    @given(digraphs())
-    def test_keeps_what_the_scipy_reference_keeps(self, graph):
-        """Ties for the largest component included: the walk completes
-        components in the order scipy numbers them, and the first of the
-        largest wins there (``argmax``) and here."""
-        n, edges = graph
-        keep, kept_edges = _largest_scc(n, edges)
-        want_keep, want_edges = reference_largest_scc(n, edges)
-        assert keep.dtype == want_keep.dtype and keep.tolist() == want_keep.tolist()
-        assert kept_edges == want_edges
-
-    @pytest.mark.parametrize("size,seed", [(10, 0), (14, 3), (20, 8)])
-    def test_matches_reference_on_broken_grids(self, size, seed, monkeypatch):
-        """Grids broken hard enough to fall apart (many components, one
-        giant): the edge list ``grid_city`` really hands over."""
-        seen = []
-
-        def recording(n, edges):
-            seen.append((n, list(edges)))
-            return _largest_scc(n, edges)
-
-        monkeypatch.setattr(generators, "_largest_scc", recording)
-        monkeypatch.setattr(generators, "REMOVAL_RATE", 0.35)
-        monkeypatch.setattr(generators, "ONE_WAY_RATE", 0.4)
-        # Only row 0 and column 0 stay arterial.
-        monkeypatch.setattr(generators, "ARTERIAL_EVERY", size)
-        grid_city(rows=size, cols=size, seed=seed)
-        ((n, edges),) = seen
-        keep, kept_edges = _largest_scc(n, edges)
-        want_keep, want_edges = reference_largest_scc(n, edges)
-        assert 1 < keep.size < n
-        assert keep.tolist() == want_keep.tolist() and kept_edges == want_edges
 
 
 class TestRingRadialCity:

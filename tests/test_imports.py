@@ -3,7 +3,8 @@ package defines only what something outside the tests calls, and takes
 as a parameter only what something outside the tests sets.
 
 A warm ``full``-mode run of a scheme that routes on the stored
-all-pairs table — probabilistic routing included — never calls scipy,
+all-pairs table — probabilistic routing included — loads its network
+instead of generating it and never calls scipy,
 so it must not import it (~0.3 s of a ~0.55 s set-up) — and no ``src/repro`` module imports scipy at its
 top, so importing a module never does either; a run that *does* call
 scipy must have imported it
@@ -96,6 +97,7 @@ for cell in json.loads(sys.argv[1]):
         "before": before, "after": scipy_modules(), "served": served,
         "linter": "repro.analysis.checkers" in sys.modules,
         "builds": sum(row["builds"] for row in artifacts.stats().values()),
+        "network_loads": artifacts.stats().get("network", {}).get("loads", 0),
     })
 print(json.dumps(out))
 """
@@ -152,6 +154,8 @@ def no_scipy_runs(warm_store):
 def test_warm_full_run_imports_neither_scipy_nor_the_linter(no_scipy_runs, index):
     got = no_scipy_runs[index]
     assert got["builds"] == 0  # the premise: a warm store
+    # The network is loaded, not regenerated: no component search either.
+    assert got["network_loads"] >= 1
     assert got["served"] > 0
     assert got["after"] == []
     assert not got["linter"]

@@ -233,10 +233,14 @@ class TestCHMode:
         """Swapping ``lazy`` for ``ch`` may not move one dispatch decision:
         same trips, accounting buckets, waiting/detour samples and fares.
 
-        ``full`` is deliberately not in this equality:
+        ``full`` is deliberately not in this equality, for two reasons:
         ``BasicRouter.leg_path`` routes through the partition filter
-        only when ``engine.mode != "full"``, so the dense backend plans
-        different legs by design.
+        only when ``engine.mode != "full"``, and
+        ``LandmarkGraph._medoid`` picks each partition's landmark by
+        network distance on ``full`` but by Euclidean distance on
+        ``lazy`` / ``ch`` (10 of this spec's 17 landmarks differ).  The
+        dense backend therefore plans different legs around different
+        landmarks.
         """
         streams = {}
         for sp_mode in ("lazy", "ch"):
