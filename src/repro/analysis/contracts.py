@@ -41,9 +41,12 @@ from collections.abc import Callable, Collection, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.mobility_cluster import MobilityClusterIndex
     from ..faults.plan import ShockWindow
+    from ..fleet.table import FleetTable
     from ..fleet.schedule import Stop
     from ..fleet.taxi import Taxi
+    from ..index.partition_index import PartitionTaxiIndex
     from ..sim.metrics import SimulationMetrics
 
 ENV_VAR = "REPRO_CONTRACTS"
@@ -231,10 +234,63 @@ def check_shock_scan(
             )
 
 
+@invariant("every fleet-table column equals the object state it mirrors")
+def check_fleet_table(
+    table: "FleetTable",
+    partition_index: "PartitionTaxiIndex",
+    cluster_index: "MobilityClusterIndex",
+) -> None:
+    """The columns of a :class:`~repro.fleet.table.FleetTable` against
+    the taxis, the partition lists and the mobility clusters.
+
+    Each column is written only where its state changes, so a change
+    site that forgets its write leaves a row that disagrees with its
+    object, and fails here on the next boundary instead of silently
+    screening a stale taxi.  O(fleet x partitions), which is why it is
+    a contract and not part of the screen.
+    """
+    for row, taxi in enumerate(table.taxis):
+        tid = taxi.taxi_id
+        vertex, at = taxi.position_at(-math.inf)
+        routed = taxi.schedule and taxi.next_due < math.inf
+        end = taxi.route.times[-1] if routed else -math.inf
+        unit = cluster_index.taxi_unit(tid)
+        cluster = cluster_index.cluster_of_taxi(tid)
+        expected = {
+            "plan_vertex": (table.plan_vertex[row], vertex),
+            "plan_time": (table.plan_time[row], at),
+            "spare": (table.spare[row], taxi.capacity - taxi.committed),
+            "busy": (table.busy[row], bool(taxi.schedule)),
+            "route_end": (table.route_end[row], end),
+            "cluster": (table.cluster[row], -1 if cluster is None else cluster),
+        }
+        for name, (got, want) in expected.items():
+            if got != want:
+                raise ContractViolation(
+                    f"fleet table {name} of taxi {tid} is {got}, its state says {want}: "
+                    "a change site skipped its write"
+                )
+        units = table.unit[row].tolist()
+        if (unit is None and not all(map(math.isnan, units))) or (
+            unit is not None and units != list(unit)
+        ):
+            raise ContractViolation(
+                f"fleet table unit of taxi {tid} is {units}, the cluster index says {unit}"
+            )
+        for z, got in enumerate(table.arrivals[:, row].tolist()):
+            want = partition_index.arrival_map(z).get(tid)
+            if (want is None and got == got) or (want is not None and got != want):
+                raise ContractViolation(
+                    f"fleet table arrival of taxi {tid} at partition {z} is {got}, "
+                    f"its partition list says {want}"
+                )
+
+
 __all__ = [
     "ENV_VAR",
     "ContractViolation",
     "check_due_index",
+    "check_fleet_table",
     "check_monotone_clock",
     "check_request_accounting",
     "check_schedule",

@@ -229,6 +229,11 @@ class DispatchScheme(abc.ABC):
         """Approximate footprint of this scheme's index structures."""
         return 0
 
+    def check_fleet_table(self) -> None:
+        """Contract hook the simulator runs at every boundary: compare
+        the scheme's fleet table with the state it mirrors.  This scheme
+        keeps none."""
+
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ This implements Section IV-C of the paper.  For a request ``r_i``:
   the disc are added, then taxis with no spare capacity and taxis that
   cannot reach the pick-up before its deadline are filtered out.  A
   dispatch window asks this for all its requests at once
-  (:meth:`Matcher.screen_window`): the same predicates over one read of
-  the fleet, as ``requests x taxis`` array expressions.
+  (:meth:`Matcher.screen_window`): the same predicates over the fleet
+  table's columns, as ``requests x taxis`` array expressions.
 * **Taxi scheduling** (Algorithm 1) enumerates every insertion of the
   pick-up/drop-off pair into each candidate's existing stop sequence,
   keeps the feasible instances, and picks the one with the minimum
@@ -44,6 +44,7 @@ from ..fleet.schedule import (
     num_insertions,
     score_insertions,
 )
+from ..fleet.table import FleetTable
 from ..fleet.taxi import Taxi, TaxiRoute
 from ..index.partition_index import PartitionTaxiIndex
 from ..network.graph import RoadNetwork
@@ -93,7 +94,8 @@ class WindowScreen:
     ``member[i, j]`` says whether ``taxis[j]`` is in the refined
     candidate set of the window's ``i``-th request (Eq. 3 plus the
     three rules).  Columns are the taxis that are a candidate of at
-    least one request, ascending by taxi id; ``starts[j]`` is
+    least one request, ascending by taxi id; ``rows[j]`` is the fleet
+    table row of ``taxis[j]`` and ``starts[j]`` is
     ``insertion_start(taxis[j], now)``, built once per window for the
     surviving columns only and shared with the cost-matrix fill.
     """
@@ -101,6 +103,7 @@ class WindowScreen:
     taxis: list[Taxi]
     starts: list[InsertionStart]
     member: np.ndarray
+    rows: np.ndarray
 
 
 def keeps_seats_idle(taxi: Taxi, request: RideRequest) -> bool:
@@ -319,17 +322,19 @@ class Matcher:
     def screen_window(
         self,
         batch: Sequence[RideRequest],
-        fleet: dict[int, Taxi],
+        table: FleetTable,
         now: float,
     ) -> WindowScreen:
         """:meth:`candidate_taxis` for every request of a window at once.
 
         Row ``i`` of ``screen.member`` selects, from ``screen.taxis``,
-        ``candidate_taxis(batch[i], fleet, now)`` taxi for taxi.  Index
-        and fleet state are fixed for the duration of a flush, so each
-        indexed taxi is read once (planning position, seats, cluster,
-        direction unit, its ``P_z.L_t`` arrivals) and the pool and the
-        three rules become ``(R, T)`` boolean / float64 expressions.
+        ``candidate_taxis(batch[i], fleet, now)`` taxi for taxi, where
+        ``fleet`` holds ``table``'s taxis.  The taxi side of every rule
+        is a column of the fleet table (planning position, seats, busy
+        flag, cluster, direction unit, the ``P_z.L_t`` arrivals), kept
+        current where the state changes, so the pool and the three rules
+        become ``(R, T)`` boolean / float64 expressions and the only
+        per-taxi Python work is the surviving columns' insertion starts.
         Every float operation is :meth:`candidate_taxis`'s, on the same
         operands in the same association — request units still come
         from the scalar :func:`direction_unit` and disc verdicts from
@@ -339,24 +344,11 @@ class Matcher:
         with self._obs.stage("window.screen"):
             lg = self._lg
             xy = self._network.xy
-            ids, arrivals = self._pindex.arrival_table()
-            known = [j for j, tid in enumerate(ids) if tid in fleet]
-            if len(known) < len(ids):
-                ids = [ids[j] for j in known]
-                arrivals = arrivals[:, known]
-            taxis = [fleet[tid] for tid in ids]
-            # Rule 3 needs every indexed taxi's planning position; the
-            # rest of its insertion start waits for the screen's verdict.
-            positions = [taxi.position_at(now) for taxi in taxis]
-            nodes = np.array([node for node, _at in positions], dtype=np.int64)
-            ready = np.array([at for _node, at in positions], dtype=np.float64)
-            spare = np.array([taxi.capacity - taxi.committed for taxi in taxis], dtype=np.int64)
-            busy = [j for j, taxi in enumerate(taxis) if taxi.schedule]
-
+            arrivals = table.arrivals
             origins = np.array([r.origin for r in batch], dtype=np.int64)
             deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)
             n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)
-            shape = (len(batch), len(taxis))
+            shape = (len(batch), len(table.taxis))
             self._obs.count("window.screened_pairs", shape[0] * shape[1])
 
             # Eq. 3, left side: a taxi is in a request's pool when some
@@ -373,14 +365,17 @@ class Matcher:
                 keep |= (disc_bits[:, byte, None] & listed_bits[byte]) != 0
 
             # Rule 2: enough seats not yet promised.
-            keep &= n_pass[:, None] <= spare
+            keep &= n_pass[:, None] <= table.spare
 
             # Rule 1: busy taxis must travel the request's way.  Request
             # units come from the scalar ``direction_unit`` (``math.hypot``;
             # ``np.hypot`` differs in the last ULP on some inputs).
             directions = (xy[[r.destination for r in batch]] - origin_xy).tolist()
             request_units = np.array([direction_unit(dx, dy) for dx, dy in directions])
-            keep[:, busy] &= self._cindex.alignment_mask(request_units, [ids[j] for j in busy])
+            busy = np.flatnonzero(table.busy)
+            keep[:, busy] &= self._cindex.alignment_mask(
+                request_units, table.cluster[busy], table.unit[busy]
+            )
 
             # Rule 3: the indexed arrival at the origin's partition admits;
             # the pairs it cannot admit (not listed compares as NaN) get the
@@ -392,19 +387,21 @@ class Matcher:
                 self._obs.count("kernel.batched_reach_checks", checks)
                 rows = np.flatnonzero(pending.any(axis=1))
                 cols = np.flatnonzero(pending.any(axis=0))
-                legs = self._engine.cost_matrix(nodes[cols], origins[rows])
+                legs = self._engine.cost_matrix(table.plan_vertex[cols], origins[rows])
                 late = np.zeros(shape, dtype=bool)
-                late[np.ix_(rows, cols)] = (ready[cols][:, None] + legs > deadline[rows]).T
+                arrive = table.ready(now, cols)[:, None] + legs
+                late[np.ix_(rows, cols)] = (arrive > deadline[rows]).T
                 keep &= ~(pending & late)
 
             used = np.flatnonzero(keep.any(axis=0))
-            columns = used.tolist()
-            survivors = [taxis[j] for j in columns]
+            survivors = [table.taxis[j] for j in used.tolist()]
             starts: list[InsertionStart] = [
                 (node, at, taxi.pending_stops(), taxi.occupancy, taxi.capacity)
-                for taxi, (node, at) in zip(survivors, [positions[j] for j in columns])
+                for taxi, node, at in zip(
+                    survivors, table.plan_vertex[used].tolist(), table.ready(now, used).tolist()
+                )
             ]
-            return WindowScreen(survivors, starts, keep[:, used])
+            return WindowScreen(survivors, starts, keep[:, used], used)
 
     # ------------------------------------------------------------------
     # taxi scheduling (Algorithm 1)

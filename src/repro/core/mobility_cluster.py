@@ -11,22 +11,30 @@ vector is within ``lambda`` or found a new one.  Each cluster maintains
 a *general mobility vector* (member origins and destinations averaged)
 and a taxi list ``C_a.L_t`` of the busy taxis travelling the same way —
 the right-hand side of the candidate-search intersection (Eq. 3).
+Attached to a :class:`~repro.fleet.table.FleetTable`, the index writes
+each taxi's cluster and direction unit into the table's columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import DEFAULT_LAMBDA
 from ..network.geo import cosine_similarity
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..fleet.table import FleetTable
+
 #: Sentinel unit for a zero-length direction: aligned with everything
 #: (:func:`cosine_similarity` returns 1.0 for degenerate vectors).
 ZERO_UNIT = (0.0, 0.0, 0.0)
+
+#: A taxi without a mobility vector, as the fleet table's ``unit`` row.
+_NO_UNIT = (math.nan, math.nan, math.nan)
 
 
 def direction_unit(dx: float, dy: float) -> tuple[float, float, float]:
@@ -173,6 +181,22 @@ class MobilityClusterIndex:
         # dot product per cluster (a dispatch sees ~a dozen clusters,
         # below the break-even size of an array kernel).
         self._table: tuple[list[int], list[tuple[float, float, float]]] | None = None
+        self._fleet_table: FleetTable | None = None
+
+    def attach(self, table: FleetTable) -> None:
+        """Write every later change of a taxi's cluster or unit into
+        ``table``; attach before the first update."""
+        self._fleet_table = table
+
+    def _write_taxi(self, taxi_id: int) -> None:
+        """Mirror one taxi's cluster and unit into the attached table."""
+        table = self._fleet_table
+        row = None if table is None else table.row_of.get(taxi_id)
+        if table is None or row is None:
+            return
+        cid = self._cluster_of_taxi.get(taxi_id)
+        table.cluster[row] = -1 if cid is None else cid
+        table.unit[row] = self._taxi_units.get(taxi_id, _NO_UNIT)
 
     # ------------------------------------------------------------------
     @property
@@ -257,6 +281,7 @@ class MobilityClusterIndex:
         if not cluster.members:
             for taxi_id in cluster.taxis:
                 self._cluster_of_taxi.pop(taxi_id, None)
+                self._write_taxi(taxi_id)
             del self._clusters[cid]
         self._table = None
 
@@ -289,15 +314,18 @@ class MobilityClusterIndex:
         old = self._cluster_of_taxi.pop(taxi_id, None)
         if old is not None and old in self._clusters:
             self._clusters[old].taxis.discard(taxi_id)
+        best_id: int | None = None
         if vec is None:
             self._taxi_units.pop(taxi_id, None)
-            return None
-        self._taxi_units[taxi_id] = direction_unit(*vec.direction)
-        best_id, best_sim = self._best_cluster(vec)
-        if best_id is None or best_sim < self._lam:
-            return None
-        self._clusters[best_id].taxis.add(taxi_id)
-        self._cluster_of_taxi[taxi_id] = best_id
+        else:
+            self._taxi_units[taxi_id] = direction_unit(*vec.direction)
+            best_id, best_sim = self._best_cluster(vec)
+            if best_id is not None and best_sim >= self._lam:
+                self._clusters[best_id].taxis.add(taxi_id)
+                self._cluster_of_taxi[taxi_id] = best_id
+            else:
+                best_id = None
+        self._write_taxi(taxi_id)
         return best_id
 
     def taxi_unit(self, taxi_id: int) -> tuple[float, float, float] | None:
@@ -310,38 +338,37 @@ class MobilityClusterIndex:
         """
         return self._taxi_units.get(taxi_id)
 
-    def alignment_mask(self, request_units: np.ndarray, taxi_ids: Sequence[int]) -> np.ndarray:
+    def alignment_mask(
+        self, request_units: np.ndarray, clusters: np.ndarray, units: np.ndarray
+    ) -> np.ndarray:
         """Rule 1's direction test for every (request, taxi) pair at once.
 
         ``request_units`` holds one :func:`direction_unit` per row;
+        taxi ``j`` is given by its cluster id ``clusters[j]`` (``-1``:
+        none) and its direction unit ``units[j]`` (a NaN row: no
+        vector), the fleet table's ``cluster`` and ``unit`` columns.
         ``out[i, j]`` is True when taxi ``j`` travels request ``i``'s
         way — its cluster is one of the request's
-        :meth:`matching_clusters`, or its own :meth:`taxi_unit` is
-        within ``lambda`` — and False for a taxi with neither a cluster
-        nor a vector.  Whole-window candidate screening asks this once
-        per flush instead of once per pair; the verdicts are the scalar
-        ones bit for bit (see :func:`_misaligned`).
+        :meth:`matching_clusters`, or its own unit is within ``lambda``
+        — and False for a taxi with neither a cluster nor a vector.
+        Whole-window candidate screening asks this once per flush
+        instead of once per pair; the verdicts are the scalar ones bit
+        for bit (see :func:`_misaligned`).
         """
         lam = self._lam
         cluster_ids, cluster_units = self._direction_table()
         matching = ~_misaligned(
             request_units, np.array(cluster_units, dtype=np.float64).reshape(-1, 3), lam
         )
-        # One extra all-False column for the taxis no cluster lists.
-        unlisted = len(cluster_ids)
+        # One extra all-False column for the taxis no cluster lists: the
+        # slot of every id that is not a live cluster, ``-1`` included.
         matching = np.concatenate(
             [matching, np.zeros((len(request_units), 1), dtype=bool)], axis=1
         )
-        slot_of = {cid: k for k, cid in enumerate(cluster_ids)}
-        cluster_get = self._cluster_of_taxi.get
-        slots = [slot_of.get(cluster_get(tid), unlisted) for tid in taxi_ids]
-        no_unit = (math.nan, math.nan, math.nan)
-        unit_get = self._taxi_units.get
-        units = np.array(
-            [unit_get(tid, no_unit) for tid in taxi_ids], dtype=np.float64
-        ).reshape(-1, 3)
+        slot_of = np.full(self._next_id + 1, len(cluster_ids), dtype=np.int64)
+        slot_of[cluster_ids] = np.arange(len(cluster_ids))
         own = ~_misaligned(request_units, units, lam) & ~np.isnan(units[:, 2])
-        return matching[:, slots] | own
+        return matching[:, slot_of[clusters]] | own
 
     def memory_bytes(self) -> int:
         """Rough footprint of the clustering structures."""

@@ -12,8 +12,9 @@ Ridesharing via Linear Assignment Problems"):
    partition/mobility-cluster indexes (Eq. 3 plus the three rules,
    unchanged from mT-Share) — the whole window in one
    :meth:`~repro.core.matching.Matcher.screen_window` call, which
-   reads every indexed taxi once per flush and evaluates the rules as
-   ``requests x taxis`` array expressions, returning for each request
+   evaluates the rules as ``requests x taxis`` array expressions over
+   the scheme's :class:`~repro.fleet.table.FleetTable` (taxi state as
+   columns, written where it changes), returning for each request
    exactly the set a single-request search returns.
 2. **Fill** the rectangular ``requests x taxis`` cost matrix with each
    pair's minimum-detour feasible insertion: every screened
@@ -51,9 +52,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis import contracts
 from ..config import SystemConfig
 from ..demand.request import RideRequest
 from ..fleet.schedule import Stop, materialize_insertion, score_insertions
+from ..fleet.table import FleetTable
+from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
@@ -316,6 +320,22 @@ class WindowLAP(MTShare):
     ) -> None:
         super().__init__(network, engine, config, partitioning, landmarks=landmarks)
         self.dispatch_window_s = float(config.dispatch_window_s)
+        self._table = FleetTable({}, self._landmarks.num_partitions)
+
+    def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
+        """Build the fleet table, attach both indexes to it, then index the fleet."""
+        self._table = FleetTable(fleet, self._landmarks.num_partitions)
+        self._pindex.attach(self._table)
+        self._cindex.attach(self._table)
+        super().register_fleet(fleet, now)
+
+    def check_fleet_table(self) -> None:
+        """Every fleet-table column against the state it mirrors (a contract)."""
+        contracts.check_fleet_table(self._table, self._pindex, self._cindex)
+
+    def index_memory_bytes(self) -> int:
+        """Both index views plus the fleet table."""
+        return super().index_memory_bytes() + self._table.memory_bytes()
 
     # ------------------------------------------------------------------
     # window matching
@@ -390,7 +410,8 @@ class WindowLAP(MTShare):
         scalar insertion oracle (``tests/oracles.py`` diffs them).
         """
         obs = self._obs
-        screen = self._matcher.screen_window(batch, self._fleet, now)
+        table = self._table
+        screen = self._matcher.screen_window(batch, table, now)
         num_candidates: list[int] = screen.member.sum(axis=1).tolist()
         obs.count("match.candidates_found", sum(num_candidates))
         costs = np.full(screen.member.shape, np.inf)
@@ -412,12 +433,8 @@ class WindowLAP(MTShare):
                 idx, last, pi, pj = (np.array(column) for column in zip(*scored))
                 rows = pair_rows[idx]
                 cols = pair_cols[idx]
-                ready = np.array([start[1] for start in screen.starts], dtype=np.float64)
-                current = np.array(
-                    [taxi.remaining_route_cost(start[1])
-                     for taxi, start in zip(screen.taxis, screen.starts)],
-                    dtype=np.float64,
-                )
+                ready = table.ready(now, screen.rows)
+                current = table.remaining_route_cost(screen.rows, ready)
                 costs[rows, cols] = (last - ready[cols]) - current[cols]
                 matrix.insertions[rows, cols, 0] = pi
                 matrix.insertions[rows, cols, 1] = pj

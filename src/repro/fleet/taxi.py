@@ -12,9 +12,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..demand.request import RideRequest, ServedTrip
 from .schedule import Stop, StopKind
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .table import FleetTable
 
 
 class TaxiError(RuntimeError):
@@ -111,6 +115,9 @@ class Taxi:
     _onboard_pax: int = 0
     _assigned_pax: int = 0
     _stops_fired_total: int = 0
+    #: The fleet table this taxi writes its row of (:meth:`attach`).
+    _table: FleetTable | None = field(default=None, repr=False, compare=False)
+    _row: int = field(default=0, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # derived state
@@ -187,6 +194,41 @@ class Taxi:
         return self.loc, max(now, self.loc_time)
 
     # ------------------------------------------------------------------
+    # the fleet table row (repro.fleet.table)
+    # ------------------------------------------------------------------
+    def attach(self, table: FleetTable, row: int) -> None:
+        """Write this taxi's state into row ``row`` of ``table``, now and
+        at every later change of it."""
+        self._table = table
+        self._row = row
+        self._write_plan()
+        self._write_seats()
+
+    def _write_plan(self) -> None:
+        """Mirror the planning position, busy flag and route end."""
+        table = self._table
+        if table is None:
+            return
+        row = self._row
+        route = self.route
+        i = self._route_cursor
+        if i < len(route.nodes):
+            table.plan_vertex[row] = route.nodes[i]
+            table.plan_time[row] = route.times[i]
+            table.route_end[row] = route.times[-1] if self.schedule else -math.inf
+        else:
+            table.plan_vertex[row] = self.loc
+            table.plan_time[row] = self.loc_time
+            table.route_end[row] = -math.inf
+        table.busy[row] = bool(self.schedule)
+
+    def _write_seats(self) -> None:
+        """Mirror the seats not yet promised."""
+        table = self._table
+        if table is not None:
+            table.spare[self._row] = self.capacity - self._onboard_pax - self._assigned_pax
+
+    # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
     def set_plan(self, stops: list[Stop], route: TaxiRoute) -> None:
@@ -203,6 +245,7 @@ class Taxi:
         self.route = route
         self._route_cursor = 0
         self._stops_fired = 0
+        self._write_plan()
 
     def clear_plan(self) -> None:
         """Drop the current schedule and route, leaving the taxi parked."""
@@ -210,6 +253,7 @@ class Taxi:
         self.route = TaxiRoute()
         self._route_cursor = 0
         self._stops_fired = 0
+        self._write_plan()
 
     def assign(self, request: RideRequest) -> None:
         """Record a new not-yet-picked-up request."""
@@ -219,6 +263,7 @@ class Taxi:
             raise TaxiError(f"taxi {self.taxi_id} is out of service")
         self.assigned[request.request_id] = request
         self._assigned_pax += request.num_passengers
+        self._write_seats()
 
     def unassign(self, request: RideRequest) -> None:
         """Withdraw a not-yet-picked-up request (passenger cancellation)."""
@@ -227,6 +272,7 @@ class Taxi:
             raise TaxiError(f"request {rid} is not assigned to taxi {self.taxi_id}")
         del self.assigned[rid]
         self._assigned_pax -= request.num_passengers
+        self._write_seats()
 
     # ------------------------------------------------------------------
     # fault handling
@@ -245,6 +291,7 @@ class Taxi:
         self.assigned = {}
         self._onboard_pax = 0
         self._assigned_pax = 0
+        self._write_seats()
         self.clear_plan()
         self.out_of_service = True
         return onboard, assigned
@@ -270,6 +317,7 @@ class Taxi:
             times=times,
             stop_positions=list(route.stop_positions),
         )
+        self._write_plan()
         return True
 
     # ------------------------------------------------------------------
@@ -330,6 +378,9 @@ class Taxi:
                 )
                 self.schedule = []
                 self._stops_fired = 0
+        if traversed:
+            self._write_plan()
+            self._write_seats()
         return traversed
 
     def _fire_stop(

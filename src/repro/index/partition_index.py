@@ -7,15 +7,22 @@ annotated with the arrival time (a taxi -> arrival mapping; nothing
 reads the list in arrival order, so it is not kept sorted).  The list
 answers two questions during candidate searching: *which taxis can
 be near this request's origin*, and *can taxi t reach the request's
-partition before its pick-up deadline* (refinement rule 3).
+partition before its pick-up deadline* (refinement rule 3).  Attached to
+a :class:`~repro.fleet.table.FleetTable`, the index also writes every
+change into the table's ``arrivals`` matrix, which whole-window
+screening reads.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..fleet.table import FleetTable
 
 #: ``T_mp``: route positions further than this in the future are not
 #: indexed (the paper: one hour).
@@ -36,6 +43,18 @@ class PartitionTaxiIndex:
             raise ValueError("need at least one partition")
         self._by_partition: list[dict[int, float]] = [{} for _ in range(num_partitions)]
         self._partitions_of_taxi: dict[int, set[int]] = {}
+        self._table: FleetTable | None = None
+
+    def attach(self, table: FleetTable) -> None:
+        """Write every later change into ``table.arrivals``; attach before
+        the first update.  Ids without a table row are indexed only here."""
+        self._table = table
+
+    def _column(self, taxi_id: int) -> np.ndarray | None:
+        """``taxi_id``'s column of the attached table's arrivals, if any."""
+        table = self._table
+        row = None if table is None else table.row_of.get(taxi_id)
+        return None if table is None or row is None else table.arrivals[:, row]
 
     def update_taxi(
         self,
@@ -50,9 +69,13 @@ class PartitionTaxiIndex:
         """
         self.remove_taxi(taxi_id)
         touched: set[int] = set()
+        column = self._column(taxi_id)
         for z, t in partition_arrivals.items():
-            self._by_partition[z][taxi_id] = float(t)
+            arrival = float(t)
+            self._by_partition[z][taxi_id] = arrival
             touched.add(z)
+            if column is not None:
+                column[z] = arrival
         if touched:
             self._partitions_of_taxi[taxi_id] = touched
 
@@ -85,8 +108,12 @@ class PartitionTaxiIndex:
 
     def remove_taxi(self, taxi_id: int) -> None:
         """Drop all index entries of ``taxi_id``."""
-        for z in self._partitions_of_taxi.pop(taxi_id, ()):
+        touched = self._partitions_of_taxi.pop(taxi_id, ())
+        for z in touched:
             self._by_partition[z].pop(taxi_id, None)
+        column = self._column(taxi_id) if touched else None
+        if column is not None:
+            column[:] = math.nan
 
     def arrival_map(self, partition: int) -> dict[int, float]:
         """The live taxi -> arrival mapping of one partition.
@@ -96,32 +123,6 @@ class PartitionTaxiIndex:
         read-only.
         """
         return self._by_partition[partition]
-
-    def arrival_table(self) -> tuple[list[int], np.ndarray]:
-        """Every ``P_z.L_t`` at once, for whole-window candidate screening.
-
-        Returns the indexed taxi ids in ascending order and the
-        ``(num_partitions, len(ids))`` float64 table of their indexed
-        arrivals — the very floats :meth:`arrival_map` serves — with
-        ``NaN`` where the taxi is not on that partition's list (``NaN``
-        fails every comparison, so "not listed" never reads as "on
-        time").  A fresh array per call: the caller owns it.
-        """
-        ids = sorted(self._partitions_of_taxi)
-        col_of = {tid: j for j, tid in enumerate(ids)}.__getitem__
-        lists = self._by_partition
-        sizes = [len(entries) for entries in lists]
-        total = sum(sizes)
-        rows = np.repeat(np.arange(len(lists)), sizes)
-        cols = np.fromiter(
-            chain.from_iterable(map(col_of, entries) for entries in lists), np.intp, total
-        )
-        times = np.fromiter(
-            chain.from_iterable(entries.values() for entries in lists), np.float64, total
-        )
-        table = np.full((len(lists), len(ids)), np.nan)
-        table[rows, cols] = times
-        return ids, table
 
     def union_taxis(self, partitions: Iterable[int]) -> list[int]:
         """Union of the taxi lists of several partitions (Eq. 3 left side).

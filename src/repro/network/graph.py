@@ -11,7 +11,7 @@ what deadlines and schedules are expressed in.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,6 +77,78 @@ class RoadNetworkError(ValueError):
     """Raised when a road network is constructed or queried incorrectly."""
 
 
+def _edge_columns(
+    edges: np.ndarray | Iterable[tuple],
+) -> tuple[np.ndarray, np.ndarray, object]:
+    """``edges`` as an ``(m, 3)`` float64 table of tail, head and length,
+    a mask of the rows whose length was not given, and the first edge
+    that is neither ``(u, v)`` nor ``(u, v, length)`` (``None``: there
+    is none).  The table stops at that edge.
+    """
+    rows: list[Any] | np.ndarray
+    if isinstance(edges, np.ndarray):
+        rows = table = edges
+    else:
+        rows = list(edges)
+        try:
+            table = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError):  # mixed arities, or a malformed edge
+            table = np.empty(0)
+    if table.ndim == 2 and table.shape[1] == 3:
+        return table.astype(np.float64), np.zeros(len(table), dtype=bool), None
+    if table.ndim == 2 and table.shape[1] == 2:
+        padded = np.column_stack((table, np.zeros(len(table))))
+        return padded, np.ones(len(table), dtype=bool), None
+    columns: list[tuple[float, float, float]] = []
+    defaulted: list[bool] = []
+    bad_edge = None
+    for edge in rows:
+        if len(edge) == 2:
+            columns.append((edge[0], edge[1], 0.0))
+        elif len(edge) == 3:
+            columns.append((edge[0], edge[1], float(edge[2])))
+        else:
+            bad_edge = edge
+            break
+        defaulted.append(len(edge) == 2)
+    table = np.array(columns, dtype=np.float64).reshape(-1, 3)
+    return table, np.array(defaulted, dtype=bool), bad_edge
+
+
+def _valid_edges(
+    xy: np.ndarray, edges: np.ndarray | Iterable[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``(tails, heads, lengths_m)`` of ``edges``, in input order.
+
+    Defaulted lengths are the Euclidean distance between the endpoints.
+    The first invalid edge in input order raises, with the error its
+    first failing check gives — the same error a one-edge-at-a-time
+    pass would raise.
+    """
+    n = xy.shape[0]
+    table, defaulted, bad_edge = _edge_columns(edges)
+    tails = table[:, 0].astype(np.int64)
+    heads = table[:, 1].astype(np.int64)
+    lengths = table[:, 2].copy()
+    unknown = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+    defaulted &= ~unknown
+    if defaulted.any():
+        delta = xy[tails[defaulted]] - xy[heads[defaulted]]
+        lengths[defaulted] = np.hypot(delta[:, 0], delta[:, 1])
+    invalid = unknown | (tails == heads) | (lengths < 0)
+    if invalid.any():
+        stop = int(np.argmax(invalid))
+        u, v = int(tails[stop]), int(heads[stop])
+        if unknown[stop]:
+            raise RoadNetworkError(f"edge ({u}, {v}) references an unknown vertex")
+        if u == v:
+            raise RoadNetworkError(f"self loop on vertex {u} is not allowed")
+        raise RoadNetworkError(f"edge ({u}, {v}) has negative length {float(lengths[stop])}")
+    if bad_edge is not None:
+        raise RoadNetworkError(f"edge {bad_edge!r} must be (u, v) or (u, v, length)")
+    return tails, heads, lengths
+
+
 class RoadNetwork:
     """Immutable directed road network with planar vertex coordinates.
 
@@ -85,9 +157,10 @@ class RoadNetwork:
     xy:
         ``(n, 2)`` array of vertex coordinates in metres.
     edges:
-        Iterable of ``(u, v)`` or ``(u, v, length_m)`` tuples.  When the
-        length is omitted it defaults to the Euclidean distance between
-        the endpoints.
+        ``(u, v)`` or ``(u, v, length_m)`` rows: an ``(m, 2)`` or
+        ``(m, 3)`` array, or an iterable of tuples (converted to one).
+        When the length is omitted it defaults to the Euclidean
+        distance between the endpoints.
     speed_mps:
         Constant travel speed used to convert lengths to travel times.
 
@@ -98,7 +171,7 @@ class RoadNetwork:
     def __init__(
         self,
         xy: np.ndarray | Sequence[tuple[float, float]],
-        edges: Iterable[tuple],
+        edges: np.ndarray | Iterable[tuple],
         speed_mps: float = DEFAULT_SPEED_MPS,
     ) -> None:
         xy = np.asarray(xy, dtype=np.float64)
@@ -112,46 +185,29 @@ class RoadNetwork:
         self._speed = float(speed_mps)
         n = xy.shape[0]
 
-        length_of: dict[tuple[int, int], float] = {}
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                length = None
-            elif len(edge) == 3:
-                u, v, length = edge
-                length = float(length)
-            else:
-                raise RoadNetworkError(f"edge {edge!r} must be (u, v) or (u, v, length)")
-            u = int(u)
-            v = int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise RoadNetworkError(f"edge ({u}, {v}) references an unknown vertex")
-            if length is None:
-                length = float(np.hypot(*(xy[u] - xy[v])))
-            if u == v:
-                raise RoadNetworkError(f"self loop on vertex {u} is not allowed")
-            if length < 0:
-                raise RoadNetworkError(f"edge ({u}, {v}) has negative length {length}")
-            key = (u, v)
-            if key not in length_of or length < length_of[key]:
-                length_of[key] = length
-
-        ordered = sorted(length_of.items())
-        self._num_edges = len(length_of)
-        self._length_of = length_of
-        # CSR adjacency, rows and the columns of each row sorted: what
-        # scipy builds from the edge list, with its index dtype.
-        tails = np.fromiter((u for (u, _v), _l in ordered), dtype=np.int64, count=len(ordered))
+        tails, heads, lengths = _valid_edges(xy, edges)
+        # Collapse parallel edges, cheapest first and the earliest of
+        # equal lengths: sort by (tail, head), then length, then input
+        # position (lexsort is stable), and keep each key's first edge.
+        # That is also the CSR layout, rows and each row's columns
+        # sorted: what scipy builds from the edge list.
+        key = tails * n + heads
+        order = np.lexsort((lengths, key))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        kept = order[first]
+        self._num_edges = int(kept.size)
         self._indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(tails, minlength=n), out=self._indptr[1:])
-        self._indices = np.fromiter(
-            (v for (_u, v), _l in ordered), dtype=np.int32, count=len(ordered)
-        )
-        lengths = np.fromiter((length for _k, length in ordered), dtype=np.float64,
-                              count=len(ordered))
+        np.cumsum(np.bincount(tails[kept], minlength=n), out=self._indptr[1:])
+        self._indices = heads[kept].astype(np.int32)
+        self._raw_lengths = lengths[kept]
         # csgraph treats an explicit 0 as "no edge"; nudge zero-length
         # edges to a tiny positive weight instead.
-        self._lengths = np.where(lengths > 0, lengths, 1e-9)
+        self._lengths = np.where(self._raw_lengths > 0, self._raw_lengths, 1e-9)
+        # ``edges()`` lists each key where it first appeared in the input.
+        first_seen = np.minimum.reduceat(order, np.flatnonzero(first)) if order.size else order
+        self._edge_order = np.argsort(first_seen, kind="stable")
+        self._length_of: dict[tuple[int, int], float] | None = None
         for array in (self._indptr, self._indices, self._lengths):
             array.flags.writeable = False  # shared with to_csr() and its callers
         self._csr: sparse.csr_matrix | None = None
@@ -188,8 +244,16 @@ class RoadNetwork:
 
     def edge_length(self, u: int, v: int) -> float:
         """Length in metres of edge ``(u, v)``; raises if absent."""
+        length_of = self._length_of
+        if length_of is None:
+            # Built at the first lookup: routing reads edges one hop at
+            # a time, where a dict probe beats any array search.
+            tails = np.repeat(np.arange(self.num_vertices), np.diff(self._indptr))
+            length_of = self._length_of = dict(
+                zip(zip(tails.tolist(), self._indices.tolist()), self._raw_lengths.tolist())
+            )
         try:
-            return self._length_of[(u, v)]
+            return length_of[(u, v)]
         except KeyError:
             raise RoadNetworkError(f"no edge ({u}, {v})") from None
 
@@ -198,9 +262,13 @@ class RoadNetwork:
         return self.edge_length(u, v) / self._speed
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate all edges as ``(u, v, length_m)``."""
-        for (u, v), length in self._length_of.items():
-            yield u, v, length
+        """Iterate all edges as ``(u, v, length_m)``, each in the input
+        position of its first appearance."""
+        tails = np.repeat(np.arange(self.num_vertices), np.diff(self._indptr))
+        order = self._edge_order
+        return zip(
+            tails[order].tolist(), self._indices[order].tolist(), self._raw_lengths[order].tolist()
+        )
 
     # ------------------------------------------------------------------
     # conversions

@@ -409,6 +409,7 @@ class Simulator:
             self._sweep_queue = None
             self._obs.count("sim.advance_calls", calls)
         contracts.check_due_index(self._taxis, self._due_time, self._due)
+        self._scheme.check_fleet_table()
         contracts.check_request_accounting(self._metrics)
 
     def _advance_taxi(self, taxi: Taxi, now: float) -> None:

@@ -270,7 +270,7 @@ class Scenario:
             pack=_pack_network,
             unpack=lambda art: RoadNetwork(
                 np.array(art["xy"], dtype=np.float64),
-                zip(art["tails"].tolist(), art["heads"].tolist(), art["lengths"].tolist()),
+                np.column_stack((art["tails"], art["heads"], art["lengths"])),
                 speed_mps=speed_mps,
             ),
         )

@@ -35,9 +35,11 @@ scipy keeps the first its Fibonacci heap settles and the in-tree search
 the one its ``(distance, local index)`` heap settles first, so on ties
 each returns *a* shortest path, not necessarily the same one.
 
-**CSR adjacency.**  ``RoadNetwork`` builds its sorted CSR arrays once,
-in numpy, and ``to_csr`` wraps them; :func:`reference_to_csr` is the
-COO build it replaced.  ``InducedSubgraph`` gathers a corridor's rows
+**CSR adjacency.**  ``RoadNetwork`` validates its edges, collapses
+parallel ones and builds its sorted CSR arrays in one numpy pass, and
+``to_csr`` wraps them; :func:`reference_edge_dict` is the per-edge
+Python loop the pass replaced, and :func:`reference_to_csr` the COO
+build the arrays replaced.  ``InducedSubgraph`` gathers a corridor's rows
 from those arrays; :func:`reference_induced_subgraph` is the scipy
 fancy index it replaced.  Both pairs are diffed byte for byte, dtypes
 included: the all-pairs table and the contraction hierarchy are built
@@ -118,6 +120,7 @@ from repro.fleet.schedule import (
 from repro.fleet.taxi import TaxiRoute
 from repro.network.ch import ContractionHierarchy
 from repro.network.geo import cosine_similarity
+from repro.network.graph import RoadNetworkError
 from repro.network.shortest_path import PathNotFound
 from repro.sim.engine import Simulator
 
@@ -162,6 +165,38 @@ def reference_dijkstra(network, source, target, allowed=None, vertex_weight=None
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
     raise PathNotFound(f"no path from {source} to {target} within the allowed vertex set")
+
+
+def reference_edge_dict(xy, edges):
+    """``RoadNetwork.__init__``'s edge loop as it was: ``{(u, v): length}``
+    in first-appearance order, cheapest of parallel edges, raising the
+    first invalid edge's error as it reaches it."""
+    xy = np.asarray(xy, dtype=np.float64)
+    n = xy.shape[0]
+    length_of = {}
+    for edge in edges:
+        if len(edge) == 2:
+            u, v = edge
+            length = None
+        elif len(edge) == 3:
+            u, v, length = edge
+            length = float(length)
+        else:
+            raise RoadNetworkError(f"edge {edge!r} must be (u, v) or (u, v, length)")
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise RoadNetworkError(f"edge ({u}, {v}) references an unknown vertex")
+        if length is None:
+            length = float(np.hypot(*(xy[u] - xy[v])))
+        if u == v:
+            raise RoadNetworkError(f"self loop on vertex {u} is not allowed")
+        if length < 0:
+            raise RoadNetworkError(f"edge ({u}, {v}) has negative length {length}")
+        key = (u, v)
+        if key not in length_of or length < length_of[key]:
+            length_of[key] = length
+    return length_of
 
 
 def reference_to_csr(network):

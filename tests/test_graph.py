@@ -8,7 +8,8 @@ import pytest
 from repro.network.generators import grid_city
 from repro.network.graph import DEFAULT_SPEED_MPS, InducedSubgraph, RoadNetwork, RoadNetworkError
 from tests.conftest import is_path
-from tests.oracles import reference_induced_subgraph, reference_to_csr
+from tests.oracles import reference_edge_dict, reference_induced_subgraph, reference_to_csr
+from tests.test_generators import TestLargestSCC as _Pinned  # aliased: not collected twice
 
 
 def line_network(n=4, spacing=100.0, speed=DEFAULT_SPEED_MPS):
@@ -190,3 +191,102 @@ class TestCsrArrays:
             _same_bytes(sub.indptr, indptr)
             _same_bytes(sub.indices, indices)
             _same_bytes(sub.data_s, lengths / net.speed_mps)
+
+
+# ----------------------------------------------------------------------
+# the numpy edge pass against the per-edge loop it replaced
+# ----------------------------------------------------------------------
+def _mangled(net, seed):
+    """``net``'s edges shuffled, with cheaper and dearer parallel copies,
+    exact-zero lengths and some lengths left to default."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u, v, length in net.edges():
+        roll = rng.random()
+        if roll < 0.1:
+            edges.append((u, v, 0.0))
+        elif roll < 0.2:
+            edges.append((u, v))
+        else:
+            edges.append((u, v, length))
+        if rng.random() < 0.15:
+            edges.append((u, v, length * float(rng.choice([0.5, 1.0, 1.5]))))
+    return [edges[i] for i in rng.permutation(len(edges))]
+
+
+class TestEdgePass:
+    """``RoadNetwork`` against ``tests/oracles.py::reference_edge_dict``:
+    the same ``edges()`` in the same order, the same ``edge_length``, the
+    CSR arrays of the dict, and the same error for the same bad input."""
+
+    @staticmethod
+    def assert_built_like_the_loop(net, xy, edges):
+        want = reference_edge_dict(xy, edges)
+        assert list(net.edges()) == [(u, v, length) for (u, v), length in want.items()]
+        assert net.num_edges == len(want)
+        for (u, v), length in want.items():
+            assert net.edge_length(u, v) == length
+        ordered = sorted(want.items())
+        indptr = np.zeros(net.num_vertices + 1, dtype=np.int32)
+        np.cumsum(np.bincount([u for (u, _v), _l in ordered], minlength=net.num_vertices),
+                  out=indptr[1:])
+        lengths = np.array([length for _k, length in ordered], dtype=np.float64)
+        for got, expected in zip(net.csr_arrays, (
+            indptr,
+            np.array([v for (_u, v), _l in ordered], dtype=np.int32),
+            np.where(lengths > 0, lengths, 1e-9),
+        )):
+            _same_bytes(got, expected.reshape(-1).astype(expected.dtype))
+
+    @pytest.mark.parametrize("city", _Pinned.PINS)
+    @pytest.mark.parametrize("mangle", [False, True])
+    def test_pinned_networks(self, city, mangle):
+        base = grid_city(**_Pinned.PINS[city][0])
+        edges = _mangled(base, len(city)) if mangle else list(base.edges())
+        net = RoadNetwork(base.xy, edges)
+        self.assert_built_like_the_loop(net, base.xy, edges)
+        if not mangle:
+            _same_bytes(net.csr_arrays[2], base.csr_arrays[2])
+
+    def test_array_input_is_the_tuple_input(self):
+        base = grid_city(**_Pinned.PINS["SOAK10"][0])
+        edges = [edge for edge in _mangled(base, 3) if len(edge) == 3]
+        from_tuples = RoadNetwork(base.xy, edges)
+        from_array = RoadNetwork(base.xy, np.array(edges))
+        assert list(from_array.edges()) == list(from_tuples.edges())
+        for got, want in zip(from_array.csr_arrays, from_tuples.csr_arrays):
+            _same_bytes(got, want)
+        pairs = np.array([(u, v) for u, v, _l in edges])
+        self.assert_built_like_the_loop(RoadNetwork(base.xy, pairs), base.xy, pairs)
+
+    def test_hand_made_network(self):
+        xy = [(0.0, 0.0), (30.0, 40.0), (30.0, 0.0), (0.0, 40.0)]
+        edges = [(0, 1), (1, 0, 50.0), (0, 1, 20.0), (0, 1, 20.0), (2, 3, 0.0),
+                 (2, 3, 0.0), (3, 2), (1, 2, 7.5), (1, 2, 9.0), (0, 1, 60.0), (3, 0)]
+        net = RoadNetwork(xy, edges)
+        self.assert_built_like_the_loop(net, xy, edges)
+        assert net.edge_length(0, 1) == 20.0 and net.edge_length(2, 3) == 0.0
+        assert net.edge_length(3, 2) == 50.0 and net.num_edges == 6
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2, -1.0), (5, 0)],
+        [(0, 1, 3.0), (2, 2), (0, 9)],
+        [(0, 1), (0, 1, 2, 3), (1, 9)],
+        [(0, 9), (0, 1, 2, 3)],
+        [(0, 1), (2, 0, 1.0), (3, 3, -1.0)],
+        [(9, 9, -1.0)],
+        [(0, -1)],
+        [(0, 1, 1.0), (1,)],
+        [(1, 0, -0.5), (0, 1, 2, 3)],
+        np.array([[0, 1, 2, 3]]),
+        np.array([[0.0, 1.0], [1.0, 1.0]]),
+    ], ids=["negative", "self-loop", "arity", "unknown-before-arity",
+            "self-loop-before-negative", "unknown-before-negative", "negative-vertex",
+            "short-tuple", "negative-before-arity", "array-arity", "array-self-loop"])
+    def test_same_error_as_the_loop(self, edges):
+        xy = [(0.0, 0.0), (30.0, 40.0), (30.0, 0.0), (0.0, 40.0)]
+        with pytest.raises(RoadNetworkError) as want:
+            reference_edge_dict(xy, edges)
+        with pytest.raises(RoadNetworkError) as got:
+            RoadNetwork(xy, edges)
+        assert str(got.value) == str(want.value)

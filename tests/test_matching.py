@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.contracts import check_fleet_table
 from repro.config import SystemConfig
 from repro.core import matching
 from repro.core.matching import Matcher, request_vector, taxi_vector, taxi_vector_with
@@ -334,19 +335,27 @@ class TestMatchObservability:
 # ----------------------------------------------------------------------
 # whole-window screening against the per-request search
 # ----------------------------------------------------------------------
+#: A taxi id the partition lists may hold but the fleet does not.
+STRANGER = 10**6
+
+
 class ScreeningWorld:
     """A mid-run ``mt-share`` world to screen requests against.
 
     A real simulator is streamed ``warmup`` requests and pumped, so the
     partition lists, the mobility clusters and the taxi plans are what a
     run leaves behind at ``now`` — parked, busy, clustered and
-    unclustered taxis in whatever mix the seed produces.
+    unclustered taxis in whatever mix the seed produces.  The scheme is
+    ``window-lap`` at ``W = 0``, which decides as greedy ``mt-share``
+    does and keeps the fleet table the bulk screen reads.
     """
 
     def __init__(self, scenario, seed, taxis=12, warmup=40, **config):
         self.rng = random.Random(seed)
         self.network, self.engine = scenario.network, scenario.engine
-        self.scheme = scenario.make_scheme("mt-share", config=scenario.default_config(**config))
+        self.scheme = scenario.make_scheme(
+            "window-lap", config=scenario.default_config(dispatch_window_s=0.0, **config)
+        )
         sim = Simulator(self.scheme, scenario.make_fleet(taxis, seed=seed), [])
         sim.stream_begin()
         self.warmup = scenario.requests(seed=seed)[:warmup]
@@ -354,7 +363,7 @@ class ScreeningWorld:
             sim.stream_submit(request)
         sim.stream_pump()
         self.fleet, self.now = sim.fleet, sim.kernel.now
-        self.matcher = self.scheme.matcher
+        self.matcher, self.table = self.scheme.matcher, self.scheme._table
         self.pindex, self.cindex = self.scheme.partition_index, self.scheme.cluster_index
         self.lg = scenario.landmark_graph(num_partitions=self.scheme.config.num_partitions)
 
@@ -388,51 +397,48 @@ class ScreeningWorld:
         n = self.network.num_vertices
         return [self.request(v, v, (v + n // 2 + 5) % n, **kwargs) for v in range(n)]
 
-    # -- corners: each returns the fleet view to screen against --------
-    def evict_broken(self, fleet):
+    # -- corners: each changes the world the next screen sees -----------
+    def evict_broken(self):
         victim = self.rng.choice(sorted(self.fleet))
         self.fleet[victim].break_down()
         self.scheme.on_taxi_breakdown(self.fleet[victim], self.now)
-        return fleet
 
-    def drop_from_fleet(self, fleet):
-        victim = self.rng.choice(sorted(self.fleet))
-        return {tid: taxi for tid, taxi in fleet.items() if tid != victim}
+    def index_stranger(self):
+        """List an id that is no taxi of the fleet (no table row) in a
+        random partition."""
+        z = self.rng.randrange(self.lg.num_partitions)
+        self.pindex.update_taxi(STRANGER, {z: self.now})
 
-    def dissolve_clusters(self, fleet):
+    def dissolve_clusters(self):
         for request in self.warmup:
             self.cindex.remove_request(request.request_id)
         assert self.cindex.num_clusters == 0
-        return fleet
 
-    def unit_none(self, fleet):
+    def unit_none(self):
         for taxi in self.busy():
             self.cindex.update_taxi(taxi.taxi_id, None)
-        return fleet
 
-    def unit_zero(self, fleet):
+    def unit_zero(self):
         for taxi in self.busy():
             x, y = (float(c) for c in self.network.xy[taxi.loc])
             self.cindex.update_taxi(taxi.taxi_id, MobilityVector(x, y, x, y))
-        return fleet
 
-    CORNERS = ("dissolve_clusters", "drop_from_fleet", "evict_broken", "unit_none", "unit_zero")
+    CORNERS = ("dissolve_clusters", "evict_broken", "index_stranger", "unit_none", "unit_zero")
 
-    def screen(self, batch, fleet=None):
+    def screen(self, batch):
         """``(bulk, scalar)``: per request the candidate ids in order, plus
         the ``kernel.batched_reach_checks`` tally, from each tier."""
-        fleet = self.fleet if fleet is None else fleet
+        fleet = self.fleet
+        check_fleet_table(self.table, self.pindex, self.cindex)
         out = []
         for bulk in (True, False):
             obs = Instrumentation()
             self.matcher.instrument(obs)
             if bulk:
-                screen = self.matcher.screen_window(batch, fleet, self.now)
+                screen = self.matcher.screen_window(batch, self.table, self.now)
                 lists = [[screen.taxis[j] for j in np.flatnonzero(row)]
                          for row in screen.member]
-                assert obs.counters.get("window.screened_pairs", 0) == len(batch) * len(
-                    [tid for tid in self.pindex.arrival_table()[0] if tid in fleet]
-                )
+                assert obs.counters.get("window.screened_pairs", 0) == len(batch) * len(fleet)
             else:
                 lists = [self.matcher.candidate_taxis(r, fleet, self.now) for r in batch]
             assert all(taxi is fleet[taxi.taxi_id] for cands in lists for taxi in cands)
@@ -464,11 +470,10 @@ class TestBulkScreening:
         world = ScreeningWorld(
             sp_mode_scenarios[sp_mode], seed, taxis, warmup, mtshare_adaptive_gamma=adaptive
         )
-        fleet = world.fleet
         for corner in sorted(corners):
-            fleet = getattr(world, corner)(fleet)
+            getattr(world, corner)()
         batch = [world.random_request(i) for i in range(batch_size)]
-        bulk, scalar = world.screen(batch, fleet)
+        bulk, scalar = world.screen(batch)
         assert bulk == scalar
 
     @pytest.mark.parametrize("sp_mode", ("full", "lazy", "ch"))
@@ -487,20 +492,22 @@ class TestBulkScreening:
         victim = next(tid for cands in before[0] for tid in cands)
         world.fleet[victim].break_down()
         world.scheme.on_taxi_breakdown(world.fleet[victim], world.now)
-        assert victim in world.fleet and victim not in world.pindex.arrival_table()[0]
+        assert victim in world.fleet
+        partitions = range(world.lg.num_partitions)
+        assert not any(victim in world.pindex.arrival_map(z) for z in partitions)
+        assert np.isnan(world.table.arrivals[:, world.table.row_of[victim]]).all()
         bulk, scalar = world.screen(world.everywhere())
         assert bulk == scalar
         assert all(victim not in cands for cands in bulk[0])
 
-    def test_indexed_id_missing_from_fleet(self, test_scenario):
+    def test_indexed_id_missing_from_the_table(self, test_scenario):
         world = ScreeningWorld(test_scenario, 4)
-        before, _ = world.screen(world.everywhere())
-        victim = next(tid for cands in before[0] for tid in cands)
-        fleet = {tid: taxi for tid, taxi in world.fleet.items() if tid != victim}
-        assert victim in world.pindex.arrival_table()[0]
-        bulk, scalar = world.screen(world.everywhere(), fleet)
+        for z in range(world.lg.num_partitions):
+            world.pindex.update_taxi(STRANGER, {z: world.now})
+        assert STRANGER not in world.fleet and STRANGER not in world.table.row_of
+        bulk, scalar = world.screen(world.everywhere())
         assert bulk == scalar
-        assert all(victim not in cands for cands in bulk[0])
+        assert any(bulk[0]) and all(STRANGER not in cands for cands in bulk[0])
 
     @pytest.mark.parametrize(
         "corners, cluster, unit",
@@ -515,7 +522,7 @@ class TestBulkScreening:
         world = ScreeningWorld(test_scenario, 5, taxis=8, warmup=60)
         assert world.busy(), "no busy taxi to exercise Rule 1"
         for corner in corners:
-            getattr(world, corner)(world.fleet)
+            getattr(world, corner)()
         for taxi in world.busy():
             if cluster is None:
                 assert world.cindex.cluster_of_taxi(taxi.taxi_id) is None
@@ -553,7 +560,7 @@ class TestBulkScreening:
         busy_ids = {taxi.taxi_id for taxi in world.busy()}
         assert {tid for cands in bulk[0] for tid in cands} & busy_ids
         # ... also against busy taxis that have no vector at all.
-        world.unit_none(world.fleet)
+        world.unit_none()
         bulk, scalar = world.screen(batch)
         assert bulk == scalar
         assert not {tid for cands in bulk[0] for tid in cands} & busy_ids

@@ -14,6 +14,8 @@ from repro.core.mobility_cluster import (
     direction_unit,
     unit_similarity,
 )
+from repro.fleet.table import FleetTable
+from repro.fleet.taxi import Taxi
 
 
 def vec(ox, oy, dx, dy):
@@ -184,6 +186,20 @@ class TestClusterProperties:
         assert held == set(idx.cluster_ids())
 
 
+def attached_index(taxi_ids, lam=DEFAULT_LAMBDA):
+    """A fresh index writing into a fleet table of ``taxi_ids``."""
+    table = FleetTable({tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in taxi_ids}, 1)
+    idx = MobilityClusterIndex(lam=lam)
+    idx.attach(table)
+    return idx, table
+
+
+def table_mask(idx, table, units, taxi_ids):
+    """``alignment_mask`` over the table rows of ``taxi_ids``."""
+    rows = [table.row_of[tid] for tid in taxi_ids]
+    return idx.alignment_mask(units, table.cluster[rows], table.unit[rows])
+
+
 def scalar_alignment(idx, request_vec, taxi_id):
     """Rule 1's direction test the way ``candidate_taxis`` spells it."""
     if idx.cluster_of_taxi(taxi_id) in idx.matching_clusters(request_vec):
@@ -208,28 +224,31 @@ class TestAlignmentMask:
         lam=st.sampled_from([DEFAULT_LAMBDA, -1.0, 0.0, 1.0]),
     )
     def test_mask_is_the_scalar_test_pair_by_pair(self, clustered, taxis, requests, lam):
-        idx = MobilityClusterIndex(lam=lam)
+        taxi_ids = list(range(len(taxis))) + [99]  # 99: never seen
+        idx, table = attached_index(taxi_ids, lam=lam)
         for rid, (dx, dy) in enumerate(clustered):
             idx.add_request(rid, vec(3.0, 4.0, 3.0 + dx, 4.0 + dy))
         for tid, direction in enumerate(taxis):
             idx.update_taxi(tid, None if direction is None else vec(1.0, 2.0, 1.0 + direction[0], 2.0 + direction[1]))
-        taxi_ids = list(range(len(taxis))) + [99]  # 99: never seen
+        # Dissolve one clustered request's cluster after the taxis joined.
+        if clustered:
+            idx.remove_request(0)
         request_vecs = [vec(5.0, 6.0, 5.0 + dx, 6.0 + dy) for dx, dy in requests]
         units = np.array([direction_unit(*v.direction) for v in request_vecs])
-        mask = idx.alignment_mask(units, taxi_ids)
+        mask = table_mask(idx, table, units, taxi_ids)
         assert mask.shape == (len(requests), len(taxi_ids)) and mask.dtype == bool
         for i, request_vec in enumerate(request_vecs):
             for j, tid in enumerate(taxi_ids):
                 assert mask[i, j] == scalar_alignment(idx, request_vec, tid), (i, tid)
 
     def test_degenerate_and_missing_units(self):
-        idx = MobilityClusterIndex()
+        idx, table = attached_index([1, 2, 3])
         idx.update_taxi(1, vec(0, 0, 0, 0))  # ZERO_UNIT, no cluster to join
         idx.update_taxi(2, WEST)
         assert idx.taxi_unit(1) is ZERO_UNIT and idx.taxi_unit(3) is None
         units = np.array([direction_unit(100.0, 0.0), ZERO_UNIT])
-        assert idx.alignment_mask(units, [1, 2, 3]).tolist() == [
+        assert table_mask(idx, table, units, [1, 2, 3]).tolist() == [
             [True, False, False],  # east: the degenerate taxi aligns with everything
             [True, True, False],  # a degenerate request aligns with every taxi that has a vector
         ]
-        assert idx.alignment_mask(units, []).shape == (2, 0)
+        assert table_mask(idx, table, units, []).shape == (2, 0)

@@ -3,16 +3,35 @@
 import numpy as np
 import pytest
 
+from repro.fleet.table import FleetTable
+from repro.fleet.taxi import Taxi
 from repro.index.partition_index import HORIZON_S, PartitionTaxiIndex
 
 
-def partitions_of(idx, taxi_id):
-    """The partitions whose list holds ``taxi_id``, read from the
-    arrival table the window screen reads."""
-    ids, table = idx.arrival_table()
-    if taxi_id not in ids:
-        return set()
-    return set(np.flatnonzero(~np.isnan(table[:, ids.index(taxi_id)])).tolist())
+def partitions_of(idx, taxi_id, num_partitions):
+    """The partitions whose list holds ``taxi_id``."""
+    return {z for z in range(num_partitions) if taxi_id in idx.arrival_map(z)}
+
+
+def attached(num_partitions, taxi_ids):
+    """A fresh index writing into a fleet table of ``taxi_ids``."""
+    table = FleetTable(
+        {tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in taxi_ids}, num_partitions
+    )
+    idx = PartitionTaxiIndex(num_partitions)
+    idx.attach(table)
+    return idx, table
+
+
+def assert_columns_mirror_lists(idx, table):
+    """Every arrivals cell equals its partition list entry, NaN where unlisted."""
+    for z in range(table.arrivals.shape[0]):
+        for row, taxi in enumerate(table.taxis):
+            arrival = idx.arrival_map(z).get(taxi.taxi_id)
+            if arrival is None:
+                assert np.isnan(table.arrivals[z, row])
+            else:
+                assert table.arrivals[z, row] == arrival
 
 
 class TestValidation:
@@ -28,7 +47,7 @@ class TestUpdates:
         assert idx.arrival_map(0) == {7: 100.0}
         assert idx.arrival_map(2) == {7: 250.0}
         assert 7 not in idx.arrival_map(1)
-        assert partitions_of(idx, 7) == {0, 2}
+        assert partitions_of(idx, 7, 4) == {0, 2}
 
     def test_update_replaces(self):
         idx = PartitionTaxiIndex(4)
@@ -42,7 +61,7 @@ class TestUpdates:
         idx.update_taxi(1, {0: 5.0})
         idx.remove_taxi(1)
         assert idx.arrival_map(0) == {}
-        assert partitions_of(idx, 1) == set()
+        assert partitions_of(idx, 1, 2) == set()
         idx.remove_taxi(42)  # unknown: no-op
 
     def test_place_idle(self):
@@ -107,28 +126,26 @@ class TestFromRoute:
         assert idx.memory_bytes() > 0
 
 
-class TestArrivalTable:
-    def test_table_is_every_arrival_map_at_once(self):
-        idx = PartitionTaxiIndex(3)
+class TestArrivalColumns:
+    def test_columns_are_every_arrival_map_at_once(self):
+        idx, table = attached(3, [42, 7, 19, 8, 5])
+        assert [taxi.taxi_id for taxi in table.taxis] == [5, 7, 8, 19, 42]
+        assert table.arrivals.shape == (3, 5) and table.arrivals.dtype == np.float64
         idx.update_taxi(42, {0: 5.0, 2: 9.5})
         idx.update_taxi(7, {2: 1.25})
         idx.update_taxi(19, {1: 0.0})
         idx.update_taxi(19, {0: 3.0})  # replaced, not merged
         idx.update_taxi(8, {1: 2.0})
         idx.remove_taxi(8)
-        ids, table = idx.arrival_table()
-        assert ids == [7, 19, 42]
-        assert table.shape == (3, 3) and table.dtype == np.float64
-        for z in range(3):
-            for j, tid in enumerate(ids):
-                arrival = idx.arrival_map(z).get(tid)
-                if arrival is None:
-                    assert np.isnan(table[z, j])
-                else:
-                    assert table[z, j] == arrival
-        table[:] = 0.0  # the caller owns it
-        assert idx.arrival_map(2)[7] == 1.25
+        assert_columns_mirror_lists(idx, table)
+        assert np.isnan(table.arrivals[:, 0]).all()  # taxi 5: never indexed
+        assert table.arrivals[:, 3].tolist()[0] == 3.0 and np.isnan(table.arrivals[1, 3])
 
-    def test_empty_index(self):
-        ids, table = PartitionTaxiIndex(4).arrival_table()
-        assert ids == [] and table.shape == (4, 0)
+    def test_ids_without_a_row_stay_in_the_lists(self):
+        idx, table = attached(4, [1])
+        idx.update_taxi(99, {2: 7.0})
+        idx.place_idle_taxi(1, 3, now=4.0)
+        assert idx.arrival_map(2) == {99: 7.0}
+        assert_columns_mirror_lists(idx, table)
+        idx.remove_taxi(99)
+        assert idx.arrival_map(2) == {} and table.arrivals[3, 0] == 4.0
