@@ -55,7 +55,8 @@ MAX_ATTEMPTS = 5
 CORRIDOR_EXTRA_HOPS = 3
 
 #: Heading sectors (22.5 degrees each) probabilistic routing quantises
-#: a taxi's travel direction into.
+#: a taxi's travel direction into; the zero vector (a cruise's) is
+#: sector ``NUM_SECTORS``, one of its own.
 NUM_SECTORS = 16
 
 #: (source partition, destination partition, sector) corridor lists a
@@ -343,35 +344,33 @@ class CorridorGraph(NamedTuple):
 
 
 def heading_sector(direction: tuple[float, float]) -> int:
-    """The 22.5-degree sector of a travel direction (zero vector: sector 0)."""
+    """The 22.5-degree sector of a travel direction (zero vector: ``NUM_SECTORS``)."""
     dx, dy = direction
     if dx == 0.0 and dy == 0.0:
-        return 0
+        return NUM_SECTORS
     return int(0.5 * NUM_SECTORS * (1.0 + math.atan2(dy, dx) / math.pi)) % NUM_SECTORS
+
+
+def sector_direction(sector: int) -> tuple[float, float]:
+    """The unit heading at the centre of ``sector`` (``NUM_SECTORS``: the zero vector)."""
+    if sector == NUM_SECTORS:
+        return 0.0, 0.0
+    angle = math.pi * (2.0 * (sector + 0.5) / NUM_SECTORS - 1.0)
+    return math.cos(angle), math.sin(angle)
 
 
 class ProbabilisticRouter(BasicRouter):
     """Probabilistic routing (Algorithm 4).
 
     Steps 1 and 3 are defined from the offline transition model and the
-    taxi's travel direction alone, and the direction is quantised to
-    :data:`NUM_SECTORS` sectors, so each step remembers its answer at
-    the granularity at which it is a function: :class:`SectorEntry` per
-    (partition, sector), the corridor lists per (source partition,
-    destination partition, sector), a :class:`CorridorGraph` per
-    (corridor, sector).  A leg is then one heap Dijkstra over a stored
-    graph.
-
-    A sector entry is filled from the *exact* direction of the first
-    caller that needs it and never changes afterwards (two headings in
-    one sector can disagree on the suitable destinations, so which one
-    fills the entry is part of the run's decisions; docs/PERFORMANCE.md,
-    "Segment routing").  That is why the sector table is a plain dict —
-    at most ``kappa * NUM_SECTORS`` entries, never evicted — while the
-    two memos are built from filled, hence immutable, entries and may
-    evict freely: a rebuilt value is the same value, and a hit implies
-    an earlier miss on the same key, which already filled every sector
-    entry a fresh evaluation would fill now.
+    taxi's heading sector (:func:`heading_sector`) alone, step 1 at the
+    sector's centre heading (:func:`sector_direction`), so each step is
+    a pure function of its key and remembers its answer at that key:
+    :class:`SectorEntry` per (partition, sector), the corridor lists per
+    (source partition, destination partition, sector), a
+    :class:`CorridorGraph` per (corridor, sector).  A leg is then one
+    heap Dijkstra over a stored graph, and what a call returns does not
+    depend on which calls came before it.
 
     Parameters
     ----------
@@ -418,26 +417,24 @@ class ProbabilisticRouter(BasicRouter):
 
     @property
     def sector_entries(self) -> int:
-        """Filled (partition, sector) entries; at most ``kappa * NUM_SECTORS``."""
+        """Filled (partition, sector) entries; at most ``kappa * (NUM_SECTORS + 1)``."""
         return len(self._sectors)
 
     # ------------------------------------------------------------------
     # step 1: suitability probabilities
     # ------------------------------------------------------------------
-    def _sector_entry(
-        self, pi: int, sector: int, direction: tuple[float, float]
-    ) -> SectorEntry:
-        """Step 1 for ``(pi, sector)``, evaluated at ``direction`` when new.
+    def _sector_entry(self, pi: int, sector: int) -> SectorEntry:
+        """Step 1 for ``(pi, sector)``, memoised.
 
         A request hailed in ``P_i`` is suitable when its implied travel
         direction (landmark of ``P_i`` to the destination partition's
-        landmark) is aligned with the taxi's direction.
+        landmark) is aligned with the sector's centre heading.
         """
         entry = self._sectors.get((pi, sector))
         if entry is not None:
             return entry
         lg = self._filter.landmark_graph
-        dx, dy = direction
+        dx, dy = sector_direction(sector)
         ix, iy = lg.landmark_xy(pi)
         dests: list[int] = []
         for pa in range(lg.num_partitions):
@@ -459,16 +456,13 @@ class ProbabilisticRouter(BasicRouter):
     # ------------------------------------------------------------------
     # step 2: max-weight landmark paths
     # ------------------------------------------------------------------
-    def _corridor_list(
-        self, pz: int, pz1: int, direction: tuple[float, float]
-    ) -> list[tuple[int, ...]]:
+    def _corridor_list(self, pz: int, pz1: int, sector: int) -> list[tuple[int, ...]]:
         """The corridors a leg from ``pz`` to ``pz1`` tries, best first."""
-        sector = heading_sector(direction)
         key = (pz, pz1, sector)
         corridors = self.corridor_lists.lookup(key)
         if corridors is None:
             retained = self._filter.filter_partitions(pz, pz1)
-            weight = {pi: self._sector_entry(pi, sector, direction).pi for pi in retained}
+            weight = {pi: self._sector_entry(pi, sector).pi for pi in retained}
             corridors = self.corridor_lists.store(
                 key, self._corridors(retained, pz, pz1, weight)
             )
@@ -537,11 +531,8 @@ class ProbabilisticRouter(BasicRouter):
     # ------------------------------------------------------------------
     # step 3: fine-grained vertex-weighted routing
     # ------------------------------------------------------------------
-    def _corridor_graph(
-        self, corridor: tuple[int, ...], direction: tuple[float, float]
-    ) -> CorridorGraph:
+    def _corridor_graph(self, corridor: tuple[int, ...], sector: int) -> CorridorGraph:
         """The corridor's induced subgraph with ``psi`` folded into its edges."""
-        sector = heading_sector(direction)
         key = (corridor, sector)
         graph = self.corridor_graphs.lookup(key)
         if graph is not None:
@@ -554,7 +545,7 @@ class ProbabilisticRouter(BasicRouter):
         # exactly ``sub.nodes``: the same permutation lines psi up.
         members = np.concatenate([lg.members(pi) for pi in corridor])
         psi = np.concatenate(
-            [self._sector_entry(pi, sector, direction).psi for pi in corridor]
+            [self._sector_entry(pi, sector).psi for pi in corridor]
         )[np.argsort(members)]
         # The paper weights vertex c by 1/psi_c.  Raw reciprocals can be
         # astronomically large for never-observed vertices and would make
@@ -573,11 +564,11 @@ class ProbabilisticRouter(BasicRouter):
         u: int,
         v: int,
         corridor: tuple[int, ...],
-        direction: tuple[float, float],
+        sector: int,
     ) -> list[int] | None:
         """Vertex-weighted shortest path inside the corridor partitions
         (which hold both ``u`` and ``v``)."""
-        graph = self._corridor_graph(corridor, direction)
+        graph = self._corridor_graph(corridor, sector)
         try:
             _cost, path = graph.shortest_path(u, v)
             return path
@@ -631,8 +622,8 @@ class ProbabilisticRouter(BasicRouter):
                 return None
             best_target = nxt
         corridor = tuple(self._filter.filter_partitions(here, best_target))
-        # A cruise has no heading: the zero vector, which lands in sector 0.
-        path = self._weighted_leg(start_node, target_vertex, corridor, (0.0, 0.0))
+        # A cruise has no heading: the zero vector's sector of its own.
+        path = self._weighted_leg(start_node, target_vertex, corridor, NUM_SECTORS)
         if path is None or len(path) < 2:
             try:
                 path = self._engine.path(start_node, target_vertex)
@@ -640,13 +631,7 @@ class ProbabilisticRouter(BasicRouter):
                 return None
             if len(path) < 2:
                 return None
-        nodes = [path[0]]
-        times = [start_time]
-        for u, v in zip(path, path[1:]):
-            times.append(times[-1] + self._network.edge_cost(u, v))
-            nodes.append(v)
-        # A cruise has no schedule stops: stop_positions stays empty.
-        return TaxiRoute(nodes=nodes, times=times, stop_positions=[])
+        return TaxiRoute.cruise(self._network, path, start_time)
 
     def route_for_schedule(
         self,
@@ -675,7 +660,7 @@ class ProbabilisticRouter(BasicRouter):
         stops: Sequence[Stop],
         taxi_vector: MobilityVector,
     ) -> TaxiRoute:
-        direction = taxi_vector.direction
+        sector = heading_sector(taxi_vector.direction)
         lg = self._filter.landmark_graph
 
         # Baseline slack: arrival times if every leg took the shortest path.
@@ -698,8 +683,8 @@ class ProbabilisticRouter(BasicRouter):
             chosen: list[int] | None = None
 
             pz, pz1 = lg.partition_of(node), lg.partition_of(stop.node)
-            for corridor in self._corridor_list(pz, pz1, direction):
-                path = self._weighted_leg(node, stop.node, corridor, direction)
+            for corridor in self._corridor_list(pz, pz1, sector):
+                path = self._weighted_leg(node, stop.node, corridor, sector)
                 if path is None:
                     continue
                 extra = self._network.path_cost_s(path) - shortest_cost

@@ -23,16 +23,16 @@ Ridesharing via Linear Assignment Problems"):
    indexed into the window's distinct taxis and requests.
    The fill reproduces the scalar per-pair insertion evaluation bit
    for bit; infeasible and unscreened pairs stay ``+inf``.
-3. **Solve** the LAP after masking ``+inf`` to a large finite penalty,
-   which makes the optimum maximise the number of feasible matches
-   first and minimise total detour second.  The solver is
-   :func:`_linear_sum_assignment`, an exact port of scipy's
+3. **Solve** the LAP over the rows and columns that hold a feasible
+   cell — a small corner of every window — after masking ``+inf`` to
+   a large finite penalty, which makes the optimum maximise the number
+   of feasible matches first and minimise total detour second.  The
+   solver is :func:`_linear_sum_assignment`, an exact port of scipy's
    ``linear_sum_assignment`` (same answer on every input, pinned in
-   ``tests/test_window.py``), so building the scheme imports no scipy;
-   rows holding no feasible cell — most of every window — are settled
-   in O(1) each.  Rows are in release order and columns in ascending
-   taxi id, so tie-breaking is a deterministic function of the matrix
-   alone.
+   ``tests/test_window.py``), so building the scheme imports no scipy.
+   Rows are in release order and columns in ascending taxi id, so
+   tie-breaking is a deterministic function of the feasible cells
+   alone: a request or taxi no pair can use does not move it.
 4. **Apply** each winning pair through the ordinary
    :class:`~repro.baselines.base.DispatchScheme` plumbing — the LAP
    assigns every taxi at most one new request per window, so plans
@@ -108,23 +108,28 @@ class WindowCostMatrix:
 def solve_window_lap(costs: np.ndarray) -> list[tuple[int, int]]:
     """Feasible assignments of the window LAP, in row order.
 
-    Masks ``+inf`` to :data:`INFEASIBLE_PENALTY`, solves the
-    rectangular problem with :func:`_linear_sum_assignment` and drops
-    penalty pairs.  The solver is deterministic for a given matrix, and
-    rows/columns are deterministically ordered by the caller, so
-    equal-cost optima always resolve the same way.
+    Hands :func:`_linear_sum_assignment` only the rows and columns that
+    hold a finite cell, with ``+inf`` masked to
+    :data:`INFEASIBLE_PENALTY`, maps the pairs back and drops penalty
+    pairs.  A row or column no pair can use therefore cannot move the
+    answer, and the solver is deterministic for a given matrix, so
+    equal-cost optima resolve the same way whatever infeasible rows or
+    columns the window also holds.
     """
-    if costs.size == 0:
-        return []
     finite = np.isfinite(costs)
-    if not bool(finite.any()):
+    rows = np.flatnonzero(finite.any(axis=1))
+    if not rows.size:
         return []
-    masked = np.where(finite, costs, INFEASIBLE_PENALTY)
-    rows, cols = _linear_sum_assignment(masked)
+    cols = np.flatnonzero(finite.any(axis=0))
+    keep = np.ix_(rows, cols)
+    usable = finite[keep]
+    picked_rows, picked_cols = _linear_sum_assignment(
+        np.where(usable, costs[keep], INFEASIBLE_PENALTY)
+    )
     return [
-        (int(i), int(j))
-        for i, j in zip(rows, cols)
-        if bool(finite[i, j])
+        (int(rows[i]), int(cols[j]))
+        for i, j in zip(picked_rows, picked_cols)
+        if bool(usable[i, j])
     ]
 
 
@@ -163,14 +168,9 @@ def _linear_sum_assignment(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _augment_rows(cost: np.ndarray) -> np.ndarray:
     """Column of each row in the minimum-cost matching of a wide matrix.
 
-    Two exact shortcuts precede scipy's general path search.  A fresh
-    row's first scan sees ``cost - v`` (its own dual is still 0): when
-    the column it selects is free, the row is settled there.  A row
-    whose cells all equal ``c`` scans ``c - v[j]``, which is exactly
-    ``c`` on every free column (a free column's dual was never moved)
-    and ``>= c`` on the others while every dual is ``<= 0`` — true in
-    exact arithmetic, so it is checked, not assumed — and the tie rule
-    then picks the lowest-index free column: O(1) per row.
+    One exact shortcut precedes scipy's general path search: a fresh
+    row's first scan sees ``cost - v`` (its own dual is still 0), and
+    when the column it selects is free, the row is settled there.
 
     The general search scans whole rows in natural column order, so a
     scan is a handful of array operations; scipy's swap-remove scan
@@ -188,19 +188,7 @@ def _augment_rows(cost: np.ndarray) -> np.ndarray:
     assigned = np.zeros(nc, dtype=bool)
     # scipy's scan order: remaining columns, filled in reverse.
     reverse = np.arange(nc - 1, -1, -1)
-    first = cost[:, 0]
-    constant = ((cost == first[:, None]).all(axis=1) & (first < inf)).tolist()
-    lowest_free = 0
-    duals_nonpositive = True
     for cur in range(nr):
-        if constant[cur] and duals_nonpositive:
-            while row4col[lowest_free] >= 0:
-                lowest_free += 1
-            u[cur] += float(first[cur])
-            row4col[lowest_free] = cur
-            col4row[cur] = lowest_free
-            assigned[lowest_free] = True
-            continue
         # First scan of a fresh row (``u[cur]`` is 0), in natural column
         # order: the last free column among the minima in scipy's
         # reverse order is the lowest-index one; with none free, the
@@ -281,8 +269,6 @@ def _augment_rows(cost: np.ndarray) -> np.ndarray:
             u[scans[k][0]] += min_val - col_spc[k - 1]
         for c, spent in zip(cols, col_spc):
             v[c] -= min_val - spent
-            if v[c] > 0.0:
-                duals_nonpositive = False
         assigned[j] = True
         while True:
             i = path[j]

@@ -263,9 +263,4 @@ class Rebalancer:
         path = self._engine.path(start_node, target)
         if len(path) < 2:
             return None
-        times = [start_time]
-        t = start_time
-        for u, v in zip(path, path[1:]):
-            t += self._network.path_cost_s([u, v])
-            times.append(t)
-        return TaxiRoute(nodes=[int(n) for n in path], times=times, stop_positions=[])
+        return TaxiRoute.cruise(self._network, path, start_time)

@@ -10,7 +10,7 @@ vertex position on the route is reached, moving passengers on and off.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -18,6 +18,7 @@ from ..demand.request import RideRequest, ServedTrip
 from .schedule import Stop, StopKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..network.graph import RoadNetwork
     from .table import FleetTable
 
 
@@ -54,6 +55,18 @@ class TaxiRoute:
             raise TaxiError("stop positions must be non-decreasing")
         if self.stop_positions and self.stop_positions[-1] >= len(self.nodes):
             raise TaxiError("stop position beyond route end")
+
+    @classmethod
+    def cruise(cls, network: RoadNetwork, path: Sequence[int], start_time: float) -> TaxiRoute:
+        """A stop-less route along ``path``, leaving at ``start_time``,
+        each hop timed at the network speed."""
+        times = [start_time]
+        t = start_time
+        edge_cost = network.edge_cost
+        for u, v in zip(path, path[1:]):
+            t += edge_cost(u, v)
+            times.append(t)
+        return cls(nodes=[int(n) for n in path], times=times, stop_positions=[])
 
     @property
     def empty(self) -> bool:

@@ -8,8 +8,8 @@ distance after the coarse cell scan, so results are exact.
 
 :class:`StaticVertexGrid` is the immutable counterpart over *network
 vertices*: buckets are numpy arrays built once with a lexsort, and a
-radius query touches only the O(1) ring of cells around the query
-point instead of scanning every vertex.  The simulator uses it to
+radius query touches only the O(1) cells its disc's bounding box
+covers instead of scanning every vertex.  The simulator uses it to
 register offline requests (``Simulator._register_offline``).
 """
 
@@ -26,8 +26,8 @@ class GridSpatialIndex:
     Parameters
     ----------
     cell_size_m:
-        Grid cell edge length.  Radius queries scan the
-        ``ceil(r / cell)`` ring of cells around the query point.
+        Grid cell edge length.  Radius queries scan the cells the
+        query disc's bounding box touches.
     """
 
     def __init__(self, cell_size_m: float = 500.0) -> None:
@@ -77,11 +77,11 @@ class GridSpatialIndex:
         """
         if radius_m < 0:
             return []
-        span = math.ceil(radius_m / self._cell)
-        cx, cy = self._cell_of(x, y)
+        x0, y0 = self._cell_of(x - radius_m, y - radius_m)
+        x1, y1 = self._cell_of(x + radius_m, y + radius_m)
         hits: list[tuple[int, float]] = []
-        for gx in range(cx - span, cx + span + 1):
-            for gy in range(cy - span, cy + span + 1):
+        for gx in range(x0, x1 + 1):
+            for gy in range(y0, y1 + 1):
                 bucket = self._cells.get((gx, gy))
                 if not bucket:
                     continue
@@ -134,7 +134,7 @@ class StaticVertexGrid:
 
     Built once from the network's ``xy`` array; each cell's bucket is a
     sorted numpy array of vertex ids.  :meth:`query_radius` gathers the
-    ``ceil(r / cell)`` ring of buckets around the query point and
+    buckets of the cells the query disc's bounding box touches and
     applies the exact squared-distance predicate ``d2 <= r**2`` over
     the candidates — the same predicate (and the same float arithmetic)
     as a full-array scan, so results are identical to one, in ascending
@@ -183,13 +183,13 @@ class StaticVertexGrid:
         """
         if radius_m < 0:
             return np.empty(0, dtype=np.int64)
-        span = math.ceil(radius_m / self._cell)
-        cx = math.floor(x / self._cell)
-        cy = math.floor(y / self._cell)
+        cell = self._cell
+        x0, x1 = math.floor((x - radius_m) / cell), math.floor((x + radius_m) / cell)
+        y0, y1 = math.floor((y - radius_m) / cell), math.floor((y + radius_m) / cell)
         buckets = [
             b
-            for gx in range(cx - span, cx + span + 1)
-            for gy in range(cy - span, cy + span + 1)
+            for gx in range(x0, x1 + 1)
+            for gy in range(y0, y1 + 1)
             if (b := self._buckets.get((gx, gy))) is not None
         ]
         if not buckets:

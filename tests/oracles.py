@@ -320,10 +320,12 @@ class FullSweepSimulator(Simulator):
 class ReferenceProbabilisticRouter(ProbabilisticRouter):
     """A :class:`ProbabilisticRouter` that evaluates Algorithm 4 afresh
     on every leg and every cruise: the method bodies production had
-    before it kept its three tables, verbatim.  It is built like the
-    production router and shares nothing with it after ``__init__`` —
-    the tables it inherits stay empty (the tests assert so) and the
-    per-partition arrays are deleted, so any read of them fails."""
+    before it kept its three tables, verbatim but for step 1's rule
+    (the sector-centre heading, the zero vector in a sector of its
+    own).  It is built like the production router and shares nothing
+    with it after ``__init__`` — the tables it inherits stay empty (the
+    tests assert so) and the per-partition arrays are deleted, so any
+    read of them fails."""
 
     def __init__(self, network, engine, partition_filter, transition_model,
                  lam=DEFAULT_LAMBDA, steering_m=120.0):
@@ -343,15 +345,19 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
 
         A request hailed in ``P_i`` is suitable when its implied travel
         direction (landmark of ``P_i`` to the destination partition's
-        landmark) is aligned with the taxi's direction.
+        landmark) is aligned with the centre of the taxi's heading
+        sector.
         """
         lg = self._filter.landmark_graph
-        # Quantise the direction into 16 sectors so the cache is effective.
+        # Quantise the direction into 16 sectors, the zero vector into a
+        # 17th, and evaluate at the sector's centre heading.
         dx, dy = direction
         if dx == 0.0 and dy == 0.0:
-            sector = 0
+            sector = 16
         else:
             sector = int(8.0 * (1.0 + math.atan2(dy, dx) / math.pi)) % 16
+            angle = math.pi * ((sector + 0.5) / 8.0 - 1.0)
+            dx, dy = math.cos(angle), math.sin(angle)
         key = (pi, sector)
         cached = self._pd_cache.get(key)
         if cached is not None:

@@ -151,7 +151,7 @@ class TestProbabilisticRouter:
         # Direction north (towards row 2 where trips end): row 2's
         # pick-up hotspot (vertex 7) lies in partition 2.
         north = (0.0, 1.0)
-        p = router._sector_entry(2, routing.heading_sector(north), north).pi
+        p = router._sector_entry(2, routing.heading_sector(north)).pi
         assert p >= 0.0
 
     def test_steers_through_hot_vertex_when_free(self, router, tiny_engine, tiny_net):
@@ -239,7 +239,7 @@ def _apply(router, op):
 
 def play(world, ops):
     """``ops`` through a fresh production router and a fresh oracle;
-    every outcome and the first-caller-wins sector state must be equal."""
+    every outcome and the filled sector entries must be equal."""
     fast = world.router(ProbabilisticRouter)
     oracle = world.router(ReferenceProbabilisticRouter)
     for op in ops:
@@ -286,51 +286,47 @@ def test_probabilistic_router_matches_per_leg_oracle(world, ops, graph_capacity)
     assert len(fast.corridor_graphs) <= capacity
 
 
-# A taxi heading west-south-west shares sector 0 with the zero vector a
-# cruise passes; under lam = 0.707 the two disagree on every partition's
-# suitable destinations (the zero vector suits all of them).
+# A taxi heading west-south-west and the zero vector a cruise passes:
+# under lam = 0.707 the two disagree on every partition's suitable
+# destinations (the zero vector suits all of them).
 _WSW = heading(-170.0)
 
 
-# "share": cruises target partitions by their overall demand share.
-@pytest.mark.parametrize("first", ["cruise", "taxi"], ids=["cruise-share", "taxi-share"])
-def test_sector_zero_belongs_to_whoever_fills_it_first(world, first):
-    assert routing.heading_sector(_WSW.direction) == routing.heading_sector((0.0, 0.0)) == 0
+def test_zero_heading_has_a_sector_of_its_own(world):
+    assert routing.heading_sector(_WSW.direction) == 0
+    assert routing.heading_sector((0.0, 0.0)) == routing.NUM_SECTORS
+    for sector in range(routing.NUM_SECTORS + 1):
+        assert routing.heading_sector(routing.sector_direction(sector)) == sector
     cruises = [("cruise", v, 7.5 * 3600.0 + v) for v in range(0, 144, 5)]
     taxis = [route_op(world, v, 100.0, [(v, 143 - v, 3.0)], _WSW) for v in range(0, 60, 7)]
-    ops = cruises + taxis if first == "cruise" else taxis + cruises
-    fast, _ = play(world, ops + ops)
-    assert sum(_apply(fast, op) is not None for op in cruises) > 10
     kappa = world.lg.num_partitions
-    suits_everyone = [
-        fast._sectors[(pi, 0)].dests == [pa for pa in range(kappa) if pa != pi]
-        for pi in range(kappa) if (pi, 0) in fast._sectors
-    ]
-    assert suits_everyone and (all(suits_everyone) if first == "cruise" else not all(suits_everyone))
+    for ops in (cruises + taxis, taxis + cruises):
+        fast, _ = play(world, ops)
+        assert sum(_apply(fast, op) is not None for op in cruises) > 10
+        by_sector = {0: [], routing.NUM_SECTORS: []}
+        for (pi, sector), entry in fast._sectors.items():
+            by_sector[sector].append(entry.dests == [pa for pa in range(kappa) if pa != pi])
+        assert by_sector[routing.NUM_SECTORS] and all(by_sector[routing.NUM_SECTORS])
+        assert by_sector[0] and not any(by_sector[0])
 
 
-def test_two_headings_in_one_sector_keep_the_first_callers_destinations(world):
-    fresh = world.router(ReferenceProbabilisticRouter)
-    kappa = world.lg.num_partitions
-
-    def fresh_dests(pi, vector):
-        fresh._pd_cache.clear()
-        return fresh._suitable_destinations(pi, vector.direction)
-
+def test_sector_entries_equal_a_fresh_centre_evaluation_in_any_call_order(world):
+    """Step 1 is a function of (partition, sector): headings at both
+    ends of one sector, asked in either order, fill the table with what
+    a fresh router evaluates at the sector's centre."""
     # Both ends of the 22.5-degree sector that starts at 0 degrees.
     low, high = heading(0.5), heading(22.0)
     assert routing.heading_sector(low.direction) == routing.heading_sector(high.direction) == 8
-    differing = [pi for pi in range(kappa) if fresh_dests(pi, low) != fresh_dests(pi, high)]
-    assert differing
-    pi = differing[0]
-    # A leg that stays inside P_pi asks for (pi, sector 8) and nothing else.
-    u, v = world.vertex_in(pi, 0), world.vertex_in(pi, -1)
+    trips = [(v, (v * 37 + 11) % 144, 3.0) for v in range(0, 144, 9)]
     for first, second in ((low, high), (high, low)):
-        ops = [route_op(world, u, 0.0, [(u, v, 3.0)], first),
-               route_op(world, u, 0.0, [(u, v, 3.0)], second)]
+        ops = [route_op(world, o, 0.0, [(o, d, rho)], vector)
+               for vector in (first, second) for o, d, rho in trips]
         fast, _ = play(world, ops)
-        assert fast._sectors[(pi, 8)].dests == fresh_dests(pi, first) != fresh_dests(pi, second)
-        assert fast._sector_entry(pi, 8, second.direction) is fast._sectors[(pi, 8)]
+        assert len(fast._sectors) > world.lg.num_partitions // 2
+        for (pi, sector), entry in fast._sectors.items():
+            fresh = world.router(ProbabilisticRouter)._sector_entry(pi, sector)
+            assert entry.dests == fresh.dests and entry.pi == fresh.pi
+            assert entry.psi.tobytes() == fresh.psi.tobytes()
 
 
 def test_one_leg_under_every_heading(world):

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.index.spatial import GridSpatialIndex
+from repro.index.spatial import GridSpatialIndex, StaticVertexGrid
 
 coord = st.floats(min_value=-5000.0, max_value=5000.0, allow_nan=False)
 
@@ -71,6 +72,8 @@ class TestQueryRadius:
         coord,
         st.floats(min_value=0.0, max_value=3000.0),
     )
+    # A point exactly r away in the cell past the query's own ring.
+    @example(points=[(250.0, 0.0)], qx=-9.5e-25, qy=0.0, r=250.0)
     def test_matches_brute_force(self, points, qx, qy, r):
         idx = GridSpatialIndex(250.0)
         for i, (x, y) in enumerate(points):
@@ -80,6 +83,22 @@ class TestQueryRadius:
         )
         got = sorted(h[0] for h in idx.query_radius(qx, qy, r))
         assert got == expected
+
+
+class TestStaticVertexGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.tuples(coord, coord), min_size=0, max_size=30),
+        coord,
+        coord,
+        st.floats(min_value=0.0, max_value=3000.0),
+    )
+    @example(points=[(250.0, 0.0)], qx=-9.5e-25, qy=0.0, r=250.0)
+    def test_matches_full_scan(self, points, qx, qy, r):
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        grid = StaticVertexGrid(xy, 250.0)
+        d2 = (xy[:, 0] - qx) ** 2 + (xy[:, 1] - qy) ** 2
+        assert grid.query_radius(qx, qy, r).tolist() == (d2 <= r**2).nonzero()[0].tolist()
 
 
 class TestQueryRadiusCells:

@@ -98,6 +98,23 @@ class TestSolveWindowLap:
         costs = np.array([[np.inf, np.inf], [1.0, 2.0]])
         assert solve_window_lap(costs) == [(1, 0)]
 
+    def test_infeasible_rows_and_columns_do_not_move_the_answer(self):
+        """Requests no taxi can serve and taxis no request can use,
+        inserted anywhere, leave the pairs among the original cells as
+        they were.  Small-integer detours make equal-cost optima common."""
+        rng = np.random.default_rng(41)
+        for _trial in range(400):
+            rows, cols = (int(k) for k in rng.integers(1, 9, size=2))
+            costs = rng.integers(0, 6, size=(rows, cols)).astype(float)
+            costs[rng.random((rows, cols)) < 0.5] = np.inf
+            row_at = np.sort(rng.integers(0, rows + 1, size=int(rng.integers(0, 6))))
+            col_at = np.sort(rng.integers(0, cols + 1, size=int(rng.integers(0, 6))))
+            padded = np.insert(np.insert(costs, row_at, np.inf, axis=0), col_at, np.inf, axis=1)
+            row_of = np.insert(np.arange(rows), row_at, -1)
+            col_of = np.insert(np.arange(cols), col_at, -1)
+            pairs = [(int(row_of[i]), int(col_of[j])) for i, j in solve_window_lap(padded)]
+            assert pairs == solve_window_lap(costs), (costs, row_at, col_at)
+
     def test_feasible_matches_first_then_least_detour(self):
         """Against exhaustive enumeration of every partial matching of
         windows up to 6 x 6 — not against the penalty argument.  Integer
@@ -134,11 +151,7 @@ def _random_cost_matrix(rng, kind):
     rows, cols = (int(k) for k in rng.integers(1, 11, size=2))
     if kind == 0:  # small integers: ties everywhere
         return rng.integers(0, 4, size=(rows, cols)).astype(float)
-    if kind == 1:
-        # A window: fractional detours among penalty cells.  Rounding at
-        # the penalty pushes some column duals above 0, after which the
-        # port must send constant rows through the general search (111
-        # of the 12,000 matrices of the test below get there).
+    if kind == 1:  # a window: fractional detours among penalty cells
         costs = rng.uniform(0.0, 900.0, size=(rows, cols))
         costs[rng.random((rows, cols)) < 0.75] = INFEASIBLE_PENALTY
         costs[rng.random(rows) < 0.3] = INFEASIBLE_PENALTY
