@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -235,19 +235,15 @@ def check_shock_scan(
 
 
 @invariant("every fleet-table column equals the object state it mirrors")
-def check_fleet_table(
-    table: "FleetTable",
-    partition_index: "PartitionTaxiIndex",
-    cluster_index: "MobilityClusterIndex",
-) -> None:
+def check_fleet_table(table: "FleetTable", cluster_index: "MobilityClusterIndex") -> None:
     """The columns of a :class:`~repro.fleet.table.FleetTable` against
-    the taxis, the partition lists and the mobility clusters.
+    the taxis and the mobility clusters.
 
     Each column is written only where its state changes, so a change
     site that forgets its write leaves a row that disagrees with its
     object, and fails here on the next boundary instead of silently
-    screening a stale taxi.  O(fleet x partitions), which is why it is
-    a contract and not part of the screen.
+    screening a stale taxi.  O(fleet), which is why it is a contract
+    and not part of the screen.
     """
     for row, taxi in enumerate(table.taxis):
         tid = taxi.taxi_id
@@ -277,13 +273,30 @@ def check_fleet_table(
             raise ContractViolation(
                 f"fleet table unit of taxi {tid} is {units}, the cluster index says {unit}"
             )
-        for z, got in enumerate(table.arrivals[:, row].tolist()):
-            want = partition_index.arrival_map(z).get(tid)
-            if (want is None and got == got) or (want is not None and got != want):
-                raise ContractViolation(
-                    f"fleet table arrival of taxi {tid} at partition {z} is {got}, "
-                    f"its partition list says {want}"
-                )
+
+
+@invariant("an out-of-service taxi is listed in no partition")
+def check_out_of_service_unlisted(
+    fleet: "Mapping[int, Taxi]", partition_index: "PartitionTaxiIndex"
+) -> None:
+    """A broken-down taxi's column of the ``P_z.L_t`` arrivals is all NaN.
+
+    Its stale arrivals would otherwise keep it in candidate pools, so a
+    dead taxi could keep winning matches; the scheme's breakdown hook
+    evicts it, and this holds that hook to it.  O(fleet x partitions).
+    """
+    arrivals = partition_index.arrivals
+    column_of = partition_index.column_of
+    for tid, taxi in fleet.items():
+        if not taxi.out_of_service:
+            continue
+        column = arrivals[:, column_of[tid]].tolist()
+        listed = [z for z, arrival in enumerate(column) if not math.isnan(arrival)]
+        if listed:
+            raise ContractViolation(
+                f"taxi {tid} is out of service but partitions {listed} still list it: "
+                "its breakdown skipped the index eviction"
+            )
 
 
 __all__ = [
@@ -292,6 +305,7 @@ __all__ = [
     "check_due_index",
     "check_fleet_table",
     "check_monotone_clock",
+    "check_out_of_service_unlisted",
     "check_request_accounting",
     "check_schedule",
     "check_shock_scan",

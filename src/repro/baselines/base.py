@@ -230,9 +230,9 @@ class DispatchScheme(abc.ABC):
         return 0
 
     def check_fleet_table(self) -> None:
-        """Contract hook the simulator runs at every boundary: compare
-        the scheme's fleet table with the state it mirrors.  This scheme
-        keeps none."""
+        """Contract hook the simulator runs at every boundary: check the
+        scheme's index structures and fleet table against the state they
+        mirror.  This scheme keeps none."""
 
     # ------------------------------------------------------------------
     # shared helpers

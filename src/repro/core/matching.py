@@ -220,8 +220,9 @@ class Matcher:
         gamma = self._search_radius(request)
         ox, oy = self._network.xy[request.origin]
         disc_partitions = self._lg.partitions_intersecting_disc(float(ox), float(oy), gamma)
-        pool = self._pindex.union_taxis(disc_partitions)
-        if not pool:
+        pindex = self._pindex
+        pool = pindex.listed_columns(disc_partitions)
+        if not pool.size:
             return []
 
         cindex = self._cindex
@@ -241,8 +242,8 @@ class Matcher:
         origin_partition = self._lg.partition_of(origin)
         pickup_deadline = request.pickup_deadline
         n_pass = request.num_passengers
-        arrival_get = self._pindex.arrival_map(origin_partition).get
-        fleet_get = fleet.get
+        # Rule 3's indexed arrival of each pool taxi (NaN: not listed).
+        pool_arrivals = pindex.arrivals[origin_partition].take(pool).tolist()
         # Full mode answers the exact Rule-3 reachability bound with
         # single reads of the distance column into the pick-up vertex;
         # lazy mode defers the affected taxis to one batched
@@ -255,10 +256,8 @@ class Matcher:
         exact_ready: list[float] = []
         exact_nodes: list[int] = []
         exact_checks = 0
-        for taxi_id in pool:
-            taxi = fleet_get(taxi_id)
-            if taxi is None:
-                continue
+        for taxi_id, arrival in zip(pindex.taxi_ids.take(pool).tolist(), pool_arrivals):
+            taxi = fleet[taxi_id]
             # Rule 2: no idle capacity -> out.  (Checked first: it is
             # one integer compare, the direction rules cost float math;
             # the rules are independent filters so the surviving set is
@@ -290,9 +289,9 @@ class Matcher:
             # Rule 3: must reach the pick-up before its deadline.  The
             # indexed route arrival admits quickly; taxis it cannot
             # admit get the exact shortest-path bound (a taxi whose
-            # planned route arrives late can still divert).
-            arrival = arrival_get(taxi_id)
-            if arrival is None or arrival > pickup_deadline:
+            # planned route arrives late can still divert).  NaN <= x is
+            # False, so an unlisted taxi takes the exact bound too.
+            if not arrival <= pickup_deadline:
                 node, ready = taxi.position_at(now)
                 if col is not None:
                     exact_checks += 1
@@ -331,8 +330,10 @@ class Matcher:
         ``candidate_taxis(batch[i], fleet, now)`` taxi for taxi, where
         ``fleet`` holds ``table``'s taxis.  The taxi side of every rule
         is a column of the fleet table (planning position, seats, busy
-        flag, cluster, direction unit, the ``P_z.L_t`` arrivals), kept
-        current where the state changes, so the pool and the three rules
+        flag, cluster, direction unit) or of the partition index's
+        ``P_z.L_t`` arrivals (whose columns are the table's rows: both
+        ascend by taxi id), kept current where the state changes, so
+        the pool and the three rules
         become ``(R, T)`` boolean / float64 expressions and the only
         per-taxi Python work is the surviving columns' insertion starts.
         Every float operation is :meth:`candidate_taxis`'s, on the same
@@ -344,7 +345,7 @@ class Matcher:
         with self._obs.stage("window.screen"):
             lg = self._lg
             xy = self._network.xy
-            arrivals = table.arrivals
+            arrivals = self._pindex.arrivals
             origins = np.array([r.origin for r in batch], dtype=np.int64)
             deadline = np.array([r.pickup_deadline for r in batch], dtype=np.float64)
             n_pass = np.array([r.num_passengers for r in batch], dtype=np.int64)

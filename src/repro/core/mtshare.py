@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
+from ..analysis import contracts
 from ..baselines.base import DispatchScheme
 from ..config import SystemConfig
 from ..demand.request import RideRequest
@@ -174,6 +175,15 @@ class MTShare(DispatchScheme):
         yield "kernel.disc", self._landmarks.discs
 
     # ------------------------------------------------------------------
+    def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
+        """Give every taxi its partition-index column, then index the fleet."""
+        self._pindex.register(fleet)
+        super().register_fleet(fleet, now)
+
+    def check_fleet_table(self) -> None:
+        """No out-of-service taxi is listed in any partition (a contract)."""
+        contracts.check_out_of_service_unlisted(self._fleet, self._pindex)
+
     def _index_taxi(self, taxi: Taxi, now: float) -> None:
         """Refresh both index views for one taxi.
 

@@ -306,18 +306,20 @@ class WindowLAP(MTShare):
     ) -> None:
         super().__init__(network, engine, config, partitioning, landmarks=landmarks)
         self.dispatch_window_s = float(config.dispatch_window_s)
-        self._table = FleetTable({}, self._landmarks.num_partitions)
+        self._table = FleetTable({})
 
     def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
-        """Build the fleet table, attach both indexes to it, then index the fleet."""
-        self._table = FleetTable(fleet, self._landmarks.num_partitions)
-        self._pindex.attach(self._table)
+        """Build the fleet table, attach the cluster index to it, then
+        register and index the fleet."""
+        self._table = FleetTable(fleet)
         self._cindex.attach(self._table)
         super().register_fleet(fleet, now)
 
     def check_fleet_table(self) -> None:
-        """Every fleet-table column against the state it mirrors (a contract)."""
-        contracts.check_fleet_table(self._table, self._pindex, self._cindex)
+        """mT-Share's index contract, plus every fleet-table column
+        against the state it mirrors."""
+        super().check_fleet_table()
+        contracts.check_fleet_table(self._table, self._cindex)
 
     def index_memory_bytes(self) -> int:
         """Both index views plus the fleet table."""

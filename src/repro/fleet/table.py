@@ -10,17 +10,15 @@ that object where the state changes, never rebuilt from it:
   :class:`~repro.fleet.taxi.Taxi` (``set_plan``, ``clear_plan``,
   ``assign``, ``unassign``, ``break_down``, ``apply_delay``, and
   ``advance`` when its cursor moves);
-* the ``arrivals`` matrix, ``P_z.L_t`` for every partition at once, by
-  :class:`~repro.index.partition_index.PartitionTaxiIndex`
-  (``update_taxi`` / ``remove_taxi``);
 * the mobility ``unit`` and ``cluster`` by
   :class:`~repro.core.mobility_cluster.MobilityClusterIndex`
   (``update_taxi``, and ``remove_request`` when a cluster dissolves).
 
 ``repro.analysis.contracts.check_fleet_table`` compares every column
 with the objects at every simulation boundary when contracts are armed.
-A dense ``partitions x taxis`` matrix is not the paper's ``(x+1)M``
-lists: it trades their size for a screen that reads arrays.
+The screen also reads ``P_z.L_t``, which is not a column here but
+:attr:`~repro.index.partition_index.PartitionTaxiIndex.arrivals`, whose
+columns are this table's rows.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ class FleetTable:
         The taxis, by id; row ``k`` is the ``k``-th smallest id.  Each
         taxi is attached (:meth:`Taxi.attach`) and writes its own rows
         from then on.
-    num_partitions:
-        ``kappa``, the row count of :attr:`arrivals`.
 
     Columns
     -------
@@ -60,9 +56,6 @@ class FleetTable:
     unit, cluster:
         The taxi's mobility direction unit (a NaN row: no vector) and
         the cluster whose taxi list holds it (``-1``: none).
-    arrivals:
-        ``(num_partitions, taxis)``: the indexed arrival of each taxi at
-        each partition, NaN where the partition does not list it.
     """
 
     __slots__ = (
@@ -75,10 +68,9 @@ class FleetTable:
         "route_end",
         "unit",
         "cluster",
-        "arrivals",
     )
 
-    def __init__(self, fleet: Mapping[int, Taxi], num_partitions: int) -> None:
+    def __init__(self, fleet: Mapping[int, Taxi]) -> None:
         taxis = [fleet[tid] for tid in sorted(fleet)]
         n = len(taxis)
         self.taxis = taxis
@@ -90,7 +82,6 @@ class FleetTable:
         self.route_end = np.full(n, -np.inf)
         self.unit = np.full((n, 3), np.nan)
         self.cluster = np.full(n, -1, dtype=np.int64)
-        self.arrivals = np.full((num_partitions, n), np.nan)
         for row, taxi in enumerate(taxis):
             taxi.attach(self, row)
 
@@ -108,6 +99,6 @@ class FleetTable:
             column.nbytes
             for column in (
                 self.plan_vertex, self.plan_time, self.spare, self.busy,
-                self.route_end, self.unit, self.cluster, self.arrivals,
+                self.route_end, self.unit, self.cluster,
             )
         )

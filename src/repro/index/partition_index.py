@@ -3,26 +3,24 @@
 For every map partition ``P_z`` the index keeps a taxi list ``P_z.L_t``
 of the taxis that are currently in, or whose planned route will reach,
 partition ``P_z`` within a horizon ``T_mp`` (the paper uses one hour),
-annotated with the arrival time (a taxi -> arrival mapping; nothing
-reads the list in arrival order, so it is not kept sorted).  The list
-answers two questions during candidate searching: *which taxis can
-be near this request's origin*, and *can taxi t reach the request's
-partition before its pick-up deadline* (refinement rule 3).  Attached to
-a :class:`~repro.fleet.table.FleetTable`, the index also writes every
-change into the table's ``arrivals`` matrix, which whole-window
-screening reads.
+annotated with the arrival time.  All ``kappa`` lists live in one
+``(kappa, taxis)`` float64 matrix, :attr:`PartitionTaxiIndex.arrivals`:
+cell ``(z, k)`` is the arrival of the ``k``-th smallest registered taxi
+id at ``P_z``, NaN where ``P_z`` does not list it.  The matrix answers
+two questions during candidate searching: *which taxis can be near this
+request's origin* (the columns some disc partition lists), and *can
+taxi t reach the request's partition before its pick-up deadline*
+(refinement rule 3).  Greedy search reads one taxi at a time, the
+window screen whole rows.  A dense matrix is not the paper's
+``(x+1)M`` lists: it trades their size for a store both readers share.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..fleet.table import FleetTable
 
 #: ``T_mp``: route positions further than this in the future are not
 #: indexed (the paper: one hour).
@@ -30,31 +28,38 @@ HORIZON_S = 3600.0
 
 
 class PartitionTaxiIndex:
-    """Per-partition taxi lists with arrival times.
+    """Per-partition taxi lists with arrival times, as one matrix.
 
     Parameters
     ----------
     num_partitions:
-        Number of map partitions ``kappa``.
+        Number of map partitions ``kappa``, the row count of
+        :attr:`arrivals`.
+
+    Attributes
+    ----------
+    arrivals:
+        ``(num_partitions, taxis)``: the indexed arrival of each taxi at
+        each partition, NaN where the partition does not list it.
+    taxi_ids:
+        The registered ids, ascending; column ``k`` is ``taxi_ids[k]``.
+    column_of:
+        Taxi id -> its column.
     """
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions < 1:
             raise ValueError("need at least one partition")
-        self._by_partition: list[dict[int, float]] = [{} for _ in range(num_partitions)]
-        self._partitions_of_taxi: dict[int, set[int]] = {}
-        self._table: FleetTable | None = None
+        self.num_partitions = num_partitions
+        self.register(())
 
-    def attach(self, table: FleetTable) -> None:
-        """Write every later change into ``table.arrivals``; attach before
-        the first update.  Ids without a table row are indexed only here."""
-        self._table = table
-
-    def _column(self, taxi_id: int) -> np.ndarray | None:
-        """``taxi_id``'s column of the attached table's arrivals, if any."""
-        table = self._table
-        row = None if table is None else table.row_of.get(taxi_id)
-        return None if table is None or row is None else table.arrivals[:, row]
+    def register(self, taxi_ids: Iterable[int]) -> None:
+        """Give each of ``taxi_ids`` a column, ascending by id, and list
+        none of them anywhere.  Call before the first update."""
+        ids = sorted(taxi_ids)
+        self.taxi_ids = np.array(ids, dtype=np.int64)
+        self.column_of = {taxi_id: k for k, taxi_id in enumerate(ids)}
+        self.arrivals = np.full((self.num_partitions, len(ids)), math.nan)
 
     def update_taxi(
         self,
@@ -65,19 +70,13 @@ class PartitionTaxiIndex:
 
         ``partition_arrivals`` maps partition id to the earliest arrival
         time along the taxi's (re)planned route; entries are taken as
-        given (the caller applies the horizon against *now*).
+        given (the caller applies the horizon against *now*).  Raises
+        ``KeyError`` for an id that was never registered.
         """
-        self.remove_taxi(taxi_id)
-        touched: set[int] = set()
-        column = self._column(taxi_id)
+        column = self.arrivals[:, self.column_of[taxi_id]]
+        column.fill(math.nan)
         for z, t in partition_arrivals.items():
-            arrival = float(t)
-            self._by_partition[z][taxi_id] = arrival
-            touched.add(z)
-            if column is not None:
-                column[z] = arrival
-        if touched:
-            self._partitions_of_taxi[taxi_id] = touched
+            column[z] = t
 
     def update_taxi_from_route(
         self,
@@ -107,45 +106,19 @@ class PartitionTaxiIndex:
         self.update_taxi(taxi_id, {partition: now})
 
     def remove_taxi(self, taxi_id: int) -> None:
-        """Drop all index entries of ``taxi_id``."""
-        touched = self._partitions_of_taxi.pop(taxi_id, ())
-        for z in touched:
-            self._by_partition[z].pop(taxi_id, None)
-        column = self._column(taxi_id) if touched else None
-        if column is not None:
-            column[:] = math.nan
+        """List ``taxi_id`` in no partition."""
+        self.arrivals[:, self.column_of[taxi_id]] = math.nan
 
-    def arrival_map(self, partition: int) -> dict[int, float]:
-        """The live taxi -> arrival mapping of one partition.
-
-        Returned by reference so candidate screening can probe a whole
-        pool with plain dict lookups; callers must treat it as
-        read-only.
-        """
-        return self._by_partition[partition]
-
-    def union_taxis(self, partitions: Iterable[int]) -> list[int]:
-        """Union of the taxi lists of several partitions (Eq. 3 left side).
-
-        Returned in ascending taxi-id order so downstream candidate
-        enumeration (and therefore tie-broken match winners) does not
-        depend on set-iteration order, i.e. on the hash seed.
-        """
-        out: set[int] = set()
-        for z in partitions:
-            out.update(self._by_partition[z])
-        return sorted(out)
+    def listed_columns(self, partitions: Sequence[int]) -> np.ndarray:
+        """The columns some of ``partitions`` lists (Eq. 3 left side),
+        ascending, which is ascending taxi id."""
+        return (~np.isnan(self.arrivals.take(partitions, axis=0)).all(axis=0)).nonzero()[0]
 
     def total_entries(self) -> int:
         """Total (taxi, partition) index entries — the ``(x+1)M`` term of
         the paper's memory-complexity analysis."""
-        return sum(len(d) for d in self._by_partition)
+        return int(np.count_nonzero(~np.isnan(self.arrivals)))
 
     def memory_bytes(self) -> int:
-        """Rough footprint of the index structures."""
-        total = 0
-        for d in self._by_partition:
-            total += 64 + 56 * len(d)
-        for s in self._partitions_of_taxi.values():
-            total += 64 + 28 * len(s)
-        return total
+        """Bytes held by the arrivals matrix."""
+        return self.arrivals.nbytes

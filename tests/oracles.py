@@ -69,6 +69,14 @@ with a large penalty and solves one rectangular assignment problem;
 small window instead, so "feasible matches first, then least detour"
 is checked without trusting the penalty or any solver.
 
+**Partition taxi lists.**  Production keeps ``P_z.L_t`` as one
+``(kappa, taxis)`` arrivals matrix that greedy search and the window
+screen both read (``repro.index.partition_index.PartitionTaxiIndex``);
+:class:`ReferencePartitionIndex` is the per-partition dict index it
+replaced, and :func:`reference_candidate_taxis` the greedy walk over
+that index's sorted union and arrival maps, verbatim, so lists can be
+diffed cell for cell and candidate sets in order.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -89,8 +97,13 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.analysis import contracts
-from repro.core.matching import insertion_start
-from repro.core.mobility_cluster import DEFAULT_LAMBDA, MobilityVector
+from repro.core.matching import insertion_start, request_vector
+from repro.core.mobility_cluster import (
+    DEFAULT_LAMBDA,
+    ZERO_UNIT,
+    MobilityVector,
+    direction_unit,
+)
 from repro.core.routing import (
     CORRIDOR_EXTRA_HOPS,
     MAX_ATTEMPTS,
@@ -917,3 +930,104 @@ def reference_ch_build(network):
 
     arrays = ContractionHierarchy._rows_to_arrays(rank, up_rows, down_rows)
     return ContractionHierarchy(network, arrays)
+
+
+class ReferencePartitionIndex:
+    """``P_z.L_t`` as one ``taxi -> arrival`` dict per partition."""
+
+    def __init__(self, num_partitions: int) -> None:
+        self._by_partition: list[dict[int, float]] = [{} for _ in range(num_partitions)]
+        self._partitions_of_taxi: dict[int, set[int]] = {}
+
+    def update_taxi(self, taxi_id: int, partition_arrivals: dict[int, float]) -> None:
+        self.remove_taxi(taxi_id)
+        touched: set[int] = set()
+        for z, t in partition_arrivals.items():
+            self._by_partition[z][taxi_id] = float(t)
+            touched.add(z)
+        if touched:
+            self._partitions_of_taxi[taxi_id] = touched
+
+    def remove_taxi(self, taxi_id: int) -> None:
+        touched = self._partitions_of_taxi.pop(taxi_id, ())
+        for z in touched:
+            self._by_partition[z].pop(taxi_id, None)
+
+    def arrival_map(self, partition: int) -> dict[int, float]:
+        return self._by_partition[partition]
+
+    def union_taxis(self, partitions) -> list[int]:
+        out: set[int] = set()
+        for z in partitions:
+            out.update(self._by_partition[z])
+        return sorted(out)
+
+
+def reference_candidate_taxis(matcher, index, request, fleet, now):
+    """``Matcher.candidate_taxis`` over a :class:`ReferencePartitionIndex`
+    (no observability counts)."""
+    gamma = matcher._search_radius(request)
+    ox, oy = matcher._network.xy[request.origin]
+    disc_partitions = matcher._lg.partitions_intersecting_disc(float(ox), float(oy), gamma)
+    pool = index.union_taxis(disc_partitions)
+    if not pool:
+        return []
+
+    cindex = matcher._cindex
+    lam = cindex.lam
+    vec = request_vector(matcher._network, request)
+    req_unit = direction_unit(*vec.direction)
+    matching_cids = set(cindex.matching_clusters(vec))
+    cluster_of_taxi = cindex.cluster_of_taxi
+    taxi_unit = cindex.taxi_unit
+
+    origin = request.origin
+    origin_partition = matcher._lg.partition_of(origin)
+    pickup_deadline = request.pickup_deadline
+    n_pass = request.num_passengers
+    arrival_get = index.arrival_map(origin_partition).get
+    fleet_get = fleet.get
+    col = matcher._engine.dist_col(origin)
+    speed = matcher._network.speed_mps
+
+    screened = []
+    exact_rows: list[int] = []
+    exact_ready: list[float] = []
+    exact_nodes: list[int] = []
+    for taxi_id in pool:
+        taxi = fleet_get(taxi_id)
+        if taxi is None:
+            continue
+        if taxi.committed + n_pass > taxi.capacity:
+            continue
+        if taxi.schedule and cluster_of_taxi(taxi_id) not in matching_cids:
+            unit = taxi_unit(taxi_id)
+            if unit is None:
+                continue
+            if unit is not ZERO_UNIT and req_unit is not ZERO_UNIT:
+                value = (unit[0] * req_unit[0] + unit[1] * req_unit[1]) / (
+                    unit[2] * req_unit[2]
+                )
+                if max(-1.0, min(1.0, value)) < lam:
+                    continue
+        arrival = arrival_get(taxi_id)
+        if arrival is None or arrival > pickup_deadline:
+            node, ready = taxi.position_at(now)
+            if col is not None:
+                if ready + col.item(node) / speed > pickup_deadline:
+                    continue
+            else:
+                exact_rows.append(len(screened))
+                exact_nodes.append(node)
+                exact_ready.append(ready)
+        screened.append(taxi)
+
+    if not exact_rows:
+        return screened
+    costs = matcher._engine.cost_matrix(exact_nodes, [origin])[:, 0]
+    arrivals = np.asarray(exact_ready) + costs
+    late: set[int] = set()
+    for row, arrival in zip(exact_rows, arrivals):
+        if arrival > pickup_deadline:
+            late.add(row)
+    return [taxi for row, taxi in enumerate(screened) if row not in late]

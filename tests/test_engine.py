@@ -294,9 +294,10 @@ class TestMetricsSummary:
 class TestDeterminism:
     """Two identical runs must produce identical assignments.
 
-    Regression for hash-seed-dependent candidate ordering:
-    ``PartitionTaxiIndex.union_taxis`` returns sorted ids so the
-    tie-broken match winners do not depend on set-iteration order.
+    Regression for hash-seed-dependent candidate ordering: candidates
+    come out in ascending ``PartitionTaxiIndex`` column order, which is
+    ascending taxi id, so the tie-broken match winners do not depend on
+    set-iteration order.
     """
 
     @pytest.mark.parametrize("name", ["mt-share", "t-share"])

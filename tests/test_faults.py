@@ -16,8 +16,10 @@ import math
 
 import pytest
 
+from repro.analysis.contracts import ContractViolation
 from repro.config import SystemConfig
 from repro.baselines.nosharing import NoSharing
+from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
 from repro.faults.plan import (
     FaultPlan,
@@ -403,8 +405,9 @@ class TestBreakdownOnRebalanceCruise:
         assert m.unsettled_episodes == 0
         assert m.counters.get("rebalance.broken") == 1
         # The partition index no longer advertises the dead taxi's supply.
-        for z in range(test_scenario.landmark_graph().num_partitions):
-            assert taxi.taxi_id not in scheme._pindex.arrival_map(z)
+        index = scheme.partition_index
+        assert index.arrivals.shape[0] == test_scenario.landmark_graph().num_partitions
+        assert all(math.isnan(a) for a in index.arrivals[:, index.column_of[taxi.taxi_id]])
         m.check_balance()
 
     def test_chaos_with_rebalancing_is_deterministic(self, test_scenario):
@@ -429,6 +432,22 @@ class TestBreakdownOnRebalanceCruise:
         assert a.breakdowns > 0
         assert a.counters.get("rebalance.ticks", 0) > 0
         a.check_balance()
+
+    def test_a_breakdown_that_keeps_the_taxi_listed_fails_the_run(
+        self, test_scenario, monkeypatch
+    ):
+        """``MTShare.on_taxi_breakdown`` exists to delist the dead taxi:
+        skip that eviction and a contracts-armed faulted run fails."""
+        monkeypatch.setattr(
+            MTShare, "on_taxi_breakdown",
+            lambda scheme, taxi, now: scheme.cluster_index.update_taxi(taxi.taxi_id, None),
+        )
+        fleet = test_scenario.make_fleet(25, seed=1)
+        requests = test_scenario.requests()
+        plan = test_scenario.fault_plan("seed=5,breakdown_rate=0.3", fleet, requests)
+        sim = Simulator(test_scenario.make_scheme("mt-share"), fleet, requests, faults=plan)
+        with pytest.raises(ContractViolation, match="out of service"):
+            sim.run()
 
 
 class TestCancellation:

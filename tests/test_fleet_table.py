@@ -16,30 +16,27 @@ from repro.core.mobility_cluster import MobilityClusterIndex, MobilityVector, di
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.table import FleetTable
 from repro.fleet.taxi import Taxi, TaxiRoute
-from repro.index.partition_index import PartitionTaxiIndex
 from repro.sim.engine import Simulator
 from tests.conftest import make_request
 
-COLUMNS = ("plan_vertex", "plan_time", "spare", "busy", "route_end", "unit", "cluster", "arrivals")
+COLUMNS = ("plan_vertex", "plan_time", "spare", "busy", "route_end", "unit", "cluster")
 
 EAST = MobilityVector(0.0, 0.0, 100.0, 0.0)
 
 
 class World:
-    """Three taxis, three partitions, both indexes attached to one table."""
+    """Three taxis and a cluster index attached to one table."""
 
     def __init__(self):
         self.fleet = {tid: Taxi(taxi_id=tid, capacity=3, loc=tid) for tid in (4, 1, 9)}
-        self.table = FleetTable(self.fleet, 3)
-        self.pindex = PartitionTaxiIndex(3)
+        self.table = FleetTable(self.fleet)
         self.cindex = MobilityClusterIndex()
-        self.pindex.attach(self.table)
         self.cindex.attach(self.table)
         self.taxi = self.fleet[4]
         self.request = make_request(request_id=7, origin=2, destination=5, num_passengers=2)
 
     def check(self):
-        check_fleet_table(self.table, self.pindex, self.cindex)
+        check_fleet_table(self.table, self.cindex)
 
     def plan(self):
         """Assign the request and install a pick-up / drop-off route."""
@@ -71,7 +68,7 @@ class TestColumns:
         assert table.row_of == {1: 0, 4: 1, 9: 2}
         assert table.plan_vertex.tolist() == [1, 4, 9]
         assert table.spare.tolist() == [3, 3, 3] and not table.busy.any()
-        assert np.isnan(table.arrivals).all() and np.isnan(table.unit).all()
+        assert np.isnan(table.unit).all()
         assert table.cluster.tolist() == [-1, -1, -1]
         world.check()
 
@@ -106,14 +103,10 @@ class TestColumns:
 
     def test_index_columns(self):
         world = World()
-        world.pindex.update_taxi(9, {0: 4.0, 2: 8.0})
-        world.pindex.update_taxi(77, {1: 1.0})  # no table row: the lists only
         world.cindex.add_request(1, EAST)
         assert world.cindex.update_taxi(9, EAST) is not None
         world.cindex.update_taxi(1, MobilityVector(0.0, 0.0, 0.0, 0.0))
         world.check()
-        assert world.table.arrivals[[0, 2], 2].tolist() == [4.0, 8.0]
-        assert np.isnan(world.table.arrivals[1]).all()
         assert world.table.unit[2].tolist() == list(direction_unit(100.0, 0.0))
         assert world.table.unit[0].tolist() == [0.0, 0.0, 0.0]
         world.cindex.remove_request(1)  # the cluster dissolves
@@ -149,14 +142,6 @@ def _advance(world):
     world.taxi.advance(15.0)
 
 
-def _index_update(world):
-    world.pindex.update_taxi(4, {1: 12.0})
-
-
-def _index_remove(world):
-    world.pindex.remove_taxi(4)
-
-
 def _cluster_update(world):
     world.cindex.update_taxi(4, EAST)
 
@@ -167,11 +152,6 @@ def _cluster_dissolve(world):
 
 def _planned(world):
     world.plan()
-
-
-def _indexed(world):
-    world.plan()
-    world.pindex.update_taxi(4, {0: 10.0, 2: 20.0})
 
 
 def _clustered(world):
@@ -188,8 +168,6 @@ WRITE_SITES = {
     "Taxi.break_down": (Taxi, "break_down", _planned, _break_down),
     "Taxi.apply_delay": (Taxi, "apply_delay", _planned, _apply_delay),
     "Taxi.advance": (Taxi, "advance", _planned, _advance),
-    "PartitionTaxiIndex.update_taxi": (PartitionTaxiIndex, "update_taxi", None, _index_update),
-    "PartitionTaxiIndex.remove_taxi": (PartitionTaxiIndex, "remove_taxi", _indexed, _index_remove),
     "MobilityClusterIndex.update_taxi": (
         MobilityClusterIndex, "update_taxi", None, _cluster_update),
     "MobilityClusterIndex.remove_request": (

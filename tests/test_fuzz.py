@@ -5,14 +5,20 @@ parameters: whatever the draw, served trips respect deadlines, metrics
 stay consistent, and schemes never corrupt taxi state.  ``window-lap``
 draws its window, faults and rebalancing too, and every flush's bulk
 screen is checked against the per-request search, with the runtime
-contracts (the fleet table's included) armed by the suite.
+contracts (the fleet table's included) armed by the suite.  Greedy
+``mt-share`` / ``mt-share-pro`` runs mirror every partition-index write
+into the dict index it replaced and check, at every dispatch, the
+arrivals matrix against those lists and the candidate search against
+the walk over them.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.analysis import contracts
 from repro.config import SystemConfig
 from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
@@ -22,12 +28,14 @@ from repro.demand.prediction import DemandPredictor
 from repro.faults.plan import build_fault_plan, parse_fault_spec
 from repro.fleet.rebalance import Rebalancer, parse_rebalance_spec
 from repro.fleet.taxi import Taxi
+from repro.index.partition_index import PartitionTaxiIndex
 from repro.network import generators
 from repro.network.generators import grid_city
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.bipartite import bipartite_partition
 from repro.sim.engine import Simulator
+from tests.oracles import ReferencePartitionIndex, reference_candidate_taxis
 
 
 def random_city(seed: int):
@@ -122,6 +130,26 @@ def test_random_world_deterministic(seed):
     assert m_a.served_offline == m_b.served_offline
 
 
+def random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity, requests,
+                     faults=None):
+    """``scheme`` over a random fleet, with faults and rebalancing each
+    drawn on or off (``faults=True`` forces faults on)."""
+    fleet = random_fleet(rng, net.num_vertices, capacity)
+    plan = None
+    if rng.integers(0, 2) or faults:
+        spec = parse_fault_spec(
+            f"seed={seed},breakdown_rate={rng.uniform(0.05, 0.3):.2f},"
+            f"cancel_rate={rng.uniform(0.0, 0.2):.2f},shock_windows={int(rng.integers(0, 3))}"
+        )
+        plan = build_fault_plan(spec, fleet, requests, net)
+    rebalance = None
+    if rng.integers(0, 2):
+        predictor = DemandPredictor(rng.uniform(0.0, 5.0, size=(part.num_partitions, 24)))
+        rebalance = Rebalancer(parse_rebalance_spec("on"), predictor, landmarks, engine, net)
+    return Simulator(scheme, fleet, requests, payment=PaymentModel(), faults=plan,
+                     rebalance=rebalance)
+
+
 def random_window_run(seed: int):
     """A random city through ``window-lap``: the window drawn from
     0-120 s, faults and rebalancing each on or off."""
@@ -129,20 +157,7 @@ def random_window_run(seed: int):
     config = config.replace(dispatch_window_s=float(rng.choice([0.0, 10.0, 30.0, 60.0, 120.0])))
     landmarks = LandmarkGraph(net, part.partitions, engine)
     scheme = WindowLAP(net, engine, config, part, landmarks=landmarks)
-    fleet = random_fleet(rng, net.num_vertices, capacity)
-    faults = None
-    if rng.integers(0, 2):
-        spec = parse_fault_spec(
-            f"seed={seed},breakdown_rate={rng.uniform(0.05, 0.3):.2f},"
-            f"cancel_rate={rng.uniform(0.0, 0.2):.2f},shock_windows={int(rng.integers(0, 3))}"
-        )
-        faults = build_fault_plan(spec, fleet, requests, net)
-    rebalance = None
-    if rng.integers(0, 2):
-        predictor = DemandPredictor(rng.uniform(0.0, 5.0, size=(part.num_partitions, 24)))
-        rebalance = Rebalancer(parse_rebalance_spec("on"), predictor, landmarks, engine, net)
-    sim = Simulator(scheme, fleet, requests, payment=PaymentModel(), faults=faults,
-                    rebalance=rebalance)
+    sim = random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity, requests)
     return sim, scheme
 
 
@@ -170,3 +185,68 @@ def test_random_window_run_screens_like_the_per_request_search(seed):
     assert all(taxi.committed == 0 for taxi in sim.fleet.values())
     if scheme.dispatch_window_s >= 60.0:
         assert flushes, "no window held two requests"
+
+
+def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
+    """A random city through greedy ``mt-share`` (``-pro``), faults and
+    rebalancing each on or off, whose partition index is mirrored into
+    a :class:`ReferencePartitionIndex` and checked against it, and
+    whose candidate search is checked against the reference walk, at
+    every dispatch.  Returns the simulator and the candidate count of
+    each dispatch so far."""
+    rng, net, engine, part, config, capacity, requests = random_city(seed)
+    landmarks = LandmarkGraph(net, part.partitions, engine)
+    scheme = MTShare(net, engine, config, part, probabilistic=probabilistic,
+                     landmarks=landmarks)
+    sim = random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity,
+                           requests, faults=faults)
+    index = scheme.partition_index
+    reference = ReferencePartitionIndex(index.num_partitions)
+    for name in ("update_taxi", "remove_taxi"):
+        def mirrored(taxi_id, *args, _write=getattr(index, name), _name=name):
+            _write(taxi_id, *args)
+            getattr(reference, _name)(taxi_id, *args)
+        setattr(index, name, mirrored)
+
+    matcher = scheme.matcher
+    candidate_taxis = matcher.candidate_taxis
+    dispatches = []
+
+    def checked(request, fleet, now):
+        for z, row in enumerate(index.arrivals.tolist()):
+            listed = {
+                taxi_id: arrival
+                for taxi_id, arrival in zip(index.taxi_ids.tolist(), row)
+                if not math.isnan(arrival)
+            }
+            assert listed == reference.arrival_map(z), ("arrivals matrix", z, now)
+        got = candidate_taxis(request, fleet, now)
+        want = reference_candidate_taxis(matcher, reference, request, fleet, now)
+        assert [t.taxi_id for t in got] == [t.taxi_id for t in want], (request.request_id, now)
+        dispatches.append(len(got))
+        return got
+
+    matcher.candidate_taxis = checked
+    return sim, dispatches
+
+
+@pytest.mark.parametrize("probabilistic", (False, True), ids=("mt-share", "mt-share-pro"))
+@pytest.mark.parametrize("seed", range(8))
+def test_arrivals_matrix_is_the_partition_lists(seed, probabilistic):
+    """At every dispatch the matrix holds exactly the dict lists, and
+    the candidate search returns the dict walk's taxis in its order."""
+    sim, dispatches = mirrored_greedy_run(seed, probabilistic)
+    metrics = sim.run()
+    assert dispatches and any(dispatches)
+    assert metrics.completed == metrics.served
+
+
+def test_a_remove_that_keeps_the_taxi_listed_fails_the_mirror(monkeypatch):
+    """With ``remove_taxi`` a no-op a broken-down taxi stays listed, and
+    the next dispatch's matrix check fails (contracts off, so the
+    out-of-service contract does not fire first)."""
+    monkeypatch.setattr(PartitionTaxiIndex, "remove_taxi", lambda index, taxi_id: None)
+    monkeypatch.setattr(contracts, "_ENABLED", False)
+    sim, _ = mirrored_greedy_run(1, probabilistic=False, faults=True)
+    with pytest.raises(AssertionError, match="arrivals matrix"):
+        sim.run()

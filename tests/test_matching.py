@@ -1,5 +1,6 @@
 """Tests for passenger-taxi matching (candidate search + Algorithm 1)."""
 
+import math
 import random
 
 import numpy as np
@@ -31,6 +32,7 @@ def setup(tiny_net, tiny_engine):
     lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], tiny_engine)
     config = SystemConfig(search_range_m=500.0, num_partitions=3)
     pindex = PartitionTaxiIndex(3)
+    pindex.register(range(4))
     cindex = MobilityClusterIndex(lam=config.lam)
     router = BasicRouter(tiny_net, tiny_engine, PartitionFilter(lg))
     matcher = Matcher(tiny_net, tiny_engine, lg, pindex, cindex, config, router)
@@ -233,6 +235,7 @@ def build_matcher(tiny_net, tiny_engine, router):
     lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], tiny_engine)
     config = SystemConfig(search_range_m=500.0, num_partitions=3)
     pindex = PartitionTaxiIndex(3)
+    pindex.register(range(4))
     matcher = Matcher(
         tiny_net,
         tiny_engine,
@@ -335,10 +338,6 @@ class TestMatchObservability:
 # ----------------------------------------------------------------------
 # whole-window screening against the per-request search
 # ----------------------------------------------------------------------
-#: A taxi id the partition lists may hold but the fleet does not.
-STRANGER = 10**6
-
-
 class ScreeningWorld:
     """A mid-run ``mt-share`` world to screen requests against.
 
@@ -403,12 +402,6 @@ class ScreeningWorld:
         self.fleet[victim].break_down()
         self.scheme.on_taxi_breakdown(self.fleet[victim], self.now)
 
-    def index_stranger(self):
-        """List an id that is no taxi of the fleet (no table row) in a
-        random partition."""
-        z = self.rng.randrange(self.lg.num_partitions)
-        self.pindex.update_taxi(STRANGER, {z: self.now})
-
     def dissolve_clusters(self):
         for request in self.warmup:
             self.cindex.remove_request(request.request_id)
@@ -423,13 +416,13 @@ class ScreeningWorld:
             x, y = (float(c) for c in self.network.xy[taxi.loc])
             self.cindex.update_taxi(taxi.taxi_id, MobilityVector(x, y, x, y))
 
-    CORNERS = ("dissolve_clusters", "evict_broken", "index_stranger", "unit_none", "unit_zero")
+    CORNERS = ("dissolve_clusters", "evict_broken", "unit_none", "unit_zero")
 
     def screen(self, batch):
         """``(bulk, scalar)``: per request the candidate ids in order, plus
         the ``kernel.batched_reach_checks`` tally, from each tier."""
         fleet = self.fleet
-        check_fleet_table(self.table, self.pindex, self.cindex)
+        check_fleet_table(self.table, self.cindex)
         out = []
         for bulk in (True, False):
             obs = Instrumentation()
@@ -493,21 +486,10 @@ class TestBulkScreening:
         world.fleet[victim].break_down()
         world.scheme.on_taxi_breakdown(world.fleet[victim], world.now)
         assert victim in world.fleet
-        partitions = range(world.lg.num_partitions)
-        assert not any(victim in world.pindex.arrival_map(z) for z in partitions)
-        assert np.isnan(world.table.arrivals[:, world.table.row_of[victim]]).all()
+        assert np.isnan(world.pindex.arrivals[:, world.table.row_of[victim]]).all()
         bulk, scalar = world.screen(world.everywhere())
         assert bulk == scalar
         assert all(victim not in cands for cands in bulk[0])
-
-    def test_indexed_id_missing_from_the_table(self, test_scenario):
-        world = ScreeningWorld(test_scenario, 4)
-        for z in range(world.lg.num_partitions):
-            world.pindex.update_taxi(STRANGER, {z: world.now})
-        assert STRANGER not in world.fleet and STRANGER not in world.table.row_of
-        bulk, scalar = world.screen(world.everywhere())
-        assert bulk == scalar
-        assert any(bulk[0]) and all(STRANGER not in cands for cands in bulk[0])
 
     @pytest.mark.parametrize(
         "corners, cluster, unit",
@@ -570,9 +552,9 @@ class TestBulkScreening:
         batch = world.everywhere(rho=1.0)  # no waiting budget: gamma = 0
         empty = [
             r for r in batch
-            if not world.pindex.union_taxis(
+            if not world.pindex.listed_columns(
                 world.lg.partitions_intersecting_disc(*world.network.xy[r.origin].tolist(), 0.0)
-            )
+            ).size
         ]
         assert empty and len(empty) < len(batch)
         bulk, scalar = world.screen(batch)
@@ -585,7 +567,9 @@ class TestBulkScreening:
         cost = 64.0
         batch = []
         for z in range(world.lg.num_partitions):
-            for tid, arrival in sorted(world.pindex.arrival_map(z).items()):
+            for arrival in world.pindex.arrivals[z].tolist():
+                if math.isnan(arrival):
+                    continue
                 origin = world.lg.members(z)[0]
                 destination = (origin + 17) % world.network.num_vertices
                 for nudge in (0.0, 1e-9, -1e-9):  # at, just inside, just past
@@ -605,7 +589,7 @@ class TestBulkScreening:
         assert any(
             r.pickup_deadline == arrival
             for r in batch
-            for arrival in world.pindex.arrival_map(world.lg.partition_of(r.origin)).values()
+            for arrival in world.pindex.arrivals[world.lg.partition_of(r.origin)].tolist()
         )
         bulk, scalar = world.screen(batch)
         assert bulk == scalar
@@ -622,7 +606,9 @@ class TestBulkScreening:
             assert taxi.position_at(now) == (taxi.loc, now)
             for origin in range(0, world.network.num_vertices, 5):
                 z = world.lg.partition_of(origin)
-                if origin == taxi.loc or taxi.taxi_id in world.pindex.arrival_map(z):
+                if origin == taxi.loc or not math.isnan(
+                    world.pindex.arrivals[z, world.pindex.column_of[taxi.taxi_id]]
+                ):
                     continue
                 arrival = now + world.engine.cost(taxi.loc, origin)
                 for nudge in (0.0, 1e-9, -1e-9):

@@ -188,7 +188,7 @@ class TestClusterProperties:
 
 def attached_index(taxi_ids, lam=DEFAULT_LAMBDA):
     """A fresh index writing into a fleet table of ``taxi_ids``."""
-    table = FleetTable({tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in taxi_ids}, 1)
+    table = FleetTable({tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in taxi_ids})
     idx = MobilityClusterIndex(lam=lam)
     idx.attach(table)
     return idx, table
