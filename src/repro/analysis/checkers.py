@@ -451,10 +451,9 @@ class FloatEquality(Checker):
         "is precision-fragile; compare with a tolerance (exact-zero sentinel "
         "tests are exempt)."
     )
-    # Widened from the per-PR directory list to the whole tree (PR 9):
-    # originally scoped to routing/scheduling plus ch.py (whose
-    # bit-identical-to-scipy promise makes float == doubly dangerous);
-    # nothing about float precision respects directory boundaries.
+    # Covers the whole tree rather than the routing/scheduling
+    # directories: nothing about float precision respects directory
+    # boundaries.
     include = ()
 
     @staticmethod

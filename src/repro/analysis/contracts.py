@@ -235,16 +235,31 @@ def check_shock_scan(
 
 
 @invariant("every fleet-table column equals the object state it mirrors")
-def check_fleet_table(table: "FleetTable", cluster_index: "MobilityClusterIndex") -> None:
+def check_fleet_table(
+    table: "FleetTable",
+    cluster_index: "MobilityClusterIndex",
+    partition_index: "PartitionTaxiIndex",
+) -> None:
     """The columns of a :class:`~repro.fleet.table.FleetTable` against
-    the taxis and the mobility clusters.
+    the taxis and the mobility clusters, and its row order against the
+    partition index's column order.
 
     Each column is written only where its state changes, so a change
     site that forgets its write leaves a row that disagrees with its
     object, and fails here on the next boundary instead of silently
-    screening a stale taxi.  O(fleet), which is why it is a contract
-    and not part of the screen.
+    screening a stale taxi.  The window screen reads table row ``k``
+    and arrivals column ``k`` as one taxi, so the two layouts must
+    agree.  O(fleet), which is why it is a contract and not part of
+    the screen.
     """
+    rows = [taxi.taxi_id for taxi in table.taxis]
+    columns = partition_index.taxi_ids.tolist()
+    if rows != columns:
+        raise ContractViolation(
+            f"fleet table rows hold taxis {rows[:8]}..., partition index columns "
+            f"{columns[:8]}...: the window screen would pair one taxi's state with "
+            "another's arrivals"
+        )
     for row, taxi in enumerate(table.taxis):
         tid = taxi.taxi_id
         vertex, at = taxi.position_at(-math.inf)

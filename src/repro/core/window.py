@@ -317,9 +317,10 @@ class WindowLAP(MTShare):
 
     def check_fleet_table(self) -> None:
         """mT-Share's index contract, plus every fleet-table column
-        against the state it mirrors."""
+        against the state it mirrors and the table's row order against
+        the partition index's columns."""
         super().check_fleet_table()
-        contracts.check_fleet_table(self._table, self._cindex)
+        contracts.check_fleet_table(self._table, self._cindex, self._pindex)
 
     def index_memory_bytes(self) -> int:
         """Both index views plus the fleet table."""

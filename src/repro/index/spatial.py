@@ -66,10 +66,6 @@ class GridSpatialIndex:
             if not bucket:
                 del self._cells[key]
 
-    def position(self, obj_id: int) -> tuple[float, float]:
-        """Stored position of ``obj_id``."""
-        return self._positions[obj_id]
-
     def query_radius(self, x: float, y: float, radius_m: float) -> list[tuple[int, float]]:
         """Objects within ``radius_m`` of ``(x, y)`` with exact distances.
 

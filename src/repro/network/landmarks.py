@@ -155,7 +155,7 @@ class LandmarkGraph:
             sub = matrices[0][np.ix_(idx, idx)]
             sub = np.where(np.isfinite(sub), sub, np.nanmax(sub[np.isfinite(sub)], initial=0.0) * 2 + 1)
             return int(idx[np.argmin(sub.sum(axis=1))])
-        # Lazy and ch: fall back to the Euclidean medoid, a standard
+        # Lazy: fall back to the Euclidean medoid, a standard
         # approximation that avoids |P| single-source searches.  The two
         # rules can pick different landmarks, so this is a backend
         # inequality of its own (hence ``engine_mode`` in the landmarks key).
@@ -181,9 +181,7 @@ class LandmarkGraph:
     def _build_landmark_costs(self) -> np.ndarray:
         # One batched many-to-many query instead of kappa single-source
         # trees: full/lazy modes slice or gather exactly the same rows
-        # (values bit-identical to the old per-landmark loop), and the
-        # ch backend answers it with one bucket-based sweep instead of
-        # kappa full Dijkstras (see repro.network.ch).
+        # (values bit-identical to the old per-landmark loop).
         return np.asarray(
             self._engine.cost_matrix(self._landmarks, self._landmarks),
             dtype=np.float64,

@@ -7,12 +7,9 @@ builds the full all-pairs matrix with scipy's C Dijkstra; on larger
 graphs it falls back to per-source computation with a bounded LRU memo,
 which keeps memory bounded while staying fast for the skewed query
 distributions a dispatcher generates; ``mode="auto"`` picks it above
-:data:`FULL_APSP_LIMIT`.  The contraction-hierarchy backend
-(``mode="ch"``, :mod:`repro.network.ch`) answers the same queries with
-bit-identical distances from a hierarchy it contracts at construction
-and stores nowhere; it runs only when asked for, because the lazy memo
-measured faster end to end at every size from 1.6k to 200k vertices
-(docs/PERFORMANCE.md, "Routing backends").
+:data:`FULL_APSP_LIMIT`.  A contraction hierarchy was tried and removed:
+the lazy memo measured faster end to end at every size from 1.6k to
+200k vertices (docs/PERFORMANCE.md, "Routing backends").
 
 :func:`dijkstra_restricted` is the segment-level router of basic
 routing (Algorithm 3): a Dijkstra over an *allowed vertex set* (the
@@ -20,8 +17,8 @@ union of the partitions that survived partition filtering).  It takes
 the induced CSR subgraph of the allowed set — memoised per set on the
 network itself (:meth:`RoadNetwork.induced_subgraph`), so repeated legs
 through the same corridor skip the rebuild — and runs scipy's C
-Dijkstra on it.  It serves the ``lazy`` and ``ch`` engines only, which
-have imported scipy already; on their corridors (hundreds of vertices)
+Dijkstra on it.  It serves the ``lazy`` engine only, which has
+imported scipy already; on its corridors (hundreds of vertices)
 scipy is the faster search.  Probabilistic routing (Algorithm 4)
 searches its own, smaller corridors, vertex weights folded in, with an
 in-tree heap Dijkstra (:class:`repro.core.routing.CorridorGraph`), so
@@ -37,20 +34,19 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..memo import BoundedMemo, memo_stats
-from .ch import ContractionHierarchy
 from .graph import RoadNetwork
 
 #: Above this vertex count the full all-pairs matrix is not materialised.
 FULL_APSP_LIMIT = 6_000
 
-_SP_MODES = ("full", "lazy", "ch")
+_SP_MODES = ("full", "lazy")
 
 
 def resolve_sp_mode(mode: str, num_vertices: int) -> str:
     """Resolve an engine mode string by the size rule.
 
     ``"auto"`` picks ``full`` at or below :data:`FULL_APSP_LIMIT`
-    vertices and ``lazy`` above it; ``ch`` runs only when named.
+    vertices and ``lazy`` above it.
     """
     if mode == "auto":
         mode = "full" if num_vertices <= FULL_APSP_LIMIT else "lazy"
@@ -75,9 +71,8 @@ class ShortestPathEngine:
         The road network to route on.
     mode:
         ``"full"`` precomputes the all-pairs matrix up front, ``"lazy"``
-        computes single-source trees on demand, ``"ch"`` contracts a
-        hierarchy in memory (:mod:`repro.network.ch`), ``"auto"``
-        (default) picks ``"full"`` at or below :data:`FULL_APSP_LIMIT`
+        computes single-source trees on demand, ``"auto"`` (default)
+        picks ``"full"`` at or below :data:`FULL_APSP_LIMIT`
         vertices and ``"lazy"`` above.
     full_arrays:
         Optional precomputed ``(dist, pred)`` matrices for ``"full"``
@@ -91,7 +86,7 @@ class ShortestPathEngine:
 
     #: ``stats()`` keys that are point-in-time gauges; every other key
     #: is a monotone tally that harvesters should turn into a delta.
-    STAT_GAUGES = frozenset({"spe.cache_entries"}) | ContractionHierarchy.STAT_GAUGES
+    STAT_GAUGES = frozenset({"spe.cache_entries"})
 
     def __init__(
         self,
@@ -112,19 +107,14 @@ class ShortestPathEngine:
         self._mode = mode
         self._dist: np.ndarray | None = None
         self._pred: np.ndarray | None = None
-        #: Per-source ``(dist, pred)`` trees: the primary store in
-        #: ``"lazy"`` mode, the row-query fallback in ``"ch"`` mode.  Its
-        #: ``hits`` also tally ``"full"``-mode queries — there every query
+        #: Per-source ``(dist, pred)`` trees, the store of ``"lazy"``
+        #: mode.  Its ``hits`` also tally ``"full"``-mode queries — there every query
         #: is a hit, the whole matrix being the cache.
         self._rows: BoundedMemo[int, tuple[np.ndarray, np.ndarray]] = BoundedMemo(
             LAZY_CACHE_SIZE
         )
         #: Whether the full matrices are memory-mapped (zero-copy).
         self.full_mmapped = False
-        #: The contraction hierarchy backing ``"ch"`` mode, if any.
-        self._ch: ContractionHierarchy | None = (
-            ContractionHierarchy.build(network) if mode == "ch" else None
-        )
         if mode == "full":
             if full_arrays is not None:
                 dist, pred = full_arrays
@@ -154,7 +144,7 @@ class ShortestPathEngine:
 
     @property
     def mode(self) -> str:
-        """``"full"``, ``"lazy"`` or ``"ch"``."""
+        """``"full"`` or ``"lazy"``."""
         return self._mode
 
     def _build_full(self) -> None:
@@ -191,8 +181,6 @@ class ShortestPathEngine:
         """
         if u == v:
             return 0.0
-        if self._ch is not None:
-            return self._ch.distance_m(u, v)
         return float(self.dist_row(u)[v])
 
     def cost(self, u: int, v: int) -> float:
@@ -212,8 +200,6 @@ class ShortestPathEngine:
         are ``inf``.
         """
         vs = np.asarray(vs, dtype=np.int64)
-        if self._ch is not None:
-            return self._ch.cost_matrix_m([u], vs.tolist())[0] / self._network.speed_mps
         return self.dist_row(u)[vs] / self._network.speed_mps
 
     def cost_matrix(
@@ -228,8 +214,6 @@ class ShortestPathEngine:
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         speed = self._network.speed_mps
-        if self._ch is not None:
-            return self._ch.cost_matrix_m(us.tolist(), vs.tolist()) / speed
         if self._mode == "full":
             assert self._dist is not None
             self._rows.hits += us.size
@@ -267,11 +251,6 @@ class ShortestPathEngine:
         """
         if u == v:
             return [u]
-        if self._ch is not None:
-            found = self._ch.path(u, v)
-            if found is None:
-                raise PathNotFound(f"no path from {u} to {v}")
-            return found
         dist, pred = self._source_tree(u)
         if not np.isfinite(dist[v]):
             raise PathNotFound(f"no path from {u} to {v}")
@@ -290,11 +269,8 @@ class ShortestPathEngine:
         paths: callers hold the row and read single entries with
         ``row.item(v)``, which matches :meth:`distance_m` bit for bit
         (``row.item(v) / speed`` equals :meth:`cost`).  Works in every
-        mode; lazy and ch modes compute/cache the source tree on demand
-        (full rows are the one query shape a hierarchy does not
-        accelerate, so ``ch`` serves them from the same per-source LRU
-        as lazy mode — values identical either way).  Treat the row as
-        read-only.
+        mode; lazy mode computes and caches the source tree on demand.
+        Treat the row as read-only.
 
         Every distance-only query reads through here, tallied as one
         cache hit per row like :meth:`_source_tree`; only :meth:`path`
@@ -327,13 +303,9 @@ class ShortestPathEngine:
         The single harvesting surface for the observability layer: the
         simulator snapshots this at run start and gauges the deltas at
         run end (keys in :data:`STAT_GAUGES` are point-in-time values
-        and are reported as-is).  Contains ``spe.cache_*`` always and
-        ``sp.ch.*`` in ``"ch"`` mode.
+        and are reported as-is): the ``spe.cache_*`` tallies.
         """
-        out = memo_stats([("spe.cache", self._rows)])
-        if self._ch is not None:
-            out.update(self._ch.stats_snapshot())
-        return out
+        return memo_stats([("spe.cache", self._rows)])
 
     def full_matrices(self) -> tuple[np.ndarray, np.ndarray] | None:
         """The ``(dist, pred)`` all-pairs matrices, or ``None`` in lazy mode.
@@ -357,8 +329,6 @@ class ShortestPathEngine:
             total += self._dist.nbytes
         if self._pred is not None:
             total += self._pred.nbytes
-        if self._ch is not None:
-            total += self._ch.memory_bytes()
         for dist, pred in self._rows.values():
             total += dist.nbytes + pred.nbytes
         return total

@@ -1102,9 +1102,9 @@ class Simulator:
             self._obs.event("unsettled_episode", taxi=tid, t=self._now)
 
         obs = self._obs
-        # One harvest for every engine counter (spe.cache_* in all modes,
-        # sp.ch.* for the hierarchy backend) and every memo: monotone
-        # tallies become this run's delta, gauges are reported as-is.
+        # One harvest for every engine counter (spe.cache_*) and every
+        # memo: monotone tallies become this run's delta, gauges are
+        # reported as-is.
         gauges = self._scheme.engine.STAT_GAUGES | {
             f"{name}_entries" for name, _memo in self._scheme.memos()
         }

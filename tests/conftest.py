@@ -199,7 +199,6 @@ def sp_mode_scenarios(test_spec, test_scenario):
     return {
         "full": test_scenario,
         "lazy": get_scenario(dataclasses.replace(test_spec, sp_mode="lazy")),
-        "ch": get_scenario(dataclasses.replace(test_spec, sp_mode="ch")),
     }
 
 

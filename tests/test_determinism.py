@@ -235,7 +235,6 @@ MATRIX = [
     Leg("window-lap", window=30.0, exercises=("window.lap_solves", "window.rolled")),
     Leg("window-lap", window=0.0, exercises=("window.flushes",)),
     Leg("mt-share", sp_mode="lazy"),
-    Leg("mt-share", sp_mode="ch", exercises=("sp.ch.queries",)),
     Leg("mt-share", faults=CHAOS,
         exercises=("fault.breakdowns", "fault.cancellations", "fault.shock_delays")),
     Leg("mt-share", rebalance="on", exercises=("rebalance.moves",)),

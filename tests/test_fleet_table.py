@@ -1,7 +1,8 @@
 """The fleet table (``repro.fleet.table``) and its contract.
 
 Every column is written where its state changes, and
-``contracts.check_fleet_table`` compares every column with the objects.
+``contracts.check_fleet_table`` compares every column with the objects,
+and the table's row order with the partition index's column order.
 Each write site gets a mutation here: the site runs with its writes
 undone, and the contract must fail on the next check.
 """
@@ -16,6 +17,7 @@ from repro.core.mobility_cluster import MobilityClusterIndex, MobilityVector, di
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.table import FleetTable
 from repro.fleet.taxi import Taxi, TaxiRoute
+from repro.index.partition_index import PartitionTaxiIndex
 from repro.sim.engine import Simulator
 from tests.conftest import make_request
 
@@ -25,18 +27,21 @@ EAST = MobilityVector(0.0, 0.0, 100.0, 0.0)
 
 
 class World:
-    """Three taxis and a cluster index attached to one table."""
+    """Three taxis, a cluster index attached to one table, and a
+    partition index laid out over the same fleet."""
 
     def __init__(self):
         self.fleet = {tid: Taxi(taxi_id=tid, capacity=3, loc=tid) for tid in (4, 1, 9)}
         self.table = FleetTable(self.fleet)
         self.cindex = MobilityClusterIndex()
         self.cindex.attach(self.table)
+        self.pindex = PartitionTaxiIndex(2)
+        self.pindex.register(self.fleet)
         self.taxi = self.fleet[4]
         self.request = make_request(request_id=7, origin=2, destination=5, num_passengers=2)
 
     def check(self):
-        check_fleet_table(self.table, self.cindex)
+        check_fleet_table(self.table, self.cindex, self.pindex)
 
     def plan(self):
         """Assign the request and install a pick-up / drop-off route."""
@@ -203,4 +208,21 @@ def test_a_run_checks_the_table_at_its_boundaries(test_scenario, monkeypatch):
     sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
     monkeypatch.setattr(Taxi, "_write_seats", lambda taxi: None)
     with pytest.raises(ContractViolation, match="fleet table spare"):
+        sim.run()
+
+
+def test_a_run_checks_the_table_order_against_the_partition_index(test_scenario, monkeypatch):
+    """The window screen pairs table row ``k`` with arrivals column ``k``:
+    a partition index laid out descending by id fails the run."""
+    register = PartitionTaxiIndex.register
+
+    def descending(index, taxi_ids):
+        register(index, taxi_ids)
+        index.taxi_ids = index.taxi_ids[::-1].copy()
+        index.column_of = {tid: k for k, tid in enumerate(index.taxi_ids.tolist())}
+
+    scheme = test_scenario.make_scheme("window-lap")
+    sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
+    monkeypatch.setattr(PartitionTaxiIndex, "register", descending)
+    with pytest.raises(ContractViolation, match="partition index columns"):
         sim.run()

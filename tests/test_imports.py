@@ -61,7 +61,6 @@ NO_SCIPY_CELLS = [
 #: Cells that do: (scheme, sp_mode, a module construction must have loaded).
 SCIPY_CELLS = [
     ("mt-share", "lazy", "scipy.sparse.csgraph"),
-    ("mt-share", "ch", "scipy.sparse.csgraph"),
     ("mt-share-pro", "lazy", "scipy.sparse.csgraph"),
 ]
 

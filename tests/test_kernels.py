@@ -198,11 +198,10 @@ class TestBatchedCosts:
         vs = rng.integers(0, net.num_vertices, size=40)
         us[3], vs[3] = us[0], us[0]  # a zero-length leg, and repeated endpoints
         us[7] = us[0]
-        for backend in (engine, ShortestPathEngine(net, mode="ch")):
-            legs = backend.cost_pairs(us, vs)
-            assert legs.shape == (40,)
-            for u, v, leg in zip(us, vs, legs):
-                assert leg == backend.cost(int(u), int(v))
+        legs = engine.cost_pairs(us, vs)
+        assert legs.shape == (40,)
+        for u, v, leg in zip(us, vs, legs):
+            assert leg == engine.cost(int(u), int(v))
 
     def test_cost_matrix_accepts_lists(self, net, engine):
         mat = engine.cost_matrix([0, 3], [1])

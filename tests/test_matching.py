@@ -422,7 +422,7 @@ class ScreeningWorld:
         """``(bulk, scalar)``: per request the candidate ids in order, plus
         the ``kernel.batched_reach_checks`` tally, from each tier."""
         fleet = self.fleet
-        check_fleet_table(self.table, self.cindex)
+        check_fleet_table(self.table, self.cindex, self.pindex)
         out = []
         for bulk in (True, False):
             obs = Instrumentation()
@@ -450,7 +450,7 @@ class TestBulkScreening:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**20),
-        sp_mode=st.sampled_from(("full", "lazy", "ch")),
+        sp_mode=st.sampled_from(("full", "lazy")),
         adaptive=st.booleans(),
         taxis=st.integers(1, 14),
         warmup=st.integers(0, 60),
@@ -469,7 +469,7 @@ class TestBulkScreening:
         bulk, scalar = world.screen(batch)
         assert bulk == scalar
 
-    @pytest.mark.parametrize("sp_mode", ("full", "lazy", "ch"))
+    @pytest.mark.parametrize("sp_mode", ("full", "lazy"))
     @pytest.mark.parametrize("adaptive", (True, False))
     def test_every_backend_and_search_range(self, sp_mode_scenarios, sp_mode, adaptive):
         world = ScreeningWorld(sp_mode_scenarios[sp_mode], 3, mtshare_adaptive_gamma=adaptive)

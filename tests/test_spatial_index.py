@@ -25,7 +25,7 @@ class TestBasics:
         idx.insert(1, 0.0, 0.0)
         idx.insert(1, 1000.0, 1000.0)
         assert len(idx) == 1
-        assert idx.position(1) == (1000.0, 1000.0)
+        assert idx.query_radius(1000.0, 1000.0, 1.0) == [(1, 0.0)]
         assert idx.query_radius(0.0, 0.0, 10.0) == []
 
     def test_remove(self):

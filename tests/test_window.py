@@ -227,7 +227,7 @@ class TestCostMatrixEquivalence:
     def test_matrix_matches_scalar_reference(self, test_scenario, monkeypatch):
         self._assert_matches_reference(test_scenario, monkeypatch)
 
-    @pytest.mark.parametrize("sp_mode", ["full", "lazy", "ch"])
+    @pytest.mark.parametrize("sp_mode", ["full", "lazy"])
     def test_matrix_matches_scalar_reference_on(self, sp_mode_scenarios, sp_mode, monkeypatch):
         """Every routing backend."""
         assert sp_mode_scenarios[sp_mode].engine.mode == sp_mode
