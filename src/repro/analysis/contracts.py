@@ -234,59 +234,65 @@ def check_shock_scan(
             )
 
 
-@invariant("every fleet-table column equals the object state it mirrors")
-def check_fleet_table(
-    table: "FleetTable",
-    cluster_index: "MobilityClusterIndex",
-    partition_index: "PartitionTaxiIndex",
-) -> None:
+@invariant("every fleet-table column equals the taxi state it mirrors")
+def check_fleet_table(table: "FleetTable") -> None:
     """The columns of a :class:`~repro.fleet.table.FleetTable` against
-    the taxis and the mobility clusters, and its row order against the
-    partition index's column order.
+    its taxis.
 
     Each column is written only where its state changes, so a change
     site that forgets its write leaves a row that disagrees with its
-    object, and fails here on the next boundary instead of silently
-    screening a stale taxi.  The window screen reads table row ``k``
-    and arrivals column ``k`` as one taxi, so the two layouts must
-    agree.  O(fleet), which is why it is a contract and not part of
-    the screen.
+    taxi, and fails here on the next boundary instead of silently
+    screening a stale taxi.  O(fleet), which is why it is a contract
+    and not part of the screen.
     """
-    rows = [taxi.taxi_id for taxi in table.taxis]
-    columns = partition_index.taxi_ids.tolist()
-    if rows != columns:
-        raise ContractViolation(
-            f"fleet table rows hold taxis {rows[:8]}..., partition index columns "
-            f"{columns[:8]}...: the window screen would pair one taxi's state with "
-            "another's arrivals"
-        )
     for row, taxi in enumerate(table.taxis):
-        tid = taxi.taxi_id
         vertex, at = taxi.position_at(-math.inf)
         routed = taxi.schedule and taxi.next_due < math.inf
-        end = taxi.route.times[-1] if routed else -math.inf
-        unit = cluster_index.taxi_unit(tid)
-        cluster = cluster_index.cluster_of_taxi(tid)
         expected = {
             "plan_vertex": (table.plan_vertex[row], vertex),
             "plan_time": (table.plan_time[row], at),
             "spare": (table.spare[row], taxi.capacity - taxi.committed),
             "busy": (table.busy[row], bool(taxi.schedule)),
-            "route_end": (table.route_end[row], end),
-            "cluster": (table.cluster[row], -1 if cluster is None else cluster),
+            "route_end": (table.route_end[row], taxi.route.times[-1] if routed else -math.inf),
         }
         for name, (got, want) in expected.items():
             if got != want:
                 raise ContractViolation(
-                    f"fleet table {name} of taxi {tid} is {got}, its state says {want}: "
-                    "a change site skipped its write"
+                    f"fleet table {name} of taxi {taxi.taxi_id} is {got}, its state says "
+                    f"{want}: a change site skipped its write"
                 )
-        units = table.unit[row].tolist()
-        if (unit is None and not all(map(math.isnan, units))) or (
-            unit is not None and units != list(unit)
-        ):
+
+
+@invariant("a taxi's cluster cell names a live cluster, and a dead taxi has none")
+def check_cluster_columns(
+    fleet: "Mapping[int, Taxi]", cluster_index: "MobilityClusterIndex"
+) -> None:
+    """The taxi columns of a
+    :class:`~repro.core.mobility_cluster.MobilityClusterIndex`.
+
+    Every ``cluster`` cell is ``-1`` or a live cluster id, so a cluster
+    that dissolved without clearing its cells fails here.  An
+    out-of-service taxi has cluster ``-1`` and a NaN ``unit`` row: the
+    scheme's breakdown hook clears both, or the dead taxi's last
+    direction would keep it in candidate sets.  O(fleet).
+    """
+    live = set(cluster_index.cluster_ids())
+    stale = sorted({c for c in cluster_index.cluster.tolist() if c != -1 and c not in live})
+    if stale:
+        raise ContractViolation(
+            f"cluster cells name clusters {stale}, which no longer exist: "
+            "a dissolving cluster left its taxis' cells set"
+        )
+    for tid, taxi in fleet.items():
+        if not taxi.out_of_service:
+            continue
+        column = cluster_index.column_of[tid]
+        cluster = int(cluster_index.cluster[column])
+        unit = cluster_index.unit[column].tolist()
+        if cluster != -1 or not all(map(math.isnan, unit)):
             raise ContractViolation(
-                f"fleet table unit of taxi {tid} is {units}, the cluster index says {unit}"
+                f"taxi {tid} is out of service but has cluster {cluster} and unit {unit}: "
+                "its breakdown skipped the cluster eviction"
             )
 
 
@@ -317,6 +323,7 @@ def check_out_of_service_unlisted(
 __all__ = [
     "ENV_VAR",
     "ContractViolation",
+    "check_cluster_columns",
     "check_due_index",
     "check_fleet_table",
     "check_monotone_clock",

@@ -232,11 +232,11 @@ class Matcher:
         # similarity fallback below.
         req_unit = direction_unit(*vec.direction)
         # A taxi belongs to the aligned-taxi union exactly when its one
-        # cluster is a matching cluster, so membership is a dict + set
-        # probe — no per-dispatch union materialisation.
+        # cluster is a matching cluster, so membership is a set probe of
+        # its cluster cell — no per-dispatch union materialisation.
         matching_cids = set(cindex.matching_clusters(vec))
-        cluster_of_taxi = cindex.cluster_of_taxi
-        taxi_unit = cindex.taxi_unit
+        pool_clusters = cindex.cluster.take(pool).tolist()
+        units = cindex.unit
 
         origin = request.origin
         origin_partition = self._lg.partition_of(origin)
@@ -256,8 +256,9 @@ class Matcher:
         exact_ready: list[float] = []
         exact_nodes: list[int] = []
         exact_checks = 0
-        for taxi_id, arrival in zip(pindex.taxi_ids.take(pool).tolist(), pool_arrivals):
-            taxi = fleet[taxi_id]
+        taxi_ids = pindex.taxi_ids
+        for column, arrival, cid in zip(pool.tolist(), pool_arrivals, pool_clusters):
+            taxi = fleet[taxi_ids[column]]
             # Rule 2: no idle capacity -> out.  (Checked first: it is
             # one integer compare, the direction rules cost float math;
             # the rules are independent filters so the surviving set is
@@ -269,21 +270,20 @@ class Matcher:
             # mobility cluster is aligned, or — since clusters assign
             # each taxi to a single best cluster and can therefore miss
             # borderline cases — their own mobility vector is.  (This
-            # stays scalar on purpose: a dispatch sees ~15 misaligned
+            # stays scalar on purpose: a dispatch sees ~20 misaligned
             # taxis, below the break-even size of the array kernel; the
             # taxi-side normalised components come precomputed from the
-            # cluster index.)
-            if taxi.schedule and cluster_of_taxi(taxi_id) not in matching_cids:
-                unit = taxi_unit(taxi_id)
-                if unit is None:
+            # cluster index, one row read per misaligned taxi.)
+            if taxi.schedule and cid not in matching_cids:
+                ux, uy, norm = units[column].tolist()
+                if norm != norm:  # a NaN row: no mobility vector
                     continue
-                if unit is not ZERO_UNIT and req_unit is not ZERO_UNIT:
+                if norm != 0.0 and req_unit is not ZERO_UNIT:
                     # Inline ``unit_similarity`` (bit-identical to
                     # ``vec.similarity(taxi_vector)``; the dot product
-                    # commutes multiplication-wise).
-                    value = (unit[0] * req_unit[0] + unit[1] * req_unit[1]) / (
-                        unit[2] * req_unit[2]
-                    )
+                    # commutes multiplication-wise).  A zero norm is
+                    # :data:`ZERO_UNIT`: any other unit's is at least 1.
+                    value = (ux * req_unit[0] + uy * req_unit[1]) / (norm * req_unit[2])
                     if max(-1.0, min(1.0, value)) < lam:
                         continue
             # Rule 3: must reach the pick-up before its deadline.  The
@@ -330,10 +330,10 @@ class Matcher:
         ``candidate_taxis(batch[i], fleet, now)`` taxi for taxi, where
         ``fleet`` holds ``table``'s taxis.  The taxi side of every rule
         is a column of the fleet table (planning position, seats, busy
-        flag, cluster, direction unit) or of the partition index's
-        ``P_z.L_t`` arrivals (whose columns are the table's rows: both
-        ascend by taxi id), kept current where the state changes, so
-        the pool and the three rules
+        flag), of the partition index's ``P_z.L_t`` arrivals, or of the
+        cluster index (cluster, direction unit) — one layout: table row
+        ``k`` is column ``k`` of both indexes — kept current where the
+        state changes, so the pool and the three rules
         become ``(R, T)`` boolean / float64 expressions and the only
         per-taxi Python work is the surviving columns' insertion starts.
         Every float operation is :meth:`candidate_taxis`'s, on the same
@@ -374,8 +374,9 @@ class Matcher:
             directions = (xy[[r.destination for r in batch]] - origin_xy).tolist()
             request_units = np.array([direction_unit(dx, dy) for dx, dy in directions])
             busy = np.flatnonzero(table.busy)
-            keep[:, busy] &= self._cindex.alignment_mask(
-                request_units, table.cluster[busy], table.unit[busy]
+            cindex = self._cindex
+            keep[:, busy] &= cindex.alignment_mask(
+                request_units, cindex.cluster[busy], cindex.unit[busy]
             )
 
             # Rule 3: the indexed arrival at the origin's partition admits;

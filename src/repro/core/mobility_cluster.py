@@ -8,40 +8,36 @@ against a threshold ``lambda`` (the paper defaults to cos 45 deg ~ 0.707).
 Requests and busy taxis are grouped into *mobility clusters*: the first
 request seeds a cluster, later ones join the best cluster whose general
 vector is within ``lambda`` or found a new one.  Each cluster maintains
-a *general mobility vector* (member origins and destinations averaged)
-and a taxi list ``C_a.L_t`` of the busy taxis travelling the same way —
-the right-hand side of the candidate-search intersection (Eq. 3).
-Attached to a :class:`~repro.fleet.table.FleetTable`, the index writes
-each taxi's cluster and direction unit into the table's columns.
+a *general mobility vector* (member origins and destinations averaged).
+The taxi side is two columns over the registered fleet, each taxi's
+cluster and its direction unit; the taxi list ``C_a.L_t`` of the busy
+taxis travelling cluster ``a``'s way — the right-hand side of the
+candidate-search intersection (Eq. 3) — is ``cluster == a``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..config import DEFAULT_LAMBDA
 from ..network.geo import cosine_similarity
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..fleet.table import FleetTable
-
 #: Sentinel unit for a zero-length direction: aligned with everything
 #: (:func:`cosine_similarity` returns 1.0 for degenerate vectors).
 ZERO_UNIT = (0.0, 0.0, 0.0)
-
-#: A taxi without a mobility vector, as the fleet table's ``unit`` row.
-_NO_UNIT = (math.nan, math.nan, math.nan)
 
 
 def direction_unit(dx: float, dy: float) -> tuple[float, float, float]:
     """``(x/scale, y/scale, hypot(...))`` — the rescaled components and
     norm that :func:`cosine_similarity` derives from a direction, cached
     so the per-dispatch alignment tests skip straight to the dot
-    product.  :data:`ZERO_UNIT` (by identity) marks degenerate vectors.
+    product.  :data:`ZERO_UNIT` (by identity) marks degenerate vectors;
+    any other unit has norm at least 1, so a stored ``unit[2] == 0.0``
+    marks them too.
     """
     scale = max(abs(dx), abs(dy))
     if scale == 0.0:
@@ -113,7 +109,6 @@ class _Cluster:
         "sum_oy",
         "sum_dx",
         "sum_dy",
-        "taxis",
         "_cached_vector",
     )
 
@@ -124,7 +119,6 @@ class _Cluster:
         self.sum_oy = 0.0
         self.sum_dx = 0.0
         self.sum_dy = 0.0
-        self.taxis: set[int] = set()
         self._cached_vector: MobilityVector | None = None
 
     def add(self, member_id: int, vec: MobilityVector) -> None:
@@ -153,13 +147,24 @@ class _Cluster:
 
 
 class MobilityClusterIndex:
-    """Incremental mobility clustering of requests plus taxi lists.
+    """Incremental mobility clustering of requests plus taxi columns.
 
     Parameters
     ----------
     lam:
         Direction threshold ``lambda``; joining a cluster requires the
         cosine similarity with its general vector to reach ``lam``.
+
+    Attributes
+    ----------
+    cluster:
+        One int64 cell per registered taxi: the cluster whose taxi list
+        holds it, ``-1`` for none.
+    unit:
+        ``(taxis, 3)`` float64: each taxi's :func:`direction_unit`, a
+        NaN row for a taxi without a mobility vector.
+    column_of:
+        Taxi id -> its cell, the layout :meth:`register` was given.
 
     The index is updated only when requests arrive or finish and when
     taxi routes change, as the paper prescribes ("negligible
@@ -172,8 +177,6 @@ class MobilityClusterIndex:
         self._lam = float(lam)
         self._clusters: dict[int, _Cluster] = {}
         self._cluster_of_request: dict[int, int] = {}
-        self._cluster_of_taxi: dict[int, int] = {}
-        self._taxi_units: dict[int, tuple[float, float, float]] = {}
         self._next_id = 0
         # Cached (cluster ids, normalised direction units) over the live
         # clusters, rebuilt lazily after membership changes; the
@@ -181,22 +184,15 @@ class MobilityClusterIndex:
         # dot product per cluster (a dispatch sees ~a dozen clusters,
         # below the break-even size of an array kernel).
         self._table: tuple[list[int], list[tuple[float, float, float]]] | None = None
-        self._fleet_table: FleetTable | None = None
+        self.register({})
 
-    def attach(self, table: FleetTable) -> None:
-        """Write every later change of a taxi's cluster or unit into
-        ``table``; attach before the first update."""
-        self._fleet_table = table
-
-    def _write_taxi(self, taxi_id: int) -> None:
-        """Mirror one taxi's cluster and unit into the attached table."""
-        table = self._fleet_table
-        row = None if table is None else table.row_of.get(taxi_id)
-        if table is None or row is None:
-            return
-        cid = self._cluster_of_taxi.get(taxi_id)
-        table.cluster[row] = -1 if cid is None else cid
-        table.unit[row] = self._taxi_units.get(taxi_id, _NO_UNIT)
+    def register(self, column_of: Mapping[int, int]) -> None:
+        """Give each taxi of ``column_of`` (id -> cell, ``0..n-1``) its
+        cells, with no cluster and no vector.  Call before the first
+        update."""
+        self.column_of = column_of
+        self.cluster = np.full(len(column_of), -1, dtype=np.int64)
+        self.unit = np.full((len(column_of), 3), math.nan)
 
     # ------------------------------------------------------------------
     @property
@@ -216,10 +212,6 @@ class MobilityClusterIndex:
     def cluster_of_request(self, request_id: int) -> int | None:
         """Cluster holding ``request_id``, if any."""
         return self._cluster_of_request.get(request_id)
-
-    def cluster_of_taxi(self, taxi_id: int) -> int | None:
-        """Cluster whose taxi list holds ``taxi_id``, if any."""
-        return self._cluster_of_taxi.get(taxi_id)
 
     # ------------------------------------------------------------------
     # request side
@@ -279,9 +271,7 @@ class MobilityClusterIndex:
         cluster = self._clusters[cid]
         cluster.remove(request_id)
         if not cluster.members:
-            for taxi_id in cluster.taxis:
-                self._cluster_of_taxi.pop(taxi_id, None)
-                self._write_taxi(taxi_id)
+            self.cluster[self.cluster == cid] = -1
             del self._clusters[cid]
         self._table = None
 
@@ -309,34 +299,21 @@ class MobilityClusterIndex:
         ``vec`` is the taxi's mobility vector — current location to the
         centroid of its passengers' destinations.  Pass ``None`` for an
         empty taxi (the paper does not cluster empty taxis); the taxi is
-        then removed from any cluster.  Returns the new cluster id.
+        then removed from any cluster and its unit cleared.  Returns the
+        new cluster id.  Raises ``KeyError`` for an id that was never
+        registered.
         """
-        old = self._cluster_of_taxi.pop(taxi_id, None)
-        if old is not None and old in self._clusters:
-            self._clusters[old].taxis.discard(taxi_id)
+        column = self.column_of[taxi_id]
         best_id: int | None = None
         if vec is None:
-            self._taxi_units.pop(taxi_id, None)
+            self.unit[column] = math.nan
         else:
-            self._taxi_units[taxi_id] = direction_unit(*vec.direction)
+            self.unit[column] = direction_unit(*vec.direction)
             best_id, best_sim = self._best_cluster(vec)
-            if best_id is not None and best_sim >= self._lam:
-                self._clusters[best_id].taxis.add(taxi_id)
-                self._cluster_of_taxi[taxi_id] = best_id
-            else:
+            if best_id is not None and best_sim < self._lam:
                 best_id = None
-        self._write_taxi(taxi_id)
+        self.cluster[column] = -1 if best_id is None else best_id
         return best_id
-
-    def taxi_unit(self, taxi_id: int) -> tuple[float, float, float] | None:
-        """Normalised direction unit of a busy taxi's mobility vector.
-
-        ``None`` when the taxi has no vector; :data:`ZERO_UNIT` (by
-        identity) when the vector is degenerate.  Candidate searching
-        uses this for its per-taxi similarity fallback without
-        re-deriving the components every dispatch.
-        """
-        return self._taxi_units.get(taxi_id)
 
     def alignment_mask(
         self, request_units: np.ndarray, clusters: np.ndarray, units: np.ndarray
@@ -346,7 +323,7 @@ class MobilityClusterIndex:
         ``request_units`` holds one :func:`direction_unit` per row;
         taxi ``j`` is given by its cluster id ``clusters[j]`` (``-1``:
         none) and its direction unit ``units[j]`` (a NaN row: no
-        vector), the fleet table's ``cluster`` and ``unit`` columns.
+        vector), cells of :attr:`cluster` and :attr:`unit`.
         ``out[i, j]`` is True when taxi ``j`` travels request ``i``'s
         way — its cluster is one of the request's
         :meth:`matching_clusters`, or its own unit is within ``lambda``
@@ -371,10 +348,8 @@ class MobilityClusterIndex:
         return matching[:, slot_of[clusters]] | own
 
     def memory_bytes(self) -> int:
-        """Rough footprint of the clustering structures."""
-        total = 0
+        """Rough footprint of the clusters plus the two taxi columns' bytes."""
+        total = self.cluster.nbytes + self.unit.nbytes
         for cluster in self._clusters.values():
-            total += 128 + 72 * len(cluster.members) + 28 * len(cluster.taxis)
-        total += 56 * (len(self._cluster_of_request) + len(self._cluster_of_taxi))
-        total += 72 * len(self._taxi_units)
-        return total
+            total += 128 + 72 * len(cluster.members)
+        return total + 56 * len(self._cluster_of_request)

@@ -176,13 +176,17 @@ class MTShare(DispatchScheme):
 
     # ------------------------------------------------------------------
     def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
-        """Give every taxi its partition-index column, then index the fleet."""
+        """Lay out both index views over the fleet with one id -> column
+        map (ascending by id), then index the fleet."""
         self._pindex.register(fleet)
+        self._cindex.register(self._pindex.column_of)
         super().register_fleet(fleet, now)
 
     def check_fleet_table(self) -> None:
-        """No out-of-service taxi is listed in any partition (a contract)."""
+        """No out-of-service taxi is listed in any partition, and the
+        cluster columns hold live clusters only (contracts)."""
         contracts.check_out_of_service_unlisted(self._fleet, self._pindex)
+        contracts.check_cluster_columns(self._fleet, self._cindex)
 
     def _index_taxi(self, taxi: Taxi, now: float) -> None:
         """Refresh both index views for one taxi.

@@ -306,21 +306,19 @@ class WindowLAP(MTShare):
     ) -> None:
         super().__init__(network, engine, config, partitioning, landmarks=landmarks)
         self.dispatch_window_s = float(config.dispatch_window_s)
-        self._table = FleetTable({})
+        self._table = FleetTable([])
 
     def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
-        """Build the fleet table, attach the cluster index to it, then
-        register and index the fleet."""
-        self._table = FleetTable(fleet)
-        self._cindex.attach(self._table)
+        """Register and index the fleet, then build the fleet table over
+        the indexes' column layout."""
         super().register_fleet(fleet, now)
+        self._table = FleetTable([fleet[tid] for tid in self._pindex.taxi_ids])
 
     def check_fleet_table(self) -> None:
-        """mT-Share's index contract, plus every fleet-table column
-        against the state it mirrors and the table's row order against
-        the partition index's columns."""
+        """mT-Share's index contracts, plus every fleet-table column
+        against the state it mirrors."""
         super().check_fleet_table()
-        contracts.check_fleet_table(self._table, self._cindex, self._pindex)
+        contracts.check_fleet_table(self._table)
 
     def index_memory_bytes(self) -> int:
         """Both index views plus the fleet table."""

@@ -1,29 +1,28 @@
 """The fleet as fixed-width columns: the taxi state a window screen reads.
 
-A :class:`FleetTable` holds one row per taxi, ascending by taxi id,
-which is the column order of :meth:`~repro.core.matching.Matcher.screen_window`.
-Every column mirrors state that lives on an object, and is written by
-that object where the state changes, never rebuilt from it:
-
-* the planning position (``plan_vertex``, ``plan_time``), ``spare``
-  seats, the ``busy`` flag and the current route's ``route_end`` by
-  :class:`~repro.fleet.taxi.Taxi` (``set_plan``, ``clear_plan``,
-  ``assign``, ``unassign``, ``break_down``, ``apply_delay``, and
-  ``advance`` when its cursor moves);
-* the mobility ``unit`` and ``cluster`` by
-  :class:`~repro.core.mobility_cluster.MobilityClusterIndex`
-  (``update_taxi``, and ``remove_request`` when a cluster dissolves).
+A :class:`FleetTable` holds one row per taxi, in the order it is given:
+the index layout, ascending by taxi id, which is the column order of
+:meth:`~repro.core.matching.Matcher.screen_window`.  Every column
+mirrors state that lives on a :class:`~repro.fleet.taxi.Taxi`, and is
+written by the taxi where the state changes, never rebuilt from it: the
+planning position (``plan_vertex``, ``plan_time``), ``spare`` seats, the
+``busy`` flag and the current route's ``route_end`` (``set_plan``,
+``clear_plan``, ``assign``, ``unassign``, ``break_down``,
+``apply_delay``, and ``advance`` when its cursor moves).
 
 ``repro.analysis.contracts.check_fleet_table`` compares every column
-with the objects at every simulation boundary when contracts are armed.
-The screen also reads ``P_z.L_t``, which is not a column here but
-:attr:`~repro.index.partition_index.PartitionTaxiIndex.arrivals`, whose
-columns are this table's rows.
+with the taxis at every simulation boundary when contracts are armed.
+The screen also reads ``P_z.L_t``, a taxi's cluster and its direction
+unit, which are not columns here but the indexes' own
+(:attr:`~repro.index.partition_index.PartitionTaxiIndex.arrivals`,
+:attr:`~repro.core.mobility_cluster.MobilityClusterIndex.cluster` and
+``.unit``), laid out by the same registration: their column ``k`` is
+this table's row ``k``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,10 +36,9 @@ class FleetTable:
 
     Parameters
     ----------
-    fleet:
-        The taxis, by id; row ``k`` is the ``k``-th smallest id.  Each
-        taxi is attached (:meth:`Taxi.attach`) and writes its own rows
-        from then on.
+    taxis:
+        The taxis, one row each in this order.  Each taxi is attached
+        (:meth:`Taxi.attach`) and writes its own row from then on.
 
     Columns
     -------
@@ -53,35 +51,25 @@ class FleetTable:
     route_end:
         End time of the route its stops are served on; ``-inf`` when
         :meth:`Taxi.remaining_route_cost` is 0 whatever the time.
-    unit, cluster:
-        The taxi's mobility direction unit (a NaN row: no vector) and
-        the cluster whose taxi list holds it (``-1``: none).
     """
 
     __slots__ = (
         "taxis",
-        "row_of",
         "plan_vertex",
         "plan_time",
         "spare",
         "busy",
         "route_end",
-        "unit",
-        "cluster",
     )
 
-    def __init__(self, fleet: Mapping[int, Taxi]) -> None:
-        taxis = [fleet[tid] for tid in sorted(fleet)]
+    def __init__(self, taxis: Sequence[Taxi]) -> None:
         n = len(taxis)
-        self.taxis = taxis
-        self.row_of = {taxi.taxi_id: row for row, taxi in enumerate(taxis)}
+        self.taxis = list(taxis)
         self.plan_vertex = np.zeros(n, dtype=np.int64)
         self.plan_time = np.zeros(n, dtype=np.float64)
         self.spare = np.zeros(n, dtype=np.int64)
         self.busy = np.zeros(n, dtype=bool)
         self.route_end = np.full(n, -np.inf)
-        self.unit = np.full((n, 3), np.nan)
-        self.cluster = np.full(n, -1, dtype=np.int64)
         for row, taxi in enumerate(taxis):
             taxi.attach(self, row)
 
@@ -95,10 +83,5 @@ class FleetTable:
 
     def memory_bytes(self) -> int:
         """Bytes held by the columns."""
-        return sum(
-            column.nbytes
-            for column in (
-                self.plan_vertex, self.plan_time, self.spare, self.busy,
-                self.route_end, self.unit, self.cluster,
-            )
-        )
+        columns = (self.plan_vertex, self.plan_time, self.spare, self.busy, self.route_end)
+        return sum(column.nbytes for column in columns)

@@ -44,7 +44,9 @@ class PartitionTaxiIndex:
     taxi_ids:
         The registered ids, ascending; column ``k`` is ``taxi_ids[k]``.
     column_of:
-        Taxi id -> its column.
+        Taxi id -> its column.  With :attr:`taxi_ids` this is the one
+        layout of every per-taxi store of a scheme: the cluster index's
+        columns and the window scheme's fleet-table rows follow it.
     """
 
     def __init__(self, num_partitions: int) -> None:
@@ -56,10 +58,9 @@ class PartitionTaxiIndex:
     def register(self, taxi_ids: Iterable[int]) -> None:
         """Give each of ``taxi_ids`` a column, ascending by id, and list
         none of them anywhere.  Call before the first update."""
-        ids = sorted(taxi_ids)
-        self.taxi_ids = np.array(ids, dtype=np.int64)
-        self.column_of = {taxi_id: k for k, taxi_id in enumerate(ids)}
-        self.arrivals = np.full((self.num_partitions, len(ids)), math.nan)
+        self.taxi_ids = sorted(taxi_ids)
+        self.column_of = {taxi_id: k for k, taxi_id in enumerate(self.taxi_ids)}
+        self.arrivals = np.full((self.num_partitions, len(self.taxi_ids)), math.nan)
 
     def update_taxi(
         self,
@@ -111,8 +112,9 @@ class PartitionTaxiIndex:
 
     def listed_columns(self, partitions: Sequence[int]) -> np.ndarray:
         """The columns some of ``partitions`` lists (Eq. 3 left side),
-        ascending, which is ascending taxi id."""
-        return (~np.isnan(self.arrivals.take(partitions, axis=0)).all(axis=0)).nonzero()[0]
+        ascending, which is ascending taxi id.  A listed cell is a time,
+        and ``NaN <= inf`` is False."""
+        return (self.arrivals.take(partitions, axis=0) <= math.inf).any(axis=0).nonzero()[0]
 
     def total_entries(self) -> int:
         """Total (taxi, partition) index entries — the ``(x+1)M`` term of

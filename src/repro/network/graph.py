@@ -50,10 +50,10 @@ class InducedSubgraph:
         heads = indices[edges]
         local = np.searchsorted(nodes, heads)
         kept = nodes[np.minimum(local, nodes.size - 1)] == heads
-        row_of = np.repeat(np.arange(nodes.size), counts)[kept]
+        kept_rows = np.repeat(np.arange(nodes.size), counts)[kept]
         self.nodes = nodes
         self.indptr = np.zeros(nodes.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row_of, minlength=nodes.size), out=self.indptr[1:])
+        np.cumsum(np.bincount(kept_rows, minlength=nodes.size), out=self.indptr[1:])
         self.indices = local[kept].astype(np.int32)
         # Edge lengths become travel times once, at build.
         self.data_s = lengths[edges[kept]] / network.speed_mps

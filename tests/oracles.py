@@ -67,6 +67,15 @@ replaced, and :func:`reference_candidate_taxis` the greedy walk over
 that index's sorted union and arrival maps, verbatim, so lists can be
 diffed cell for cell and candidate sets in order.
 
+**Cluster taxi lists.**  Production keeps each taxi's mobility cluster
+and direction unit as two columns of
+``repro.core.mobility_cluster.MobilityClusterIndex`` laid out like the
+arrivals matrix, so ``C_a.L_t`` is ``cluster == a``;
+:class:`ReferenceClusterIndex` is the dict-backed taxi side it replaced
+(per-taxi cluster and unit dicts, per-cluster taxi sets), which
+:func:`reference_candidate_taxis` reads.  :func:`taxi_cells` reads one
+taxi's cells back in the reference's terms.
+
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
 against the textbook enumeration kept in ``repro.fleet.schedule``
@@ -806,9 +815,70 @@ class ReferencePartitionIndex:
         return sorted(out)
 
 
-def reference_candidate_taxis(matcher, index, request, fleet, now):
+class ReferenceClusterIndex:
+    """The taxi side of ``MobilityClusterIndex`` as dicts: each taxi's
+    cluster and direction unit, and each cluster's taxi set ``C_a.L_t``.
+
+    The request side (clusters and their general vectors) is read from
+    ``clusters``, the index this one mirrors.  Mirror every
+    ``update_taxi`` of it after it runs and every ``remove_request``
+    before it runs: a cluster dissolves when its last request leaves.
+    """
+
+    def __init__(self, clusters) -> None:
+        self._clusters = clusters
+        self._taxis: dict[int, set[int]] = {}
+        self._cluster_of_taxi: dict[int, int] = {}
+        self._taxi_units: dict[int, tuple[float, float, float]] = {}
+
+    def update_taxi(self, taxi_id: int, vec) -> int | None:
+        old = self._cluster_of_taxi.pop(taxi_id, None)
+        if old is not None and old in self._taxis:
+            self._taxis[old].discard(taxi_id)
+        best_id: int | None = None
+        if vec is None:
+            self._taxi_units.pop(taxi_id, None)
+        else:
+            self._taxi_units[taxi_id] = direction_unit(*vec.direction)
+            best_id, best_sim = self._clusters._best_cluster(vec)
+            if best_id is not None and best_sim >= self._clusters.lam:
+                self._taxis.setdefault(best_id, set()).add(taxi_id)
+                self._cluster_of_taxi[taxi_id] = best_id
+            else:
+                best_id = None
+        return best_id
+
+    def remove_request(self, request_id: int) -> None:
+        cid = self._clusters.cluster_of_request(request_id)
+        if cid is not None and list(self._clusters._clusters[cid].members) == [request_id]:
+            for taxi_id in self._taxis.pop(cid, ()):
+                self._cluster_of_taxi.pop(taxi_id, None)
+
+    def cluster_of_taxi(self, taxi_id: int) -> int | None:
+        return self._cluster_of_taxi.get(taxi_id)
+
+    def taxi_unit(self, taxi_id: int) -> tuple[float, float, float] | None:
+        return self._taxi_units.get(taxi_id)
+
+
+def taxi_cells(index, taxi_id):
+    """``(cluster, unit)`` of one taxi from a ``MobilityClusterIndex``'s
+    columns, as :class:`ReferenceClusterIndex` answers them: ``None``
+    for no cluster or no vector, :data:`ZERO_UNIT` itself for a
+    degenerate vector."""
+    column = index.column_of[taxi_id]
+    cluster = int(index.cluster[column])
+    unit = tuple(index.unit[column].tolist())
+    if math.isnan(unit[2]):
+        unit = None
+    elif unit[2] == 0.0:
+        unit = ZERO_UNIT
+    return (None if cluster == -1 else cluster), unit
+
+
+def reference_candidate_taxis(matcher, index, clusters, request, fleet, now):
     """``Matcher.candidate_taxis`` over a :class:`ReferencePartitionIndex`
-    (no observability counts)."""
+    and a :class:`ReferenceClusterIndex` (no observability counts)."""
     gamma = matcher._search_radius(request)
     ox, oy = matcher._network.xy[request.origin]
     disc_partitions = matcher._lg.partitions_intersecting_disc(float(ox), float(oy), gamma)
@@ -821,8 +891,8 @@ def reference_candidate_taxis(matcher, index, request, fleet, now):
     vec = request_vector(matcher._network, request)
     req_unit = direction_unit(*vec.direction)
     matching_cids = set(cindex.matching_clusters(vec))
-    cluster_of_taxi = cindex.cluster_of_taxi
-    taxi_unit = cindex.taxi_unit
+    cluster_of_taxi = clusters.cluster_of_taxi
+    taxi_unit = clusters.taxi_unit
 
     origin = request.origin
     origin_partition = matcher._lg.partition_of(origin)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import contracts
 from repro.analysis.contracts import ContractViolation
+from repro.core.mobility_cluster import MobilityClusterIndex, MobilityVector
 from repro.faults.plan import ShockWindow
 from repro.fleet.schedule import dropoff, pickup
 from repro.fleet.taxi import Taxi, TaxiRoute
@@ -202,6 +203,25 @@ def test_unfed_shock_pass_fails_the_contract(test_scenario):
 # ----------------------------------------------------------------------
 # enablement and overhead
 # ----------------------------------------------------------------------
+def test_cluster_columns():
+    fleet = {tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in (2, 5)}
+    index = MobilityClusterIndex()
+    index.register({2: 0, 5: 1})
+    east = MobilityVector(0.0, 0.0, 100.0, 0.0)
+    index.add_request(1, east)
+    index.update_taxi(5, east)
+    contracts.check_cluster_columns(fleet, index)
+    index.cluster[0] = 7  # no such cluster
+    with pytest.raises(ContractViolation, match="no longer exist"):
+        contracts.check_cluster_columns(fleet, index)
+    index.cluster[0] = -1
+    fleet[5].break_down()  # out of service, still clustered and with a unit
+    with pytest.raises(ContractViolation, match="skipped the cluster eviction"):
+        contracts.check_cluster_columns(fleet, index)
+    index.update_taxi(5, None)
+    contracts.check_cluster_columns(fleet, index)
+
+
 def test_disabled_contracts_are_noops(toggling):
     contracts.enable(False)
     a = make_request(request_id=1)

@@ -450,6 +450,24 @@ class TestBreakdownOnRebalanceCruise:
             sim.run()
 
 
+    def test_a_breakdown_that_keeps_the_taxi_clustered_fails_the_run(
+        self, test_scenario, monkeypatch
+    ):
+        """``on_taxi_breakdown``'s ``update_taxi(None)`` exists to clear
+        the dead taxi's direction: skip it and a contracts-armed faulted
+        run fails."""
+        monkeypatch.setattr(
+            MTShare, "on_taxi_breakdown",
+            lambda scheme, taxi, now: scheme.partition_index.remove_taxi(taxi.taxi_id),
+        )
+        fleet = test_scenario.make_fleet(25, seed=1)
+        requests = test_scenario.requests()
+        plan = test_scenario.fault_plan("seed=5,breakdown_rate=0.3", fleet, requests)
+        sim = Simulator(test_scenario.make_scheme("mt-share"), fleet, requests, faults=plan)
+        with pytest.raises(ContractViolation, match="skipped the cluster eviction"):
+            sim.run()
+
+
 class TestCancellation:
     def test_pre_pickup_cancel_frees_the_taxi(self, micro, small_engine):
         # The taxi starts far away, so the cancel at t=30 lands before

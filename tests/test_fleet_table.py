@@ -1,10 +1,11 @@
 """The fleet table (``repro.fleet.table``) and its contract.
 
 Every column is written where its state changes, and
-``contracts.check_fleet_table`` compares every column with the objects,
-and the table's row order with the partition index's column order.
+``contracts.check_fleet_table`` compares every column with the taxis.
 Each write site gets a mutation here: the site runs with its writes
-undone, and the contract must fail on the next check.
+undone, and the contract must fail on the next check.  The cluster
+index's columns share the table's layout; the fuzz's dict mirror
+(``tests/test_fuzz.py``) checks their writes.
 """
 
 import math
@@ -21,27 +22,28 @@ from repro.index.partition_index import PartitionTaxiIndex
 from repro.sim.engine import Simulator
 from tests.conftest import make_request
 
-COLUMNS = ("plan_vertex", "plan_time", "spare", "busy", "route_end", "unit", "cluster")
+COLUMNS = ("plan_vertex", "plan_time", "spare", "busy", "route_end")
 
 EAST = MobilityVector(0.0, 0.0, 100.0, 0.0)
 
 
 class World:
-    """Three taxis, a cluster index attached to one table, and a
-    partition index laid out over the same fleet."""
+    """Three taxis, both indexes and a fleet table over one layout, as
+    ``MTShare.register_fleet`` and ``WindowLAP.register_fleet`` lay
+    them out."""
 
     def __init__(self):
         self.fleet = {tid: Taxi(taxi_id=tid, capacity=3, loc=tid) for tid in (4, 1, 9)}
-        self.table = FleetTable(self.fleet)
-        self.cindex = MobilityClusterIndex()
-        self.cindex.attach(self.table)
         self.pindex = PartitionTaxiIndex(2)
         self.pindex.register(self.fleet)
+        self.cindex = MobilityClusterIndex()
+        self.cindex.register(self.pindex.column_of)
+        self.table = FleetTable([self.fleet[tid] for tid in self.pindex.taxi_ids])
         self.taxi = self.fleet[4]
         self.request = make_request(request_id=7, origin=2, destination=5, num_passengers=2)
 
     def check(self):
-        check_fleet_table(self.table, self.cindex, self.pindex)
+        check_fleet_table(self.table)
 
     def plan(self):
         """Assign the request and install a pick-up / drop-off route."""
@@ -70,11 +72,9 @@ class TestColumns:
         world = World()
         table = world.table
         assert [taxi.taxi_id for taxi in table.taxis] == [1, 4, 9]
-        assert table.row_of == {1: 0, 4: 1, 9: 2}
         assert table.plan_vertex.tolist() == [1, 4, 9]
         assert table.spare.tolist() == [3, 3, 3] and not table.busy.any()
-        assert np.isnan(table.unit).all()
-        assert table.cluster.tolist() == [-1, -1, -1]
+        assert table.memory_bytes() == 3 * (8 + 8 + 8 + 1 + 8)
         world.check()
 
     def test_a_taxis_life_keeps_its_row(self):
@@ -107,16 +107,18 @@ class TestColumns:
                 assert cost[row] == taxi.remaining_route_cost(at)
 
     def test_index_columns(self):
+        """The indexes' column ``k`` is the table's row ``k``."""
         world = World()
+        assert world.pindex.column_of is world.cindex.column_of
         world.cindex.add_request(1, EAST)
-        assert world.cindex.update_taxi(9, EAST) is not None
+        cid = world.cindex.update_taxi(9, EAST)
         world.cindex.update_taxi(1, MobilityVector(0.0, 0.0, 0.0, 0.0))
-        world.check()
-        assert world.table.unit[2].tolist() == list(direction_unit(100.0, 0.0))
-        assert world.table.unit[0].tolist() == [0.0, 0.0, 0.0]
+        assert world.cindex.cluster.tolist() == [cid, -1, cid] and cid is not None
+        assert world.cindex.unit[2].tolist() == list(direction_unit(100.0, 0.0))
+        assert world.cindex.unit[0].tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(world.cindex.unit[1]).all()
         world.cindex.remove_request(1)  # the cluster dissolves
-        world.check()
-        assert world.table.cluster.tolist() == [-1, -1, -1]
+        assert world.cindex.cluster.tolist() == [-1, -1, -1]
 
 
 def _set_plan(world):
@@ -147,21 +149,8 @@ def _advance(world):
     world.taxi.advance(15.0)
 
 
-def _cluster_update(world):
-    world.cindex.update_taxi(4, EAST)
-
-
-def _cluster_dissolve(world):
-    world.cindex.remove_request(1)
-
-
 def _planned(world):
     world.plan()
-
-
-def _clustered(world):
-    world.cindex.add_request(1, EAST)
-    world.cindex.update_taxi(4, EAST)
 
 
 #: ``(owner, method, set-up, the call that must write)`` per write site.
@@ -173,10 +162,6 @@ WRITE_SITES = {
     "Taxi.break_down": (Taxi, "break_down", _planned, _break_down),
     "Taxi.apply_delay": (Taxi, "apply_delay", _planned, _apply_delay),
     "Taxi.advance": (Taxi, "advance", _planned, _advance),
-    "MobilityClusterIndex.update_taxi": (
-        MobilityClusterIndex, "update_taxi", None, _cluster_update),
-    "MobilityClusterIndex.remove_request": (
-        MobilityClusterIndex, "remove_request", _clustered, _cluster_dissolve),
 }
 
 
@@ -208,21 +193,4 @@ def test_a_run_checks_the_table_at_its_boundaries(test_scenario, monkeypatch):
     sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
     monkeypatch.setattr(Taxi, "_write_seats", lambda taxi: None)
     with pytest.raises(ContractViolation, match="fleet table spare"):
-        sim.run()
-
-
-def test_a_run_checks_the_table_order_against_the_partition_index(test_scenario, monkeypatch):
-    """The window screen pairs table row ``k`` with arrivals column ``k``:
-    a partition index laid out descending by id fails the run."""
-    register = PartitionTaxiIndex.register
-
-    def descending(index, taxi_ids):
-        register(index, taxi_ids)
-        index.taxi_ids = index.taxi_ids[::-1].copy()
-        index.column_of = {tid: k for k, tid in enumerate(index.taxi_ids.tolist())}
-
-    scheme = test_scenario.make_scheme("window-lap")
-    sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
-    monkeypatch.setattr(PartitionTaxiIndex, "register", descending)
-    with pytest.raises(ContractViolation, match="partition index columns"):
         sim.run()

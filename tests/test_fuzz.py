@@ -6,10 +6,11 @@ stay consistent, and schemes never corrupt taxi state.  ``window-lap``
 draws its window, faults and rebalancing too, and every flush's bulk
 screen is checked against the per-request search, with the runtime
 contracts (the fleet table's included) armed by the suite.  Greedy
-``mt-share`` / ``mt-share-pro`` runs mirror every partition-index write
-into the dict index it replaced and check, at every dispatch, the
-arrivals matrix against those lists and the candidate search against
-the walk over them.
+``mt-share`` / ``mt-share-pro`` runs and the window runs mirror every
+partition-index and cluster-index write into the dict indexes they
+replaced and check, at every candidate search, the arrivals matrix and
+the cluster columns against those dicts and the search against the walk
+over them.
 """
 
 import math
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis import contracts
 from repro.config import SystemConfig
+from repro.core.mobility_cluster import MobilityClusterIndex
 from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
 from repro.core.window import WindowLAP
@@ -35,7 +37,12 @@ from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.bipartite import bipartite_partition
 from repro.sim.engine import Simulator
-from tests.oracles import ReferencePartitionIndex, reference_candidate_taxis
+from tests.oracles import (
+    ReferenceClusterIndex,
+    ReferencePartitionIndex,
+    reference_candidate_taxis,
+    taxi_cells,
+)
 
 
 def random_city(seed: int):
@@ -158,13 +165,15 @@ def random_window_run(seed: int):
     landmarks = LandmarkGraph(net, part.partitions, engine)
     scheme = WindowLAP(net, engine, config, part, landmarks=landmarks)
     sim = random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity, requests)
+    mirror_indexes(scheme)
     return sim, scheme
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_window_run_screens_like_the_per_request_search(seed):
     """On every flush, row ``i`` of the bulk screen is exactly
-    ``candidate_taxis(batch[i])``, taxi for taxi, in order."""
+    ``candidate_taxis(batch[i])``, taxi for taxi, in order (and that
+    search is the reference walk, :func:`mirror_indexes`)."""
     sim, scheme = random_window_run(seed)
     matcher = scheme.matcher
     screen_window = matcher.screen_window
@@ -187,19 +196,14 @@ def test_random_window_run_screens_like_the_per_request_search(seed):
         assert flushes, "no window held two requests"
 
 
-def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
-    """A random city through greedy ``mt-share`` (``-pro``), faults and
-    rebalancing each on or off, whose partition index is mirrored into
-    a :class:`ReferencePartitionIndex` and checked against it, and
-    whose candidate search is checked against the reference walk, at
-    every dispatch.  Returns the simulator and the candidate count of
-    each dispatch so far."""
-    rng, net, engine, part, config, capacity, requests = random_city(seed)
-    landmarks = LandmarkGraph(net, part.partitions, engine)
-    scheme = MTShare(net, engine, config, part, probabilistic=probabilistic,
-                     landmarks=landmarks)
-    sim = random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity,
-                           requests, faults=faults)
+def mirror_indexes(scheme):
+    """Mirror every write of ``scheme``'s partition and cluster indexes
+    into a :class:`ReferencePartitionIndex` and a
+    :class:`ReferenceClusterIndex`, and check at every candidate search
+    that the arrivals matrix holds the reference lists and the cluster
+    columns the reference cells, and that the search returns the
+    reference walk's taxis in its order.  Returns the candidate count
+    of each search so far."""
     index = scheme.partition_index
     reference = ReferencePartitionIndex(index.num_partitions)
     for name in ("update_taxi", "remove_taxi"):
@@ -207,6 +211,21 @@ def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
             _write(taxi_id, *args)
             getattr(reference, _name)(taxi_id, *args)
         setattr(index, name, mirrored)
+
+    cindex = scheme.cluster_index
+    clusters = ReferenceClusterIndex(cindex)
+    update_taxi, remove_request = cindex.update_taxi, cindex.remove_request
+
+    def mirrored_update(taxi_id, vec):
+        cid = update_taxi(taxi_id, vec)
+        assert clusters.update_taxi(taxi_id, vec) == cid
+        return cid
+
+    def mirrored_remove(request_id):
+        clusters.remove_request(request_id)  # before: it reads the dissolving cluster
+        remove_request(request_id)
+
+    cindex.update_taxi, cindex.remove_request = mirrored_update, mirrored_remove
 
     matcher = scheme.matcher
     candidate_taxis = matcher.candidate_taxis
@@ -216,25 +235,43 @@ def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
         for z, row in enumerate(index.arrivals.tolist()):
             listed = {
                 taxi_id: arrival
-                for taxi_id, arrival in zip(index.taxi_ids.tolist(), row)
+                for taxi_id, arrival in zip(index.taxi_ids, row)
                 if not math.isnan(arrival)
             }
             assert listed == reference.arrival_map(z), ("arrivals matrix", z, now)
+        for taxi_id in index.taxi_ids:
+            want = (clusters.cluster_of_taxi(taxi_id), clusters.taxi_unit(taxi_id))
+            assert taxi_cells(cindex, taxi_id) == want, ("cluster columns", taxi_id, now)
         got = candidate_taxis(request, fleet, now)
-        want = reference_candidate_taxis(matcher, reference, request, fleet, now)
-        assert [t.taxi_id for t in got] == [t.taxi_id for t in want], (request.request_id, now)
+        want = reference_candidate_taxis(matcher, reference, clusters, request, fleet, now)
+        assert [t.taxi_id for t in got] == [t.taxi_id for t in want], ("walk", now)
         dispatches.append(len(got))
         return got
 
     matcher.candidate_taxis = checked
-    return sim, dispatches
+    return dispatches
+
+
+def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
+    """A random city through greedy ``mt-share`` (``-pro``), faults and
+    rebalancing each on or off, with its indexes mirrored and checked
+    (:func:`mirror_indexes`).  Returns the simulator and the candidate
+    count of each dispatch so far."""
+    rng, net, engine, part, config, capacity, requests = random_city(seed)
+    landmarks = LandmarkGraph(net, part.partitions, engine)
+    scheme = MTShare(net, engine, config, part, probabilistic=probabilistic,
+                     landmarks=landmarks)
+    sim = random_chaos_run(seed, rng, net, engine, part, scheme, landmarks, capacity,
+                           requests, faults=faults)
+    return sim, mirror_indexes(scheme)
 
 
 @pytest.mark.parametrize("probabilistic", (False, True), ids=("mt-share", "mt-share-pro"))
 @pytest.mark.parametrize("seed", range(8))
 def test_arrivals_matrix_is_the_partition_lists(seed, probabilistic):
-    """At every dispatch the matrix holds exactly the dict lists, and
-    the candidate search returns the dict walk's taxis in its order."""
+    """At every dispatch the matrix and the cluster columns hold exactly
+    the dict indexes, and the candidate search returns the dict walk's
+    taxis in its order."""
     sim, dispatches = mirrored_greedy_run(seed, probabilistic)
     metrics = sim.run()
     assert dispatches and any(dispatches)
@@ -249,4 +286,39 @@ def test_a_remove_that_keeps_the_taxi_listed_fails_the_mirror(monkeypatch):
     monkeypatch.setattr(contracts, "_ENABLED", False)
     sim, _ = mirrored_greedy_run(1, probabilistic=False, faults=True)
     with pytest.raises(AssertionError, match="arrivals matrix"):
+        sim.run()
+
+
+def test_a_dissolution_that_keeps_its_cells_fails_the_mirror(monkeypatch):
+    """With a dissolving cluster's ``cluster`` cells left set, the next
+    dispatch's column check fails (contracts off, so the cluster-column
+    contract does not fire first)."""
+    remove_request = MobilityClusterIndex.remove_request
+
+    def leaky(index, request_id):
+        cells = index.cluster.copy()
+        remove_request(index, request_id)
+        index.cluster[...] = cells
+
+    monkeypatch.setattr(MobilityClusterIndex, "remove_request", leaky)
+    monkeypatch.setattr(contracts, "_ENABLED", False)
+    sim, _ = mirrored_greedy_run(0, probabilistic=False)
+    with pytest.raises(AssertionError, match="cluster columns"):
+        sim.run()
+
+
+def test_a_layout_registered_descending_fails_the_mirror(monkeypatch):
+    """Greedy search emits its pool in column order, which must be
+    ascending taxi id, the reference walk's order: lay the columns out
+    descending and the first dispatch with two candidates fails."""
+    register = PartitionTaxiIndex.register
+
+    def descending(index, taxi_ids):
+        register(index, taxi_ids)
+        index.taxi_ids.reverse()
+        index.column_of = {tid: k for k, tid in enumerate(index.taxi_ids)}
+
+    monkeypatch.setattr(PartitionTaxiIndex, "register", descending)
+    sim, _ = mirrored_greedy_run(1, probabilistic=False)
+    with pytest.raises(AssertionError, match="walk"):
         sim.run()

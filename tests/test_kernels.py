@@ -715,13 +715,14 @@ class TestDirectionUnits:
 
     def test_taxi_units_track_vectors(self):
         index = MobilityClusterIndex(lam=0.5)
+        index.register({7: 0, 8: 1})
         index.add_request(0, MobilityVector(0.0, 0.0, 100.0, 0.0))
         index.update_taxi(7, MobilityVector(5.0, 5.0, 90.0, 12.0))
-        assert index.taxi_unit(7) == direction_unit(85.0, 7.0)
+        assert index.unit[0].tolist() == list(direction_unit(85.0, 7.0))
         index.update_taxi(8, MobilityVector(3.0, 4.0, 3.0, 4.0))
-        assert index.taxi_unit(8) is ZERO_UNIT
+        assert index.unit[1].tolist() == list(ZERO_UNIT)
         index.update_taxi(7, None)
-        assert index.taxi_unit(7) is None
+        assert np.isnan(index.unit[0]).all()
 
 
 # ----------------------------------------------------------------------

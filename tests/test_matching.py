@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.contracts import check_fleet_table
+from repro.analysis.contracts import check_cluster_columns, check_fleet_table
 from repro.config import SystemConfig
 from repro.core import matching
 from repro.core.matching import Matcher, request_vector, taxi_vector, taxi_vector_with
@@ -24,6 +24,7 @@ from repro.obs import Instrumentation
 from repro.partitioning.bipartite import MapPartitioning
 from repro.sim.engine import Simulator
 from tests.conftest import build_route, is_path, make_request
+from tests.oracles import taxi_cells
 
 
 @pytest.fixture()
@@ -34,6 +35,7 @@ def setup(tiny_net, tiny_engine):
     pindex = PartitionTaxiIndex(3)
     pindex.register(range(4))
     cindex = MobilityClusterIndex(lam=config.lam)
+    cindex.register(pindex.column_of)
     router = BasicRouter(tiny_net, tiny_engine, PartitionFilter(lg))
     matcher = Matcher(tiny_net, tiny_engine, lg, pindex, cindex, config, router)
     return matcher, pindex, cindex, lg
@@ -236,15 +238,9 @@ def build_matcher(tiny_net, tiny_engine, router):
     config = SystemConfig(search_range_m=500.0, num_partitions=3)
     pindex = PartitionTaxiIndex(3)
     pindex.register(range(4))
-    matcher = Matcher(
-        tiny_net,
-        tiny_engine,
-        lg,
-        pindex,
-        MobilityClusterIndex(lam=config.lam),
-        config,
-        router,
-    )
+    cindex = MobilityClusterIndex(lam=config.lam)
+    cindex.register(pindex.column_of)
+    matcher = Matcher(tiny_net, tiny_engine, lg, pindex, cindex, config, router)
     return matcher, pindex, lg
 
 
@@ -422,7 +418,8 @@ class ScreeningWorld:
         """``(bulk, scalar)``: per request the candidate ids in order, plus
         the ``kernel.batched_reach_checks`` tally, from each tier."""
         fleet = self.fleet
-        check_fleet_table(self.table, self.cindex, self.pindex)
+        check_fleet_table(self.table)
+        check_cluster_columns(self.fleet, self.cindex)
         out = []
         for bulk in (True, False):
             obs = Instrumentation()
@@ -486,7 +483,7 @@ class TestBulkScreening:
         world.fleet[victim].break_down()
         world.scheme.on_taxi_breakdown(world.fleet[victim], world.now)
         assert victim in world.fleet
-        assert np.isnan(world.pindex.arrivals[:, world.table.row_of[victim]]).all()
+        assert np.isnan(world.pindex.arrivals[:, world.pindex.column_of[victim]]).all()
         bulk, scalar = world.screen(world.everywhere())
         assert bulk == scalar
         assert all(victim not in cands for cands in bulk[0])
@@ -506,12 +503,13 @@ class TestBulkScreening:
         for corner in corners:
             getattr(world, corner)()
         for taxi in world.busy():
+            taxi_cluster, taxi_unit = taxi_cells(world.cindex, taxi.taxi_id)
             if cluster is None:
-                assert world.cindex.cluster_of_taxi(taxi.taxi_id) is None
+                assert taxi_cluster is None
             if unit == "own":
-                assert world.cindex.taxi_unit(taxi.taxi_id) not in (None, ZERO_UNIT)
+                assert taxi_unit not in (None, ZERO_UNIT)
             else:
-                assert world.cindex.taxi_unit(taxi.taxi_id) is unit
+                assert taxi_unit is unit
         # Every direction out of every vertex, plus the degenerate one.
         n = world.network.num_vertices
         batch = world.everywhere(rho=2.0) + [

@@ -14,12 +14,26 @@ from repro.core.mobility_cluster import (
     direction_unit,
     unit_similarity,
 )
-from repro.fleet.table import FleetTable
-from repro.fleet.taxi import Taxi
+from tests.oracles import taxi_cells
 
 
 def vec(ox, oy, dx, dy):
     return MobilityVector(ox, oy, dx, dy)
+
+
+def registered(taxi_ids=(9,), lam=DEFAULT_LAMBDA):
+    """A fresh index with cells for ``taxi_ids``, in that order."""
+    idx = MobilityClusterIndex(lam=lam)
+    idx.register({tid: k for k, tid in enumerate(taxi_ids)})
+    return idx
+
+
+def cluster_of(idx, taxi_id):
+    return taxi_cells(idx, taxi_id)[0]
+
+
+def unit_of(idx, taxi_id):
+    return taxi_cells(idx, taxi_id)[1]
 
 
 EAST = vec(0, 0, 100, 0)
@@ -116,59 +130,68 @@ class TestClusterIndexRequests:
 
 class TestClusterIndexTaxis:
     def test_taxi_joins_best_cluster(self):
-        idx = MobilityClusterIndex()
+        idx = registered()
         east = idx.add_request(1, EAST)
         idx.add_request(2, WEST)
         assert idx.update_taxi(9, vec(0, 0, 80, 10)) == east
-        assert idx.cluster_of_taxi(9) == east
+        assert cluster_of(idx, 9) == east
 
     def test_unaligned_taxi_joins_nothing(self):
-        idx = MobilityClusterIndex()
+        idx = registered()
         idx.add_request(1, EAST)
         assert idx.update_taxi(9, NORTH) is None
-        assert idx.cluster_of_taxi(9) is None
+        assert cluster_of(idx, 9) is None
         # but its direction is remembered for direct comparisons
-        assert idx.taxi_unit(9) == direction_unit(*NORTH.direction)
+        assert unit_of(idx, 9) == direction_unit(*NORTH.direction)
 
     def test_empty_taxi_removed(self):
-        idx = MobilityClusterIndex()
+        idx = registered()
         east = idx.add_request(1, EAST)
         idx.update_taxi(9, EAST)
         idx.update_taxi(9, None)
-        assert east in idx.cluster_ids() and idx.cluster_of_taxi(9) is None
-        assert idx.taxi_unit(9) is None
+        assert east in idx.cluster_ids() and cluster_of(idx, 9) is None
+        assert unit_of(idx, 9) is None
 
     def test_taxi_reassigned_on_update(self):
-        idx = MobilityClusterIndex()
+        idx = registered()
         east = idx.add_request(1, EAST)
         west = idx.add_request(2, WEST)
         idx.update_taxi(9, EAST)
         idx.update_taxi(9, WEST)
-        assert idx.cluster_of_taxi(9) == west != east
+        assert cluster_of(idx, 9) == west != east
 
     def test_aligned_taxis_union(self):
         # Eq. 3's right side, probed per taxi as ``Matcher.candidate_taxis``
         # does: the taxi's cluster is one of the request's matching clusters.
-        idx = MobilityClusterIndex()
+        idx = registered((7, 8))
         idx.add_request(1, EAST)
         idx.add_request(2, vec(0, 0, 90, 30))
         idx.update_taxi(7, EAST)
         idx.update_taxi(8, WEST)
         aligned = idx.matching_clusters(EAST)
-        assert {t for t in (7, 8) if idx.cluster_of_taxi(t) in aligned} == {7}
+        assert {t for t in (7, 8) if cluster_of(idx, t) in aligned} == {7}
 
     def test_cluster_death_unlinks_taxis(self):
-        idx = MobilityClusterIndex()
+        idx = registered((3, 9))
         idx.add_request(1, EAST)
+        idx.add_request(2, WEST)
         idx.update_taxi(9, EAST)
+        idx.update_taxi(3, WEST)
         idx.remove_request(1)
-        assert idx.cluster_of_taxi(9) is None
+        assert cluster_of(idx, 9) is None and cluster_of(idx, 3) is not None
+        assert unit_of(idx, 9) == direction_unit(*EAST.direction)
+
+    def test_unregistered_taxi_is_rejected(self):
+        with pytest.raises(KeyError):
+            registered().update_taxi(4, EAST)
 
     def test_memory(self):
-        idx = MobilityClusterIndex()
+        idx = registered()
+        empty = idx.memory_bytes()
+        assert empty == idx.cluster.nbytes + idx.unit.nbytes == 32
         idx.add_request(1, EAST)
         idx.update_taxi(9, EAST)
-        assert idx.memory_bytes() > 0
+        assert idx.memory_bytes() > empty
 
 
 class TestClusterProperties:
@@ -186,25 +209,17 @@ class TestClusterProperties:
         assert held == set(idx.cluster_ids())
 
 
-def attached_index(taxi_ids, lam=DEFAULT_LAMBDA):
-    """A fresh index writing into a fleet table of ``taxi_ids``."""
-    table = FleetTable({tid: Taxi(taxi_id=tid, capacity=3, loc=0) for tid in taxi_ids})
-    idx = MobilityClusterIndex(lam=lam)
-    idx.attach(table)
-    return idx, table
-
-
-def table_mask(idx, table, units, taxi_ids):
-    """``alignment_mask`` over the table rows of ``taxi_ids``."""
-    rows = [table.row_of[tid] for tid in taxi_ids]
-    return idx.alignment_mask(units, table.cluster[rows], table.unit[rows])
+def column_mask(idx, units, taxi_ids):
+    """``alignment_mask`` over the cells of ``taxi_ids``."""
+    columns = [idx.column_of[tid] for tid in taxi_ids]
+    return idx.alignment_mask(units, idx.cluster[columns], idx.unit[columns])
 
 
 def scalar_alignment(idx, request_vec, taxi_id):
     """Rule 1's direction test the way ``candidate_taxis`` spells it."""
-    if idx.cluster_of_taxi(taxi_id) in idx.matching_clusters(request_vec):
+    cluster, unit = taxi_cells(idx, taxi_id)
+    if cluster in idx.matching_clusters(request_vec):
         return True
-    unit = idx.taxi_unit(taxi_id)
     if unit is None:
         return False
     return unit_similarity(unit, direction_unit(*request_vec.direction)) >= idx.lam
@@ -225,7 +240,7 @@ class TestAlignmentMask:
     )
     def test_mask_is_the_scalar_test_pair_by_pair(self, clustered, taxis, requests, lam):
         taxi_ids = list(range(len(taxis))) + [99]  # 99: never seen
-        idx, table = attached_index(taxi_ids, lam=lam)
+        idx = registered(taxi_ids, lam=lam)
         for rid, (dx, dy) in enumerate(clustered):
             idx.add_request(rid, vec(3.0, 4.0, 3.0 + dx, 4.0 + dy))
         for tid, direction in enumerate(taxis):
@@ -235,20 +250,20 @@ class TestAlignmentMask:
             idx.remove_request(0)
         request_vecs = [vec(5.0, 6.0, 5.0 + dx, 6.0 + dy) for dx, dy in requests]
         units = np.array([direction_unit(*v.direction) for v in request_vecs])
-        mask = table_mask(idx, table, units, taxi_ids)
+        mask = column_mask(idx, units, taxi_ids)
         assert mask.shape == (len(requests), len(taxi_ids)) and mask.dtype == bool
         for i, request_vec in enumerate(request_vecs):
             for j, tid in enumerate(taxi_ids):
                 assert mask[i, j] == scalar_alignment(idx, request_vec, tid), (i, tid)
 
     def test_degenerate_and_missing_units(self):
-        idx, table = attached_index([1, 2, 3])
+        idx = registered([1, 2, 3])
         idx.update_taxi(1, vec(0, 0, 0, 0))  # ZERO_UNIT, no cluster to join
         idx.update_taxi(2, WEST)
-        assert idx.taxi_unit(1) is ZERO_UNIT and idx.taxi_unit(3) is None
+        assert idx.unit[0].tolist() == [0.0, 0.0, 0.0] and np.isnan(idx.unit[2]).all()
         units = np.array([direction_unit(100.0, 0.0), ZERO_UNIT])
-        assert table_mask(idx, table, units, [1, 2, 3]).tolist() == [
+        assert column_mask(idx, units, [1, 2, 3]).tolist() == [
             [True, False, False],  # east: the degenerate taxi aligns with everything
             [True, True, False],  # a degenerate request aligns with every taxi that has a vector
         ]
-        assert table_mask(idx, table, units, []).shape == (2, 0)
+        assert column_mask(idx, units, []).shape == (2, 0)

@@ -16,12 +16,17 @@ def registered(num_partitions, taxi_ids):
     return idx
 
 
+def listed_ids(idx, partitions):
+    """The taxi ids of :meth:`listed_columns`, in column order."""
+    return [idx.taxi_ids[k] for k in idx.listed_columns(partitions).tolist()]
+
+
 def listed(idx, partition):
     """``partition``'s list: taxi id -> arrival."""
     row = idx.arrivals[partition].tolist()
     return {
         taxi_id: arrival
-        for taxi_id, arrival in zip(idx.taxi_ids.tolist(), row)
+        for taxi_id, arrival in zip(idx.taxi_ids, row)
         if not math.isnan(arrival)
     }
 
@@ -78,9 +83,8 @@ class TestUpdates:
         idx.update_taxi(1, {0: 1.0})
         idx.update_taxi(2, {1: 1.0})
         idx.update_taxi(3, {0: 1.0, 2: 2.0})
-        ids = idx.taxi_ids
-        assert ids[idx.listed_columns([0, 1])].tolist() == [1, 2, 3]
-        assert ids[idx.listed_columns([2])].tolist() == [3]
+        assert listed_ids(idx, [0, 1]) == [1, 2, 3]
+        assert listed_ids(idx, [2]) == [3]
         assert idx.listed_columns([]).tolist() == []
 
     def test_union_sorted_by_id(self):
@@ -88,7 +92,7 @@ class TestUpdates:
         idx = registered(2, [17, 3, 42, 8, 25, 99])
         for taxi_id in (17, 3, 42, 8, 25):
             idx.update_taxi(taxi_id, {0: float(taxi_id)})
-        assert idx.taxi_ids[idx.listed_columns([0, 1])].tolist() == [3, 8, 17, 25, 42]
+        assert listed_ids(idx, [0, 1]) == [3, 8, 17, 25, 42]
 
 
 class TestFromRoute:
@@ -135,7 +139,7 @@ class TestArrivalColumns:
     def test_columns_are_every_arrival_map_at_once(self):
         idx = registered(3, [42, 7, 19, 8, 5])
         reference = ReferencePartitionIndex(3)
-        assert idx.taxi_ids.tolist() == [5, 7, 8, 19, 42]
+        assert idx.taxi_ids == [5, 7, 8, 19, 42]
         assert idx.column_of == {5: 0, 7: 1, 8: 2, 19: 3, 42: 4}
         assert idx.arrivals.shape == (3, 5) and idx.arrivals.dtype == np.float64
         assert np.isnan(idx.arrivals).all()
