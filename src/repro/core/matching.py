@@ -7,10 +7,12 @@ This implements Section IV-C of the paper.  For a request ``r_i``:
   searching disc around ``o_{r_i}``, and the taxis of the mobility
   clusters aligned with ``r_i``'s travel direction.  Empty taxis inside
   the disc are added, then taxis with no spare capacity and taxis that
-  cannot reach the pick-up before its deadline are filtered out.  A
-  dispatch window asks this for all its requests at once
-  (:meth:`Matcher.screen_window`): the same predicates over the fleet
-  table's columns, as ``requests x taxis`` array expressions.
+  cannot reach the pick-up before its deadline are filtered out.  The
+  taxi side of every rule is a column of the scheme's fleet table or
+  of the cluster index: one request gathers its pool's rows
+  (:meth:`Matcher.candidate_taxis`), and a dispatch window asks the
+  same predicates for all its requests at once as ``requests x taxis``
+  array expressions (:meth:`Matcher.screen_window`).
 * **Taxi scheduling** (Algorithm 1) enumerates every insertion of the
   pick-up/drop-off pair into each candidate's existing stop sequence,
   keeps the feasible instances, and picks the one with the minimum
@@ -52,10 +54,10 @@ from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
 from ..obs import NULL, Instrumentation
 from .mobility_cluster import (
-    ZERO_UNIT,
     MobilityClusterIndex,
     MobilityVector,
     direction_unit,
+    misaligned_keys,
 )
 from .routing import BasicRouter, RouteInfeasible
 
@@ -116,9 +118,10 @@ def keeps_seats_idle(taxi: Taxi, request: RideRequest) -> bool:
 
 def request_vector(network: RoadNetwork, request: RideRequest) -> MobilityVector:
     """Mobility vector of a request: origin point to destination point."""
-    ox, oy = network.xy[request.origin]
-    dx, dy = network.xy[request.destination]
-    return MobilityVector(float(ox), float(oy), float(dx), float(dy))
+    xy = network.xy
+    ox, oy = xy[request.origin].tolist()
+    dx, dy = xy[request.destination].tolist()
+    return MobilityVector(ox, oy, dx, dy)
 
 
 def taxi_vector(network: RoadNetwork, taxi: Taxi, now: float) -> MobilityVector | None:
@@ -186,6 +189,7 @@ class Matcher:
         self._config = config
         self._basic = basic_router
         self._prob = probabilistic_router
+        self._table = FleetTable([])
         self._obs: Instrumentation = NULL
 
     def instrument(self, obs: Instrumentation) -> None:
@@ -204,6 +208,12 @@ class Matcher:
             return max(0.0, request.max_wait) * self._network.speed_mps
         return self._config.search_range_m
 
+    def use_table(self, table: FleetTable) -> None:
+        """Read the taxi side of candidate searching from ``table``,
+        whose row ``k`` is column ``k`` of both indexes (the layout
+        ``MTShare.register_fleet`` builds)."""
+        self._table = table
+
     def candidate_taxis(
         self,
         request: RideRequest,
@@ -215,108 +225,69 @@ class Matcher:
         Every single-request path (greedy :meth:`match`, ``W -> 0``
         windows, redispatch) searches through here, and
         :meth:`screen_window` must return exactly these taxis in this
-        order for each request of a window.
+        order for each request of a window.  The pool is the columns
+        some disc partition lists, ascending by taxi id; the rules read
+        the pool's rows of the fleet table (:meth:`use_table`) and of
+        the cluster index, gathered once per dispatch, so ``fleet``,
+        which holds the table's taxis, is not read.
         """
         gamma = self._search_radius(request)
-        ox, oy = self._network.xy[request.origin]
-        disc_partitions = self._lg.partitions_intersecting_disc(float(ox), float(oy), gamma)
+        xy = self._network.xy
+        ox, oy = xy[request.origin].tolist()
+        disc_partitions = self._lg.partitions_intersecting_disc(ox, oy, gamma)
         pindex = self._pindex
         pool = pindex.listed_columns(disc_partitions)
         if not pool.size:
             return []
-
-        cindex = self._cindex
-        lam = cindex.lam
-        vec = request_vector(self._network, request)
-        # Request-side normalised direction, shared by every per-taxi
-        # similarity fallback below.
-        req_unit = direction_unit(*vec.direction)
-        # A taxi belongs to the aligned-taxi union exactly when its one
-        # cluster is a matching cluster, so membership is a set probe of
-        # its cluster cell — no per-dispatch union materialisation.
-        matching_cids = set(cindex.matching_clusters(vec))
-        pool_clusters = cindex.cluster.take(pool).tolist()
-        units = cindex.unit
-
+        table = self._table
         origin = request.origin
-        origin_partition = self._lg.partition_of(origin)
         pickup_deadline = request.pickup_deadline
-        n_pass = request.num_passengers
-        # Rule 3's indexed arrival of each pool taxi (NaN: not listed).
-        pool_arrivals = pindex.arrivals[origin_partition].take(pool).tolist()
-        # Full mode answers the exact Rule-3 reachability bound with
-        # single reads of the distance column into the pick-up vertex;
-        # lazy mode defers the affected taxis to one batched
-        # cost-matrix query at the end.
+        # Full mode answers Rule 3's exact bound from the distance
+        # column into the pick-up vertex; lazy mode asks one batched
+        # cost-matrix query.
         col = self._engine.dist_col(origin)
-        speed = self._network.speed_mps
 
-        screened: list[Taxi] = []
-        exact_rows: list[int] = []
-        exact_ready: list[float] = []
-        exact_nodes: list[int] = []
-        exact_checks = 0
-        taxi_ids = pindex.taxi_ids
-        for column, arrival, cid in zip(pool.tolist(), pool_arrivals, pool_clusters):
-            taxi = fleet[taxi_ids[column]]
-            # Rule 2: no idle capacity -> out.  (Checked first: it is
-            # one integer compare, the direction rules cost float math;
-            # the rules are independent filters so the surviving set is
-            # the same in any order.)
-            if taxi.committed + n_pass > taxi.capacity:
-                continue
-            # Rule 1: empty taxis in the disc partitions always qualify.
-            # Busy taxis must travel the request's way: either their
-            # mobility cluster is aligned, or — since clusters assign
-            # each taxi to a single best cluster and can therefore miss
-            # borderline cases — their own mobility vector is.  (This
-            # stays scalar on purpose: a dispatch sees ~20 misaligned
-            # taxis, below the break-even size of the array kernel; the
-            # taxi-side normalised components come precomputed from the
-            # cluster index, one row read per misaligned taxi.)
-            if taxi.schedule and cid not in matching_cids:
-                ux, uy, norm = units[column].tolist()
-                if norm != norm:  # a NaN row: no mobility vector
-                    continue
-                if norm != 0.0 and req_unit is not ZERO_UNIT:
-                    # Inline ``unit_similarity`` (bit-identical to
-                    # ``vec.similarity(taxi_vector)``; the dot product
-                    # commutes multiplication-wise).  A zero norm is
-                    # :data:`ZERO_UNIT`: any other unit's is at least 1.
-                    value = (ux * req_unit[0] + uy * req_unit[1]) / (norm * req_unit[2])
-                    if max(-1.0, min(1.0, value)) < lam:
-                        continue
-            # Rule 3: must reach the pick-up before its deadline.  The
-            # indexed route arrival admits quickly; taxis it cannot
-            # admit get the exact shortest-path bound (a taxi whose
-            # planned route arrives late can still divert).  NaN <= x is
-            # False, so an unlisted taxi takes the exact bound too.
-            if not arrival <= pickup_deadline:
-                node, ready = taxi.position_at(now)
-                if col is not None:
-                    exact_checks += 1
-                    if ready + col.item(node) / speed > pickup_deadline:
-                        continue
-                else:
-                    exact_rows.append(len(screened))
-                    exact_nodes.append(node)
-                    exact_ready.append(ready)
-            screened.append(taxi)
+        # Rule 2: enough seats not yet promised.  (First: one compare
+        # per row; the rules are independent filters, so the surviving
+        # set is the same in any order.)
+        keep = table.spare.take(pool) >= request.num_passengers
 
-        if exact_checks:
-            self._obs.count("kernel.batched_reach_checks", exact_checks)
-        if not exact_rows:
-            return screened
-        # Lazy mode: exact bounds for every deferred taxi in one
-        # cost-matrix slice instead of one engine query per taxi.
-        self._obs.count("kernel.batched_reach_checks", len(exact_rows))
-        costs = self._engine.cost_matrix(exact_nodes, [origin])[:, 0]
-        arrivals = np.asarray(exact_ready) + costs
-        late: set[int] = set()
-        for row, arrival in zip(exact_rows, arrivals):
-            if arrival > pickup_deadline:
-                late.add(row)
-        return [taxi for row, taxi in enumerate(screened) if row not in late]
+        # Rule 1: empty taxis in the disc partitions always qualify.
+        # Busy taxis must travel the request's way: either their
+        # mobility cluster is aligned, or — since clusters assign each
+        # taxi to a single best cluster and can therefore miss
+        # borderline cases — their own mobility vector is.
+        busy = (keep & table.busy.take(pool)).nonzero()[0]
+        if busy.size:
+            cindex = self._cindex
+            dx, dy = xy[request.destination].tolist()
+            # ``request_vector``'s direction, without building the vector.
+            req_unit = direction_unit(dx - ox, dy - oy)
+            matching = set(cindex.matching_clusters(req_unit))
+            clusters = cindex.cluster.take(pool.take(busy)).tolist()
+            misses = [k for k, cid in zip(busy.tolist(), clusters) if cid not in matching]
+            if misses:
+                units = cindex.unit.take(pool.take(misses), axis=0).tolist()
+                keep[misaligned_keys(misses, units, req_unit, cindex.lam)] = False
+
+        # Rule 3: must reach the pick-up before its deadline.  The
+        # indexed arrival at the origin's partition admits; the rest get
+        # the exact shortest-path bound (a taxi whose planned route
+        # arrives late can still divert).  ``NaN <= x`` is False, so an
+        # unlisted taxi takes the exact bound too.
+        arrival = pindex.arrivals[self._lg.partition_of(origin)].take(pool)
+        pending = (keep & ~(arrival <= pickup_deadline)).nonzero()[0]
+        if pending.size:
+            self._obs.count("kernel.batched_reach_checks", int(pending.size))
+            rows = pool.take(pending)
+            nodes = table.plan_vertex.take(rows)
+            if col is not None:
+                legs = col.take(nodes) / self._network.speed_mps
+            else:
+                legs = self._engine.cost_matrix(nodes, [origin])[:, 0]
+            keep[pending[table.ready(now, rows) + legs > pickup_deadline]] = False
+        taxis = table.taxis
+        return [taxis[row] for row in pool[keep].tolist()]
 
     def screen_window(
         self,

@@ -18,7 +18,7 @@ candidate-search intersection (Eq. 3) — is ``cluster == a``.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +59,35 @@ def unit_similarity(
         return 1.0
     value = (a[0] * b[0] + a[1] * b[1]) / (a[2] * b[2])
     return max(-1.0, min(1.0, value))
+
+
+def misaligned_keys(
+    keys: Sequence[int],
+    units: Sequence[Sequence[float]],
+    req_unit: tuple[float, float, float],
+    lam: float,
+) -> list[int]:
+    """The ``keys[k]`` whose unit ``units[k]`` fails Rule 1 against
+    ``req_unit``: a NaN row (no mobility vector), or
+    ``unit_similarity(units[k], req_unit) < lam``.
+
+    Rows are :func:`direction_unit` triples as lists; ``req_unit`` is
+    one, :data:`ZERO_UNIT` by identity.  The arithmetic is
+    :func:`unit_similarity`'s, operation for operation, so each verdict
+    is the scalar one; a zero norm is :data:`ZERO_UNIT`.  The clamp to
+    ``[-1, 1]`` is left out: for ``lam > -1`` it cannot move a value
+    across ``lam``, and at ``lam = -1`` no clamped value is below it,
+    which the ``-inf`` bound reproduces.
+    """
+    if req_unit is ZERO_UNIT:
+        return [key for key, (_ux, _uy, norm) in zip(keys, units) if norm != norm]
+    bound = lam if lam > -1.0 else -math.inf
+    rx, ry, rn = req_unit
+    return [
+        key
+        for key, (ux, uy, norm) in zip(keys, units)
+        if norm != norm or (norm != 0.0 and (ux * rx + uy * ry) / (norm * rn) < bound)
+    ]
 
 
 def _misaligned(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
@@ -275,8 +304,9 @@ class MobilityClusterIndex:
             del self._clusters[cid]
         self._table = None
 
-    def matching_clusters(self, vec: MobilityVector) -> list[int]:
-        """Clusters whose general vector is aligned with ``vec``.
+    def matching_clusters(self, unit: tuple[float, float, float]) -> list[int]:
+        """Clusters whose general vector is aligned with a direction, given
+        as its :func:`direction_unit`.
 
         Candidate searching uses the aligned clusters' taxi lists; in
         the common case this is a single cluster (the paper's ``C_a``).
@@ -284,11 +314,8 @@ class MobilityClusterIndex:
         if not self._clusters:
             return []
         ids, units = self._direction_table()
-        bu = direction_unit(*vec.direction)
         lam = self._lam
-        return [
-            ids[k] for k, unit in enumerate(units) if unit_similarity(unit, bu) >= lam
-        ]
+        return [ids[k] for k, u in enumerate(units) if unit_similarity(u, unit) >= lam]
 
     # ------------------------------------------------------------------
     # taxi side

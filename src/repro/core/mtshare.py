@@ -18,6 +18,7 @@ from ..analysis import contracts
 from ..baselines.base import DispatchScheme
 from ..config import SystemConfig
 from ..demand.request import RideRequest
+from ..fleet.table import FleetTable
 from ..fleet.taxi import Taxi
 from ..index.partition_index import PartitionTaxiIndex
 from ..memo import BoundedMemo
@@ -116,6 +117,7 @@ class MTShare(DispatchScheme):
             self.name = "mT-Share-pro"
         self._pindex = PartitionTaxiIndex(self._landmarks.num_partitions)
         self._cindex = MobilityClusterIndex(lam=config.lam)
+        self._table = FleetTable([])
         self._matcher = Matcher(
             network,
             engine,
@@ -177,16 +179,21 @@ class MTShare(DispatchScheme):
     # ------------------------------------------------------------------
     def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
         """Lay out both index views over the fleet with one id -> column
-        map (ascending by id), then index the fleet."""
+        map (ascending by id), index the fleet, then build the fleet
+        table over the same layout and hand it to the matcher."""
         self._pindex.register(fleet)
         self._cindex.register(self._pindex.column_of)
         super().register_fleet(fleet, now)
+        self._table = FleetTable([fleet[tid] for tid in self._pindex.taxi_ids])
+        self._matcher.use_table(self._table)
 
     def check_fleet_table(self) -> None:
-        """No out-of-service taxi is listed in any partition, and the
-        cluster columns hold live clusters only (contracts)."""
+        """No out-of-service taxi is listed in any partition, the
+        cluster columns hold live clusters only, and every fleet-table
+        column equals the state it mirrors (contracts)."""
         contracts.check_out_of_service_unlisted(self._fleet, self._pindex)
         contracts.check_cluster_columns(self._fleet, self._cindex)
+        contracts.check_fleet_table(self._table)
 
     def _index_taxi(self, taxi: Taxi, now: float) -> None:
         """Refresh both index views for one taxi.
@@ -246,5 +253,10 @@ class MTShare(DispatchScheme):
         return self.generic_insertion(taxi, request, now, self._basic_router)
 
     def index_memory_bytes(self) -> int:
-        """Footprint of both index views (Table IV's "index size")."""
-        return self._pindex.memory_bytes() + self._cindex.memory_bytes()
+        """Footprint of both index views and the fleet table (Table IV's
+        "index size")."""
+        return (
+            self._pindex.memory_bytes()
+            + self._cindex.memory_bytes()
+            + self._table.memory_bytes()
+        )

@@ -52,12 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis import contracts
 from ..config import SystemConfig
 from ..demand.request import RideRequest
 from ..fleet.schedule import Stop, materialize_insertion, score_insertions
-from ..fleet.table import FleetTable
-from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
 from ..network.landmarks import LandmarkGraph
 from ..network.shortest_path import ShortestPathEngine
@@ -306,23 +303,6 @@ class WindowLAP(MTShare):
     ) -> None:
         super().__init__(network, engine, config, partitioning, landmarks=landmarks)
         self.dispatch_window_s = float(config.dispatch_window_s)
-        self._table = FleetTable([])
-
-    def register_fleet(self, fleet: dict[int, Taxi], now: float) -> None:
-        """Register and index the fleet, then build the fleet table over
-        the indexes' column layout."""
-        super().register_fleet(fleet, now)
-        self._table = FleetTable([fleet[tid] for tid in self._pindex.taxi_ids])
-
-    def check_fleet_table(self) -> None:
-        """mT-Share's index contracts, plus every fleet-table column
-        against the state it mirrors."""
-        super().check_fleet_table()
-        contracts.check_fleet_table(self._table)
-
-    def index_memory_bytes(self) -> int:
-        """Both index views plus the fleet table."""
-        return super().index_memory_bytes() + self._table.memory_bytes()
 
     # ------------------------------------------------------------------
     # window matching

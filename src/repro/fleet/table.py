@@ -1,8 +1,10 @@
-"""The fleet as fixed-width columns: the taxi state a window screen reads.
+"""The fleet as fixed-width columns: the taxi state candidate screening reads.
 
-A :class:`FleetTable` holds one row per taxi, in the order it is given:
-the index layout, ascending by taxi id, which is the column order of
-:meth:`~repro.core.matching.Matcher.screen_window`.  Every column
+Every mT-Share scheme keeps one (``MTShare.register_fleet``): greedy
+:meth:`~repro.core.matching.Matcher.candidate_taxis` gathers a pool's
+rows, and :meth:`~repro.core.matching.Matcher.screen_window` reads
+whole columns.  A :class:`FleetTable` holds one row per taxi, in the
+order it is given: the index layout, ascending by taxi id.  Every column
 mirrors state that lives on a :class:`~repro.fleet.taxi.Taxi`, and is
 written by the taxi where the state changes, never rebuilt from it: the
 planning position (``plan_vertex``, ``plan_time``), ``spare`` seats, the

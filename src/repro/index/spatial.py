@@ -125,6 +125,15 @@ class GridSpatialIndex:
         return 96 * len(self._cells) + 72 * len(self._positions)
 
 
+#: Metres the query box of :meth:`StaticVertexGrid.query_radius` reaches
+#: past the disc.  A coordinate difference below about 1.5e-154 squares
+#: to zero or a subnormal, so the exact predicate admits such a point
+#: even at radius 0, and near the cell boundary at 0 it can sit in a
+#: cell the disc's own box does not touch.  Away from 0 the pad rounds
+#: away, as it may: two distinct floats there differ by far more.
+UNDERFLOW_PAD_M = 1e-150
+
+
 class StaticVertexGrid:
     """Immutable uniform-cell index over a fixed vertex point set.
 
@@ -180,8 +189,9 @@ class StaticVertexGrid:
         if radius_m < 0:
             return np.empty(0, dtype=np.int64)
         cell = self._cell
-        x0, x1 = math.floor((x - radius_m) / cell), math.floor((x + radius_m) / cell)
-        y0, y1 = math.floor((y - radius_m) / cell), math.floor((y + radius_m) / cell)
+        reach = radius_m + UNDERFLOW_PAD_M
+        x0, x1 = math.floor((x - reach) / cell), math.floor((x + reach) / cell)
+        y0, y1 = math.floor((y - reach) / cell), math.floor((y + reach) / cell)
         buckets = [
             b
             for gx in range(x0, x1 + 1)

@@ -134,12 +134,14 @@ def _relabel_contiguous(labels: np.ndarray) -> np.ndarray:
     return contiguous.astype(np.int64)
 
 
-def _partition_signature(labels: np.ndarray) -> frozenset[frozenset[int]]:
-    """Order-independent signature of a partitioning, for convergence tests."""
-    groups: dict[int, list[int]] = {}
-    for v, z in enumerate(labels):
-        groups.setdefault(int(z), []).append(v)
-    return frozenset(frozenset(g) for g in groups.values())
+def _partition_signature(labels: np.ndarray) -> bytes:
+    """Order-independent signature of a partitioning, for convergence
+    tests: the labels renumbered in order of first occurrence, so two
+    labellings of the same vertex groups give the same bytes."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse].tobytes()
 
 
 def bipartite_partition(

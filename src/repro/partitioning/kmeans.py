@@ -44,7 +44,13 @@ class KMeansResult:
 
 
 def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centres proportionally to D^2."""
+    """k-means++ seeding: spread initial centres proportionally to D^2.
+
+    Each weighted draw is ``Generator.choice(n, p=probs)`` spelled out:
+    one ``rng.random()`` looked up with ``searchsorted(side="right")``
+    in the normalised cumulative table ``choice`` builds, so the same
+    stream position picks the same sample.
+    """
     n = data.shape[0]
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
@@ -56,22 +62,24 @@ def _kmeanspp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             # All remaining points coincide with an existing centre.
             centers[j] = data[int(rng.integers(n))]
             continue
-        probs = closest_sq / total
-        choice = int(rng.choice(n, p=probs))
+        cdf = (closest_sq / total).cumsum()
+        cdf /= cdf[-1]
+        choice = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = data[choice]
         dist_sq = ((data - centers[j]) ** 2).sum(axis=1)
         np.minimum(closest_sq, dist_sq, out=closest_sq)
     return centers
 
 
-def _assign(data: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Label each sample with its nearest centre; also return distances^2."""
+def _assign(
+    data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label each sample with its nearest centre; also return distances^2.
+
+    ``data_sq`` is ``(data**2).sum(axis=1)``, the same every iteration.
+    """
     # (n, k) pairwise squared distances without materialising n*k*d.
-    sq = (
-        (data**2).sum(axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
-    )
+    sq = data_sq[:, None] - 2.0 * data @ centers.T + (centers**2).sum(axis=1)[None, :]
     labels = np.argmin(sq, axis=1)
     return labels, np.maximum(sq[np.arange(data.shape[0]), labels], 0.0)
 
@@ -96,6 +104,12 @@ def kmeans(
 
     Empty clusters are re-seeded with the sample farthest from its
     centre, so the result always has exactly ``min(k, n)`` clusters.
+    Each centroid is its cluster's column sums, added in row order,
+    over its count: for ``d >= 2`` that is
+    ``data[labels == j].mean(axis=0)`` bit for bit.  On one-column data
+    numpy's ``mean`` sums pairwise, so a centre can differ from it in
+    the last bit; the partitioners' only one-column input is the
+    transition matrix of a single partition, clustered with ``k = 1``.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -109,23 +123,29 @@ def kmeans(
     rng = np.random.default_rng(seed)
 
     centers = _kmeanspp_init(data, k, rng)
-    labels, dist_sq = _assign(data, centers)
+    data_sq = (data**2).sum(axis=1)
+    labels, dist_sq = _assign(data, data_sq, centers)
     inertia = float(dist_sq.sum())
     iterations = 0
+    d = data.shape[1]
+    values = data.ravel()
+    columns = np.arange(d)
 
     for iterations in range(1, MAX_ITER + 1):
-        new_centers = np.empty_like(centers)
+        # Every cluster's column sums in one bincount over the flattened
+        # samples: bin ``j * d + c`` adds column ``c`` of cluster ``j``'s
+        # samples in row order.
         counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] == 0:
-                # Re-seed the empty cluster at the worst-fit sample.
-                worst = int(np.argmax(dist_sq))
-                new_centers[j] = data[worst]
-                dist_sq[worst] = 0.0
-            else:
-                new_centers[j] = data[labels == j].mean(axis=0)
-        centers = new_centers
-        labels, dist_sq = _assign(data, centers)
+        sums = np.bincount(
+            (labels[:, None] * d + columns).ravel(), weights=values, minlength=k * d
+        )
+        centers = sums.reshape(k, d) / np.maximum(counts, 1)[:, None]
+        for j in np.flatnonzero(counts == 0).tolist():
+            # Re-seed the empty cluster at the worst-fit sample.
+            worst = int(np.argmax(dist_sq))
+            centers[j] = data[worst]
+            dist_sq[worst] = 0.0
+        labels, dist_sq = _assign(data, data_sq, centers)
         new_inertia = float(dist_sq.sum())
         if inertia - new_inertia <= TOL * max(inertia, 1e-12):
             inertia = new_inertia

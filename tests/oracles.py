@@ -64,8 +64,11 @@ is checked without trusting the penalty or any solver.
 screen both read (``repro.index.partition_index.PartitionTaxiIndex``);
 :class:`ReferencePartitionIndex` is the per-partition dict index it
 replaced, and :func:`reference_candidate_taxis` the greedy walk over
-that index's sorted union and arrival maps, verbatim, so lists can be
-diffed cell for cell and candidate sets in order.
+that index's sorted union and arrival maps, reading each taxi's seats,
+schedule and position from the object, verbatim, so lists can be
+diffed cell for cell and candidate sets in order.  Production gathers
+the pool's rows of the fleet table instead
+(``repro.core.matching.Matcher.candidate_taxis``).
 
 **Cluster taxi lists.**  Production keeps each taxi's mobility cluster
 and direction unit as two columns of
@@ -75,6 +78,13 @@ arrivals matrix, so ``C_a.L_t`` is ``cluster == a``;
 (per-taxi cluster and unit dicts, per-cluster taxi sets), which
 :func:`reference_candidate_taxis` reads.  :func:`taxi_cells` reads one
 taxi's cells back in the reference's terms.
+
+**k-means.**  Production updates every Lloyd centroid with one flat
+``bincount`` and draws the k-means++ seeds with ``searchsorted``
+(``repro.partitioning.kmeans.kmeans``); :func:`reference_kmeans` is the
+per-cluster ``mean`` loop and the ``rng.choice`` draws it replaced,
+verbatim, so labels, centres, inertia and iteration counts can be
+diffed bit for bit.
 
 **Insertion scoring.**  Production scores insertions through
 :func:`repro.fleet.schedule.score_insertions`; the tests diff it
@@ -890,7 +900,7 @@ def reference_candidate_taxis(matcher, index, clusters, request, fleet, now):
     lam = cindex.lam
     vec = request_vector(matcher._network, request)
     req_unit = direction_unit(*vec.direction)
-    matching_cids = set(cindex.matching_clusters(vec))
+    matching_cids = set(cindex.matching_clusters(req_unit))
     cluster_of_taxi = clusters.cluster_of_taxi
     taxi_unit = clusters.taxi_unit
 
@@ -944,3 +954,58 @@ def reference_candidate_taxis(matcher, index, clusters, request, fleet, now):
         if arrival > pickup_deadline:
             late.add(row)
     return [taxi for row, taxi in enumerate(screened) if row not in late]
+
+
+def reference_kmeans(data, k, seed=0):
+    """``repro.partitioning.kmeans.kmeans`` as a per-cluster loop:
+    ``rng.choice`` seeding, the squared norms recomputed on every
+    assignment, each centroid ``data[labels == j].mean(axis=0)``.
+    Returns ``(labels, centers, inertia, iterations)``."""
+    from repro.partitioning.kmeans import MAX_ITER, TOL
+
+    def assign(centers):
+        sq = (
+            (data**2).sum(axis=1)[:, None]
+            - 2.0 * data @ centers.T
+            + (centers**2).sum(axis=1)[None, :]
+        )
+        labels = np.argmin(sq, axis=1)
+        return labels, np.maximum(sq[np.arange(data.shape[0]), labels], 0.0)
+
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, data.shape[1]), dtype=np.float64)
+    centers[0] = data[int(rng.integers(n))]
+    closest_sq = ((data - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(closest_sq.sum())
+        if total <= 0.0:
+            centers[j] = data[int(rng.integers(n))]
+            continue
+        choice = int(rng.choice(n, p=closest_sq / total))
+        centers[j] = data[choice]
+        np.minimum(closest_sq, ((data - centers[j]) ** 2).sum(axis=1), out=closest_sq)
+
+    labels, dist_sq = assign(centers)
+    inertia = float(dist_sq.sum())
+    iterations = 0
+    for iterations in range(1, MAX_ITER + 1):
+        new_centers = np.empty_like(centers)
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] == 0:
+                worst = int(np.argmax(dist_sq))
+                new_centers[j] = data[worst]
+                dist_sq[worst] = 0.0
+            else:
+                new_centers[j] = data[labels == j].mean(axis=0)
+        centers = new_centers
+        labels, dist_sq = assign(centers)
+        new_inertia = float(dist_sq.sum())
+        if inertia - new_inertia <= TOL * max(inertia, 1e-12):
+            inertia = new_inertia
+            break
+        inertia = new_inertia
+    return labels, centers, inertia, iterations

@@ -1,8 +1,11 @@
 """The fleet table (``repro.fleet.table``) and its contract.
 
-Every column is written where its state changes, and
+Every mT-Share scheme keeps one, built by ``MTShare.register_fleet``
+and read by greedy search and the window screen alike.  Every column
+is written where its state changes, and
 ``contracts.check_fleet_table`` compares every column with the taxis.
-Each write site gets a mutation here: the site runs with its writes
+Each write site gets a mutation here, on a layout built by hand and on
+an ``mt-share`` scheme's own table: the site runs with its writes
 undone, and the contract must fail on the next check.  The cluster
 index's columns share the table's layout; the fuzz's dict mirror
 (``tests/test_fuzz.py``) checks their writes.
@@ -29,16 +32,23 @@ EAST = MobilityVector(0.0, 0.0, 100.0, 0.0)
 
 class World:
     """Three taxis, both indexes and a fleet table over one layout, as
-    ``MTShare.register_fleet`` and ``WindowLAP.register_fleet`` lay
-    them out."""
+    ``MTShare.register_fleet`` lays them out; given a scheme, the
+    scheme's own registration does it and the table is the one its
+    matcher reads."""
 
-    def __init__(self):
+    def __init__(self, scheme=None):
         self.fleet = {tid: Taxi(taxi_id=tid, capacity=3, loc=tid) for tid in (4, 1, 9)}
-        self.pindex = PartitionTaxiIndex(2)
-        self.pindex.register(self.fleet)
-        self.cindex = MobilityClusterIndex()
-        self.cindex.register(self.pindex.column_of)
-        self.table = FleetTable([self.fleet[tid] for tid in self.pindex.taxi_ids])
+        if scheme is None:
+            self.pindex = PartitionTaxiIndex(2)
+            self.pindex.register(self.fleet)
+            self.cindex = MobilityClusterIndex()
+            self.cindex.register(self.pindex.column_of)
+            self.table = FleetTable([self.fleet[tid] for tid in self.pindex.taxi_ids])
+        else:
+            scheme.register_fleet(self.fleet, now=0.0)
+            self.pindex, self.cindex = scheme.partition_index, scheme.cluster_index
+            self.table = scheme._table
+            assert scheme.matcher._table is self.table
         self.taxi = self.fleet[4]
         self.request = make_request(request_id=7, origin=2, destination=5, num_passengers=2)
 
@@ -165,13 +175,12 @@ WRITE_SITES = {
 }
 
 
-@pytest.mark.parametrize("site", WRITE_SITES)
-def test_every_write_site_is_held_by_the_contract(monkeypatch, site):
-    """Unmutated, the site keeps the table equal to the objects; with
-    its writes undone, ``check_fleet_table`` fails."""
+def mutate_write_site(monkeypatch, make_world, site):
+    """Unmutated, ``site`` keeps the table of ``make_world()`` equal to
+    the objects; with its writes undone, ``check_fleet_table`` fails."""
     owner, name, setup, call = WRITE_SITES[site]
     for mutate in (False, True):
-        world = World()
+        world = make_world()
         if setup is not None:
             setup(world)
         world.check()
@@ -186,6 +195,21 @@ def test_every_write_site_is_held_by_the_contract(monkeypatch, site):
             world.check()
 
 
+@pytest.mark.parametrize("site", WRITE_SITES)
+def test_every_write_site_is_held_by_the_contract(monkeypatch, site):
+    """Every write site, on a layout built by hand."""
+    mutate_write_site(monkeypatch, World, site)
+
+
+@pytest.mark.parametrize("site", WRITE_SITES)
+def test_every_write_site_is_held_on_an_mt_share_table(monkeypatch, test_scenario, site):
+    """Every write site, on the table a greedy ``mt-share`` scheme
+    builds in ``register_fleet`` and its matcher reads."""
+    mutate_write_site(
+        monkeypatch, lambda: World(test_scenario.make_scheme("mt-share")), site
+    )
+
+
 def test_a_run_checks_the_table_at_its_boundaries(test_scenario, monkeypatch):
     """The simulator runs the contract at every boundary: a seat write
     that never lands fails the run, not a later screen."""
@@ -193,4 +217,15 @@ def test_a_run_checks_the_table_at_its_boundaries(test_scenario, monkeypatch):
     sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
     monkeypatch.setattr(Taxi, "_write_seats", lambda taxi: None)
     with pytest.raises(ContractViolation, match="fleet table spare"):
+        sim.run()
+
+
+@pytest.mark.parametrize("scheme_name", ("mt-share", "mt-share-pro"))
+def test_a_greedy_run_checks_the_table_at_its_boundaries(test_scenario, monkeypatch, scheme_name):
+    """The greedy schemes read the table too, and run the same contract
+    at every boundary: a plan write that never lands fails the run."""
+    scheme = test_scenario.make_scheme(scheme_name)
+    sim = Simulator(scheme, test_scenario.make_fleet(12, seed=1), test_scenario.requests())
+    monkeypatch.setattr(Taxi, "_write_plan", lambda taxi: None)
+    with pytest.raises(ContractViolation, match="fleet table"):
         sim.run()

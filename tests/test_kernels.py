@@ -704,7 +704,7 @@ class TestDirectionUnits:
                 for cid in index.cluster_ids()
                 if index._clusters[cid].general_vector().similarity(vec) >= index.lam
             ]
-            assert index.matching_clusters(vec) == brute
+            assert index.matching_clusters(direction_unit(*vec.direction)) == brute
             best_id, best_sim = index._best_cluster(vec)
             exp_id, exp_sim = None, -2.0
             for cid in index.cluster_ids():

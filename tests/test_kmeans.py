@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.partitioning.kmeans import KMeansResult, kmeans
+from tests.oracles import reference_kmeans
 
 
 def blobs(seed=0, per=30):
@@ -85,3 +86,48 @@ class TestKMeans:
         i2 = kmeans(data, 2, seed=0).inertia
         i6 = kmeans(data, 6, seed=0).inertia
         assert i6 <= i2
+
+
+class TestAgainstTheReferenceLoop:
+    """The flat ``bincount`` update and the ``searchsorted`` seeding are
+    the per-cluster ``mean`` loop and ``rng.choice`` draws of
+    :func:`tests.oracles.reference_kmeans`, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=80),
+        d=st.sampled_from([2, 3, 5, 36]),
+        k=st.integers(min_value=1, max_value=12),
+        distinct=st.integers(min_value=1, max_value=80),
+        scale=st.sampled_from([1e-3, 1.0, 1e4]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # Fewer distinct samples than clusters: identical samples share a
+    # label, so clusters are empty at every iteration and get re-seeded,
+    # and the seeding runs out of D^2 mass.
+    @example(n=40, d=2, k=7, distinct=3, scale=1.0, seed=5)
+    def test_matches_the_reference(self, n, d, k, distinct, scale, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(min(distinct, n), d)) * scale
+        data = points[rng.integers(len(points), size=n)]
+        result = kmeans(data, k, seed=seed)
+        labels, centers, inertia, iterations = reference_kmeans(data, k, seed=seed)
+        assert result.labels.tobytes() == labels.tobytes()
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia == inertia
+        assert result.iterations == iterations
+
+    def test_a_cluster_emptied_mid_run_is_reseeded_like_the_reference(self):
+        # Found by search: on these 29 samples one of ten clusters empties
+        # during Lloyd's iterations while the residuals are positive, so
+        # the re-seed takes a real worst fit (the example above re-seeds
+        # where every residual is 0).
+        rng = np.random.default_rng(18315)
+        n, k, d = int(rng.integers(4, 40)), int(rng.integers(2, 12)), int(rng.choice([2, 3]))
+        data = rng.normal(size=(n, d))
+        assert (n, k, d) == (29, 10, 2)
+        result = kmeans(data, k, seed=18315)
+        labels, centers, inertia, iterations = reference_kmeans(data, k, seed=18315)
+        assert result.labels.tobytes() == labels.tobytes()
+        assert np.array_equal(result.centers, centers)
+        assert (result.inertia, result.iterations) == (inertia, iterations)

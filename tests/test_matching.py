@@ -17,6 +17,7 @@ from repro.core.partition_filter import PartitionFilter
 from repro.core.routing import BasicRouter
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import dropoff, pickup
+from repro.fleet.table import FleetTable
 from repro.fleet.taxi import Taxi
 from repro.index.partition_index import PartitionTaxiIndex
 from repro.network.landmarks import LandmarkGraph
@@ -27,18 +28,47 @@ from tests.conftest import build_route, is_path, make_request
 from tests.oracles import taxi_cells
 
 
+class TinyWorld:
+    """A bare matcher over the tiny grid partitioned by rows.
+
+    :meth:`seat` registers a fleet the way ``MTShare.register_fleet``
+    does: both indexes and a fleet table laid out over it, the table
+    handed to the matcher, every taxi indexed.
+    """
+
+    def __init__(self, net, engine, router=None):
+        self.net = net
+        self.lg = LandmarkGraph(net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], engine)
+        config = SystemConfig(search_range_m=500.0, num_partitions=3)
+        self.pindex = PartitionTaxiIndex(3)
+        self.cindex = MobilityClusterIndex(lam=config.lam)
+        if router is None:
+            router = BasicRouter(net, engine, PartitionFilter(self.lg))
+        self.matcher = Matcher(net, engine, self.lg, self.pindex, self.cindex, config, router)
+
+    def seat(self, fleet, now=0.0):
+        """Register ``fleet`` and index each taxi: by its route when it
+        has one, parked at its partition otherwise, and by its mobility
+        vector.  Returns ``fleet``."""
+        self.pindex.register(fleet)
+        self.cindex.register(self.pindex.column_of)
+        for tid, taxi in fleet.items():
+            route = taxi.route
+            if route.nodes:
+                self.pindex.update_taxi_from_route(
+                    tid, route.nodes, route.times, self.lg.partition_of, now
+                )
+            else:
+                self.pindex.place_idle_taxi(tid, self.lg.partition_of(taxi.loc), now)
+            self.cindex.update_taxi(tid, taxi_vector(self.net, taxi, now))
+        self.matcher.use_table(FleetTable([fleet[tid] for tid in self.pindex.taxi_ids]))
+        return fleet
+
+
 @pytest.fixture()
-def setup(tiny_net, tiny_engine):
-    """A matcher over the tiny grid partitioned by rows, plus helpers."""
-    lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], tiny_engine)
-    config = SystemConfig(search_range_m=500.0, num_partitions=3)
-    pindex = PartitionTaxiIndex(3)
-    pindex.register(range(4))
-    cindex = MobilityClusterIndex(lam=config.lam)
-    cindex.register(pindex.column_of)
-    router = BasicRouter(tiny_net, tiny_engine, PartitionFilter(lg))
-    matcher = Matcher(tiny_net, tiny_engine, lg, pindex, cindex, config, router)
-    return matcher, pindex, cindex, lg
+def world(tiny_net, tiny_engine):
+    """A :class:`TinyWorld` with the partition-filtered basic router."""
+    return TinyWorld(tiny_net, tiny_engine)
 
 
 def trip(engine, origin, destination, rho=2.0, rid=0, release=0.0):
@@ -52,10 +82,8 @@ def trip(engine, origin, destination, rho=2.0, rid=0, release=0.0):
     )
 
 
-def idle_taxi(taxi_id, loc, pindex, lg, capacity=3):
-    taxi = Taxi(taxi_id=taxi_id, capacity=capacity, loc=loc)
-    pindex.place_idle_taxi(taxi_id, lg.partition_of(loc), 0.0)
-    return taxi
+def idle_taxi(taxi_id, loc, capacity=3):
+    return Taxi(taxi_id=taxi_id, capacity=capacity, loc=loc)
 
 
 class TestVectors:
@@ -84,29 +112,25 @@ class TestVectors:
 
 
 class TestCandidateSearch:
-    def test_idle_taxi_in_disc_is_candidate(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        fleet = {0: idle_taxi(0, 0, pindex, lg)}
+    def test_idle_taxi_in_disc_is_candidate(self, world, tiny_engine):
+        fleet = world.seat({0: idle_taxi(0, 0)})
         r = trip(tiny_engine, 1, 7)
-        assert [t.taxi_id for t in matcher.candidate_taxis(r, fleet, 0.0)] == [0]
+        assert [t.taxi_id for t in world.matcher.candidate_taxis(r, fleet, 0.0)] == [0]
 
-    def test_full_taxi_filtered(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        taxi = idle_taxi(0, 0, pindex, lg, capacity=1)
+    def test_full_taxi_filtered(self, world, tiny_engine):
+        taxi = idle_taxi(0, 0, capacity=1)
+        fleet = world.seat({0: taxi})
         taxi.assign(trip(tiny_engine, 0, 2, rid=9))
-        fleet = {0: taxi}
         r = trip(tiny_engine, 1, 7)
-        assert matcher.candidate_taxis(r, fleet, 0.0) == []
+        assert world.matcher.candidate_taxis(r, fleet, 0.0) == []
 
-    def test_unreachable_taxi_filtered(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        fleet = {0: idle_taxi(0, 8, pindex, lg)}
+    def test_unreachable_taxi_filtered(self, world, tiny_engine):
+        fleet = world.seat({0: idle_taxi(0, 8)})
         # rho barely above 1: nobody far away can make the pick-up.
         r = trip(tiny_engine, 0, 2, rho=1.01)
-        assert matcher.candidate_taxis(r, fleet, 0.0) == []
+        assert world.matcher.candidate_taxis(r, fleet, 0.0) == []
 
-    def test_busy_taxi_needs_alignment(self, setup, tiny_engine, tiny_net):
-        matcher, pindex, cindex, lg = setup
+    def test_busy_taxi_needs_alignment(self, world, tiny_engine, tiny_net):
         # Busy taxi heading east along the top row.
         taxi = Taxi(taxi_id=0, capacity=3, loc=6)
         r_old = trip(tiny_engine, 6, 8, rid=50)
@@ -114,22 +138,19 @@ class TestCandidateSearch:
         route = build_route(6, 0.0, stops, tiny_engine.path, tiny_net.path_cost_s)
         taxi.assign(r_old)
         taxi.set_plan(stops, route)
-        pindex.update_taxi_from_route(0, route.nodes, route.times, lg.partition_of, 0.0)
-        cindex.update_taxi(0, taxi_vector(tiny_net, taxi, 0.0))
-        fleet = {0: taxi}
+        fleet = world.seat({0: taxi})
 
         east = trip(tiny_engine, 6, 8, rid=1)
         west = trip(tiny_engine, 8, 6, rid=2)
-        assert [t.taxi_id for t in matcher.candidate_taxis(east, fleet, 0.0)] == [0]
-        assert matcher.candidate_taxis(west, fleet, 0.0) == []
+        assert [t.taxi_id for t in world.matcher.candidate_taxis(east, fleet, 0.0)] == [0]
+        assert world.matcher.candidate_taxis(west, fleet, 0.0) == []
 
 
 class TestMatch:
-    def test_single_idle_taxi_matched(self, setup, tiny_engine, tiny_net):
-        matcher, pindex, _cindex, lg = setup
-        fleet = {0: idle_taxi(0, 0, pindex, lg)}
+    def test_single_idle_taxi_matched(self, world, tiny_engine, tiny_net):
+        fleet = world.seat({0: idle_taxi(0, 0)})
         r = trip(tiny_engine, 1, 7)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result is not None
         assert result.taxi_id == 0
         assert result.num_candidates == 1
@@ -137,42 +158,36 @@ class TestMatch:
         assert [s.kind.value for s in result.stops] == ["pickup", "dropoff"]
         assert is_path(tiny_net, list(result.route.nodes))
 
-    def test_picks_minimum_detour_taxi(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        near = idle_taxi(0, 1, pindex, lg)
-        far = idle_taxi(1, 8, pindex, lg)
-        fleet = {0: near, 1: far}
+    def test_picks_minimum_detour_taxi(self, world, tiny_engine):
+        near = idle_taxi(0, 1)
+        far = idle_taxi(1, 8)
+        fleet = world.seat({0: near, 1: far})
         r = trip(tiny_engine, 1, 7)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result.taxi_id == 0  # zero deadhead wins
 
-    def test_no_candidates_returns_none(self, setup, tiny_engine):
-        matcher, _pindex, _cindex, _lg = setup
+    def test_no_candidates_returns_none(self, world, tiny_engine):
         r = trip(tiny_engine, 1, 7)
-        assert matcher.match(r, {}, 0.0) is None
+        assert world.matcher.match(r, world.seat({}), 0.0) is None
 
-    def test_detour_cost_reported(self, setup, tiny_engine):
-        matcher, pindex, _cindex, lg = setup
-        fleet = {0: idle_taxi(0, 1, pindex, lg)}
+    def test_detour_cost_reported(self, world, tiny_engine):
+        fleet = world.seat({0: idle_taxi(0, 1)})
         r = trip(tiny_engine, 1, 7)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result.detour_cost == pytest.approx(tiny_engine.cost(1, 7))
 
-    def test_shared_match_inserts_into_schedule(self, setup, tiny_engine, tiny_net):
-        matcher, pindex, cindex, lg = setup
+    def test_shared_match_inserts_into_schedule(self, world, tiny_engine, tiny_net):
         taxi = Taxi(taxi_id=0, capacity=3, loc=0)
         r_old = trip(tiny_engine, 0, 8, rid=50, rho=2.5)
         stops = [pickup(r_old), dropoff(r_old)]
         route = build_route(0, 0.0, stops, tiny_engine.path, tiny_net.path_cost_s)
         taxi.assign(r_old)
         taxi.set_plan(stops, route)
-        pindex.update_taxi_from_route(0, route.nodes, route.times, lg.partition_of, 0.0)
-        cindex.update_taxi(0, taxi_vector(tiny_net, taxi, 0.0))
-        fleet = {0: taxi}
+        fleet = world.seat({0: taxi})
 
         # New rider along the same diagonal.
         r = trip(tiny_engine, 4, 8, rid=1, rho=2.5)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result is not None
         assert len(result.stops) == 4
 
@@ -200,7 +215,7 @@ class TestMatch:
 
 
 def _row_partitioned_mtshare(tiny_net, tiny_engine):
-    """mT-Share over the tiny grid partitioned by rows, as ``setup``."""
+    """mT-Share over the tiny grid partitioned by rows, as ``TinyWorld``."""
     partitioning = MapPartitioning(np.arange(9) // 3, "grid")
     lg = LandmarkGraph(tiny_net, partitioning.partitions, tiny_engine)
     config = SystemConfig(search_range_m=500.0, num_partitions=3)
@@ -232,18 +247,6 @@ class InflatingRouter(BasicRouter):
         )
 
 
-def build_matcher(tiny_net, tiny_engine, router):
-    """A matcher over the row-partitioned tiny grid with a given router."""
-    lg = LandmarkGraph(tiny_net, [[0, 1, 2], [3, 4, 5], [6, 7, 8]], tiny_engine)
-    config = SystemConfig(search_range_m=500.0, num_partitions=3)
-    pindex = PartitionTaxiIndex(3)
-    pindex.register(range(4))
-    cindex = MobilityClusterIndex(lam=config.lam)
-    cindex.register(pindex.column_of)
-    matcher = Matcher(tiny_net, tiny_engine, lg, pindex, cindex, config, router)
-    return matcher, pindex, lg
-
-
 class TestWinnerByActualDetour:
     """Regression: ``match`` must pick the minimum *actual* planned-route
     detour, not the first candidate that survives route planning."""
@@ -252,15 +255,15 @@ class TestWinnerByActualDetour:
         router = InflatingRouter(
             tiny_net, tiny_engine, None, slow_node=1, penalty=300.0
         )
-        matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, router)
+        world = TinyWorld(tiny_net, tiny_engine, router)
         # Taxi 0 sits on the pick-up vertex: best estimated detour, but
         # its planned route is inflated by 300 s.  Taxi 1 is one hop
         # away with an exact route.
-        on_origin = idle_taxi(0, 1, pindex, lg)
-        one_hop = idle_taxi(1, 2, pindex, lg)
-        fleet = {0: on_origin, 1: one_hop}
+        on_origin = idle_taxi(0, 1)
+        one_hop = idle_taxi(1, 2)
+        fleet = world.seat({0: on_origin, 1: one_hop})
         r = trip(tiny_engine, 1, 7, rho=3.0)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result is not None
         # First-survivor selection would return taxi 0 here.
         assert result.taxi_id == 1
@@ -278,10 +281,10 @@ class TestWinnerByActualDetour:
         router = InflatingRouter(
             tiny_net, tiny_engine, None, slow_node=-1, penalty=0.0
         )
-        matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, router)
-        fleet = {0: idle_taxi(0, 1, pindex, lg), 1: idle_taxi(1, 8, pindex, lg)}
+        world = TinyWorld(tiny_net, tiny_engine, router)
+        fleet = world.seat({0: idle_taxi(0, 1), 1: idle_taxi(1, 8)})
         r = trip(tiny_engine, 1, 7, rho=3.0)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result.taxi_id == 0
         assert router.calls == 1
 
@@ -297,15 +300,15 @@ class TestWinnerByActualDetour:
 
         slow = SlowEverywhere(tiny_net, tiny_engine, None, slow_node=-2,
                               penalty=500.0)
-        matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, slow)
-        fleet = {
-            0: idle_taxi(0, 1, pindex, lg),
-            1: idle_taxi(1, 2, pindex, lg),
-            2: idle_taxi(2, 4, pindex, lg),
-            3: idle_taxi(3, 0, pindex, lg),
-        }
+        world = TinyWorld(tiny_net, tiny_engine, slow)
+        fleet = world.seat({
+            0: idle_taxi(0, 1),
+            1: idle_taxi(1, 2),
+            2: idle_taxi(2, 4),
+            3: idle_taxi(3, 0),
+        })
         r = trip(tiny_engine, 1, 7, rho=3.0)
-        result = matcher.match(r, fleet, 0.0)
+        result = world.matcher.match(r, fleet, 0.0)
         assert result is not None
         # Inflation keeps the estimate-based exit from firing (every
         # estimate beats every inflated actual), so the cutoff is what
@@ -316,13 +319,13 @@ class TestWinnerByActualDetour:
 class TestMatchObservability:
     def test_match_reports_stages_and_counters(self, tiny_net, tiny_engine):
         router = BasicRouter(tiny_net, tiny_engine, None)
-        matcher, pindex, lg = build_matcher(tiny_net, tiny_engine, router)
+        world = TinyWorld(tiny_net, tiny_engine, router)
         obs = Instrumentation()
-        matcher.instrument(obs)
+        world.matcher.instrument(obs)
         router.instrument(obs)
-        fleet = {0: idle_taxi(0, 1, pindex, lg), 1: idle_taxi(1, 8, pindex, lg)}
+        fleet = world.seat({0: idle_taxi(0, 1), 1: idle_taxi(1, 8)})
         r = trip(tiny_engine, 1, 7, rho=3.0)
-        assert matcher.match(r, fleet, 0.0) is not None
+        assert world.matcher.match(r, fleet, 0.0) is not None
         for stage in ("match.candidates", "match.insertion", "match.planning",
                       "route.basic"):
             assert obs.stages[stage].count >= 1
@@ -342,7 +345,7 @@ class ScreeningWorld:
     run leaves behind at ``now`` — parked, busy, clustered and
     unclustered taxis in whatever mix the seed produces.  The scheme is
     ``window-lap`` at ``W = 0``, which decides as greedy ``mt-share``
-    does and keeps the fleet table the bulk screen reads.
+    does; its fleet table is the one both screens read.
     """
 
     def __init__(self, scenario, seed, taxis=12, warmup=40, **config):

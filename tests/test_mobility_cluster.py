@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.mobility_cluster import (
     DEFAULT_LAMBDA,
@@ -12,6 +12,7 @@ from repro.core.mobility_cluster import (
     MobilityClusterIndex,
     MobilityVector,
     direction_unit,
+    misaligned_keys,
     unit_similarity,
 )
 from tests.oracles import taxi_cells
@@ -58,8 +59,8 @@ class TestMobilityVector:
     def test_is_aligned_threshold(self):
         idx = MobilityClusterIndex(lam=0.707)
         east = idx.add_request(1, EAST)
-        assert idx.matching_clusters(NORTHEAST) == [east]  # 45 degrees exactly
-        assert idx.matching_clusters(NORTH) == []
+        assert idx.matching_clusters(direction_unit(*NORTHEAST.direction)) == [east]  # 45 degrees exactly
+        assert idx.matching_clusters(direction_unit(*NORTH.direction)) == []
 
     def test_default_lambda_is_cos45(self):
         assert DEFAULT_LAMBDA == pytest.approx(math.cos(math.radians(45)), abs=1e-3)
@@ -121,7 +122,7 @@ class TestClusterIndexRequests:
         idx = MobilityClusterIndex()
         east = idx.add_request(1, EAST)
         idx.add_request(2, WEST)
-        assert idx.matching_clusters(vec(0, 0, 50, 5)) == [east]
+        assert idx.matching_clusters(direction_unit(50, 5)) == [east]
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -168,7 +169,7 @@ class TestClusterIndexTaxis:
         idx.add_request(2, vec(0, 0, 90, 30))
         idx.update_taxi(7, EAST)
         idx.update_taxi(8, WEST)
-        aligned = idx.matching_clusters(EAST)
+        aligned = idx.matching_clusters(direction_unit(*EAST.direction))
         assert {t for t in (7, 8) if cluster_of(idx, t) in aligned} == {7}
 
     def test_cluster_death_unlinks_taxis(self):
@@ -218,7 +219,7 @@ def column_mask(idx, units, taxi_ids):
 def scalar_alignment(idx, request_vec, taxi_id):
     """Rule 1's direction test the way ``candidate_taxis`` spells it."""
     cluster, unit = taxi_cells(idx, taxi_id)
-    if cluster in idx.matching_clusters(request_vec):
+    if cluster in idx.matching_clusters(direction_unit(*request_vec.direction)):
         return True
     if unit is None:
         return False
@@ -255,6 +256,39 @@ class TestAlignmentMask:
         for i, request_vec in enumerate(request_vecs):
             for j, tid in enumerate(taxi_ids):
                 assert mask[i, j] == scalar_alignment(idx, request_vec, tid), (i, tid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        taxis=st.lists(st.one_of(st.none(), directions), max_size=12),
+        request=directions,
+        lam=st.one_of(
+            st.sampled_from([DEFAULT_LAMBDA, -1.0, 0.0, 1.0]),
+            st.floats(min_value=-1.0, max_value=1.0),
+        ),
+    )
+    # Opposite directions whose cosine rounds to -1.0000000000000002:
+    # only the clamp keeps it from failing lambda = -1.
+    @example(
+        taxis=[(-471.65252347799367, 335.7651039198697)],
+        request=(2067.910480938147, -1472.1264977215387),
+        lam=-1.0,
+    )
+    def test_misaligned_keys_is_the_clamped_scalar_test(self, taxis, request, lam):
+        """Greedy search's Rule 1 over gathered rows: a NaN row, or
+        ``unit_similarity`` (clamp included) below ``lam``."""
+        units = [
+            [math.nan] * 3 if direction is None else list(direction_unit(*direction))
+            for direction in taxis
+        ]
+        req_unit = direction_unit(*request)
+        keys = [10 + k for k in range(len(units))]
+        want = [
+            key
+            for key, direction in zip(keys, taxis)
+            if direction is None
+            or unit_similarity(direction_unit(*direction), req_unit) < lam
+        ]
+        assert misaligned_keys(keys, units, req_unit, lam) == want
 
     def test_degenerate_and_missing_units(self):
         idx = registered([1, 2, 3])

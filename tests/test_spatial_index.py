@@ -74,6 +74,7 @@ class TestQueryRadius:
     )
     # A point exactly r away in the cell past the query's own ring.
     @example(points=[(250.0, 0.0)], qx=-9.5e-25, qy=0.0, r=250.0)
+    @example(points=[(0.0, -3.3386046536530176e-245)], qx=0.0, qy=0.0, r=0.0)
     def test_matches_brute_force(self, points, qx, qy, r):
         idx = GridSpatialIndex(250.0)
         for i, (x, y) in enumerate(points):
@@ -94,6 +95,7 @@ class TestStaticVertexGrid:
         st.floats(min_value=0.0, max_value=3000.0),
     )
     @example(points=[(250.0, 0.0)], qx=-9.5e-25, qy=0.0, r=250.0)
+    @example(points=[(0.0, -3.3386046536530176e-245)], qx=0.0, qy=0.0, r=0.0)
     def test_matches_full_scan(self, points, qx, qy, r):
         xy = np.array(points, dtype=float).reshape(-1, 2)
         grid = StaticVertexGrid(xy, 250.0)
