@@ -136,15 +136,15 @@ def taxi_vector(network: RoadNetwork, taxi: Taxi, now: float) -> MobilityVector 
     if not requests:
         return None
     node, _t = taxi.position_at(now)
-    ox, oy = network.xy[node]
+    xy = network.xy
+    ox, oy = xy[node].tolist()
     xs = 0.0
     ys = 0.0
-    for r in requests:
-        px, py = network.xy[r.destination]
-        xs += float(px)
-        ys += float(py)
+    for px, py in xy[[r.destination for r in requests]].tolist():
+        xs += px
+        ys += py
     n = len(requests)
-    return MobilityVector(float(ox), float(oy), xs / n, ys / n)
+    return MobilityVector(ox, oy, xs / n, ys / n)
 
 
 class Matcher:
@@ -524,11 +524,13 @@ def taxi_vector_with(
     new passenger's destination.
     """
     node, _t = taxi.position_at(now)
-    ox, oy = network.xy[node]
+    xy = network.xy
+    ox, oy = xy[node].tolist()
     dests = [r.destination for r in taxi.onboard.values()]
     dests += [r.destination for r in taxi.assigned.values()]
     dests.append(request.destination)
-    xs = sum(float(network.xy[d][0]) for d in dests)
-    ys = sum(float(network.xy[d][1]) for d in dests)
+    points = xy[dests].tolist()
+    xs = sum([px for px, _py in points])
+    ys = sum([py for _px, py in points])
     n = len(dests)
-    return MobilityVector(float(ox), float(oy), xs / n, ys / n)
+    return MobilityVector(ox, oy, xs / n, ys / n)

@@ -12,15 +12,18 @@ landmark graph and keeps a partition ``P_i`` only when
   ``(1 + EPSILON)`` times the direct landmark-to-landmark cost.
 
 The result depends only on the (source partition, destination
-partition) pair, so it is memoised.
+partition) pair, so it is memoised; a miss fills the source's whole
+row, every destination at once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from ..config import DEFAULT_LAMBDA
-from ..network.geo import cosine_similarity
+from ..network.geo import cosine_table
 from ..network.landmarks import LandmarkGraph
 
 #: Cost-slack threshold ``epsilon`` of the travel cost rule: a partition
@@ -28,6 +31,29 @@ from ..network.landmarks import LandmarkGraph
 #: ``(1 + EPSILON)`` times the direct landmark cost (the paper
 #: conservatively uses 1.0).
 EPSILON = 1.0
+
+
+def filter_row(
+    landmark_xy: np.ndarray, landmark_cost: np.ndarray, pz: int, lam: float
+) -> list[list[int]]:
+    """Algorithm 2 from source partition ``pz`` to every destination:
+    entry ``pz1`` lists the retained partitions, ascending.
+
+    ``landmark_xy`` holds the ``(kappa, 2)`` landmark coordinates and
+    ``landmark_cost`` the ``(kappa, kappa)`` landmark travel costs.
+    Both rules are evaluated for every (partition, destination) pair as
+    one array expression whose verdicts are the scalar ones, bit for bit
+    (:func:`~repro.network.geo.cosine_table`).
+    """
+    offsets = landmark_xy - landmark_xy[pz]
+    # [pi, pz1]: the direction rule and the cost rule of keeping P_i.
+    keep = cosine_table(offsets, offsets) >= lam
+    keep &= landmark_cost[pz][:, None] + landmark_cost <= (1.0 + EPSILON) * landmark_cost[pz]
+    keep[pz] = True
+    np.fill_diagonal(keep, True)
+    rows = [np.flatnonzero(column).tolist() for column in keep.T]
+    rows[pz] = [pz]
+    return rows
 
 
 class PartitionFilter:
@@ -52,11 +78,19 @@ class PartitionFilter:
         self._cache: dict[tuple[int, int], list[int]] = {}
         self._vertex_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._corridor_cache: dict[tuple[int, ...], frozenset[int]] = {}
+        parts = range(landmark_graph.num_partitions)
+        self._landmark_xy = np.array([landmark_graph.landmark_xy(z) for z in parts])
+        self._landmark_cost = np.array([landmark_graph.landmark_cost_row(z) for z in parts])
 
     @property
     def landmark_graph(self) -> LandmarkGraph:
         """The landmark graph being filtered."""
         return self._lg
+
+    @property
+    def landmark_xy(self) -> np.ndarray:
+        """The ``(kappa, 2)`` landmark coordinates."""
+        return self._landmark_xy
 
     def filter_partitions(self, pz: int, pz1: int) -> list[int]:
         """Retained partitions for a leg from partition ``pz`` to ``pz1``.
@@ -67,34 +101,13 @@ class PartitionFilter:
         """
         key = (pz, pz1)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        lg = self._lg
-        if pz == pz1:
-            result = [pz]
-            self._cache[key] = result
-            return result
-
-        zx, zy = lg.landmark_xy(pz)
-        z1x, z1y = lg.landmark_xy(pz1)
-        vx, vy = z1x - zx, z1y - zy
-        direct = lg.landmark_cost(pz, pz1)
-        budget = (1.0 + EPSILON) * direct
-
-        result: list[int] = []
-        for pi in range(lg.num_partitions):
-            if pi == pz or pi == pz1:
-                result.append(pi)
-                continue
-            ix, iy = lg.landmark_xy(pi)
-            if cosine_similarity(ix - zx, iy - zy, vx, vy) < self._lam:
-                continue
-            via = lg.landmark_cost(pz, pi) + lg.landmark_cost(pi, pz1)
-            if via <= budget:
-                result.append(pi)
-        self._cache[key] = result
-        return result
+        if cached is None:
+            for dest, retained in enumerate(
+                filter_row(self._landmark_xy, self._landmark_cost, pz, self._lam)
+            ):
+                self._cache[(pz, dest)] = retained
+            cached = self._cache[key]
+        return cached
 
     def allowed_vertices(self, pz: int, pz1: int) -> frozenset[int]:
         """Union of the member vertices of the retained partitions (memoised)."""

@@ -33,7 +33,7 @@ import numpy as np
 from ..fleet.schedule import Stop, arrival_times, deadlines_met
 from ..fleet.taxi import TaxiRoute
 from ..memo import BoundedMemo
-from ..network.geo import cosine_similarity
+from ..network.geo import cosine_table
 from ..network.graph import InducedSubgraph, RoadNetwork
 from ..network.shortest_path import PathNotFound, ShortestPathEngine, dijkstra_restricted
 from ..obs import NULL, Instrumentation
@@ -68,14 +68,66 @@ CORRIDOR_LIST_CACHE_SIZE = 4096
 #: index arrays are the network's induced subgraph's.
 CORRIDOR_GRAPH_CACHE_SIZE = 1024
 
-#: Entries kept in a :class:`BasicRouter`'s per-leg path memo (a path
-#: plus its per-edge costs is tens of machine words, so the cap bounds
-#: the memo around a few tens of MB worst case).
+#: Entries kept in a router's leg memo (a path plus its per-edge costs
+#: is tens of machine words, so the cap bounds the memo around a few
+#: tens of MB worst case).
 LEG_CACHE_SIZE = 65536
+
+#: Longest landmark travel time (seconds) to a cruise's target partition.
+CRUISE_HORIZON_S = 600.0
 
 
 class RouteInfeasible(RuntimeError):
     """Raised when no deadline-respecting route exists for a schedule."""
+
+
+class Leg(NamedTuple):
+    """A planned leg as the leg memo stores it."""
+
+    #: Vertex path from the leg's start to its end.
+    path: list[int]
+    #: Travel time of each hop (``RoadNetwork.hop_costs``).
+    costs: list[float]
+    #: ``RoadNetwork.path_cost_s(path)``: the hop lengths summed, then timed.
+    cost_s: float
+    #: Whether the basic router needed its full-graph fallback for it.
+    fellback: bool
+
+
+#: A weighted leg whose corridor does not connect its endpoints.
+NO_LEG = Leg([], [], math.inf, False)
+
+#: A leg memo key: (u, v) for a basic leg, (u, v, corridor, sector) for
+#: a weighted one.
+LegKey = tuple[int, int] | tuple[int, int, tuple[int, ...], int]
+
+
+def timed_leg(network: RoadNetwork, path: list[int], fellback: bool = False) -> Leg:
+    """``path`` with its hop times (``RoadNetwork.hop_costs``) and its
+    ``path_cost_s`` (the hop lengths summed in order, then timed)."""
+    lengths = network.hop_lengths(path)
+    total = 0.0
+    for length in lengths:
+        total += length
+    speed = network.speed_mps
+    return Leg(path, [length / speed for length in lengths], total / speed, fellback)
+
+
+def _route_of(start_node: int, start_time: float, legs: Sequence[Leg]) -> TaxiRoute:
+    """The legs concatenated, each leg's end a stop, timed by adding
+    the hop times in order: a replayed leg gives the route a fresh one
+    would, bit for bit."""
+    nodes = [start_node]
+    times = [start_time]
+    stop_positions: list[int] = []
+    t = start_time
+    for path, costs, _cost_s, _fellback in legs:
+        for c in costs:
+            t = t + c
+            times.append(t)
+        nodes.extend(path[1:])
+        stop_positions.append(len(nodes) - 1)
+    return TaxiRoute(nodes=nodes, times=times, stop_positions=stop_positions)
 
 
 def compose_route(
@@ -89,17 +141,12 @@ def compose_route(
     Leg ``k`` must start where leg ``k-1`` ended; the end of each leg
     is marked as the position of schedule stop ``k``.
     """
-    nodes = [start_node]
-    times = [start_time]
-    stop_positions: list[int] = []
+    node = start_node
     for leg in legs:
-        if not leg or leg[0] != nodes[-1]:
-            raise ValueError(f"leg {leg!r} does not start at {nodes[-1]}")
-        for u, v in zip(leg, leg[1:]):
-            times.append(times[-1] + network.edge_cost(u, v))
-            nodes.append(v)
-        stop_positions.append(len(nodes) - 1)
-    return TaxiRoute(nodes=nodes, times=times, stop_positions=stop_positions)
+        if not leg or leg[0] != node:
+            raise ValueError(f"leg {leg!r} does not start at {node}")
+        node = leg[-1]
+    return _route_of(start_node, start_time, [timed_leg(network, list(leg)) for leg in legs])
 
 
 class BasicRouter:
@@ -126,14 +173,13 @@ class BasicRouter:
         self._filter = partition_filter
         self.fallbacks = 0  # legs where filtering had to be bypassed
         self._obs: Instrumentation = NULL
-        # (u, v) -> (path, per-edge costs, leg needed the full-graph
-        # fallback).  leg_path is deterministic per endpoint pair (the
-        # engine's paths and the memoised partition filter never
-        # change), so replaying a cached leg is exact; the flag replays
-        # the fallback bookkeeping too.
-        self.legs: BoundedMemo[
-            tuple[int, int], tuple[list[int], list[float], bool]
-        ] = BoundedMemo(LEG_CACHE_SIZE)
+        # (u, v) -> its Leg.  leg_path is deterministic per endpoint
+        # pair (the engine's paths and the memoised partition filter
+        # never change), so replaying a cached leg is exact; the
+        # ``fellback`` flag replays the fallback bookkeeping too.  A
+        # ProbabilisticRouter keeps its weighted legs here as well,
+        # under (u, v, corridor, sector).
+        self.legs: BoundedMemo[LegKey, Leg] = BoundedMemo(LEG_CACHE_SIZE)
 
     def instrument(self, obs: Instrumentation) -> None:
         """Attach an observability registry (``repro.obs``)."""
@@ -192,8 +238,8 @@ class BasicRouter:
         with self._obs.stage("route.basic"):
             return self._plan_basic(start_node, start_time, stops)
 
-    def _cached_leg(self, u: int, v: int) -> tuple[list[int], list[float]]:
-        """Leg path plus per-edge travel costs, memoised per endpoint pair.
+    def _cached_leg(self, u: int, v: int) -> Leg:
+        """:meth:`leg_path` with its hop times, memoised per endpoint pair.
 
         A hit replays exactly what recomputing the leg would have done —
         including the fallback counter when the cached leg needed the
@@ -201,19 +247,15 @@ class BasicRouter:
         caching.  Callers must not mutate the returned lists.
         """
         key = (u, v)
-        entry = self.legs.lookup(key)
-        if entry is not None:
-            path, costs, fellback = entry
-            if fellback:
-                self.fallbacks += 1
-                self._obs.count("route.fallback_legs")
-            return path, costs
-        before = self.fallbacks
-        path = self.leg_path(u, v)
-        edge_cost = self._network.edge_cost
-        costs = [edge_cost(a, b) for a, b in zip(path, path[1:])]
-        self.legs.store(key, (path, costs, self.fallbacks != before))
-        return path, costs
+        leg = self.legs.lookup(key)
+        if leg is None:
+            before = self.fallbacks
+            path = self.leg_path(u, v)
+            return self.legs.store(key, timed_leg(self._network, path, self.fallbacks != before))
+        if leg.fellback:
+            self.fallbacks += 1
+            self._obs.count("route.fallback_legs")
+        return leg
 
     def _plan_basic(
         self,
@@ -221,24 +263,13 @@ class BasicRouter:
         start_time: float,
         stops: Sequence[Stop],
     ) -> TaxiRoute:
-        # Build the route from cached legs, accumulating times with the
-        # exact sequential adds of compose_route (same floats, same
-        # order -> bit-identical TaxiRoute).
-        nodes = [start_node]
-        times = [start_time]
-        stop_positions: list[int] = []
+        legs: list[Leg] = []
         node = start_node
-        t = start_time
         for stop in stops:
-            path, costs = self._cached_leg(node, stop.node)
-            for c in costs:
-                t = t + c
-                times.append(t)
-            nodes.extend(path[1:])
-            stop_positions.append(len(nodes) - 1)
+            legs.append(self._cached_leg(node, stop.node))
             node = stop.node
-        route = TaxiRoute(nodes=nodes, times=times, stop_positions=stop_positions)
-        stop_times = [times[i] for i in stop_positions]
+        route = _route_of(start_node, start_time, legs)
+        stop_times = [route.times[i] for i in route.stop_positions]
         if deadlines_met(stops, stop_times):
             return route
         # The filtered subgraph can miss the true shortest path (one-way
@@ -343,6 +374,15 @@ class CorridorGraph(NamedTuple):
         return dist[lt], path
 
 
+def choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(weights), p=weights / weights.sum())``
+    draws from: ``cdf.searchsorted(rng.random(), side="right")`` is that
+    call's draw, from the same stream position."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def heading_sector(direction: tuple[float, float]) -> int:
     """The 22.5-degree sector of a travel direction (zero vector: ``NUM_SECTORS``)."""
     dx, dy = direction
@@ -359,6 +399,23 @@ def sector_direction(sector: int) -> tuple[float, float]:
     return math.cos(angle), math.sin(angle)
 
 
+#: ``sector_direction`` of every sector, the zero vector last.
+SECTOR_DIRECTIONS = np.array([sector_direction(s) for s in range(NUM_SECTORS + 1)])
+
+
+def suitable_rows(landmark_xy: np.ndarray, pi: int, lam: float) -> list[list[int]]:
+    """Step 1's suitable destination partitions of ``P_i`` under every
+    heading sector: entry ``s`` lists, ascending, the partitions whose
+    landmark lies within ``lam`` of sector ``s``'s centre heading, seen
+    from ``P_i``'s landmark.  The verdicts are the scalar
+    ``cosine_similarity`` ones, bit for bit
+    (:func:`~repro.network.geo.cosine_table`).
+    """
+    suits = cosine_table(landmark_xy - landmark_xy[pi], SECTOR_DIRECTIONS) >= lam
+    suits[pi] = False
+    return [np.flatnonzero(column).tolist() for column in suits.T]
+
+
 class ProbabilisticRouter(BasicRouter):
     """Probabilistic routing (Algorithm 4).
 
@@ -368,9 +425,10 @@ class ProbabilisticRouter(BasicRouter):
     a pure function of its key and remembers its answer at that key:
     :class:`SectorEntry` per (partition, sector), the corridor lists per
     (source partition, destination partition, sector), a
-    :class:`CorridorGraph` per (corridor, sector).  A leg is then one
-    heap Dijkstra over a stored graph, and what a call returns does not
-    depend on which calls came before it.
+    :class:`CorridorGraph` per (corridor, sector), and each weighted leg
+    per (u, v, corridor, sector) in the inherited leg memo.  A planned
+    leg or a cruise is then a lookup after its first search, and what a
+    call returns does not depend on which calls came before it.
 
     Parameters
     ----------
@@ -405,6 +463,20 @@ class ProbabilisticRouter(BasicRouter):
             [sum(transition_model.pickup_frequency(v) for v in lg.members(z)) for z in parts]
         )
         self._hot_vertex = [max(lg.members(z), key=transition_model.pickup_count) for z in parts]
+        # Per partition, the cruise targets within reach and the
+        # normalised cdf of their scores (``None``: no target).
+        self._cruise_targets: list[tuple[list[int], np.ndarray] | None] = []
+        share = self._demand_share
+        for here in parts:
+            travel = lg.landmark_cost_row(here)
+            candidates = np.flatnonzero(~(share <= 0.0) & ~(travel > CRUISE_HORIZON_S))
+            if not candidates.size:
+                self._cruise_targets.append(None)
+                continue
+            scores = share[candidates] / (1.0 + travel[candidates] / 300.0)
+            self._cruise_targets.append((candidates.tolist(), choice_cdf(scores)))
+        #: pi -> its suitable destinations under every sector (step 1).
+        self._suitable: dict[int, list[list[int]]] = {}
         self._sectors: dict[tuple[int, int], SectorEntry] = {}
         #: (pz, pz1, sector) -> corridors to try, best first.
         self.corridor_lists: BoundedMemo[
@@ -433,17 +505,11 @@ class ProbabilisticRouter(BasicRouter):
         entry = self._sectors.get((pi, sector))
         if entry is not None:
             return entry
-        lg = self._filter.landmark_graph
-        dx, dy = sector_direction(sector)
-        ix, iy = lg.landmark_xy(pi)
-        dests: list[int] = []
-        for pa in range(lg.num_partitions):
-            if pa == pi:
-                continue
-            ax, ay = lg.landmark_xy(pa)
-            if cosine_similarity(ax - ix, ay - iy, dx, dy) >= self._lam:
-                dests.append(pa)
-        members = lg.members(pi)
+        rows = self._suitable.get(pi)
+        if rows is None:
+            rows = self._suitable[pi] = suitable_rows(self._filter.landmark_xy, pi, self._lam)
+        dests = rows[sector]
+        members = self._filter.landmark_graph.members(pi)
         # psi_c: chance of a *suitable* request materialising at c — the
         # accumulated transition probability towards the suitable
         # destinations, weighted by how much pick-up demand c actually
@@ -565,49 +631,47 @@ class ProbabilisticRouter(BasicRouter):
         v: int,
         corridor: tuple[int, ...],
         sector: int,
-    ) -> list[int] | None:
+    ) -> Leg | None:
         """Vertex-weighted shortest path inside the corridor partitions
-        (which hold both ``u`` and ``v``)."""
-        graph = self._corridor_graph(corridor, sector)
-        try:
-            _cost, path = graph.shortest_path(u, v)
-            return path
-        except PathNotFound:
-            return None
+        (which hold both ``u`` and ``v``), memoised; ``None`` when the
+        corridor does not connect them."""
+        key = (u, v, corridor, sector)
+        leg = self.legs.lookup(key)
+        if leg is None:
+            try:
+                _cost, path = self._corridor_graph(corridor, sector).shortest_path(u, v)
+                leg = timed_leg(self._network, path)
+            except PathNotFound:
+                leg = NO_LEG
+            self.legs.store(key, leg)
+        return None if leg is NO_LEG else leg
 
     def partition_demand_share(self, pi: int) -> float:
         """Share of historical pick-up demand generated inside ``P_i``."""
         return float(self._demand_share[pi])
 
-    def cruise_route(
-        self,
-        start_node: int,
-        start_time: float,
-        max_duration_s: float = 600.0,
-    ) -> TaxiRoute | None:
+    def cruise_route(self, start_node: int, start_time: float) -> TaxiRoute | None:
         """A passenger-seeking cruise for an idle taxi (non-peak mode).
 
         When online requests are inadequate, a vacant taxi heads for
         the partition with the best demand-per-travel-time trade-off
-        and approaches it through demand-hot vertices.  Returns ``None``
-        when the taxi already stands in the best partition's hot spot.
+        (within ``CRUISE_HORIZON_S``) and approaches it through
+        demand-hot vertices.  Returns ``None`` when the taxi already
+        stands in the best partition's hot spot.
         """
         lg = self._filter.landmark_graph
         here = lg.partition_of(start_node)
-        share = self._demand_share
-        travel = lg.landmark_cost_row(here)
-        candidates = np.flatnonzero(~(share <= 0.0) & ~(travel > max_duration_s))
-        if not candidates.size:
+        targets = self._cruise_targets[here]
+        if targets is None:
             return None
-        scores = share[candidates] / (1.0 + travel[candidates] / 300.0)
+        candidates, cdf = targets
         # Sample the target proportionally to its score instead of
         # taking the argmax: greedy targeting would herd every vacant
         # taxi onto one hotspot and strip coverage everywhere else.
         # The seed is derived from (position, time) so runs stay
-        # deterministic.
+        # deterministic; the draw is ``rng.choice(p=...)``'s own.
         rng = np.random.default_rng((start_node * 1_000_003 + int(start_time)) & 0x7FFFFFFF)
-        weights = scores / scores.sum()
-        best_target = int(candidates[rng.choice(len(candidates), p=weights)])
+        best_target = candidates[int(cdf.searchsorted(rng.random(), side="right"))]
         target_vertex = self._hot_vertex[best_target]
         if target_vertex == start_node:
             # Already parked on the hot spot; hop to the runner-up so the
@@ -623,15 +687,15 @@ class ProbabilisticRouter(BasicRouter):
             best_target = nxt
         corridor = tuple(self._filter.filter_partitions(here, best_target))
         # A cruise has no heading: the zero vector's sector of its own.
-        path = self._weighted_leg(start_node, target_vertex, corridor, NUM_SECTORS)
-        if path is None or len(path) < 2:
-            try:
-                path = self._engine.path(start_node, target_vertex)
-            except PathNotFound:
-                return None
-            if len(path) < 2:
-                return None
-        return TaxiRoute.cruise(self._network, path, start_time)
+        # The target is not the start, so any path has a hop.
+        leg = self._weighted_leg(start_node, target_vertex, corridor, NUM_SECTORS)
+        if leg is not None:
+            return TaxiRoute.cruise(leg.path, leg.costs, start_time)
+        try:
+            path = self._engine.path(start_node, target_vertex)
+        except PathNotFound:
+            return None
+        return TaxiRoute.cruise(path, self._network.hop_costs(path), start_time)
 
     def route_for_schedule(
         self,
@@ -674,27 +738,27 @@ class ProbabilisticRouter(BasicRouter):
             running = min(running, stops[k].deadline - base_times[k])
             slack_from[k] = running
 
-        legs: list[list[int]] = []
+        legs: list[Leg] = []
         node = start_node
         consumed_extra = 0.0
         for k, stop in enumerate(stops):
             shortest_cost = self.cost(node, stop.node)
             budget = slack_from[k] - consumed_extra
-            chosen: list[int] | None = None
+            chosen: Leg | None = None
 
             pz, pz1 = lg.partition_of(node), lg.partition_of(stop.node)
             for corridor in self._corridor_list(pz, pz1, sector):
-                path = self._weighted_leg(node, stop.node, corridor, sector)
-                if path is None:
+                leg = self._weighted_leg(node, stop.node, corridor, sector)
+                if leg is None:
                     continue
-                extra = self._network.path_cost_s(path) - shortest_cost
+                extra = leg.cost_s - shortest_cost
                 if extra <= budget + 1e-9:
-                    chosen = path
+                    chosen = leg
                     consumed_extra += max(0.0, extra)
                     break
             if chosen is None:
-                chosen = self.leg_path(node, stop.node)
-                extra = self._network.path_cost_s(chosen) - shortest_cost
+                chosen = self._cached_leg(node, stop.node)
+                extra = chosen.cost_s - shortest_cost
                 if extra > budget + 1e-9:
                     raise RouteInfeasible(
                         f"no deadline-respecting leg from {node} to {stop.node}"
@@ -703,7 +767,7 @@ class ProbabilisticRouter(BasicRouter):
             legs.append(chosen)
             node = stop.node
 
-        route = compose_route(self._network, start_node, start_time, legs)
+        route = _route_of(start_node, start_time, legs)
         stop_times = [route.times[i] for i in route.stop_positions]
         if not deadlines_met(stops, stop_times):
             raise RouteInfeasible("probabilistic route misses a deadline")

@@ -263,4 +263,4 @@ class Rebalancer:
         path = self._engine.path(start_node, target)
         if len(path) < 2:
             return None
-        return TaxiRoute.cruise(self._network, path, start_time)
+        return TaxiRoute.cruise(path, self._network.hop_costs(path), start_time)

@@ -18,7 +18,6 @@ from ..demand.request import RideRequest, ServedTrip
 from .schedule import Stop, StopKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..network.graph import RoadNetwork
     from .table import FleetTable
 
 
@@ -57,14 +56,13 @@ class TaxiRoute:
             raise TaxiError("stop position beyond route end")
 
     @classmethod
-    def cruise(cls, network: RoadNetwork, path: Sequence[int], start_time: float) -> TaxiRoute:
-        """A stop-less route along ``path``, leaving at ``start_time``,
-        each hop timed at the network speed."""
+    def cruise(cls, path: Sequence[int], costs: Sequence[float], start_time: float) -> TaxiRoute:
+        """A stop-less route along ``path``, leaving at ``start_time``;
+        ``costs`` holds each hop's travel time (``RoadNetwork.hop_costs``)."""
         times = [start_time]
         t = start_time
-        edge_cost = network.edge_cost
-        for u, v in zip(path, path[1:]):
-            t += edge_cost(u, v)
+        for c in costs:
+            t += c
             times.append(t)
         return cls(nodes=[int(n) for n in path], times=times, stop_positions=[])
 

@@ -242,20 +242,33 @@ class RoadNetwork:
         view.flags.writeable = False
         return view
 
-    def edge_length(self, u: int, v: int) -> float:
-        """Length in metres of edge ``(u, v)``; raises if absent."""
+    def hop_lengths(self, path: Sequence[int]) -> list[float]:
+        """Length in metres of each hop of a vertex path; raises at the
+        first hop that is not an edge."""
         length_of = self._length_of
         if length_of is None:
-            # Built at the first lookup: routing reads edges one hop at
-            # a time, where a dict probe beats any array search.
+            # Built at the first read: legs are short, and a dict probe
+            # per hop beats a fixed-cost array search on them
+            # (docs/PERFORMANCE.md, "Hop lengths").
             tails = np.repeat(np.arange(self.num_vertices), np.diff(self._indptr))
             length_of = self._length_of = dict(
                 zip(zip(tails.tolist(), self._indices.tolist()), self._raw_lengths.tolist())
             )
         try:
-            return length_of[(u, v)]
-        except KeyError:
+            return [length_of[hop] for hop in zip(path, path[1:])]
+        except KeyError as missing:
+            u, v = missing.args[0]
             raise RoadNetworkError(f"no edge ({u}, {v})") from None
+
+    def hop_costs(self, path: Sequence[int]) -> list[float]:
+        """Travel time (seconds) of each hop of a vertex path: each
+        :meth:`edge_cost`."""
+        speed = self._speed
+        return [length / speed for length in self.hop_lengths(path)]
+
+    def edge_length(self, u: int, v: int) -> float:
+        """Length in metres of edge ``(u, v)``; raises if absent."""
+        return self.hop_lengths((u, v))[0]
 
     def edge_cost(self, u: int, v: int) -> float:
         """Travel cost (seconds) of edge ``(u, v)`` at the network speed."""
@@ -280,8 +293,8 @@ class RoadNetwork:
     def path_length_m(self, path: Sequence[int]) -> float:
         """Total length in metres of a vertex path; validates every hop."""
         total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += self.edge_length(u, v)
+        for length in self.hop_lengths(path):
+            total += length
         return total
 
     def path_cost_s(self, path: Sequence[int]) -> float:

@@ -10,14 +10,31 @@ again only at the taxis re-keyed since the last boundary
 (``Simulator._apply_shock``).
 
 **Probabilistic routing.**  Production evaluates Algorithm 4 once per
-(partition, heading sector), per (source, destination, sector) and per
-(corridor, sector) and replays the stored answers
-(``repro.core.routing.ProbabilisticRouter``);
+(partition, heading sector), per (source, destination, sector), per
+(corridor, sector) and per weighted leg (u, v, corridor, sector), and
+replays the stored answers, each cruise target drawn from a
+per-partition table (``repro.core.routing.ProbabilisticRouter``);
 :class:`ReferenceProbabilisticRouter` is the per-leg evaluation it
 replaced — the sector-keyed destination cache filled from the first
 caller's exact direction, the per-leg psi dict, the scalar weight
 closure evaluated over the corridor's vertices, the per-call share
-loop — verbatim, so routes can be diffed ``==``.
+loop and ``rng.choice`` draw, each leg timed hop by hop — verbatim, so
+routes can be diffed ``==``.
+
+**Taxi mobility vectors.**  Production reads every destination's
+coordinates with one gather (``repro.core.matching.taxi_vector`` /
+``taxi_vector_with``); :func:`reference_taxi_vector` and
+:func:`reference_taxi_vector_with` are the per-destination reads they
+replaced, verbatim, so vectors can be diffed ``==``.
+
+**Landmark direction tests.**  Production fills a source partition's
+whole row of Algorithm 2 (``repro.core.partition_filter.filter_row``)
+and a partition's destination sets under all seventeen heading sectors
+(``repro.core.routing.suitable_rows``) as array expressions;
+:func:`reference_filter_partitions` and
+:func:`reference_suitable_destinations` are the scalar
+``cosine_similarity`` loops they replaced, verbatim, so every list can
+be diffed ``==``.
 
 **Restricted Dijkstra.**  Production routes a basic leg inside a
 corridor with scipy's C Dijkstra on an induced CSR subgraph
@@ -106,6 +123,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.analysis import contracts
+from repro.core import partition_filter
 from repro.core.matching import insertion_start, request_vector
 from repro.core.mobility_cluster import (
     DEFAULT_LAMBDA,
@@ -338,6 +356,75 @@ class FullSweepSimulator(Simulator):
                 self._obs.event("shock", taxi=tid, t=now, window=k)
 
 
+def reference_taxi_vector(network, taxi, now):
+    """``taxi_vector`` read one destination at a time."""
+    requests = list(taxi.onboard.values()) + list(taxi.assigned.values())
+    if not requests:
+        return None
+    node, _t = taxi.position_at(now)
+    ox, oy = network.xy[node]
+    xs = 0.0
+    ys = 0.0
+    for r in requests:
+        px, py = network.xy[r.destination]
+        xs += float(px)
+        ys += float(py)
+    n = len(requests)
+    return MobilityVector(float(ox), float(oy), xs / n, ys / n)
+
+
+def reference_taxi_vector_with(network, taxi, request, now):
+    """``taxi_vector_with`` read one destination at a time."""
+    node, _t = taxi.position_at(now)
+    ox, oy = network.xy[node]
+    dests = [r.destination for r in taxi.onboard.values()]
+    dests += [r.destination for r in taxi.assigned.values()]
+    dests.append(request.destination)
+    xs = sum(float(network.xy[d][0]) for d in dests)
+    ys = sum(float(network.xy[d][1]) for d in dests)
+    n = len(dests)
+    return MobilityVector(float(ox), float(oy), xs / n, ys / n)
+
+
+def reference_filter_partitions(landmark_xy, landmark_cost, pz, pz1, lam):
+    """Algorithm 2 for one (source, destination) pair: the scalar loop
+    ``PartitionFilter.filter_partitions`` ran before it filled rows."""
+    if pz == pz1:
+        return [pz]
+    zx, zy = (float(c) for c in landmark_xy[pz])
+    z1x, z1y = (float(c) for c in landmark_xy[pz1])
+    vx, vy = z1x - zx, z1y - zy
+    direct = float(landmark_cost[pz, pz1])
+    budget = (1.0 + partition_filter.EPSILON) * direct
+    result = []
+    for pi in range(len(landmark_xy)):
+        if pi == pz or pi == pz1:
+            result.append(pi)
+            continue
+        ix, iy = (float(c) for c in landmark_xy[pi])
+        if cosine_similarity(ix - zx, iy - zy, vx, vy) < lam:
+            continue
+        via = float(landmark_cost[pz, pi]) + float(landmark_cost[pi, pz1])
+        if via <= budget:
+            result.append(pi)
+    return result
+
+
+def reference_suitable_destinations(landmark_xy, pi, direction, lam):
+    """Step 1's suitable destinations of ``P_i`` for one heading: the
+    scalar loop over every other partition's landmark."""
+    dx, dy = direction
+    ix, iy = (float(c) for c in landmark_xy[pi])
+    out = []
+    for pa in range(len(landmark_xy)):
+        if pa == pi:
+            continue
+        ax, ay = (float(c) for c in landmark_xy[pa])
+        if cosine_similarity(ax - ix, ay - iy, dx, dy) >= lam:
+            out.append(pa)
+    return out
+
+
 class ReferenceProbabilisticRouter(ProbabilisticRouter):
     """A :class:`ProbabilisticRouter` that evaluates Algorithm 4 afresh
     on every leg and every cruise: the method bodies production had
@@ -352,7 +439,8 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
                  lam=DEFAULT_LAMBDA, steering_m=120.0):
         super().__init__(network, engine, partition_filter, transition_model,
                          lam, steering_m)
-        del self._demand_share, self._hot_vertex, self._steering_s
+        del self._demand_share, self._hot_vertex, self._cruise_targets, self._suitable
+        del self._steering_s
         self._steering_m = max(0.0, float(steering_m))
         self._pd_cache: dict[tuple[int, int], list[int]] = {}
 
@@ -383,14 +471,8 @@ class ReferenceProbabilisticRouter(ProbabilisticRouter):
         cached = self._pd_cache.get(key)
         if cached is not None:
             return cached
-        ix, iy = lg.landmark_xy(pi)
-        out: list[int] = []
-        for pa in range(lg.num_partitions):
-            if pa == pi:
-                continue
-            ax, ay = lg.landmark_xy(pa)
-            if cosine_similarity(ax - ix, ay - iy, dx, dy) >= self._lam:
-                out.append(pa)
+        landmark_xy = [lg.landmark_xy(z) for z in range(lg.num_partitions)]
+        out = reference_suitable_destinations(landmark_xy, pi, (dx, dy), self._lam)
         self._pd_cache[key] = out
         return out
 

@@ -259,6 +259,36 @@ class TestEdgePass:
         pairs = np.array([(u, v) for u, v, _l in edges])
         self.assert_built_like_the_loop(RoadNetwork(base.xy, pairs), base.xy, pairs)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hop_reads_are_the_dict_reads(self, seed):
+        """Random walks over a mangled city: each hop's length and time
+        is the dict's, the path length its sequential sum, and the first
+        hop off the network raises."""
+        base = grid_city(**_Pinned.PINS["SOAK10"][0])
+        edges = _mangled(base, seed)
+        net = RoadNetwork(base.xy, edges)
+        want = reference_edge_dict(base.xy, edges)
+        out = {}
+        for (u, v) in want:
+            out.setdefault(u, []).append(v)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            path = [int(rng.choice(list(out)))]
+            while len(path) < 30 and path[-1] in out:
+                path.append(int(rng.choice(out[path[-1]])))
+            lengths = [want[hop] for hop in zip(path, path[1:])]
+            assert net.hop_lengths(path) == lengths
+            assert net.hop_costs(path) == [length / net.speed_mps for length in lengths]
+            total = 0.0
+            for length in lengths:
+                total += length
+            assert net.path_length_m(path) == total
+            missing = next(v for v in range(net.num_vertices) if (path[-1], v) not in want)
+            for bad in (missing, -1, net.num_vertices):
+                with pytest.raises(RoadNetworkError, match=rf"no edge \({path[-1]}, {bad}\)"):
+                    net.hop_lengths(path + [bad])
+        assert net.hop_lengths([]) == net.hop_lengths([3]) == []
+
     def test_hand_made_network(self):
         xy = [(0.0, 0.0), (30.0, 40.0), (30.0, 0.0), (0.0, 40.0)]
         edges = [(0, 1), (1, 0, 50.0), (0, 1, 20.0), (0, 1, 20.0), (2, 3, 0.0),

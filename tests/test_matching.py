@@ -25,7 +25,8 @@ from repro.obs import Instrumentation
 from repro.partitioning.bipartite import MapPartitioning
 from repro.sim.engine import Simulator
 from tests.conftest import build_route, is_path, make_request
-from tests.oracles import taxi_cells
+from repro.network.graph import RoadNetwork
+from tests.oracles import reference_taxi_vector, reference_taxi_vector_with, taxi_cells
 
 
 class TinyWorld:
@@ -109,6 +110,22 @@ class TestVectors:
         r = trip(tiny_engine, 0, 8, rid=5)
         v = taxi_vector_with(tiny_net, taxi, r, 0.0)
         assert v.direction == (200.0, 200.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(xy=st.lists(st.tuples(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5)),
+                       min_size=2, max_size=12),
+           data=st.data())
+    def test_taxi_vectors_are_the_per_destination_reads(self, xy, data):
+        net = RoadNetwork(xy, [(0, 1)])
+        vertex = st.integers(0, len(xy) - 1)
+        taxi = Taxi(taxi_id=0, capacity=8, loc=data.draw(vertex))
+        for rid, dest in enumerate(data.draw(st.lists(vertex, max_size=6))):
+            taxi.assign(make_request(request_id=rid, origin=taxi.loc, destination=dest))
+        request = make_request(request_id=99, origin=taxi.loc, destination=data.draw(vertex))
+        assert taxi_vector(net, taxi, 0.0) == reference_taxi_vector(net, taxi, 0.0)
+        assert taxi_vector_with(net, taxi, request, 0.0) == reference_taxi_vector_with(
+            net, taxi, request, 0.0
+        )
 
 
 class TestCandidateSearch:

@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csgraph
 
+from repro.analysis import contracts
 from repro.baselines.base import DispatchScheme
 from repro.core import mtshare, routing
 from repro.core.mobility_cluster import MobilityVector
@@ -19,14 +20,17 @@ from repro.core.routing import (
     compose_route,
 )
 from repro.fleet.schedule import dropoff, pickup
+from repro.network.geo import cosine_similarity
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
 from repro.partitioning.transition import TransitionModel
 from repro.sim.engine import Simulator
 from tests import oracles
 from tests.conftest import is_path, make_request
-from tests.oracles import ReferenceProbabilisticRouter
+from tests.oracles import ReferenceProbabilisticRouter, reference_suitable_destinations
 from tests.test_advance_index import _observe
+from tests.test_geo import HYPOT_SPLIT
+from tests.test_partition_filter import landmark_layouts, offset
 
 
 @pytest.fixture(scope="module")
@@ -246,8 +250,17 @@ def play(world, ops):
         assert _apply(fast, op) == _apply(oracle, op), op[:3]
     assert {key: entry.dests for key, entry in fast._sectors.items()} == oracle._pd_cache
     assert fast.fallbacks == oracle.fallbacks
-    # The oracle ran none of the mechanism under test.
+    # The oracle ran none of the mechanism under test: its leg memo
+    # holds basic (u, v) legs only.
     assert not oracle.sector_entries and not oracle.corridor_lists and not oracle.corridor_graphs
+    assert all(len(key) == 2 for key in oracle.legs)
+    # Each stored leg carries the hop times and total a fresh read gives.
+    net = world.net
+    for leg in fast.legs.values():
+        assert leg is routing.NO_LEG or (
+            leg.costs == [net.edge_cost(a, b) for a, b in zip(leg.path, leg.path[1:])]
+            and leg.cost_s == net.path_cost_s(leg.path)
+        )
     return fast, oracle
 
 
@@ -277,13 +290,126 @@ def _ops(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=_ops(), graph_capacity=st.sampled_from([1, None]))
-def test_probabilistic_router_matches_per_leg_oracle(world, ops, graph_capacity):
+@given(ops=_ops(), graph_capacity=st.sampled_from([1, None]),
+       leg_capacity=st.sampled_from([1, None]))
+def test_probabilistic_router_matches_per_leg_oracle(world, ops, graph_capacity, leg_capacity):
     ops = [op if op[0] == "cruise" else route_op(world, *op[1:]) for op in ops]
     capacity = graph_capacity or routing.CORRIDOR_GRAPH_CACHE_SIZE
-    with mock.patch.object(routing, "CORRIDOR_GRAPH_CACHE_SIZE", capacity):
+    legs = leg_capacity or routing.LEG_CACHE_SIZE
+    with mock.patch.object(routing, "CORRIDOR_GRAPH_CACHE_SIZE", capacity), \
+            mock.patch.object(routing, "LEG_CACHE_SIZE", legs):
         fast, _ = play(world, ops)
-    assert len(fast.corridor_graphs) <= capacity
+    assert len(fast.corridor_graphs) <= capacity and len(fast.legs) <= legs
+
+
+@pytest.mark.parametrize("leg_capacity", [1, None], ids=["legs1", "legs-default"])
+def test_cruises_and_planned_legs_replay_at_any_leg_capacity(world, leg_capacity):
+    """A sweep of cruises and planned legs, played twice: the second
+    pass reads every weighted leg back (at the shipped capacity) or
+    recomputes it (at capacity 1), and routes are ``==`` either way."""
+    ops = sweep(world, 3, 4, 3.0)
+    capacity = leg_capacity or routing.LEG_CACHE_SIZE
+    searches = []
+    shortest_path = routing.CorridorGraph.shortest_path
+
+    def searching(graph, source, target):
+        searches.append((source, target))
+        return shortest_path(graph, source, target)
+
+    with mock.patch.object(routing, "LEG_CACHE_SIZE", capacity), \
+            mock.patch.object(routing.CorridorGraph, "shortest_path", searching):
+        fast, _ = play(world, ops)
+    weighted = [key for key in fast.legs if len(key) == 4]
+    assert len(fast.legs) <= capacity
+    if leg_capacity is None:
+        # Each (u, v, corridor, sector) was searched once, the cruises'
+        # zero-heading sector among them; a corridor's disconnection
+        # (NO_LEG) is remembered as well.
+        assert len(searches) == len(weighted) == len(set(weighted))
+        assert any(key[3] == routing.NUM_SECTORS for key in weighted)
+        assert fast.legs.hits > len(weighted)
+    else:
+        assert fast.legs.evictions > 100 and len(searches) > len(ops)
+
+
+def test_a_disconnected_corridor_is_remembered(world, monkeypatch):
+    """A PathNotFound leg is stored as NO_LEG and replays as ``None``."""
+    router = world.router(ProbabilisticRouter)
+    u, v = world.vertex_in(0), world.vertex_in(9)
+
+    def unreachable(graph, source, target):
+        raise routing.PathNotFound("cut")
+
+    monkeypatch.setattr(routing.CorridorGraph, "shortest_path", unreachable)
+    corridor = (world.lg.partition_of(u), world.lg.partition_of(v))
+    assert router._weighted_leg(u, v, corridor, 3) is None
+    assert router.legs[(u, v, corridor, 3)] is routing.NO_LEG
+    monkeypatch.undo()
+    assert router._weighted_leg(u, v, corridor, 3) is None
+    assert router.legs.hits == 1
+
+
+def test_contracts_armed_nonpeak_run_is_the_same_at_leg_capacity_one(
+    test_nonpeak_scenario, monkeypatch
+):
+    """An ``mt-share-pro`` non-peak run with the runtime contracts on:
+    every decision, trip, fare and counter is the same with a leg memo
+    of one entry as with the shipped one."""
+    assert contracts.enabled()
+    expected, m = _observe(Simulator, test_nonpeak_scenario, "mt-share-pro", "plain", False)
+    monkeypatch.setattr(routing, "LEG_CACHE_SIZE", 1)
+    got, small = _observe(Simulator, test_nonpeak_scenario, "mt-share-pro", "plain", False)
+    assert got == expected
+    assert m.stages["route.probabilistic"]["count"] > 0 and m.counters["kernel.legcache_hits"] > 0
+    assert small.counters["kernel.legcache_evictions"] > 100
+    assert small.counters["kernel.corridor_graph_hits"] > m.counters["kernel.corridor_graph_hits"]
+
+
+# ----------------------------------------------------------------------
+# The cruise draw and step 1's row fill
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       weights=st.lists(st.one_of(st.floats(min_value=1e-300, max_value=1e6),
+                                  st.sampled_from([5e-324, 1e-310, 1e-200])),
+                        min_size=1, max_size=40))
+@example(seed=0, weights=[1.0])
+@example(seed=7, weights=[5e-324, 1.0, 5e-324])
+@example(seed=3, weights=[1e-300, 1e-310, 1e-300])
+def test_cruise_draw_is_generator_choice(seed, weights):
+    """``choice_cdf`` plus one ``searchsorted`` is ``rng.choice(p=...)``'s draw."""
+    w = np.array(weights)
+    cdf = routing.choice_cdf(w)
+    drawn = int(cdf.searchsorted(np.random.default_rng(seed).random(), side="right"))
+    assert drawn == np.random.default_rng(seed).choice(len(w), p=w / w.sum())
+
+
+@st.composite
+def step1_cases(draw):
+    """A landmark layout, a partition and a ``lambda`` — half the time
+    the scalar cosine of one of its offsets with one sector's heading."""
+    xy = draw(landmark_layouts())
+    pi = draw(st.integers(0, len(xy) - 1))
+    if draw(st.booleans()):
+        pa = draw(st.integers(0, len(xy) - 1))
+        sector = draw(st.integers(0, routing.NUM_SECTORS))
+        lam = cosine_similarity(*offset(xy, pa, pi), *routing.sector_direction(sector))
+    else:
+        lam = draw(st.floats(-1.0, 1.0))
+    return xy, pi, lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=step1_cases())
+@example(case=(np.array([(0.0, 0.0), HYPOT_SPLIT]), 0,
+               cosine_similarity(*HYPOT_SPLIT, *routing.sector_direction(8))))
+@example(case=(np.array([(1.0, 1.0), (1.0, 1.0), (1.0 + 2**-52, 1.0)]), 0, 0.9))
+def test_step1_row_fill_is_the_scalar_loop(case):
+    xy, pi, lam = case
+    assert routing.suitable_rows(xy, pi, lam) == [
+        reference_suitable_destinations(xy, pi, routing.sector_direction(sector), lam)
+        for sector in range(routing.NUM_SECTORS + 1)
+    ]
 
 
 # A taxi heading west-south-west and the zero vector a cruise passes:
@@ -354,7 +480,8 @@ def sweep(world, cruise_step, route_step, turn_deg):
 def test_every_search_runs_on_bit_equal_edge_weights(world, monkeypatch):
     """The stored graphs are the matrices the weight closure built: the
     in-tree search reads, call for call, the bytes the reference router
-    hands scipy, from the same source."""
+    hands scipy, from the same source.  The leg memo is emptied before
+    each op, so every weighted leg is searched on both sides."""
     searched, handed = [], []
     shortest_path = routing.CorridorGraph.shortest_path
     dijkstra = csgraph.dijkstra
@@ -377,6 +504,7 @@ def test_every_search_runs_on_bit_equal_edge_weights(world, monkeypatch):
     for cls in (ProbabilisticRouter, ReferenceProbabilisticRouter):
         router = world.router(cls)
         for op in sweep(world, 7, 5, 7.0):
+            router.legs.clear()
             _apply(router, op)
     # One list per side: a scipy call by production or an in-tree search
     # by the reference would misalign them.
