@@ -20,6 +20,14 @@ import math
 import numpy as np
 
 
+#: Factor on the radius of :meth:`GridSpatialIndex.query_radius`'s
+#: query box.  The offsets and ``math.hypot`` each round by at most a
+#: unit in the last place, so a point admitted at distance ``r`` lies
+#: within ``r * (1 + 1.5 * 2**-52)`` on each axis; 1e-15 is about
+#: ``4.5 * 2**-52``.
+HYPOT_SLACK = 1.0 + 1e-15
+
+
 class GridSpatialIndex:
     """Point index with O(1) updates and grid-pruned radius queries.
 
@@ -73,8 +81,13 @@ class GridSpatialIndex:
         """
         if radius_m < 0:
             return []
-        x0, y0 = self._cell_of(x - radius_m, y - radius_m)
-        x1, y1 = self._cell_of(x + radius_m, y + radius_m)
+        # A point whose offset exceeds the radius by a rounding error
+        # can still have ``hypot(...) <= radius_m``; the box reaches
+        # far enough past the disc to hold it (``_cell_of`` rounds
+        # monotonically, so a wider box never loses a cell).
+        reach = radius_m * HYPOT_SLACK
+        x0, y0 = self._cell_of(x - reach, y - reach)
+        x1, y1 = self._cell_of(x + reach, y + reach)
         hits: list[tuple[int, float]] = []
         for gx in range(x0, x1 + 1):
             for gy in range(y0, y1 + 1):

@@ -75,6 +75,8 @@ class TestQueryRadius:
     # A point exactly r away in the cell past the query's own ring.
     @example(points=[(250.0, 0.0)], qx=-9.5e-25, qy=0.0, r=250.0)
     @example(points=[(0.0, -3.3386046536530176e-245)], qx=0.0, qy=0.0, r=0.0)
+    # A point just past the box edge whose distance rounds down to r.
+    @example(points=[(0.0, -3.911602217588199e-189)], qx=0.0, qy=1.0, r=1.0)
     def test_matches_brute_force(self, points, qx, qy, r):
         idx = GridSpatialIndex(250.0)
         for i, (x, y) in enumerate(points):
