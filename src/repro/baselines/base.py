@@ -258,9 +258,8 @@ class DispatchScheme(abc.ABC):
         best = best_insertion_for_taxi(self._engine, taxi, request, now, self._obs)
         if best is None:
             return None
-        last, stops = best
+        detour, stops = best
         node, ready = taxi.position_at(now)
-        detour = (last - ready) - taxi.remaining_route_cost(ready)
         try:
             route = router.route_for_schedule(node, ready, stops)
         except RouteInfeasible:

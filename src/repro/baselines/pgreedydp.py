@@ -19,6 +19,7 @@ from ..core.matching import MatchResult, score_candidates
 from ..core.routing import RouteInfeasible
 from ..demand.request import RideRequest
 from ..fleet.schedule import materialize_insertion
+from ..fleet.table import Planning
 from ..fleet.taxi import Taxi
 from ..index.spatial import GridSpatialIndex
 from .base import DispatchScheme
@@ -71,7 +72,10 @@ class PGreedyDP(DispatchScheme):
         if not candidates:
             return None
         with self._obs.stage("match.insertion"):
-            scored = score_candidates(self._engine, candidates, request, now, self._obs)
+            planning = Planning.of_taxis(candidates, now)
+            scored = score_candidates(
+                self._engine, candidates, planning, request, now, self._obs
+            )
         # Minimum detour first, candidate order on a tie (the sort is
         # stable).  A route the fallback router cannot lay out passes
         # the request on to the next-best candidate, as in T-Share.

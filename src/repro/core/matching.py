@@ -40,13 +40,15 @@ import numpy as np
 from ..config import SystemConfig
 from ..demand.request import RideRequest
 from ..fleet.schedule import (
+    DEADLINE_SLACK_S,
     InsertionStart,
     Stop,
+    idle_arrival,
     materialize_insertion,
     num_insertions,
     score_insertions,
 )
-from ..fleet.table import FleetTable
+from ..fleet.table import FleetTable, Planning
 from ..fleet.taxi import Taxi, TaxiRoute
 from ..index.partition_index import PartitionTaxiIndex
 from ..network.graph import RoadNetwork
@@ -97,14 +99,25 @@ class WindowScreen:
     candidate set of the window's ``i``-th request (Eq. 3 plus the
     three rules).  Columns are the taxis that are a candidate of at
     least one request, ascending by taxi id; ``rows[j]`` is the fleet
-    table row of ``taxis[j]`` and ``starts[j]`` is
-    ``insertion_start(taxis[j], now)``, built once per window for the
-    surviving columns only and shared with the cost-matrix fill.
+    table row of ``taxis[j]`` and ``starts[j]`` is its
+    :data:`~repro.fleet.schedule.InsertionStart` at ``now``, built once
+    per window for the surviving columns only and shared with the
+    cost-matrix fill.
     """
 
     taxis: list[Taxi]
     starts: list[InsertionStart]
     member: np.ndarray
+    rows: np.ndarray
+
+
+class CandidateTaxis(list[Taxi]):
+    """:meth:`Matcher.candidate_taxis`' answer: the refined candidate
+    set in search order, and ``rows``, each taxi's fleet-table row in
+    the same order, so the dispatch that searched gathers its
+    candidates' columns without going back to the objects."""
+
+    __slots__ = ("rows",)
     rows: np.ndarray
 
 
@@ -219,7 +232,7 @@ class Matcher:
         request: RideRequest,
         fleet: dict[int, Taxi],
         now: float,
-    ) -> list[Taxi]:
+    ) -> CandidateTaxis:
         """The refined candidate set ``T_{r_i}`` (Eq. 3 plus the 3 rules).
 
         Every single-request path (greedy :meth:`match`, ``W -> 0``
@@ -229,7 +242,9 @@ class Matcher:
         some disc partition lists, ascending by taxi id; the rules read
         the pool's rows of the fleet table (:meth:`use_table`) and of
         the cluster index, gathered once per dispatch, so ``fleet``,
-        which holds the table's taxis, is not read.
+        which holds the table's taxis, is not read.  The answer carries
+        the kept rows (:class:`CandidateTaxis`), which :meth:`match`
+        scores from.
         """
         gamma = self._search_radius(request)
         xy = self._network.xy
@@ -237,8 +252,10 @@ class Matcher:
         disc_partitions = self._lg.partitions_intersecting_disc(ox, oy, gamma)
         pindex = self._pindex
         pool = pindex.listed_columns(disc_partitions)
+        found = CandidateTaxis()
+        found.rows = pool
         if not pool.size:
-            return []
+            return found
         table = self._table
         origin = request.origin
         pickup_deadline = request.pickup_deadline
@@ -286,8 +303,9 @@ class Matcher:
             else:
                 legs = self._engine.cost_matrix(nodes, [origin])[:, 0]
             keep[pending[table.ready(now, rows) + legs > pickup_deadline]] = False
-        taxis = table.taxis
-        return [taxis[row] for row in pool[keep].tolist()]
+        found.rows = kept = pool[keep]
+        found.extend(map(table.taxis.__getitem__, kept.tolist()))
+        return found
 
     def screen_window(
         self,
@@ -397,10 +415,11 @@ class Matcher:
             return None
 
         # Evaluate every candidate's best insertion with O(1) cached
-        # costs, batched across the whole candidate set; minimum detour
-        # first, taxi id breaking ties.
+        # costs, from the planning state of the kept rows; minimum
+        # detour first, taxi id breaking ties.
         with obs.stage("match.insertion"):
-            scored = score_candidates(self._engine, candidates, request, now, obs)
+            planning = self._table.planning(candidates.rows)
+            scored = score_candidates(self._engine, candidates, planning, request, now, obs)
             scored.sort(key=lambda item: (item[0], item[1].taxi_id))
 
         # Plan concrete routes lazily in estimated-detour order and keep
@@ -452,37 +471,71 @@ class Matcher:
         return best_result
 
 
-def insertion_start(taxi: Taxi, now: float) -> InsertionStart:
-    """``taxi``'s state at ``now`` as a :func:`score_insertions` candidate."""
-    node, ready = taxi.position_at(now)
-    return node, ready, taxi.pending_stops(), taxi.occupancy, taxi.capacity
-
-
 def score_candidates(
     engine: ShortestPathEngine,
     candidates: Sequence[Taxi],
+    planning: Planning,
     request: RideRequest,
     now: float,
     obs: Instrumentation,
 ) -> list[tuple[float, Taxi, Sequence[Stop], int, int]]:
     """Best feasible insertion per candidate, for a whole dispatch.
 
-    One :func:`score_insertions` call over every candidate.  Returns
-    ``(detour, taxi, pending, i, j)`` in candidate order for each
-    candidate that admits a feasible instance; ``detour`` is Eq. 4,
-    ``cost(R') - cost(R)``, and ``materialize_insertion(pending,
-    request, i, j)`` is the winning stop list, so only the few
-    candidates that reach route planning pay for building it.
+    ``planning`` is where each candidate plans from, entry for entry:
+    the fleet table's rows (:meth:`Matcher.match`) or the objects
+    (:meth:`Planning.of_taxis`).  Every candidate must have the
+    request's seats free (Rule 2).  Returns ``(detour, taxi, pending,
+    i, j)`` in candidate order for each candidate that admits a
+    feasible instance; ``detour`` is Eq. 4, ``cost(R') - cost(R)``,
+    and ``materialize_insertion(pending, request, i, j)`` is the
+    winning stop list, so only the few candidates that reach route
+    planning pay for building it.
+
+    An idle candidate has one instance and costs nothing to abandon,
+    so it is scored here, in the pass that reads the planning state
+    (:func:`idle_arrival`, with the walk's distance reads); only busy
+    candidates enter :func:`score_insertions`, and only they count
+    toward its tier choice.  Either way the arrivals are the scalar
+    enumeration's, bit for bit.
     """
-    starts = [insertion_start(taxi, now) for taxi in candidates]
-    obs.count("match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts))
+    origin = request.origin
+    if False in planning.busy:
+        speed = engine.network.speed_mps
+        pickup_by = request.pickup_deadline + DEADLINE_SLACK_S
+        dropoff_by = request.deadline + DEADLINE_SLACK_S
+        trip_s = engine.dist_row(origin).item(request.destination) / speed
+        # Full mode reads the column into the pick-up; lazy mode each
+        # idle start's own tree, the one the walk reads.
+        col = engine.dist_col(origin)
+        dist_row = engine.dist_row
     scored: list[tuple[float, Taxi, Sequence[Stop], int, int]] = []
+    starts: list[InsertionStart] = []
+    # Per start: where its entry goes in ``scored``, its taxi and route end.
+    held: list[tuple[int, Taxi, float]] = []
+    instances = 0
+    for taxi, vertex, time, busy, route_end in zip(candidates, *planning):
+        ready = time if time > now else now  # ``max(now, time)``
+        if busy:
+            pending = taxi.pending_stops()
+            instances += num_insertions(len(pending))
+            held.append((len(scored), taxi, route_end))
+            starts.append((vertex, ready, pending, taxi.occupancy, taxi.capacity))
+            continue
+        instances += 1
+        to_pickup = col.item(vertex) if col is not None else dist_row(vertex).item(origin)
+        last = idle_arrival(ready, to_pickup / speed, trip_s, pickup_by, dropoff_by)
+        if last is not None:
+            scored.append((last - ready, taxi, (), 0, 1))
+    obs.count("match.insertions_evaluated", instances)
+    if not starts:
+        return scored
     pairs = ([0] * len(starts), range(len(starts)))
-    for idx, last, i, j in score_insertions(engine, starts, [request], pairs, obs):
-        taxi = candidates[idx]
+    found = score_insertions(engine, starts, [request], pairs, obs)
+    # Last start first, so every earlier start's position still holds.
+    for idx, last, i, j in reversed(found):
+        at, taxi, route_end = held[idx]
         _node, ready, pending, _onboard, _capacity = starts[idx]
-        detour = (last - ready) - taxi.remaining_route_cost(ready)
-        scored.append((detour, taxi, pending, i, j))
+        scored.insert(at, ((last - ready) - max(0.0, route_end - ready), taxi, pending, i, j))
     return scored
 
 
@@ -495,21 +548,18 @@ def best_insertion_for_taxi(
 ) -> tuple[float, list[Stop]] | None:
     """Minimum-detour feasible insertion into one specific taxi.
 
-    The one-candidate case of :func:`score_insertions`, shared by every
-    scheme's offline-encounter path.  Returns ``(last_arrival, stops)``
-    or ``None`` when the taxi has no spare seat or no instance is
-    feasible.
+    The one-candidate case of :func:`score_candidates`, read off the
+    object, shared by every scheme's offline-encounter path.  Returns
+    ``(detour, stops)`` or ``None`` when the taxi has no spare seat or
+    no instance is feasible.
     """
     if taxi.committed + request.num_passengers > taxi.capacity:
         return None
-    start = insertion_start(taxi, now)
-    pending = start[2]
-    obs.count("match.insertions_evaluated", num_insertions(len(pending)))
-    scored = score_insertions(engine, [start], [request], ([0], [0]), obs)
+    scored = score_candidates(engine, [taxi], Planning.of_taxis([taxi], now), request, now, obs)
     if not scored:
         return None
-    _idx, last, i, j = scored[0]
-    return last, materialize_insertion(pending, request, i, j)
+    detour, _taxi, pending, i, j = scored[0]
+    return detour, materialize_insertion(pending, request, i, j)
 
 
 def taxi_vector_with(

@@ -88,7 +88,10 @@ class Leg(NamedTuple):
     path: list[int]
     #: Travel time of each hop (``RoadNetwork.hop_costs``).
     costs: list[float]
-    #: ``RoadNetwork.path_cost_s(path)``: the hop lengths summed, then timed.
+    #: A weighted leg's ``RoadNetwork.path_cost_s(path)`` (the hop
+    #: lengths summed, then timed), which the attempt loop reads at every
+    #: replay.  ``nan`` on a basic leg: its one reader, the probabilistic
+    #: router's fallback, sums the path where it reads it.
     cost_s: float
     #: Whether the basic router needed its full-graph fallback for it.
     fellback: bool
@@ -103,14 +106,19 @@ LegKey = tuple[int, int] | tuple[int, int, tuple[int, ...], int]
 
 
 def timed_leg(network: RoadNetwork, path: list[int], fellback: bool = False) -> Leg:
-    """``path`` with its hop times (``RoadNetwork.hop_costs``) and its
-    ``path_cost_s`` (the hop lengths summed in order, then timed)."""
+    """``path`` as a basic leg: its hop times (``RoadNetwork.hop_costs``)."""
+    return Leg(path, network.hop_costs(path), math.nan, fellback)
+
+
+def weighted_leg(network: RoadNetwork, path: list[int]) -> Leg:
+    """``path`` as a weighted leg: its hop times and its ``path_cost_s``
+    (the hop lengths summed in order, then timed)."""
     lengths = network.hop_lengths(path)
     total = 0.0
     for length in lengths:
         total += length
     speed = network.speed_mps
-    return Leg(path, [length / speed for length in lengths], total / speed, fellback)
+    return Leg(path, [length / speed for length in lengths], total / speed, False)
 
 
 def _route_of(start_node: int, start_time: float, legs: Sequence[Leg]) -> TaxiRoute:
@@ -640,7 +648,7 @@ class ProbabilisticRouter(BasicRouter):
         if leg is None:
             try:
                 _cost, path = self._corridor_graph(corridor, sector).shortest_path(u, v)
-                leg = timed_leg(self._network, path)
+                leg = weighted_leg(self._network, path)
             except PathNotFound:
                 leg = NO_LEG
             self.legs.store(key, leg)
@@ -758,7 +766,7 @@ class ProbabilisticRouter(BasicRouter):
                     break
             if chosen is None:
                 chosen = self._cached_leg(node, stop.node)
-                extra = chosen.cost_s - shortest_cost
+                extra = self._network.path_cost_s(chosen.path) - shortest_cost
                 if extra > budget + 1e-9:
                     raise RouteInfeasible(
                         f"no deadline-respecting leg from {node} to {stop.node}"

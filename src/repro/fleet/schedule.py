@@ -357,6 +357,28 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return cached
 
 
+def idle_arrival(
+    ready: float, to_pickup_s: float, trip_s: float, pickup_by: float, dropoff_by: float
+) -> float | None:
+    """Last arrival of an idle candidate's one instance, or ``None``.
+
+    A candidate with no pending stops has a single insertion: drive
+    ``to_pickup_s`` to the pick-up, then ``trip_s`` to the drop-off.
+    ``pickup_by`` and ``dropoff_by`` are the request's deadlines plus
+    :data:`DEADLINE_SLACK_S`.  The additions and comparisons are
+    :func:`arrival_times`' and :func:`deadlines_met`'s over the two
+    legs, so the arrival is bit-identical to the enumeration's.
+    Capacity is the caller's to check.
+    """
+    t = ready + to_pickup_s
+    if t > pickup_by:
+        return None
+    t = t + trip_s
+    if t > dropoff_by:
+        return None
+    return t
+
+
 def _tight_walk(
     engine: ShortestPathEngine,
     starts: Sequence[InsertionStart],
@@ -393,6 +415,7 @@ def _tight_walk(
             if pu_node not in row_cache:
                 row_cache[pu_node] = dist_row(pu_node)
             pu_row = row_cache[pu_node]
+            trip_s = pu_row.item(do_node) / speed
         start_row = row_cache.get(start_node)
         if start_row is None:
             start_row = dist_row(start_node)
@@ -408,13 +431,11 @@ def _tight_walk(
                 continue
             if occ < 0 or onboard < 0:
                 raise ValueError("schedule drops off passengers that were never aboard")
-            t = start_time + start_row.item(pu_node) / speed
-            if t > pu_dead:
-                continue
-            t = t + pu_row.item(do_node) / speed
-            if t > do_dead:
-                continue
-            out.append((idx, t, 0, 1))
+            last = idle_arrival(
+                start_time, start_row.item(pu_node) / speed, trip_s, pu_dead, do_dead
+            )
+            if last is not None:
+                out.append((idx, last, 0, 1))
             continue
 
         ext_nodes: list[int] = []

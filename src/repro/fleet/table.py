@@ -2,8 +2,10 @@
 
 Every mT-Share scheme keeps one (``MTShare.register_fleet``): greedy
 :meth:`~repro.core.matching.Matcher.candidate_taxis` gathers a pool's
-rows, and :meth:`~repro.core.matching.Matcher.screen_window` reads
-whole columns.  A :class:`FleetTable` holds one row per taxi, in the
+rows, :meth:`~repro.core.matching.Matcher.match` scores the rows it
+keeps from their :class:`Planning` (:meth:`FleetTable.planning`), and
+:meth:`~repro.core.matching.Matcher.screen_window` reads whole
+columns.  A :class:`FleetTable` holds one row per taxi, in the
 order it is given: the index layout, ascending by taxi id.  Every column
 mirrors state that lives on a :class:`~repro.fleet.taxi.Taxi`, and is
 written by the taxi where the state changes, never rebuilt from it: the
@@ -25,12 +27,40 @@ this table's row ``k``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .taxi import Taxi
+
+
+class Planning(NamedTuple):
+    """Where each of a list of taxis plans from: one entry per taxi.
+
+    ``Taxi.position_at(now)`` of the ``k``-th taxi is ``(vertex[k],
+    max(now, time[k]))``; ``busy[k]`` says whether it has pending stops
+    and ``route_end[k]`` is :attr:`Taxi.route_end`.  Insertion scoring
+    reads a dispatch's candidates through it, gathered from the fleet
+    table (:meth:`FleetTable.planning`) or read off the objects
+    (:meth:`of_taxis`); the two are equal wherever the table is current.
+    """
+
+    vertex: list[int]
+    time: list[float]
+    busy: list[bool]
+    route_end: list[float]
+
+    @classmethod
+    def of_taxis(cls, taxis: Sequence[Taxi], now: float) -> Planning:
+        """The planning state of ``taxis`` at ``now``, read off the objects."""
+        positions = [taxi.position_at(now) for taxi in taxis]
+        return cls(
+            [vertex for vertex, _time in positions],
+            [time for _vertex, time in positions],
+            [not taxi.idle for taxi in taxis],
+            [taxi.route_end for taxi in taxis],
+        )
 
 
 class FleetTable:
@@ -51,8 +81,9 @@ class FleetTable:
     busy:
         Whether the taxi has pending stops.
     route_end:
-        End time of the route its stops are served on; ``-inf`` when
-        :meth:`Taxi.remaining_route_cost` is 0 whatever the time.
+        :attr:`Taxi.route_end`: end time of the route its stops are
+        served on; ``-inf`` when :meth:`Taxi.remaining_route_cost` is 0
+        whatever the time.
     """
 
     __slots__ = (
@@ -78,6 +109,15 @@ class FleetTable:
     def ready(self, now: float, rows: np.ndarray) -> np.ndarray:
         """Planning times of ``rows`` at ``now``: ``Taxi.position_at``'s second half."""
         return np.maximum(now, self.plan_time[rows])
+
+    def planning(self, rows: np.ndarray) -> Planning:
+        """The planning state of ``rows``, one gather per column."""
+        return Planning(
+            self.plan_vertex[rows].tolist(),
+            self.plan_time[rows].tolist(),
+            self.busy[rows].tolist(),
+            self.route_end[rows].tolist(),
+        )
 
     def remaining_route_cost(self, rows: np.ndarray, ready: np.ndarray) -> np.ndarray:
         """``Taxi.remaining_route_cost(ready[k])`` of each row ``rows[k]``."""

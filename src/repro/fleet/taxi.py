@@ -226,11 +226,10 @@ class Taxi:
         if i < len(route.nodes):
             table.plan_vertex[row] = route.nodes[i]
             table.plan_time[row] = route.times[i]
-            table.route_end[row] = route.times[-1] if self.schedule else -math.inf
         else:
             table.plan_vertex[row] = self.loc
             table.plan_time[row] = self.loc_time
-            table.route_end[row] = -math.inf
+        table.route_end[row] = self.route_end
         table.busy[row] = bool(self.schedule)
 
     def _write_seats(self) -> None:
@@ -425,17 +424,22 @@ class Taxi:
         """Stops not yet executed, in order."""
         return self.schedule[self._stops_fired:]
 
+    @property
+    def route_end(self) -> float:
+        """End time of the route the pending stops are served on;
+        ``-inf`` with no stops or nothing left to drive, where
+        :meth:`remaining_route_cost` is 0 whatever the time."""
+        route = self.route
+        if self.schedule and self._route_cursor < len(route.nodes):
+            return route.times[-1]
+        return -math.inf
+
     def remaining_route_cost(self, from_time: float) -> float:
         """Travel time still ahead on the current route, measured from
         ``from_time`` (the planning time).  This is the ``cost(R_tj)``
         term in the detour-cost definition (Eq. 4).  A passenger-less
         cruise route counts as zero: abandoning it costs nothing."""
-        if not self.schedule:
-            return 0.0
-        route = self.route
-        if self._route_cursor >= len(route.nodes):
-            return 0.0
-        return max(0.0, route.end_time - from_time)
+        return max(0.0, self.route_end - from_time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

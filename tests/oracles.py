@@ -109,7 +109,14 @@ against the textbook enumeration kept in ``repro.fleet.schedule``
 (:func:`enumerate_insertions` + :func:`arrival_times` +
 :func:`capacity_ok` + :func:`deadlines_met`).  The wrappers that drive
 that enumeration over a candidate set or a whole dispatch window live
-here so they cannot drift into production.
+here so they cannot drift into production.  A dispatch scores its idle
+candidates in the pass that reads their fleet-table rows and sends
+only busy ones to ``score_insertions``
+(``repro.core.matching.score_candidates``);
+:func:`reference_score_candidates` is the object path it replaced,
+verbatim: :func:`insertion_start` per candidate, one
+``score_insertions`` call over all of them, and each taxi's own
+``remaining_route_cost``.
 """
 
 from __future__ import annotations
@@ -124,7 +131,7 @@ from scipy.sparse import csgraph
 
 from repro.analysis import contracts
 from repro.core import partition_filter
-from repro.core.matching import insertion_start, request_vector
+from repro.core.matching import request_vector
 from repro.core.mobility_cluster import (
     DEFAULT_LAMBDA,
     ZERO_UNIT,
@@ -156,6 +163,8 @@ from repro.fleet.schedule import (
     capacity_ok,
     deadlines_met,
     enumerate_insertions,
+    num_insertions,
+    score_insertions,
 )
 from repro.fleet.taxi import TaxiRoute
 from repro.network.geo import cosine_similarity
@@ -826,6 +835,29 @@ def oracle_score_insertions(engine, starts, request):
         if best is not None:
             out.append(best)
     return out
+
+
+def insertion_start(taxi, now):
+    """``taxi``'s state at ``now`` as a ``score_insertions`` candidate,
+    read off the object."""
+    node, ready = taxi.position_at(now)
+    return node, ready, taxi.pending_stops(), taxi.occupancy, taxi.capacity
+
+
+def reference_score_candidates(engine, candidates, request, now, obs):
+    """``repro.core.matching.score_candidates`` read off the objects:
+    every candidate, idle or busy, through one ``score_insertions``
+    call, and its remaining route cost from the taxi."""
+    starts = [insertion_start(taxi, now) for taxi in candidates]
+    obs.count("match.insertions_evaluated", sum(num_insertions(len(s[2])) for s in starts))
+    scored = []
+    pairs = ([0] * len(starts), range(len(starts)))
+    for idx, last, i, j in score_insertions(engine, starts, [request], pairs, obs):
+        taxi = candidates[idx]
+        _node, ready, pending, _onboard, _capacity = starts[idx]
+        detour = (last - ready) - taxi.remaining_route_cost(ready)
+        scored.append((detour, taxi, pending, i, j))
+    return scored
 
 
 def scalar_cost_matrix(scheme, batch, now):

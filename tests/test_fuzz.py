@@ -10,7 +10,8 @@ contracts (the fleet table's included) armed by the suite.  Greedy
 partition-index and cluster-index write into the dict indexes they
 replaced and check, at every candidate search, the arrivals matrix and
 the cluster columns against those dicts and the search against the walk
-over them.
+over them; on ``full`` and ``lazy`` distances, the same runs check every
+table-fed scoring call against the object path it replaced.
 """
 
 import math
@@ -21,6 +22,7 @@ import pytest
 
 from repro.analysis import contracts
 from repro.config import SystemConfig
+from repro.core import matching
 from repro.core.mobility_cluster import MobilityClusterIndex
 from repro.core.mtshare import MTShare
 from repro.core.payment import PaymentModel
@@ -35,17 +37,19 @@ from repro.network import generators
 from repro.network.generators import grid_city
 from repro.network.landmarks import LandmarkGraph
 from repro.network.shortest_path import ShortestPathEngine
+from repro.obs import Instrumentation
 from repro.partitioning.bipartite import bipartite_partition
 from repro.sim.engine import Simulator
 from tests.oracles import (
     ReferenceClusterIndex,
     ReferencePartitionIndex,
     reference_candidate_taxis,
+    reference_score_candidates,
     taxi_cells,
 )
 
 
-def random_city(seed: int):
+def random_city(seed: int, sp_mode: str = "auto"):
     """A small random city, trace, partitioning and config, plus the
     draw's generator and the fleet's seat count."""
     rng = np.random.default_rng(seed)
@@ -53,7 +57,7 @@ def random_city(seed: int):
     spacing_m = float(rng.uniform(120, 260))
     with mock.patch.object(generators, "REMOVAL_RATE", float(rng.uniform(0.0, 0.15))):
         net = grid_city(rows=size, cols=size, spacing_m=spacing_m, seed=seed)
-    engine = ShortestPathEngine(net)
+    engine = ShortestPathEngine(net, mode=sp_mode)
 
     n = net.num_vertices
     m = int(rng.integers(40, 140))
@@ -252,12 +256,12 @@ def mirror_indexes(scheme):
     return dispatches
 
 
-def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None):
+def mirrored_greedy_run(seed: int, probabilistic: bool, faults=None, sp_mode="auto"):
     """A random city through greedy ``mt-share`` (``-pro``), faults and
     rebalancing each on or off, with its indexes mirrored and checked
     (:func:`mirror_indexes`).  Returns the simulator and the candidate
     count of each dispatch so far."""
-    rng, net, engine, part, config, capacity, requests = random_city(seed)
+    rng, net, engine, part, config, capacity, requests = random_city(seed, sp_mode)
     landmarks = LandmarkGraph(net, part.partitions, engine)
     scheme = MTShare(net, engine, config, part, probabilistic=probabilistic,
                      landmarks=landmarks)
@@ -276,6 +280,57 @@ def test_arrivals_matrix_is_the_partition_lists(seed, probabilistic):
     metrics = sim.run()
     assert dispatches and any(dispatches)
     assert metrics.completed == metrics.served
+
+
+def check_scoring(monkeypatch):
+    """Check every ``score_candidates`` call against the object path it
+    replaced (:func:`reference_score_candidates`): the same scored
+    entries as a multiset and the same ``match.insertions_evaluated``
+    count.  Returns ``(idle, busy)`` candidate counts per call so far."""
+    real = matching.score_candidates
+    name = "match.insertions_evaluated"
+    calls = []
+
+    def entries(scored):
+        # One entry per candidate at most: taxi id order is multiset order.
+        return sorted(
+            ((detour, taxi.taxi_id, tuple(pending), i, j)
+             for detour, taxi, pending, i, j in scored),
+            key=lambda entry: entry[1],
+        )
+
+    def checked(engine, candidates, planning, request, now, obs):
+        before = obs.counters.get(name, 0)
+        got = real(engine, candidates, planning, request, now, obs)
+        reference = Instrumentation()
+        want = reference_score_candidates(engine, candidates, request, now, reference)
+        where = (request.request_id, now)
+        assert entries(got) == entries(want), ("scores", where)
+        assert obs.counters[name] - before == reference.counters[name], ("insertions", where)
+        idle = sum(not taxi.pending_stops() for taxi in candidates)
+        calls.append((idle, len(candidates) - idle))
+        return got
+
+    monkeypatch.setattr(matching, "score_candidates", checked)
+    return calls
+
+
+@pytest.mark.parametrize("sp_mode", ("full", "lazy"))
+@pytest.mark.parametrize("probabilistic", (False, True), ids=("mt-share", "mt-share-pro"))
+def test_table_fed_scoring_is_the_object_scorer(probabilistic, sp_mode, monkeypatch):
+    """At every dispatch (and every offline encounter) of eight drawn
+    runs, faults and rebalancing drawn, scoring the candidates from the
+    fleet table's rows gives the object path's entries and insertion
+    count."""
+    calls = check_scoring(monkeypatch)
+    for seed in range(8):
+        sim, dispatches = mirrored_greedy_run(seed, probabilistic, sp_mode=sp_mode)
+        before = len(calls)
+        metrics = sim.run()
+        assert metrics.completed == metrics.served
+        assert len(calls) - before >= sum(map(bool, dispatches)) > 0
+    # Both halves of the split ran, and a call mixed them.
+    assert any(idle and busy for idle, busy in calls)
 
 
 def test_a_remove_that_keeps_the_taxi_listed_fails_the_mirror(monkeypatch):

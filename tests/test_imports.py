@@ -296,8 +296,6 @@ SURFACE_KEEP = {
     "tests/test_transition.py checks the model through",
     "RoadNetwork.edge_cost": "one hop's travel time, the scalar form of hop_costs the "
     "reference routers time their legs with (tests/oracles.py)",
-    "RoadNetwork.path_cost_s": "a path's travel time, the scalar form of the leg memo's "
-    "Leg.cost_s (tests/oracles.py::ReferenceProbabilisticRouter)",
     # Documented test hooks.
     "contracts.enable": "turns the runtime contracts on for the test session "
     "(repro.analysis.contracts, docs/STATIC_ANALYSIS.md)",

@@ -38,6 +38,7 @@ from repro.fleet.schedule import (
     pickup,
     score_insertions,
 )
+from repro.fleet.table import Planning
 from repro.network.generators import grid_city
 from repro.network.geo import cosine_similarity
 from repro.network.graph import RoadNetwork
@@ -271,6 +272,8 @@ class _FakeTaxi:
     """Just enough taxi surface for the matcher's scoring paths."""
 
     committed = 0
+    #: No route to abandon: ``remaining_route_cost`` is 0 whatever the time.
+    route_end = -np.inf
 
     def __init__(self, taxi_id, start):
         self.taxi_id = taxi_id
@@ -278,6 +281,10 @@ class _FakeTaxi:
 
     def position_at(self, now):
         return self._node, self._ready
+
+    @property
+    def idle(self):
+        return not self._pending
 
     def pending_stops(self):
         return list(self._pending)
@@ -304,7 +311,9 @@ class TestMatcherEquivalence:
             stops = next(
                 s for pi, pj, s in enumerate_insertions(start[2], request) if (pi, pj) == (i, j)
             )
-            assert best == (last, stops)  # arrival bit-identical, same stop list
+            # Detour bit-identical to the arrival's, same stop list.
+            ready = start[1]
+            assert best == ((last - ready) - taxi.remaining_route_cost(ready), stops)
         assert chosen > 0  # the fuzz actually exercised feasible cases
 
 
@@ -742,7 +751,8 @@ class TestScorerTierEquivalence:
             threshold, counter = TIERS[tier]
             monkeypatch.setattr(schedule_mod, "TIGHT_INSERTION_MAX", threshold)
             obs = Instrumentation()
-            scored = score_candidates(engine, candidates, request, 0.0, obs)
+            planning = Planning.of_taxis(candidates, 0.0)
+            scored = score_candidates(engine, candidates, planning, request, 0.0, obs)
             counters = obs.counter_snapshot()
             # The fingerprinted counter does not depend on the tier.
             assert counters.pop("match.insertions_evaluated") == instances

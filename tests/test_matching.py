@@ -26,7 +26,12 @@ from repro.partitioning.bipartite import MapPartitioning
 from repro.sim.engine import Simulator
 from tests.conftest import build_route, is_path, make_request
 from repro.network.graph import RoadNetwork
-from tests.oracles import reference_taxi_vector, reference_taxi_vector_with, taxi_cells
+from tests.oracles import (
+    reference_score_candidates,
+    reference_taxi_vector,
+    reference_taxi_vector_with,
+    taxi_cells,
+)
 
 
 class TinyWorld:
@@ -229,6 +234,66 @@ class TestMatch:
         taxi.assign(trip(tiny_engine, 1, 5, rid=9))
         r = trip(tiny_engine, 1, 7)
         assert scheme.try_offline(taxi, r, 0.0) is None
+
+
+class TestIdleScoring:
+    """A dispatch scores its idle candidates in the pass that reads their
+    fleet-table rows: the walk's deadline slack, from ``max(now,
+    plan_time)``, agreeing with the object path."""
+
+    PICKUP, DROPOFF = 4, 8
+
+    def request_by(self, tiny_engine, pickup_deadline):
+        """A request from 4 to 8 whose pick-up deadline is
+        ``pickup_deadline`` and whose drop-off has 100 s to spare."""
+        direct_cost = tiny_engine.cost(self.PICKUP, self.DROPOFF) + 100.0
+        return RideRequest(
+            request_id=1, release_time=0.0, origin=self.PICKUP, destination=self.DROPOFF,
+            deadline=pickup_deadline + direct_cost, direct_cost=direct_cost,
+        )
+
+    def scored(self, tiny_engine, taxi, request, now):
+        """``score_candidates`` over the table row of ``taxi``, checked
+        against the object path; ``(detour, i, j)`` or ``None``."""
+        taxis = [taxi]
+        planning = FleetTable(taxis).planning(np.arange(1))
+        assert planning.busy == [False]
+        got = matching.score_candidates(tiny_engine, taxis, planning, request, now,
+                                        Instrumentation())
+        want = reference_score_candidates(tiny_engine, taxis, request, now, Instrumentation())
+        assert [(d, t, tuple(p), i, j) for d, t, p, i, j in got] == [
+            (d, t, tuple(p), i, j) for d, t, p, i, j in want
+        ]
+        return [(d, i, j) for d, _t, _p, i, j in got] or None
+
+    def test_a_pickup_inside_the_slack_is_scored(self, tiny_engine):
+        arrival = 0.0 + tiny_engine.cost(0, self.PICKUP)
+        request = self.request_by(tiny_engine, arrival - 5e-10)
+        assert arrival - request.pickup_deadline == pytest.approx(5e-10, rel=1e-3)
+        trip_s = tiny_engine.cost(self.PICKUP, self.DROPOFF)
+        assert self.scored(tiny_engine, idle_taxi(0, 0), request, 0.0) == [
+            (arrival + trip_s, 0, 1)
+        ]
+
+    def test_a_pickup_past_the_slack_is_not(self, tiny_engine):
+        arrival = 0.0 + tiny_engine.cost(0, self.PICKUP)
+        request = self.request_by(tiny_engine, arrival - 2e-9)
+        assert arrival - request.pickup_deadline == pytest.approx(2e-9, rel=1e-3)
+        assert self.scored(tiny_engine, idle_taxi(0, 0), request, 0.0) is None
+
+    def test_a_stale_planning_time_plans_from_now(self, tiny_engine):
+        """Parked since t = 0 and asked at t = 50: the pick-up is reached
+        50 s later than the planning time alone would say."""
+        taxi = idle_taxi(0, 0)
+        assert taxi.position_at(50.0) == (0, 50.0)
+        to_pickup = tiny_engine.cost(0, self.PICKUP)
+        late = self.request_by(tiny_engine, 50.0 + to_pickup - 10.0)
+        assert self.scored(tiny_engine, taxi, late, 50.0) is None
+        on_time = self.request_by(tiny_engine, 50.0 + to_pickup)
+        trip_s = tiny_engine.cost(self.PICKUP, self.DROPOFF)
+        assert self.scored(tiny_engine, taxi, on_time, 50.0) == [
+            ((50.0 + to_pickup + trip_s) - 50.0, 0, 1)
+        ]
 
 
 def _row_partitioned_mtshare(tiny_net, tiny_engine):

@@ -254,12 +254,14 @@ def play(world, ops):
     # holds basic (u, v) legs only.
     assert not oracle.sector_entries and not oracle.corridor_lists and not oracle.corridor_graphs
     assert all(len(key) == 2 for key in oracle.legs)
-    # Each stored leg carries the hop times and total a fresh read gives.
+    # Each stored leg carries the hop times a fresh read gives, and a
+    # weighted leg its total too (a basic leg's one reader sums it).
     net = world.net
-    for leg in fast.legs.values():
+    for key, leg in fast.legs.items():
         assert leg is routing.NO_LEG or (
             leg.costs == [net.edge_cost(a, b) for a, b in zip(leg.path, leg.path[1:])]
-            and leg.cost_s == net.path_cost_s(leg.path)
+            and (leg.cost_s == net.path_cost_s(leg.path) if len(key) == 4
+                 else math.isnan(leg.cost_s))
         )
     return fast, oracle
 
